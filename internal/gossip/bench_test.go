@@ -7,30 +7,12 @@ import (
 )
 
 // BenchmarkRound measures one full simulation round at Table 1 scale — the
-// inner loop of every figure sweep (sequential executor, the default).
+// inner loop of every figure sweep.
 func BenchmarkRound(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Rounds = 1 << 20 // effectively unbounded; we step manually
 	cfg.Warmup = 0
 	eng, err := New(cfg, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRoundParallel measures the batched concurrent executor — an
-// ablation showing why sequential is the default at this scale.
-func BenchmarkRoundParallel(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Rounds = 1 << 20
-	cfg.Warmup = 0
-	eng, err := New(cfg, 1, WithParallel())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,9 +2,6 @@ package gossip
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/defense"
@@ -57,18 +54,27 @@ type Engine struct {
 	copiesFor     []int
 
 	round          int
-	live           []*liveUpdate
 	targetsByRound []*attack.TargetSet
 
-	// Pooled per-round scratch: the planning permutation and pairing list
-	// are reused every round, retired holder arrays are recycled into new
-	// updates, and the two needs buffers back the sequential exchange
-	// executor — steady-state rounds allocate O(|satiated set|) on the
-	// satiation path and O(1) elsewhere, independent of Nodes.
+	// live holds the unexpired updates in release order; held is the
+	// node-major holdings matrix: node v owns the words
+	// held[v*words:(v+1)*words], and bit b of that row is set iff v holds
+	// live[b]. Expiry always removes a prefix of live, so dropExpired keeps
+	// bit index = live index by shifting every row. oldEnd is the length of
+	// the "old, soon-to-expire" prefix (released at least RecentWindow
+	// rounds ago), fixed for the round once seeding is done.
+	live   []liveUpdate
+	held   []uint64
+	words  int
+	oldEnd int
+
+	// Pooled per-round scratch: the planning permutation, pairing list and
+	// the two needs buffers are reused every round — steady-state rounds
+	// allocate O(|satiated set|) on the satiation path and O(1) elsewhere,
+	// independent of Nodes.
 	permBuf     []int
 	pairBuf     []pairing
 	initFlags   []bool
-	holderPool  [][]bool
 	needScratch [2][]int
 
 	// evalParallel > 0 forces the sharded per-node planning evaluation,
@@ -87,11 +93,9 @@ type Engine struct {
 	perRoundIsolated []float64
 	nodeRound        [][]int // [node][release round] delivered count
 
-	usefulSent   atomic.Int64
-	junkSent     atomic.Int64
-	attackerSent atomic.Int64
-
-	parallel bool
+	usefulSent   int64
+	junkSent     int64
+	attackerSent int64
 }
 
 // Option customizes an Engine.
@@ -116,24 +120,6 @@ func WithAdversary(a sim.Adversary) Option {
 // through its Admit hook.
 func WithDefense(d sim.Defense) Option {
 	return func(e *Engine) { e.def = d }
-}
-
-// WithParallel enables the batched concurrent exchange executor. Results
-// are bit-identical to the default sequential executor (the equivalence is
-// tested), but for Table 1-sized systems the sequential path is faster:
-// individual exchanges are microseconds of work and share update holder
-// arrays, so intra-round parallelism buys mostly cache-line contention.
-// Parallelism pays off at the sweep level instead (internal/sweep runs
-// whole simulations concurrently). The option remains for very large
-// configurations where per-round work dominates.
-func WithParallel() Option {
-	return func(e *Engine) { e.parallel = true }
-}
-
-// WithSequential forces single-threaded exchange execution; it is the
-// default and exists for explicit equivalence tests.
-func WithSequential() Option {
-	return func(e *Engine) { e.parallel = false }
 }
 
 // WithChurn installs a lifecycle schedule: each event's node leaves or
@@ -290,6 +276,9 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 	}
 	e.targetsByRound = make([]*attack.TargetSet, cfg.Rounds)
 	e.initFlags = make([]bool, n)
+	e.live = make([]liveUpdate, 0, cfg.Lifetime*cfg.UpdatesPerRound)
+	e.words = (cap(e.live) + 63) / 64
+	e.held = make([]uint64, n*e.words)
 	if cfg.TrackPerNode {
 		e.nodeRound = make([][]int, n)
 		for v := range e.nodeRound {
@@ -392,9 +381,13 @@ func (e *Engine) Step() error {
 		e.idealDeliver()
 	}
 
-	e.runPhase("balanced", e.planBalanced(), e.execBalanced)
+	for _, p := range e.planBalanced() {
+		e.execBalanced(p)
+	}
 	if e.cfg.PushSize > 0 {
-		e.runPhase("push", e.planPush(), e.execPush)
+		for _, p := range e.planPush() {
+			e.execPush(p)
+		}
 	}
 
 	e.applyEvictions()
@@ -404,10 +397,9 @@ func (e *Engine) Step() error {
 }
 
 // leaveNode removes v from the population: its copies leave the network
-// with it (holder bits cleared across live updates, O(live) per event),
-// it stops initiating and answering exchanges, and the adversary is told
-// so a reused index cannot inherit its satiation. Leaving twice is a
-// no-op, so arbitrary traces replay safely.
+// with it (its holdings row is cleared), it stops initiating and answering
+// exchanges, and the adversary is told so a reused index cannot inherit its
+// satiation. Leaving twice is a no-op, so arbitrary traces replay safely.
 //
 //lotus:allocfree
 func (e *Engine) leaveNode(v int) {
@@ -415,9 +407,7 @@ func (e *Engine) leaveNode(v int) {
 		return
 	}
 	e.departed[v] = true
-	for _, u := range e.live {
-		u.holders[v] = false
-	}
+	clear(e.row(v))
 	sim.NotifyDeparture(e.adv, e.round, v)
 }
 
@@ -434,33 +424,18 @@ func (e *Engine) joinNode(v int) {
 	e.presentSince[v] = e.round
 }
 
-// takeHolders returns a zeroed length-Nodes holder array, recycling one
-// retired with a past update when available, so steady-state rounds allocate
-// no per-update O(Nodes) storage.
-//
-//lotus:allocfree
-func (e *Engine) takeHolders() []bool {
-	if k := len(e.holderPool); k > 0 {
-		h := e.holderPool[k-1]
-		e.holderPool = e.holderPool[:k-1]
-		clear(h)
-		return h
-	}
-	return make([]bool, e.cfg.Nodes) //lotus:allocsetup pool miss — only until Lifetime updates are in flight, then every round recycles
-}
-
-// seedUpdates releases this round's updates to random nodes, per Table 1.
+// seedUpdates releases this round's updates to random nodes, per Table 1,
+// and fixes the round's old/recent boundary.
 //
 //lotus:allocfree
 func (e *Engine) seedUpdates() {
 	rng := e.rng.ChildN("seed", e.round)
 	for k := 0; k < e.cfg.UpdatesPerRound; k++ {
-		//lotus:ignore allocfree one bounded record per released update — population-independent, inside the alloc test's constant budget
-		u := &liveUpdate{
+		b := len(e.live)
+		u := liveUpdate{
 			id:       UpdateID{Round: e.round, Index: k},
 			release:  e.round,
 			deadline: e.round + e.cfg.Lifetime - 1,
-			holders:  e.takeHolders(),
 			measured: e.round >= e.measStart && e.round <= e.measEnd,
 		}
 		// Uniform demand seeds a fixed fan-out; with a popularity catalog
@@ -474,12 +449,18 @@ func (e *Engine) seedUpdates() {
 			if e.departed[v] {
 				continue // the copy lands on an empty seat and is lost
 			}
-			u.holders[v] = true
+			e.set(v, b)
 			if e.isAttacker[v] && !e.evicted[v] {
 				u.pool = true
 			}
 		}
 		e.live = append(e.live, u)
+	}
+	// Live is in release order and this round's releases are recent
+	// (RecentWindow >= 1), so the scan stops inside the slice.
+	e.oldEnd = 0
+	for cutoff := e.round - e.cfg.RecentWindow; e.live[e.oldEnd].release <= cutoff; {
+		e.oldEnd++
 	}
 }
 
@@ -495,12 +476,13 @@ func (e *Engine) idealDeliver() {
 	if len(e.attackers) > 0 {
 		sender = e.attackers[0]
 	}
-	for _, u := range e.live {
-		if u.release != e.round || !u.pool {
+	// This round's releases are the last UpdatesPerRound live records.
+	for b := len(e.live) - e.cfg.UpdatesPerRound; b < len(e.live); b++ {
+		if !e.live[b].pool {
 			continue
 		}
 		for _, v := range targets.Members() {
-			if e.isAttacker[v] || e.departed[v] || u.holders[v] {
+			if e.isAttacker[v] || e.departed[v] || e.has(v, b) {
 				continue
 			}
 			if e.roles[v] == RoleObedient && e.def != nil {
@@ -508,8 +490,8 @@ func (e *Engine) idealDeliver() {
 					continue
 				}
 			}
-			u.holders[v] = true
-			e.attackerSent.Add(1)
+			e.set(v, b)
+			e.attackerSent++
 		}
 	}
 }
@@ -530,7 +512,7 @@ func (e *Engine) planBalanced() []pairing {
 		if e.isAttacker[v] {
 			return e.advTrades
 		}
-		return e.lacksAnyLive(v, e.round)
+		return e.lacksAnyLive(v, len(e.live))
 	})
 }
 
@@ -539,12 +521,11 @@ func (e *Engine) planBalanced() []pairing {
 //
 //lotus:allocfree
 func (e *Engine) planPush() []pairing {
-	oldCutoff := e.round - e.cfg.RecentWindow
 	return e.plan("push", func(v int) bool {
 		if e.isAttacker[v] {
 			return e.advTrades
 		}
-		return e.lacksAnyLive(v, oldCutoff)
+		return e.lacksAnyLive(v, e.oldEnd)
 	})
 }
 
@@ -552,9 +533,9 @@ func (e *Engine) planPush() []pairing {
 func (e *Engine) plan(label string, initiates func(v int) bool) []pairing {
 	n := e.cfg.Nodes
 	// Evaluate "does v initiate?" for every node up front. The predicate is
-	// a pure read of round state (holder bits, live deadlines, roles), so
-	// for large populations the scan shards across the worker pool with
-	// bit-identical results; plan order below is untouched either way.
+	// a pure read of round state (holdings rows, roles), so for large
+	// populations the scan shards across the worker pool with bit-identical
+	// results; plan order below is untouched either way.
 	flags := e.initFlags
 	if e.evalParallel > 0 || (e.evalParallel == 0 && n >= evalParallelMinNodes) {
 		sim.ParallelFor(n, 0, func(_, start, end int) {
@@ -584,80 +565,6 @@ func (e *Engine) plan(label string, initiates func(v int) bool) []pairing {
 	return pairs
 }
 
-// lacksAnyLive reports whether v is missing any live update released no
-// later than maxRelease. Pass the current round to ask "is v unsatiated?".
-//
-//lotus:allocfree
-func (e *Engine) lacksAnyLive(v, maxRelease int) bool {
-	for _, u := range e.live {
-		if u.release <= maxRelease && u.deadline >= e.round && !u.holders[v] {
-			return true
-		}
-	}
-	return false
-}
-
-// runPhase executes the planned pairings, preserving plan-order semantics
-// while running node-disjoint exchanges concurrently. Two pairings conflict
-// exactly when they share a node: each exchange reads and writes only its
-// two parties' holder bits. Conflicting pairings run in plan order;
-// node-disjoint pairings commute, so batching is exact, not approximate.
-func (e *Engine) runPhase(_ string, pairs []pairing, exec func(pairing)) {
-	if !e.parallel {
-		for _, p := range pairs {
-			exec(p)
-		}
-		return
-	}
-	remaining := pairs
-	used := make([]bool, e.cfg.Nodes)
-	for len(remaining) > 0 {
-		clear(used)
-		batch := remaining[:0:0]
-		var deferred []pairing
-		for _, p := range remaining {
-			conflict := used[p.initiator] || used[p.partner]
-			// Once a node is blocked, later pairings touching it must also
-			// wait, or plan order among conflicting pairs would invert.
-			used[p.initiator] = true
-			used[p.partner] = true
-			if conflict {
-				deferred = append(deferred, p)
-				continue
-			}
-			batch = append(batch, p)
-		}
-		// Execute the batch across a few worker goroutines. Individual
-		// exchanges are microseconds of work, so chunking matters: one
-		// goroutine per pair would cost more in scheduling than it saves.
-		const pairsPerWorker = 16
-		workers := len(batch) / pairsPerWorker
-		if max := runtime.GOMAXPROCS(0); workers > max {
-			workers = max
-		}
-		if workers <= 1 {
-			for _, p := range batch {
-				exec(p)
-			}
-		} else {
-			var wg sync.WaitGroup
-			chunk := (len(batch) + workers - 1) / workers
-			for start := 0; start < len(batch); start += chunk {
-				end := min(start+chunk, len(batch))
-				wg.Add(1)
-				go func(pairs []pairing) {
-					defer wg.Done()
-					for _, p := range pairs {
-						exec(p)
-					}
-				}(batch[start:end])
-			}
-			wg.Wait()
-		}
-		remaining = deferred
-	}
-}
-
 // applyEvictions makes report-board evictions effective at round end, so
 // eviction timing does not depend on intra-round execution order.
 //
@@ -674,77 +581,63 @@ func (e *Engine) applyEvictions() {
 }
 
 // retireExpired removes updates whose deadline has passed and accumulates
-// delivery statistics for measured ones.
+// delivery statistics for measured ones. Live is in release order, so the
+// expired updates are a prefix; every round retires its own release batch,
+// so they share one release round and one measured flag.
 //
 //lotus:allocfree
 func (e *Engine) retireExpired() {
-	keep := e.live[:0]
-	var (
-		roundDelivered, roundTotal       int
-		roundIsoDelivered, roundIsoTotal int
-	)
-	for _, u := range e.live {
-		if u.deadline > e.round {
-			keep = append(keep, u)
+	k := 0
+	for k < len(e.live) && e.live[k].deadline <= e.round {
+		k++
+	}
+	if k > 0 && e.live[0].measured {
+		e.tally(e.live[0].release, k)
+	}
+	e.dropExpired(k)
+}
+
+// tally adds live[:k], all released in round rel, to the delivery
+// statistics: each node's share is one popcount over the front of its row.
+//
+//lotus:allocfree
+func (e *Engine) tally(rel, k int) {
+	relTargets := e.targetsByRound[rel]
+	e.measuredUpdates += k
+	var delivered, total, isoDelivered, isoTotal int
+	for v := 0; v < e.cfg.Nodes; v++ {
+		// Attackers are not measured. Churn gates the denominator: a node
+		// counts toward an update's delivery statistics only if it is still
+		// present and was already present at release — nobody "misses" an
+		// update that circulated while their seat was empty. All-false/zero
+		// without churn, so the static path is untouched.
+		if e.isAttacker[v] || e.departed[v] || e.presentSince[v] > rel {
 			continue
 		}
-		if !u.measured {
-			e.holderPool = append(e.holderPool, u.holders)
-			continue
+		got := e.heldOf(v, k)
+		e.total[v] += k
+		e.delivered[v] += got
+		if e.nodeRound != nil {
+			e.nodeRound[v][rel] += got
 		}
-		e.measuredUpdates++
-		relTargets := e.targetsByRound[u.release]
-		for v := 0; v < e.cfg.Nodes; v++ {
-			if e.isAttacker[v] {
-				continue
-			}
-			// Churn gates the denominator: a node counts toward an update's
-			// delivery statistics only if it is still present and was
-			// already present at release — nobody "misses" an update that
-			// circulated while their seat was empty. All-false/zero without
-			// churn, so the static path is untouched.
-			if e.departed[v] || e.presentSince[v] > u.release {
-				continue
-			}
-			got := u.holders[v]
-			e.total[v]++
-			if got {
-				e.delivered[v]++
-				if e.nodeRound != nil {
-					e.nodeRound[v][u.release]++
-				}
-			}
-			roundTotal++
-			if got {
-				roundDelivered++
-			}
-			if relTargets.Has(v) {
-				e.totalSat[v]++
-				if got {
-					e.deliveredSat[v]++
-				}
-			} else {
-				e.totalIso[v]++
-				roundIsoTotal++
-				if got {
-					e.deliveredIso[v]++
-					roundIsoDelivered++
-				}
-			}
+		total += k
+		delivered += got
+		if relTargets.Has(v) {
+			e.totalSat[v] += k
+			e.deliveredSat[v] += got
+		} else {
+			e.totalIso[v] += k
+			e.deliveredIso[v] += got
+			isoTotal += k
+			isoDelivered += got
 		}
-		if roundTotal > 0 {
-			e.perRoundHonest[u.release] = float64(roundDelivered) / float64(roundTotal)
-		}
-		if roundIsoTotal > 0 {
-			e.perRoundIsolated[u.release] = float64(roundIsoDelivered) / float64(roundIsoTotal)
-		}
-		e.holderPool = append(e.holderPool, u.holders)
 	}
-	// Drop references so retired updates can be collected.
-	for i := len(keep); i < len(e.live); i++ {
-		e.live[i] = nil
+	if total > 0 {
+		e.perRoundHonest[rel] = float64(delivered) / float64(total)
 	}
-	e.live = keep
+	if isoTotal > 0 {
+		e.perRoundIsolated[rel] = float64(isoDelivered) / float64(isoTotal)
+	}
 }
 
 func (e *Engine) result() Result {
@@ -757,9 +650,9 @@ func (e *Engine) result() Result {
 		PerRoundHonest:   append([]float64(nil), e.perRoundHonest...),
 		PerRoundIsolated: append([]float64(nil), e.perRoundIsolated...),
 		Bandwidth: Bandwidth{
-			UsefulSent:   e.usefulSent.Load(),
-			JunkSent:     e.junkSent.Load(),
-			AttackerSent: e.attackerSent.Load(),
+			UsefulSent:   e.usefulSent,
+			JunkSent:     e.junkSent,
+			AttackerSent: e.attackerSent,
 		},
 	}
 	if e.board != nil {

@@ -123,7 +123,7 @@ func (e *Engine) attackerBalanced(att, peer int) {
 	recip := min(len(needAtt), len(needPeer))
 	e.deliver(att, peer, needPeer, recip, true)
 	e.give(needAtt[:recip], att)
-	e.usefulSent.Add(int64(recip))
+	e.usefulSent += int64(recip)
 }
 
 // deliver transfers the updates at the given live indices from node `from`
@@ -157,9 +157,9 @@ func (e *Engine) deliver(from, to int, indices []int, reciprocated int, attacker
 	}
 	got := e.give(indices[:granted], to)
 	if attacker {
-		e.attackerSent.Add(int64(got))
+		e.attackerSent += int64(got)
 	} else {
-		e.usefulSent.Add(int64(got))
+		e.usefulSent += int64(got)
 	}
 }
 
@@ -207,39 +207,6 @@ func (e *Engine) execPush(p pairing) {
 	}
 }
 
-// recentOffer lists live indices of recently released updates that src
-// holds and `to` lacks. slot selects the pooled output buffer (see
-// needsFrom).
-//
-//lotus:allocfree
-func (e *Engine) recentOffer(to, src int, slot int) []int {
-	cutoff := e.round - e.cfg.RecentWindow
-	out := e.takeNeeds(slot)
-	for idx, u := range e.live {
-		if u.release > cutoff && u.deadline >= e.round && !u.holders[to] && u.holders[src] {
-			out = append(out, idx)
-		}
-	}
-	e.storeNeeds(slot, out)
-	return out
-}
-
-// oldNeeds lists live indices of old updates `who` lacks that src can
-// provide. slot selects the pooled output buffer (see needsFrom).
-//
-//lotus:allocfree
-func (e *Engine) oldNeeds(who, src int, slot int) []int {
-	cutoff := e.round - e.cfg.RecentWindow
-	out := e.takeNeeds(slot)
-	for idx, u := range e.live {
-		if u.release <= cutoff && u.deadline >= e.round && !u.holders[who] && u.holders[src] {
-			out = append(out, idx)
-		}
-	}
-	e.storeNeeds(slot, out)
-	return out
-}
-
 //lotus:allocfree
 func (e *Engine) honestPush(i, j int) {
 	wants := e.recentOffer(j, i, 0)
@@ -254,7 +221,7 @@ func (e *Engine) honestPush(i, j int) {
 	back := e.oldNeeds(i, j, 1)
 	r := min(len(back), k)
 	e.deliver(j, i, back[:r], k, false)
-	e.junkSent.Add(int64(k - r))
+	e.junkSent += int64(k - r)
 }
 
 // attackerPushInit is a trade attacker initiating a push: it offers the
@@ -275,8 +242,8 @@ func (e *Engine) attackerPushInit(att, peer int) {
 	back := e.oldNeeds(att, peer, 1)
 	r := min(len(back), k)
 	e.give(back[:r], att)
-	e.usefulSent.Add(int64(r))
-	e.junkSent.Add(int64(k - r))
+	e.usefulSent += int64(r)
+	e.junkSent += int64(k - r)
 }
 
 // attackerPushRespond is a trade attacker answering an honest push: it takes
@@ -294,9 +261,9 @@ func (e *Engine) attackerPushRespond(i, att int) {
 		back := e.oldNeeds(i, att, 1)
 		e.deliver(att, i, back, k, true)
 		if k > len(back) {
-			e.junkSent.Add(int64(k - len(back)))
+			e.junkSent += int64(k - len(back))
 		}
 		return
 	}
-	e.junkSent.Add(int64(k))
+	e.junkSent += int64(k)
 }

@@ -132,26 +132,6 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestSequentialEquivalence is the concurrency-correctness test: the
-// concurrent batch executor must produce bit-identical results to the
-// sequential executor for every attack kind.
-func TestSequentialEquivalence(t *testing.T) {
-	for _, kind := range []attack.Kind{attack.None, attack.Crash, attack.Ideal, attack.Trade} {
-		cfg := quickConfig()
-		cfg.Attack = kind
-		if kind != attack.None {
-			cfg.AttackerFraction = 0.2
-		}
-		conc := mustRun(t, cfg, 11, WithParallel())
-		seq := mustRun(t, cfg, 11, WithSequential())
-		if conc.Isolated != seq.Isolated || conc.Satiated != seq.Satiated ||
-			conc.AllHonest != seq.AllHonest || conc.Bandwidth != seq.Bandwidth {
-			t.Fatalf("%v: concurrent != sequential:\nconc %+v %+v\nseq  %+v %+v",
-				kind, conc.Isolated, conc.Bandwidth, seq.Isolated, seq.Bandwidth)
-		}
-	}
-}
-
 // TestAttackOrdering reproduces the core qualitative result of Figure 1: at
 // a fixed attacker fraction, the ideal lotus-eater hurts most, then trade,
 // then crash.

@@ -7,10 +7,15 @@ import (
 )
 
 // TestEngineInvariants drives engines step by step under every attack kind
-// and checks internal invariants the statistics depend on:
+// and checks internal invariants the statistics and the holdings matrix
+// depend on:
 //
 //   - update conservation: an update's holder set only grows while live;
-//   - expiry: the live list never contains an update past its deadline;
+//   - expiry: after a Step, every live update is still useful in the next
+//     round (deadline >= the engine's round);
+//   - release order: live is sorted by release, so expiry drops a prefix
+//     and the old/recent split is a prefix/suffix of the live indices;
+//   - clean rows: no holdings bit is set past the end of live;
 //   - monotone eviction: evicted nodes stay evicted;
 //   - bounded live set: at most Lifetime rounds' worth of updates live.
 func TestEngineInvariants(t *testing.T) {
@@ -37,13 +42,16 @@ func TestEngineInvariants(t *testing.T) {
 			if len(eng.live) > cfg.Lifetime*cfg.UpdatesPerRound {
 				t.Fatalf("%v: %d live updates exceeds bound %d", kind, len(eng.live), cfg.Lifetime*cfg.UpdatesPerRound)
 			}
-			for _, u := range eng.live {
-				if u.deadline < eng.round-1 {
+			for b, u := range eng.live {
+				if u.deadline < eng.round {
 					t.Fatalf("%v: expired update %v still live at round %d", kind, u.id, eng.round)
 				}
+				if b > 0 && u.release < eng.live[b-1].release {
+					t.Fatalf("%v: live out of release order at index %d: %d after %d", kind, b, u.release, eng.live[b-1].release)
+				}
 				count := 0
-				for _, h := range u.holders {
-					if h {
+				for v := 0; v < cfg.Nodes; v++ {
+					if eng.has(v, b) {
 						count++
 					}
 				}
@@ -53,6 +61,13 @@ func TestEngineInvariants(t *testing.T) {
 				holderCount[u.id] = count
 				if count == 0 {
 					t.Fatalf("%v: live update %v has no holders (seeding guarantees at least one)", kind, u.id)
+				}
+			}
+			for v := 0; v < cfg.Nodes; v++ {
+				for b := len(eng.live); b < eng.words*64; b++ {
+					if eng.has(v, b) {
+						t.Fatalf("%v: node %d holds bit %d past the %d live updates", kind, v, b, len(eng.live))
+					}
 				}
 			}
 			for v, ev := range eng.evicted {
@@ -142,8 +157,8 @@ func TestSatiationCompatibilityStructural(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, u := range eng.live {
-		u.holders[0] = true
+	for b := range eng.live {
+		eng.set(0, b)
 	}
 	for _, p := range eng.planBalanced() {
 		if p.initiator == 0 {

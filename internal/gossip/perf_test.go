@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/sim"
 )
 
 // bigPathConfig is the shape the gossip-1m scenario uses, shrunk to a
@@ -28,10 +29,8 @@ func bigPathConfig(n int) Config {
 // test: once the engine's pools are primed, a steady-state round's
 // allocations must not grow with the population — the satiation and
 // planning paths are O(|satiated set|) updates into pooled storage, and
-// everything O(Nodes) (holder arrays, permutations, pairing lists, needs
-// buffers) is recycled. Before this PR every round materialized a dense
-// []bool per targeter call and a fresh permutation, pairing list, and
-// holder array — all O(Nodes) heap traffic.
+// everything O(Nodes) (permutations, pairing lists, needs buffers) is
+// recycled, and the holdings matrix is allocated once in New.
 func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 	measure := func(n int) float64 {
 		e, err := New(bigPathConfig(n), 11, WithEvalParallel(false))
@@ -52,8 +51,8 @@ func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 	}
 	small := measure(1024)
 	big := measure(8192)
-	// The absolute bound is loose (per-round RNG children and the update
-	// record allocate a handful of objects); the point is the comparison:
+	// The absolute bound is loose (per-round RNG children and seeding's
+	// sample allocate a handful of objects); the point is the comparison:
 	// an O(Nodes) allocation anywhere would blow it up immediately at the
 	// larger population.
 	if small > 96 {
@@ -67,13 +66,15 @@ func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 // TestEvalParallelBitIdentical extends the workers-parity guarantee to the
 // in-replicate sharded planning path: an engine with the evaluation scan
 // forced onto sim.ParallelFor must produce exactly the result of the
-// sequential scan, for every attack kind.
+// sequential scan, for every attack kind. The population spans three full
+// sim.DefaultGrain shards plus a ragged fourth, so the scan really fans
+// out (below one grain ParallelFor runs inline) and -race sees the shards.
 func TestEvalParallelBitIdentical(t *testing.T) {
 	for _, kind := range []attack.Kind{attack.None, attack.Crash, attack.Ideal, attack.Trade} {
 		cfg := DefaultConfig()
-		cfg.Nodes = 300
-		cfg.Rounds = 30
-		cfg.Warmup = 5
+		cfg.Nodes = 3*sim.DefaultGrain + 123
+		cfg.Rounds = 14
+		cfg.Warmup = 2
 		cfg.Attack = kind
 		cfg.AttackerFraction = 0.15
 		cfg.RotatePeriod = 7 // cover epoch re-draws mid-run

@@ -273,6 +273,10 @@ type Sim struct {
 	satSum            float64
 	nonTargetServed   int
 	nonTargetRequests int
+
+	// volunteers and alts are Step's per-round candidate lists, kept so
+	// steady-state rounds reuse their storage instead of regrowing it.
+	volunteers, alts []int
 }
 
 // Option customizes a Sim.
@@ -518,7 +522,7 @@ func (s *Sim) Step() error {
 	// 3. Volunteers: altruists always; rational agents while below
 	// threshold; attacker agents always (they want earnings). Specialty
 	// requests admit only special providers playing their usual strategy.
-	var volunteers []int
+	volunteers := s.volunteers[:0]
 	for i, k := range s.kinds {
 		if i == requester || s.gone(i) {
 			continue
@@ -542,6 +546,7 @@ func (s *Sim) Step() error {
 			}
 		}
 	}
+	s.volunteers = volunteers
 	if len(volunteers) == 0 {
 		s.res.FailedNoProvider++
 		s.round++
@@ -552,12 +557,13 @@ func (s *Sim) Step() error {
 	if !free && s.balance[requester] < 1 {
 		// The requester cannot pay; only a free (altruistic) provider can
 		// help. Retry among altruists.
-		var alts []int
+		alts := s.alts[:0]
 		for _, v := range volunteers {
 			if s.kinds[v] == Altruist {
 				alts = append(alts, v)
 			}
 		}
+		s.alts = alts
 		if len(alts) == 0 {
 			s.res.FailedNoMoney++
 			s.round++

@@ -476,3 +476,34 @@ func TestValidationAltruistProvidersNegative(t *testing.T) {
 		t.Fatal("negative AltruistProviders accepted")
 	}
 }
+
+// TestStepAllocsIndependentOfPopulation: a steady-state Step reuses the
+// volunteer and altruist buffers, so its allocations do not grow with the
+// population; lists appended from nil each round would cost O(log Agents)
+// growslice allocations per Step.
+func TestStepAllocsIndependentOfPopulation(t *testing.T) {
+	measure := func(n int) float64 {
+		cfg := DefaultConfig()
+		cfg.Agents = n
+		cfg.AltruistFraction = 0.1 // broke requesters retry among altruists
+		cfg.Rounds = 1 << 20
+		s, err := New(cfg, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000; i++ {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(500, func() {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, big := measure(100), measure(10000)
+	if big > small {
+		t.Fatalf("Step allocations grew with population: %.0f at 100 agents vs %.0f at 10000", small, big)
+	}
+}
