@@ -4,14 +4,15 @@
 #   make lint       # project analyzers (lotus-lint) over the whole module
 #   make fmt        # gofmt the tree in place
 #   make bench      # scenario benchmarks -> BENCH_scenarios.json
-#   make bench-go   # go test registry micro-benchmarks
+#   make bench-go   # go test figure micro-benchmarks (BenchmarkFigure)
 #   make figures    # regenerate every table/figure at quick fidelity
 #   make race       # race-check the concurrency kernel + strategy layer
+#   make loc        # non-test Go lines in the module (go list-scoped)
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test vet lint fmt fmt-check race bench bench-go check-stats figures list scenarios golden cover clean
+.PHONY: all build test vet lint fmt fmt-check race bench bench-go check-stats figures list scenarios golden cover loc clean
 
 all: build vet lint test
 
@@ -39,7 +40,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/sweep/... ./internal/experiment/... \
+	$(GO) test -race ./internal/sim/... \
 		./internal/scenario/... ./internal/attack/... ./internal/defense/... ./internal/cli/... \
 		./internal/gossip/... ./internal/swarm/... ./internal/serve/... ./internal/adaptive/... \
 		./internal/cluster/... ./internal/obs/... ./internal/population/...
@@ -80,7 +81,7 @@ bench:
 	$(GO) run ./cmd/lotus-sim scenarios bench -out BENCH_scenarios.json -adaptive-out BENCH_adaptive.json -kernel-out BENCH_kernel.json -cluster-out BENCH_cluster.json
 
 bench-go:
-	$(GO) test -run '^$$' -bench 'BenchmarkRegistry' -benchmem ./
+	$(GO) test -run '^$$' -bench 'BenchmarkFigure' -benchmem ./
 
 figures:
 	$(GO) run ./cmd/lotus-sim figures -exp all -quality quick
@@ -90,6 +91,12 @@ list:
 
 scenarios:
 	$(GO) run ./cmd/lotus-sim scenarios list
+
+# The size of the program: lines in the non-test Go files of every package
+# `go list ./...` builds (the bench module under bench/ is separate).
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .CgoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
+		| tr ' ' '\n' | grep -v '^$$' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -1,227 +1,108 @@
 package lotuseater
 
-// One benchmark per table and figure of the paper, plus the extension
-// experiments E1-E9 from DESIGN.md. Each bench regenerates its artifact at
-// reduced sweep quality (the full-fidelity versions live behind
-// cmd/figures -quality full) and reports a headline reproduction metric via
-// b.ReportMetric, so `go test -bench=.` doubles as a quick sanity pass over
-// the whole reproduction.
+// One benchmark per table and figure of the paper and the extension
+// experiments. Each regenerates its figure through RunFigure at reduced
+// quality (full fidelity is `lotus-sim figures -quality full`) and reports
+// a headline reproduction metric via b.ReportMetric, so
+// `go test -bench=Figure` doubles as a quick sanity pass over the whole
+// reproduction.
 
 import (
 	"testing"
-
-	"lotuseater/internal/gossip"
 )
 
-func benchQ() Quality { return Quality{Points: 4, Seeds: 1} }
-
-// BenchmarkTable1Defaults measures a single simulation at the paper's
-// Table 1 parameters — the cost of one data point in every figure.
-func BenchmarkTable1Defaults(b *testing.B) {
-	cfg := DefaultGossipConfig()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		eng, err := gossip.New(cfg, uint64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := eng.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res.AllHonest.MeanDelivery
-	}
-	b.ReportMetric(last, "delivery")
-}
-
-func BenchmarkFigure1(b *testing.B) {
-	var crossover float64
-	for i := 0; i < b.N; i++ {
-		series := Figure1(uint64(i), benchQ())
-		if x, ok := series[2].CrossoverBelow(0.93); ok {
-			crossover = x
-		}
-	}
-	b.ReportMetric(crossover, "trade-crossover")
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	var crossover float64
-	for i := 0; i < b.N; i++ {
-		series := Figure2(uint64(i), benchQ())
-		if x, ok := series[1].CrossoverBelow(0.93); ok {
-			crossover = x
-		}
-	}
-	b.ReportMetric(crossover, "ideal-crossover")
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	var y float64
-	for i := 0; i < b.N; i++ {
-		series := Figure3(uint64(i), benchQ())
-		y = series[3].YAt(0.35) // push4+slack curve at 35% attackers
-	}
-	b.ReportMetric(y, "defended-delivery")
-}
-
-func BenchmarkTokenAltruism(b *testing.B) {
-	var y float64
-	for i := 0; i < b.N; i++ {
-		s := AltruismExperiment(uint64(i), benchQ())
-		y = s.Points[len(s.Points)-1].Y
-	}
-	b.ReportMetric(y, "completion-at-max-a")
-}
-
-func BenchmarkGridCut(b *testing.B) {
-	var coverage float64
-	for i := 0; i < b.N; i++ {
-		rows, err := GridCutExperiment(uint64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Topology == "grid/column-cut" {
-				coverage = r.RareTokenCoverage
+// figureBenches lists each figure's benchmark: its run options (zero
+// means four sweep points, one replicate) and its headline metrics.
+var figureBenches = []struct {
+	name      string
+	opts      RunOptions
+	headlines map[string]func(testing.TB, *Artifact) float64
+}{
+	{"table1", RunOptions{}, nil},
+	{"figure1", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{
+		// The no-attack point is one run at the paper's Table 1 defaults.
+		"delivery":        func(_ testing.TB, a *Artifact) float64 { return a.Series[0].Points[0].Y },
+		"trade-crossover": crossover(2),
+	}},
+	{"figure2", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{"ideal-crossover": crossover(1)}},
+	{"figure3", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{
+		"defended-delivery": func(_ testing.TB, a *Artifact) float64 { return a.Series[3].YAt(0.35) },
+	}},
+	{"altruism", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{"completion-at-max-a": lastY(0)}},
+	{"gridcut", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{
+		"cut-coverage": func(t testing.TB, a *Artifact) float64 {
+			return cell(t, a, "grid/column-cut", "rare-token-coverage")
+		},
+	}},
+	{"raretoken", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{
+		"completion-at-a0": func(_ testing.TB, a *Artifact) float64 { return a.Series[0].Points[0].Y },
+	}},
+	{"scrip-money-supply", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{"satiated-at-max-f": lastY(0)}},
+	{"scrip-rare-provider", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{
+		"attacked-availability": func(_ testing.TB, a *Artifact) float64 { return a.Series[0].Points[0].Y },
+	}},
+	{"swarm", RunOptions{Replicates: 1}, map[string]func(testing.TB, *Artifact) float64{
+		"attacked-completion": func(t testing.TB, a *Artifact) float64 {
+			return cell(t, a, "fragile/rare-attack/rarest-first", "completed")
+		},
+	}},
+	{"coding", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{
+		"coded-minus-plain": func(t testing.TB, a *Artifact) float64 { return lastY(1)(t, a) - lastY(0)(t, a) },
+	}},
+	{"reporting", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{"evictions-at-full-obedience": lastY(1)}},
+	{"ratelimit", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{
+		"delivery-recovered-by-cap1": func(_ testing.TB, a *Artifact) float64 {
+			return a.Series[0].Points[1].Y - a.Series[0].Points[0].Y
+		},
+	}},
+	{"rotating", RunOptions{Replicates: 1}, map[string]func(testing.TB, *Artifact) float64{
+		"outage-spread": func(t testing.TB, a *Artifact) float64 {
+			return cell(t, a, "rotating", "nodes-with-outage") - cell(t, a, "static", "nodes-with-outage")
+		},
+	}},
+	{"inflation", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{"availability-past-cliff": lastY(0)}},
+	{"hoarding", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{"availability-at-max-hoarders": lastY(0)}},
+	{"satiate-ablation", RunOptions{}, map[string]func(testing.TB, *Artifact) float64{
+		"peak-victims": func(_ testing.TB, a *Artifact) float64 {
+			peak := 0.0
+			for _, p := range a.Series[1].Points {
+				peak = max(peak, p.Y)
 			}
-		}
-	}
-	b.ReportMetric(coverage, "cut-coverage")
+			return peak
+		},
+	}},
 }
 
-func BenchmarkRareToken(b *testing.B) {
-	var denied float64
-	for i := 0; i < b.N; i++ {
-		s := RareTokenExperiment(uint64(i), benchQ())
-		denied = s.Points[0].Y
+// crossover reads where series i drops below the 0.93 usability threshold.
+func crossover(i int) func(testing.TB, *Artifact) float64 {
+	return func(_ testing.TB, a *Artifact) float64 {
+		x, _ := a.Series[i].CrossoverBelow(0.93)
+		return x
 	}
-	b.ReportMetric(denied, "completion-at-a0")
 }
 
-func BenchmarkScripSatiation(b *testing.B) {
-	var y float64
-	for i := 0; i < b.N; i++ {
-		s := ScripMoneySupplyExperiment(uint64(i), benchQ())
-		y = s.Points[len(s.Points)-1].Y
+// lastY reads series i's final point.
+func lastY(i int) func(testing.TB, *Artifact) float64 {
+	return func(_ testing.TB, a *Artifact) float64 {
+		pts := a.Series[i].Points
+		return pts[len(pts)-1].Y
 	}
-	b.ReportMetric(y, "satiated-at-max-f")
 }
 
-func BenchmarkScripRareProvider(b *testing.B) {
-	var y float64
-	for i := 0; i < b.N; i++ {
-		series := ScripRareProviderExperiment(uint64(i), benchQ())
-		y = series[0].Points[0].Y
-	}
-	b.ReportMetric(y, "attacked-availability")
-}
-
-func BenchmarkSwarmAttack(b *testing.B) {
-	var completed float64
-	for i := 0; i < b.N; i++ {
-		rows, err := SwarmExperiment(uint64(i), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Scenario == "fragile/rare-attack/rarest-first" {
-				completed = r.CompletedFraction
+func BenchmarkFigure(b *testing.B) {
+	for _, fb := range figureBenches {
+		b.Run(fb.name, func(b *testing.B) {
+			opts := fb.opts
+			if opts.Points == 0 && opts.Replicates == 0 {
+				opts = RunOptions{Points: 4, Replicates: 1}
 			}
-		}
-	}
-	b.ReportMetric(completed, "attacked-completion")
-}
-
-func BenchmarkCodingDefense(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		series := CodingExperiment(uint64(i), benchQ())
-		last := len(series[0].Points) - 1
-		gap = series[1].Points[last].Y - series[0].Points[last].Y
-	}
-	b.ReportMetric(gap, "coded-minus-plain")
-}
-
-func BenchmarkReportingDefense(b *testing.B) {
-	var evictions float64
-	for i := 0; i < b.N; i++ {
-		series := ReportingExperiment(uint64(i), benchQ())
-		evictions = series[1].Points[len(series[1].Points)-1].Y
-	}
-	b.ReportMetric(evictions, "evictions-at-full-obedience")
-}
-
-func BenchmarkRateLimit(b *testing.B) {
-	var recovered float64
-	for i := 0; i < b.N; i++ {
-		series := RateLimitExperiment(uint64(i), benchQ())
-		recovered = series[0].Points[1].Y - series[0].Points[0].Y
-	}
-	b.ReportMetric(recovered, "delivery-recovered-by-cap1")
-}
-
-func BenchmarkRotatingAttack(b *testing.B) {
-	var spread float64
-	for i := 0; i < b.N; i++ {
-		rows, err := RotatingExperiment(uint64(i), 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		spread = rows[1].NodesWithOutage - rows[0].NodesWithOutage
-	}
-	b.ReportMetric(spread, "outage-spread")
-}
-
-func BenchmarkScripInflation(b *testing.B) {
-	var cliff float64
-	for i := 0; i < b.N; i++ {
-		s := ScripInflationExperiment(uint64(i), benchQ())
-		cliff = s.Points[len(s.Points)-1].Y
-	}
-	b.ReportMetric(cliff, "availability-past-cliff")
-}
-
-func BenchmarkScripHoarding(b *testing.B) {
-	var y float64
-	for i := 0; i < b.N; i++ {
-		s := ScripHoardingExperiment(uint64(i), benchQ())
-		y = s.Points[len(s.Points)-1].Y
-	}
-	b.ReportMetric(y, "availability-at-max-hoarders")
-}
-
-func BenchmarkSatiateAblation(b *testing.B) {
-	var peak float64
-	for i := 0; i < b.N; i++ {
-		series := SatiateFractionAblation(uint64(i), benchQ())
-		for _, p := range series[1].Points {
-			if p.Y > peak {
-				peak = p.Y
+			var a *Artifact
+			for i := 0; i < b.N; i++ {
+				a = figure(b, fb.name, uint64(i), opts)
 			}
-		}
-	}
-	b.ReportMetric(peak, "peak-victims")
-}
-
-// Registry-driven benchmarks: one per simulator, each running its
-// representative experiment through the registry exactly as `lotus-sim run`
-// would. They baseline the full named-experiment path (registry lookup,
-// kernel worker pool, artifact assembly) so future perf PRs have a
-// like-for-like number to beat per backend.
-
-func benchRegistry(b *testing.B, name string) {
-	b.Helper()
-	q := Quality{Points: 4, Seeds: 1}
-	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment(name, uint64(i), q); err != nil {
-			b.Fatal(err)
-		}
+			for unit, headline := range fb.headlines {
+				b.ReportMetric(headline(b, a), unit)
+			}
+		})
 	}
 }
-
-func BenchmarkRegistryGossip(b *testing.B)     { benchRegistry(b, "figure1") }
-func BenchmarkRegistryTokenModel(b *testing.B) { benchRegistry(b, "raretoken") }
-func BenchmarkRegistryScrip(b *testing.B)      { benchRegistry(b, "scrip-money-supply") }
-func BenchmarkRegistrySwarm(b *testing.B)      { benchRegistry(b, "swarm") }
-func BenchmarkRegistryCoding(b *testing.B)     { benchRegistry(b, "coding") }

@@ -2,20 +2,15 @@
 //
 // Subcommands:
 //
-//	lotus-sim list                                  # the experiment catalogue
-//	lotus-sim run figure1 -quality quick            # run a registered experiment
+//	lotus-sim list                                  # the paper's figures
+//	lotus-sim run figure1 -quality quick            # run a figure
 //	lotus-sim run gridcut -format json              # ... as JSON (or csv)
 //	lotus-sim figures -exp all -quality full        # regenerate every table and figure
-//	lotus-sim gossip -attack trade -fraction 0.22   # one BAR Gossip simulation
-//	lotus-sim scrip|swarm|token [flags]             # the other single-run simulators
+//	lotus-sim scenarios run x/trade-gossip -set adversary.fraction=0.22
+//	                                                # one scenario, re-parameterized
 //	lotus-sim serve -addr localhost:8321            # the HTTP experiment service
 //	lotus-sim serve -role coordinator               # cluster front: shards jobs to workers
 //	lotus-sim serve -role worker -join http://c:8321  # one cluster execution node
-//
-// Invoking lotus-sim with plain flags (no subcommand) keeps the original
-// behavior of a single gossip run:
-//
-//	lotus-sim -attack trade -fraction 0.22
 package main
 
 import (
@@ -38,25 +33,24 @@ func usage() string {
 usage: lotus-sim <command> [flags]
 
 commands:
-  list       show every registered experiment
-  run        run an experiment or scenario by name (-quality, -seed, -format,
+  list       show the paper's tables and figures
+  run        run a figure or scenario by name (-quality, -seed, -format,
              -set key=val ..., -spec file.json)
   scenarios  declarative scenarios: list | show <name> | run <name> | bench
   serve      long-running HTTP experiment service with a content-addressed
              result cache (-addr, -cache-bytes, -queue-depth, -workers);
              scales out with -role=coordinator|worker -join=<url> [-advertise=<url>]
   figures    regenerate the paper's tables and figures (-exp, -quality, -csv)
-  gossip     run a single BAR Gossip simulation (default when given bare flags)
-  scrip      run the scrip-economy simulator
-  swarm      run the BitTorrent-like swarm simulator
-  token      run the Section 3 token-collecting model
+
+A single simulation is a sweepless scenario, e.g.
+  lotus-sim scenarios run x/trade-gossip -set sweep.axis= -set adversary.fraction=0.22 -set replicates=1
 `)
 }
 
 func run(args []string) error {
 	w := os.Stdout
 	if len(args) == 0 {
-		return cli.Gossip(w, args)
+		return fmt.Errorf("missing command\n%s", usage())
 	}
 	switch args[0] {
 	case "list":
@@ -69,22 +63,10 @@ func run(args []string) error {
 		return cli.Serve(w, args[1:])
 	case "figures":
 		return cli.Figures(w, args[1:])
-	case "gossip":
-		return cli.Gossip(w, args[1:])
-	case "scrip":
-		return cli.Scrip(w, args[1:])
-	case "swarm":
-		return cli.Swarm(w, args[1:])
-	case "token":
-		return cli.Token(w, args[1:])
 	case "help", "-h", "-help", "--help":
 		fmt.Fprintln(w, usage())
 		return nil
 	default:
-		if strings.HasPrefix(args[0], "-") {
-			// Original single-run mode: lotus-sim -attack trade -fraction 0.22
-			return cli.Gossip(w, args)
-		}
 		return fmt.Errorf("unknown command %q\n%s", args[0], usage())
 	}
 }

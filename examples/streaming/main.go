@@ -4,9 +4,10 @@
 // time, the attacker could even make the service intermittently unusable
 // for all nodes."
 //
-// It runs the same attack twice — once with a static satiated set, once
-// re-drawing the set every 20 rounds — and prints, per node group, how many
-// viewing windows dropped below the 93% usability threshold.
+// It runs the "rotating" figure — the same attack twice, once with a
+// static satiated set, once re-drawing the set every 20 rounds — and
+// prints, per arm, how many viewing windows dropped below the 93%
+// usability threshold.
 //
 //	go run ./examples/streaming
 package main
@@ -14,24 +15,31 @@ package main
 import (
 	"fmt"
 	"log"
+	"strconv"
 
 	"lotuseater"
 )
 
 func main() {
-	const period = 20
-
-	rows, err := lotuseater.RotatingExperiment(7, period)
+	a, err := lotuseater.RunFigure("rotating", 7, lotuseater.RunOptions{Replicates: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("trade lotus-eater attack on a streaming service (8% attacker nodes)")
-	fmt.Printf("usability threshold: 93%% of frames per %d-round window\n\n", period)
-	for _, r := range rows {
-		fmt.Printf("%-9s satiated set:\n", r.Name)
-		fmt.Printf("  mean delivery:           %.1f%%\n", 100*r.MeanDelivery)
-		fmt.Printf("  viewers hit by an outage: %.0f%%\n", 100*r.NodesWithOutage)
-		fmt.Printf("  outage windows per viewer: %.2f of %d\n\n", r.MeanOutageEpochs, r.Epochs)
+	fmt.Println("ideal lotus-eater attack on a streaming service (8% attacker nodes)")
+	fmt.Printf("usability threshold: 93%% of frames per 20-round window\n\n")
+	header := a.Table[0]
+	for _, row := range a.Table[1:] {
+		v := map[string]float64{}
+		for i, cell := range row[1:] {
+			v[header[i+1]], err = strconv.ParseFloat(cell, 64)
+			if err != nil {
+				log.Fatal(err)
+			}
+		}
+		fmt.Printf("%-9s satiated set:\n", row[0])
+		fmt.Printf("  mean delivery:           %.1f%%\n", 100*v["mean-delivery"])
+		fmt.Printf("  viewers hit by an outage: %.0f%%\n", 100*v["nodes-with-outage"])
+		fmt.Printf("  outage windows per viewer: %.2f of %.0f\n\n", v["mean-outage-epochs"], v["epochs"])
 	}
 	fmt.Println("static targeting starves a fixed minority; rotating the satiated set")
 	fmt.Println("spreads the outages over (nearly) every viewer — the stream becomes")

@@ -1,17 +1,61 @@
 package lotuseater
 
 import (
+	"strconv"
 	"testing"
+
+	"lotuseater/internal/scenario"
 )
 
-// The experiment drivers are the integration suite: each test runs a
-// reduced-quality sweep end to end and asserts the paper's qualitative
-// claims (orderings and directions, not absolute values).
+// The paper's figures are the integration suite: each test runs a
+// reduced-quality figure end to end through RunFigure and asserts the
+// paper's qualitative claims (orderings and directions, not absolute
+// values).
 
-func quickQ() Quality { return Quality{Points: 5, Seeds: 1} }
+func quickQ() RunOptions { return RunOptions{Points: 5, Replicates: 1} }
+
+// figure runs a registered figure or fails the test.
+func figure(t testing.TB, name string, seed uint64, opts RunOptions) *Artifact {
+	t.Helper()
+	a, err := RunFigure(name, seed, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return a
+}
+
+// rowsByName indexes a table figure's body rows by their first cell.
+func rowsByName(a *Artifact) map[string][]string {
+	rows := map[string][]string{}
+	for _, r := range a.Table[1:] {
+		rows[r[0]] = r
+	}
+	return rows
+}
+
+// cell parses a table figure's cell by row name and column header.
+func cell(t testing.TB, a *Artifact, row, col string) float64 {
+	t.Helper()
+	for c, h := range a.Table[0] {
+		if h != col {
+			continue
+		}
+		r, ok := rowsByName(a)[row]
+		if !ok {
+			t.Fatalf("%s: no row %q", a.Name, row)
+		}
+		v, err := strconv.ParseFloat(r[c], 64)
+		if err != nil {
+			t.Fatalf("%s: %s/%s: %v", a.Name, row, col, err)
+		}
+		return v
+	}
+	t.Fatalf("%s: no column %q", a.Name, col)
+	return 0
+}
 
 func TestTable1MatchesPaper(t *testing.T) {
-	rows := Table1()
+	rows := figure(t, "table1", 1, quickQ()).Table
 	want := map[string]string{
 		"Number of Nodes":       "250",
 		"Updates per Round":     "10",
@@ -31,7 +75,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFigure1Ordering(t *testing.T) {
-	series := Figure1(1, quickQ())
+	series := figure(t, "figure1", 1, quickQ()).Series
 	if len(series) != 3 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -59,8 +103,8 @@ func TestFigure1Ordering(t *testing.T) {
 
 func TestFigure2BluntsAttacks(t *testing.T) {
 	q := quickQ()
-	fig1 := Figure1(2, q)
-	fig2 := Figure2(2, q)
+	fig1 := figure(t, "figure1", 2, q).Series
+	fig2 := figure(t, "figure2", 2, q).Series
 	// Larger pushes help the isolated nodes against the ideal attack at
 	// every interior point.
 	x := fig1[1].Points[2].X
@@ -71,11 +115,11 @@ func TestFigure2BluntsAttacks(t *testing.T) {
 }
 
 func TestFigure3UnbalancedHelps(t *testing.T) {
-	series := Figure3(3, quickQ())
+	series := figure(t, "figure3", 3, quickQ()).Series
 	if len(series) != 4 {
 		t.Fatalf("%d series", len(series))
 	}
-	balanced2, unbalanced2, balanced4, unbalanced4 := series[0], series[1], series[2], series[3]
+	balanced2, unbalanced2, unbalanced4 := series[0], series[1], series[3]
 	x := balanced2.Points[3].X
 	if unbalanced2.YAt(x) <= balanced2.YAt(x) {
 		t.Fatalf("slack at push 2 did not help at x=%.2f", x)
@@ -84,11 +128,10 @@ func TestFigure3UnbalancedHelps(t *testing.T) {
 	if unbalanced4.YAt(x) <= balanced2.YAt(x) {
 		t.Fatalf("combined defense did not help at x=%.2f", x)
 	}
-	_ = balanced4
 }
 
 func TestAltruismExperimentMonotoneEnds(t *testing.T) {
-	s := AltruismExperiment(4, quickQ())
+	s := figure(t, "altruism", 4, quickQ()).Series[0]
 	first := s.Points[0].Y
 	last := s.Points[len(s.Points)-1].Y
 	if last <= first {
@@ -100,34 +143,26 @@ func TestAltruismExperimentMonotoneEnds(t *testing.T) {
 }
 
 func TestGridCutExperimentShowsBarrier(t *testing.T) {
-	rows, err := GridCutExperiment(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]GridCutResult{}
-	for _, r := range rows {
-		byName[r.Topology] = r
-	}
-	gridBase := byName["grid/no-attack"]
-	gridCut := byName["grid/column-cut"]
-	rndBase := byName["random/no-attack"]
-	rndHit := byName["random/same-size-target"]
+	a := figure(t, "gridcut", 5, quickQ())
+	coverage := func(row string) float64 { return cell(t, a, row, "rare-token-coverage") }
+	gridBase := coverage("grid/no-attack")
+	gridCut := coverage("grid/column-cut")
+	rndBase := coverage("random/no-attack")
+	rndHit := coverage("random/same-size-target")
 
-	if gridCut.RareTokenCoverage > 0.60 {
-		t.Fatalf("cut did not pin coverage: %.3f", gridCut.RareTokenCoverage)
+	if gridCut > 0.60 {
+		t.Fatalf("cut did not pin coverage: %.3f", gridCut)
 	}
-	if gridBase.RareTokenCoverage < gridCut.RareTokenCoverage+0.2 {
-		t.Fatalf("cut indistinct from baseline: %.3f vs %.3f",
-			gridBase.RareTokenCoverage, gridCut.RareTokenCoverage)
+	if gridBase < gridCut+0.2 {
+		t.Fatalf("cut indistinct from baseline: %.3f vs %.3f", gridBase, gridCut)
 	}
-	if rndHit.RareTokenCoverage < 0.95 || rndBase.RareTokenCoverage < 0.95 {
-		t.Fatalf("random graph affected by same-size attack: %.3f / %.3f",
-			rndBase.RareTokenCoverage, rndHit.RareTokenCoverage)
+	if rndHit < 0.95 || rndBase < 0.95 {
+		t.Fatalf("random graph affected by same-size attack: %.3f / %.3f", rndBase, rndHit)
 	}
 }
 
 func TestRareTokenExperimentAltruismRescues(t *testing.T) {
-	s := RareTokenExperiment(6, quickQ())
+	s := figure(t, "raretoken", 6, quickQ()).Series[0]
 	if s.Points[0].Y > 0.1 {
 		t.Fatalf("a=0 rare-token denial failed: completion %.3f", s.Points[0].Y)
 	}
@@ -138,7 +173,7 @@ func TestRareTokenExperimentAltruismRescues(t *testing.T) {
 }
 
 func TestScripMoneySupplyBound(t *testing.T) {
-	s := ScripMoneySupplyExperiment(7, quickQ())
+	s := figure(t, "scrip-money-supply", 7, quickQ()).Series[0]
 	// Satiated fraction collapses as the targeted fraction grows.
 	small := s.Points[1].Y
 	big := s.Points[len(s.Points)-1].Y
@@ -151,7 +186,7 @@ func TestScripMoneySupplyBound(t *testing.T) {
 }
 
 func TestScripRareProviderDenial(t *testing.T) {
-	series := ScripRareProviderExperiment(8, quickQ())
+	series := figure(t, "scrip-rare-provider", 8, quickQ()).Series
 	attacked, defended := series[0], series[1]
 	last := len(attacked.Points) - 1
 	// A well-funded attack collapses specialty availability relative to the
@@ -172,35 +207,28 @@ func TestScripRareProviderDenial(t *testing.T) {
 }
 
 func TestSwarmExperimentClaims(t *testing.T) {
-	rows, err := SwarmExperiment(9, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]SwarmRow{}
-	for _, r := range rows {
-		byName[r.Scenario] = r
-	}
-	base := byName["baseline/rarest-first"]
-	top := byName["attack-top-uploaders"]
-	if base.CompletedFraction < 0.99 {
-		t.Fatalf("baseline swarm completed %.3f", base.CompletedFraction)
+	a := figure(t, "swarm", 9, RunOptions{Replicates: 2})
+	baseCompleted := cell(t, a, "baseline/rarest-first", "completed")
+	baseTick := cell(t, a, "baseline/rarest-first", "mean-tick")
+	topTick := cell(t, a, "attack-top-uploaders", "mean-tick")
+	if baseCompleted < 0.99 {
+		t.Fatalf("baseline swarm completed %.3f", baseCompleted)
 	}
 	// "Often actually a net benefit": the attack must not slow the swarm.
-	if top.MeanCompletionTick > base.MeanCompletionTick*1.1 {
-		t.Fatalf("top-uploader attack slowed the swarm: %.1f vs %.1f",
-			top.MeanCompletionTick, base.MeanCompletionTick)
+	if topTick > baseTick*1.1 {
+		t.Fatalf("top-uploader attack slowed the swarm: %.1f vs %.1f", topTick, baseTick)
 	}
 	// The rare-piece attack "does significantly less damage" than a crash
 	// of comparable scale would: completion stays high under both policies.
 	for _, name := range []string{"fragile/rare-attack/rarest-first", "fragile/rare-attack/random"} {
-		if byName[name].CompletedFraction < 0.8 {
-			t.Fatalf("%s completed %.3f", name, byName[name].CompletedFraction)
+		if c := cell(t, a, name, "completed"); c < 0.8 {
+			t.Fatalf("%s completed %.3f", name, c)
 		}
 	}
 }
 
 func TestCodingExperimentDefends(t *testing.T) {
-	series := CodingExperiment(10, quickQ())
+	series := figure(t, "coding", 10, quickQ()).Series
 	plain, coded := series[0], series[1]
 	lastIdx := len(plain.Points) - 1
 	if plain.Points[lastIdx].Y > 0.75 {
@@ -215,7 +243,7 @@ func TestCodingExperimentDefends(t *testing.T) {
 }
 
 func TestReportingExperimentEvicts(t *testing.T) {
-	series := ReportingExperiment(11, quickQ())
+	series := figure(t, "reporting", 11, quickQ()).Series
 	delivery, evictions := series[0], series[1]
 	if evictions.Points[0].Y != 0 {
 		t.Fatalf("evictions with zero obedience: %g", evictions.Points[0].Y)
@@ -231,7 +259,7 @@ func TestReportingExperimentEvicts(t *testing.T) {
 }
 
 func TestRateLimitExperimentDefends(t *testing.T) {
-	series := RateLimitExperiment(12, quickQ())
+	series := figure(t, "ratelimit", 12, quickQ()).Series
 	attacked, clean := series[0], series[1]
 	// Cap 1 (index 1) must beat no cap (index 0) under attack.
 	if attacked.Points[1].Y <= attacked.Points[0].Y {
@@ -247,20 +275,17 @@ func TestRateLimitExperimentDefends(t *testing.T) {
 }
 
 func TestRotatingExperimentSpreadsOutages(t *testing.T) {
-	rows, err := RotatingExperiment(13, 20)
-	if err != nil {
-		t.Fatal(err)
+	a := figure(t, "rotating", 13, RunOptions{Replicates: 1})
+	if len(a.Table) != 3 {
+		t.Fatalf("%d rows", len(a.Table)-1)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	staticArm := cell(t, a, "static", "nodes-with-outage")
+	rotating := cell(t, a, "rotating", "nodes-with-outage")
+	if rotating <= staticArm {
+		t.Fatalf("rotation did not spread outages: %.3f vs %.3f", rotating, staticArm)
 	}
-	staticArm, rotating := rows[0], rows[1]
-	if rotating.NodesWithOutage <= staticArm.NodesWithOutage {
-		t.Fatalf("rotation did not spread outages: %.3f vs %.3f",
-			rotating.NodesWithOutage, staticArm.NodesWithOutage)
-	}
-	if rotating.NodesWithOutage < 0.5 {
-		t.Fatalf("rotating attack reached only %.3f of nodes", rotating.NodesWithOutage)
+	if rotating < 0.5 {
+		t.Fatalf("rotating attack reached only %.3f of nodes", rotating)
 	}
 }
 
@@ -330,18 +355,29 @@ func TestFacadeConstructors(t *testing.T) {
 	}
 }
 
+// TestQualityNormalize: the quality presets scale figures (full above
+// quick), and a run clamps what it is given to runnable values (two sweep
+// points at least).
 func TestQualityNormalize(t *testing.T) {
-	q := Quality{}.Normalize()
-	if q.Points < 2 || q.Seeds < 1 {
-		t.Fatalf("normalize gave %+v", q)
+	full, err := scenario.Quality("full")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if FullQuality().Points <= QuickQuality().Points {
-		t.Fatal("full quality not larger than quick")
+	quick, err := scenario.Quality("quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Points <= quick.Points || full.Replicates < quick.Replicates {
+		t.Fatalf("full quality %+v not larger than quick %+v", full, quick)
+	}
+	s := figure(t, "raretoken", 1, RunOptions{Points: 1, Replicates: 1}).Series[0]
+	if s.Len() != 2 {
+		t.Fatalf("one requested point ran as %d, want the 2-point minimum", s.Len())
 	}
 }
 
 func TestInflationExperimentCliff(t *testing.T) {
-	s := ScripInflationExperiment(14, quickQ())
+	s := figure(t, "inflation", 14, quickQ()).Series[0]
 	last := s.Points[len(s.Points)-1]
 	if last.Y != 0 {
 		t.Fatalf("economy survived %g/capita inflation: %.3f", last.X, last.Y)
@@ -353,7 +389,7 @@ func TestInflationExperimentCliff(t *testing.T) {
 }
 
 func TestHoardingExperimentMonotone(t *testing.T) {
-	s := ScripHoardingExperiment(15, quickQ())
+	s := figure(t, "hoarding", 15, quickQ()).Series[0]
 	first, last := s.Points[0].Y, s.Points[len(s.Points)-1].Y
 	if last >= first-0.3 {
 		t.Fatalf("hoarding did not crash availability: %.3f -> %.3f", first, last)
@@ -361,7 +397,7 @@ func TestHoardingExperimentMonotone(t *testing.T) {
 }
 
 func TestSatiateFractionAblation(t *testing.T) {
-	series := SatiateFractionAblation(16, Quality{Points: 6, Seeds: 2})
+	series := figure(t, "satiate-ablation", 16, RunOptions{Points: 6, Replicates: 2}).Series
 	delivery, victims := series[0], series[1]
 	// Per-victim damage grows with the satiated fraction...
 	first, last := delivery.Points[0].Y, delivery.Points[len(delivery.Points)-1].Y

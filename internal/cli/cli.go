@@ -1,10 +1,7 @@
-// Package cli holds the flag and output plumbing shared by every command
-// binary in cmd/. Each main is a thin wrapper: cmd/lotus-sim dispatches
-// subcommands (run, list, gossip, figures, scrip, swarm, token) to the
-// functions here, and the single-purpose binaries (cmd/figures,
-// cmd/scrip-sim, cmd/swarm-sim, cmd/token-sim) call the matching function
-// directly, so flag names, experiment lookup, and artifact encoding are
-// defined exactly once.
+// Package cli holds the flag and output plumbing of the lotus-sim command:
+// cmd/lotus-sim dispatches its subcommands (list, run, figures, scenarios,
+// serve) to the functions here, so flag names, figure and scenario lookup,
+// and artifact encoding are defined exactly once.
 package cli
 
 import (

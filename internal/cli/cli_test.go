@@ -44,8 +44,8 @@ func TestRunExperimentUnknown(t *testing.T) {
 	}
 }
 
-// TestRunExperimentLegacy: a registry experiment still runs through the
-// legacy driver path.
+// TestRunExperimentLegacy: a figure of the paper runs by name through
+// `run`, at the -quality preset.
 func TestRunExperimentLegacy(t *testing.T) {
 	var b strings.Builder
 	if err := RunExperiment(&b, []string{"table1", "-quality", "quick"}); err != nil {
@@ -56,13 +56,13 @@ func TestRunExperimentLegacy(t *testing.T) {
 	}
 }
 
-// TestRunExperimentSetOnLegacy: -set on a fixed driver is rejected with an
-// explanation, not silently ignored.
+// TestRunExperimentSetOnLegacy: -set on a figure (fixed data) is rejected
+// with an explanation, not silently ignored.
 func TestRunExperimentSetOnLegacy(t *testing.T) {
 	var b strings.Builder
 	err := RunExperiment(&b, []string{"table1", "-set", "nodes=10"})
-	if err == nil || !strings.Contains(err.Error(), "fixed driver") {
-		t.Fatalf("want fixed-driver error, got: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "fixed data") {
+		t.Fatalf("want fixed-data error, got: %v", err)
 	}
 }
 

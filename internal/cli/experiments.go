@@ -5,104 +5,76 @@ import (
 	"fmt"
 	"io"
 
-	"lotuseater/internal/experiment"
 	"lotuseater/internal/metrics"
 	"lotuseater/internal/scenario"
 )
 
-// RunExperiment implements `lotus-sim run <name> [flags]`. The name may be
-// a registry experiment (legacy drivers) or a registered scenario; -spec
-// runs a JSON spec file instead, and repeated -set key=value overrides
-// re-parameterize scenario runs (legacy experiments are fixed code and
-// reject overrides).
+// RunExperiment implements `lotus-sim run <name> [flags]`: a figure of the
+// paper by name, run at -quality, or anything `scenarios run` accepts (a
+// registered scenario or -spec file.json, re-parameterized with -set).
+// Figures are fixed data and reject -set.
 func RunExperiment(w io.Writer, args []string) error {
 	name := ""
 	if len(args) > 0 && args[0] != "" && args[0][0] != '-' {
-		name, args = args[0], args[1:]
+		name = args[0]
+	}
+	if _, ok := scenario.GetFigure(name); !ok {
+		if _, ok := scenario.Get(name); name != "" && !ok {
+			return fmt.Errorf("unknown experiment or scenario %q; see `lotus-sim list` (figures) and `lotus-sim scenarios list`", name)
+		}
+		return ScenariosRun(w, args)
 	}
 
 	fs := flag.NewFlagSet("lotus-sim run", flag.ContinueOnError)
 	var sets setFlags
-	fs.Var(&sets, "set", "override a scenario spec field, key=value (repeatable)")
-	specPath := fs.String("spec", "", "run a scenario from a JSON spec file")
-	quality := fs.String("quality", "full", "sweep quality for experiments: full|quick")
+	fs.Var(&sets, "set", "scenario overrides (figures reject them)")
+	quality := fs.String("quality", "full", "figure quality: full|quick")
 	seed := fs.Uint64("seed", 1, "random seed")
 	format := fs.String("format", "text", "output format: text|csv|json")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if name == "" && *specPath == "" {
-		return fmt.Errorf("usage: lotus-sim run <name> [-quality quick|full] [-seed N] [-format text|csv|json] [-set key=val ...] | lotus-sim run -spec file.json; `lotus-sim list` and `lotus-sim scenarios list` show the catalogues")
+	if len(sets) > 0 {
+		return fmt.Errorf("figure %q is fixed data; -set overrides only apply to scenarios (`lotus-sim scenarios list`)", name)
 	}
 	f, err := ParseFormat(*format)
 	if err != nil {
 		return err
 	}
-
-	// Legacy experiments take precedence for plain runs; anything involving
-	// -spec or -set is necessarily a scenario.
-	if *specPath == "" && len(sets) == 0 {
-		if _, ok := experiment.Get(name); ok {
-			q, err := experiment.ParseQuality(*quality)
-			if err != nil {
-				return err
-			}
-			a, err := experiment.Run(name, *seed, q)
-			if err != nil {
-				return err
-			}
-			return EmitArtifact(w, a, f)
-		}
-	}
-	// Distinguish "the name is not a scenario" (point at both catalogues,
-	// or explain that fixed drivers reject -set) from real resolveSpec
-	// failures (name+spec conflict, unreadable file), which propagate
-	// unchanged.
-	if name != "" && *specPath == "" {
-		if _, ok := scenario.Get(name); !ok {
-			if _, isExp := experiment.Get(name); isExp {
-				return fmt.Errorf("experiment %q is a fixed driver; -set overrides only apply to scenarios (`lotus-sim scenarios list`)", name)
-			}
-			return fmt.Errorf("unknown experiment or scenario %q; see `lotus-sim list` and `lotus-sim scenarios list`", name)
-		}
-	}
-	spec, err := resolveSpec(name, *specPath)
+	opts, err := scenario.Quality(*quality)
 	if err != nil {
 		return err
 	}
-	if err := spec.ApplySets(sets); err != nil {
-		return err
-	}
-	a, err := scenario.Run(spec, *seed, scenario.RunOptions{})
+	a, err := scenario.RunFigure(name, *seed, opts)
 	if err != nil {
 		return err
 	}
 	return EmitArtifact(w, a, f)
 }
 
-// List implements `lotus-sim list`: the experiment catalogue as an aligned
+// List implements `lotus-sim list`: the figure catalogue as an aligned
 // table of name and description.
 func List(w io.Writer) error {
-	rows := [][]string{{"experiment", "description"}}
-	for _, e := range experiment.All() {
-		rows = append(rows, []string{e.Name, e.Description})
+	rows := [][]string{{"figure", "description"}}
+	for _, f := range scenario.Figures() {
+		rows = append(rows, []string{f.Name, f.Description})
 	}
 	_, err := io.WriteString(w, metrics.RenderRows(rows))
 	return err
 }
 
 // figuresOrder is the curated presentation order of the figures command —
-// the paper's tables and figures first, then extensions — with the legacy
-// experiment ids it has always accepted.
+// the paper's tables and figures first, then extensions — by its short
+// ids.
 var figuresOrder = []string{
 	"table1", "fig1", "fig2", "fig3", "altruism", "gridcut", "raretoken",
 	"scrip", "swarm", "coding", "reporting", "ratelimit", "rotating",
 	"inflation", "hoarding", "satiate-ablation",
 }
 
-// figuresAliases maps the figures command's legacy ids to registry names.
-// Most ids are registry names already; "scrip" expands to both scrip
-// experiments, matching the command's historical output.
+// figuresAliases maps the figures command's short ids to figure names.
+// Most ids are figure names already; "scrip" expands to both scrip
+// figures.
 var figuresAliases = map[string][]string{
 	"fig1":  {"figure1"},
 	"fig2":  {"figure2"},
@@ -122,7 +94,7 @@ func Figures(w io.Writer, args []string) error {
 		return err
 	}
 
-	q, err := experiment.ParseQuality(*quality)
+	opts, err := scenario.Quality(*quality)
 	if err != nil {
 		return err
 	}
@@ -137,7 +109,7 @@ func Figures(w io.Writer, args []string) error {
 			names = []string{id}
 		}
 		for _, name := range names {
-			a, err := experiment.Run(name, *seed, q)
+			a, err := scenario.RunFigure(name, *seed, opts)
 			if err != nil {
 				return fmt.Errorf("%s: %w", id, err)
 			}

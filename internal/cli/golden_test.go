@@ -10,8 +10,8 @@ import (
 )
 
 // Golden end-to-end CLI tests: the exact bytes of `scenarios list`,
-// `scenarios show`, and a small pinned `scenarios run` are checked in under
-// testdata/golden. After an intentional output change, regenerate with
+// `scenarios show`, a small pinned `scenarios run`, and every figure of the
+// paper at quick quality are checked in under testdata/golden. After an intentional output change, regenerate with
 //
 //	go test ./internal/cli -run Golden -update
 //
@@ -102,4 +102,14 @@ func TestGoldenScenariosRunTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "scenarios-run-golden-tiny-trace.json", []byte(b.String()))
+}
+
+// TestGoldenFigures pins every table and figure of the paper, byte for
+// byte: `lotus-sim figures -exp all -quality quick -csv`.
+func TestGoldenFigures(t *testing.T) {
+	var b strings.Builder
+	if err := Figures(&b, []string{"-exp", "all", "-quality", "quick", "-csv"}); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "figures-quick.csv", []byte(b.String()))
 }

@@ -154,7 +154,7 @@ func resolveSpec(name, specPath string) (*scenario.Spec, error) {
 		}
 		return spec, nil
 	default:
-		return nil, fmt.Errorf("usage: lotus-sim scenarios run <name> [-set key=val ...] | -spec file.json")
+		return nil, fmt.Errorf("usage: lotus-sim scenarios run <name> [-set key=val ...] | -spec file.json; `lotus-sim scenarios list` shows the scenarios, `lotus-sim list` the figures")
 	}
 }
 

@@ -226,6 +226,40 @@ func TestUnitPackets(t *testing.T) {
 	}
 }
 
+// TestDecodeOutOfOrderPivots: a packet that opens a pivot below an existing
+// one must still be reduced against it. Unit 2, then units 1+2, then unit 0
+// once decoded symbol 1 as s1^s2.
+func TestDecodeOutOfOrderPivots(t *testing.T) {
+	const k, size = 3, 8
+	src := sources(k, size, 5)
+	enc, err := NewEncoder(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(k, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := enc.Unit(1)
+	two := enc.Unit(2)
+	mulSlice(both.Coeffs, two.Coeffs, 1)
+	mulSlice(both.Payload, two.Payload, 1)
+	for _, p := range []Packet{two, both, enc.Unit(0)} {
+		if innovative, err := dec.Add(p); err != nil || !innovative {
+			t.Fatalf("packet %v: innovative %v, err %v", p.Coeffs, innovative, err)
+		}
+	}
+	decoded, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		if !bytes.Equal(decoded[i], src[i]) {
+			t.Fatalf("symbol %d decoded as %v, want %v", i, decoded[i], src[i])
+		}
+	}
+}
+
 func TestDuplicatePacketNotInnovative(t *testing.T) {
 	const k, size = 4, 8
 	enc, err := NewEncoder(sources(k, size, 4))

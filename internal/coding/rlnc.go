@@ -126,12 +126,18 @@ func (d *Decoder) Add(p Packet) (bool, error) {
 		return false, fmt.Errorf("coding: packet payload is %d bytes, want %d", len(p.Payload), d.size)
 	}
 	w := clonePacket(p)
+	// Eliminate every pivot column first. Each stored row is zero in every
+	// other pivot column, so one pass leaves w zero in all of them, even
+	// when pivots were created out of column order (a sparse packet can
+	// open a high pivot before a low one).
 	for col := 0; col < d.k; col++ {
-		c := w.Coeffs[col]
-		if c == 0 {
-			continue
+		if c := w.Coeffs[col]; c != 0 && d.rows[col].Coeffs != nil {
+			mulSlice(w.Coeffs, d.rows[col].Coeffs, c)
+			mulSlice(w.Payload, d.rows[col].Payload, c)
 		}
-		if d.rows[col].Coeffs == nil {
+	}
+	for col := 0; col < d.k; col++ {
+		if c := w.Coeffs[col]; c != 0 {
 			// New pivot: normalize and store.
 			inv := Inv(c)
 			scaleSlice(w.Coeffs, inv)
@@ -141,9 +147,6 @@ func (d *Decoder) Add(p Packet) (bool, error) {
 			d.reduceAbove(col)
 			return true, nil
 		}
-		// Eliminate this column using the existing pivot row.
-		mulSlice(w.Coeffs, d.rows[col].Coeffs, c)
-		mulSlice(w.Payload, d.rows[col].Payload, c)
 	}
 	return false, nil // w reduced to zero: not innovative
 }

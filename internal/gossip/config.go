@@ -99,7 +99,8 @@ type Config struct {
 
 	// TrackPerNode records each node's per-release-round delivery fraction
 	// in Result.NodeRoundDelivery. Off by default (sweeps do not need the
-	// memory); the rotating-attack experiment turns it on.
+	// memory); the scenario engine's outage-window metrics (params.epoch)
+	// turn it on.
 	TrackPerNode bool
 }
 

@@ -13,7 +13,8 @@ import (
 
 // Engine runs one BAR Gossip simulation. Create it with New and drive it
 // with Run (whole horizon) or Step (one round). An Engine is not safe for
-// concurrent use; run one Engine per goroutine (see internal/sweep).
+// concurrent use; run one Engine per goroutine (the scenario engine runs
+// one per replicate on the internal/sim worker pool).
 type Engine struct {
 	cfg      Config
 	rng      *simrng.Source

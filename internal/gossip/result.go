@@ -48,7 +48,6 @@ type Result struct {
 	AllHonest GroupStats
 	// PerRoundHonest[r] is the fraction of round-r measured updates that
 	// the average honest node received in time; -1 for unmeasured rounds.
-	// Used by the rotating-attack experiment to show intermittent outages.
 	PerRoundHonest []float64
 	// PerRoundIsolated[r] is the same restricted to nodes isolated at
 	// round r (per the targeter); -1 when unmeasured or empty.

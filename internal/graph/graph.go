@@ -155,46 +155,12 @@ func Grid(rows, cols int) *Graph {
 	return g
 }
 
-// Ring returns the cycle C_n (for n >= 3); for n < 3 it returns a path.
-func Ring(n int) *Graph {
-	g := New(n)
-	for u := 0; u+1 < n; u++ {
-		_ = g.AddEdge(u, u+1)
-	}
-	if n >= 3 {
-		_ = g.AddEdge(n-1, 0)
-	}
-	return g
-}
-
 // Random returns an Erdős–Rényi G(n, p) graph drawn from rng.
 func Random(n int, p float64, rng *simrng.Source) *Graph {
 	g := New(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Bool(p) {
-				_ = g.AddEdge(u, v)
-			}
-		}
-	}
-	return g
-}
-
-// SmallWorld returns a Watts–Strogatz small-world graph: a ring lattice where
-// each node connects to its k nearest neighbors on each side, with each edge
-// rewired to a uniform endpoint with probability beta.
-func SmallWorld(n, k int, beta float64, rng *simrng.Source) *Graph {
-	g := New(n)
-	if n < 2 {
-		return g
-	}
-	for u := 0; u < n; u++ {
-		for d := 1; d <= k; d++ {
-			v := (u + d) % n
-			if rng.Bool(beta) && n > 2 {
-				w := rng.PickOther(n, u)
-				_ = g.AddEdge(u, w)
-			} else {
 				_ = g.AddEdge(u, v)
 			}
 		}

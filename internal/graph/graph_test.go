@@ -104,21 +104,6 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	g := Ring(5)
-	if g.M() != 5 {
-		t.Fatalf("C5 has %d edges", g.M())
-	}
-	for v := 0; v < 5; v++ {
-		if g.Degree(v) != 2 {
-			t.Fatalf("ring degree %d at %d", g.Degree(v), v)
-		}
-	}
-	if Ring(2).M() != 1 {
-		t.Fatal("Ring(2) should be a single edge")
-	}
-}
-
 func TestRandomEdgeProbability(t *testing.T) {
 	rng := simrng.New(1)
 	g := Random(100, 0.1, rng)
@@ -136,21 +121,6 @@ func TestRandomExtremes(t *testing.T) {
 	}
 	if g := Random(20, 1, rng); g.M() != 190 {
 		t.Fatalf("G(20,1) has %d edges, want 190", g.M())
-	}
-}
-
-func TestSmallWorldDegree(t *testing.T) {
-	rng := simrng.New(2)
-	g := SmallWorld(50, 2, 0, rng)
-	// beta = 0: pure ring lattice, degree exactly 2k.
-	for v := 0; v < 50; v++ {
-		if g.Degree(v) != 4 {
-			t.Fatalf("lattice degree %d at %d, want 4", g.Degree(v), v)
-		}
-	}
-	rewired := SmallWorld(50, 2, 0.5, rng)
-	if rewired.M() == 0 {
-		t.Fatal("rewired small world empty")
 	}
 }
 

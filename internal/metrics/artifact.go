@@ -29,7 +29,7 @@ type Artifact struct {
 }
 
 // Text renders the artifact as an aligned text table with a title header
-// and trailing notes — the format cmd/figures has always printed.
+// and trailing notes — the format `lotus-sim figures` has always printed.
 func (a *Artifact) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## %s\n\n", a.Title)

@@ -7,7 +7,6 @@ import (
 	"lotuseater/internal/metrics"
 	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
-	"lotuseater/internal/sweep"
 )
 
 // This file is the execution surface shared by Run (one process) and the
@@ -47,7 +46,7 @@ func PlanOf(spec *Spec, opts RunOptions) ExecPlan {
 	replicates, points := resolveCounts(spec, opts)
 	ep := ExecPlan{Replicates: replicates, Xs: []float64{0}, XLabel: "x"}
 	if spec.Sweep.Axis != "" {
-		ep.Xs = sweep.Range(spec.Sweep.From, spec.Sweep.To, points)
+		ep.Xs = Range(spec.Sweep.From, spec.Sweep.To, points)
 		ep.XLabel = spec.Sweep.Axis
 	}
 	if pl, ok := spec.activePlan(); ok {
@@ -55,6 +54,21 @@ func PlanOf(spec *Spec, opts RunOptions) ExecPlan {
 		ep.Plan = pl
 	}
 	return ep
+}
+
+// Range returns count evenly spaced values from lo to hi inclusive.
+// count < 2 returns []float64{lo}.
+func Range(lo, hi float64, count int) []float64 {
+	if count < 2 {
+		return []float64{lo}
+	}
+	out := make([]float64, count)
+	step := (hi - lo) / float64(count-1)
+	for i := range out {
+		out[i] = lo + float64(i)*step
+	}
+	out[count-1] = hi
+	return out
 }
 
 // PointBudget returns the replicate budget of one sweep point: the fixed

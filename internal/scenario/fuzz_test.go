@@ -171,6 +171,24 @@ func FuzzSet(f *testing.F) {
 		{"population.popularity.exponent", "0"},
 		{"population.popularity.exponent", "NaN"},
 		{"population.popularity.items", "-7"},
+		{"params.report", "-1"},
+		{"params.evict", "0"},
+		{"params.epoch", "20"},
+		{"params.graph", "2"},
+		{"params.rare", "64"},
+		{"params.rareCopies", "1e9"},
+		{"params.budget", "-100"},
+		{"params.start", "1000"},
+		{"params.special", "100000"},
+		{"params.specialReq", "0.5"},
+		{"params.altruistProviders", "3"},
+		{"params.mint", "2.5"},
+		{"params.attack", "9"},
+		{"params.targets", "2"},
+		{"params.astart", "10"},
+		{"params.astop", "3"},
+		{"params.selection", "1.5"},
+		{"sweep.axis", "adversary.targets"},
 	} {
 		f.Add(seed[0], seed[1])
 	}

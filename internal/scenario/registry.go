@@ -108,7 +108,7 @@ func init() {
 		Title:       "Altruism restores the token model",
 		Description: "E1 as data: sweep altruism a under half-system ideal satiation",
 		Substrate:   "token",
-		Adversary:   AdversarySpec{Kind: "ideal", SatiateFraction: 0.5},
+		Adversary:   AdversarySpec{Kind: "ideal", Fraction: 0.10, SatiateFraction: 0.5},
 		Sweep:       SweepSpec{Axis: "params.altruism", From: 0, To: 0.1, Points: 8},
 		Replicates:  3,
 	})
@@ -137,7 +137,7 @@ func init() {
 		Title:       "Ideal satiation of a healthy swarm",
 		Description: "E5's qualitative claim as data: satiating leechers barely hurts (often helps) a seeded swarm",
 		Substrate:   "swarm",
-		Adversary:   AdversarySpec{Kind: "ideal", SatiateFraction: 0.70},
+		Adversary:   AdversarySpec{Kind: "ideal", Fraction: 0.10, SatiateFraction: 0.70},
 		Sweep:       SweepSpec{Axis: "adversary.satiateFraction", From: 0, To: 0.6, Points: 6},
 		Replicates:  3,
 		Params:      map[string]float64{"uplink": 32},
@@ -147,7 +147,7 @@ func init() {
 		Title:       "Ideal satiation vs plain dissemination",
 		Description: "E6's baseline as data: plain-symbol gossip under a growing instant-satiation attack",
 		Substrate:   "coding",
-		Adversary:   AdversarySpec{Kind: "ideal", SatiateFraction: 0.70},
+		Adversary:   AdversarySpec{Kind: "ideal", Fraction: 0.10, SatiateFraction: 0.70},
 		Sweep:       SweepSpec{Axis: "adversary.satiateFraction", From: 0, To: 0.6, Points: 6},
 		Replicates:  3,
 	})

@@ -160,8 +160,10 @@ func (p *PrecisionSpec) active() bool { return p != nil && p.HalfWidth > 0 }
 // over what range. An empty Axis means a single point at x = 0.
 type SweepSpec struct {
 	// Axis names the swept knob: adversary.fraction,
-	// adversary.satiateFraction, adversary.rotatePeriod, defense.rateLimit,
-	// nodes, rounds, or params.<key>.
+	// adversary.satiateFraction, adversary.rotatePeriod, adversary.targets
+	// (satiate nodes 0..x-1), defense.rateLimit, nodes, rounds,
+	// population.churn.leaveRate, population.churn.joinRate,
+	// population.popularity.exponent, or params.<key>.
 	Axis string `json:"axis,omitempty"`
 	// From and To bound the sweep inclusively.
 	From float64 `json:"from,omitempty"`
@@ -267,6 +269,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: params.%s must be finite, got %g", k, v)
 		}
 	}
+	if err := s.validateKnobs(); err != nil {
+		return err
+	}
 	if s.Sweep.Axis != "" {
 		if err := s.Clone().applyAxis(s.Sweep.From); err != nil {
 			return err
@@ -276,7 +281,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if s.Metric != "" {
-		if err := sub(s.Substrate).checkMetric(s.Metric); err != nil {
+		if err := sub(s.Substrate).checkMetric(s, s.Metric); err != nil {
 			return err
 		}
 	}
@@ -396,6 +401,13 @@ func (s *Spec) applyAxis(x float64) error {
 		s.Adversary.SatiateFraction = x
 	case "adversary.rotatePeriod":
 		s.Adversary.RotatePeriod = int(x)
+	case "adversary.targets":
+		// Satiate nodes 0..x-1: as an axis the target list grows from the
+		// front, so sweeping it adds one targeted holder per step.
+		if x < 0 || x > float64(s.population()) {
+			return fmt.Errorf("scenario: adversary.targets axis value %g is outside [0,%d]", x, s.population())
+		}
+		s.Adversary.Targets = span(int(x))
 	case "defense.rateLimit":
 		s.Defense.RateLimit = int(x)
 		if s.Defense.Kind == "" || s.Defense.Kind == "none" {
@@ -645,7 +657,6 @@ func (s *Spec) Metrics() []string {
 	if b == nil {
 		return nil
 	}
-	names := slices.Sorted(maps.Keys(b.metrics))
-	names = slices.DeleteFunc(names, func(n string) bool { return n == b.defaultMetric })
+	names := slices.DeleteFunc(b.menu(s), func(n string) bool { return n == b.defaultMetric })
 	return append([]string{b.defaultMetric}, names...)
 }

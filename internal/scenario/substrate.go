@@ -24,15 +24,41 @@ import (
 type substrate struct {
 	defaultMetric string
 	metrics       map[string]func(snap any) (float64, error)
-	build         func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error)
+	// windowed metrics group the run into params.epoch-round windows; they
+	// are on the menu only when the spec sets that window (it also turns
+	// on the per-node tracking they read).
+	windowed map[string]func(snap any, window int) (float64, error)
+	build    func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error)
 }
 
-func (b *substrate) checkMetric(name string) error {
-	if _, ok := b.metrics[name]; ok {
+// lookup returns the named metric as the spec would compute it.
+func (b *substrate) lookup(spec *Spec, name string) (func(snap any) (float64, error), bool) {
+	if fn, ok := b.metrics[name]; ok {
+		return fn, true
+	}
+	if w := int(spec.param("epoch", 0)); w > 0 {
+		if fn, ok := b.windowed[name]; ok {
+			return func(snap any) (float64, error) { return fn(snap, w) }, true
+		}
+	}
+	return nil, false
+}
+
+// menu lists the metric names a spec can ask for, sorted.
+func (b *substrate) menu(spec *Spec) []string {
+	names := slices.Collect(maps.Keys(b.metrics))
+	if spec.param("epoch", 0) > 0 {
+		names = slices.AppendSeq(names, maps.Keys(b.windowed))
+	}
+	slices.Sort(names)
+	return names
+}
+
+func (b *substrate) checkMetric(spec *Spec, name string) error {
+	if _, ok := b.lookup(spec, name); ok {
 		return nil
 	}
-	names := slices.Sorted(maps.Keys(b.metrics))
-	return fmt.Errorf("scenario: unknown metric %q (want %s)", name, strings.Join(names, "|"))
+	return fmt.Errorf("scenario: unknown metric %q (want %s)", name, strings.Join(b.menu(spec), "|"))
 }
 
 func (b *substrate) metric(spec *Spec, snap any) (float64, error) {
@@ -40,9 +66,9 @@ func (b *substrate) metric(spec *Spec, snap any) (float64, error) {
 	if name == "" {
 		name = b.defaultMetric
 	}
-	fn, ok := b.metrics[name]
+	fn, ok := b.lookup(spec, name)
 	if !ok {
-		return 0, b.checkMetric(name)
+		return 0, b.checkMetric(spec, name)
 	}
 	return fn(snap)
 }
@@ -80,6 +106,12 @@ var substrates = map[string]*substrate{
 			"usable-fraction":   gossipMetric(func(r gossip.Result) float64 { return r.Isolated.UsableFraction }),
 			"evictions":         gossipMetric(func(r gossip.Result) float64 { return float64(r.Evictions) }),
 		},
+		windowed: map[string]func(any, int) (float64, error){
+			"outage-nodes":       outageMetric(func(o outageStats) float64 { return float64(o.outaged) }),
+			"nodes-with-outage":  outageMetric(func(o outageStats) float64 { return ratio(o.outaged, o.nodes) }),
+			"mean-outage-epochs": outageMetric(func(o outageStats) float64 { return ratio(o.badWindows, o.nodes) }),
+			"epochs":             outageMetric(func(o outageStats) float64 { return float64(o.epochs) }),
+		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
 			cfg := gossip.DefaultConfig()
 			if s.Nodes > 0 {
@@ -96,6 +128,9 @@ var substrates = map[string]*substrate{
 			cfg.Warmup = int(s.param("warmup", float64(cfg.Warmup)))
 			cfg.Altruism = s.param("altruism", cfg.Altruism)
 			cfg.ObedientFraction = s.param("obedient", cfg.ObedientFraction)
+			cfg.ReportThreshold = int(s.param("report", float64(cfg.ReportThreshold)))
+			cfg.EvictAfterReports = int(s.param("evict", float64(cfg.EvictAfterReports)))
+			cfg.TrackPerNode = s.param("epoch", 0) > 0
 			if def != nil {
 				// The defense is only consulted for obedient receivers;
 				// default to a fully obedient population unless overridden.
@@ -135,23 +170,23 @@ var substrates = map[string]*substrate{
 			"mean-completion-round": tokenMetric(func(r tokenmodel.Result) float64 {
 				return r.MeanCompletionRound
 			}),
+			"rare-coverage":     tokenMetric(func(r tokenmodel.Result) float64 { return r.TokenCoverage[0] }),
+			"attacker-satiated": tokenMetric(func(r tokenmodel.Result) float64 { return float64(r.SatiatedByAttacker) }),
 		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
-			n := s.Nodes
-			if n <= 0 {
-				n = 128
-			}
+			n := s.population()
 			rounds := s.Rounds
 			if rounds <= 0 {
 				rounds = 80
 			}
-			deg := int(s.param("degree", 4))
+			tokens := int(s.param("tokens", 32))
 			cfg := tokenmodel.Config{
-				Graph:    graph.RandomRegularish(n, deg, rng.Child("graph")),
-				Tokens:   int(s.param("tokens", 32)),
-				Contacts: int(s.param("contacts", 2)),
-				Altruism: s.param("altruism", 0),
-				Rounds:   rounds,
+				Graph:      s.tokenGraph(n, rng),
+				Tokens:     tokens,
+				Contacts:   int(s.param("contacts", 2)),
+				Altruism:   s.param("altruism", 0),
+				Rounds:     rounds,
+				Allocation: s.rareAllocation(n, tokens, rng),
 			}
 			if cl := s.classScalar(); cl != nil {
 				if cl.Altruism != nil {
@@ -181,6 +216,7 @@ var substrates = map[string]*substrate{
 			"satiated-targets":        scripMetric(func(r scrip.Result) float64 { return r.SatiatedTargetFraction }),
 			"attacker-spent":          scripMetric(func(r scrip.Result) float64 { return float64(r.AttackerSpent) }),
 			"mean-utility":            scripMetric(func(r scrip.Result) float64 { return r.MeanUtility }),
+			"special-availability":    scripMetric(func(r scrip.Result) float64 { return r.SpecialAvailability }),
 		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
 			cfg := scrip.DefaultConfig()
@@ -194,6 +230,11 @@ var substrates = map[string]*substrate{
 			cfg.MoneyPerCapita = int(s.param("money", float64(cfg.MoneyPerCapita)))
 			cfg.Cost = s.param("cost", cfg.Cost)
 			cfg.AltruistFraction = s.param("altruists", cfg.AltruistFraction)
+			cfg.SpecialProviders = int(s.param("special", 0))
+			cfg.SpecialRequestFraction = s.param("specialReq", 0)
+			cfg.AltruistProviders = int(s.param("altruistProviders", 0))
+			cfg.AttackBudget = int(s.param("budget", 0))
+			cfg.AttackStart = int(s.param("start", 0))
 			if cl := s.classScalar(); cl != nil {
 				if cl.Altruism != nil {
 					cfg.AltruistFraction = *cl.Altruism
@@ -210,7 +251,11 @@ var substrates = map[string]*substrate{
 			if def != nil {
 				opts = append(opts, scrip.WithDefense(def))
 			}
-			return scrip.New(cfg, rng.Uint64(), opts...)
+			m, err := scrip.New(cfg, rng.Uint64(), opts...)
+			if err != nil {
+				return nil, err
+			}
+			return m, gift(m, cfg.Agents, s.param("mint", 0))
 		},
 	},
 	"swarm": {
@@ -236,7 +281,17 @@ var substrates = map[string]*substrate{
 			cfg.AttackerUplink = int(s.param("uplink", 16))
 			cfg.SeedDepartTick = int(s.param("seedDepart", float64(cfg.SeedDepartTick)))
 			cfg.SeedAfterComplete = s.param("seedAfter", 1) != 0
-			opts := []swarm.Option{swarm.WithAdversary(adv)}
+			cfg.Selection = swarm.Selection(s.param("selection", float64(cfg.Selection)))
+			cfg.Attack = swarm.AttackKind(s.param("attack", float64(cfg.Attack)))
+			cfg.AttackTargets = int(s.param("targets", 0))
+			cfg.AttackStartTick = int(s.param("astart", 0))
+			cfg.AttackStopTick = int(s.param("astop", 0))
+			var opts []swarm.Option
+			if cfg.Attack == swarm.AttackOff {
+				// The swarm's own attacks and a strategy adversary are
+				// exclusive; Validate rejects a spec asking for both.
+				opts = append(opts, swarm.WithAdversary(adv))
+			}
 			if def != nil {
 				opts = append(opts, swarm.WithDefense(def))
 			}
@@ -260,22 +315,21 @@ var substrates = map[string]*substrate{
 			"completed":     codingMetric(func(r coding.DisseminationResult) float64 { return r.CompletedFraction }),
 		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
-			n := s.Nodes
-			if n <= 0 {
-				n = 96
-			}
+			n := s.population()
 			rounds := s.Rounds
 			if rounds <= 0 {
 				rounds = 50
 			}
 			deg := int(s.param("degree", 4))
+			symbols := int(s.param("symbols", 24))
 			cfg := coding.DisseminationConfig{
 				Graph:       graph.RandomRegularish(n, deg, rng.Child("graph")),
-				Symbols:     int(s.param("symbols", 24)),
+				Symbols:     symbols,
 				PayloadSize: int(s.param("payload", 32)),
 				Contacts:    int(s.param("contacts", 2)),
 				Rounds:      rounds,
 				Coded:       s.param("coded", 0) != 0,
+				Allocation:  s.rareAllocation(n, symbols, rng),
 			}
 			if cl := s.classScalar(); cl != nil {
 				cfg.Contacts = scaleInt(cfg.Contacts, cl.Capacity)
@@ -305,6 +359,73 @@ func gossipMetric(f func(gossip.Result) float64) func(any) (float64, error) {
 		}
 		return f(r), nil
 	}
+}
+
+// outageStats groups each honest node's measured rounds into windows of a
+// fixed number of rounds and counts the windows whose delivery fell below
+// the usability threshold — Section 2's "intermittently unusable" service.
+type outageStats struct {
+	nodes      int // honest nodes with a measured window
+	outaged    int // ... with at least one unusable window
+	badWindows int // unusable windows, summed over nodes
+	epochs     int // the most measured windows any node had
+}
+
+func outages(r gossip.Result, window int) outageStats {
+	var o outageStats
+	for _, rounds := range r.NodeRoundDelivery {
+		windows, bad := 0, 0
+		cur, sum, n := -1, 0.0, 0
+		flush := func() {
+			if n == 0 {
+				return
+			}
+			windows++
+			if sum/float64(n) < r.Cfg.UsableThreshold {
+				bad++
+			}
+		}
+		for round, frac := range rounds {
+			if frac < 0 {
+				continue // unmeasured round, or an attacker node
+			}
+			if w := round / window; w != cur {
+				flush()
+				cur, sum, n = w, 0, 0
+			}
+			sum += frac
+			n++
+		}
+		flush()
+		if windows == 0 {
+			continue
+		}
+		o.nodes++
+		o.epochs = max(o.epochs, windows)
+		o.badWindows += bad
+		if bad > 0 {
+			o.outaged++
+		}
+	}
+	return o
+}
+
+func outageMetric(f func(outageStats) float64) func(any, int) (float64, error) {
+	return func(snap any, window int) (float64, error) {
+		r, ok := snap.(gossip.Result)
+		if !ok {
+			return 0, badSnap("gossip.Result", snap)
+		}
+		return f(outages(r, window)), nil
+	}
+}
+
+// ratio is num/den, or 0 for an empty denominator.
+func ratio(num, den int) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 func tokenMetric(f func(tokenmodel.Result) float64) func(any) (float64, error) {

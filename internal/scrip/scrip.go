@@ -108,6 +108,14 @@ type Config struct {
 	// Agents) each agent's kind is drawn independently from its own
 	// probability instead of permuting a global altruist count.
 	NodeAltruist []float64
+	// AttackBudget is exogenous scrip a strategy adversary (WithAdversary)
+	// starts its pool with, on top of what its agents earn — the
+	// strategy-path counterpart of AttackPlan.Budget.
+	AttackBudget int
+	// AttackStart is the first round a strategy adversary acts, so its
+	// agents can accumulate earnings first — AttackPlan.StartRound's
+	// counterpart.
+	AttackStart int
 }
 
 // DefaultConfig returns a small healthy economy.
@@ -148,6 +156,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scrip: SpecialRequestFraction > 0 needs SpecialProviders > 0")
 	case c.AltruistProviders < 0 || c.AltruistProviders > c.SpecialProviders:
 		return fmt.Errorf("scrip: AltruistProviders must be in [0,%d], got %d", c.SpecialProviders, c.AltruistProviders)
+	case c.AttackBudget < 0 || c.AttackStart < 0:
+		return fmt.Errorf("scrip: AttackBudget and AttackStart must be non-negative, got %d and %d", c.AttackBudget, c.AttackStart)
 	case c.NodeThreshold != nil && len(c.NodeThreshold) != c.Agents:
 		return fmt.Errorf("scrip: NodeThreshold has %d entries for %d agents", len(c.NodeThreshold), c.Agents)
 	case c.NodeBalance != nil && len(c.NodeBalance) != c.Agents:
@@ -348,6 +358,7 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	if s.adv != nil {
 		s.advTrades = sim.TradesInProtocol(s.adv)
 		s.advInstant = sim.SatiatesInstantly(s.adv)
+		s.pool = cfg.AttackBudget
 		for _, a := range s.adv.Place(cfg.Agents, s.rng.Child("adversary")) {
 			if a < 0 || a >= cfg.Agents {
 				return nil, fmt.Errorf("scrip: adversary placed agent %d outside [0,%d)", a, cfg.Agents)
@@ -499,7 +510,7 @@ func (s *Sim) Step() error {
 			s.satSum += float64(sat) / float64(len(s.plan.Targets))
 		}
 	}
-	if s.adv != nil {
+	if s.adv != nil && s.round >= s.cfg.AttackStart {
 		s.adversaryStep()
 	}
 

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"lotuseater/internal/attack"
 )
 
 func quickCfg() Config {
@@ -28,6 +30,8 @@ func TestConfigValidation(t *testing.T) {
 		{"cost >= 1", func(c *Config) { c.Cost = 1 }},
 		{"special providers out of range", func(c *Config) { c.SpecialProviders = c.Agents + 1 }},
 		{"special fraction without providers", func(c *Config) { c.SpecialRequestFraction = 0.5 }},
+		{"negative attack budget", func(c *Config) { c.AttackBudget = -1 }},
+		{"negative attack start", func(c *Config) { c.AttackStart = -1 }},
 	}
 	for _, c := range cases {
 		cfg := quickCfg()
@@ -160,6 +164,40 @@ func TestFundedAttackSatiatesTargets(t *testing.T) {
 	}
 	if res.AttackerSpent == 0 {
 		t.Fatal("attack spent nothing")
+	}
+}
+
+// TestStrategyBudgetAndStart: a trade strategy with no agents of its own
+// spends only its exogenous budget (which joins the money supply), and does
+// nothing before its start round.
+func TestStrategyBudgetAndStart(t *testing.T) {
+	targets := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	run := func(budget, start int) Result {
+		t.Helper()
+		cfg := quickCfg()
+		cfg.AttackBudget, cfg.AttackStart = budget, start
+		adv := &attack.Strategy{Kind: attack.Trade, TargetList: targets}
+		sim, err := New(cfg, 6, WithAdversary(adv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cfg.Agents*cfg.MoneyPerCapita + budget; res.FinalMoneySupply != want {
+			t.Fatalf("money supply %d, want %d", res.FinalMoneySupply, want)
+		}
+		return res
+	}
+	if res := run(0, 0); res.AttackerSpent != 0 {
+		t.Fatalf("an unfunded attacker with no agents spent %d", res.AttackerSpent)
+	}
+	if res := run(200, 0); res.AttackerSpent == 0 || res.AttackerSpent > 200 {
+		t.Fatalf("a 200-scrip budget spent %d", res.AttackerSpent)
+	}
+	if res := run(200, quickCfg().Rounds); res.AttackerSpent != 0 || res.SatiatedTargetFraction != 0 {
+		t.Fatalf("attack before its start round: spent %d, satiated %.3f", res.AttackerSpent, res.SatiatedTargetFraction)
 	}
 }
 

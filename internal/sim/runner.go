@@ -24,8 +24,8 @@ type Runner struct {
 	// Fold's single folder goroutine in strict replicate order (done is
 	// 1, 2, ..., total), so implementations need no locking against each
 	// other; they do need to be safe against the caller's own goroutine if
-	// state is shared. Long-running experiment drivers surface these as
-	// status updates. Results never depend on it.
+	// state is shared. The experiment service surfaces these as status
+	// updates. Results never depend on it.
 	Progress func(done, total int)
 }
 

@@ -123,6 +123,9 @@ type Result struct {
 	// adversary neither controls nor ever served — the population an attack
 	// actually harms. Without an adversary it equals CompletedFraction.
 	OrganicCompletedFraction float64
+	// SatiatedByAttacker counts the honest nodes the adversary ever served
+	// (the attack's reach; zero without an adversary).
+	SatiatedByAttacker int
 	// AllSatiatedRound is the first round after which every node was
 	// satiated, or -1 if that never happened.
 	AllSatiatedRound int
@@ -593,6 +596,7 @@ func (s *Sim) finish() Result {
 			continue
 		}
 		if s.touched != nil && s.touched[v] {
+			res.SatiatedByAttacker++
 			continue
 		}
 		organicTotal++

@@ -11,18 +11,15 @@
 //   - a BitTorrent-like swarm — see NewSwarm;
 //   - random linear network coding over GF(2^8) and the coded-dissemination
 //     defense — see NewDissemination;
-//   - a registry of named, self-describing experiments covering every table
-//     and figure in the paper plus the extension experiments — see
-//     Experiments and RunExperiment (or `lotus-sim list` / `lotus-sim run
-//     <name>` on the command line), with the classic typed drivers
-//     (Figure1 and friends in experiments.go) kept as thin shims.
+//   - every table and figure of the paper plus the extension experiments,
+//     as scenario data run by the scenario engine — see Figures and
+//     RunFigure (or `lotus-sim list` / `lotus-sim run <name>`).
 //
 // All five simulators implement the sim.Model interface of the shared
 // simulation kernel (internal/sim) — Step / Finished / Snapshot — and
-// experiment sweeps execute on the kernel's process-wide bounded worker
-// pool with per-worker scratch reuse, so results are deterministic in
-// (configuration, seed) for any worker count. Everything uses only the
-// standard library.
+// figures run on the kernel's bounded worker pool with common random
+// numbers, so results are deterministic in (configuration, seed) for any
+// worker count. Everything uses only the standard library.
 package lotuseater
 
 import (
@@ -30,11 +27,33 @@ import (
 	"lotuseater/internal/coding"
 	"lotuseater/internal/gossip"
 	"lotuseater/internal/graph"
+	"lotuseater/internal/metrics"
+	"lotuseater/internal/scenario"
 	"lotuseater/internal/scrip"
 	"lotuseater/internal/simrng"
 	"lotuseater/internal/swarm"
 	"lotuseater/internal/tokenmodel"
 )
+
+// Artifact is a figure's output (series or table) with text, CSV, and
+// JSON encoders.
+type Artifact = metrics.Artifact
+
+// RunOptions scales a figure run: sweep points and replicates per point
+// (zero keeps the figure's full-quality defaults).
+type RunOptions = scenario.RunOptions
+
+// Figure is one of the paper's tables or figures: a named list of
+// scenario specs (see internal/scenario).
+type Figure = scenario.Figure
+
+// Figures returns every registered figure sorted by name.
+func Figures() []*Figure { return scenario.Figures() }
+
+// RunFigure regenerates the named figure, e.g. "figure1".
+func RunFigure(name string, seed uint64, opts RunOptions) (*Artifact, error) {
+	return scenario.RunFigure(name, seed, opts)
+}
 
 // Re-exported configuration and result types. The facade keeps downstream
 // callers to a single import; the implementations live in internal packages.
