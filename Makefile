@@ -45,8 +45,8 @@ race:
 		./internal/gossip/... ./internal/swarm/... ./internal/serve/... ./internal/adaptive/... \
 		./internal/cluster/... ./internal/obs/... ./internal/population/...
 	# The swarm's widened ParallelFor passes (sharded unchoke scoring, the
-	# leecher scans, the reverse-position/rarity builds) only fan out above
-	# ~32k nodes; these tests force that scale and shard split under -race.
+	# leecher scans, the initial rarity build) only fan out above ~32k
+	# nodes; these tests force that scale and shard split under -race.
 	$(GO) test -race -count=1 \
 		-run 'TestShardedPassesRace|TestEvalParallelBitIdentical|TestIncrementalRarityMatchesRescan' \
 		./internal/swarm

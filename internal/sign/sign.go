@@ -6,9 +6,10 @@
 //
 //   - Partner selection is pseudorandom and verifiable — "each node can
 //     initiate once with a pseudorandomly chosen partner (nodes have no
-//     control over who their partner will be)". We derive the partner from a
-//     hash of (round, initiator id, shared seed) so any third party can check
-//     an initiator contacted the right node.
+//     control over who their partner will be)". The partner is a
+//     deterministic function of (shared seed, label, round, initiator id),
+//     none of which a node controls, so any third party can check an
+//     initiator contacted the right node.
 //
 //   - Exchanges generate signed messages — "a node can use the signed
 //     messages generated by BAR Gossip to prove that excessive service
@@ -22,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"lotuseater/internal/simrng"
 )
@@ -132,36 +134,19 @@ type PartnerSeed uint64
 // given round and sub-protocol label among n nodes. The result is never the
 // initiator itself. It panics if n < 2.
 //
-// The digest input is assembled in a stack buffer and hashed with
-// sha256.Sum256 — the byte stream (seed, label, round, initiator) is
-// unchanged from the streaming implementation, so partner schedules are
-// stable, but the call allocates nothing: the gossip engine makes one call
-// per initiating node per phase, which at a million nodes made the hasher
-// the dominant per-round allocator.
+// The partner is a counter-based draw: the SplitMix64 finalizer chained over
+// seed^FNV-1a(label), then round, then initiator, reduced into the n-1 other
+// nodes by a multiply-high. Every input is public, so any third party can
+// recompute the partner.
 func Partner(seed PartnerSeed, label string, round, initiator, n int) int {
 	if n < 2 {
 		panic("sign: Partner needs n >= 2")
 	}
-	var buf [64]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(seed))
-	k := 8 + copy(buf[8:len(buf)-16], label)
-	if k != 8+len(label) {
-		// A label longer than the stack buffer falls back to concatenation;
-		// protocol labels ("balanced", "push") never take this path.
-		data := make([]byte, 0, 24+len(label))
-		data = append(data, buf[:8]...)
-		data = append(data, label...)
-		data = binary.LittleEndian.AppendUint64(data, uint64(round))
-		data = binary.LittleEndian.AppendUint64(data, uint64(initiator))
-		return partnerFromDigest(sha256.Sum256(data), initiator, n)
-	}
-	binary.LittleEndian.PutUint64(buf[k:], uint64(round))
-	binary.LittleEndian.PutUint64(buf[k+8:], uint64(initiator))
-	return partnerFromDigest(sha256.Sum256(buf[:k+16]), initiator, n)
-}
-
-func partnerFromDigest(digest [sha256.Size]byte, initiator, n int) int {
-	v := int(binary.LittleEndian.Uint64(digest[:8]) % uint64(n-1))
+	x := simrng.SplitMix64(uint64(seed) ^ simrng.LabelHash(label))
+	x = simrng.SplitMix64(x ^ uint64(round))
+	x = simrng.SplitMix64(x ^ uint64(initiator))
+	hi, _ := bits.Mul64(x, uint64(n-1))
+	v := int(hi)
 	if v >= initiator {
 		v++
 	}

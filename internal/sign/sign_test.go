@@ -1,6 +1,7 @@
 package sign
 
 import (
+	"math"
 	"testing"
 
 	"lotuseater/internal/simrng"
@@ -157,19 +158,96 @@ func TestPartnerVariesWithInputs(t *testing.T) {
 	}
 }
 
-func TestPartnerRoughlyUniform(t *testing.T) {
-	const n = 10
-	counts := make([]int, n)
-	for round := 0; round < 5000; round++ {
-		counts[Partner(PartnerSeed(3), "balanced", round, 0, n)]++
-	}
-	if counts[0] != 0 {
-		t.Fatal("initiator chosen as own partner")
-	}
-	for v := 1; v < n; v++ {
-		if counts[v] < 350 || counts[v] > 800 {
-			t.Fatalf("partner %d chosen %d/5000 times; want ~555", v, counts[v])
+// TestPartnerVectors pins the partner schedule: each row lists the partners
+// of initiators 0, 1, ... for one (seed, label, round, n). The values were
+// computed by an independent implementation of the derivation.
+func TestPartnerVectors(t *testing.T) {
+	for _, tc := range []struct {
+		seed  PartnerSeed
+		label string
+		round int
+		n     int
+		want  []int
+	}{
+		{1, "balanced", 0, 10, []int{9, 6, 1, 2, 1, 2, 9, 2, 2, 6}},
+		{1, "push", 0, 10, []int{6, 7, 1, 8, 8, 7, 4, 9, 2, 4}},
+		{1, "balanced", 1, 10, []int{6, 0, 1, 9, 0, 6, 9, 4, 7, 2}},
+		{2, "balanced", 0, 10, []int{6, 6, 5, 0, 2, 8, 4, 0, 0, 1}},
+		{0, "", 0, 3, []int{1, 0, 1}},
+		{7, "balanced", 5, 2, []int{1, 0}},
+		{math.MaxUint64, "balanced", 1 << 40, 250, []int{179, 145, 62, 43, 108, 13, 28, 128, 218, 80, 189, 125}},
+		{42, "a sub-protocol label far longer than balanced or push", 3, 1_000_000, []int{681041, 139616, 432292, 105545, 998633, 900455, 171117, 387666}},
+	} {
+		for init, want := range tc.want {
+			if got := Partner(tc.seed, tc.label, tc.round, init, tc.n); got != want {
+				t.Errorf("Partner(%d, %q, %d, %d, %d) = %d, want %d", tc.seed, tc.label, tc.round, init, tc.n, got, want)
+			}
 		}
+	}
+}
+
+// TestPartnerRoughlyUniform: every initiator's partner is uniform over the
+// n-1 other nodes. The chi-square over all (initiator, partner) cells, 20
+// expected draws each, must lie within five standard deviations of its
+// n(n-2) degrees of freedom.
+func TestPartnerRoughlyUniform(t *testing.T) {
+	for _, n := range []int{2, 3, 7, 250} {
+		rounds := 20 * (n - 1)
+		counts := make([]int, n*n)
+		for round := 0; round < rounds; round++ {
+			for init := 0; init < n; init++ {
+				counts[init*n+Partner(PartnerSeed(3), "balanced", round, init, n)]++
+			}
+		}
+		chi2 := 0.0
+		for init := 0; init < n; init++ {
+			if counts[init*n+init] != 0 {
+				t.Fatalf("n=%d: initiator %d chosen as its own partner", n, init)
+			}
+			for v := 0; v < n; v++ {
+				if v != init {
+					d := float64(counts[init*n+v] - 20)
+					chi2 += d * d / 20
+				}
+			}
+		}
+		df := float64(n * (n - 2))
+		if slack := 5 * math.Sqrt(2*df); chi2 < df-slack || chi2 > df+slack {
+			t.Fatalf("n=%d: chi-square %.1f over %.0f degrees of freedom; want within %.1f", n, chi2, df, slack)
+		}
+	}
+}
+
+// TestPartnerLabelsIndependent: the balanced and push schedules are drawn
+// independently, so one initiator's two partners in a round coincide at
+// rate 1/(n-1).
+func TestPartnerLabelsIndependent(t *testing.T) {
+	for _, n := range []int{3, 10, 250} {
+		const rounds = 400
+		same := 0
+		for round := 0; round < rounds; round++ {
+			for init := 0; init < n; init++ {
+				if Partner(PartnerSeed(5), "balanced", round, init, n) == Partner(PartnerSeed(5), "push", round, init, n) {
+					same++
+				}
+			}
+		}
+		draws := float64(rounds * n)
+		p := 1 / float64(n-1)
+		rate := float64(same) / draws
+		if se := math.Sqrt(p * (1 - p) / draws); math.Abs(rate-p) > 5*se {
+			t.Fatalf("n=%d: balanced and push partners coincide at %.4f; want %.4f ± %.4f", n, rate, p, 5*se)
+		}
+	}
+}
+
+// TestPartnerAllocFree: the gossip engine calls Partner once per initiator
+// per phase, so the call must not allocate.
+func TestPartnerAllocFree(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = Partner(PartnerSeed(9), "balanced", 12, 345, 100000)
+	}); allocs != 0 {
+		t.Fatalf("Partner allocates %.0f times per call", allocs)
 	}
 }
 
@@ -197,5 +275,17 @@ func TestVerifyReceiptUnknownSender(t *testing.T) {
 	r.From = 7 // no such identity
 	if k.VerifyReceipt(r) {
 		t.Fatal("receipt from unknown identity accepted")
+	}
+}
+
+// BenchmarkPartner times one partner draw at a 10⁵-node population, the
+// call the gossip engine makes once per initiator per phase.
+func BenchmarkPartner(b *testing.B) {
+	sink := 0
+	for i := 0; b.Loop(); i++ {
+		sink += Partner(PartnerSeed(9), "balanced", i>>10, i&1023, 100000)
+	}
+	if sink < 0 {
+		b.Fatal(sink)
 	}
 }

@@ -10,26 +10,29 @@
 package simrng
 
 import (
-	"hash/fnv"
 	"math/rand/v2"
+	"slices"
 )
 
-// splitMix64 is the SplitMix64 finalizer. It is used to decorrelate derived
+// SplitMix64 is the SplitMix64 finalizer. It is used to decorrelate derived
 // seeds; see Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
 // Generators" (OOPSLA 2014).
-func splitMix64(x uint64) uint64 {
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
 
-// labelHash maps a textual label to a 64-bit value with FNV-1a.
-func labelHash(label string) uint64 {
-	h := fnv.New64a()
-	// fnv.Write never returns an error.
-	_, _ = h.Write([]byte(label))
-	return h.Sum64()
+// LabelHash maps a textual label to a 64-bit value with FNV-1a, without
+// allocating.
+func LabelHash(label string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Source is a deterministic random stream. It wraps *rand.Rand and adds
@@ -45,7 +48,7 @@ type Source struct {
 func New(seed uint64) *Source {
 	return &Source{
 		seed: seed,
-		rng:  rand.New(rand.NewPCG(splitMix64(seed), splitMix64(seed^0xda3e39cb94b95bdb))),
+		rng:  rand.New(rand.NewPCG(SplitMix64(seed), SplitMix64(seed^0xda3e39cb94b95bdb))),
 	}
 }
 
@@ -56,13 +59,13 @@ func (s *Source) Seed() uint64 { return s.seed }
 // with the same label always yields a stream with the same seed, regardless
 // of how much randomness has been consumed from s.
 func (s *Source) Child(label string) *Source {
-	return New(splitMix64(s.seed ^ labelHash(label)))
+	return New(SplitMix64(s.seed ^ LabelHash(label)))
 }
 
 // ChildN derives an independent stream identified by label and an index,
 // e.g. one stream per node or per sweep point.
 func (s *Source) ChildN(label string, n int) *Source {
-	return New(splitMix64(s.seed^labelHash(label)) ^ splitMix64(uint64(n)+0x632be59bd9b4e019))
+	return New(SplitMix64(s.seed^LabelHash(label)) ^ SplitMix64(uint64(n)+0x632be59bd9b4e019))
 }
 
 // IntN returns a uniform int in [0, n). It panics if n <= 0, matching
@@ -110,6 +113,11 @@ func (s *Source) PermInto(buf []int, n int) []int {
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
+// sampleScanMax is the largest sample SampleInts dedups by scanning what it
+// has drawn. Below it the scan beats a set's hashing and allocation; the
+// scan's cost grows with k², so from about k = 128 the set is faster.
+const sampleScanMax = 64
+
 // SampleInts returns k distinct integers drawn uniformly from [0, n).
 // It panics if k > n or k < 0. The result is in random order.
 func (s *Source) SampleInts(n, k int) []int {
@@ -120,10 +128,20 @@ func (s *Source) SampleInts(n, k int) []int {
 		return nil
 	}
 	// For small k relative to n use rejection sampling; otherwise use a
-	// partial Fisher-Yates over the index range.
+	// partial Fisher-Yates over the index range. Rejection dedups by a
+	// linear scan of out up to sampleScanMax draws and by a set above it;
+	// both reject exactly the repeated values, so the draws are the same.
 	if k*4 <= n {
-		seen := make(map[int]struct{}, k)
 		out := make([]int, 0, k)
+		if k <= sampleScanMax {
+			for len(out) < k {
+				if v := s.rng.IntN(n); !slices.Contains(out, v) {
+					out = append(out, v)
+				}
+			}
+			return out
+		}
+		seen := make(map[int]struct{}, k)
 		for len(out) < k {
 			v := s.rng.IntN(n)
 			if _, dup := seen[v]; dup {

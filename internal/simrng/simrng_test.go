@@ -1,7 +1,9 @@
 package simrng
 
 import (
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -151,6 +153,35 @@ func TestSampleIntsProperties(t *testing.T) {
 	}
 }
 
+// TestSampleIntsScanMatchesSet: deduplicating small samples by scanning
+// must reject exactly what the set rejects, so the draws match the set
+// implementation on both sides of sampleScanMax.
+func TestSampleIntsScanMatchesSet(t *testing.T) {
+	bySet := func(s *Source, n, k int) []int {
+		seen := make(map[int]struct{}, k)
+		out := make([]int, 0, k)
+		for len(out) < k {
+			v := s.IntN(n)
+			if _, dup := seen[v]; dup {
+				continue
+			}
+			seen[v] = struct{}{}
+			out = append(out, v)
+		}
+		return out
+	}
+	for _, tc := range []struct{ n, k int }{
+		{4, 1}, {48, 12}, {256, 63}, {256, 64}, {260, 65}, {1000, 128}, {100000, 64},
+	} {
+		for seed := uint64(0); seed < 20; seed++ {
+			got, want := New(seed).SampleInts(tc.n, tc.k), bySet(New(seed), tc.n, tc.k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("SampleInts(%d, %d) seed %d = %v, want %v", tc.n, tc.k, seed, got, want)
+			}
+		}
+	}
+}
+
 func TestSampleIntsPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -240,14 +271,28 @@ func TestShufflepreservesMultiset(t *testing.T) {
 }
 
 func TestSplitMix64KnownValues(t *testing.T) {
-	// Reference values from the SplitMix64 algorithm with seed stepping;
-	// here we only check the finalizer is a bijection-ish scrambler: zero
-	// must not map to zero and small inputs must diverge.
-	if splitMix64(0) == 0 {
-		t.Fatal("splitMix64(0) = 0")
+	// The first output of a SplitMix64 generator seeded with 0 is the
+	// finalizer applied to 0 (the generator adds the gamma first).
+	if got := SplitMix64(0); got != 0xe220a8397b1dcdaf {
+		t.Fatalf("SplitMix64(0) = %#x, want 0xe220a8397b1dcdaf", got)
 	}
-	if splitMix64(1) == splitMix64(2) {
-		t.Fatal("splitMix64 collides on 1, 2")
+	if SplitMix64(1) == SplitMix64(2) {
+		t.Fatal("SplitMix64 collides on 1, 2")
+	}
+}
+
+// TestLabelHashIsFNV1a: the allocation-free loop must equal hash/fnv's
+// FNV-1a, or every Child and ChildN seed would move.
+func TestLabelHashIsFNV1a(t *testing.T) {
+	for _, label := range []string{"", "a", "peers", "partner-seed", "order-balanced", "replicate"} {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(label))
+		if got, want := LabelHash(label), h.Sum64(); got != want {
+			t.Fatalf("LabelHash(%q) = %#x, want %#x", label, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = LabelHash("order-balanced") }); allocs != 0 {
+		t.Fatalf("LabelHash allocates %.0f times per call", allocs)
 	}
 }
 

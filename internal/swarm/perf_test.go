@@ -63,8 +63,8 @@ func TestSwarmStepAllocsIndependentOfPopulation(t *testing.T) {
 }
 
 // TestShardedPassesRace drives every sim.ParallelFor pass in the swarm —
-// unchoke scoring, the endgame/lifecycle leecher scans, the reverse-position
-// and rarity builds — at a population large enough that each pass actually
+// unchoke scoring, the endgame/lifecycle leecher scans, the initial rarity
+// build — at a population large enough that each pass actually
 // splits into multiple shards (the small parity tests all fit in one shard
 // and exercise nothing concurrent). Running it under `go test -race` is the
 // point: it is the designated race gate for the widened parallel paths. It

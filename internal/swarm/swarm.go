@@ -616,39 +616,16 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 			s.leeching++
 		}
 	}
-	// The reverse-position table and the initial rarity rows are pure
-	// reads of frozen structure; both build sharded for large populations.
-	buildRev := func(start, end int) {
-		for v := start; v < end; v++ {
-			for e := s.adjOff[v]; e < s.adjOff[v+1]; e++ {
-				s.revPos[e] = int32(s.posIn(int(s.adjFlat[e]), v))
-			}
-		}
-	}
-	if s.sharded() {
-		sim.ParallelFor(s.n, 0, func(_, start, end int) { buildRev(start, end) })
-	} else {
-		buildRev(0, s.n)
+	// Adjacency lists are sorted and symmetric, so v's position in u's list
+	// is the number of u's neighbors below v: one ascending pass over v with
+	// a per-node counter fills the reverse-position table.
+	seen := make([]int32, n)
+	for e, u := range s.adjFlat {
+		s.revPos[e] = seen[u]
+		seen[u]++
 	}
 	s.rebuildRarity()
 	return s, nil
-}
-
-// posIn returns the position of node u in v's sorted peer set, or -1.
-func (s *Sim) posIn(v, u int) int {
-	lo, hi := s.adjOff[v], s.adjOff[v+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(s.adjFlat[mid]) < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < s.adjOff[v+1] && int(s.adjFlat[lo]) == u {
-		return lo - s.adjOff[v]
-	}
-	return -1
 }
 
 // adj returns v's packed neighbor window of the flat adjacency.
