@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strings"
@@ -15,6 +14,7 @@ import (
 	"lotuseater/internal/metrics"
 	"lotuseater/internal/scenario"
 	"lotuseater/internal/serve"
+	"lotuseater/internal/simrng"
 )
 
 // WorkerConfig tunes a Worker.
@@ -138,9 +138,7 @@ func (w *Worker) announce(selfURL string, done chan struct{}) {
 	defer close(done)
 	seed := w.cfg.JitterSeed
 	if seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(selfURL))
-		seed = h.Sum64()
+		seed = simrng.LabelHash(selfURL)
 	}
 	failures := 0
 	for {
@@ -176,12 +174,8 @@ func announceDelay(base, max time.Duration, failures int, seed uint64) time.Dura
 	if d > max {
 		d = max
 	}
-	x := seed + 0x9e3779b97f4a7c15*uint64(failures)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	// The failures-th output of a SplitMix64 generator seeded with seed.
+	x := simrng.SplitMix64(seed + 0x9e3779b97f4a7c15*uint64(failures-1))
 	frac := float64(x>>11) / float64(1<<53)
 	half := d / 2
 	return half + time.Duration(float64(half)*frac)

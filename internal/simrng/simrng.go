@@ -128,9 +128,8 @@ func (s *Source) SampleInts(n, k int) []int {
 		return nil
 	}
 	// For small k relative to n use rejection sampling; otherwise use a
-	// partial Fisher-Yates over the index range. Rejection dedups by a
-	// linear scan of out up to sampleScanMax draws and by a set above it;
-	// both reject exactly the repeated values, so the draws are the same.
+	// partial Fisher-Yates over the index range. The scan and the set
+	// reject exactly the repeated values, so they draw the same sample.
 	if k*4 <= n {
 		out := make([]int, 0, k)
 		if k <= sampleScanMax {
