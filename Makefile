@@ -8,11 +8,12 @@
 #   make figures    # regenerate every table/figure at quick fidelity
 #   make race       # race-check the concurrency kernel + strategy layer
 #   make loc        # non-test Go lines in the module (go list-scoped)
+#   make examples   # run every example program (the facade's callers)
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test vet lint fmt fmt-check race bench bench-go check-stats figures list scenarios golden cover loc clean
+.PHONY: all build test vet lint fmt fmt-check race bench bench-go check-stats figures list scenarios golden cover loc examples clean
 
 all: build vet lint test
 
@@ -97,6 +98,14 @@ scenarios:
 loc:
 	@$(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .CgoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
 		| tr ' ' '\n' | grep -v '^$$' | xargs cat | wc -l
+
+# The example programs are the facade's only callers; run each one so a
+# facade change that breaks them (or makes one exit non-zero) fails loudly.
+EXAMPLES = codingdefense filesharing observation quickstart scripeconomy streaming
+
+examples:
+	@for ex in $(EXAMPLES); do \
+		echo "== examples/$$ex"; $(GO) run ./examples/$$ex || exit 1; done
 
 clean:
 	$(GO) clean ./...

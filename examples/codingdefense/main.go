@@ -55,7 +55,8 @@ func main() {
 			Coded:       coded,
 			Allocation:  alloc,
 		}
-		sim, err := lotuseater.NewDissemination(cfg, 5, targets)
+		satiate := &lotuseater.Strategy{Kind: lotuseater.AttackIdeal, TargetList: targets}
+		sim, err := lotuseater.NewDissemination(cfg, 5, satiate)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func main() {
 	// 12 copies seeded, push size 2.
 	cfg := lotuseater.DefaultGossipConfig()
 
-	healthy, err := lotuseater.NewGossip(cfg, 1)
+	healthy, err := lotuseater.NewGossip(cfg, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,10 +31,9 @@ func main() {
 	// and gives a targeted 70% of the system every update it holds, while
 	// giving the rest nothing. No protocol message is ever violated — the
 	// attacker is simply "too nice" to the chosen nodes.
-	cfg.Attack = lotuseater.AttackTrade
-	cfg.AttackerFraction = 0.25
+	trade := &lotuseater.Strategy{Kind: lotuseater.AttackTrade, Fraction: 0.25, SatiateFraction: 0.70}
 
-	attacked, err := lotuseater.NewGossip(cfg, 1)
+	attacked, err := lotuseater.NewGossip(cfg, 1, trade)
 	if err != nil {
 		log.Fatal(err)
 	}

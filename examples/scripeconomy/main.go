@@ -28,22 +28,22 @@ func main() {
 	cfg.SpecialRequestFraction = 0.05
 
 	run := func(attacked bool) lotuseater.ScripResult {
-		sim, err := lotuseater.NewScrip(cfg, 11)
-		if err != nil {
-			log.Fatal(err)
-		}
+		cfg := cfg
+		var adv *lotuseater.Strategy
 		if attacked {
 			targets := make([]int, cfg.SpecialProviders)
 			for i := range targets {
 				targets[i] = i
 			}
-			if err := sim.Attack(lotuseater.ScripAttackPlan{
-				Targets:    targets,
-				Budget:     1 << 20, // a deep-pocketed attacker
-				StartRound: 1000,
-			}); err != nil {
-				log.Fatal(err)
-			}
+			// An attacker with no agents of its own, topping the providers
+			// up from a deep pocket from round 1000 on.
+			adv = &lotuseater.Strategy{Kind: lotuseater.AttackTrade, TargetList: targets}
+			cfg.AttackBudget = 1 << 20
+			cfg.AttackStart = 1000
+		}
+		sim, err := lotuseater.NewScrip(cfg, 11, adv)
+		if err != nil {
+			log.Fatal(err)
 		}
 		res, err := sim.Run()
 		if err != nil {
@@ -60,20 +60,17 @@ func main() {
 		hit.AttackerSpent, cfg.Agents*cfg.MoneyPerCapita)
 
 	// Part 2: try to satiate 60% of the whole economy on earned scrip only.
+	// The attacker's 5% of agents earn in-system; any of its own agents
+	// among the listed targets are skipped.
 	cfg2 := lotuseater.DefaultScripConfig()
-	cfg2.AttackerFraction = 0.05
-	sim, err := lotuseater.NewScrip(cfg2, 12)
+	cfg2.AttackStart = 1000
+	targets := make([]int, int(0.6*float64(cfg2.Agents)))
+	for i := range targets {
+		targets[i] = i
+	}
+	earner := &lotuseater.Strategy{Kind: lotuseater.AttackTrade, Fraction: 0.05, TargetList: targets}
+	sim, err := lotuseater.NewScrip(cfg2, 12, earner)
 	if err != nil {
-		log.Fatal(err)
-	}
-	var targets []int
-	want := int(0.6 * float64(cfg2.Agents))
-	for i := 0; i < cfg2.Agents && len(targets) < want; i++ {
-		if sim.Kind(i) != lotuseater.ScripAttackerAgent { // cannot target own agents
-			targets = append(targets, i)
-		}
-	}
-	if err := sim.Attack(lotuseater.ScripAttackPlan{Targets: targets, StartRound: 1000}); err != nil {
 		log.Fatal(err)
 	}
 	res, err := sim.Run()

@@ -2,8 +2,10 @@ package lotuseater
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
+	"lotuseater/internal/gossip"
 	"lotuseater/internal/scenario"
 )
 
@@ -289,38 +291,95 @@ func TestRotatingExperimentSpreadsOutages(t *testing.T) {
 	}
 }
 
+// facadeRun is what every facade-built simulator offers: step to the
+// horizon.
+type facadeRun interface {
+	Step() error
+	Finished() bool
+}
+
+// facadeCase builds one small instance of a simulator whose facade
+// constructor takes an attack.
+type facadeCase struct {
+	name  string
+	build func(adv *Strategy) (facadeRun, error)
+}
+
+func facadeCases() []facadeCase {
+	gossipCfg := DefaultGossipConfig()
+	gossipCfg.Nodes = 50
+	gossipCfg.Rounds = 30
+	gossipCfg.Warmup = 5
+	scripCfg := DefaultScripConfig()
+	scripCfg.Rounds = 2000
+	return []facadeCase{
+		{"gossip", func(adv *Strategy) (facadeRun, error) { return NewGossip(gossipCfg, 1, adv) }},
+		{"token", func(adv *Strategy) (facadeRun, error) {
+			return NewTokenModel(TokenModelConfig{
+				Graph:    CompleteGraph(20),
+				Tokens:   4,
+				Contacts: 2,
+				Rounds:   10,
+			}, 2, adv)
+		}},
+		{"scrip", func(adv *Strategy) (facadeRun, error) { return NewScrip(scripCfg, 3, adv) }},
+		{"coding", func(adv *Strategy) (facadeRun, error) {
+			return NewDissemination(DisseminationConfig{
+				Graph:       RandomGraph(30, 0.2, 7),
+				Symbols:     5,
+				PayloadSize: 8,
+				Contacts:    2,
+				Rounds:      20,
+				Coded:       true,
+			}, 5, adv)
+		}},
+	}
+}
+
+// TestFacadeConstructors: every constructor runs unattacked (nil) and under
+// an explicit target list, and rejects an invalid strategy with its
+// validation error before building anything.
 func TestFacadeConstructors(t *testing.T) {
+	drive := func(name string, m facadeRun, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for !m.Finished() {
+			if err := m.Step(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+	for _, c := range facadeCases() {
+		m, err := c.build(nil)
+		drive(c.name+" unattacked", m, err)
+		m, err = c.build(&Strategy{Kind: AttackIdeal, TargetList: []int{0, 1}})
+		drive(c.name+" satiating 0 and 1", m, err)
+
+		if _, err := c.build(&Strategy{Kind: AttackTrade, Fraction: 1.5}); err == nil || !strings.Contains(err.Error(), "Fraction must be in [0,1]") {
+			t.Fatalf("%s: Fraction 1.5 gave %v, want the validation error", c.name, err)
+		}
+		if _, err := c.build(&Strategy{Kind: AttackIdeal, TargetList: []int{1000}}); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("%s: target 1000 gave %v, want the out-of-range error", c.name, err)
+		}
+	}
+
+	// A valid trade strategy places the attacker's roles: 20% of 50 nodes.
 	cfg := DefaultGossipConfig()
 	cfg.Nodes = 50
-	cfg.Rounds = 30
-	cfg.Warmup = 5
-	eng, err := NewGossip(cfg, 1)
+	eng, err := NewGossip(cfg, 1, &Strategy{Kind: AttackTrade, Fraction: 0.2, SatiateFraction: 0.70})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
+	attackers := 0
+	for _, r := range eng.Roles() {
+		if r == gossip.RoleAttacker {
+			attackers++
+		}
 	}
-
-	tm, err := NewTokenModel(TokenModelConfig{
-		Graph:    CompleteGraph(20),
-		Tokens:   4,
-		Contacts: 2,
-		Rounds:   10,
-	}, 2, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tm.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	sc, err := NewScrip(DefaultScripConfig(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.MoneySupply() == 0 {
-		t.Fatal("scrip supply zero")
+	if attackers != 10 {
+		t.Fatalf("trade strategy placed %d attacker roles, want 10", attackers)
 	}
 
 	swCfg := DefaultSwarmConfig()
@@ -332,21 +391,6 @@ func TestFacadeConstructors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := sw.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	ds, err := NewDissemination(DisseminationConfig{
-		Graph:       RandomGraph(30, 0.2, 7),
-		Symbols:     5,
-		PayloadSize: 8,
-		Contacts:    2,
-		Rounds:      20,
-		Coded:       true,
-	}, 5, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.Run(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -97,47 +97,6 @@ type Targeter interface {
 	Satiated(round int) *TargetSet
 }
 
-// DenseTargeter adapts a legacy dense targeter — one that materializes a
-// length-n []bool per round — to the sparse Targeter contract. It is the
-// compatibility path for external implementations that have not been ported;
-// each epoch change costs one O(n) conversion.
-func DenseTargeter(f func(round int) []bool) Targeter {
-	return &denseTargeter{f: f}
-}
-
-type denseTargeter struct {
-	f    func(round int) []bool
-	last []bool
-	set  *TargetSet
-}
-
-func (d *denseTargeter) Satiated(round int) *TargetSet {
-	dense := d.f(round)
-	if d.set != nil && len(dense) == len(d.last) {
-		same := true
-		for i, v := range dense {
-			if v != d.last[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return d.set
-		}
-	}
-	bits := bitset.New(len(dense))
-	for v, on := range dense {
-		if on {
-			bits.Add(v)
-		}
-	}
-	next := fromBits(bits)
-	next.diffFrom(d.set)
-	d.set = next
-	d.last = append(d.last[:0], dense...)
-	return d.set
-}
-
 // StaticTargeter satiates a fixed set: the attacker's own nodes plus enough
 // pseudorandomly chosen honest nodes to reach the target fraction. This is
 // the paper's primary configuration, with the target fraction fixed at 70%.

@@ -73,7 +73,7 @@ func TestStaticTargeterIncludesAttackers(t *testing.T) {
 			t.Fatalf("attacker %d not in target set", a)
 		}
 	}
-	if got, want := Count(targets), 10; got != want {
+	if got, want := targets.Len(), 10; got != want {
 		t.Fatalf("targeted %d, want %d", got, want)
 	}
 	// Static: the identical (shared, immutable) set every round.
@@ -90,17 +90,17 @@ func TestStaticTargeterAttackerMajority(t *testing.T) {
 	}
 	tg := NewStaticTargeter(20, attackers, 0.5, rng)
 	// 15 attackers > 10 wanted: only attackers are targeted.
-	if got := Count(tg.Satiated(0)); got != 15 {
+	if got := tg.Satiated(0).Len(); got != 15 {
 		t.Fatalf("targeted %d, want 15", got)
 	}
 }
 
 func TestStaticTargeterFractionClamped(t *testing.T) {
 	rng := simrng.New(2)
-	if got := Count(NewStaticTargeter(10, nil, -1, rng).Satiated(0)); got != 0 {
+	if got := NewStaticTargeter(10, nil, -1, rng).Satiated(0).Len(); got != 0 {
 		t.Fatalf("negative fraction targeted %d", got)
 	}
-	if got := Count(NewStaticTargeter(10, nil, 5, rng).Satiated(0)); got != 10 {
+	if got := NewStaticTargeter(10, nil, 5, rng).Satiated(0).Len(); got != 10 {
 		t.Fatalf("fraction > 1 targeted %d, want all", got)
 	}
 }
@@ -119,22 +119,22 @@ func TestRotatingTargeterRotates(t *testing.T) {
 	if !epoch1.Has(0) {
 		t.Fatal("attacker dropped from rotated target set")
 	}
-	if got := Count(epoch1); got != 40 {
+	if got := epoch1.Len(); got != 40 {
 		t.Fatalf("rotated epoch targeted %d, want 40", got)
 	}
-	// The change journal must agree with a dense diff of the two epochs.
-	d0, d1 := epoch0.Dense(nil), epoch1.Dense(nil)
+	// The change journal must agree with a node-by-node diff of the two
+	// epochs.
 	var wantAdd, wantDel []int
-	for v := range d1 {
-		if d1[v] && !d0[v] {
+	for v := 0; v < epoch1.Cap(); v++ {
+		if epoch1.Has(v) && !epoch0.Has(v) {
 			wantAdd = append(wantAdd, v)
 		}
-		if d0[v] && !d1[v] {
+		if epoch0.Has(v) && !epoch1.Has(v) {
 			wantDel = append(wantDel, v)
 		}
 	}
 	if !equalInts(epoch1.Added(), wantAdd) || !equalInts(epoch1.Removed(), wantDel) {
-		t.Fatalf("journal diverges from dense diff: +%v -%v, want +%v -%v",
+		t.Fatalf("journal diverges from membership diff: +%v -%v, want +%v -%v",
 			epoch1.Added(), epoch1.Removed(), wantAdd, wantDel)
 	}
 	if epoch1.Epoch() != epoch0.Epoch()+1 {
@@ -158,8 +158,8 @@ func TestRotatingTargeterPeriodClamp(t *testing.T) {
 func TestListTargeter(t *testing.T) {
 	tg := NewListTargeter(10, []int{2, 4, 4, -1, 99})
 	targets := tg.Satiated(0)
-	if Count(targets) != 2 {
-		t.Fatalf("targeted %d, want 2 (dedup + range filtering)", Count(targets))
+	if targets.Len() != 2 {
+		t.Fatalf("targeted %d, want 2 (dedup + range filtering)", targets.Len())
 	}
 	if !targets.Has(2) || !targets.Has(4) {
 		t.Fatal("listed nodes not targeted")
@@ -180,7 +180,7 @@ func TestStaticTargeterCountQuick(t *testing.T) {
 		fraction := float64(fRaw) / 255
 		tg := NewStaticTargeter(n, nil, fraction, simrng.New(seed))
 		want := int(fraction*float64(n) + 0.5)
-		return Count(tg.Satiated(0)) == want
+		return tg.Satiated(0).Len() == want
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

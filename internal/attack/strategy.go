@@ -135,9 +135,6 @@ func (s *Strategy) NodeDeparted(round, node int) {
 	s.pendingDepartures = append(s.pendingDepartures, node)
 }
 
-// Satiated makes a placed Strategy usable anywhere a Targeter is expected.
-func (s *Strategy) Satiated(round int) *TargetSet { return s.Targets(round) }
-
 // OnExchange implements the in-protocol service decision: trade attackers
 // serve exactly the satiation targets; crash and ideal attackers serve
 // nobody; a None "adversary" behaves honestly (and controls no nodes
@@ -160,20 +157,6 @@ func (s *Strategy) TradesInProtocol() bool { return s.Kind == Trade }
 // SatiatesInstantly reports whether targets are satiated out of protocol at
 // round start (the ideal lotus-eater).
 func (s *Strategy) SatiatesInstantly() bool { return s.Kind == Ideal }
-
-// TargeterFrom adapts any value exposing a per-round Targets hook — in
-// practice a sim.Adversary — to the Targeter interface, so simulators can
-// feed an adversary's targeting into their existing targeter plumbing
-// without each defining the same two-line adapter.
-func TargeterFrom(a interface{ Targets(round int) *TargetSet }) Targeter {
-	return targeterFrom{a}
-}
-
-type targeterFrom struct {
-	a interface{ Targets(round int) *TargetSet }
-}
-
-func (t targeterFrom) Satiated(round int) *TargetSet { return t.a.Targets(round) }
 
 // Validate reports the first problem with the strategy's parameters, or nil.
 // A TargetList is checked for negatives and duplicates here; ids beyond the

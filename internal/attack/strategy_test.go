@@ -38,7 +38,7 @@ func TestStrategyTargets(t *testing.T) {
 		s := &Strategy{Kind: kind, Fraction: 0.1, SatiateFraction: 0.6}
 		placed := s.Place(n, simrng.New(3))
 		targets := s.Targets(0)
-		if got, want := Count(targets), int(0.6*float64(n)+0.5); got != want {
+		if got, want := targets.Len(), int(0.6*float64(n)+0.5); got != want {
 			t.Fatalf("%v: %d targets, want %d", kind, got, want)
 		}
 		for _, a := range placed {
@@ -49,7 +49,7 @@ func TestStrategyTargets(t *testing.T) {
 	}
 	crash := &Strategy{Kind: Crash, Fraction: 0.1, SatiateFraction: 0.6}
 	placed := crash.Place(n, simrng.New(3))
-	if got := Count(crash.Targets(0)); got != len(placed) {
+	if got := crash.Targets(0).Len(); got != len(placed) {
 		t.Fatalf("crash targets %d nodes, want its %d attackers only", got, len(placed))
 	}
 }
@@ -69,13 +69,13 @@ func TestStrategyZeroAttackersInert(t *testing.T) {
 		if placed := s.Place(n, simrng.New(9)); len(placed) != 0 {
 			t.Fatalf("%v fraction 0 placed %d attackers", s.Kind, len(placed))
 		}
-		if got := Count(s.Targets(0)); got != 0 {
+		if got := s.Targets(0).Len(); got != 0 {
 			t.Fatalf("%v with zero attackers satiated %d nodes", s.Kind, got)
 		}
 	}
 	listed := &Strategy{Kind: Trade, Fraction: 0, TargetList: []int{3, 7, 11}}
 	listed.Place(n, simrng.New(9))
-	if got := Count(listed.Targets(0)); got != 3 {
+	if got := listed.Targets(0).Len(); got != 3 {
 		t.Fatalf("explicit target list with zero attackers satiated %d nodes, want its 3", got)
 	}
 }
@@ -152,8 +152,8 @@ func TestStrategyTargetList(t *testing.T) {
 	s := &Strategy{Kind: Ideal, TargetList: []int{3, 7, 11}}
 	s.Place(n, simrng.New(2))
 	targets := s.Targets(0)
-	if Count(targets) != 3 || !targets.Has(3) || !targets.Has(7) || !targets.Has(11) {
-		t.Fatalf("target list not honored: %d satiated", Count(targets))
+	if targets.Len() != 3 || !targets.Has(3) || !targets.Has(7) || !targets.Has(11) {
+		t.Fatalf("target list not honored: %d satiated", targets.Len())
 	}
 }
 

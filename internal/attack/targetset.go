@@ -77,43 +77,15 @@ func (t *TargetSet) Added() []int { return t.added }
 // this one, ascending. Read-only, like Members.
 func (t *TargetSet) Removed() []int { return t.removed }
 
-// Dense materializes the set as a length-Cap []bool, the representation the
-// Targeter contract used before sparse sets. It reuses buf when it is large
-// enough. This is the compatibility bridge for callers that still want a
-// dense view (tests, legacy analysis code); hot paths should use Has and
-// Members instead.
-func (t *TargetSet) Dense(buf []bool) []bool {
-	n := t.Cap()
-	if cap(buf) >= n {
-		buf = buf[:n]
-		for i := range buf {
-			buf[i] = false
-		}
-	} else {
-		buf = make([]bool, n)
-	}
-	for _, v := range t.members {
-		buf[v] = true
-	}
-	return buf
-}
-
 // diffFrom fills t's change journal with the symmetric difference against
 // prev (word-wise, O(n/64 + |changed|)) and stamps the successor epoch.
-// A nil prev leaves the epoch-0 "everything added" journal in place. A prev
-// over a different universe size (a buggy legacy dense targeter changing
-// its slice length mid-run) cannot be diffed word-wise; the journal then
-// reports everything removed and re-added, and the simulators' Cap checks
-// surface the actual mistake with a proper error instead of a bitset panic.
+// A nil prev leaves the epoch-0 "everything added" journal in place. Both
+// sets come from one targeter, so they share a universe size.
 func (t *TargetSet) diffFrom(prev *TargetSet) {
 	if prev == nil {
 		return
 	}
 	t.epoch = prev.epoch + 1
-	if prev.Cap() != t.Cap() {
-		t.added, t.removed = t.members, prev.members
-		return
-	}
 	var added, removed []int
 	t.bits.DiffEach(prev.bits, func(v int) { added = append(added, v) })
 	prev.bits.DiffEach(t.bits, func(v int) { removed = append(removed, v) })
@@ -151,13 +123,4 @@ func (t *TargetSet) Without(nodes ...int) *TargetSet {
 		epoch:   t.epoch + 1,
 		removed: removed,
 	}
-}
-
-// Count returns the number of targeted nodes; a convenience mirroring the
-// old dense-slice helper for tests and reporting.
-func Count(t *TargetSet) int {
-	if t == nil {
-		return 0
-	}
-	return t.Len()
 }

@@ -6,8 +6,8 @@ import (
 	"lotuseater/internal/simrng"
 )
 
-// TestTargetSetBasics: membership, iteration order, capacity, and the dense
-// compatibility view agree with each other.
+// TestTargetSetBasics: membership, iteration order, and capacity agree with
+// each other.
 func TestTargetSetBasics(t *testing.T) {
 	ts := NewTargetSet(10, []int{7, 2, 4, 4, -1, 99})
 	if ts.Cap() != 10 || ts.Len() != 3 {
@@ -22,56 +22,12 @@ func TestTargetSetBasics(t *testing.T) {
 			t.Fatalf("Has(%d) = %v, want %v", v, ts.Has(v), want)
 		}
 	}
-	dense := ts.Dense(nil)
-	if len(dense) != 10 {
-		t.Fatalf("Dense returned %d entries", len(dense))
-	}
-	for v, on := range dense {
-		if on != ts.Has(v) {
-			t.Fatalf("Dense[%d] = %v, Has = %v", v, on, ts.Has(v))
-		}
-	}
-	// Dense must reuse a big-enough buffer, zeroing stale entries.
-	buf := make([]bool, 12)
-	buf[9] = true
-	reused := ts.Dense(buf)
-	if &reused[0] != &buf[0] {
-		t.Fatal("Dense reallocated despite sufficient capacity")
-	}
-	if reused[9] {
-		t.Fatal("Dense kept a stale entry")
-	}
 	// A fresh set's journal reports everything added.
 	if got := ts.Added(); len(got) != 3 {
 		t.Fatalf("first-epoch Added = %v", got)
 	}
 	if len(ts.Removed()) != 0 || ts.Epoch() != 0 {
 		t.Fatalf("first-epoch Removed/Epoch = %v/%d", ts.Removed(), ts.Epoch())
-	}
-}
-
-// TestDenseTargeterAdapter: a legacy dense targeter wrapped by DenseTargeter
-// must expose the same memberships and journal changes across epochs.
-func TestDenseTargeterAdapter(t *testing.T) {
-	dense := [][]bool{
-		{true, false, true, false},
-		{true, false, true, false}, // unchanged: same set back
-		{false, true, true, false}, // flip 0 -> 1
-	}
-	tg := DenseTargeter(func(round int) []bool { return dense[round] })
-	first := tg.Satiated(0)
-	if !first.Has(0) || first.Has(1) || !first.Has(2) || first.Len() != 2 {
-		t.Fatalf("adapter epoch 0 = %v", first.Members())
-	}
-	if again := tg.Satiated(1); again != first {
-		t.Fatal("unchanged dense slice produced a new set")
-	}
-	third := tg.Satiated(2)
-	if third == first {
-		t.Fatal("changed dense slice did not produce a new set")
-	}
-	if a, r := third.Added(), third.Removed(); len(a) != 1 || a[0] != 1 || len(r) != 1 || r[0] != 0 {
-		t.Fatalf("adapter journal +%v -%v, want +[1] -[0]", a, r)
 	}
 }
 
@@ -128,21 +84,5 @@ func TestRotatingJournalAcrossManyEpochs(t *testing.T) {
 				t.Fatalf("round %d: member %d missing from journal-tracked set", round, v)
 			}
 		}
-	}
-}
-
-// TestDenseTargeterCapacityChange: a buggy legacy targeter changing its
-// slice length mid-run must not panic the journal diff; the simulators'
-// Cap checks report the mistake instead.
-func TestDenseTargeterCapacityChange(t *testing.T) {
-	dense := [][]bool{{true, false}, {true, false, true}}
-	tg := DenseTargeter(func(round int) []bool { return dense[round] })
-	first := tg.Satiated(0)
-	second := tg.Satiated(1) // must not panic
-	if second.Cap() != 3 || second.Epoch() != first.Epoch()+1 {
-		t.Fatalf("capacity-changed epoch: Cap %d Epoch %d", second.Cap(), second.Epoch())
-	}
-	if len(second.Added()) != second.Len() || len(second.Removed()) != first.Len() {
-		t.Fatalf("capacity-changed journal +%v -%v", second.Added(), second.Removed())
 	}
 }

@@ -249,8 +249,10 @@ func (c *Coordinator) workerLoop(url string, sc *schedule) {
 
 // postUnit sends one unit to a worker and decodes the outcome. Any
 // transport-level problem — connection refused, mid-body death, a non-200
-// status such as a draining worker's 503 — reports as an error, which the
-// caller treats as "this worker is gone", never as a job failure.
+// status such as a draining worker's 503, a body past the unit's size
+// bound — reports as an error, which the caller treats as "this worker is
+// gone", never as a job failure. Reading stops at the bound, so a hostile
+// or broken worker cannot make the coordinator buffer without limit.
 func (c *Coordinator) postUnit(workerURL string, sc *schedule, u unit) (*unitResponse, error) {
 	body, err := json.Marshal(unitRequest{
 		PointSpec: sc.points[u.point].spec,
@@ -273,12 +275,20 @@ func (c *Coordinator) postUnit(workerURL string, sc *schedule, u unit) (*unitRes
 		return nil, err
 	}
 	defer resp.Body.Close()
+	// A unit's answer holds at most 21 JSON bytes per observation (a
+	// uint64's 20 digits and a comma); 64 KiB covers the field names, the
+	// accumulator state and an execution error's text.
+	limit := 21*int64(u.n) + 64<<10
+	bounded := &io.LimitedReader{R: resp.Body, N: limit}
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
+		io.Copy(io.Discard, bounded)
 		return nil, fmt.Errorf("cluster: worker %s answered %s", workerURL, resp.Status)
 	}
 	var out unitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.NewDecoder(bounded).Decode(&out); err != nil {
+		if bounded.N == 0 {
+			return nil, fmt.Errorf("cluster: worker %s response exceeds the %d-byte bound for a %d-replicate unit", workerURL, limit, u.n)
+		}
 		return nil, fmt.Errorf("cluster: decoding worker %s response: %w", workerURL, err)
 	}
 	return &out, nil

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"lotuseater/internal/attack"
 	"lotuseater/internal/bitset"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/population"
@@ -109,9 +108,8 @@ type DisseminationResult struct {
 
 // Dissemination is the E6 simulator.
 type Dissemination struct {
-	cfg      DisseminationConfig
-	rng      *simrng.Source
-	targeter attack.Targeter
+	cfg DisseminationConfig
+	rng *simrng.Source
 
 	// Strategy hooks (WithAdversary / WithDefense): placed attacker nodes
 	// hold the full information (encoder access) when the strategy trades or
@@ -144,8 +142,9 @@ type Dissemination struct {
 // DisseminationOption customizes a Dissemination.
 type DisseminationOption func(*Dissemination)
 
-// WithAdversary installs a full adversary strategy; it replaces the plain
-// targeter argument of NewDissemination (which then must be nil).
+// WithAdversary installs the attack: the adversary places its nodes, names
+// the nodes it satiates each round, and decides whom its nodes serve.
+// Without it the simulation runs unattacked.
 func WithAdversary(a sim.Adversary) DisseminationOption {
 	return func(d *Dissemination) { d.adv = a }
 }
@@ -158,22 +157,16 @@ func WithDefense(def sim.Defense) DisseminationOption {
 }
 
 // NewDissemination builds the simulator; deterministic in (cfg, seed).
-// The targeter, when non-nil, names the nodes the attacker satiates at the
-// start of every round.
-func NewDissemination(cfg DisseminationConfig, seed uint64, targeter attack.Targeter, opts ...DisseminationOption) (*Dissemination, error) {
+func NewDissemination(cfg DisseminationConfig, seed uint64, opts ...DisseminationOption) (*Dissemination, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	d := &Dissemination{
-		cfg:      cfg,
-		rng:      simrng.New(seed),
-		targeter: targeter,
+		cfg: cfg,
+		rng: simrng.New(seed),
 	}
 	for _, opt := range opts {
 		opt(d)
-	}
-	if d.adv != nil && targeter != nil {
-		return nil, errors.New("coding: targeter conflicts with WithAdversary")
 	}
 	d.res.AllCompleteRound = -1
 	// Source symbols with recognizable deterministic payloads.
@@ -235,7 +228,6 @@ func NewDissemination(cfg DisseminationConfig, seed uint64, targeter attack.Targ
 				}
 			}
 		}
-		d.targeter = attack.TargeterFrom(d.adv)
 	}
 	if len(cfg.Churn) > 0 {
 		d.churn = population.NewCursor(cfg.Churn)
@@ -430,18 +422,17 @@ func (d *Dissemination) step() error {
 			d.leaveNode(ev.Node)
 		}
 	}
-	// 1. Attacker satiation: targets get the full information for free. A
-	// legacy targeter always delivers instantly; an adversary strategy does
-	// so only when it satiates out of protocol (ideal) — trade attackers
+	// 1. Attacker satiation: targets get the full information for free
+	// when the adversary satiates out of protocol (ideal) — trade attackers
 	// must work through contacts below. The defense throttles the delivery.
-	if d.targeter != nil && (d.adv == nil || d.advInstant) {
-		targets := d.targeter.Satiated(d.round)
+	if d.advInstant {
+		targets := d.adv.Targets(d.round)
 		if targets.Cap() != n {
-			return fmt.Errorf("coding: targeter returned a set over %d nodes, want %d", targets.Cap(), n)
+			return fmt.Errorf("coding: adversary returned a target set over %d nodes, want %d", targets.Cap(), n)
 		}
 		// Sparse iteration: O(|satiated set|) per round, not O(n).
 		for _, v := range targets.Members() {
-			if d.gone(v) || d.satiated(v) || (d.isAttacker != nil && d.isAttacker[v]) {
+			if d.gone(v) || d.satiated(v) || d.isAttacker[v] {
 				continue
 			}
 			if err := d.satiateLimited(v); err != nil {

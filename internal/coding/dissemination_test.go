@@ -5,7 +5,18 @@ import (
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/graph"
+	"lotuseater/internal/simrng"
 )
+
+// wrongSizeAdversary is a misbehaving custom adversary: it places no
+// nodes and instantly satiates a target set over a universe of n nodes,
+// whatever the simulation's population.
+type wrongSizeAdversary struct{ n int }
+
+func (a wrongSizeAdversary) Place(int, *simrng.Source) []int { return nil }
+func (a wrongSizeAdversary) Targets(int) *attack.TargetSet   { return attack.NewTargetSet(a.n, nil) }
+func (a wrongSizeAdversary) OnExchange(int, int, int) bool   { return false }
+func (a wrongSizeAdversary) SatiatesInstantly() bool         { return true }
 
 func dissemConfig(coded bool) DisseminationConfig {
 	return DisseminationConfig{
@@ -40,7 +51,7 @@ func TestDisseminationValidation(t *testing.T) {
 }
 
 func TestPlainDisseminationCompletes(t *testing.T) {
-	sim, err := NewDissemination(dissemConfig(false), 1, nil)
+	sim, err := NewDissemination(dissemConfig(false), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +65,7 @@ func TestPlainDisseminationCompletes(t *testing.T) {
 }
 
 func TestCodedDisseminationCompletesAndDecodes(t *testing.T) {
-	sim, err := NewDissemination(dissemConfig(true), 2, nil)
+	sim, err := NewDissemination(dissemConfig(true), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +96,8 @@ func TestRareSymbolDenialPlainVsCoded(t *testing.T) {
 	run := func(coded bool) DisseminationResult {
 		cfg := dissemConfig(coded)
 		cfg.Allocation = alloc
-		sim, err := NewDissemination(cfg, 3, attack.NewListTargeter(n, []int{0}))
+		adv := &attack.Strategy{Kind: attack.Ideal, TargetList: []int{0}}
+		sim, err := NewDissemination(cfg, 3, WithAdversary(adv))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +123,7 @@ func TestRareSymbolDenialPlainVsCoded(t *testing.T) {
 
 func TestDisseminationDeterministic(t *testing.T) {
 	run := func() DisseminationResult {
-		sim, err := NewDissemination(dissemConfig(true), 42, nil)
+		sim, err := NewDissemination(dissemConfig(true), 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +139,7 @@ func TestDisseminationDeterministic(t *testing.T) {
 }
 
 func TestProgressBounds(t *testing.T) {
-	sim, err := NewDissemination(dissemConfig(true), 4, nil)
+	sim, err := NewDissemination(dissemConfig(true), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +152,11 @@ func TestProgressBounds(t *testing.T) {
 }
 
 func TestBadTargeterLength(t *testing.T) {
-	sim, err := NewDissemination(dissemConfig(false), 5, attack.NewListTargeter(3, nil))
+	sim, err := NewDissemination(dissemConfig(false), 5, WithAdversary(wrongSizeAdversary{n: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(); err == nil {
-		t.Fatal("mismatched targeter accepted")
+		t.Fatal("mismatched target set size accepted")
 	}
 }

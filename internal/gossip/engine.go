@@ -16,18 +16,15 @@ import (
 // concurrent use; run one Engine per goroutine (the scenario engine runs
 // one per replicate on the internal/sim worker pool).
 type Engine struct {
-	cfg      Config
-	rng      *simrng.Source
-	pseed    sign.PartnerSeed
-	targeter attack.Targeter
+	cfg   Config
+	rng   *simrng.Source
+	pseed sign.PartnerSeed
 
-	// adv drives attacker placement, targeting, and in-protocol behavior.
-	// The default is an attack.Strategy built from the Config; WithAdversary
-	// installs a custom one, whose OnExchange hook then decides attacker
-	// exchanges (customAdv). advTrades and advInstant cache the adversary's
+	// adv drives attacker placement, per-round targeting, and whom attacker
+	// nodes serve in protocol exchanges; without WithAdversary it is the
+	// no-attack strategy. advTrades and advInstant cache the adversary's
 	// capability probes for the hot path.
 	adv        sim.Adversary
-	customAdv  bool
 	advTrades  bool
 	advInstant bool
 
@@ -102,22 +99,16 @@ type Engine struct {
 // Option customizes an Engine.
 type Option func(*Engine)
 
-// WithTargeter overrides the satiation targeter derived from the Config.
-// Use attack.ListTargeter for targeted attacks (grid cuts, rare resources).
-func WithTargeter(t attack.Targeter) Option {
-	return func(e *Engine) { e.targeter = t }
-}
-
-// WithAdversary replaces the Config-derived attack.Strategy with a custom
-// adversary: it places the attacker's nodes, chooses the satiation targets
-// each round, and its OnExchange hook decides which partners attacker nodes
-// serve in protocol exchanges.
+// WithAdversary installs the attack: the adversary places the attacker's
+// nodes, chooses the satiation targets each round, and its OnExchange hook
+// decides which partners attacker nodes serve in protocol exchanges.
+// Without it the engine runs unattacked.
 func WithAdversary(a sim.Adversary) Option {
-	return func(e *Engine) { e.adv = a; e.customAdv = true }
+	return func(e *Engine) { e.adv = a }
 }
 
-// WithDefense replaces the Config-derived rate limiter with a custom
-// receiver-side defense; obedient nodes route every accepted excess delivery
+// WithDefense installs a receiver-side defense (Section 5's rate limiting,
+// defense.Limit); obedient nodes route every accepted excess delivery
 // through its Admit hook.
 func WithDefense(d sim.Defense) Option {
 	return func(e *Engine) { e.def = d }
@@ -180,18 +171,12 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 	n := cfg.Nodes
 	e.pseed = sign.PartnerSeed(e.rng.Child("partner-seed").Uint64())
 
-	// Options first: placement and targeting may come from a custom
-	// adversary.
+	// Options first: placement and targeting come from the adversary.
 	for _, opt := range opts {
 		opt(e)
 	}
 	if e.adv == nil {
-		e.adv = &attack.Strategy{
-			Kind:            cfg.Attack,
-			Fraction:        cfg.AttackerFraction,
-			SatiateFraction: cfg.SatiateFraction,
-			RotatePeriod:    cfg.RotatePeriod,
-		}
+		e.adv = &attack.Strategy{Kind: attack.None}
 	}
 	e.advTrades = sim.TradesInProtocol(e.adv)
 	e.advInstant = sim.SatiatesInstantly(e.adv)
@@ -293,10 +278,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("gossip: horizon too short: no update both released after warmup (%d) and expiring before round %d", cfg.Warmup, cfg.Rounds)
 	}
 
-	// Defenses.
-	if e.def == nil && cfg.RateLimitPerPeer > 0 {
-		e.def = defense.NewLimit(cfg.RateLimitPerPeer)
-	}
 	if cfg.ReportThreshold > 0 {
 		kr, err := sign.NewKeyring(n, e.rng.Child("keys"))
 		if err != nil {
@@ -308,14 +289,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 			return nil, fmt.Errorf("gossip: board: %w", err)
 		}
 		e.board = board
-	}
-
-	if e.targeter == nil {
-		// The adversary's Targets hook is the targeter; attack.Strategy
-		// reproduces the pre-strategy defaults (static/rotating satiation
-		// for ideal and trade, attacker-only for crash and none) from the
-		// same "targets" child stream.
-		e.targeter = attack.TargeterFrom(e.adv)
 	}
 	return e, nil
 }
@@ -369,9 +342,9 @@ func (e *Engine) Step() error {
 			e.leaveNode(ev.Node)
 		}
 	}
-	targets := e.targeter.Satiated(e.round)
+	targets := e.adv.Targets(e.round)
 	if targets.Cap() != e.cfg.Nodes {
-		return fmt.Errorf("gossip: targeter returned a set over %d nodes, want %d", targets.Cap(), e.cfg.Nodes) //lotus:ignore allocfree cold guard against a misbehaving custom targeter
+		return fmt.Errorf("gossip: adversary returned a target set over %d nodes, want %d", targets.Cap(), e.cfg.Nodes) //lotus:ignore allocfree cold guard against a misbehaving adversary
 	}
 	// Target sets are immutable per epoch, so storing the pointer per round
 	// costs nothing: all rounds of one epoch share one set.

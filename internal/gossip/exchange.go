@@ -5,17 +5,11 @@ import (
 )
 
 // attackerServes decides whether attacker node att serves peer inside a
-// protocol exchange this round: a custom adversary's OnExchange hook rules
-// when one is installed; the default Config-derived strategy serves exactly
-// the round's satiation targets (which also honors WithTargeter overrides,
-// since targetsByRound comes from the effective targeter).
+// protocol exchange this round: the adversary's OnExchange hook rules.
 //
 //lotus:allocfree
 func (e *Engine) attackerServes(att, peer int) bool {
-	if e.customAdv {
-		return e.adv.OnExchange(e.round, att, peer)
-	}
-	return e.targetsByRound[e.round].Has(peer)
+	return e.adv.OnExchange(e.round, att, peer)
 }
 
 // execBalanced performs one balanced exchange between the planned pair.

@@ -9,18 +9,22 @@ import (
 	"testing"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/defense"
 	"lotuseater/internal/population"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
-// goldenCase is one pinned gossip run: a config shape, optional engine
-// options, and a seed.
+// goldenCase is one pinned gossip run: a config shape, an attack (Kind 0
+// runs unattacked), an obedient per-peer rate limit (0 for none), optional
+// further engine options, and a seed.
 type goldenCase struct {
-	name string
-	cfg  Config
-	opts func() []Option
-	seed uint64
+	name      string
+	cfg       Config
+	adv       attack.Strategy
+	rateLimit int
+	opts      func() []Option
+	seed      uint64
 }
 
 func goldenBase() Config {
@@ -57,73 +61,72 @@ func goldenChurn() []population.Event {
 // UpdatesPerRound >= 64, where one round's expiry drops more than a word.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
-	add := func(name string, seed uint64, mutate func(*Config), opts func() []Option) {
-		cfg := goldenBase()
+	add := func(name string, seed uint64, mutate func(*goldenCase), opts func() []Option) {
+		c := goldenCase{name: name, cfg: goldenBase(), opts: opts, seed: seed}
 		if mutate != nil {
-			mutate(&cfg)
+			mutate(&c)
 		}
-		cases = append(cases, goldenCase{name: name, cfg: cfg, opts: opts, seed: seed})
+		cases = append(cases, c)
 	}
-	attacked := func(kind attack.Kind) func(*Config) {
-		return func(c *Config) {
-			c.Attack = kind
-			c.AttackerFraction = 0.2
+	attacked := func(kind attack.Kind) func(*goldenCase) {
+		return func(c *goldenCase) {
+			c.adv = attack.Strategy{Kind: kind, Fraction: 0.2, SatiateFraction: 0.70}
 		}
 	}
 	add("none", 1, nil, nil)
 	add("crash", 2, attacked(attack.Crash), nil)
 	add("ideal", 3, attacked(attack.Ideal), nil)
 	add("trade", 4, attacked(attack.Trade), nil)
-	add("trade-push10", 5, func(c *Config) {
+	add("trade-push10", 5, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.PushSize = 10
+		c.cfg.PushSize = 10
 	}, nil)
-	add("ideal-push10", 6, func(c *Config) {
+	add("ideal-push10", 6, func(c *goldenCase) {
 		attacked(attack.Ideal)(c)
-		c.PushSize = 10
+		c.cfg.PushSize = 10
 	}, nil)
-	add("trade-slack1", 7, func(c *Config) {
+	add("trade-slack1", 7, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.PushSize = 4
-		c.BalanceSlack = 1
+		c.cfg.PushSize = 4
+		c.cfg.BalanceSlack = 1
 	}, nil)
-	add("ideal-obedient-ratelimit", 8, func(c *Config) {
+	add("ideal-obedient-ratelimit", 8, func(c *goldenCase) {
 		attacked(attack.Ideal)(c)
-		c.ObedientFraction = 0.6
-		c.RateLimitPerPeer = 2
+		c.cfg.ObedientFraction = 0.6
+		c.rateLimit = 2
 	}, nil)
-	add("trade-obedient-report-evict", 9, func(c *Config) {
+	add("trade-obedient-report-evict", 9, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.ObedientFraction = 0.6
-		c.ReportThreshold = 1
-		c.EvictAfterReports = 2
+		c.cfg.ObedientFraction = 0.6
+		c.cfg.ReportThreshold = 1
+		c.cfg.EvictAfterReports = 2
 	}, nil)
-	add("trade-obedient-all-defenses", 10, func(c *Config) {
+	add("trade-obedient-all-defenses", 10, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.PushSize = 4
-		c.BalanceSlack = 1
-		c.ObedientFraction = 0.5
-		c.RateLimitPerPeer = 3
-		c.ReportThreshold = 2
+		c.cfg.PushSize = 4
+		c.cfg.BalanceSlack = 1
+		c.cfg.ObedientFraction = 0.5
+		c.rateLimit = 3
+		c.cfg.ReportThreshold = 2
 	}, nil)
-	add("trade-rotate", 11, func(c *Config) {
+	add("trade-rotate", 11, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.RotatePeriod = 7
+		c.adv.RotatePeriod = 7
 	}, nil)
-	add("ideal-rotate-track", 12, func(c *Config) {
+	add("ideal-rotate-track", 12, func(c *goldenCase) {
 		attacked(attack.Ideal)(c)
-		c.RotatePeriod = 5
-		c.TrackPerNode = true
+		c.adv.RotatePeriod = 5
+		c.cfg.TrackPerNode = true
 	}, nil)
-	add("none-track", 13, func(c *Config) { c.TrackPerNode = true }, nil)
-	add("trade-altruism", 14, func(c *Config) {
+	add("none-track", 13, func(c *goldenCase) { c.cfg.TrackPerNode = true }, nil)
+	add("trade-altruism", 14, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.Altruism = 0.5
-		c.AltruisticGive = 2
+		c.cfg.Altruism = 0.5
+		c.cfg.AltruisticGive = 2
 	}, nil)
-	add("trade-node-altruism", 15, func(c *Config) {
+	add("trade-node-altruism", 15, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.AltruisticGive = 3
+		c.cfg.AltruisticGive = 3
 	}, func() []Option {
 		alt := make([]float64, 60)
 		for v := range alt {
@@ -147,60 +150,60 @@ func goldenCases() []goldenCase {
 		}
 	})
 	// Live-set widths: Lifetime*UpdatesPerRound bits per node.
-	add("words1-trade", 20, func(c *Config) {
+	add("words1-trade", 20, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.UpdatesPerRound = 3
-		c.Lifetime = 8
-		c.RecentWindow = 3
+		c.cfg.UpdatesPerRound = 3
+		c.cfg.Lifetime = 8
+		c.cfg.RecentWindow = 3
 	}, nil)
-	add("words1-exact-ideal", 21, func(c *Config) {
+	add("words1-exact-ideal", 21, func(c *goldenCase) {
 		attacked(attack.Ideal)(c)
-		c.UpdatesPerRound = 16
-		c.Lifetime = 4
+		c.cfg.UpdatesPerRound = 16
+		c.cfg.Lifetime = 4
 	}, nil)
-	add("words1-full-trade", 26, func(c *Config) {
+	add("words1-full-trade", 26, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.UpdatesPerRound = 64
-		c.Lifetime = 1
-		c.RecentWindow = 1
-		c.CopiesSeeded = 20
+		c.cfg.UpdatesPerRound = 64
+		c.cfg.Lifetime = 1
+		c.cfg.RecentWindow = 1
+		c.cfg.CopiesSeeded = 20
 	}, nil)
-	add("words2-shift64-ideal", 27, func(c *Config) {
+	add("words2-shift64-ideal", 27, func(c *goldenCase) {
 		attacked(attack.Ideal)(c)
-		c.UpdatesPerRound = 64
-		c.Lifetime = 3
-		c.CopiesSeeded = 8
+		c.cfg.UpdatesPerRound = 64
+		c.cfg.Lifetime = 3
+		c.cfg.CopiesSeeded = 8
 	}, nil)
-	add("words2-exact-trade", 22, func(c *Config) {
+	add("words2-exact-trade", 22, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.UpdatesPerRound = 16
-		c.Lifetime = 8
-		c.RecentWindow = 3
+		c.cfg.UpdatesPerRound = 16
+		c.cfg.Lifetime = 8
+		c.cfg.RecentWindow = 3
 	}, nil)
-	add("words3-trade-churn", 23, func(c *Config) {
+	add("words3-trade-churn", 23, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.UpdatesPerRound = 20
-		c.Lifetime = 8
-		c.RecentWindow = 3
-		c.PushSize = 10
+		c.cfg.UpdatesPerRound = 20
+		c.cfg.Lifetime = 8
+		c.cfg.RecentWindow = 3
+		c.cfg.PushSize = 10
 	}, func() []Option {
 		return []Option{WithChurn(goldenChurn())}
 	})
-	add("wide-trade", 24, func(c *Config) {
+	add("wide-trade", 24, func(c *goldenCase) {
 		attacked(attack.Trade)(c)
-		c.UpdatesPerRound = 70
-		c.Lifetime = 4
-		c.CopiesSeeded = 6
-		c.PushSize = 10
+		c.cfg.UpdatesPerRound = 70
+		c.cfg.Lifetime = 4
+		c.cfg.CopiesSeeded = 6
+		c.cfg.PushSize = 10
 	}, nil)
-	add("wide-ideal-obedient-churn", 25, func(c *Config) {
+	add("wide-ideal-obedient-churn", 25, func(c *goldenCase) {
 		attacked(attack.Ideal)(c)
-		c.UpdatesPerRound = 130
-		c.Lifetime = 3
-		c.CopiesSeeded = 5
-		c.ObedientFraction = 0.5
-		c.RateLimitPerPeer = 4
-		c.TrackPerNode = true
+		c.cfg.UpdatesPerRound = 130
+		c.cfg.Lifetime = 3
+		c.cfg.CopiesSeeded = 5
+		c.cfg.ObedientFraction = 0.5
+		c.rateLimit = 4
+		c.cfg.TrackPerNode = true
 	}, func() []Option {
 		return []Option{WithChurn(goldenChurn())}
 	})
@@ -210,6 +213,13 @@ func goldenCases() []goldenCase {
 func runGoldenCase(t *testing.T, c goldenCase, parallel bool) Result {
 	t.Helper()
 	opts := []Option{WithEvalParallel(parallel)}
+	if c.adv.Kind != 0 {
+		adv := c.adv
+		opts = append(opts, WithAdversary(&adv))
+	}
+	if c.rateLimit > 0 {
+		opts = append(opts, WithDefense(defense.NewLimit(c.rateLimit)))
+	}
 	if c.opts != nil {
 		opts = append(opts, c.opts()...)
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/defense"
 	"lotuseater/internal/metrics"
+	"lotuseater/internal/simrng"
 )
 
 // quickConfig returns a reduced-size configuration that still exhibits the
@@ -17,6 +19,18 @@ func quickConfig() Config {
 	cfg.Rounds = 35
 	cfg.Warmup = 10
 	return cfg
+}
+
+// withAttack returns a fresh adversary option: kind controls fraction of
+// the nodes and targets the paper's 70% of the system for satiation.
+func withAttack(kind attack.Kind, fraction float64) Option {
+	return WithAdversary(&attack.Strategy{Kind: kind, Fraction: fraction, SatiateFraction: 0.70})
+}
+
+// withRateLimit returns a fresh obedient-receiver rate limit of cap updates
+// per peer per round.
+func withRateLimit(cap int) Option {
+	return WithDefense(defense.NewLimit(cap))
 }
 
 func mustRun(t *testing.T, cfg Config, seed uint64, opts ...Option) Result {
@@ -50,14 +64,9 @@ func TestConfigValidation(t *testing.T) {
 		{"warmup >= rounds", func(c *Config) { c.Warmup = c.Rounds }},
 		{"negative warmup", func(c *Config) { c.Warmup = -1 }},
 		{"threshold > 1", func(c *Config) { c.UsableThreshold = 1.5 }},
-		{"bad attack kind", func(c *Config) { c.Attack = attack.Kind(99) }},
-		{"attacker fraction > 1", func(c *Config) { c.AttackerFraction = 1.1 }},
-		{"satiate fraction < 0", func(c *Config) { c.SatiateFraction = -0.1 }},
-		{"negative rotate", func(c *Config) { c.RotatePeriod = -1 }},
 		{"altruism > 1", func(c *Config) { c.Altruism = 2 }},
 		{"negative altruistic give", func(c *Config) { c.AltruisticGive = -1 }},
 		{"obedient fraction > 1", func(c *Config) { c.ObedientFraction = 1.01 }},
-		{"negative rate limit", func(c *Config) { c.RateLimitPerPeer = -1 }},
 		{"negative report threshold", func(c *Config) { c.ReportThreshold = -1 }},
 		{"zero evict threshold", func(c *Config) { c.EvictAfterReports = 0 }},
 	}
@@ -114,10 +123,8 @@ func TestBaselineDeliversNearPerfect(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	cfg := quickConfig()
-	cfg.Attack = attack.Trade
-	cfg.AttackerFraction = 0.2
-	a := mustRun(t, cfg, 7)
-	b := mustRun(t, cfg, 7)
+	a := mustRun(t, cfg, 7, withAttack(attack.Trade, 0.2))
+	b := mustRun(t, cfg, 7, withAttack(attack.Trade, 0.2))
 	if a.Isolated != b.Isolated || a.Satiated != b.Satiated || a.Bandwidth != b.Bandwidth {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", a.Isolated, b.Isolated)
 	}
@@ -125,10 +132,8 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestDifferentSeedsDiffer(t *testing.T) {
 	cfg := quickConfig()
-	cfg.Attack = attack.Trade
-	cfg.AttackerFraction = 0.2
-	a := mustRun(t, cfg, 7)
-	b := mustRun(t, cfg, 8)
+	a := mustRun(t, cfg, 7, withAttack(attack.Trade, 0.2))
+	b := mustRun(t, cfg, 8, withAttack(attack.Trade, 0.2))
 	if a.Isolated.MeanDelivery == b.Isolated.MeanDelivery && a.Bandwidth == b.Bandwidth {
 		t.Fatal("different seeds produced identical runs (suspicious)")
 	}
@@ -139,15 +144,12 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 // then crash.
 func TestAttackOrdering(t *testing.T) {
 	cfg := quickConfig()
-	cfg.AttackerFraction = 0.2
 	delivery := map[attack.Kind]float64{}
 	for _, kind := range []attack.Kind{attack.Crash, attack.Ideal, attack.Trade} {
-		c := cfg
-		c.Attack = kind
 		sum := 0.0
 		const seeds = 3
 		for s := uint64(0); s < seeds; s++ {
-			sum += mustRun(t, c, 100+s).Isolated.MeanDelivery
+			sum += mustRun(t, cfg, 100+s, withAttack(kind, 0.2)).Isolated.MeanDelivery
 		}
 		delivery[kind] = sum / seeds
 	}
@@ -162,10 +164,7 @@ func TestAttackOrdering(t *testing.T) {
 // TestSatiatedNodesServedPerfectly checks the paper's observation that "
 // satiated nodes receive near perfect service" under the ideal attack.
 func TestSatiatedNodesServedPerfectly(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Attack = attack.Ideal
-	cfg.AttackerFraction = 0.1
-	res := mustRun(t, cfg, 3)
+	res := mustRun(t, quickConfig(), 3, withAttack(attack.Ideal, 0.1))
 	if res.Satiated.MeanDelivery < 0.97 {
 		t.Fatalf("satiated group delivery %.4f, want near perfect", res.Satiated.MeanDelivery)
 	}
@@ -178,16 +177,13 @@ func TestSatiatedNodesServedPerfectly(t *testing.T) {
 // same attacker fraction, push size 10 delivers more to isolated nodes than
 // push size 2.
 func TestLargerPushBluntsIdealAttack(t *testing.T) {
-	base := quickConfig()
-	base.Attack = attack.Ideal
-	base.AttackerFraction = 0.06
 	avg := func(push int) float64 {
-		cfg := base
+		cfg := quickConfig()
 		cfg.PushSize = push
 		sum := 0.0
 		const seeds = 3
 		for s := uint64(0); s < seeds; s++ {
-			sum += mustRun(t, cfg, 40+s).Isolated.MeanDelivery
+			sum += mustRun(t, cfg, 40+s, withAttack(attack.Ideal, 0.06)).Isolated.MeanDelivery
 		}
 		return sum / seeds
 	}
@@ -200,16 +196,13 @@ func TestLargerPushBluntsIdealAttack(t *testing.T) {
 // TestUnbalancedExchangesHelp reproduces Figure 3's direction: slack 1
 // improves isolated delivery under the trade attack.
 func TestUnbalancedExchangesHelp(t *testing.T) {
-	base := quickConfig()
-	base.Attack = attack.Trade
-	base.AttackerFraction = 0.25
 	avg := func(slack int) float64 {
-		cfg := base
+		cfg := quickConfig()
 		cfg.BalanceSlack = slack
 		sum := 0.0
 		const seeds = 3
 		for s := uint64(0); s < seeds; s++ {
-			sum += mustRun(t, cfg, 60+s).Isolated.MeanDelivery
+			sum += mustRun(t, cfg, 60+s, withAttack(attack.Trade, 0.25)).Isolated.MeanDelivery
 		}
 		return sum / seeds
 	}
@@ -227,9 +220,7 @@ func TestUnbalancedExchangesHelp(t *testing.T) {
 func TestIdealPartialSatiation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rounds = 40
-	cfg.Attack = attack.Ideal
-	cfg.AttackerFraction = 0.04
-	res := mustRun(t, cfg, 5)
+	res := mustRun(t, cfg, 5, withAttack(attack.Ideal, 0.04))
 	// Partial satiation must still be very damaging (the paper's point):
 	// delivery to isolated nodes drops although the attacker sees only 39%
 	// of updates.
@@ -239,10 +230,7 @@ func TestIdealPartialSatiation(t *testing.T) {
 }
 
 func TestCrashAttackBaseline(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Attack = attack.Crash
-	cfg.AttackerFraction = 0.2
-	res := mustRun(t, cfg, 9)
+	res := mustRun(t, quickConfig(), 9, withAttack(attack.Crash, 0.2))
 	// All honest nodes are "isolated" under crash (nobody is satiated).
 	if res.Satiated.Nodes != 0 {
 		t.Fatalf("crash attack has %d satiated nodes", res.Satiated.Nodes)
@@ -271,10 +259,8 @@ func TestStepAfterHorizonErrors(t *testing.T) {
 
 func TestRolesAssignment(t *testing.T) {
 	cfg := quickConfig()
-	cfg.Attack = attack.Trade
-	cfg.AttackerFraction = 0.25
 	cfg.ObedientFraction = 0.4
-	eng, err := New(cfg, 2)
+	eng, err := New(cfg, 2, withAttack(attack.Trade, 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,12 +294,10 @@ func TestRoleStrings(t *testing.T) {
 // honest nodes are never evicted, and most attackers are.
 func TestReportingEvictsOnlyAttackers(t *testing.T) {
 	cfg := quickConfig()
-	cfg.Attack = attack.Trade
-	cfg.AttackerFraction = 0.3
 	cfg.ObedientFraction = 1
 	cfg.ReportThreshold = 1
 	cfg.EvictAfterReports = 2
-	eng, err := New(cfg, 4)
+	eng, err := New(cfg, 4, withAttack(attack.Trade, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,17 +343,17 @@ func TestSlackWithinReportThreshold(t *testing.T) {
 
 // TestRateLimitBluntsIdealAttack reproduces E8's direction.
 func TestRateLimitBluntsIdealAttack(t *testing.T) {
-	base := quickConfig()
-	base.Attack = attack.Ideal
-	base.AttackerFraction = 0.1
-	base.ObedientFraction = 1
+	cfg := quickConfig()
+	cfg.ObedientFraction = 1
 	avg := func(cap int) float64 {
-		cfg := base
-		cfg.RateLimitPerPeer = cap
 		sum := 0.0
 		const seeds = 3
 		for s := uint64(0); s < seeds; s++ {
-			sum += mustRun(t, cfg, 70+s).Isolated.MeanDelivery
+			opts := []Option{withAttack(attack.Ideal, 0.1)}
+			if cap > 0 {
+				opts = append(opts, withRateLimit(cap))
+			}
+			sum += mustRun(t, cfg, 70+s, opts...).Isolated.MeanDelivery
 		}
 		return sum / seeds
 	}
@@ -383,8 +367,7 @@ func TestRateLimitBluntsIdealAttack(t *testing.T) {
 func TestRateLimitHarmlessWithoutAttack(t *testing.T) {
 	cfg := quickConfig()
 	cfg.ObedientFraction = 1
-	cfg.RateLimitPerPeer = 1
-	res := mustRun(t, cfg, 4)
+	res := mustRun(t, cfg, 4, withRateLimit(1))
 	if res.Isolated.MeanDelivery < 0.95 {
 		t.Fatalf("rate limiter crippled healthy system: %.4f", res.Isolated.MeanDelivery)
 	}
@@ -396,14 +379,14 @@ func TestRateLimitHarmlessWithoutAttack(t *testing.T) {
 // seeds and the mean paired difference must exceed two standard errors.
 func TestAltruismHelpsUnderAttack(t *testing.T) {
 	base := quickConfig()
-	base.Attack = attack.Trade
-	base.AttackerFraction = 0.3
 	base.AltruisticGive = 3
 	with := base
 	with.Altruism = 0.5
 	var diffs []float64
 	for s := uint64(80); s < 120; s++ {
-		diffs = append(diffs, mustRun(t, with, s).Isolated.MeanDelivery-mustRun(t, base, s).Isolated.MeanDelivery)
+		gain := mustRun(t, with, s, withAttack(attack.Trade, 0.3)).Isolated.MeanDelivery -
+			mustRun(t, base, s, withAttack(attack.Trade, 0.3)).Isolated.MeanDelivery
+		diffs = append(diffs, gain)
 	}
 	mean := metrics.Mean(diffs)
 	se := metrics.StdDev(diffs) / math.Sqrt(float64(len(diffs)))
@@ -414,11 +397,8 @@ func TestAltruismHelpsUnderAttack(t *testing.T) {
 }
 
 func TestRotatingTargeterChangesGroups(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Attack = attack.Trade
-	cfg.AttackerFraction = 0.2
-	cfg.RotatePeriod = 5
-	res := mustRun(t, cfg, 6)
+	adv := &attack.Strategy{Kind: attack.Trade, Fraction: 0.2, SatiateFraction: 0.70, RotatePeriod: 5}
+	res := mustRun(t, quickConfig(), 6, WithAdversary(adv))
 	// Under rotation, most honest nodes spend time in both groups. With a
 	// 70% satiation target over ~5 epochs, P(never isolated) = 0.7^5 = 17%,
 	// so expect roughly 66 of 80 honest nodes in the isolated tally and
@@ -488,12 +468,7 @@ func TestResultString(t *testing.T) {
 // delivery fractions are well-formed.
 func TestDeliveryFractionsWellFormed(t *testing.T) {
 	for _, kind := range []attack.Kind{attack.None, attack.Trade, attack.Ideal} {
-		cfg := quickConfig()
-		cfg.Attack = kind
-		if kind != attack.None {
-			cfg.AttackerFraction = 0.15
-		}
-		res := mustRun(t, cfg, 13)
+		res := mustRun(t, quickConfig(), 13, withAttack(kind, 0.15))
 		for _, g := range []GroupStats{res.Isolated, res.Satiated, res.AllHonest} {
 			if g.Nodes == 0 {
 				continue
@@ -514,49 +489,36 @@ func TestDeliveryFractionsWellFormed(t *testing.T) {
 	}
 }
 
-// TestCustomTargeter: a list targeter wired via WithTargeter controls
-// exactly who is satiated.
+// TestCustomTargeter: an explicit target list (Strategy.TargetList)
+// controls exactly who is satiated.
 func TestCustomTargeter(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Attack = attack.Trade
-	cfg.AttackerFraction = 0.1
-	eng, err := New(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
+	list := make([]int, 30)
+	for v := range list {
+		list[v] = v
 	}
-	// Find the attacker ids, then target them plus nodes 0..29.
-	var list []int
-	for v, r := range eng.Roles() {
-		if r == RoleAttacker {
-			list = append(list, v)
-		}
-	}
-	for v := 0; v < 30; v++ {
-		list = append(list, v)
-	}
-	eng2, err := New(cfg, 3, WithTargeter(attack.NewListTargeter(cfg.Nodes, list)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	adv := &attack.Strategy{Kind: attack.Trade, Fraction: 0.1, TargetList: list}
+	res := mustRun(t, quickConfig(), 3, WithAdversary(adv))
 	// Roughly 30 honest nodes (minus any that are attackers) are targets.
 	if res.Satiated.Nodes == 0 || res.Satiated.Nodes > 30 {
 		t.Fatalf("satiated group %d, want (0,30]", res.Satiated.Nodes)
 	}
 }
 
+// wrongSizeAdversary is a misbehaving custom adversary: it places no
+// nodes and names a target set over a universe of n nodes, whatever the
+// simulator's population.
+type wrongSizeAdversary struct{ n int }
+
+func (a wrongSizeAdversary) Place(int, *simrng.Source) []int { return nil }
+func (a wrongSizeAdversary) Targets(int) *attack.TargetSet   { return attack.NewTargetSet(a.n, nil) }
+func (a wrongSizeAdversary) OnExchange(int, int, int) bool   { return false }
+
 func TestBadTargeterLength(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Attack = attack.Trade
-	cfg.AttackerFraction = 0.1
-	eng, err := New(cfg, 3, WithTargeter(attack.NewListTargeter(5, nil)))
+	eng, err := New(quickConfig(), 3, WithAdversary(wrongSizeAdversary{n: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Step(); err == nil {
-		t.Fatal("mismatched targeter length accepted")
+		t.Fatal("mismatched target set size accepted")
 	}
 }

@@ -21,14 +21,9 @@ import (
 func TestEngineInvariants(t *testing.T) {
 	for _, kind := range []attack.Kind{attack.None, attack.Crash, attack.Ideal, attack.Trade} {
 		cfg := quickConfig()
-		cfg.Attack = kind
-		if kind != attack.None {
-			cfg.AttackerFraction = 0.2
-		}
 		cfg.ObedientFraction = 0.5
 		cfg.ReportThreshold = 1
-		cfg.RateLimitPerPeer = 8
-		eng, err := New(cfg, 99)
+		eng, err := New(cfg, 99, withAttack(kind, 0.2), withRateLimit(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,10 +97,7 @@ func TestEngineSmallestSystem(t *testing.T) {
 // TestEngineFullAttackerFraction: the whole system attacker-controlled must
 // not panic or divide by zero — there are simply no honest nodes to measure.
 func TestEngineFullAttackerFraction(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Attack = attack.Trade
-	cfg.AttackerFraction = 1
-	res := mustRun(t, cfg, 1)
+	res := mustRun(t, quickConfig(), 1, withAttack(attack.Trade, 1))
 	if res.Isolated.Nodes != 0 || res.Satiated.Nodes != 0 || res.AllHonest.Nodes != 0 {
 		t.Fatalf("groups non-empty with no honest nodes: %+v", res)
 	}

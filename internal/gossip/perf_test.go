@@ -10,7 +10,8 @@ import (
 
 // bigPathConfig is the shape the gossip-1m scenario uses, shrunk to a
 // test-sized population: one update per round so the steady state is easy
-// to reason about, ideal satiation of 30% of the system.
+// to reason about. bigPathAttack is its ideal satiation of 30% of the
+// system.
 func bigPathConfig(n int) Config {
 	cfg := DefaultConfig()
 	cfg.Nodes = n
@@ -19,10 +20,11 @@ func bigPathConfig(n int) Config {
 	cfg.CopiesSeeded = 32
 	cfg.Warmup = 0
 	cfg.Rounds = 1 << 20 // effectively unbounded for the measured window
-	cfg.Attack = attack.Ideal
-	cfg.AttackerFraction = 0.02
-	cfg.SatiateFraction = 0.30
 	return cfg
+}
+
+func bigPathAttack() Option {
+	return WithAdversary(&attack.Strategy{Kind: attack.Ideal, Fraction: 0.02, SatiateFraction: 0.30})
 }
 
 // TestStepAllocsIndependentOfPopulation is the sparse-satiation acceptance
@@ -33,7 +35,7 @@ func bigPathConfig(n int) Config {
 // recycled, and the holdings matrix is allocated once in New.
 func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 	measure := func(n int) float64 {
-		e, err := New(bigPathConfig(n), 11, WithEvalParallel(false))
+		e, err := New(bigPathConfig(n), 11, bigPathAttack(), WithEvalParallel(false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +77,10 @@ func TestEvalParallelBitIdentical(t *testing.T) {
 		cfg.Nodes = 3*sim.DefaultGrain + 123
 		cfg.Rounds = 14
 		cfg.Warmup = 2
-		cfg.Attack = kind
-		cfg.AttackerFraction = 0.15
-		cfg.RotatePeriod = 7 // cover epoch re-draws mid-run
 		run := func(parallel bool) Result {
-			e, err := New(cfg, 23, WithEvalParallel(parallel))
+			// RotatePeriod covers epoch re-draws mid-run.
+			adv := &attack.Strategy{Kind: kind, Fraction: 0.15, SatiateFraction: 0.70, RotatePeriod: 7}
+			e, err := New(cfg, 23, WithAdversary(adv), WithEvalParallel(parallel))
 			if err != nil {
 				t.Fatal(err)
 			}

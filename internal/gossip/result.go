@@ -50,7 +50,8 @@ type Result struct {
 	// the average honest node received in time; -1 for unmeasured rounds.
 	PerRoundHonest []float64
 	// PerRoundIsolated[r] is the same restricted to nodes isolated at
-	// round r (per the targeter); -1 when unmeasured or empty.
+	// round r (outside the adversary's targets); -1 when unmeasured or
+	// empty.
 	PerRoundIsolated []float64
 	// NodeRoundDelivery[v][r], present only when Config.TrackPerNode is
 	// set, is node v's delivered fraction of the updates released in round
@@ -71,8 +72,7 @@ func (r Result) Usable() bool {
 // String renders a one-look summary.
 func (r Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "gossip: %d nodes, attack=%s fraction=%.2f satiate=%.2f\n",
-		r.Cfg.Nodes, r.Cfg.Attack, r.Cfg.AttackerFraction, r.Cfg.SatiateFraction)
+	fmt.Fprintf(&b, "gossip: %d nodes\n", r.Cfg.Nodes)
 	fmt.Fprintf(&b, "  measured updates: %d\n", r.MeasuredUpdates)
 	fmt.Fprintf(&b, "  isolated: mean=%.4f min=%.4f usable=%.2f (n=%d)\n",
 		r.Isolated.MeanDelivery, r.Isolated.MinDelivery, r.Isolated.UsableFraction, r.Isolated.Nodes)

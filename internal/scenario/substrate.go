@@ -346,7 +346,7 @@ var substrates = map[string]*substrate{
 			if def != nil {
 				opts = append(opts, coding.WithDefense(def))
 			}
-			return coding.NewDissemination(cfg, rng.Uint64(), nil, opts...)
+			return coding.NewDissemination(cfg, rng.Uint64(), opts...)
 		},
 	},
 }

@@ -38,8 +38,9 @@ const (
 	// Altruist agents always volunteer and serve without payment —
 	// the destabilizing population of [14].
 	Altruist
-	// AttackerAgent agents never request service, always volunteer (to
-	// earn scrip), and funnel their earnings into the attack pool.
+	// AttackerAgent agents are placed by the adversary and never request
+	// service; trade attackers volunteer to earn scrip and funnel their
+	// earnings into the attack pool.
 	AttackerAgent
 )
 
@@ -71,8 +72,6 @@ type Config struct {
 	Rounds int
 	// AltruistFraction of agents are altruists.
 	AltruistFraction float64
-	// AttackerFraction of agents are attacker-controlled earners.
-	AttackerFraction float64
 	// Cost is the provider's utility cost of serving (0 < Cost < 1 makes
 	// trade socially valuable against a benefit of 1).
 	Cost float64
@@ -108,13 +107,12 @@ type Config struct {
 	// Agents) each agent's kind is drawn independently from its own
 	// probability instead of permuting a global altruist count.
 	NodeAltruist []float64
-	// AttackBudget is exogenous scrip a strategy adversary (WithAdversary)
-	// starts its pool with, on top of what its agents earn — the
-	// strategy-path counterpart of AttackPlan.Budget.
+	// AttackBudget is exogenous scrip the adversary (WithAdversary) starts
+	// its pool with, on top of what its agents earn. It joins the money
+	// supply, which the Result tracks.
 	AttackBudget int
-	// AttackStart is the first round a strategy adversary acts, so its
-	// agents can accumulate earnings first — AttackPlan.StartRound's
-	// counterpart.
+	// AttackStart is the first round the adversary acts, so its agents can
+	// accumulate earnings first.
 	AttackStart int
 }
 
@@ -142,10 +140,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scrip: Rounds must be positive, got %d", c.Rounds)
 	case c.AltruistFraction < 0 || c.AltruistFraction > 1:
 		return fmt.Errorf("scrip: AltruistFraction must be in [0,1], got %g", c.AltruistFraction)
-	case c.AttackerFraction < 0 || c.AttackerFraction > 1:
-		return fmt.Errorf("scrip: AttackerFraction must be in [0,1], got %g", c.AttackerFraction)
-	case c.AltruistFraction+c.AttackerFraction > 1:
-		return fmt.Errorf("scrip: AltruistFraction+AttackerFraction = %g exceeds 1", c.AltruistFraction+c.AttackerFraction)
 	case c.Cost < 0 || c.Cost >= 1:
 		return fmt.Errorf("scrip: Cost must be in [0,1), got %g", c.Cost)
 	case c.SpecialProviders < 0 || c.SpecialProviders > c.Agents:
@@ -186,19 +180,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// AttackPlan configures the lotus-eater attack: keep the target agents'
-// balances at or above the threshold so they never volunteer.
-type AttackPlan struct {
-	// Targets are the agent ids to satiate.
-	Targets []int
-	// Budget is exogenous scrip the attacker starts with (on top of
-	// whatever its agents earn in-system). Scrip it injects increases the
-	// money supply, which the Result tracks.
-	Budget int
-	// StartRound is the first round the attack runs.
-	StartRound int
-}
-
 // Result summarizes a run.
 type Result struct {
 	// Requests is the number of rounds simulated.
@@ -232,8 +213,9 @@ type Result struct {
 	// attacker agents excluded.
 	MeanUtility float64
 	// FinalMoneySupply is the closing total balance across agents plus the
-	// attacker pool; it equals the opening supply plus injected Budget
-	// (scrip is conserved).
+	// attacker pool. Scrip is conserved, so it equals the opening supply
+	// (AttackBudget included) plus whatever an ideal attacker minted, which
+	// is exactly its AttackerSpent.
 	FinalMoneySupply int
 	// SpecialRequests counts specialty requests issued.
 	SpecialRequests int
@@ -244,14 +226,14 @@ type Result struct {
 	SpecialAvailability float64
 }
 
-// Sim is one scrip economy. Create with New, optionally Attack, then Run.
+// Sim is one scrip economy. Create with New (WithAdversary installs the
+// attack), then Run.
 type Sim struct {
 	cfg     Config
 	rng     *simrng.Source
 	kinds   []Kind
 	balance []int
 	utility []float64
-	plan    *AttackPlan
 	pool    int // attacker's scrip pool
 	isTgt   []bool
 
@@ -293,8 +275,8 @@ type Sim struct {
 type Option func(*Sim)
 
 // WithAdversary installs a substrate-independent adversary strategy; see
-// Sim for how its hooks map onto the scrip economy. It replaces the
-// AttackerFraction placement and the AttackPlan mechanism.
+// Sim for how its hooks map onto the scrip economy. Without it the economy
+// runs unattacked.
 func WithAdversary(a sim.Adversary) Option {
 	return func(s *Sim) { s.adv = a }
 }
@@ -306,9 +288,9 @@ func WithDefense(d sim.Defense) Option {
 	return func(s *Sim) { s.def = d }
 }
 
-// New builds a Sim, deterministic in (cfg, seed). Agent kinds are assigned
-// pseudorandomly according to the configured fractions; an installed
-// adversary's Place hook overrides the AttackerFraction assignment.
+// New builds a Sim, deterministic in (cfg, seed). Altruists are assigned
+// pseudorandomly according to the configured fraction; an installed
+// adversary's Place hook picks the attacker-controlled agents.
 func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -329,10 +311,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 		s.balance[i] = s.endowment(i)
 	}
 	nAlt := int(cfg.AltruistFraction*float64(cfg.Agents) + 0.5)
-	nAtt := int(cfg.AttackerFraction*float64(cfg.Agents) + 0.5)
-	if s.adv != nil {
-		nAtt = 0 // the adversary places its own agents
-	}
 	perm := s.rng.Child("kinds").Perm(cfg.Agents)
 	if cfg.NodeAltruist != nil {
 		// Per-class altruism: each agent's kind is an independent draw
@@ -348,9 +326,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 		for i := 0; i < nAlt && i < len(perm); i++ {
 			s.kinds[perm[i]] = Altruist
 		}
-	}
-	for i := nAlt; i < nAlt+nAtt && i < len(perm); i++ {
-		s.kinds[perm[i]] = AttackerAgent
 	}
 	for i := 0; i < cfg.AltruistProviders; i++ {
 		s.kinds[i] = Altruist
@@ -378,39 +353,13 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	return s, nil
 }
 
-// Attack installs an attack plan. It returns an error if any target is out
-// of range or attacker-controlled (satiating your own nodes is a no-op), or
-// if an adversary strategy is installed (the strategy owns targeting).
-func (s *Sim) Attack(plan AttackPlan) error {
-	if s.adv != nil {
-		return errors.New("scrip: Attack conflicts with WithAdversary")
-	}
-	for _, t := range plan.Targets {
-		if t < 0 || t >= s.cfg.Agents {
-			return fmt.Errorf("scrip: target %d out of range", t)
-		}
-		if s.kinds[t] == AttackerAgent {
-			return fmt.Errorf("scrip: target %d is attacker-controlled", t)
-		}
-	}
-	targets := make([]int, len(plan.Targets))
-	copy(targets, plan.Targets)
-	plan.Targets = targets
-	s.plan = &plan
-	s.pool = plan.Budget
-	for _, t := range targets {
-		s.isTgt[t] = true
-	}
-	return nil
-}
-
 // Kind returns agent i's behavioral type.
 func (s *Sim) Kind(i int) Kind { return s.kinds[i] }
 
 // Mint adds amount scrip to agent i's balance out of thin air — the
 // attacker's exogenous wealth delivered as an unconditional gift, as
-// opposed to Attack's threshold top-ups. Minting inflates the money supply
-// permanently; MoneySupply and Result.FinalMoneySupply reflect it.
+// opposed to the adversary's threshold top-ups. Minting inflates the money
+// supply permanently; MoneySupply and Result.FinalMoneySupply reflect it.
 func (s *Sim) Mint(i, amount int) error {
 	if i < 0 || i >= s.cfg.Agents {
 		return fmt.Errorf("scrip: agent %d out of range", i)
@@ -475,41 +424,7 @@ func (s *Sim) Step() error {
 		}
 	}
 
-	// 1. Attacker tops targets up to the threshold while its pool lasts;
-	// attacker agents sweep their in-system earnings into the pool first.
-	if s.plan != nil && s.round >= s.plan.StartRound {
-		for i, k := range s.kinds {
-			if k == AttackerAgent && s.balance[i] > 0 {
-				s.pool += s.balance[i]
-				s.balance[i] = 0
-			}
-		}
-		for _, t := range s.plan.Targets {
-			if s.gone(t) {
-				continue // no point topping up an absent agent
-			}
-			need := s.thresholdOf(t) - s.balance[t]
-			if need <= 0 {
-				continue
-			}
-			if s.pool < need {
-				s.res.AttackerShortfall++
-				continue
-			}
-			s.pool -= need
-			s.balance[t] += need
-			s.res.AttackerSpent += need
-		}
-		sat := 0
-		for _, t := range s.plan.Targets {
-			if !s.gone(t) && s.balance[t] >= s.thresholdOf(t) {
-				sat++
-			}
-		}
-		if len(s.plan.Targets) > 0 {
-			s.satSum += float64(sat) / float64(len(s.plan.Targets))
-		}
-	}
+	// 1. The adversary tops its targets up to the threshold.
 	if s.adv != nil && s.round >= s.cfg.AttackStart {
 		s.adversaryStep()
 	}
@@ -545,10 +460,10 @@ func (s *Sim) Step() error {
 		case Altruist:
 			volunteers = append(volunteers, i)
 		case AttackerAgent:
-			// Legacy and trade attackers volunteer to earn scrip for the
-			// attack pool; crash attackers withhold service and ideal
-			// attackers stay out of protocol entirely.
-			if s.adv == nil || s.advTrades {
+			// Trade attackers volunteer to earn scrip for the attack pool;
+			// crash attackers withhold service and ideal attackers stay out
+			// of protocol entirely.
+			if s.advTrades {
 				volunteers = append(volunteers, i)
 			}
 		case Rational:
@@ -745,9 +660,7 @@ func (s *Sim) finish() Result {
 	if res.SpecialRequests > 0 {
 		res.SpecialAvailability = float64(res.SpecialServed) / float64(res.SpecialRequests)
 	}
-	if s.plan != nil && s.round > s.plan.StartRound {
-		res.SatiatedTargetFraction = s.satSum / float64(s.round-s.plan.StartRound)
-	} else if s.advRounds > 0 {
+	if s.advRounds > 0 {
 		res.SatiatedTargetFraction = s.satSum / float64(s.advRounds)
 	}
 	var util float64

@@ -25,8 +25,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative money", func(c *Config) { c.MoneyPerCapita = -1 }},
 		{"zero rounds", func(c *Config) { c.Rounds = 0 }},
 		{"altruists > 1", func(c *Config) { c.AltruistFraction = 1.1 }},
-		{"attackers < 0", func(c *Config) { c.AttackerFraction = -0.1 }},
-		{"fractions exceed 1", func(c *Config) { c.AltruistFraction = 0.6; c.AttackerFraction = 0.6 }},
 		{"cost >= 1", func(c *Config) { c.Cost = 1 }},
 		{"special providers out of range", func(c *Config) { c.SpecialProviders = c.Agents + 1 }},
 		{"special fraction without providers", func(c *Config) { c.SpecialRequestFraction = 0.5 }},
@@ -99,12 +97,11 @@ func TestMoneyConservation(t *testing.T) {
 // the budget.
 func TestMoneyConservationWithBudget(t *testing.T) {
 	cfg := quickCfg()
-	sim, err := New(cfg, 3)
+	cfg.AttackBudget = 500
+	opening := cfg.Agents * cfg.MoneyPerCapita
+	adv := &attack.Strategy{Kind: attack.Trade, TargetList: []int{1, 2, 3}}
+	sim, err := New(cfg, 3, WithAdversary(adv))
 	if err != nil {
-		t.Fatal(err)
-	}
-	opening := sim.MoneySupply()
-	if err := sim.Attack(AttackPlan{Targets: []int{1, 2, 3}, Budget: 500}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sim.Run()
@@ -116,24 +113,46 @@ func TestMoneyConservationWithBudget(t *testing.T) {
 	}
 }
 
+// TestMoneyConservationQuick is the money law for every attack kind: with
+// any seed and exogenous budget, the none, crash and trade attacks close
+// with exactly the opening supply (balances plus the attack pool), and the
+// ideal attack, which mints what it tops targets up with, adds exactly its
+// AttackerSpent. Budgets run from a pool that dries up mid-run to one that
+// never does.
 func TestMoneyConservationQuick(t *testing.T) {
+	kinds := []attack.Kind{attack.None, attack.Crash, attack.Ideal, attack.Trade}
 	err := quick.Check(func(seed uint64, budgetRaw uint16) bool {
-		cfg := quickCfg()
-		cfg.Rounds = 500
-		sim, err := New(cfg, seed)
-		if err != nil {
-			return false
+		for _, kind := range kinds {
+			cfg := quickCfg()
+			cfg.Rounds = 500
+			cfg.AttackBudget = int(budgetRaw % 512)
+			adv := &attack.Strategy{Kind: kind, Fraction: 0.05, SatiateFraction: 0.5}
+			sim, err := New(cfg, seed, WithAdversary(adv))
+			if err != nil {
+				return false
+			}
+			opening := sim.MoneySupply()
+			if opening != cfg.Agents*cfg.MoneyPerCapita+cfg.AttackBudget {
+				return false
+			}
+			res, err := sim.Run()
+			if err != nil {
+				return false
+			}
+			want := opening
+			if kind == attack.Ideal {
+				if res.AttackerSpent == 0 {
+					return false // the minting law would hold vacuously
+				}
+				want += res.AttackerSpent
+			}
+			if res.FinalMoneySupply != want {
+				t.Logf("%v, seed %d, budget %d: supply %d -> %d (spent %d)",
+					kind, seed, cfg.AttackBudget, opening, res.FinalMoneySupply, res.AttackerSpent)
+				return false
+			}
 		}
-		budget := int(budgetRaw)
-		opening := sim.MoneySupply()
-		if err := sim.Attack(AttackPlan{Targets: []int{0, 5}, Budget: budget}); err != nil {
-			return false
-		}
-		res, err := sim.Run()
-		if err != nil {
-			return false
-		}
-		return res.FinalMoneySupply == opening+budget
+		return true
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -144,15 +163,13 @@ func TestMoneyConservationQuick(t *testing.T) {
 // funded attack on all rational agents collapses paid service.
 func TestFundedAttackSatiatesTargets(t *testing.T) {
 	cfg := quickCfg()
-	sim, err := New(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.AttackBudget = 1 << 20
 	targets := make([]int, 25)
 	for i := range targets {
 		targets[i] = i
 	}
-	if err := sim.Attack(AttackPlan{Targets: targets, Budget: 1 << 20}); err != nil {
+	sim, err := New(cfg, 4, WithAdversary(&attack.Strategy{Kind: attack.Trade, TargetList: targets}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := sim.Run()
@@ -205,18 +222,10 @@ func TestStrategyBudgetAndStart(t *testing.T) {
 // keep a large fraction satiated (the money supply bound).
 func TestEarnedBudgetBounded(t *testing.T) {
 	cfg := quickCfg()
-	cfg.AttackerFraction = 0.1
-	sim, err := New(cfg, 5)
+	cfg.AttackStart = 500
+	adv := &attack.Strategy{Kind: attack.Trade, Fraction: 0.1, SatiateFraction: 0.6}
+	sim, err := New(cfg, 5, WithAdversary(adv))
 	if err != nil {
-		t.Fatal(err)
-	}
-	var targets []int
-	for i := 0; i < cfg.Agents && len(targets) < 30; i++ {
-		if sim.Kind(i) != AttackerAgent {
-			targets = append(targets, i)
-		}
-	}
-	if err := sim.Attack(AttackPlan{Targets: targets, Budget: 0, StartRound: 500}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sim.Run()
@@ -228,34 +237,6 @@ func TestEarnedBudgetBounded(t *testing.T) {
 	}
 	if res.AttackerShortfall == 0 {
 		t.Fatal("attacker never ran short of scrip")
-	}
-}
-
-func TestAttackValidation(t *testing.T) {
-	cfg := quickCfg()
-	cfg.AttackerFraction = 0.1
-	sim, err := New(cfg, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Attack(AttackPlan{Targets: []int{-1}}); err == nil {
-		t.Fatal("negative target accepted")
-	}
-	if err := sim.Attack(AttackPlan{Targets: []int{cfg.Agents}}); err == nil {
-		t.Fatal("out-of-range target accepted")
-	}
-	var attacker int = -1
-	for i := 0; i < cfg.Agents; i++ {
-		if sim.Kind(i) == AttackerAgent {
-			attacker = i
-			break
-		}
-	}
-	if attacker == -1 {
-		t.Fatal("no attacker agent placed")
-	}
-	if err := sim.Attack(AttackPlan{Targets: []int{attacker}}); err == nil {
-		t.Fatal("attacker-controlled target accepted")
 	}
 }
 
@@ -337,14 +318,14 @@ func TestRareProviderDenial(t *testing.T) {
 		cfg := quickCfg()
 		cfg.SpecialProviders = 5
 		cfg.SpecialRequestFraction = 0.05
-		sim, err := New(cfg, 10)
+		var opts []Option
+		if attacked {
+			cfg.AttackBudget = 1 << 20
+			opts = append(opts, WithAdversary(&attack.Strategy{Kind: attack.Trade, TargetList: []int{0, 1, 2, 3, 4}}))
+		}
+		sim, err := New(cfg, 10, opts...)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if attacked {
-			if err := sim.Attack(AttackPlan{Targets: []int{0, 1, 2, 3, 4}, Budget: 1 << 20}); err != nil {
-				t.Fatal(err)
-			}
 		}
 		res, err := sim.Run()
 		if err != nil {
@@ -473,9 +454,8 @@ func TestAltruistProvidersValidation(t *testing.T) {
 // never spend centralize the money supply and crash availability.
 func TestHoardersDrainEconomy(t *testing.T) {
 	run := func(hoarders float64) float64 {
-		cfg := quickCfg()
-		cfg.AttackerFraction = hoarders
-		sim, err := New(cfg, 23)
+		adv := &attack.Strategy{Kind: attack.Trade, Fraction: hoarders}
+		sim, err := New(quickCfg(), 23, WithAdversary(adv))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func buildAll(t *testing.T, seed uint64) map[string]sim.Model {
 
 	ds, err := coding.NewDissemination(coding.DisseminationConfig{
 		Graph: graph.Complete(20), Symbols: 4, PayloadSize: 8, Contacts: 2, Rounds: 15, Coded: true,
-	}, seed, nil)
+	}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,24 @@ import (
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/graph"
+	"lotuseater/internal/simrng"
 )
+
+// satiating returns a fresh option for an attacker that controls no nodes
+// and instantly satiates exactly the listed nodes every round.
+func satiating(nodes ...int) Option {
+	return WithAdversary(&attack.Strategy{Kind: attack.Ideal, TargetList: nodes})
+}
+
+// wrongSizeAdversary is a misbehaving custom adversary: it places no
+// nodes and instantly satiates a target set over a universe of n nodes,
+// whatever the simulation's population.
+type wrongSizeAdversary struct{ n int }
+
+func (a wrongSizeAdversary) Place(int, *simrng.Source) []int { return nil }
+func (a wrongSizeAdversary) Targets(int) *attack.TargetSet   { return attack.NewTargetSet(a.n, nil) }
+func (a wrongSizeAdversary) OnExchange(int, int, int) bool   { return false }
+func (a wrongSizeAdversary) SatiatesInstantly() bool         { return true }
 
 func validConfig() Config {
 	return Config{
@@ -130,7 +147,7 @@ func TestDeterministicReplay(t *testing.T) {
 // count as completed.
 func TestAttackerSatiatesTargets(t *testing.T) {
 	cfg := validConfig()
-	sim, err := New(cfg, 4, WithTargeter(attack.NewListTargeter(20, []int{3, 5})))
+	sim, err := New(cfg, 4, satiating(3, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +178,7 @@ func TestRareTokenDenial(t *testing.T) {
 		Rounds:     50,
 		Allocation: alloc,
 	}
-	sim, err := New(cfg, 5, WithTargeter(attack.NewListTargeter(n, []int{0})))
+	sim, err := New(cfg, 5, satiating(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +211,7 @@ func TestAltruismLeaksRareToken(t *testing.T) {
 		Rounds:     60,
 		Allocation: alloc,
 	}
-	sim, err := New(cfg, 6, WithTargeter(attack.NewListTargeter(n, []int{0})))
+	sim, err := New(cfg, 6, satiating(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,12 +286,12 @@ func TestStepPastHorizon(t *testing.T) {
 }
 
 func TestBadTargeterLength(t *testing.T) {
-	sim, err := New(validConfig(), 10, WithTargeter(attack.NewListTargeter(3, nil)))
+	sim, err := New(validConfig(), 10, WithAdversary(wrongSizeAdversary{n: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Step(); err == nil {
-		t.Fatal("mismatched targeter accepted")
+		t.Fatal("mismatched target set size accepted")
 	}
 }
 
@@ -315,11 +332,11 @@ func TestRoundAccessor(t *testing.T) {
 }
 
 func TestRunPropagatesStepError(t *testing.T) {
-	sim, err := New(validConfig(), 31, WithTargeter(attack.NewListTargeter(3, nil)))
+	sim, err := New(validConfig(), 31, WithAdversary(wrongSizeAdversary{n: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(); err == nil {
-		t.Fatal("Run swallowed the targeter error")
+		t.Fatal("Run swallowed the target set error")
 	}
 }

@@ -1,10 +1,12 @@
 // Package lotuseater is a reproduction of "The Lotus-Eater Attack" (Kash,
 // Friedman, Halpern; PODC 2008). It provides, behind one import:
 //
-//   - a BAR Gossip simulator with the paper's three attacks (crash, ideal
-//     lotus-eater, trade lotus-eater) and its defenses (larger optimistic
-//     pushes, slightly unbalanced exchanges, obedient reporting, rate
-//     limiting) — see NewGossip;
+//   - the paper's adversary as one substrate-independent Strategy: the
+//     crash, ideal lotus-eater and trade lotus-eater attacks, with static,
+//     rotating or explicitly listed satiation targets;
+//   - a BAR Gossip simulator with those attacks and the paper's protocol
+//     defenses (larger optimistic pushes, slightly unbalanced exchanges,
+//     obedient reporting) — see NewGossip;
 //   - the abstract token-collecting model (G, T, sat, f, c, a) of Section 3
 //     — see NewTokenModel;
 //   - a scrip economy with threshold strategies — see NewScrip;
@@ -14,6 +16,11 @@
 //   - every table and figure of the paper plus the extension experiments,
 //     as scenario data run by the scenario engine — see Figures and
 //     RunFigure (or `lotus-sim list` / `lotus-sim run <name>`).
+//
+// The gossip, token, scrip and coding constructors take their attack as a
+// *Strategy (nil for none); the swarm's attacks are SwarmConfig fields.
+// Receiver-side rate limiting is a scenario's defense block, installed by
+// the scenario engine.
 //
 // All five simulators implement the sim.Model interface of the shared
 // simulation kernel (internal/sim) — Step / Finished / Snapshot — and
@@ -30,6 +37,7 @@ import (
 	"lotuseater/internal/metrics"
 	"lotuseater/internal/scenario"
 	"lotuseater/internal/scrip"
+	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 	"lotuseater/internal/swarm"
 	"lotuseater/internal/tokenmodel"
@@ -75,8 +83,6 @@ type (
 	ScripConfig = scrip.Config
 	// ScripResult is a scrip run's outcome.
 	ScripResult = scrip.Result
-	// ScripAttackPlan configures the money-gifting lotus-eater attack.
-	ScripAttackPlan = scrip.AttackPlan
 
 	// SwarmConfig configures the BitTorrent-like swarm.
 	SwarmConfig = swarm.Config
@@ -91,8 +97,11 @@ type (
 	// Graph is an undirected communication graph.
 	Graph = graph.Graph
 
-	// AttackKind enumerates the paper's attacks on BAR Gossip.
+	// AttackKind enumerates the paper's attacks.
 	AttackKind = attack.Kind
+	// Strategy is the paper's adversary. It carries one run's state: pass a
+	// fresh value to every constructor call.
+	Strategy = attack.Strategy
 )
 
 // Attack kinds, re-exported for configuration literals.
@@ -125,28 +134,55 @@ const (
 // measurement settings.
 func DefaultGossipConfig() GossipConfig { return gossip.DefaultConfig() }
 
-// NewGossip builds a BAR Gossip simulation; deterministic in (cfg, seed).
-func NewGossip(cfg GossipConfig, seed uint64) (*gossip.Engine, error) {
-	return gossip.New(cfg, seed)
+// withAdversary checks adv against a population of n nodes and returns the
+// option that installs it; a nil adv is no attack and installs nothing.
+func withAdversary[O any](adv *Strategy, n int, with func(sim.Adversary) O) ([]O, error) {
+	if adv == nil {
+		return nil, nil
+	}
+	if err := adv.Validate(); err != nil {
+		return nil, err
+	}
+	if err := attack.ValidateTargetList(n, adv.TargetList); err != nil {
+		return nil, err
+	}
+	return []O{with(adv)}, nil
 }
 
-// NewTokenModel builds a Section 3 token-collecting simulation. satiate,
-// when non-empty, lists node ids the attacker satiates at the start of
-// every round.
-func NewTokenModel(cfg TokenModelConfig, seed uint64, satiate []int) (*tokenmodel.Sim, error) {
-	if len(satiate) == 0 {
-		return tokenmodel.New(cfg, seed)
+// NewGossip builds a BAR Gossip simulation under attack adv (nil for
+// none); deterministic in (cfg, seed).
+func NewGossip(cfg GossipConfig, seed uint64, adv *Strategy) (*gossip.Engine, error) {
+	opts, err := withAdversary(adv, cfg.Nodes, gossip.WithAdversary)
+	if err != nil {
+		return nil, err
 	}
-	t := attack.NewListTargeter(cfg.Graph.N(), satiate)
-	return tokenmodel.New(cfg, seed, tokenmodel.WithTargeter(t))
+	return gossip.New(cfg, seed, opts...)
+}
+
+// NewTokenModel builds a Section 3 token-collecting simulation under attack
+// adv (nil for none); an ideal attack satiates its targets every round.
+func NewTokenModel(cfg TokenModelConfig, seed uint64, adv *Strategy) (*tokenmodel.Sim, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	opts, err := withAdversary(adv, cfg.Graph.N(), tokenmodel.WithAdversary)
+	if err != nil {
+		return nil, err
+	}
+	return tokenmodel.New(cfg, seed, opts...)
 }
 
 // DefaultScripConfig returns a small healthy scrip economy.
 func DefaultScripConfig() ScripConfig { return scrip.DefaultConfig() }
 
-// NewScrip builds a scrip economy simulation.
-func NewScrip(cfg ScripConfig, seed uint64) (*scrip.Sim, error) {
-	return scrip.New(cfg, seed)
+// NewScrip builds a scrip economy simulation under attack adv (nil for
+// none), funded by cfg.AttackBudget from cfg.AttackStart on.
+func NewScrip(cfg ScripConfig, seed uint64, adv *Strategy) (*scrip.Sim, error) {
+	opts, err := withAdversary(adv, cfg.Agents, scrip.WithAdversary)
+	if err != nil {
+		return nil, err
+	}
+	return scrip.New(cfg, seed, opts...)
 }
 
 // DefaultSwarmConfig returns a modest healthy swarm.
@@ -157,14 +193,17 @@ func NewSwarm(cfg SwarmConfig, seed uint64) (*swarm.Sim, error) {
 	return swarm.New(cfg, seed)
 }
 
-// NewDissemination builds the coded-vs-plain dissemination simulation.
-// satiate lists node ids the attacker satiates every round.
-func NewDissemination(cfg DisseminationConfig, seed uint64, satiate []int) (*coding.Dissemination, error) {
-	var t attack.Targeter
-	if len(satiate) > 0 {
-		t = attack.NewListTargeter(cfg.Graph.N(), satiate)
+// NewDissemination builds the coded-vs-plain dissemination simulation under
+// attack adv (nil for none).
+func NewDissemination(cfg DisseminationConfig, seed uint64, adv *Strategy) (*coding.Dissemination, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return coding.NewDissemination(cfg, seed, t)
+	opts, err := withAdversary(adv, cfg.Graph.N(), coding.WithAdversary)
+	if err != nil {
+		return nil, err
+	}
+	return coding.NewDissemination(cfg, seed, opts...)
 }
 
 // CompleteGraph returns the complete graph K_n.
