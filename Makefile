@@ -8,7 +8,7 @@
 #   make figures    # regenerate every table/figure at quick fidelity
 #   make race       # race-check the concurrency kernel + strategy layer
 #   make loc        # non-test Go lines in the module (go list-scoped)
-#   make examples   # run every example program (the facade's callers)
+#   make examples   # run every example program (the facade's callers), diff its output
 
 GO ?= go
 GOFMT ?= gofmt
@@ -99,13 +99,19 @@ loc:
 	@$(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .CgoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
 		| tr ' ' '\n' | grep -v '^$$' | xargs cat | wc -l
 
-# The example programs are the facade's only callers; run each one so a
-# facade change that breaks them (or makes one exit non-zero) fails loudly.
+# The example programs are the facade's only callers; run each one and diff
+# its stdout against examples/testdata/<name>.txt, so a facade change that
+# breaks one, makes it exit non-zero, or changes what it prints fails
+# loudly. After an intended output change, regenerate the pins with
+#   for ex in codingdefense filesharing observation quickstart scripeconomy streaming; do
+#     go run ./examples/$ex > examples/testdata/$ex.txt; done
+# and review their diff like code.
 EXAMPLES = codingdefense filesharing observation quickstart scripeconomy streaming
 
 examples:
 	@for ex in $(EXAMPLES); do \
-		echo "== examples/$$ex"; $(GO) run ./examples/$$ex || exit 1; done
+		echo "== examples/$$ex"; out=$$($(GO) run ./examples/$$ex) || exit 1; \
+		printf '%s\n' "$$out" | diff -u examples/testdata/$$ex.txt - || exit 1; done
 
 clean:
 	$(GO) clean ./...

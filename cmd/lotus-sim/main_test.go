@@ -66,7 +66,7 @@ func TestScripRunSmoke(t *testing.T) {
 func TestScripRunWithAttack(t *testing.T) {
 	err := single("x/none-scrip", "nodes=60", "rounds=2000",
 		"adversary.kind=trade", "adversary.fraction=0.05", "adversary.targets=0,1,2,3,4",
-		"params.budget=5000", "params.start=100", "params.special=5", "params.specialReq=0.1")
+		"params.budget=5000", "adversary.start=100", "params.special=5", "params.specialReq=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestScripRunBadConfig(t *testing.T) {
 	}
 }
 
-// Both swarm attacks on a fragile swarm under random selection; unknown
-// attack and selection codes are rejected.
+// Both ranked swarm attacks on a fragile swarm under random selection;
+// unknown rank and selection codes are rejected.
 func TestSwarmRunSmoke(t *testing.T) {
 	if err := single("x/none-swarm", "nodes=30", "params.pieces=32", "rounds=200"); err != nil {
 		t.Fatal(err)
@@ -87,12 +87,12 @@ func TestSwarmRunSmoke(t *testing.T) {
 }
 
 func TestSwarmRunAttackVariants(t *testing.T) {
-	for _, attack := range []string{"2", "3"} {
+	for _, rank := range []string{"uploaders", "rarest"} {
 		err := single("x/none-swarm", "nodes=30", "params.pieces=32", "rounds=200",
-			"params.attack="+attack, "params.uplink=16", "params.targets=2",
+			"adversary.kind=ideal", "adversary.rank="+rank, "adversary.satiateFraction=0.07", "params.uplink=16",
 			"params.selection=1", "params.seedDepart=40", "params.seedAfter=0")
 		if err != nil {
-			t.Fatalf("attack %s: %v", attack, err)
+			t.Fatalf("rank %s: %v", rank, err)
 		}
 	}
 }
@@ -104,8 +104,8 @@ func TestSwarmRunBadSelection(t *testing.T) {
 }
 
 func TestSwarmRunBadAttack(t *testing.T) {
-	if err := single("x/none-swarm", "params.attack=7", "params.targets=2"); err == nil {
-		t.Fatal("bogus attack accepted")
+	if err := single("x/none-swarm", "adversary.kind=ideal", "adversary.rank=7"); err == nil {
+		t.Fatal("bogus rank accepted")
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"lotuseater"
 )
 
-func run(cfg lotuseater.SwarmConfig, seed uint64) lotuseater.SwarmResult {
-	sim, err := lotuseater.NewSwarm(cfg, seed)
+func run(cfg lotuseater.SwarmConfig, seed uint64, adv *lotuseater.Strategy) lotuseater.SwarmResult {
+	sim, err := lotuseater.NewSwarm(cfg, seed, adv)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,15 +26,20 @@ func run(cfg lotuseater.SwarmConfig, seed uint64) lotuseater.SwarmResult {
 }
 
 func main() {
-	// Part 1: satiate the swarm's best uploaders. Completed leechers keep
-	// seeding, so the attacker's bandwidth is a donation.
+	// Part 1: satiate the swarm's 8 best uploaders. Completed leechers keep
+	// seeding, so the attacker's bandwidth is a donation. The attacker
+	// controls no leecher: it uploads from outside, best-ranked target
+	// first.
 	base := lotuseater.DefaultSwarmConfig()
 	attacked := base
-	attacked.Attack = lotuseater.SwarmAttackTopUploaders
 	attacked.AttackerUplink = 32
-	attacked.AttackTargets = 8
+	topUploaders := &lotuseater.Strategy{
+		Kind:            lotuseater.AttackIdeal,
+		SatiateFraction: 8 / float64(base.Leechers),
+		Rank:            "uploaders",
+	}
 
-	b, a := run(base, 1), run(attacked, 1)
+	b, a := run(base, 1, nil), run(attacked, 1, topUploaders)
 	fmt.Println("part 1: satiate the top uploaders of a healthy swarm")
 	fmt.Printf("  no attack:  %.0f%% complete, mean %.0f ticks\n", 100*b.CompletedFraction, b.MeanCompletionTick)
 	fmt.Printf("  attacked:   %.0f%% complete, mean %.0f ticks\n", 100*a.CompletedFraction, a.MeanCompletionTick)
@@ -42,16 +47,23 @@ func main() {
 	fmt.Println()
 
 	// Part 2: the rare-piece campaign against a fragile swarm (initial seed
-	// departs; finished leechers leave). Compare piece-selection policies.
+	// departs; finished leechers leave). The attacker satiates the 2
+	// holders of the rarest pieces from tick 10 until the seed leaves at
+	// tick 60. Compare piece-selection policies.
 	fragile := base
 	fragile.SeedDepartTick = 60
 	fragile.SeedAfterComplete = false
 	fragile.Ticks = 600
-	fragile.Attack = lotuseater.SwarmAttackRarePieceHolders
 	fragile.AttackerUplink = 64
-	fragile.AttackTargets = 2
-	fragile.AttackStartTick = 10
-	fragile.AttackStopTick = 60
+	rareHolders := func() *lotuseater.Strategy {
+		return &lotuseater.Strategy{
+			Kind:            lotuseater.AttackIdeal,
+			SatiateFraction: 2 / float64(base.Leechers),
+			Rank:            "rarest",
+			Start:           10,
+			Stop:            60,
+		}
+	}
 
 	random := fragile
 	random.Selection = lotuseater.SwarmSelectRandom
@@ -60,8 +72,8 @@ func main() {
 	var rfLost, rndLost, rfDone, rndDone float64
 	const seeds = 5
 	for s := uint64(0); s < seeds; s++ {
-		rf := run(fragile, 10+s)
-		rnd := run(random, 10+s)
+		rf := run(fragile, 10+s, rareHolders())
+		rnd := run(random, 10+s, rareHolders())
 		rfLost += float64(rf.LostPieces)
 		rndLost += float64(rnd.LostPieces)
 		rfDone += rf.CompletedFraction

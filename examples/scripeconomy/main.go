@@ -37,9 +37,8 @@ func main() {
 			}
 			// An attacker with no agents of its own, topping the providers
 			// up from a deep pocket from round 1000 on.
-			adv = &lotuseater.Strategy{Kind: lotuseater.AttackTrade, TargetList: targets}
+			adv = &lotuseater.Strategy{Kind: lotuseater.AttackTrade, TargetList: targets, Start: 1000}
 			cfg.AttackBudget = 1 << 20
-			cfg.AttackStart = 1000
 		}
 		sim, err := lotuseater.NewScrip(cfg, 11, adv)
 		if err != nil {
@@ -60,15 +59,14 @@ func main() {
 		hit.AttackerSpent, cfg.Agents*cfg.MoneyPerCapita)
 
 	// Part 2: try to satiate 60% of the whole economy on earned scrip only.
-	// The attacker's 5% of agents earn in-system; any of its own agents
-	// among the listed targets are skipped.
+	// The attacker's 5% of agents earn in-system (alone for the first 1000
+	// rounds); any of its own agents among the listed targets are skipped.
 	cfg2 := lotuseater.DefaultScripConfig()
-	cfg2.AttackStart = 1000
 	targets := make([]int, int(0.6*float64(cfg2.Agents)))
 	for i := range targets {
 		targets[i] = i
 	}
-	earner := &lotuseater.Strategy{Kind: lotuseater.AttackTrade, Fraction: 0.05, TargetList: targets}
+	earner := &lotuseater.Strategy{Kind: lotuseater.AttackTrade, Fraction: 0.05, TargetList: targets, Start: 1000}
 	sim, err := lotuseater.NewScrip(cfg2, 12, earner)
 	if err != nil {
 		log.Fatal(err)

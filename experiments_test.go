@@ -298,8 +298,8 @@ type facadeRun interface {
 	Finished() bool
 }
 
-// facadeCase builds one small instance of a simulator whose facade
-// constructor takes an attack.
+// facadeCase builds one small instance of a simulator through its facade
+// constructor, which takes an attack.
 type facadeCase struct {
 	name  string
 	build func(adv *Strategy) (facadeRun, error)
@@ -312,6 +312,10 @@ func facadeCases() []facadeCase {
 	gossipCfg.Warmup = 5
 	scripCfg := DefaultScripConfig()
 	scripCfg.Rounds = 2000
+	swarmCfg := DefaultSwarmConfig()
+	swarmCfg.Leechers = 20
+	swarmCfg.Pieces = 16
+	swarmCfg.Ticks = 100
 	return []facadeCase{
 		{"gossip", func(adv *Strategy) (facadeRun, error) { return NewGossip(gossipCfg, 1, adv) }},
 		{"token", func(adv *Strategy) (facadeRun, error) {
@@ -323,6 +327,7 @@ func facadeCases() []facadeCase {
 			}, 2, adv)
 		}},
 		{"scrip", func(adv *Strategy) (facadeRun, error) { return NewScrip(scripCfg, 3, adv) }},
+		{"swarm", func(adv *Strategy) (facadeRun, error) { return NewSwarm(swarmCfg, 4, adv) }},
 		{"coding", func(adv *Strategy) (facadeRun, error) {
 			return NewDissemination(DisseminationConfig{
 				Graph:       RandomGraph(30, 0.2, 7),
@@ -338,7 +343,8 @@ func facadeCases() []facadeCase {
 
 // TestFacadeConstructors: every constructor runs unattacked (nil) and under
 // an explicit target list, and rejects an invalid strategy with its
-// validation error before building anything.
+// validation error before building anything. Only the swarm ranks its
+// nodes: it runs a ranked strategy, which every other constructor rejects.
 func TestFacadeConstructors(t *testing.T) {
 	drive := func(name string, m facadeRun, err error) {
 		t.Helper()
@@ -363,6 +369,12 @@ func TestFacadeConstructors(t *testing.T) {
 		if _, err := c.build(&Strategy{Kind: AttackIdeal, TargetList: []int{1000}}); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("%s: target 1000 gave %v, want the out-of-range error", c.name, err)
 		}
+		m, err = c.build(&Strategy{Kind: AttackIdeal, SatiateFraction: 0.1, Rank: "uploaders"})
+		if c.name == "swarm" {
+			drive(c.name+" ranked", m, err)
+		} else if err == nil || !strings.Contains(err.Error(), "ranks its nodes") {
+			t.Fatalf("%s: a ranked strategy gave %v, want the ranking error", c.name, err)
+		}
 	}
 
 	// A valid trade strategy places the attacker's roles: 20% of 50 nodes.
@@ -380,18 +392,6 @@ func TestFacadeConstructors(t *testing.T) {
 	}
 	if attackers != 10 {
 		t.Fatalf("trade strategy placed %d attacker roles, want 10", attackers)
-	}
-
-	swCfg := DefaultSwarmConfig()
-	swCfg.Leechers = 20
-	swCfg.Pieces = 16
-	swCfg.Ticks = 100
-	sw, err := NewSwarm(swCfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.Run(); err != nil {
-		t.Fatal(err)
 	}
 
 	if GridGraph(3, 3).N() != 9 {

@@ -73,17 +73,12 @@ func ParseKind(s string) (Kind, error) {
 // random. The paper's x-axis, "fraction of nodes controlled by attacker",
 // sweeps this fraction.
 func PlaceAttackers(n int, fraction float64, rng *simrng.Source) []int {
-	if fraction < 0 {
-		fraction = 0
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	k := int(fraction*float64(n) + 0.5)
-	if k > n {
-		k = n
-	}
-	return rng.SampleInts(n, k)
+	return rng.SampleInts(n, share(fraction, n))
+}
+
+// share returns round(fraction·n) with fraction clamped to [0, 1].
+func share(fraction float64, n int) int {
+	return int(min(max(fraction, 0), 1)*float64(n) + 0.5)
 }
 
 // Targeter decides, per round, which nodes the attacker attempts to satiate.
@@ -218,19 +213,13 @@ func ValidateTargetList(n int, nodes []int) error {
 // it across epochs. RNG consumption is exactly one SampleInts draw, identical
 // to the historical dense implementation, so seeds reproduce the same sets.
 func selectTargets(n int, attackers []int, fraction float64, rng *simrng.Source, scratch *[]int) *TargetSet {
-	if fraction < 0 {
-		fraction = 0
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
 	bits := bitset.New(n)
 	for _, a := range attackers {
 		if a >= 0 && a < n {
 			bits.Add(a)
 		}
 	}
-	want := int(fraction*float64(n) + 0.5)
+	want := share(fraction, n)
 	have := bits.Len()
 	if want > have {
 		// Pick the remaining targets among honest nodes, uniformly.

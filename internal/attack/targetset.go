@@ -58,7 +58,8 @@ func (t *TargetSet) Len() int { return len(t.members) }
 // Has reports whether node v is targeted. Out-of-range ids read as false.
 func (t *TargetSet) Has(v int) bool { return t.bits.Has(v) }
 
-// Members returns the targeted node ids in ascending order. Callers must
+// Members returns the targeted node ids in ascending order, except that a
+// ranked strategy's sets list them in rank order, best first. Callers must
 // treat the slice as read-only; it is shared by every caller for the epoch.
 func (t *TargetSet) Members() []int { return t.members }
 
@@ -69,13 +70,22 @@ func (t *TargetSet) Members() []int { return t.members }
 func (t *TargetSet) Epoch() int { return t.epoch }
 
 // Added returns the node ids targeted in this epoch that were not targeted
-// in the previous one, ascending. For a targeter's first epoch it equals
-// Members. Read-only, like Members.
+// in the previous one, ascending. For a targeter's first epoch, and for the
+// set that opens a campaign window, it is Members itself. Read-only, like
+// Members.
 func (t *TargetSet) Added() []int { return t.added }
 
 // Removed returns the node ids targeted in the previous epoch but not in
 // this one, ascending. Read-only, like Members.
 func (t *TargetSet) Removed() []int { return t.removed }
+
+// asFirst returns a copy of t whose journal adds every member and removes
+// nothing, as a targeter's first epoch does.
+func (t *TargetSet) asFirst() *TargetSet {
+	c := *t
+	c.added, c.removed = c.members, nil
+	return &c
+}
 
 // diffFrom fills t's change journal with the symmetric difference against
 // prev (word-wise, O(n/64 + |changed|)) and stamps the successor epoch.

@@ -4,10 +4,9 @@
 // A system in the paper's model is characterized in part by an undirected
 // graph G = (V, E) whose nodes are users and whose edges are the pairs of
 // nodes that can potentially communicate. The package offers generators for
-// the topologies the paper discusses (complete graphs for gossip-style
-// systems, grids for sensor networks, Erdős–Rényi random graphs,
-// rings and small-world rewirings) and the structural queries an attacker or
-// analyst needs (connectivity, components, cuts, BFS distance).
+// the topologies the paper discusses: complete graphs for gossip-style
+// systems, grids (and their column cuts) for sensor networks, and
+// Erdős–Rényi and near-regular random graphs.
 package graph
 
 import (
@@ -34,15 +33,6 @@ func New(n int) *Graph {
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
-
-// M returns the number of edges.
-func (g *Graph) M() int {
-	total := 0
-	for _, nb := range g.adj {
-		total += len(nb)
-	}
-	return total / 2
-}
 
 // AddEdge inserts the undirected edge (u, v). Self-loops and duplicate edges
 // are ignored. It returns an error if either endpoint is out of range.
@@ -95,34 +85,14 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// AdjList returns u's neighbor list without copying; out-of-range u reads
-// as empty. The slice aliases the graph's internal storage and must be
-// treated as read-only — it exists for simulator hot loops, where the
-// defensive copy Neighbors makes per call dominates the round.
+// AdjList returns u's sorted neighbor list without copying; out-of-range u
+// reads as empty. The slice aliases the graph's internal storage and must
+// be treated as read-only: simulator hot loops read it every round.
 func (g *Graph) AdjList(u int) []int {
 	if u < 0 || u >= g.n {
 		return nil
 	}
 	return g.adj[u]
-}
-
-// Neighbors returns the sorted neighbor list of u. The returned slice is a
-// copy; callers may mutate it freely.
-func (g *Graph) Neighbors(u int) []int {
-	if u < 0 || u >= g.n {
-		return nil
-	}
-	out := make([]int, len(g.adj[u]))
-	copy(out, g.adj[u])
-	return out
-}
-
-// Degree returns the degree of u, or 0 for out-of-range u.
-func (g *Graph) Degree(u int) int {
-	if u < 0 || u >= g.n {
-		return 0
-	}
-	return len(g.adj[u])
 }
 
 // Complete returns the complete graph K_n.
@@ -234,138 +204,6 @@ func RandomRegularish(n, deg int, rng *simrng.Source) *Graph {
 		g.adj[u] = adj
 	}
 	return g
-}
-
-// BFS returns the hop distance from src to every node; unreachable nodes get
-// distance -1.
-func (g *Graph) BFS(src int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	if src < 0 || src >= g.n {
-		return dist
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// Connected reports whether the graph is connected. The empty graph and the
-// single-node graph are connected.
-func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	dist := g.BFS(0)
-	for _, d := range dist {
-		if d == -1 {
-			return false
-		}
-	}
-	return true
-}
-
-// Components returns the connected components as slices of node indices,
-// each sorted ascending, ordered by smallest member.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		comps = append(comps, sortedCopy(comp))
-	}
-	return comps
-}
-
-func sortedCopy(s []int) []int {
-	out := make([]int, len(s))
-	copy(out, s)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-// RemoveNodes returns a copy of g with the given nodes' edges removed (the
-// nodes remain as isolated vertices, matching the paper's satiated nodes
-// which stay in the system but stop exchanging).
-func (g *Graph) RemoveNodes(nodes []int) *Graph {
-	gone := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		gone[v] = true
-	}
-	out := New(g.n)
-	for u := 0; u < g.n; u++ {
-		if gone[u] {
-			continue
-		}
-		for _, v := range g.adj[u] {
-			if v > u && !gone[v] {
-				_ = out.AddEdge(u, v)
-			}
-		}
-	}
-	return out
-}
-
-// IsCut reports whether removing the given nodes disconnects the remaining
-// graph (i.e. leaves at least two nonempty components among survivors).
-func (g *Graph) IsCut(nodes []int) bool {
-	h := g.RemoveNodes(nodes)
-	gone := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		gone[v] = true
-	}
-	survivors := 0
-	first := -1
-	for u := 0; u < g.n; u++ {
-		if !gone[u] {
-			survivors++
-			if first == -1 {
-				first = u
-			}
-		}
-	}
-	if survivors <= 1 {
-		return false
-	}
-	dist := h.BFS(first)
-	reached := 0
-	for u := 0; u < g.n; u++ {
-		if !gone[u] && dist[u] >= 0 {
-			reached++
-		}
-	}
-	return reached < survivors
 }
 
 // GridColumnCut returns the node indices of column col in a rows x cols grid

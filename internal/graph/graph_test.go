@@ -7,10 +7,80 @@ import (
 	"lotuseater/internal/simrng"
 )
 
+// edges counts g's undirected edges pair by pair through HasEdge, so it is
+// independent of the adjacency lists the degree checks read.
+func edges(g *Graph) int {
+	m := 0
+	for u := 0; u < g.N(); u++ {
+		for v := u + 1; v < g.N(); v++ {
+			if g.HasEdge(u, v) {
+				m++
+			}
+		}
+	}
+	return m
+}
+
+// bfs returns the hop distance from src to every node over paths that avoid
+// the gone nodes; unreachable (and gone) nodes get -1.
+func bfs(g *Graph, src int, gone map[int]bool) []int {
+	dist := make([]int, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	if src < 0 || src >= g.N() || gone[src] {
+		return dist
+	}
+	dist[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range g.AdjList(u) {
+			if dist[v] == -1 && !gone[v] {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}
+
+// isCut is the cut oracle: whether removing nodes leaves at least two
+// survivors that cannot reach each other.
+func isCut(g *Graph, nodes []int) bool {
+	gone := make(map[int]bool, len(nodes))
+	for _, v := range nodes {
+		gone[v] = true
+	}
+	first, survivors := -1, 0
+	for u := 0; u < g.N(); u++ {
+		if !gone[u] {
+			survivors++
+			if first == -1 {
+				first = u
+			}
+		}
+	}
+	if survivors <= 1 {
+		return false
+	}
+	reached := 0
+	for _, d := range bfs(g, first, gone) {
+		if d >= 0 {
+			reached++
+		}
+	}
+	return reached < survivors
+}
+
+// connected reports whether every node reaches every other.
+func connected(g *Graph) bool { return !isCut(g, nil) }
+
 func TestNewAndAddEdge(t *testing.T) {
 	g := New(5)
-	if g.N() != 5 || g.M() != 0 {
-		t.Fatalf("N=%d M=%d, want 5, 0", g.N(), g.M())
+	if g.N() != 5 || edges(g) != 0 {
+		t.Fatalf("N=%d M=%d, want 5, 0", g.N(), edges(g))
 	}
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
@@ -21,8 +91,8 @@ func TestNewAndAddEdge(t *testing.T) {
 	if err := g.AddEdge(2, 2); err != nil {
 		t.Fatal(err) // self-loop, ignored
 	}
-	if g.M() != 1 {
-		t.Fatalf("M = %d, want 1", g.M())
+	if edges(g) != 1 {
+		t.Fatalf("M = %d, want 1", edges(g))
 	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Fatal("edge (0,1) missing in one direction")
@@ -42,43 +112,39 @@ func TestAddEdgeOutOfRange(t *testing.T) {
 	}
 }
 
-func TestNeighborsSortedAndCopied(t *testing.T) {
+func TestAdjListSorted(t *testing.T) {
 	g := New(6)
 	for _, v := range []int{5, 2, 4, 1} {
 		if err := g.AddEdge(3, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	nb := g.Neighbors(3)
+	nb := g.AdjList(3)
 	want := []int{1, 2, 4, 5}
 	if len(nb) != len(want) {
-		t.Fatalf("Neighbors = %v", nb)
+		t.Fatalf("AdjList = %v", nb)
 	}
 	for i := range want {
 		if nb[i] != want[i] {
-			t.Fatalf("Neighbors = %v, want sorted %v", nb, want)
+			t.Fatalf("AdjList = %v, want sorted %v", nb, want)
 		}
 	}
-	nb[0] = 99 // must not corrupt the graph
-	if g.Neighbors(3)[0] != 1 {
-		t.Fatal("Neighbors returned a live reference")
-	}
-	if g.Neighbors(-1) != nil || g.Neighbors(6) != nil {
-		t.Fatal("out-of-range Neighbors not nil")
+	if g.AdjList(-1) != nil || g.AdjList(6) != nil {
+		t.Fatal("out-of-range AdjList not nil")
 	}
 }
 
 func TestComplete(t *testing.T) {
 	g := Complete(6)
-	if g.M() != 15 {
-		t.Fatalf("K6 has %d edges, want 15", g.M())
+	if edges(g) != 15 {
+		t.Fatalf("K6 has %d edges, want 15", edges(g))
 	}
 	for v := 0; v < 6; v++ {
-		if g.Degree(v) != 5 {
-			t.Fatalf("node %d degree %d, want 5", v, g.Degree(v))
+		if len(g.AdjList(v)) != 5 {
+			t.Fatalf("node %d degree %d, want 5", v, len(g.AdjList(v)))
 		}
 	}
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("K6 not connected")
 	}
 }
@@ -89,18 +155,18 @@ func TestGrid(t *testing.T) {
 		t.Fatalf("N = %d", g.N())
 	}
 	// Edges: horizontal 3*3 + vertical 2*4 = 17.
-	if g.M() != 17 {
-		t.Fatalf("M = %d, want 17", g.M())
+	if edges(g) != 17 {
+		t.Fatalf("M = %d, want 17", edges(g))
 	}
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("grid not connected")
 	}
 	// Corner degree 2, middle degree 4.
-	if g.Degree(0) != 2 {
-		t.Fatalf("corner degree %d", g.Degree(0))
+	if len(g.AdjList(0)) != 2 {
+		t.Fatalf("corner degree %d", len(g.AdjList(0)))
 	}
-	if g.Degree(1*4+1) != 4 {
-		t.Fatalf("interior degree %d", g.Degree(5))
+	if len(g.AdjList(1*4+1)) != 4 {
+		t.Fatalf("interior degree %d", len(g.AdjList(5)))
 	}
 }
 
@@ -108,7 +174,7 @@ func TestRandomEdgeProbability(t *testing.T) {
 	rng := simrng.New(1)
 	g := Random(100, 0.1, rng)
 	maxEdges := 100 * 99 / 2
-	frac := float64(g.M()) / float64(maxEdges)
+	frac := float64(edges(g)) / float64(maxEdges)
 	if frac < 0.07 || frac > 0.13 {
 		t.Fatalf("G(100, 0.1) realized edge fraction %g", frac)
 	}
@@ -116,23 +182,23 @@ func TestRandomEdgeProbability(t *testing.T) {
 
 func TestRandomExtremes(t *testing.T) {
 	rng := simrng.New(1)
-	if g := Random(20, 0, rng); g.M() != 0 {
-		t.Fatalf("G(20,0) has %d edges", g.M())
+	if g := Random(20, 0, rng); edges(g) != 0 {
+		t.Fatalf("G(20,0) has %d edges", edges(g))
 	}
-	if g := Random(20, 1, rng); g.M() != 190 {
-		t.Fatalf("G(20,1) has %d edges, want 190", g.M())
+	if g := Random(20, 1, rng); edges(g) != 190 {
+		t.Fatalf("G(20,1) has %d edges, want 190", edges(g))
 	}
 }
 
 func TestRandomRegularishConnected(t *testing.T) {
 	rng := simrng.New(3)
 	g := RandomRegularish(200, 4, rng)
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("RandomRegularish(200, 4) disconnected")
 	}
 	for v := 0; v < 200; v++ {
-		if g.Degree(v) < 4 {
-			t.Fatalf("node %d degree %d < requested 4", v, g.Degree(v))
+		if len(g.AdjList(v)) < 4 {
+			t.Fatalf("node %d degree %d < requested 4", v, len(g.AdjList(v)))
 		}
 	}
 }
@@ -140,79 +206,49 @@ func TestRandomRegularishConnected(t *testing.T) {
 func TestRandomRegularishDegreeClamp(t *testing.T) {
 	rng := simrng.New(3)
 	g := RandomRegularish(4, 10, rng)
-	if g.M() != 6 {
-		t.Fatalf("deg clamp failed: M = %d, want complete graph 6", g.M())
+	if edges(g) != 6 {
+		t.Fatalf("deg clamp failed: M = %d, want complete graph 6", edges(g))
 	}
 }
 
+// TestBFS checks the distance oracle the cut and connectivity checks use.
 func TestBFS(t *testing.T) {
 	g := Grid(1, 5) // path 0-1-2-3-4
-	dist := g.BFS(0)
+	dist := bfs(g, 0, nil)
 	for i, want := range []int{0, 1, 2, 3, 4} {
 		if dist[i] != want {
 			t.Fatalf("dist[%d] = %d, want %d", i, dist[i], want)
 		}
 	}
-	if d := New(3).BFS(0); d[1] != -1 || d[2] != -1 {
+	if d := bfs(g, 0, map[int]bool{2: true}); d[1] != 1 || d[2] != -1 || d[3] != -1 {
+		t.Fatalf("distances around a gone node: %v", d)
+	}
+	if d := bfs(New(3), 0, nil); d[1] != -1 || d[2] != -1 {
 		t.Fatal("unreachable nodes should get -1")
 	}
-	if d := New(3).BFS(-1); d[0] != -1 {
+	if d := bfs(New(3), -1, nil); d[0] != -1 {
 		t.Fatal("out-of-range src should mark all unreachable")
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g := New(6)
-	_ = g.AddEdge(0, 1)
-	_ = g.AddEdge(1, 2)
-	_ = g.AddEdge(4, 5)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3 (%v)", len(comps), comps)
-	}
-	if len(comps[0]) != 3 || comps[0][0] != 0 {
-		t.Fatalf("first component %v", comps[0])
-	}
-	if len(comps[1]) != 1 || comps[1][0] != 3 {
-		t.Fatalf("singleton component %v", comps[1])
-	}
-}
-
 func TestConnectedTrivial(t *testing.T) {
-	if !New(0).Connected() || !New(1).Connected() {
+	if !connected(New(0)) || !connected(New(1)) {
 		t.Fatal("empty/singleton graphs should be connected")
 	}
-	if New(2).Connected() {
+	if connected(New(2)) {
 		t.Fatal("two isolated nodes reported connected")
-	}
-}
-
-func TestRemoveNodes(t *testing.T) {
-	g := Grid(1, 5)
-	h := g.RemoveNodes([]int{2})
-	if h.N() != 5 {
-		t.Fatal("RemoveNodes changed node count")
-	}
-	if h.HasEdge(1, 2) || h.HasEdge(2, 3) {
-		t.Fatal("edges to removed node survive")
-	}
-	if !h.HasEdge(0, 1) || !h.HasEdge(3, 4) {
-		t.Fatal("unrelated edges lost")
-	}
-	if g.HasEdge(1, 2) == false {
-		t.Fatal("RemoveNodes mutated the original")
 	}
 }
 
 func TestIsCut(t *testing.T) {
 	g := Grid(1, 5)
-	if !g.IsCut([]int{2}) {
+	if !isCut(g, []int{2}) {
 		t.Fatal("middle of a path is a cut")
 	}
-	if g.IsCut([]int{0}) {
+	if isCut(g, []int{0}) {
 		t.Fatal("endpoint of a path is not a cut")
 	}
-	if g.IsCut([]int{0, 1, 2, 3}) {
+	if isCut(g, []int{0, 1, 2, 3}) {
 		t.Fatal("one survivor cannot be disconnected")
 	}
 }
@@ -223,16 +259,17 @@ func TestGridColumnCutIsCut(t *testing.T) {
 	if len(cut) != 8 {
 		t.Fatalf("cut has %d nodes", len(cut))
 	}
-	if !g.IsCut(cut) {
+	if !isCut(g, cut) {
 		t.Fatal("full column does not cut the grid")
 	}
 	partial := cut[:7]
-	if g.IsCut(partial) {
+	if isCut(g, partial) {
 		t.Fatal("partial column should not cut the grid")
 	}
 }
 
-// TestDegreeSumEqualsTwiceEdges is the handshake lemma on random graphs.
+// TestDegreeSumEqualsTwiceEdges is the handshake lemma on random graphs:
+// the adjacency lists agree with HasEdge.
 func TestDegreeSumEqualsTwiceEdges(t *testing.T) {
 	err := quick.Check(func(seed uint64, nRaw, pRaw uint8) bool {
 		n := int(nRaw%40) + 2
@@ -240,9 +277,9 @@ func TestDegreeSumEqualsTwiceEdges(t *testing.T) {
 		g := Random(n, p, simrng.New(seed))
 		sum := 0
 		for v := 0; v < n; v++ {
-			sum += g.Degree(v)
+			sum += len(g.AdjList(v))
 		}
-		return sum == 2*g.M()
+		return sum == 2*edges(g)
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -254,38 +291,18 @@ func TestDegreeSumEqualsTwiceEdges(t *testing.T) {
 func TestBFSTriangleInequality(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g := Random(30, 0.15, simrng.New(seed))
-		dist := g.BFS(0)
+		dist := bfs(g, 0, nil)
 		for u := 0; u < 30; u++ {
 			if dist[u] < 0 {
 				continue
 			}
-			for _, v := range g.Neighbors(u) {
+			for _, v := range g.AdjList(u) {
 				if dist[v] < 0 || dist[v] > dist[u]+1 || dist[u] > dist[v]+1 {
 					return false
 				}
 			}
 		}
 		return true
-	}, &quick.Config{MaxCount: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestComponentsPartition: components partition the vertex set.
-func TestComponentsPartition(t *testing.T) {
-	err := quick.Check(func(seed uint64) bool {
-		g := Random(25, 0.05, simrng.New(seed))
-		seen := make(map[int]bool)
-		for _, comp := range g.Components() {
-			for _, v := range comp {
-				if seen[v] {
-					return false
-				}
-				seen[v] = true
-			}
-		}
-		return len(seen) == 25
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lotuseater/internal/metrics"
+	"lotuseater/internal/simrng"
 )
 
 var quick = RunOptions{Points: 6, Replicates: 1}
@@ -73,9 +74,9 @@ func TestFigureAndScenarioNamesDisjoint(t *testing.T) {
 }
 
 // TestSatiatingSpecsCanSatiate: an ideal or trade attacker with no
-// attacker nodes and no explicit targets satiates nobody, so every such
-// registry scenario and figure arm needs a positive fraction, a fraction
-// axis, or explicit targets.
+// attacker nodes and no explicit or ranked targets satiates nobody, so
+// every such registry scenario and figure arm needs a positive fraction, a
+// fraction axis, explicit targets, or a rank.
 func TestSatiatingSpecsCanSatiate(t *testing.T) {
 	specs := All()
 	for _, f := range Figures() {
@@ -88,7 +89,7 @@ func TestSatiatingSpecsCanSatiate(t *testing.T) {
 		if adv.Kind != "ideal" && adv.Kind != "trade" {
 			continue
 		}
-		if adv.Fraction > 0 || len(adv.Targets) > 0 ||
+		if adv.Fraction > 0 || len(adv.Targets) > 0 || adv.Rank != "" ||
 			s.Sweep.Axis == "adversary.fraction" || s.Sweep.Axis == "adversary.targets" {
 			continue
 		}
@@ -224,7 +225,11 @@ func TestRangeDegenerate(t *testing.T) {
 }
 
 // TestKnobBounds: each bounded parameter rejects an out-of-range value at
-// Validate with an error naming it, on the substrate that reads it.
+// Validate with an error naming it, on the substrate that reads it; a
+// params key (or params axis) the substrate does not read is rejected, the
+// retired swarm and scrip attack keys included; and the adversary's window
+// and rank reject bad values and substrates that cannot rank. A row's
+// space-separated overrides apply together.
 func TestKnobBounds(t *testing.T) {
 	for _, c := range []struct {
 		substrate, set, want string
@@ -236,50 +241,82 @@ func TestKnobBounds(t *testing.T) {
 		{"token", "params.rare=-2", "params.rare"},
 		{"coding", "params.rareCopies=0", "params.rareCopies"},
 		{"scrip", "params.budget=-10", "params.budget"},
-		{"scrip", "params.start=-1", "params.start"},
 		{"scrip", "params.special=-3", "params.special"},
 		{"scrip", "params.specialReq=1.5", "params.specialReq"},
 		{"scrip", "params.altruistProviders=-1", "params.altruistProviders"},
 		{"scrip", "params.mint=-0.5", "params.mint"},
-		{"swarm", "params.attack=4", "params.attack"},
-		{"swarm", "params.targets=-1", "params.targets"},
-		{"swarm", "params.astart=-5", "params.astart"},
-		{"swarm", "params.astop=-5", "params.astop"},
 		{"swarm", "params.selection=0", "params.selection"},
+		{"swarm", "params.uplink=0", "params.uplink"},
+		{"swarm", "params.uplink=-5", "params.uplink"},
+		{"swarm", "params.uplink=1.5", "params.uplink"},
+		{"swarm", "params.uplink=1e30", "params.uplink"},
 		// Combinations the simulators would reject (or index past) inside a
 		// replicate.
 		{"token", "params.rare=32", "no common token"},
-		{"coding", "params.rare=10", "needs at least"},
+		{"coding", "params.rare=10 params.rareCopies=2", "needs at least"},
 		{"token", "params.graph=2", "square node count"},
 		{"scrip", "params.specialReq=0.1", "params.special > 0"},
 		{"scrip", "params.altruistProviders=1", "exceeds params.special"},
-		{"swarm", "params.astart=9", "must exceed params.astart"},
-		{"swarm", "params.attack=2", "params.targets >= 1"},
+		// Keys the substrate does not read, first the retired ones.
+		{"scrip", "params.start=1000", "scrip has no params.start"},
+		{"swarm", "params.attack=2", "swarm has no params.attack"},
+		{"swarm", "params.targets=2", "swarm has no params.targets"},
+		{"swarm", "params.astart=10", "swarm has no params.astart"},
+		{"swarm", "params.astop=60", "swarm has no params.astop"},
+		{"gossip", "params.attack=99", "gossip has no params.attack"},
+		{"gossip", "params.nosuchknob=3", "gossip has no params.nosuchknob"},
+		{"gossip", "sweep.axis=params.astart sweep.to=5", "gossip has no params.astart"},
+		// The campaign window and ranked targets.
+		{"gossip", "adversary.kind=ideal adversary.start=-1", "Start and Stop must be non-negative"},
+		{"gossip", "adversary.kind=ideal adversary.stop=-1", "Start and Stop must be non-negative"},
+		{"scrip", "adversary.kind=trade adversary.start=10 adversary.stop=10", "must exceed Start"},
+		{"swarm", "adversary.kind=ideal adversary.rank=fastest", "unknown rank"},
+		{"swarm", "adversary.rank=uploaders", "needs an ideal or trade attack"},
+		{"swarm", "adversary.kind=crash adversary.rank=rarest", "needs an ideal or trade attack"},
+		{"gossip", "adversary.kind=ideal adversary.rank=uploaders", "substrate that ranks"},
+		{"token", "adversary.kind=ideal adversary.rank=rarest", "substrate that ranks"},
+		{"scrip", "adversary.kind=trade adversary.rank=uploaders", "substrate that ranks"},
+		{"coding", "adversary.kind=ideal adversary.rank=rarest", "substrate that ranks"},
 	} {
 		spec := &Spec{Name: "bounds", Substrate: c.substrate, Nodes: 10}
-		sets := []string{c.set}
-		switch c.set {
-		case "params.rare=10":
-			sets = append(sets, "params.rareCopies=2")
-		case "params.astart=9":
-			sets = append(sets, "params.astop=5")
-		}
+		sets := strings.Fields(c.set)
 		err := spec.ApplySets(sets)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s %v: got %v, want an error mentioning %q", c.substrate, sets, err, c.want)
 		}
 	}
-	// The swarm's own attacks replace the strategy adversary.
-	spec, _ := Get("x/ideal-swarm")
-	if err := spec.ApplySets([]string{"params.attack=2", "params.targets=2"}); err == nil ||
-		!strings.Contains(err.Error(), "adversary.kind none") {
-		t.Fatalf("swarm attack under a strategy adversary: %v", err)
+}
+
+// TestBuildersReadDeclaredParams: a builder may read only the params keys
+// its substrate declares (param panics on any other), so the unknown-key
+// check in Validate neither rejects a key a builder reads nor accepts one
+// it ignores. Every registry scenario and figure arm builds one replicate
+// at its first sweep point; the million-node scenarios are left out.
+func TestBuildersReadDeclaredParams(t *testing.T) {
+	specs := All()
+	for _, f := range Figures() {
+		for _, a := range f.Arms {
+			specs = append(specs, a.Spec)
+		}
 	}
-	// A knob on a substrate that does not read it stays free-form.
-	gossip := &Spec{Name: "bounds", Substrate: "gossip"}
-	if err := gossip.ApplySets([]string{"params.attack=99"}); err != nil {
-		t.Fatalf("unread knob bounded: %v", err)
+	for _, s := range specs {
+		if strings.Contains(s.Name, "-1m") {
+			continue
+		}
+		pt, err := s.PointSpec(s.Sweep.From)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if _, err := buildFor(pt, sub(pt.Substrate))(0, simrng.New(1), nil); err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reading an undeclared key did not panic")
+		}
+	}()
+	(&Spec{Substrate: "swarm"}).param("attack", 0)
 }
 
 // TestTargetsAxis: sweeping adversary.targets satiates nodes 0..x-1, and

@@ -184,10 +184,9 @@ func init() {
 		XLabel:      "targeted-fraction",
 		Arms: []Arm{{"satiated-fraction(earned-budget)", &Spec{
 			Substrate: "scrip",
-			Adversary: AdversarySpec{Kind: "trade", Fraction: 0.05},
+			Adversary: AdversarySpec{Kind: "trade", Fraction: 0.05, Start: 1000},
 			Sweep:     full("adversary.satiateFraction", 0, 0.8),
 			Metric:    "satiated-targets",
-			Params:    map[string]float64{"start": 1000},
 		}}},
 	})
 
@@ -196,12 +195,12 @@ func init() {
 	// second series makes two of them altruists.
 	provider := &Spec{
 		Substrate: "scrip",
-		Adversary: AdversarySpec{Kind: "trade", Targets: span(10)},
+		Adversary: AdversarySpec{Kind: "trade", Targets: span(10), Start: 1000},
 		Metric:    "special-availability",
 		// Specialty demand is tuned so providers earn about as fast as they
 		// spend; otherwise they satiate on their own and the attack has
 		// nothing left to deny.
-		Params: map[string]float64{"special": 10, "specialReq": 0.05, "start": 1000},
+		Params: map[string]float64{"special": 10, "specialReq": 0.05},
 	}
 	altruists := provider.Clone()
 	altruists.Params["altruistProviders"] = 2
@@ -218,16 +217,21 @@ func init() {
 
 	// E5: satiating top uploaders of a seeded swarm does no damage; the
 	// rare-piece-holder attack on a fragile swarm (the seed leaves at tick
-	// 60, finished leechers leave) costs at most a few pieces.
-	row := func(rounds int, params ...map[string]float64) *Spec {
-		s := &Spec{Substrate: "swarm", Rounds: rounds, Params: map[string]float64{}}
+	// 60, finished leechers leave) costs at most a few pieces. The attacker
+	// controls no leecher: it uploads from outside to 8 (2) of the 120
+	// leechers, best-ranked first.
+	row := func(rounds int, adv AdversarySpec, params ...map[string]float64) *Spec {
+		s := &Spec{Substrate: "swarm", Rounds: rounds, Adversary: adv, Params: map[string]float64{}}
 		for _, p := range params {
 			maps.Copy(s.Params, p)
 		}
 		return s
 	}
+	none := AdversarySpec{}
+	topUploaders := AdversarySpec{Kind: "ideal", SatiateFraction: 8.0 / 120, Rank: "uploaders"}
+	rareHolders := AdversarySpec{Kind: "ideal", SatiateFraction: 2.0 / 120, Rank: "rarest", Start: 10, Stop: 60}
 	fragile := map[string]float64{"seedDepart": 60, "seedAfter": 0}
-	rareAttack := map[string]float64{"attack": 3, "uplink": 64, "targets": 2, "astart": 10, "astop": 60}
+	rareUplink := map[string]float64{"uplink": 64}
 	randomPick := map[string]float64{"selection": 1}
 	registerFigure(&Figure{
 		Name:        "swarm",
@@ -235,12 +239,12 @@ func init() {
 		Description: "E5: lotus-eater attacks on a BitTorrent-like swarm are weak or even helpful",
 		RowLabel:    "scenario",
 		Arms: []Arm{
-			{"baseline/rarest-first", row(0)},
-			{"attack-top-uploaders", row(0, map[string]float64{"attack": 2, "uplink": 32, "targets": 8})},
-			{"fragile/no-attack/rarest-first", row(600, fragile)},
-			{"fragile/rare-attack/rarest-first", row(600, fragile, rareAttack)},
-			{"fragile/no-attack/random", row(600, fragile, randomPick)},
-			{"fragile/rare-attack/random", row(600, fragile, rareAttack, randomPick)},
+			{"baseline/rarest-first", row(0, none)},
+			{"attack-top-uploaders", row(0, topUploaders, map[string]float64{"uplink": 32})},
+			{"fragile/no-attack/rarest-first", row(600, none, fragile)},
+			{"fragile/rare-attack/rarest-first", row(600, rareHolders, fragile, rareUplink)},
+			{"fragile/no-attack/random", row(600, none, fragile, randomPick)},
+			{"fragile/rare-attack/random", row(600, rareHolders, fragile, rareUplink, randomPick)},
 		},
 		Columns: []Column{
 			{"completed", "completed", "%.3f"},

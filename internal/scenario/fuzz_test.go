@@ -178,15 +178,15 @@ func FuzzSet(f *testing.F) {
 		{"params.rare", "64"},
 		{"params.rareCopies", "1e9"},
 		{"params.budget", "-100"},
-		{"params.start", "1000"},
+		{"params.uplink", "0"},
 		{"params.special", "100000"},
 		{"params.specialReq", "0.5"},
 		{"params.altruistProviders", "3"},
 		{"params.mint", "2.5"},
-		{"params.attack", "9"},
-		{"params.targets", "2"},
-		{"params.astart", "10"},
-		{"params.astop", "3"},
+		{"adversary.start", "10"},
+		{"adversary.stop", "-3"},
+		{"adversary.rank", "uploaders"},
+		{"adversary.rank", "rarest"},
 		{"params.selection", "1.5"},
 		{"sweep.axis", "adversary.targets"},
 	} {

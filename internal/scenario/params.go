@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"lotuseater/internal/gossip"
 	"lotuseater/internal/graph"
@@ -12,44 +13,60 @@ import (
 	"lotuseater/internal/swarm"
 )
 
+// declared lists the params keys each substrate's builder reads, sorted.
+// Validate rejects any other key, and reading an undeclared one panics.
+var declared = map[string][]string{
+	"gossip": {"altruism", "copies", "epoch", "evict", "lifetime", "obedient", "push", "report", "slack", "updates", "warmup"},
+	"token":  {"altruism", "contacts", "degree", "graph", "rare", "rareCopies", "tokens"},
+	"scrip":  {"altruistProviders", "altruists", "budget", "cost", "mint", "money", "special", "specialReq", "threshold"},
+	"swarm":  {"peerset", "pieces", "seedAfter", "seedDepart", "selection", "slots", "uplink"},
+	"coding": {"coded", "contacts", "degree", "payload", "rare", "rareCopies", "symbols"},
+}
+
 // knob bounds a substrate parameter the paper's figures set (figures.go),
 // so no -set can hand a simulator a value it would choke on mid-replicate.
+// It applies on every substrate that declares the key.
 type knob struct {
-	key        string
-	substrates []string
-	min, max   float64
-	integer    bool
+	key      string
+	min, max float64
+	integer  bool
 }
 
 const maxKnob = math.MaxInt32
 
 // knobs lists the bounded parameters, in the order Validate checks them.
 var knobs = []knob{
-	{"report", []string{"gossip"}, 0, maxKnob, true},              // report deliveries larger than this (0 = off)
-	{"evict", []string{"gossip"}, 1, maxKnob, true},               // distinct accusers that evict a node
-	{"epoch", []string{"gossip"}, 0, maxKnob, true},               // outage window in rounds (0 = off)
-	{"graph", []string{"token"}, 0, 2, true},                      // 0 random, 1 complete, 2 square grid
-	{"rare", []string{"token", "coding"}, 0, maxKnob, true},       // tokens (symbols) held by few nodes
-	{"rareCopies", []string{"token", "coding"}, 1, maxKnob, true}, // holders of each rare token
-	{"budget", []string{"scrip"}, 0, maxKnob, true},               // exogenous attack scrip
-	{"start", []string{"scrip"}, 0, maxKnob, true},                // first attack round
-	{"special", []string{"scrip"}, 0, maxKnob, true},              // specialty providers (agents 0..n-1)
-	{"specialReq", []string{"scrip"}, 0, 1, false},                // fraction of specialty requests
-	{"altruistProviders", []string{"scrip"}, 0, maxKnob, true},    // altruists among the providers
-	{"mint", []string{"scrip"}, 0, maxKnob, false},                // scrip gifted per capita at the start
-	{"attack", []string{"swarm"}, 1, 3, true},                     // swarm.AttackKind: 1 off, 2 top uploaders, 3 rare-piece holders
-	{"targets", []string{"swarm"}, 0, maxKnob, true},              // concurrent targets of the swarm attack
-	{"astart", []string{"swarm"}, 0, maxKnob, true},               // attack start tick
-	{"astop", []string{"swarm"}, 0, maxKnob, true},                // attack stop tick (0 = never)
-	{"selection", []string{"swarm"}, 1, 2, true},                  // swarm.Selection: 1 random, 2 rarest-first
+	{"report", 0, maxKnob, true},            // gossip: report deliveries larger than this (0 = off)
+	{"evict", 1, maxKnob, true},             // gossip: distinct accusers that evict a node
+	{"epoch", 0, maxKnob, true},             // gossip: outage window in rounds (0 = off)
+	{"graph", 0, 2, true},                   // token: 0 random, 1 complete, 2 square grid
+	{"rare", 0, maxKnob, true},              // token, coding: tokens (symbols) held by few nodes
+	{"rareCopies", 1, maxKnob, true},        // token, coding: holders of each rare token
+	{"budget", 0, maxKnob, true},            // scrip: exogenous attack scrip
+	{"special", 0, maxKnob, true},           // scrip: specialty providers (agents 0..n-1)
+	{"specialReq", 0, 1, false},             // scrip: fraction of specialty requests
+	{"altruistProviders", 0, maxKnob, true}, // scrip: altruists among the providers
+	{"mint", 0, maxKnob, false},             // scrip: scrip gifted per capita at the start
+	{"uplink", 1, maxKnob, true},            // swarm: attacker upload pieces per tick
+	{"selection", 1, 2, true},               // swarm: 1 random, 2 rarest-first
 }
 
-// validateKnobs reports the first bounded parameter out of range, then the
-// first inconsistent combination, or nil.
-func (s *Spec) validateKnobs() error {
+// validateParams reports the first params key (or params.<key> sweep axis)
+// the spec's substrate does not read, then the first bounded parameter out
+// of range, then the first inconsistent combination, or nil.
+func (s *Spec) validateParams() error {
+	keys := sortedKeys(s.Params)
+	if axis, ok := strings.CutPrefix(s.Sweep.Axis, "params."); ok {
+		keys = append(keys, axis)
+	}
+	for _, k := range keys {
+		if !slices.Contains(declared[s.Substrate], k) {
+			return fmt.Errorf("scenario: substrate %s has no params.%s (want %s)", s.Substrate, k, strings.Join(declared[s.Substrate], "|"))
+		}
+	}
 	for _, k := range knobs {
 		v, ok := s.Params[k.key]
-		if !ok || !slices.Contains(k.substrates, s.Substrate) {
+		if !ok {
 			continue
 		}
 		if v < k.min || v > k.max || (k.integer && v != math.Trunc(v)) {
@@ -63,8 +80,10 @@ func (s *Spec) validateKnobs() error {
 	n := s.population()
 	switch s.Substrate {
 	case "token", "coding":
-		items := int(s.param("tokens", 32))
-		if s.Substrate == "coding" {
+		items, graph := 0, 0.0
+		if s.Substrate == "token" {
+			items, graph = int(s.param("tokens", 32)), s.param("graph", 0)
+		} else {
 			items = int(s.param("symbols", 24))
 		}
 		rare, copies := int(s.param("rare", 0)), int(s.param("rareCopies", 1))
@@ -74,7 +93,7 @@ func (s *Spec) validateKnobs() error {
 		if rare > 0 && rare > n/copies {
 			return fmt.Errorf("scenario: params.rare=%d with params.rareCopies=%d needs at least %d nodes, got %d", rare, copies, rare*copies, n)
 		}
-		if s.param("graph", 0) == 2 {
+		if graph == 2 {
 			if side := int(math.Sqrt(float64(n))); side*side != n {
 				return fmt.Errorf("scenario: params.graph=2 (grid) needs a square node count, got %d", n)
 			}
@@ -88,19 +107,6 @@ func (s *Spec) validateKnobs() error {
 			return fmt.Errorf("scenario: params.specialReq needs params.special > 0")
 		case int(s.param("altruistProviders", 0)) > special:
 			return fmt.Errorf("scenario: params.altruistProviders exceeds params.special=%d", special)
-		}
-	case "swarm":
-		start, stop := s.param("astart", 0), s.param("astop", 0)
-		if stop > 0 && stop <= start {
-			return fmt.Errorf("scenario: params.astop=%g must exceed params.astart=%g", stop, start)
-		}
-		if swarm.AttackKind(s.param("attack", 1)) != swarm.AttackOff {
-			if kind := s.Adversary.Kind; kind != "" && kind != "none" {
-				return fmt.Errorf("scenario: params.attack replaces the adversary; set adversary.kind none, got %q", kind)
-			}
-			if s.param("targets", 0) < 1 {
-				return fmt.Errorf("scenario: params.attack needs params.targets >= 1")
-			}
 		}
 	}
 	return nil

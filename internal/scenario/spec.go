@@ -50,6 +50,14 @@ type AdversarySpec struct {
 	// targeted attacks such as grid cuts and rare-resource holders. Ids must
 	// be unique, non-negative, and within the population.
 	Targets []int `json:"targets,omitempty"`
+	// Start and Stop bound the campaign to rounds [Start, Stop) (Stop 0 =
+	// never).
+	Start int `json:"start,omitempty"`
+	Stop  int `json:"stop,omitempty"`
+	// Rank, when set (uploaders or rarest), satiates the model's best
+	// round(SatiateFraction·n) live nodes instead of a uniform draw. Only
+	// a substrate that ranks its nodes (swarm) accepts it.
+	Rank string `json:"rank,omitempty"`
 }
 
 // Strategy compiles the spec into a fresh attack.Strategy for one replicate.
@@ -70,6 +78,9 @@ func (a AdversarySpec) Strategy() (*attack.Strategy, error) {
 		Fraction:        a.Fraction,
 		SatiateFraction: a.SatiateFraction,
 		RotatePeriod:    a.RotatePeriod,
+		Start:           a.Start,
+		Stop:            a.Stop,
+		Rank:            attack.Rank(a.Rank),
 	}
 	if len(a.Targets) > 0 {
 		s.TargetList = append([]int(nil), a.Targets...)
@@ -224,6 +235,9 @@ func (s *Spec) Validate() error {
 	if _, err := s.Adversary.Strategy(); err != nil {
 		return err
 	}
+	if s.Adversary.Rank != "" && s.Substrate != "swarm" {
+		return fmt.Errorf("scenario: adversary.rank needs a substrate that ranks its nodes (swarm), not %s", s.Substrate)
+	}
 	// Hostile target lists fail here, not at node-indexing depth inside a
 	// replicate: ids must be unique and non-negative always, and inside the
 	// population whenever the spec pins one (Nodes == 0 defers the upper
@@ -269,7 +283,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: params.%s must be finite, got %g", k, v)
 		}
 	}
-	if err := s.validateKnobs(); err != nil {
+	if err := s.validateParams(); err != nil {
 		return err
 	}
 	if s.Sweep.Axis != "" {
@@ -330,8 +344,13 @@ func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// param returns a substrate knob with a default.
+// param returns a substrate knob with a default. Reading a key the
+// substrate does not declare is a bug: Validate would have let a spec set
+// it to no effect.
 func (s *Spec) param(key string, def float64) float64 {
+	if !slices.Contains(declared[s.Substrate], key) {
+		panic(fmt.Sprintf("scenario: substrate %s reads undeclared params.%s", s.Substrate, key))
+	}
 	if v, ok := s.Params[key]; ok {
 		return v
 	}
@@ -441,7 +460,8 @@ func (s *Spec) applyAxis(x float64) error {
 // parses back to the overridden value. Valid keys: title, description,
 // substrate, nodes, rounds, replicates, metric, adversary.kind,
 // adversary.fraction, adversary.satiateFraction, adversary.rotatePeriod,
-// adversary.targets (comma-separated node ids), defense.kind,
+// adversary.targets (comma-separated node ids), adversary.start,
+// adversary.stop, adversary.rank, defense.kind,
 // defense.rateLimit, precision.halfWidth, precision.confidence,
 // precision.relative, precision.minReps, precision.maxReps,
 // precision.batch, sweep.axis, sweep.from, sweep.to, sweep.points, and
@@ -510,6 +530,20 @@ func (s *Spec) Set(key, value string) error {
 			return err
 		}
 		s.Adversary.RotatePeriod = v
+	case "adversary.start":
+		v, err := integer()
+		if err != nil {
+			return err
+		}
+		s.Adversary.Start = v
+	case "adversary.stop":
+		v, err := integer()
+		if err != nil {
+			return err
+		}
+		s.Adversary.Stop = v
+	case "adversary.rank":
+		s.Adversary.Rank = value
 	case "adversary.targets":
 		if value == "" {
 			s.Adversary.Targets = nil

@@ -36,8 +36,8 @@ func (b *substrate) lookup(spec *Spec, name string) (func(snap any) (float64, er
 	if fn, ok := b.metrics[name]; ok {
 		return fn, true
 	}
-	if w := int(spec.param("epoch", 0)); w > 0 {
-		if fn, ok := b.windowed[name]; ok {
+	if fn, ok := b.windowed[name]; ok {
+		if w := int(spec.param("epoch", 0)); w > 0 {
 			return func(snap any) (float64, error) { return fn(snap, w) }, true
 		}
 	}
@@ -47,7 +47,7 @@ func (b *substrate) lookup(spec *Spec, name string) (func(snap any) (float64, er
 // menu lists the metric names a spec can ask for, sorted.
 func (b *substrate) menu(spec *Spec) []string {
 	names := slices.Collect(maps.Keys(b.metrics))
-	if spec.param("epoch", 0) > 0 {
+	if b.windowed != nil && spec.param("epoch", 0) > 0 {
 		names = slices.AppendSeq(names, maps.Keys(b.windowed))
 	}
 	slices.Sort(names)
@@ -234,7 +234,6 @@ var substrates = map[string]*substrate{
 			cfg.SpecialRequestFraction = s.param("specialReq", 0)
 			cfg.AltruistProviders = int(s.param("altruistProviders", 0))
 			cfg.AttackBudget = int(s.param("budget", 0))
-			cfg.AttackStart = int(s.param("start", 0))
 			if cl := s.classScalar(); cl != nil {
 				if cl.Altruism != nil {
 					cfg.AltruistFraction = *cl.Altruism
@@ -278,20 +277,11 @@ var substrates = map[string]*substrate{
 			cfg.Pieces = int(s.param("pieces", float64(cfg.Pieces)))
 			cfg.UploadSlots = int(s.param("slots", float64(cfg.UploadSlots)))
 			cfg.PeerSetSize = int(s.param("peerset", float64(cfg.PeerSetSize)))
-			cfg.AttackerUplink = int(s.param("uplink", 16))
+			cfg.AttackerUplink = int(s.param("uplink", float64(cfg.AttackerUplink)))
 			cfg.SeedDepartTick = int(s.param("seedDepart", float64(cfg.SeedDepartTick)))
 			cfg.SeedAfterComplete = s.param("seedAfter", 1) != 0
 			cfg.Selection = swarm.Selection(s.param("selection", float64(cfg.Selection)))
-			cfg.Attack = swarm.AttackKind(s.param("attack", float64(cfg.Attack)))
-			cfg.AttackTargets = int(s.param("targets", 0))
-			cfg.AttackStartTick = int(s.param("astart", 0))
-			cfg.AttackStopTick = int(s.param("astop", 0))
-			var opts []swarm.Option
-			if cfg.Attack == swarm.AttackOff {
-				// The swarm's own attacks and a strategy adversary are
-				// exclusive; Validate rejects a spec asking for both.
-				opts = append(opts, swarm.WithAdversary(adv))
-			}
+			opts := []swarm.Option{swarm.WithAdversary(adv)}
 			if def != nil {
 				opts = append(opts, swarm.WithDefense(def))
 			}

@@ -111,9 +111,6 @@ type Config struct {
 	// its pool with, on top of what its agents earn. It joins the money
 	// supply, which the Result tracks.
 	AttackBudget int
-	// AttackStart is the first round the adversary acts, so its agents can
-	// accumulate earnings first.
-	AttackStart int
 }
 
 // DefaultConfig returns a small healthy economy.
@@ -150,8 +147,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scrip: SpecialRequestFraction > 0 needs SpecialProviders > 0")
 	case c.AltruistProviders < 0 || c.AltruistProviders > c.SpecialProviders:
 		return fmt.Errorf("scrip: AltruistProviders must be in [0,%d], got %d", c.SpecialProviders, c.AltruistProviders)
-	case c.AttackBudget < 0 || c.AttackStart < 0:
-		return fmt.Errorf("scrip: AttackBudget and AttackStart must be non-negative, got %d and %d", c.AttackBudget, c.AttackStart)
+	case c.AttackBudget < 0:
+		return fmt.Errorf("scrip: AttackBudget must be non-negative, got %d", c.AttackBudget)
 	case c.NodeThreshold != nil && len(c.NodeThreshold) != c.Agents:
 		return fmt.Errorf("scrip: NodeThreshold has %d entries for %d agents", len(c.NodeThreshold), c.Agents)
 	case c.NodeBalance != nil && len(c.NodeBalance) != c.Agents:
@@ -425,7 +422,7 @@ func (s *Sim) Step() error {
 	}
 
 	// 1. The adversary tops its targets up to the threshold.
-	if s.adv != nil && s.round >= s.cfg.AttackStart {
+	if s.adv != nil {
 		s.adversaryStep()
 	}
 

@@ -29,7 +29,6 @@ func TestConfigValidation(t *testing.T) {
 		{"special providers out of range", func(c *Config) { c.SpecialProviders = c.Agents + 1 }},
 		{"special fraction without providers", func(c *Config) { c.SpecialRequestFraction = 0.5 }},
 		{"negative attack budget", func(c *Config) { c.AttackBudget = -1 }},
-		{"negative attack start", func(c *Config) { c.AttackStart = -1 }},
 	}
 	for _, c := range cases {
 		cfg := quickCfg()
@@ -192,8 +191,8 @@ func TestStrategyBudgetAndStart(t *testing.T) {
 	run := func(budget, start int) Result {
 		t.Helper()
 		cfg := quickCfg()
-		cfg.AttackBudget, cfg.AttackStart = budget, start
-		adv := &attack.Strategy{Kind: attack.Trade, TargetList: targets}
+		cfg.AttackBudget = budget
+		adv := &attack.Strategy{Kind: attack.Trade, TargetList: targets, Start: start}
 		sim, err := New(cfg, 6, WithAdversary(adv))
 		if err != nil {
 			t.Fatal(err)
@@ -222,8 +221,7 @@ func TestStrategyBudgetAndStart(t *testing.T) {
 // keep a large fraction satiated (the money supply bound).
 func TestEarnedBudgetBounded(t *testing.T) {
 	cfg := quickCfg()
-	cfg.AttackStart = 500
-	adv := &attack.Strategy{Kind: attack.Trade, Fraction: 0.1, SatiateFraction: 0.6}
+	adv := &attack.Strategy{Kind: attack.Trade, Fraction: 0.1, SatiateFraction: 0.6, Start: 500}
 	sim, err := New(cfg, 5, WithAdversary(adv))
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // goldenCase is one pinned swarm run: a config shape, an optional strategy
 // adversary / defense, and a seed. The matrix spans both selection policies,
-// endgame on/off, seed departure, both Config attack kinds, and every
+// endgame on/off, seed departure, both ranked targeting rules, and every
 // attack.Strategy kind, so any behavioral drift in the simulator shows up as
 // a golden mismatch.
 type goldenCase struct {
@@ -59,20 +59,17 @@ func goldenCases() []goldenCase {
 		c.SeedDepartTick = 8
 		c.SeedAfterComplete = false
 	}, nil, nil)
-	add("cfg-attack-top", func(c *Config) {
-		c.Attack = AttackTopUploaders
-		c.AttackerUplink = 16
-		c.AttackTargets = 4
-	}, nil, nil)
+	leechers := goldenBase().Leechers
+	add("cfg-attack-top", func(c *Config) { c.AttackerUplink = 16 }, func() sim.Adversary {
+		return rankedStrategy(leechers, attack.RankUploaders, 4, 0, 0)
+	}, nil)
 	add("cfg-attack-rare", func(c *Config) {
-		c.Attack = AttackRarePieceHolders
 		c.AttackerUplink = 8
-		c.AttackTargets = 3
-		c.AttackStartTick = 5
-		c.AttackStopTick = 80
 		c.SeedDepartTick = 10
 		c.SeedAfterComplete = false
-	}, nil, nil)
+	}, func() sim.Adversary {
+		return rankedStrategy(leechers, attack.RankRarest, 3, 5, 80)
+	}, nil)
 	add("adv-crash", nil, func() sim.Adversary {
 		return &attack.Strategy{Kind: attack.Crash, Fraction: 0.10}
 	}, nil)

@@ -53,8 +53,8 @@ func runWithParityChecks(t *testing.T, cfg Config, seed uint64, opts ...Option) 
 }
 
 // TestIncrementalRarityMatchesRescan is the incremental-vs-rescan parity
-// suite: for every attack kind (both the strategy layer's attack.Kind and
-// the swarm's Config.Attack targeting rules), both piece-selection
+// suite: for every attack kind (the strategy layer's attack.Kind and both
+// ranked targeting rules), both piece-selection
 // policies, and both evaluation paths (sequential and sharded — the
 // workers-1 vs workers-8 split on a multicore box), the delta-maintained
 // rarity counters must equal a from-scratch recount at every tick boundary.
@@ -93,20 +93,18 @@ func TestIncrementalRarityMatchesRescan(t *testing.T) {
 		}},
 		{"cfg-attack-top", func() Config {
 			cfg := base()
-			cfg.Attack = AttackTopUploaders
 			cfg.AttackerUplink = 12
-			cfg.AttackTargets = 4
 			return cfg
-		}, nil},
+		}, func() sim.Adversary {
+			return rankedStrategy(base().Leechers, attack.RankUploaders, 4, 0, 0)
+		}},
 		{"cfg-attack-rare", func() Config {
 			cfg := base()
-			cfg.Attack = AttackRarePieceHolders
 			cfg.AttackerUplink = 8
-			cfg.AttackTargets = 3
-			cfg.AttackStartTick = 4
-			cfg.AttackStopTick = 60
 			return cfg
-		}, nil},
+		}, func() sim.Adversary {
+			return rankedStrategy(base().Leechers, attack.RankRarest, 3, 4, 60)
+		}},
 	}
 	for _, c := range cases {
 		for _, sel := range []Selection{SelectRandom, SelectRarestFirst} {
@@ -168,18 +166,17 @@ func TestIncrementalRarityProperty(t *testing.T) {
 		cfg.SeedAfterComplete = rng.Bool(0.5)
 
 		var mkAdv func() sim.Adversary
-		switch rng.IntN(6) {
-		case 1:
-			cfg.Attack = AttackTopUploaders
+		switch pick := rng.IntN(6); pick {
+		case 1, 2:
+			// A ranked attack, drawn outside the closure: every evaluation
+			// path must face the identical adversary.
+			rank, leechers := attack.RankUploaders, cfg.Leechers
 			cfg.AttackerUplink = 1 + rng.IntN(16)
-			cfg.AttackTargets = 1 + rng.IntN(5)
-			cfg.AttackStartTick = rng.IntN(10)
-		case 2:
-			cfg.Attack = AttackRarePieceHolders
-			cfg.AttackerUplink = 1 + rng.IntN(16)
-			cfg.AttackTargets = 1 + rng.IntN(5)
-			cfg.AttackStartTick = rng.IntN(10)
-			cfg.AttackStopTick = cfg.AttackStartTick + 20 + rng.IntN(40)
+			k, start, stop := 1+rng.IntN(5), rng.IntN(10), 0
+			if pick == 2 {
+				rank, stop = attack.RankRarest, start+20+rng.IntN(40)
+			}
+			mkAdv = func() sim.Adversary { return rankedStrategy(leechers, rank, k, start, stop) }
 		case 3:
 			mkAdv = func() sim.Adversary {
 				return &attack.Strategy{Kind: attack.Crash, Fraction: 0.15}

@@ -58,6 +58,7 @@ import (
 	"sort"
 	"time"
 
+	"lotuseater/internal/attack"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/population"
 	"lotuseater/internal/sim"
@@ -85,36 +86,6 @@ func (s Selection) String() string {
 		return "rarest-first"
 	default:
 		return fmt.Sprintf("swarm.Selection(%d)", int(s))
-	}
-}
-
-// AttackKind selects the adversary's targeting rule.
-type AttackKind int
-
-const (
-	// AttackOff disables the attacker.
-	AttackOff AttackKind = iota + 1
-	// AttackTopUploaders satiates the leechers currently uploading the
-	// most — the paper's "targeting users that are uploading more than
-	// they download".
-	AttackTopUploaders
-	// AttackRarePieceHolders satiates leechers holding the swarm's rarest
-	// pieces, to remove those pieces' carriers (the artificial "last
-	// pieces problem").
-	AttackRarePieceHolders
-)
-
-// String returns the attack name.
-func (k AttackKind) String() string {
-	switch k {
-	case AttackOff:
-		return "off"
-	case AttackTopUploaders:
-		return "top-uploaders"
-	case AttackRarePieceHolders:
-		return "rare-piece-holders"
-	default:
-		return fmt.Sprintf("swarm.AttackKind(%d)", int(k))
 	}
 }
 
@@ -150,21 +121,9 @@ type Config struct {
 	// depart immediately (the pessimistic population the rare-piece attack
 	// needs).
 	SeedAfterComplete bool
-
-	// Attack selects the adversary.
-	Attack AttackKind
-	// AttackerUplink is the attacker's total upload capacity in pieces per
-	// tick (it holds the whole file).
+	// AttackerUplink is an instantly-satiating adversary's total upload
+	// capacity in pieces per tick (it holds the whole file).
 	AttackerUplink int
-	// AttackTargets is how many leechers the attacker satiates at a time.
-	AttackTargets int
-	// AttackStartTick delays the attack.
-	AttackStartTick int
-	// AttackStopTick ends the attack (0 = never). A bounded campaign is
-	// what the rare-piece attack needs: satiate carriers while pieces are
-	// still scarce, then stop before the attacker's uploads have seeded
-	// the whole swarm.
-	AttackStopTick int
 }
 
 // DefaultConfig returns a modest healthy swarm.
@@ -182,7 +141,7 @@ func DefaultConfig() Config {
 		EndgameThreshold:  3,
 		SeedDepartTick:    0,
 		SeedAfterComplete: true,
-		Attack:            AttackOff,
+		AttackerUplink:    16,
 	}
 }
 
@@ -209,18 +168,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("swarm: EndgameThreshold must be positive with Endgame on, got %d", c.EndgameThreshold)
 	case c.SeedDepartTick < 0:
 		return fmt.Errorf("swarm: SeedDepartTick must be non-negative, got %d", c.SeedDepartTick)
-	case c.Attack < AttackOff || c.Attack > AttackRarePieceHolders:
-		return fmt.Errorf("swarm: unknown attack kind %d", c.Attack)
-	case c.Attack != AttackOff && c.AttackerUplink < 1:
-		return fmt.Errorf("swarm: AttackerUplink must be positive when attacking, got %d", c.AttackerUplink)
-	case c.Attack != AttackOff && c.AttackTargets < 1:
-		return fmt.Errorf("swarm: AttackTargets must be positive when attacking, got %d", c.AttackTargets)
-	case c.AttackStartTick < 0:
-		return fmt.Errorf("swarm: AttackStartTick must be non-negative, got %d", c.AttackStartTick)
-	case c.AttackStopTick < 0:
-		return fmt.Errorf("swarm: AttackStopTick must be non-negative, got %d", c.AttackStopTick)
-	case c.AttackStopTick > 0 && c.AttackStopTick <= c.AttackStartTick:
-		return fmt.Errorf("swarm: AttackStopTick %d must exceed AttackStartTick %d", c.AttackStopTick, c.AttackStartTick)
+	case c.AttackerUplink < 1:
+		return fmt.Errorf("swarm: AttackerUplink must be positive, got %d", c.AttackerUplink)
 	}
 	return nil
 }
@@ -260,14 +209,16 @@ type Result struct {
 // Option customizes a Sim.
 type Option func(*Sim)
 
-// WithAdversary installs a substrate-independent adversary strategy in
-// place of the Config's swarm-specific Attack kinds. Its hooks map onto the
-// swarm as follows: Place picks attacker-controlled leechers — crash and
-// ideal attackers leave the protocol (their slots are dead weight), trade
-// attackers hold the full file and unchoke only satiation targets; Targets
-// names the leechers the external attacker satiates; an instantly-satiating
-// (ideal) adversary uploads missing pieces to targets directly each tick,
-// up to Config.AttackerUplink pieces (16 when unset).
+// WithAdversary installs the swarm's attacker, a substrate-independent
+// adversary strategy. Its hooks map onto the swarm as follows: Place picks
+// attacker-controlled leechers — crash and ideal attackers leave the
+// protocol (their slots are dead weight), trade attackers hold the full
+// file and unchoke only satiation targets; Targets names the leechers the
+// external attacker satiates; an instantly-satiating (ideal) adversary
+// uploads missing pieces to targets directly each tick, in the set's member
+// order, up to Config.AttackerUplink pieces. New binds the swarm as the
+// attack.Ranker of an adversary that takes one (attack.Strategy), so a
+// ranked strategy satiates the top uploaders or the rarest-piece holders.
 func WithAdversary(a sim.Adversary) Option {
 	return func(s *Sim) { s.adv = a }
 }
@@ -308,7 +259,6 @@ type Sim struct {
 	def        sim.Defense
 	advTrades  bool
 	advInstant bool
-	advUplink  int
 	isAttacker []bool
 
 	n      int // leechers + 1 initial seed (node n-1)
@@ -400,7 +350,7 @@ type Sim struct {
 
 	permBuf   []int
 	missBuf   []int // pooled missing-piece scratch for attack/endgame fills
-	targetBuf []int // pickTargets candidate scratch
+	targetBuf []int // Rank candidate scratch
 	rareScore []int32
 	// scanBuf and shardBufs back scanLeechers, the sharded pure-read
 	// candidate scan the endgame and lifecycle passes run.
@@ -476,9 +426,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.adv != nil && cfg.Attack != AttackOff {
-		return nil, errors.New("swarm: Config.Attack conflicts with WithAdversary")
 	}
 	if len(s.churnEvents) > 0 {
 		if err := population.ValidateSchedule(s.churnEvents, cfg.Leechers); err != nil {
@@ -586,9 +533,8 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	if s.adv != nil {
 		s.advTrades = sim.TradesInProtocol(s.adv)
 		s.advInstant = sim.SatiatesInstantly(s.adv)
-		s.advUplink = cfg.AttackerUplink
-		if s.advUplink <= 0 {
-			s.advUplink = 16
+		if r, ok := s.adv.(interface{ UseRanker(attack.Ranker) }); ok {
+			r.UseRanker(s)
 		}
 		s.isAttacker = make([]bool, s.n)
 		for _, a := range s.adv.Place(cfg.Leechers, s.rng.Child("adversary")) {
@@ -607,9 +553,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 				s.nodeState[a] = stateDeparted
 			}
 		}
-	}
-	if cfg.Attack == AttackRarePieceHolders {
-		s.rareScore = make([]int32, n)
 	}
 	for v := 0; v < cfg.Leechers; v++ {
 		if s.nodeState[v] == stateLeeching {
@@ -882,12 +825,7 @@ func (s *Sim) Step() error {
 			s.churnLeave(ev.Node)
 		}
 	}
-	if s.cfg.Attack != AttackOff && s.tick >= s.cfg.AttackStartTick &&
-		(s.cfg.AttackStopTick == 0 || s.tick < s.cfg.AttackStopTick) {
-		s.runPhase(phaseAttack, s.attackStep)
-	}
-	if s.adv != nil && s.advInstant && s.tick >= s.cfg.AttackStartTick &&
-		(s.cfg.AttackStopTick == 0 || s.tick < s.cfg.AttackStopTick) {
+	if s.advInstant {
 		s.runPhase(phaseAttack, s.advSatiateStep)
 	}
 	if s.tick%s.cfg.RotateInterval == 0 {
@@ -948,43 +886,16 @@ func (s *Sim) rejoinNode(v int) {
 	s.leeching++
 }
 
-// attackStep satiates the attacker's current targets: it uploads missing
-// pieces to them directly, up to its uplink budget for the tick.
-//
-//lotus:allocfree
-func (s *Sim) attackStep() {
-	targets := s.pickTargets()
-	budget := s.cfg.AttackerUplink
-	for _, t := range targets {
-		if budget == 0 {
-			break
-		}
-		missing := s.appendMissing(t, s.missBuf[:0])
-		s.missBuf = missing
-		for _, p := range missing {
-			if budget == 0 {
-				break
-			}
-			if s.def != nil && s.def.Admit(s.tick, -1, t, 1) == 0 {
-				break
-			}
-			s.gainPiece(t, p)
-			s.fromAtk[t]++
-			s.res.AttackerUploaded++
-			budget--
-		}
-	}
-}
-
 // advSatiateStep is the instantly-satiating (ideal) adversary's tick: it
-// uploads missing pieces directly to its satiation targets, spending up to
-// the uplink budget, gated per target by the defense's Admit hook. The
-// sparse member list makes the pass O(|satiated set|), not O(Leechers).
+// uploads missing pieces directly to its satiation targets in member order
+// (best first for a ranked strategy), spending up to the uplink budget,
+// gated per target by the defense's Admit hook. The sparse member list
+// makes the pass O(|satiated set|), not O(Leechers).
 //
 //lotus:allocfree
 func (s *Sim) advSatiateStep() {
 	targets := s.adv.Targets(s.tick)
-	budget := s.advUplink
+	budget := s.cfg.AttackerUplink
 	for _, t := range targets.Members() {
 		if budget == 0 {
 			break
@@ -1009,10 +920,13 @@ func (s *Sim) advSatiateStep() {
 	}
 }
 
-// pickTargets returns the AttackTargets leechers the adversary focuses on.
+// Rank implements attack.Ranker over the leechers still downloading: the
+// top k uploaders, or the k holders of the rarest pieces (by their rarest
+// held piece's global holder count), best first with ties broken by id.
+// The returned slice is reused by the next call.
 //
 //lotus:allocfree
-func (s *Sim) pickTargets() []int {
+func (s *Sim) Rank(r attack.Rank, k int) []int {
 	cands := s.targetBuf[:0]
 	for v := 0; v < s.cfg.Leechers; v++ {
 		if s.nodeState[v] == stateLeeching {
@@ -1026,8 +940,8 @@ func (s *Sim) pickTargets() []int {
 	// Both orderings are strict total orders (ties broken by node id), so
 	// the sorted result is algorithm-independent and any correct sort
 	// reproduces the historical sort.Slice output exactly.
-	switch s.cfg.Attack {
-	case AttackTopUploaders:
+	switch r {
+	case attack.RankUploaders:
 		slices.SortFunc(cands, func(a, b int) int {
 			if s.uploaded[a] != s.uploaded[b] {
 				if s.uploaded[a] > s.uploaded[b] {
@@ -1037,9 +951,12 @@ func (s *Sim) pickTargets() []int {
 			}
 			return a - b
 		})
-	case AttackRarePieceHolders:
+	case attack.RankRarest:
 		// Lower is rarer: score each candidate by its rarest held piece,
 		// judged from the maintained global holder counts.
+		if s.rareScore == nil {
+			s.rareScore = make([]int32, s.n) //lotus:ignore allocfree once per run, and only under a rarest-piece ranking
+		}
 		for _, v := range cands {
 			best := int32(s.n + 1)
 			s.forEachPiece(v, func(p int) {
@@ -1058,8 +975,8 @@ func (s *Sim) pickTargets() []int {
 	default:
 		return nil
 	}
-	if len(cands) > s.cfg.AttackTargets {
-		cands = cands[:s.cfg.AttackTargets]
+	if len(cands) > k {
+		cands = cands[:k]
 	}
 	return cands
 }

@@ -15,9 +15,9 @@ func quickCfg() Config {
 	return cfg
 }
 
-func mustRun(t *testing.T, cfg Config, seed uint64) Result {
+func mustRun(t *testing.T, cfg Config, seed uint64, opts ...Option) Result {
 	t.Helper()
-	sim, err := New(cfg, seed)
+	sim, err := New(cfg, seed, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,6 +26,18 @@ func mustRun(t *testing.T, cfg Config, seed uint64) Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// rankedStrategy is an attacker outside the swarm that satiates the k best
+// of the given number of leechers under rule r during ticks [start, stop).
+func rankedStrategy(leechers int, r attack.Rank, k, start, stop int) *attack.Strategy {
+	return &attack.Strategy{
+		Kind:            attack.Ideal,
+		SatiateFraction: float64(k) / float64(leechers),
+		Rank:            r,
+		Start:           start,
+		Stop:            stop,
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -43,16 +55,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative random-first", func(c *Config) { c.RandomFirstCount = -1 }},
 		{"endgame threshold", func(c *Config) { c.Endgame = true; c.EndgameThreshold = 0 }},
 		{"negative seed depart", func(c *Config) { c.SeedDepartTick = -1 }},
-		{"bad attack", func(c *Config) { c.Attack = AttackKind(9) }},
-		{"attack without uplink", func(c *Config) { c.Attack = AttackTopUploaders; c.AttackTargets = 1 }},
-		{"attack without targets", func(c *Config) { c.Attack = AttackTopUploaders; c.AttackerUplink = 1 }},
-		{"stop before start", func(c *Config) {
-			c.Attack = AttackTopUploaders
-			c.AttackerUplink = 1
-			c.AttackTargets = 1
-			c.AttackStartTick = 5
-			c.AttackStopTick = 5
-		}},
+		{"zero uplink", func(c *Config) { c.AttackerUplink = 0 }},
 	}
 	for _, c := range cases {
 		cfg := quickCfg()
@@ -70,11 +73,7 @@ func TestStrings(t *testing.T) {
 	if SelectRandom.String() != "random" || SelectRarestFirst.String() != "rarest-first" {
 		t.Fatal("selection names")
 	}
-	if AttackOff.String() != "off" || AttackTopUploaders.String() != "top-uploaders" ||
-		AttackRarePieceHolders.String() != "rare-piece-holders" {
-		t.Fatal("attack names")
-	}
-	if !strings.Contains(Selection(7).String(), "7") || !strings.Contains(AttackKind(7).String(), "7") {
+	if !strings.Contains(Selection(7).String(), "7") {
 		t.Fatal("unknown enum strings")
 	}
 }
@@ -103,11 +102,10 @@ func TestRandomSelectionAlsoCompletes(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	cfg := quickCfg()
-	cfg.Attack = AttackTopUploaders
-	cfg.AttackerUplink = 16
-	cfg.AttackTargets = 4
-	a := mustRun(t, cfg, 42)
-	b := mustRun(t, cfg, 42)
+	run := func() Result {
+		return mustRun(t, cfg, 42, WithAdversary(rankedStrategy(cfg.Leechers, attack.RankUploaders, 4, 0, 0)))
+	}
+	a, b := run(), run()
 	if a != b {
 		t.Fatalf("same seed differs:\n%+v\n%+v", a, b)
 	}
@@ -117,15 +115,12 @@ func TestDeterministicReplay(t *testing.T) {
 // leechers (who then seed) does not hurt the torrent and generally helps.
 func TestTopUploaderAttackIsNetBenefit(t *testing.T) {
 	base := quickCfg()
-	attacked := base
-	attacked.Attack = AttackTopUploaders
-	attacked.AttackerUplink = 16
-	attacked.AttackTargets = 4
 	var meanBase, meanAtk float64
 	const seeds = 3
 	for s := uint64(0); s < seeds; s++ {
 		meanBase += mustRun(t, base, 10+s).MeanCompletionTick
-		meanAtk += mustRun(t, attacked, 10+s).MeanCompletionTick
+		adv := rankedStrategy(base.Leechers, attack.RankUploaders, 4, 0, 0)
+		meanAtk += mustRun(t, base, 10+s, WithAdversary(adv)).MeanCompletionTick
 	}
 	if meanAtk > meanBase {
 		t.Fatalf("top-uploader attack slowed the swarm: %.1f > %.1f", meanAtk/seeds, meanBase/seeds)
@@ -150,10 +145,8 @@ func TestSeedDeparture(t *testing.T) {
 
 func TestAttackerUploadAccounting(t *testing.T) {
 	cfg := quickCfg()
-	cfg.Attack = AttackRarePieceHolders
 	cfg.AttackerUplink = 8
-	cfg.AttackTargets = 2
-	res := mustRun(t, cfg, 3)
+	res := mustRun(t, cfg, 3, WithAdversary(rankedStrategy(cfg.Leechers, attack.RankRarest, 2, 0, 0)))
 	if res.AttackerUploaded == 0 {
 		t.Fatal("attacker uploaded nothing")
 	}
@@ -164,12 +157,9 @@ func TestAttackerUploadAccounting(t *testing.T) {
 
 func TestAttackWindowRespected(t *testing.T) {
 	cfg := quickCfg()
-	cfg.Attack = AttackRarePieceHolders
 	cfg.AttackerUplink = 1000
-	cfg.AttackTargets = 40
-	cfg.AttackStartTick = 10
-	cfg.AttackStopTick = 11 // a single tick of attack
-	res := mustRun(t, cfg, 4)
+	// A single tick of attack on every leecher.
+	res := mustRun(t, cfg, 4, WithAdversary(rankedStrategy(cfg.Leechers, attack.RankRarest, 40, 10, 11)))
 	// One tick at uplink 1000 moves at most 1000 pieces.
 	if res.AttackerUploaded > 1000 {
 		t.Fatalf("attacker uploaded %d in a 1-tick window", res.AttackerUploaded)
@@ -289,6 +279,9 @@ func TestEvalParallelBitIdentical(t *testing.T) {
 		"none":  nil,
 		"trade": {Kind: attack.Trade, Fraction: 0.1, SatiateFraction: 0.3, RotatePeriod: 9},
 		"ideal": {Kind: attack.Ideal, Fraction: 0.05, SatiateFraction: 0.4},
+		// Ranked targets inside a campaign window: the ranking and the
+		// window's edges are computed before the shards probe them.
+		"ranked-trade": {Kind: attack.Trade, Fraction: 0.1, SatiateFraction: 0.2, Rank: attack.RankUploaders, Start: 5, Stop: 60},
 	}
 	for name, adv := range advs {
 		seq := run(adv, false)

@@ -3,7 +3,8 @@
 //
 //   - the paper's adversary as one substrate-independent Strategy: the
 //     crash, ideal lotus-eater and trade lotus-eater attacks, with static,
-//     rotating or explicitly listed satiation targets;
+//     rotating, explicitly listed or (swarm only) state-ranked satiation
+//     targets and an optional campaign window;
 //   - a BAR Gossip simulator with those attacks and the paper's protocol
 //     defenses (larger optimistic pushes, slightly unbalanced exchanges,
 //     obedient reporting) — see NewGossip;
@@ -17,10 +18,9 @@
 //     as scenario data run by the scenario engine — see Figures and
 //     RunFigure (or `lotus-sim list` / `lotus-sim run <name>`).
 //
-// The gossip, token, scrip and coding constructors take their attack as a
-// *Strategy (nil for none); the swarm's attacks are SwarmConfig fields.
-// Receiver-side rate limiting is a scenario's defense block, installed by
-// the scenario engine.
+// Every simulator constructor takes its attack as a *Strategy (nil for
+// none). Receiver-side rate limiting is a scenario's defense block,
+// installed by the scenario engine.
 //
 // All five simulators implement the sim.Model interface of the shared
 // simulation kernel (internal/sim) — Step / Finished / Snapshot — and
@@ -30,6 +30,8 @@
 package lotuseater
 
 import (
+	"fmt"
+
 	"lotuseater/internal/attack"
 	"lotuseater/internal/coding"
 	"lotuseater/internal/gossip"
@@ -97,8 +99,6 @@ type (
 	// Graph is an undirected communication graph.
 	Graph = graph.Graph
 
-	// AttackKind enumerates the paper's attacks.
-	AttackKind = attack.Kind
 	// Strategy is the paper's adversary. It carries one run's state: pass a
 	// fresh value to every constructor call.
 	Strategy = attack.Strategy
@@ -119,15 +119,10 @@ const (
 	ScripAttackerAgent = scrip.AttackerAgent
 )
 
-// Swarm piece-selection policies and attack kinds, re-exported for
-// configuration literals.
+// Swarm piece-selection policies, re-exported for configuration literals.
 const (
 	SwarmSelectRandom      = swarm.SelectRandom
 	SwarmSelectRarestFirst = swarm.SelectRarestFirst
-
-	SwarmAttackOff              = swarm.AttackOff
-	SwarmAttackTopUploaders     = swarm.AttackTopUploaders
-	SwarmAttackRarePieceHolders = swarm.AttackRarePieceHolders
 )
 
 // DefaultGossipConfig returns Table 1 of the paper plus this reproduction's
@@ -136,12 +131,16 @@ func DefaultGossipConfig() GossipConfig { return gossip.DefaultConfig() }
 
 // withAdversary checks adv against a population of n nodes and returns the
 // option that installs it; a nil adv is no attack and installs nothing.
-func withAdversary[O any](adv *Strategy, n int, with func(sim.Adversary) O) ([]O, error) {
+// Only a model that ranks its nodes accepts a ranked adv.
+func withAdversary[O any](adv *Strategy, n int, ranks bool, with func(sim.Adversary) O) ([]O, error) {
 	if adv == nil {
 		return nil, nil
 	}
 	if err := adv.Validate(); err != nil {
 		return nil, err
+	}
+	if adv.Rank != "" && !ranks {
+		return nil, fmt.Errorf("lotuseater: Strategy.Rank %q needs a model that ranks its nodes (NewSwarm)", adv.Rank)
 	}
 	if err := attack.ValidateTargetList(n, adv.TargetList); err != nil {
 		return nil, err
@@ -152,7 +151,7 @@ func withAdversary[O any](adv *Strategy, n int, with func(sim.Adversary) O) ([]O
 // NewGossip builds a BAR Gossip simulation under attack adv (nil for
 // none); deterministic in (cfg, seed).
 func NewGossip(cfg GossipConfig, seed uint64, adv *Strategy) (*gossip.Engine, error) {
-	opts, err := withAdversary(adv, cfg.Nodes, gossip.WithAdversary)
+	opts, err := withAdversary(adv, cfg.Nodes, false, gossip.WithAdversary)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +164,7 @@ func NewTokenModel(cfg TokenModelConfig, seed uint64, adv *Strategy) (*tokenmode
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	opts, err := withAdversary(adv, cfg.Graph.N(), tokenmodel.WithAdversary)
+	opts, err := withAdversary(adv, cfg.Graph.N(), false, tokenmodel.WithAdversary)
 	if err != nil {
 		return nil, err
 	}
@@ -176,9 +175,10 @@ func NewTokenModel(cfg TokenModelConfig, seed uint64, adv *Strategy) (*tokenmode
 func DefaultScripConfig() ScripConfig { return scrip.DefaultConfig() }
 
 // NewScrip builds a scrip economy simulation under attack adv (nil for
-// none), funded by cfg.AttackBudget from cfg.AttackStart on.
+// none), funded by cfg.AttackBudget; adv.Start delays the campaign so the
+// attacker's agents can earn first.
 func NewScrip(cfg ScripConfig, seed uint64, adv *Strategy) (*scrip.Sim, error) {
-	opts, err := withAdversary(adv, cfg.Agents, scrip.WithAdversary)
+	opts, err := withAdversary(adv, cfg.Agents, false, scrip.WithAdversary)
 	if err != nil {
 		return nil, err
 	}
@@ -188,9 +188,16 @@ func NewScrip(cfg ScripConfig, seed uint64, adv *Strategy) (*scrip.Sim, error) {
 // DefaultSwarmConfig returns a modest healthy swarm.
 func DefaultSwarmConfig() SwarmConfig { return swarm.DefaultConfig() }
 
-// NewSwarm builds a BitTorrent-like swarm simulation.
-func NewSwarm(cfg SwarmConfig, seed uint64) (*swarm.Sim, error) {
-	return swarm.New(cfg, seed)
+// NewSwarm builds a BitTorrent-like swarm simulation under attack adv (nil
+// for none). A ranked adv (Rank "uploaders" or "rarest") satiates the
+// swarm's top uploaders or rarest-piece holders from outside, best first, up
+// to cfg.AttackerUplink pieces per tick.
+func NewSwarm(cfg SwarmConfig, seed uint64, adv *Strategy) (*swarm.Sim, error) {
+	opts, err := withAdversary(adv, cfg.Leechers, true, swarm.WithAdversary)
+	if err != nil {
+		return nil, err
+	}
+	return swarm.New(cfg, seed, opts...)
 }
 
 // NewDissemination builds the coded-vs-plain dissemination simulation under
@@ -199,7 +206,7 @@ func NewDissemination(cfg DisseminationConfig, seed uint64, adv *Strategy) (*cod
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	opts, err := withAdversary(adv, cfg.Graph.N(), coding.WithAdversary)
+	opts, err := withAdversary(adv, cfg.Graph.N(), false, coding.WithAdversary)
 	if err != nil {
 		return nil, err
 	}
