@@ -49,7 +49,7 @@ race:
 	# leecher scans, the initial rarity build) only fan out above ~32k
 	# nodes; these tests force that scale and shard split under -race.
 	$(GO) test -race -count=1 \
-		-run 'TestShardedPassesRace|TestEvalParallelBitIdentical|TestIncrementalRarityMatchesRescan' \
+		-run 'TestShardedPassesRace|TestEvalParallelBitIdentical|TestIncrementalRarityMatchesRescan|TestUnchokeScoringMatchesBruteForce' \
 		./internal/swarm
 
 # Statistical self-tests for the adaptive stopping rule: Student-t golden

@@ -20,24 +20,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// NewArena returns count independent empty sets of capacity n whose word
-// storage shares one contiguous backing array, in index order. Simulators
-// holding one set per agent use this so that scanning agents in index order
-// walks packed memory instead of chasing count separate heap objects. It
-// panics if count or n is negative.
-func NewArena(count, n int) []Set {
-	if count < 0 || n < 0 {
-		panic("bitset: negative arena size")
-	}
-	wpn := (n + 63) / 64
-	words := make([]uint64, count*wpn)
-	sets := make([]Set, count)
-	for i := range sets {
-		sets[i] = Set{words: words[i*wpn : (i+1)*wpn : (i+1)*wpn], n: n}
-	}
-	return sets
-}
-
 // Cap returns the capacity the set was created with.
 func (s *Set) Cap() int { return s.n }
 
@@ -165,47 +147,14 @@ func (s *Set) DiffEach(other *Set, fn func(i int)) {
 	}
 }
 
-// AppendDiff appends to buf, in ascending order, every bit set in s but
-// clear in other, and returns the extended slice. It panics if capacities
-// differ. Unlike DiffEach it needs no callback, so hot loops reusing buf
-// run allocation-free.
-func (s *Set) AppendDiff(other *Set, buf []int) []int {
-	if other.n != s.n {
-		panic("bitset: capacity mismatch")
-	}
-	for wi, w := range s.words {
-		w &^= other.words[wi]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			buf = append(buf, wi*64+b)
-			w &= w - 1
-		}
-	}
-	return buf
-}
-
-// HasDiff reports whether any bit is set in s but clear in other. It panics
-// if capacities differ.
-func (s *Set) HasDiff(other *Set) bool {
-	if other.n != s.n {
-		panic("bitset: capacity mismatch")
-	}
-	for wi, w := range s.words {
-		if w&^other.words[wi] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Missing returns the clear bits in ascending order.
 func (s *Set) Missing() []int {
 	return s.AppendMissing(make([]int, 0, s.n-s.count))
 }
 
 // AppendMissing appends the clear bits in [0, Cap) to buf in ascending order
-// and returns the extended slice. Like AppendDiff it exists for hot loops
-// that reuse buf to stay allocation-free.
+// and returns the extended slice. It exists for hot loops that reuse buf to
+// stay allocation-free.
 func (s *Set) AppendMissing(buf []int) []int {
 	for wi, w := range s.words {
 		w = ^w

@@ -252,40 +252,6 @@ func TestUnionIsIdempotentAndMonotone(t *testing.T) {
 	}
 }
 
-func TestNewArena(t *testing.T) {
-	for _, tc := range []struct{ count, n int }{{0, 10}, {3, 0}, {4, 1}, {5, 64}, {3, 65}, {2, 130}} {
-		sets := NewArena(tc.count, tc.n)
-		if len(sets) != tc.count {
-			t.Fatalf("NewArena(%d,%d): %d sets", tc.count, tc.n, len(sets))
-		}
-		for i := range sets {
-			if sets[i].Cap() != tc.n || sets[i].Len() != 0 {
-				t.Fatalf("NewArena(%d,%d)[%d]: cap %d len %d", tc.count, tc.n, i, sets[i].Cap(), sets[i].Len())
-			}
-		}
-		// Independence: mutating one set never leaks into a sibling.
-		if tc.count >= 2 && tc.n >= 1 {
-			sets[0].Fill()
-			sets[1].Add(0)
-			sets[1].Remove(0)
-			if sets[1].Len() != 0 || sets[0].Len() != tc.n {
-				t.Fatalf("NewArena(%d,%d): siblings share bits", tc.count, tc.n)
-			}
-			// Appending past a set's capped words slice must not clobber the
-			// next set's storage.
-			for i := range sets {
-				sets[i].Clear()
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewArena(-1, 3) did not panic")
-		}
-	}()
-	NewArena(-1, 3)
-}
-
 func TestAppendMissing(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		s := New(n)

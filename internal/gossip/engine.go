@@ -32,19 +32,20 @@ type Engine struct {
 	board   *defense.Board
 	def     sim.Defense
 
-	roles      []Role
-	attackers  []int
-	isAttacker []bool
-	evicted    []bool
+	// status holds one byte of stXxx bits per node: everything the
+	// exchange phases read about an endpoint, so checking one costs one
+	// load. attackers lists the adversary's nodes in placement order.
+	status    []uint8
+	attackers []int
 
 	// Population model (all nil/empty without one; every gate below keeps
 	// the static-population code path byte-identical). churn replays the
-	// compiled lifecycle schedule; departed/presentSince track presence.
+	// compiled lifecycle schedule; the stDeparted bit and presentSince
+	// track presence.
 	// nodeAltruism overrides cfg.Altruism per node (maxAltruism caches the
 	// short-circuit guard); copiesFor maps a drawn popularity rank to the
 	// seeding fan-out for that update.
 	churn         population.Cursor
-	departed      []bool
 	presentSince  []int
 	nodeAltruism  []float64
 	maxAltruism   float64
@@ -66,17 +67,16 @@ type Engine struct {
 	words  int
 	oldEnd int
 
-	// Pooled per-round scratch: the planning permutation, pairing list and
-	// the two needs buffers are reused every round — steady-state rounds
-	// allocate O(|satiated set|) on the satiation path and O(1) elsewhere,
-	// independent of Nodes.
+	// Pooled per-round scratch: the exchange-order permutation, the
+	// seeding sample and the two needs buffers are reused every round —
+	// steady-state rounds allocate O(|satiated set|) on the satiation path
+	// and O(1) elsewhere, independent of Nodes.
 	permBuf     []int
-	pairBuf     []pairing
-	initFlags   []bool
+	seedBuf     []int
 	needScratch [2][]int
 
-	// evalParallel > 0 forces the sharded per-node planning evaluation,
-	// < 0 forces the sequential loop, 0 picks by population size.
+	// evalParallel > 0 forces the sharded initiates scan, < 0 forces the
+	// sequential loop, 0 picks by population size.
 	evalParallel int
 
 	measStart, measEnd int // inclusive release-round measurement window
@@ -139,14 +139,23 @@ func WithUpdateWeights(w []float64) Option {
 	return func(e *Engine) { e.updateWeights = w }
 }
 
+// Node status bits, one byte per node (Engine.status).
+const (
+	stAttacker  uint8 = 1 << iota // placed by the adversary
+	stObedient                    // an honest node that follows the protocol even when deviating pays
+	stEvicted                     // evicted by the report board; set only at round end
+	stDeparted                    // left the population; changes only at round start
+	stInitiates                   // initiates in the current exchange phase
+)
+
 // evalParallelMinNodes is the population size at which the engine starts
-// sharding per-node planning evaluation across the worker pool by default.
+// sharding the initiates scan across the worker pool by default.
 const evalParallelMinNodes = 1 << 15
 
-// WithEvalParallel forces the round-planning evaluation — the O(Nodes)
-// "does v initiate this phase?" scan — on or off the sharded sim.ParallelFor
-// path. The evaluation is a pure read of round state, so results are
-// bit-identical either way (the equivalence is tested); by default the
+// WithEvalParallel forces each exchange phase's initiates scan — the
+// O(Nodes) "does v initiate this phase?" pass — on or off the sharded
+// sim.ParallelFor path. The scan is a pure read of round state, so results
+// are bit-identical either way (the equivalence is tested); by default the
 // sharded path engages for populations of evalParallelMinNodes and up,
 // where the scan dominates round time.
 func WithEvalParallel(on bool) Option {
@@ -219,34 +228,27 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 
 	// Roles: the adversary places its nodes, then obedient nodes are chosen
 	// among the rest.
-	e.roles = make([]Role, n)
-	for i := range e.roles {
-		e.roles[i] = RoleHonest
-	}
-	e.isAttacker = make([]bool, n)
+	e.status = make([]uint8, n)
 	e.attackers = e.adv.Place(n, e.rng)
 	for _, a := range e.attackers {
 		if a < 0 || a >= n {
 			return nil, fmt.Errorf("gossip: adversary placed node %d outside [0,%d)", a, n)
 		}
-		e.roles[a] = RoleAttacker
-		e.isAttacker[a] = true
+		e.status[a] |= stAttacker
 	}
 	if cfg.ObedientFraction > 0 {
 		honest := make([]int, 0, n)
 		for v := 0; v < n; v++ {
-			if !e.isAttacker[v] {
+			if e.status[v]&stAttacker == 0 {
 				honest = append(honest, v)
 			}
 		}
 		k := int(cfg.ObedientFraction*float64(len(honest)) + 0.5)
 		for _, idx := range e.rng.Child("obedient").SampleInts(len(honest), k) {
-			e.roles[honest[idx]] = RoleObedient
+			e.status[honest[idx]] |= stObedient
 		}
 	}
 
-	e.evicted = make([]bool, n)
-	e.departed = make([]bool, n)
 	e.presentSince = make([]int, n)
 	e.delivered = make([]int, n)
 	e.total = make([]int, n)
@@ -261,7 +263,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 		e.perRoundIsolated[i] = -1
 	}
 	e.targetsByRound = make([]*attack.TargetSet, cfg.Rounds)
-	e.initFlags = make([]bool, n)
 	e.live = make([]liveUpdate, 0, cfg.Lifetime*cfg.UpdatesPerRound)
 	e.words = (cap(e.live) + 63) / 64
 	e.held = make([]uint64, n*e.words)
@@ -299,10 +300,19 @@ func (e *Engine) Config() Config { return e.cfg }
 // Round returns the next round to be simulated.
 func (e *Engine) Round() int { return e.round }
 
-// Roles returns a copy of the per-node roles.
+// Roles returns the per-node roles.
 func (e *Engine) Roles() []Role {
-	out := make([]Role, len(e.roles))
-	copy(out, e.roles)
+	out := make([]Role, len(e.status))
+	for v, st := range e.status {
+		switch {
+		case st&stAttacker != 0:
+			out[v] = RoleAttacker
+		case st&stObedient != 0:
+			out[v] = RoleObedient
+		default:
+			out[v] = RoleHonest
+		}
+	}
 	return out
 }
 
@@ -355,13 +365,11 @@ func (e *Engine) Step() error {
 		e.idealDeliver()
 	}
 
-	for _, p := range e.planBalanced() {
-		e.execBalanced(p)
-	}
+	// Rational nodes initiate a balanced exchange while unsatiated, and a
+	// push while missing old, soon-to-expire updates.
+	e.exchangePhase("balanced", len(e.live), e.execBalanced)
 	if e.cfg.PushSize > 0 {
-		for _, p := range e.planPush() {
-			e.execPush(p)
-		}
+		e.exchangePhase("push", e.oldEnd, e.execPush)
 	}
 
 	e.applyEvictions()
@@ -377,10 +385,10 @@ func (e *Engine) Step() error {
 //
 //lotus:allocfree
 func (e *Engine) leaveNode(v int) {
-	if e.departed[v] {
+	if e.status[v]&stDeparted != 0 {
 		return
 	}
-	e.departed[v] = true
+	e.status[v] |= stDeparted
 	clear(e.row(v))
 	sim.NotifyDeparture(e.adv, e.round, v)
 }
@@ -391,10 +399,10 @@ func (e *Engine) leaveNode(v int) {
 //
 //lotus:allocfree
 func (e *Engine) joinNode(v int) {
-	if !e.departed[v] {
+	if e.status[v]&stDeparted == 0 {
 		return
 	}
-	e.departed[v] = false
+	e.status[v] &^= stDeparted
 	e.presentSince[v] = e.round
 }
 
@@ -419,12 +427,14 @@ func (e *Engine) seedUpdates() {
 		if e.copiesFor != nil {
 			copies = e.copiesFor[rng.IntN(len(e.copiesFor))]
 		}
-		for _, v := range rng.SampleInts(e.cfg.Nodes, copies) {
-			if e.departed[v] {
+		e.seedBuf = rng.SampleIntsInto(e.seedBuf[:0], e.cfg.Nodes, copies)
+		for _, v := range e.seedBuf {
+			st := e.status[v]
+			if st&stDeparted != 0 {
 				continue // the copy lands on an empty seat and is lost
 			}
 			e.set(v, b)
-			if e.isAttacker[v] && !e.evicted[v] {
+			if st&(stAttacker|stEvicted) == stAttacker {
 				u.pool = true
 			}
 		}
@@ -456,10 +466,10 @@ func (e *Engine) idealDeliver() {
 			continue
 		}
 		for _, v := range targets.Members() {
-			if e.isAttacker[v] || e.departed[v] || e.has(v, b) {
+			if e.status[v]&(stAttacker|stDeparted) != 0 || e.has(v, b) {
 				continue
 			}
-			if e.roles[v] == RoleObedient && e.def != nil {
+			if e.status[v]&stObedient != 0 && e.def != nil {
 				if e.def.Admit(e.round, sender, v, 1) == 0 {
 					continue
 				}
@@ -470,73 +480,64 @@ func (e *Engine) idealDeliver() {
 	}
 }
 
-// pairing is one planned interaction: initiator contacts partner.
-type pairing struct {
-	initiator int
-	partner   int
-}
-
-// planBalanced decides who initiates a balanced exchange this round and
-// with whom. Rational nodes initiate only when unsatiated; trade attackers
-// always initiate; crash and ideal attackers never do.
+// exchangePhase runs one exchange sub-protocol for the round. label names
+// its partner schedule and its order stream; a rational node initiates iff
+// it lacks one of live[:end], trade attackers always initiate, and crash
+// and ideal attackers never do. exec performs one exchange between an
+// initiator and its partner.
+//
+// The initiates bits are all set before the first exchange, and nothing an
+// exchange does can change who is evicted (round end) or departed (round
+// start), so running each pair as soon as the permutation reaches it is
+// exactly planning the whole pair list first and executing it in order.
 //
 //lotus:allocfree
-func (e *Engine) planBalanced() []pairing {
-	return e.plan("balanced", func(v int) bool {
-		if e.isAttacker[v] {
-			return e.advTrades
-		}
-		return e.lacksAnyLive(v, len(e.live))
-	})
-}
-
-// planPush decides who initiates an optimistic push: rational nodes that
-// are missing old, soon-to-expire updates; trade attackers always.
-//
-//lotus:allocfree
-func (e *Engine) planPush() []pairing {
-	return e.plan("push", func(v int) bool {
-		if e.isAttacker[v] {
-			return e.advTrades
-		}
-		return e.lacksAnyLive(v, e.oldEnd)
-	})
-}
-
-//lotus:allocfree
-func (e *Engine) plan(label string, initiates func(v int) bool) []pairing {
+func (e *Engine) exchangePhase(label string, end int, exec func(i, j int)) {
 	n := e.cfg.Nodes
-	// Evaluate "does v initiate?" for every node up front. The predicate is
-	// a pure read of round state (holdings rows, roles), so for large
-	// populations the scan shards across the worker pool with bit-identical
-	// results; plan order below is untouched either way.
-	flags := e.initFlags
-	if e.evalParallel > 0 || (e.evalParallel == 0 && n >= evalParallelMinNodes) {
-		sim.ParallelFor(n, 0, func(_, start, end int) {
-			for v := start; v < end; v++ {
-				flags[v] = initiates(v)
+	// v lacks one of live[:end] iff a full want word of its row is not all
+	// ones, or the partial last word misses a bit of tail.
+	full, tail := end>>6, uint64(1)<<(end&63)-1
+	mark := func(start, stop int) {
+		for v := start; v < stop; v++ {
+			st := e.status[v] &^ stInitiates
+			if st&stAttacker != 0 {
+				if e.advTrades {
+					st |= stInitiates
+				}
+			} else {
+				row := e.held[v*e.words : v*e.words+e.words]
+				lacks := tail != 0 && row[full]&tail != tail
+				for w := 0; w < full && !lacks; w++ {
+					lacks = row[w] != ^uint64(0)
+				}
+				if lacks {
+					st |= stInitiates
+				}
 			}
-		})
-	} else {
-		for v := 0; v < n; v++ {
-			flags[v] = initiates(v)
+			e.status[v] = st
 		}
+	}
+	// The scan is a pure read of round state, so for large populations it
+	// shards across the worker pool with bit-identical results; every shard
+	// writes only its own nodes' status bytes.
+	if e.evalParallel > 0 || (e.evalParallel == 0 && n >= evalParallelMinNodes) {
+		sim.ParallelFor(n, 0, func(_, start, stop int) { mark(start, stop) })
+	} else {
+		mark(0, n)
 	}
 	order := e.rng.ChildN("order-"+label, e.round).PermInto(e.permBuf, n)
 	e.permBuf = order
-	pairs := e.pairBuf[:0]
+	partners := sign.Partners(e.pseed, label, e.round)
 	for _, v := range order {
-		if e.evicted[v] || e.departed[v] || !flags[v] {
+		if e.status[v]&(stInitiates|stEvicted|stDeparted) != stInitiates {
 			continue
 		}
-		p := sign.Partner(e.pseed, label, e.round, v, e.cfg.Nodes)
-		if e.evicted[p] || e.departed[p] {
+		p := partners.Of(v, n)
+		if e.status[p]&(stEvicted|stDeparted) != 0 {
 			continue // the slot is wasted, like contacting a crashed node
 		}
-		pairs = append(pairs, pairing{initiator: v, partner: p})
+		exec(v, p)
 	}
-	e.pairBuf = pairs
-	return pairs
 }
 
 // applyEvictions makes report-board evictions effective at round end, so
@@ -548,8 +549,8 @@ func (e *Engine) applyEvictions() {
 		return
 	}
 	for v := 0; v < e.cfg.Nodes; v++ {
-		if !e.evicted[v] && e.board.Evicted(v) {
-			e.evicted[v] = true
+		if e.status[v]&stEvicted == 0 && e.board.Evicted(v) {
+			e.status[v] |= stEvicted
 		}
 	}
 }
@@ -585,7 +586,7 @@ func (e *Engine) tally(rel, k int) {
 		// present and was already present at release — nobody "misses" an
 		// update that circulated while their seat was empty. All-false/zero
 		// without churn, so the static path is untouched.
-		if e.isAttacker[v] || e.departed[v] || e.presentSince[v] > rel {
+		if e.status[v]&(stAttacker|stDeparted) != 0 || e.presentSince[v] > rel {
 			continue
 		}
 		got := e.heldOf(v, k)
@@ -637,7 +638,7 @@ func (e *Engine) result() Result {
 		for v := range res.NodeRoundDelivery {
 			fractions := make([]float64, e.cfg.Rounds)
 			for r := range fractions {
-				if e.isAttacker[v] || r < e.measStart || r > e.measEnd {
+				if e.status[v]&stAttacker != 0 || r < e.measStart || r > e.measEnd {
 					fractions[r] = -1
 					continue
 				}

@@ -12,7 +12,8 @@ func (e *Engine) attackerServes(att, peer int) bool {
 	return e.adv.OnExchange(e.round, att, peer)
 }
 
-// execBalanced performs one balanced exchange between the planned pair.
+// execBalanced performs one balanced exchange: initiator i contacted its
+// partner j.
 //
 // Honest semantics: each side offers what the other lacks; the exchange size
 // is the one-for-one minimum k of the two need counts, plus up to
@@ -25,12 +26,8 @@ func (e *Engine) attackerServes(att, peer int) bool {
 // nothing.
 //
 //lotus:allocfree
-func (e *Engine) execBalanced(p pairing) {
-	i, j := p.initiator, p.partner
-	if e.evicted[i] || e.evicted[j] || e.departed[i] || e.departed[j] {
-		return
-	}
-	ai, aj := e.isAttacker[i], e.isAttacker[j]
+func (e *Engine) execBalanced(i, j int) {
+	ai, aj := e.status[i]&stAttacker != 0, e.status[j]&stAttacker != 0
 	switch {
 	case ai && aj:
 		return // attacker nodes have nothing to gain from each other
@@ -139,7 +136,7 @@ func (e *Engine) deliver(from, to int, indices []int, reciprocated int, attacker
 	if excess < 0 {
 		excess = 0
 	}
-	obedient := e.roles[to] == RoleObedient
+	obedient := e.status[to]&stObedient != 0
 
 	if obedient && excess > 0 && e.board != nil && e.board.Excessive(excess) {
 		e.fileReport(from, to, indices)
@@ -171,18 +168,15 @@ func (e *Engine) fileReport(from, to int, indices []int) {
 	})
 }
 
-// execPush performs one optimistic push. The initiator offers recently
-// released updates it holds; the responder takes up to PushSize of those it
-// lacks and returns an equal count drawn from the old, soon-to-expire
-// updates the initiator is missing, padded with junk when it has none.
+// execPush performs one optimistic push from initiator i to its partner j.
+// The initiator offers recently released updates it holds; the responder
+// takes up to PushSize of those it lacks and returns an equal count drawn
+// from the old, soon-to-expire updates the initiator is missing, padded with
+// junk when it has none.
 //
 //lotus:allocfree
-func (e *Engine) execPush(p pairing) {
-	i, j := p.initiator, p.partner
-	if e.evicted[i] || e.evicted[j] || e.departed[i] || e.departed[j] {
-		return
-	}
-	ai, aj := e.isAttacker[i], e.isAttacker[j]
+func (e *Engine) execPush(i, j int) {
+	ai, aj := e.status[i]&stAttacker != 0, e.status[j]&stAttacker != 0
 	switch {
 	case ai && aj:
 		return

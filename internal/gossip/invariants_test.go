@@ -65,7 +65,8 @@ func TestEngineInvariants(t *testing.T) {
 					}
 				}
 			}
-			for v, ev := range eng.evicted {
+			for v, st := range eng.status {
+				ev := st&stEvicted != 0
 				if evictedBefore[v] && !ev {
 					t.Fatalf("%v: node %d un-evicted", kind, v)
 				}
@@ -135,31 +136,42 @@ func TestEverySeededUpdateIsDeliverable(t *testing.T) {
 
 // TestSatiationCompatibilityStructural: a node holding every live update
 // initiates nothing — the protocol property the whole paper rests on,
-// verified against the engine's own planner.
+// verified against the engine's own exchange phases: each phase runs with a
+// recording exec in place of the exchange.
 func TestSatiationCompatibilityStructural(t *testing.T) {
-	cfg := quickConfig()
-	eng, err := New(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run a few rounds, then force-satiate node 0 by hand and verify the
-	// planner excludes it.
-	for i := 0; i < 5; i++ {
-		if err := eng.Step(); err != nil {
+	for _, parallel := range []bool{false, true} {
+		cfg := quickConfig()
+		eng, err := New(cfg, 3, WithEvalParallel(parallel))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for b := range eng.live {
-		eng.set(0, b)
-	}
-	for _, p := range eng.planBalanced() {
-		if p.initiator == 0 {
-			t.Fatal("satiated node initiated a balanced exchange")
+		// Run a few rounds, then force-satiate node 0 by hand and verify
+		// neither phase lets it initiate.
+		for i := 0; i < 5; i++ {
+			if err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for _, p := range eng.planPush() {
-		if p.initiator == 0 {
-			t.Fatal("satiated node initiated an optimistic push")
+		for b := range eng.live {
+			eng.set(0, b)
+		}
+		for _, phase := range []struct {
+			label string
+			end   int
+		}{{"balanced", len(eng.live)}, {"push", eng.oldEnd}} {
+			initiated := 0
+			eng.exchangePhase(phase.label, phase.end, func(i, j int) {
+				if i == 0 {
+					t.Fatalf("parallel=%v: satiated node initiated a %s exchange", parallel, phase.label)
+				}
+				if i == j {
+					t.Fatalf("parallel=%v: node %d paired with itself", parallel, i)
+				}
+				initiated++
+			})
+			if initiated == 0 {
+				t.Fatalf("parallel=%v: nobody initiated a %s exchange", parallel, phase.label)
+			}
 		}
 	}
 }

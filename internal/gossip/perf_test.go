@@ -31,7 +31,7 @@ func bigPathAttack() Option {
 // test: once the engine's pools are primed, a steady-state round's
 // allocations must not grow with the population — the satiation and
 // planning paths are O(|satiated set|) updates into pooled storage, and
-// everything O(Nodes) (permutations, pairing lists, needs buffers) is
+// everything O(Nodes) (permutations, seeding samples, needs buffers) is
 // recycled, and the holdings matrix is allocated once in New.
 func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 	measure := func(n int) float64 {
@@ -66,9 +66,9 @@ func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 }
 
 // TestEvalParallelBitIdentical extends the workers-parity guarantee to the
-// in-replicate sharded planning path: an engine with the evaluation scan
-// forced onto sim.ParallelFor must produce exactly the result of the
-// sequential scan, for every attack kind. The population spans three full
+// in-replicate sharded initiates scan: an engine with the scan forced onto
+// sim.ParallelFor must produce exactly the result of the sequential scan,
+// for every attack kind. The population spans three full
 // sim.DefaultGrain shards plus a ragged fourth, so the scan really fans
 // out (below one grain ParallelFor runs inline) and -race sees the shards.
 func TestEvalParallelBitIdentical(t *testing.T) {

@@ -75,14 +75,6 @@ func (e *Engine) heldOf(v, end int) int {
 	return n
 }
 
-// lacksAnyLive reports whether v is missing any of live[:end]: len(e.live)
-// asks "is v unsatiated?", e.oldEnd "is v missing old updates?".
-//
-//lotus:allocfree
-func (e *Engine) lacksAnyLive(v, end int) bool {
-	return e.heldOf(v, end) < end
-}
-
 // missing lists, ascending, the live indices in [lo, hi) that src holds and
 // dst lacks: src &^ dst over one bit range of two rows. It is the hot inner
 // loop of the simulator, so it appends into the slot-th pooled buffer; each

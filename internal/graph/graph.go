@@ -11,7 +11,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"lotuseater/internal/simrng"
 )
@@ -144,11 +144,13 @@ func Random(n int, p float64, rng *simrng.Source) *Graph {
 // connected with high probability for deg >= 3.
 //
 // The sampled edge sequence depends only on the RNG, never on the adjacency
-// built so far, so the constructor draws the whole edge multiset first and
-// bulk-builds the sorted, deduplicated adjacency lists afterwards — the
-// identical graph the historical per-edge sorted inserts produced, without
-// their O(degree) memmove and binary search per edge, which dominated
-// million-node construction.
+// built so far, so the constructor draws every node's samples first and
+// builds the sorted, deduplicated adjacency lists in one pass afterwards —
+// the identical graph the historical per-edge sorted inserts produced. Node
+// u's list is the union of its own samples and the nodes that sampled it:
+// the samples are sorted per node, the samplers arrive sorted by drawing u
+// in ascending order, and one merge per node drops the pairs sampled from
+// both sides, writing every list into one backing array.
 func RandomRegularish(n, deg int, rng *simrng.Source) *Graph {
 	g := New(n)
 	if n < 2 {
@@ -157,51 +159,54 @@ func RandomRegularish(n, deg int, rng *simrng.Source) *Graph {
 	if deg > n-1 {
 		deg = n - 1
 	}
-	us := make([]int32, 0, n*deg)
-	vs := make([]int32, 0, n*deg)
-	degCnt := make([]int32, n)
+	// own[u*deg:(u+1)*deg] holds u's samples; end[v+1] counts v's samplers.
+	own := make([]int32, n*deg)
+	end := make([]int, n+1)
+	var buf []int
 	for u := 0; u < n; u++ {
-		for _, v := range rng.SampleInts(n-1, deg) {
+		buf = rng.SampleIntsInto(buf[:0], n-1, deg)
+		for k, v := range buf {
 			if v >= u {
 				v++
 			}
-			us = append(us, int32(u))
-			vs = append(vs, int32(v))
-			degCnt[u]++
-			degCnt[v]++
+			own[u*deg+k] = int32(v)
+			end[v+1]++
 		}
 	}
-	// Bucket both endpoints of every sampled edge, then sort and dedup each
-	// node's bucket. Self-loops cannot occur by construction; duplicates
-	// (the same pair sampled from both sides) collapse in the dedup.
-	off := make([]int, n+1)
-	for u := 0; u < n; u++ {
-		off[u+1] = off[u] + int(degCnt[u])
+	for v := 0; v < n; v++ {
+		end[v+1] += end[v]
 	}
-	buf := make([]int, off[n])
-	pos := make([]int, n)
-	copy(pos, off[:n])
-	for i := range us {
-		u, v := int(us[i]), int(vs[i])
-		buf[pos[u]] = v
-		pos[u]++
-		buf[pos[v]] = u
-		pos[v]++
-	}
+	// Bucket the samplers: filling bucket v advances end[v] from its start
+	// to the start of bucket v+1, so afterwards v's samplers are
+	// in[end[v-1]:end[v]] (from 0 for v = 0), ascending.
+	in := make([]int32, n*deg)
 	for u := 0; u < n; u++ {
-		seg := buf[off[u]:off[u+1]]
-		sort.Ints(seg)
-		uniq := 0
-		for i, v := range seg {
-			if i > 0 && v == seg[i-1] {
-				continue
+		for _, v := range own[u*deg : (u+1)*deg] {
+			in[end[v]] = int32(u)
+			end[v]++
+		}
+	}
+	backing := make([]int, 0, 2*n*deg)
+	lo := 0
+	for u := 0; u < n; u++ {
+		a := own[u*deg : (u+1)*deg]
+		slices.Sort(a)
+		b := in[lo:end[u]]
+		lo = end[u]
+		first := len(backing)
+		for len(a) > 0 || len(b) > 0 {
+			var x int32
+			switch {
+			case len(b) == 0 || (len(a) > 0 && a[0] < b[0]):
+				x, a = a[0], a[1:]
+			case len(a) == 0 || b[0] < a[0]:
+				x, b = b[0], b[1:]
+			default: // the pair was sampled from both sides
+				x, a, b = a[0], a[1:], b[1:]
 			}
-			seg[uniq] = v
-			uniq++
+			backing = append(backing, int(x))
 		}
-		adj := make([]int, uniq)
-		copy(adj, seg[:uniq])
-		g.adj[u] = adj
+		g.adj[u] = backing[first:len(backing):len(backing)]
 	}
 	return g
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -199,6 +201,61 @@ func TestRandomRegularishConnected(t *testing.T) {
 	for v := 0; v < 200; v++ {
 		if len(g.AdjList(v)) < 4 {
 			t.Fatalf("node %d degree %d < requested 4", v, len(g.AdjList(v)))
+		}
+	}
+}
+
+// randomRegularishOracle is the bucket-and-sort builder RandomRegularish
+// replaced: draw the whole edge multiset, bucket both endpoints of every
+// edge, then sort and dedup each node's bucket.
+func randomRegularishOracle(n, deg int, rng *simrng.Source) [][]int {
+	adj := make([][]int, n)
+	if n < 2 {
+		return adj
+	}
+	if deg > n-1 {
+		deg = n - 1
+	}
+	var us, vs []int
+	for u := 0; u < n; u++ {
+		for _, v := range rng.SampleInts(n-1, deg) {
+			if v >= u {
+				v++
+			}
+			us = append(us, u)
+			vs = append(vs, v)
+		}
+	}
+	for i := range us {
+		adj[us[i]] = append(adj[us[i]], vs[i])
+		adj[vs[i]] = append(adj[vs[i]], us[i])
+	}
+	for u := range adj {
+		sort.Ints(adj[u])
+		adj[u] = slices.Compact(adj[u])
+	}
+	return adj
+}
+
+// TestRandomRegularishMatchesOracle: the one-pass merge builder draws the
+// identical graph the bucket-and-sort builder drew, including where the
+// sampler takes its partial Fisher–Yates branch (4·deg > n−1) and where deg
+// clamps to n−1.
+func TestRandomRegularishMatchesOracle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 5, 13, 97, 1000, 20000} {
+		for _, deg := range []int{1, 2, 3, 4, 6, 12, 40} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				g := RandomRegularish(n, deg, simrng.New(seed))
+				want := randomRegularishOracle(n, deg, simrng.New(seed))
+				if g.N() != n {
+					t.Fatalf("n=%d deg=%d seed=%d: N() = %d", n, deg, seed, g.N())
+				}
+				for u := range want {
+					if got := g.AdjList(u); !slices.Equal(got, want[u]) {
+						t.Fatalf("n=%d deg=%d seed=%d: node %d adjacency %v, want %v", n, deg, seed, u, got, want[u])
+					}
+				}
+			}
 		}
 	}
 }

@@ -130,21 +130,30 @@ func (k *Keyring) VerifyReceipt(r Receipt) bool {
 // deployment (in real BAR Gossip this comes from signed broadcaster state).
 type PartnerSeed uint64
 
-// Partner returns the verifiable pseudorandom partner of initiator for the
-// given round and sub-protocol label among n nodes. The result is never the
-// initiator itself. It panics if n < 2.
+// Schedule is one round's partner schedule for one sub-protocol: the part
+// of the derivation fixed by (seed, label, round), hoisted out of the
+// per-initiator draw so a phase pays it once. Make one with Partners.
+type Schedule struct{ x uint64 }
+
+// Partners returns the partner schedule of the given sub-protocol label in
+// round round under seed.
 //
-// The partner is a counter-based draw: the SplitMix64 finalizer chained over
-// seed^FNV-1a(label), then round, then initiator, reduced into the n-1 other
-// nodes by a multiply-high. Every input is public, so any third party can
-// recompute the partner.
-func Partner(seed PartnerSeed, label string, round, initiator, n int) int {
-	if n < 2 {
-		panic("sign: Partner needs n >= 2")
-	}
+// A partner is a counter-based draw: the SplitMix64 finalizer chained over
+// seed^FNV-1a(label), then round, then initiator, reduced into the n-1
+// other nodes by a multiply-high. Every input is public, so any third party
+// can recompute the partner.
+func Partners(seed PartnerSeed, label string, round int) Schedule {
 	x := simrng.SplitMix64(uint64(seed) ^ simrng.LabelHash(label))
-	x = simrng.SplitMix64(x ^ uint64(round))
-	x = simrng.SplitMix64(x ^ uint64(initiator))
+	return Schedule{x: simrng.SplitMix64(x ^ uint64(round))}
+}
+
+// Of returns the verifiable pseudorandom partner of initiator among n
+// nodes. The result is never the initiator itself. It panics if n < 2.
+func (s Schedule) Of(initiator, n int) int {
+	if n < 2 {
+		panic("sign: a partner needs n >= 2")
+	}
+	x := simrng.SplitMix64(s.x ^ uint64(initiator))
 	hi, _ := bits.Mul64(x, uint64(n-1))
 	v := int(hi)
 	if v >= initiator {

@@ -126,8 +126,8 @@ func TestPartnerDeterministicAndInRange(t *testing.T) {
 	const n = 50
 	for round := 0; round < 20; round++ {
 		for init := 0; init < n; init++ {
-			p1 := Partner(PartnerSeed(9), "balanced", round, init, n)
-			p2 := Partner(PartnerSeed(9), "balanced", round, init, n)
+			p1 := Partners(PartnerSeed(9), "balanced", round).Of(init, n)
+			p2 := Partners(PartnerSeed(9), "balanced", round).Of(init, n)
 			if p1 != p2 {
 				t.Fatal("partner selection not deterministic")
 			}
@@ -142,15 +142,15 @@ func TestPartnerDeterministicAndInRange(t *testing.T) {
 }
 
 func TestPartnerVariesWithInputs(t *testing.T) {
-	base := Partner(PartnerSeed(9), "balanced", 0, 0, 100)
+	base := Partners(PartnerSeed(9), "balanced", 0).Of(0, 100)
 	diffs := 0
-	if Partner(PartnerSeed(10), "balanced", 0, 0, 100) != base {
+	if Partners(PartnerSeed(10), "balanced", 0).Of(0, 100) != base {
 		diffs++
 	}
-	if Partner(PartnerSeed(9), "push", 0, 0, 100) != base {
+	if Partners(PartnerSeed(9), "push", 0).Of(0, 100) != base {
 		diffs++
 	}
-	if Partner(PartnerSeed(9), "balanced", 1, 0, 100) != base {
+	if Partners(PartnerSeed(9), "balanced", 1).Of(0, 100) != base {
 		diffs++
 	}
 	if diffs == 0 {
@@ -179,8 +179,8 @@ func TestPartnerVectors(t *testing.T) {
 		{42, "a sub-protocol label far longer than balanced or push", 3, 1_000_000, []int{681041, 139616, 432292, 105545, 998633, 900455, 171117, 387666}},
 	} {
 		for init, want := range tc.want {
-			if got := Partner(tc.seed, tc.label, tc.round, init, tc.n); got != want {
-				t.Errorf("Partner(%d, %q, %d, %d, %d) = %d, want %d", tc.seed, tc.label, tc.round, init, tc.n, got, want)
+			if got := Partners(tc.seed, tc.label, tc.round).Of(init, tc.n); got != want {
+				t.Errorf("Partners(%d, %q, %d).Of(%d, %d) = %d, want %d", tc.seed, tc.label, tc.round, init, tc.n, got, want)
 			}
 		}
 	}
@@ -196,7 +196,7 @@ func TestPartnerRoughlyUniform(t *testing.T) {
 		counts := make([]int, n*n)
 		for round := 0; round < rounds; round++ {
 			for init := 0; init < n; init++ {
-				counts[init*n+Partner(PartnerSeed(3), "balanced", round, init, n)]++
+				counts[init*n+Partners(PartnerSeed(3), "balanced", round).Of(init, n)]++
 			}
 		}
 		chi2 := 0.0
@@ -227,7 +227,7 @@ func TestPartnerLabelsIndependent(t *testing.T) {
 		same := 0
 		for round := 0; round < rounds; round++ {
 			for init := 0; init < n; init++ {
-				if Partner(PartnerSeed(5), "balanced", round, init, n) == Partner(PartnerSeed(5), "push", round, init, n) {
+				if Partners(PartnerSeed(5), "balanced", round).Of(init, n) == Partners(PartnerSeed(5), "push", round).Of(init, n) {
 					same++
 				}
 			}
@@ -241,23 +241,23 @@ func TestPartnerLabelsIndependent(t *testing.T) {
 	}
 }
 
-// TestPartnerAllocFree: the gossip engine calls Partner once per initiator
-// per phase, so the call must not allocate.
+// TestPartnerAllocFree: the gossip engine derives one schedule per phase and
+// draws a partner once per initiator, so neither may allocate.
 func TestPartnerAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
-		_ = Partner(PartnerSeed(9), "balanced", 12, 345, 100000)
+		_ = Partners(PartnerSeed(9), "balanced", 12).Of(345, 100000)
 	}); allocs != 0 {
-		t.Fatalf("Partner allocates %.0f times per call", allocs)
+		t.Fatalf("a partner draw allocates %.0f times per call", allocs)
 	}
 }
 
 func TestPartnerPanicsSmallN(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Partner with n=1 did not panic")
+			t.Fatal("a partner draw with n=1 did not panic")
 		}
 	}()
-	Partner(PartnerSeed(1), "x", 0, 0, 1)
+	Partners(PartnerSeed(1), "x", 0).Of(0, 1)
 }
 
 func TestKeyringN(t *testing.T) {
@@ -279,11 +279,16 @@ func TestVerifyReceiptUnknownSender(t *testing.T) {
 }
 
 // BenchmarkPartner times one partner draw at a 10⁵-node population, the
-// call the gossip engine makes once per initiator per phase.
+// call the gossip engine makes once per initiator per phase, with the
+// schedule derived once per 1024 draws.
 func BenchmarkPartner(b *testing.B) {
 	sink := 0
+	var sched Schedule
 	for i := 0; b.Loop(); i++ {
-		sink += Partner(PartnerSeed(9), "balanced", i>>10, i&1023, 100000)
+		if i&1023 == 0 {
+			sched = Partners(PartnerSeed(9), "balanced", i>>10)
+		}
+		sink += sched.Of(i&1023, 100000)
 	}
 	if sink < 0 {
 		b.Fatal(sink)

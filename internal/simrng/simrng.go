@@ -94,9 +94,9 @@ func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 
 // PermInto writes a random permutation of [0, n) into buf, reusing its
 // storage when it is large enough, and returns it. The draw is bit-identical
-// to Perm (identity order run through Shuffle, exactly as math/rand/v2
-// builds it), so hot loops can drop the per-round allocation without
-// changing any result; the equivalence is pinned by a test.
+// to Perm: identity order run through the Fisher–Yates loop of math/rand/v2's
+// Shuffle, one Uint64N(i+1) per position from the top down, inlined here
+// without Shuffle's per-swap closure. The equivalence is pinned by a test.
 func (s *Source) PermInto(buf []int, n int) []int {
 	if cap(buf) >= n {
 		buf = buf[:n]
@@ -106,52 +106,71 @@ func (s *Source) PermInto(buf []int, n int) []int {
 	for i := range buf {
 		buf[i] = i
 	}
-	s.rng.Shuffle(n, func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+	for i := n - 1; i > 0; i-- {
+		j := int(s.rng.Uint64N(uint64(i + 1)))
+		buf[i], buf[j] = buf[j], buf[i]
+	}
 	return buf
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
-// sampleScanMax is the largest sample SampleInts dedups by scanning what it
-// has drawn. Below it the scan beats a set's hashing and allocation; the
-// scan's cost grows with k², so from about k = 128 the set is faster.
+// sampleScanMax is the largest sample SampleIntsInto dedups by scanning
+// what it has drawn. Below it the scan beats a set's hashing and
+// allocation; the scan's cost grows with k², so from about k = 128 the set
+// is faster.
 const sampleScanMax = 64
 
 // SampleInts returns k distinct integers drawn uniformly from [0, n).
 // It panics if k > n or k < 0. The result is in random order.
 func (s *Source) SampleInts(n, k int) []int {
+	var buf []int
+	if k > 0 {
+		buf = make([]int, 0, k)
+	}
+	out := s.SampleIntsInto(buf, n, k)
+	return out[:len(out):len(out)]
+}
+
+// SampleIntsInto appends to buf k distinct integers drawn uniformly from
+// [0, n), in random order, and returns the extended slice: the draw of
+// SampleInts, for loops that reuse one buffer. Below the k·4 ≤ n split it
+// needs only k free slots; above it, the partial Fisher–Yates over the index
+// range uses n slots past len(buf) as scratch. It panics if k > n or k < 0.
+func (s *Source) SampleIntsInto(buf []int, n, k int) []int {
 	if k < 0 || k > n {
 		panic("simrng: sample size out of range")
 	}
 	if k == 0 {
-		return nil
+		return buf
 	}
+	start := len(buf)
 	// For small k relative to n use rejection sampling; otherwise use a
 	// partial Fisher-Yates over the index range. The scan and the set
 	// reject exactly the repeated values, so they draw the same sample.
 	if k*4 <= n {
-		out := make([]int, 0, k)
 		if k <= sampleScanMax {
-			for len(out) < k {
-				if v := s.rng.IntN(n); !slices.Contains(out, v) {
-					out = append(out, v)
+			for len(buf)-start < k {
+				if v := s.rng.IntN(n); !slices.Contains(buf[start:], v) {
+					buf = append(buf, v)
 				}
 			}
-			return out
+			return buf
 		}
 		seen := make(map[int]struct{}, k)
-		for len(out) < k {
+		for len(buf)-start < k {
 			v := s.rng.IntN(n)
 			if _, dup := seen[v]; dup {
 				continue
 			}
 			seen[v] = struct{}{}
-			out = append(out, v)
+			buf = append(buf, v)
 		}
-		return out
+		return buf
 	}
-	idx := make([]int, n)
+	buf = slices.Grow(buf, n)[:start+n]
+	idx := buf[start:]
 	for i := range idx {
 		idx[i] = i
 	}
@@ -159,20 +178,7 @@ func (s *Source) SampleInts(n, k int) []int {
 		j := i + s.rng.IntN(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	return idx[:k:k]
-}
-
-// PickOther returns a uniform element of [0, n) that is not self.
-// It panics if n < 2.
-func (s *Source) PickOther(n, self int) int {
-	if n < 2 {
-		panic("simrng: PickOther needs n >= 2")
-	}
-	v := s.rng.IntN(n - 1)
-	if v >= self {
-		v++
-	}
-	return v
+	return buf[:start+k]
 }
 
 // NormFloat64 returns a standard normal variate.

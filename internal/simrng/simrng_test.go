@@ -155,7 +155,11 @@ func TestSampleIntsProperties(t *testing.T) {
 
 // TestSampleIntsScanMatchesSet: deduplicating small samples by scanning
 // must reject exactly what the set rejects, so the draws match the set
-// implementation on both sides of sampleScanMax.
+// implementation on both sides of sampleScanMax. SampleIntsInto must append
+// exactly SampleInts' draw after what the buffer already holds, on both
+// sides of sampleScanMax and of the k·4 ≤ n split between rejection and the
+// partial Fisher–Yates, and must reuse a buffer with room without
+// allocating.
 func TestSampleIntsScanMatchesSet(t *testing.T) {
 	bySet := func(s *Source, n, k int) []int {
 		seen := make(map[int]struct{}, k)
@@ -178,6 +182,31 @@ func TestSampleIntsScanMatchesSet(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("SampleInts(%d, %d) seed %d = %v, want %v", tc.n, tc.k, seed, got, want)
 			}
+		}
+	}
+	prefix := []int{-1, -2, -3}
+	for _, tc := range []struct{ n, k int }{
+		{4, 1}, {256, 64}, {260, 65}, {1000, 128}, // rejection: scan, then set
+		{4, 2}, {7, 7}, {255, 64}, {259, 65}, {1000, 999}, // partial Fisher–Yates
+		{5, 0},
+	} {
+		for seed := uint64(0); seed < 20; seed++ {
+			want := New(seed).SampleInts(tc.n, tc.k)
+			buf := append(make([]int, 0, len(prefix)+tc.n), prefix...)
+			got := New(seed).SampleIntsInto(buf, tc.n, tc.k)
+			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+				t.Fatalf("SampleIntsInto(%v, %d, %d) seed %d = %v, want the prefix then %v", prefix, tc.n, tc.k, seed, got, want)
+			}
+			if &got[0] != &buf[0] {
+				t.Fatalf("SampleIntsInto(_, %d, %d) reallocated a buffer with room", tc.n, tc.k)
+			}
+		}
+		if tc.k > sampleScanMax && tc.k*4 <= tc.n {
+			continue // the set path allocates its map
+		}
+		src, buf := New(1), make([]int, 0, tc.n)
+		if allocs := testing.AllocsPerRun(20, func() { buf = src.SampleIntsInto(buf[:0], tc.n, tc.k) }); allocs != 0 {
+			t.Fatalf("SampleIntsInto(_, %d, %d) allocates %.0f times with a reused buffer", tc.n, tc.k, allocs)
 		}
 	}
 }
@@ -206,30 +235,6 @@ func TestSampleIntsUniform(t *testing.T) {
 			t.Fatalf("value %d drawn %d times, want ~%.0f", v, c, want)
 		}
 	}
-}
-
-func TestPickOther(t *testing.T) {
-	s := New(5)
-	for self := 0; self < 6; self++ {
-		for i := 0; i < 1000; i++ {
-			v := s.PickOther(6, self)
-			if v == self {
-				t.Fatalf("PickOther(6,%d) returned self", self)
-			}
-			if v < 0 || v >= 6 {
-				t.Fatalf("PickOther(6,%d) = %d out of range", self, v)
-			}
-		}
-	}
-}
-
-func TestPickOtherPanicsSmallN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PickOther(1, 0) did not panic")
-		}
-	}()
-	New(1).PickOther(1, 0)
 }
 
 func TestPermIsPermutation(t *testing.T) {

@@ -251,9 +251,8 @@ func WithPieceWeights(weights []float64) Option {
 
 // Sim is one swarm instance.
 type Sim struct {
-	cfg   Config
-	rng   *simrng.Source
-	peers *graph.Graph
+	cfg Config
+	rng *simrng.Source
 
 	adv        sim.Adversary
 	def        sim.Defense
@@ -446,16 +445,17 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	if deg < 1 {
 		deg = 1
 	}
-	s.peers = graph.RandomRegularish(n, deg, s.rng.Child("peers"))
+	peers := graph.RandomRegularish(n, deg, s.rng.Child("peers"))
 
 	// Freeze the packed layout: degree prefix sums, the flat int32
 	// adjacency, adjacency-shaped per-node arrays, the piece-word arena,
-	// and the rarity counters.
+	// and the rarity counters. adjFlat holds the whole peer graph, so the
+	// graph itself is not kept.
 	s.adjOff = make([]int, n+1)
 	sim.AdviseHugePages(s.adjOff)
 	maxDeg := 0
 	for v := 0; v < n; v++ {
-		d := len(s.peers.AdjList(v))
+		d := len(peers.AdjList(v))
 		if d > maxDeg {
 			maxDeg = d
 		}
@@ -468,7 +468,7 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	sim.AdviseHugePages(s.adjFlat)
 	for v := 0; v < n; v++ {
 		base := s.adjOff[v]
-		for k, w := range s.peers.AdjList(v) {
+		for k, w := range peers.AdjList(v) {
 			s.adjFlat[base+k] = int32(w)
 		}
 	}
@@ -991,6 +991,13 @@ func (s *Sim) Rank(r attack.Rank, k int) []int {
 // bit-identical results. Slot selection consumes the tick's RNG stream and
 // stays sequential in node order, exactly as before the split.
 //
+// Scoring skips every node that holds no piece (pieceCnt 0) and leaves its
+// interested list empty without walking its peer set. That list would be
+// empty anyway: hasPieceFor(v, ·) is false for every neighbor of an empty
+// node. No adversary probe is lost either, because no attacker node is ever
+// present and empty: crash and ideal attacker nodes are departed from New on,
+// trade attacker nodes hold the full file, and attacker nodes do not churn.
+//
 //lotus:allocfree
 func (s *Sim) recomputeUnchokes() {
 	if s.adv != nil {
@@ -1003,7 +1010,7 @@ func (s *Sim) recomputeUnchokes() {
 		for v := start; v < end; v++ {
 			base := s.adjOff[v]
 			cnt := 0
-			if s.nodeState[v] != stateDeparted {
+			if s.nodeState[v] != stateDeparted && s.pieceCnt[v] != 0 {
 				isAtk := s.isAttacker != nil && s.isAttacker[v]
 				for k, pp := range s.adj(v) {
 					p := int(pp)

@@ -1,10 +1,13 @@
 package swarm
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/population"
 )
 
 func quickCfg() Config {
@@ -288,6 +291,139 @@ func TestEvalParallelBitIdentical(t *testing.T) {
 		par := run(adv, true)
 		if seq != par {
 			t.Fatalf("%s: sharded peer scoring diverged from sequential:\n%+v\nvs\n%+v", name, seq, par)
+		}
+	}
+}
+
+// TestUnchokeScoringMatchesBruteForce recomputes every node's interested
+// list by brute force at every unchoke recompute and compares it with what
+// the scoring pass left in interested/intCnt, on the sequential and the
+// forced-sharded paths. The population is above two DefaultGrain shards, so
+// the sharded pass really fans out, and the run covers every kind of node
+// the scoring pass treats differently: leechers holding none, some and all
+// pieces, rejoined nodes, the seed, trade attacker nodes and departed nodes.
+// A leecher holding every piece only exists between an instant attacker's
+// fill and the tick's completion check, so one is made by hand before each
+// recompute.
+func TestUnchokeScoringMatchesBruteForce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Leechers = 9000
+	cfg.Pieces = 70 // two piece words
+	cfg.PeerSetSize = 10
+	cfg.RotateInterval = 3
+	cfg.Ticks = 30
+	cfg.SeedAfterComplete = false
+	var events []population.Event
+	for _, r := range []int{4, 10, 16} {
+		for v := r; v < cfg.Leechers; v += 61 {
+			events = append(events, population.Event{Round: r, Node: v})
+		}
+		for v := r + 30; v < cfg.Leechers; v += 122 {
+			events = append(events, population.Event{Round: r + 2, Node: v - 30, Join: true})
+		}
+	}
+	slices.SortStableFunc(events, func(a, b population.Event) int { return a.Round - b.Round })
+
+	brute := func(s *Sim, v int) []int32 {
+		if s.nodeState[v] == stateDeparted {
+			return nil
+		}
+		var out []int32
+		for k, pp := range s.adj(v) {
+			p := int(pp)
+			if s.nodeState[p] != stateLeeching {
+				continue
+			}
+			if s.isAttacker[v] && !s.adv.OnExchange(s.tick, v, p) {
+				continue
+			}
+			for piece := 0; piece < s.cfg.Pieces; piece++ {
+				if s.hasPiece(v, piece) && !s.hasPiece(p, piece) {
+					out = append(out, int32(k))
+					break
+				}
+			}
+		}
+		if s.nodeState[v] == stateLeeching {
+			recv := s.recvCnt[s.adjOff[v]:s.adjOff[v+1]]
+			sort.SliceStable(out, func(a, b int) bool { return recv[out[a]] > recv[out[b]] })
+		}
+		return out
+	}
+
+	for _, parallel := range []bool{false, true} {
+		adv := &attack.Strategy{Kind: attack.Trade, Fraction: 0.05, SatiateFraction: 0.3, RotatePeriod: 7}
+		s, err := New(cfg, 5, WithEvalParallel(parallel), WithAdversary(adv), WithChurn(events))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejoined := make([]bool, s.n)
+		var empty, some, all, rejoin, seed, attackers, departed int
+		for !s.Finished() {
+			if s.tick%cfg.RotateInterval == 0 {
+				for v := 0; v < cfg.Leechers; v++ {
+					if s.nodeState[v] == stateLeeching && s.pieceCnt[v] > 0 {
+						for _, p := range s.appendMissing(v, nil) {
+							s.gainPiece(v, p)
+						}
+						break
+					}
+				}
+				// Score as the tick's own recompute would, then put the
+				// window's reciprocation counts back so the run goes on
+				// unchanged.
+				recv := slices.Clone(s.recvCnt)
+				s.recomputeUnchokes()
+				copy(s.recvCnt, recv)
+				for v := 0; v < s.n; v++ {
+					base := s.adjOff[v]
+					got := slices.Clone(s.interested[base : base+int(s.intCnt[v])])
+					want := brute(s, v)
+					if s.nodeState[v] == stateSeeding {
+						// Slot selection shuffles a seeding node's list in
+						// place; scoring leaves it in peer-set order.
+						slices.Sort(got)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("parallel=%v tick %d: node %d (state %d, %d pieces) interested %v, want %v",
+							parallel, s.tick, v, s.nodeState[v], s.pieceCnt[v], got, want)
+					}
+					switch {
+					case s.nodeState[v] == stateDeparted:
+						departed++
+					case v == s.seedID:
+						seed++
+					case s.isAttacker[v]:
+						attackers++
+					case rejoined[v]:
+						rejoin++
+					}
+					if s.nodeState[v] == stateLeeching {
+						switch int(s.pieceCnt[v]) {
+						case 0:
+							empty++
+						case cfg.Pieces:
+							all++
+						default:
+							some++
+						}
+					}
+				}
+			}
+			for _, ev := range events {
+				if ev.Join && ev.Round == s.tick && s.nodeState[ev.Node] == stateDeparted {
+					rejoined[ev.Node] = true
+				}
+			}
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, c := range map[string]int{"empty leechers": empty, "partial leechers": some, "full leechers": all,
+			"rejoined nodes": rejoin, "seed": seed, "attacker nodes": attackers, "departed nodes": departed} {
+			if c == 0 {
+				t.Errorf("parallel=%v: no %s at any recompute", parallel, name)
+			}
 		}
 	}
 }
