@@ -152,6 +152,12 @@ func (s *Spec) tokenGraph(n int, rng *simrng.Source) *graph.Graph {
 // t + c·n/copies — and every other node one common token drawn uniformly
 // (from the replicate's "alloc" stream). Nil, the substrate's
 // node-mod-items default, when nothing is rare.
+//
+// A common token the uniform draw gave to nobody would make completion
+// impossible, so a repair pass hands each such token to a node drawn
+// uniformly (from the "alloc-repair" stream) among those whose common token
+// has another holder. The pass draws nothing when every common token
+// already has a holder, so those allocations stay exactly as drawn.
 func (s *Spec) rareAllocation(n, items int, rng *simrng.Source) []int {
 	rare := int(s.param("rare", 0))
 	if rare <= 0 {
@@ -167,6 +173,32 @@ func (s *Spec) rareAllocation(n, items int, rng *simrng.Source) []int {
 	for t := 0; t < rare; t++ {
 		for c := 0; c < copies; c++ {
 			alloc[t+c*stride] = t
+		}
+	}
+	if n-rare*copies < items-rare {
+		return alloc // too few nodes to hold every common token
+	}
+	// With at least as many common-token nodes as common tokens, a token
+	// with no holder means another token has two, so a donor always exists.
+	holders := make([]int, items)
+	for _, t := range alloc {
+		holders[t]++
+	}
+	var fix *simrng.Source
+	for t := rare; t < items; t++ {
+		if holders[t] > 0 {
+			continue
+		}
+		if fix == nil {
+			fix = rng.Child("alloc-repair")
+		}
+		for {
+			v := fix.IntN(n)
+			if u := alloc[v]; u >= rare && holders[u] > 1 {
+				holders[u]--
+				alloc[v], holders[t] = t, 1
+				break
+			}
 		}
 	}
 	return alloc

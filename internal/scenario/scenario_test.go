@@ -584,3 +584,64 @@ func TestValidateErrorDeterministic(t *testing.T) {
 		t.Fatalf("fixed-field order not deterministic: %q", got)
 	}
 }
+
+// TestRareAllocationEveryCommonTokenHeld: over 2,000 allocations at E2's
+// shape (256 nodes, 50 tokens, one rare token on 16 nodes), where about a
+// third of the uniform draws leave some common token with no holder, every
+// common token ends up held. An allocation the uniform draw already
+// completed is returned exactly as drawn; a repaired one keeps every rare
+// holder and differs from the draw only on nodes that gave up a common
+// token that another node still holds.
+func TestRareAllocationEveryCommonTokenHeld(t *testing.T) {
+	const n, items, rare, copies = 256, 50, 1, 16
+	s := &Spec{Substrate: "token", Params: map[string]float64{"tokens": items, "rare": rare, "rareCopies": copies}}
+	drawn := func(rng *simrng.Source) []int {
+		alloc := make([]int, n)
+		draw := rng.Child("alloc")
+		for v := range alloc {
+			alloc[v] = rare + draw.IntN(items-rare)
+		}
+		for c := 0; c < copies; c++ {
+			alloc[c*(n/copies)] = 0
+		}
+		return alloc
+	}
+	repaired := 0
+	for seed := uint64(0); seed < 2000; seed++ {
+		want := drawn(simrng.New(seed))
+		got := s.rareAllocation(n, items, simrng.New(seed))
+		held := make([]int, items)
+		for _, tok := range got {
+			held[tok]++
+		}
+		for tok := rare; tok < items; tok++ {
+			if held[tok] == 0 {
+				t.Fatalf("seed %d: common token %d has no holder", seed, tok)
+			}
+		}
+		complete := true
+		wantHeld := make([]int, items)
+		for _, tok := range want {
+			wantHeld[tok]++
+		}
+		for tok := rare; tok < items; tok++ {
+			complete = complete && wantHeld[tok] > 0
+		}
+		for v := range got {
+			switch {
+			case got[v] == want[v]:
+			case complete:
+				t.Fatalf("seed %d: complete allocation changed at node %d: %d -> %d", seed, v, want[v], got[v])
+			case want[v] < rare || wantHeld[got[v]] > 0 || held[want[v]] == 0:
+				t.Fatalf("seed %d: repair moved node %d from token %d to %d", seed, v, want[v], got[v])
+			}
+		}
+		if !complete {
+			repaired++
+		}
+	}
+	t.Logf("%d of 2000 uniform draws left a common token unheld and were repaired", repaired)
+	if repaired < 400 {
+		t.Fatalf("only %d of 2000 draws needed repair; the test no longer covers the repair pass", repaired)
+	}
+}
