@@ -586,12 +586,12 @@ func TestValidateErrorDeterministic(t *testing.T) {
 }
 
 // TestRareAllocationEveryCommonTokenHeld: over 2,000 allocations at E2's
-// shape (256 nodes, 50 tokens, one rare token on 16 nodes), where about a
-// third of the uniform draws leave some common token with no holder, every
-// common token ends up held. An allocation the uniform draw already
-// completed is returned exactly as drawn; a repaired one keeps every rare
-// holder and differs from the draw only on nodes that gave up a common
-// token that another node still holds.
+// shape (256 nodes, 50 tokens, one rare token on 16 nodes), where more
+// than a quarter of the uniform draws leave some common token with no
+// holder, every common token ends up held. An allocation the uniform draw
+// already completed is returned exactly as drawn; a repaired one keeps
+// every rare holder and differs from the draw only on nodes that gave up a
+// common token that another node still holds.
 func TestRareAllocationEveryCommonTokenHeld(t *testing.T) {
 	const n, items, rare, copies = 256, 50, 1, 16
 	s := &Spec{Substrate: "token", Params: map[string]float64{"tokens": items, "rare": rare, "rareCopies": copies}}

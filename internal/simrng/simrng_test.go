@@ -156,10 +156,10 @@ func TestSampleIntsProperties(t *testing.T) {
 // TestSampleIntsScanMatchesSet: deduplicating small samples by scanning
 // must reject exactly what the set rejects, so the draws match the set
 // implementation on both sides of sampleScanMax. SampleIntsInto must append
-// exactly SampleInts' draw after what the buffer already holds, on both
-// sides of sampleScanMax and of the k·4 ≤ n split between rejection and the
-// partial Fisher–Yates, and must reuse a buffer with room without
-// allocating.
+// exactly what SampleInts and the reference implementations draw after what
+// the buffer already holds, on both sides of sampleScanMax and of the
+// k·4 ≤ n split between rejection and the partial Fisher–Yates, and must
+// reuse a buffer with room without allocating.
 func TestSampleIntsScanMatchesSet(t *testing.T) {
 	bySet := func(s *Source, n, k int) []int {
 		seen := make(map[int]struct{}, k)
@@ -184,6 +184,17 @@ func TestSampleIntsScanMatchesSet(t *testing.T) {
 			}
 		}
 	}
+	byShuffle := func(s *Source, n, k int) []int {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		for i := 0; i < k; i++ {
+			j := i + s.IntN(n-i)
+			idx[i], idx[j] = idx[j], idx[i]
+		}
+		return idx[:k]
+	}
 	prefix := []int{-1, -2, -3}
 	for _, tc := range []struct{ n, k int }{
 		{4, 1}, {256, 64}, {260, 65}, {1000, 128}, // rejection: scan, then set
@@ -191,7 +202,13 @@ func TestSampleIntsScanMatchesSet(t *testing.T) {
 		{5, 0},
 	} {
 		for seed := uint64(0); seed < 20; seed++ {
-			want := New(seed).SampleInts(tc.n, tc.k)
+			want := bySet(New(seed), tc.n, tc.k)
+			if tc.k*4 > tc.n {
+				want = byShuffle(New(seed), tc.n, tc.k)
+			}
+			if got := New(seed).SampleInts(tc.n, tc.k); !slices.Equal(got, want) {
+				t.Fatalf("SampleInts(%d, %d) seed %d = %v, want %v", tc.n, tc.k, seed, got, want)
+			}
 			buf := append(make([]int, 0, len(prefix)+tc.n), prefix...)
 			got := New(seed).SampleIntsInto(buf, tc.n, tc.k)
 			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
