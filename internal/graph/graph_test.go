@@ -206,35 +206,60 @@ func TestRandomRegularishConnected(t *testing.T) {
 }
 
 // randomRegularishOracle is the bucket-and-sort builder RandomRegularish
-// replaced: draw the whole edge multiset, bucket both endpoints of every
-// edge, then sort and dedup each node's bucket.
+// replaced, kept as its reference: draw the whole edge multiset, bucket both
+// endpoints of every edge, then sort and dedup each node's bucket.
 func randomRegularishOracle(n, deg int, rng *simrng.Source) [][]int {
-	adj := make([][]int, n)
+	adjs := make([][]int, n)
 	if n < 2 {
-		return adj
+		return adjs
 	}
 	if deg > n-1 {
 		deg = n - 1
 	}
-	var us, vs []int
+	us := make([]int32, 0, n*deg)
+	vs := make([]int32, 0, n*deg)
+	degCnt := make([]int32, n)
 	for u := 0; u < n; u++ {
 		for _, v := range rng.SampleInts(n-1, deg) {
 			if v >= u {
 				v++
 			}
-			us = append(us, u)
-			vs = append(vs, v)
+			us = append(us, int32(u))
+			vs = append(vs, int32(v))
+			degCnt[u]++
+			degCnt[v]++
 		}
 	}
+	off := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		off[u+1] = off[u] + int(degCnt[u])
+	}
+	buf := make([]int, off[n])
+	pos := make([]int, n)
+	copy(pos, off[:n])
 	for i := range us {
-		adj[us[i]] = append(adj[us[i]], vs[i])
-		adj[vs[i]] = append(adj[vs[i]], us[i])
+		u, v := int(us[i]), int(vs[i])
+		buf[pos[u]] = v
+		pos[u]++
+		buf[pos[v]] = u
+		pos[v]++
 	}
-	for u := range adj {
-		sort.Ints(adj[u])
-		adj[u] = slices.Compact(adj[u])
+	for u := 0; u < n; u++ {
+		seg := buf[off[u]:off[u+1]]
+		sort.Ints(seg)
+		uniq := 0
+		for i, v := range seg {
+			if i > 0 && v == seg[i-1] {
+				continue
+			}
+			seg[uniq] = v
+			uniq++
+		}
+		adj := make([]int, uniq)
+		copy(adj, seg[:uniq])
+		adjs[u] = adj
 	}
-	return adj
+	return adjs
 }
 
 // TestRandomRegularishMatchesOracle: the one-pass merge builder draws the
