@@ -1,5 +1,5 @@
-// Package bitset provides a compact fixed-capacity bit set used by the
-// piece- and token-collecting simulators.
+// Package bitset provides a compact fixed-capacity bit set, used by the
+// adversary's target sets and the coding simulator's plain mode.
 package bitset
 
 import "math/bits"
@@ -25,9 +25,6 @@ func (s *Set) Cap() int { return s.n }
 
 // Len returns the number of set bits.
 func (s *Set) Len() int { return s.count }
-
-// Full reports whether every bit in [0, Cap) is set.
-func (s *Set) Full() bool { return s.count == s.n }
 
 // Has reports whether bit i is set. Out-of-range bits read as false.
 func (s *Set) Has(i int) bool {
@@ -67,39 +64,12 @@ func (s *Set) Remove(i int) bool {
 	return true
 }
 
-// UnionWith merges other into s and returns how many bits were newly set.
-// It panics if capacities differ.
-func (s *Set) UnionWith(other *Set) int {
-	if other.n != s.n {
-		panic("bitset: capacity mismatch")
-	}
-	added := 0
-	for i, w := range other.words {
-		nw := s.words[i] | w
-		added += bits.OnesCount64(nw) - bits.OnesCount64(s.words[i])
-		s.words[i] = nw
-	}
-	s.count += added
-	return added
-}
-
 // Clear resets every bit, keeping the capacity.
 func (s *Set) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
 	s.count = 0
-}
-
-// CopyFrom overwrites s with the contents of other. It panics if capacities
-// differ. Unlike Clone it allocates nothing, so hot loops can reuse one set
-// as a snapshot buffer.
-func (s *Set) CopyFrom(other *Set) {
-	if other.n != s.n {
-		panic("bitset: capacity mismatch")
-	}
-	copy(s.words, other.words)
-	s.count = other.count
 }
 
 // Clone returns an independent copy.

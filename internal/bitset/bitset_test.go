@@ -13,9 +13,6 @@ func TestNewEmpty(t *testing.T) {
 	if s.Cap() != 100 {
 		t.Fatalf("Cap = %d, want 100", s.Cap())
 	}
-	if s.Full() {
-		t.Fatal("empty set reports Full")
-	}
 	for i := 0; i < 100; i++ {
 		if s.Has(i) {
 			t.Fatalf("empty set Has(%d)", i)
@@ -25,9 +22,6 @@ func TestNewEmpty(t *testing.T) {
 
 func TestZeroCapacity(t *testing.T) {
 	s := New(0)
-	if !s.Full() {
-		t.Fatal("zero-capacity set should be vacuously full")
-	}
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d", s.Len())
 	}
@@ -89,9 +83,6 @@ func TestFill(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 128, 130} {
 		s := New(n)
 		s.Fill()
-		if !s.Full() {
-			t.Fatalf("cap %d: not Full after Fill", n)
-		}
 		if s.Len() != n {
 			t.Fatalf("cap %d: Len = %d after Fill", n, s.Len())
 		}
@@ -102,36 +93,6 @@ func TestFill(t *testing.T) {
 			t.Fatalf("cap %d: ForEach visited %d bits", n, count)
 		}
 	}
-}
-
-func TestUnionWith(t *testing.T) {
-	a := New(100)
-	b := New(100)
-	a.Add(1)
-	a.Add(70)
-	b.Add(70)
-	b.Add(99)
-	added := a.UnionWith(b)
-	if added != 1 {
-		t.Fatalf("UnionWith added %d, want 1", added)
-	}
-	for _, i := range []int{1, 70, 99} {
-		if !a.Has(i) {
-			t.Fatalf("union missing %d", i)
-		}
-	}
-	if a.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", a.Len())
-	}
-}
-
-func TestUnionWithMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("capacity mismatch did not panic")
-		}
-	}()
-	New(10).UnionWith(New(11))
 }
 
 func TestCloneIndependent(t *testing.T) {
@@ -209,43 +170,6 @@ func TestLenMatchesCount(t *testing.T) {
 		count := 0
 		s.ForEach(func(int) { count++ })
 		return count == len(ref)
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestUnionIsIdempotentAndMonotone checks union properties on random sets.
-func TestUnionIsIdempotentAndMonotone(t *testing.T) {
-	err := quick.Check(func(aBits, bBits []uint16) bool {
-		const n = 120
-		a := New(n)
-		b := New(n)
-		for _, v := range aBits {
-			a.Add(int(v) % n)
-		}
-		for _, v := range bBits {
-			b.Add(int(v) % n)
-		}
-		u := a.Clone()
-		u.UnionWith(b)
-		// Monotone: u contains both.
-		ok := true
-		a.ForEach(func(i int) {
-			if !u.Has(i) {
-				ok = false
-			}
-		})
-		b.ForEach(func(i int) {
-			if !u.Has(i) {
-				ok = false
-			}
-		})
-		if !ok {
-			return false
-		}
-		// Idempotent: second union adds nothing.
-		return u.UnionWith(b) == 0
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

@@ -200,19 +200,16 @@ func TestWorkspaceReuse(t *testing.T) {
 		t.Fatal("recycled buffer not zeroed")
 	}
 
-	s1 := ws.Bitsets(3, 16)
-	s1[0].Add(5)
+	w1 := ws.Words(48)
+	w1[47] = 5
 	ws.Reset()
-	s2 := ws.Bitsets(3, 16)
-	if s2[0] != s1[0] {
-		t.Fatal("bitsets not recycled after Reset")
+	ws.Bools(1) // other kinds keep their own freelists
+	w2 := ws.Words(48)
+	if &w2[0] != &w1[0] {
+		t.Fatal("words not recycled after Reset")
 	}
-	if s2[0].Len() != 0 {
-		t.Fatal("recycled bitset not cleared")
-	}
-	s3 := ws.Bitsets(2, 32) // capacity change drops the cache
-	if s3[0].Cap() != 32 {
-		t.Fatalf("bitset cap %d, want 32", s3[0].Cap())
+	if w2[47] != 0 {
+		t.Fatal("recycled words not zeroed")
 	}
 }
 
@@ -250,18 +247,41 @@ func TestGoNested(t *testing.T) {
 	}
 }
 
-// TestWorkspaceBitsetsCapacityChange checks that sets handed out before a
-// capacity change keep their identity and contents — the cache must be
-// dropped, not recycled into the old slots.
-func TestWorkspaceBitsetsCapacityChange(t *testing.T) {
+// TestWorkspaceWordsShapeChange checks that word slices come back zeroed
+// and that two live handouts never share storage, also when a request is
+// smaller than the recycled slot it lands in or outgrows it.
+func TestWorkspaceWordsShapeChange(t *testing.T) {
 	ws := sim.NewWorkspace()
-	old := ws.Bitsets(2, 50)
-	old[0].Add(42)
-	fresh := ws.Bitsets(2, 10)
-	if old[0].Cap() != 50 || !old[0].Has(42) {
-		t.Fatalf("earlier handout corrupted by capacity change: cap=%d", old[0].Cap())
-	}
-	if fresh[0].Cap() != 10 || fresh[0] == old[0] {
-		t.Fatal("post-change sets wrong capacity or aliased")
+	for task, sizes := range [][]int{{50, 10}, {10, 80, 50}, {80, 80, 1}} {
+		if task > 0 {
+			ws.Reset()
+		}
+		var live [][]uint64
+		for _, n := range sizes {
+			w := ws.Words(n)
+			if len(w) != n {
+				t.Fatalf("task %d: Words(%d) has length %d", task, n, len(w))
+			}
+			for i, x := range w {
+				if x != 0 {
+					t.Fatalf("task %d: Words(%d)[%d] = %#x, want zeroed", task, n, i, x)
+				}
+			}
+			live = append(live, w)
+		}
+		// Stamp each live handout with its own value: storage shared by two
+		// of them would show the later stamp in the earlier one.
+		for k, w := range live {
+			for i := range w {
+				w[i] = uint64(k + 1)
+			}
+		}
+		for k, w := range live {
+			for i, x := range w {
+				if x != uint64(k+1) {
+					t.Fatalf("task %d: handout %d word %d reads %d: storage shared with handout %d", task, k, i, x, x-1)
+				}
+			}
+		}
 	}
 }

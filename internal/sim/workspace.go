@@ -1,7 +1,5 @@
 package sim
 
-import "lotuseater/internal/bitset"
-
 // Workspace is a per-worker arena of reusable scratch buffers. Each pool
 // worker owns exactly one Workspace and hands it to every task it runs; the
 // pool calls Reset between tasks, after which previously returned buffers
@@ -10,15 +8,14 @@ import "lotuseater/internal/bitset"
 //
 // All getters return zeroed storage. Repeatedly running same-shaped
 // replicates on one worker allocates only on the first run — this is what
-// keeps bitset- and buffer-heavy models allocation-free per replicate.
+// keeps matrix- and buffer-heavy models allocation-free per replicate.
 type Workspace struct {
 	bools  [][]bool
 	ints   [][]int
 	floats [][]float64
-	sets   []*bitset.Set
+	words  [][]uint64
 
-	boolsUsed, intsUsed, floatsUsed, setsUsed int
-	setBits                                   int
+	boolsUsed, intsUsed, floatsUsed, wordsUsed int
 
 	defenses map[string]Defense
 }
@@ -30,7 +27,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // Reset recycles every buffer handed out since the previous Reset. Only the
 // owner of the workspace (the pool) should call it.
 func (w *Workspace) Reset() {
-	w.boolsUsed, w.intsUsed, w.floatsUsed, w.setsUsed = 0, 0, 0, 0
+	w.boolsUsed, w.intsUsed, w.floatsUsed, w.wordsUsed = 0, 0, 0, 0
 }
 
 // take returns a zeroed slice of length n from the freelist, reusing the
@@ -39,10 +36,7 @@ func take[T any](list *[][]T, used *int, n int) []T {
 	if *used < len(*list) && cap((*list)[*used]) >= n {
 		buf := (*list)[*used][:n]
 		*used++
-		var zero T
-		for i := range buf {
-			buf[i] = zero
-		}
+		clear(buf)
 		return buf
 	}
 	buf := make([]T, n)
@@ -84,26 +78,6 @@ func (w *Workspace) Ints(n int) []int { return take(&w.ints, &w.intsUsed, n) }
 // possible.
 func (w *Workspace) Floats(n int) []float64 { return take(&w.floats, &w.floatsUsed, n) }
 
-// Bitsets returns count cleared bitsets of the given bit capacity, reusing
-// prior allocations when the capacity matches the previous request shape.
-// A capacity change drops the cached sets (simulators use one token/piece
-// universe size per task, so this is the rare path).
-func (w *Workspace) Bitsets(count, bits int) []*bitset.Set {
-	if w.setBits != bits {
-		// Drop the cache rather than truncate it: slices handed out earlier
-		// in this task alias the old backing array, and reusing its slots
-		// would swap their sets out from under them.
-		w.sets = nil
-		w.setBits = bits
-		w.setsUsed = 0
-	}
-	for w.setsUsed+count > len(w.sets) {
-		w.sets = append(w.sets, bitset.New(bits))
-	}
-	out := w.sets[w.setsUsed : w.setsUsed+count]
-	w.setsUsed += count
-	for _, s := range out {
-		s.Clear()
-	}
-	return out
-}
+// Words returns a zeroed []uint64 of length n, reusing storage when
+// possible: the backing store of a bit matrix.
+func (w *Workspace) Words(n int) []uint64 { return take(&w.words, &w.wordsUsed, n) }

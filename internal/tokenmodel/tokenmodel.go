@@ -24,8 +24,8 @@ package tokenmodel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
-	"lotuseater/internal/bitset"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/population"
 	"lotuseater/internal/sim"
@@ -153,8 +153,14 @@ type Sim struct {
 	advTrades  bool
 	advInstant bool
 
-	round     int
-	held      []*bitset.Set
+	round int
+	// held is the node-major holdings matrix: node v owns the words
+	// held[v*words:(v+1)*words], and bit t of that row is set iff v holds
+	// token t. Bits at or above Tokens stay clear: lastMask is the valid
+	// part of a row's last word.
+	held      []uint64
+	words     int
+	lastMask  uint64
 	completed []int // round node became satiated, -1 if not yet
 	result    Result
 
@@ -164,18 +170,22 @@ type Sim struct {
 	departed []bool
 
 	// Round scratch, allocated once at New (from the workspace when one is
-	// installed) and reused every round — Step allocates nothing.
-	snapshot []*bitset.Set
-	gains    []*bitset.Set
+	// installed) and reused every round. snapshot and gains have held's
+	// layout, sat marks the full snapshot rows, and pick receives each
+	// initiator's contact sample. Steady-state rounds allocate only the
+	// round's RNG stream, a constant independent of the population.
+	snapshot []uint64
+	gains    []uint64
 	sat      []bool
+	pick     []int
 }
 
 // Option customizes a Sim.
 type Option func(*Sim)
 
-// WithWorkspace draws the simulation's bitsets and scratch from a worker's
-// arena instead of the heap, making replicated runs allocation-free on the
-// hot path. The Sim must then not outlive the pool task that built it.
+// WithWorkspace draws the simulation's holdings matrices and scratch from a
+// worker's arena instead of the heap, making replicated runs allocation-free
+// on the hot path. The Sim must then not outlive the pool task that built it.
 func WithWorkspace(ws *sim.Workspace) Option {
 	return func(s *Sim) { s.ws = ws }
 }
@@ -205,36 +215,39 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	}
 	n := cfg.Graph.N()
 	s := &Sim{
-		cfg: cfg,
-		rng: simrng.New(seed),
+		cfg:      cfg,
+		rng:      simrng.New(seed),
+		words:    (cfg.Tokens + 63) / 64,
+		lastMask: ^uint64(0),
 	}
+	if rem := cfg.Tokens % 64; rem != 0 {
+		s.lastMask = 1<<rem - 1
+	}
+	s.result.SatiatedByRound = make([]int, 0, cfg.Rounds)
 	for _, opt := range opts {
 		opt(s)
 	}
+	degree := 0
+	for v := 0; v < n; v++ {
+		degree = max(degree, len(cfg.Graph.AdjList(v)))
+	}
 	if s.ws != nil {
-		s.held = s.ws.Bitsets(n, cfg.Tokens)
-		s.snapshot = s.ws.Bitsets(n, cfg.Tokens)
-		s.gains = s.ws.Bitsets(n, cfg.Tokens)
+		s.held = s.ws.Words(n * s.words)
+		s.snapshot = s.ws.Words(n * s.words)
+		s.gains = s.ws.Words(n * s.words)
 		s.sat = s.ws.Bools(n)
 		s.completed = s.ws.Ints(n)
+		s.pick = s.ws.Ints(degree)[:0]
 	} else {
-		s.held = make([]*bitset.Set, n)
-		s.snapshot = make([]*bitset.Set, n)
-		s.gains = make([]*bitset.Set, n)
-		for v := 0; v < n; v++ {
-			s.held[v] = bitset.New(cfg.Tokens)
-			s.snapshot[v] = bitset.New(cfg.Tokens)
-			s.gains[v] = bitset.New(cfg.Tokens)
-		}
+		s.held = make([]uint64, n*s.words)
+		s.snapshot = make([]uint64, n*s.words)
+		s.gains = make([]uint64, n*s.words)
 		s.sat = make([]bool, n)
 		s.completed = make([]int, n)
+		s.pick = make([]int, 0, degree)
 	}
 	for v := 0; v < n; v++ {
-		tok := v % cfg.Tokens
-		if cfg.Allocation != nil {
-			tok = cfg.Allocation[v]
-		}
-		s.held[v].Add(tok)
+		s.give(v, s.initialToken(v))
 		s.completed[v] = -1
 	}
 	if s.adv != nil {
@@ -255,7 +268,7 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 			if s.advTrades || s.advInstant {
 				// Lotus-eater attackers hold the full token set: the
 				// adversary sources content out of band.
-				s.held[a].Fill()
+				s.fill(s.row(s.held, a))
 			}
 		}
 	}
@@ -273,6 +286,47 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 		}
 	}
 	return s, nil
+}
+
+// row returns node v's row of the holdings-shaped matrix m.
+//
+//lotus:allocfree
+func (s *Sim) row(m []uint64, v int) []uint64 {
+	return m[v*s.words : (v+1)*s.words]
+}
+
+// full reports whether row holds every token.
+//
+//lotus:allocfree
+func (s *Sim) full(row []uint64) bool {
+	last := len(row) - 1
+	for _, w := range row[:last] {
+		if w != ^uint64(0) {
+			return false
+		}
+	}
+	return row[last] == s.lastMask
+}
+
+// fill gives row every token.
+//
+//lotus:allocfree
+func (s *Sim) fill(row []uint64) {
+	for i := range row {
+		row[i] = ^uint64(0)
+	}
+	row[len(row)-1] = s.lastMask
+}
+
+// give adds token t to node v's holdings.
+func (s *Sim) give(v, t int) { s.held[v*s.words+t/64] |= 1 << (t % 64) }
+
+// initialToken returns f(v), the token node v starts with.
+func (s *Sim) initialToken(v int) int {
+	if s.cfg.Allocation != nil {
+		return s.cfg.Allocation[v]
+	}
+	return v % s.cfg.Tokens
 }
 
 // gone reports whether node v is currently departed.
@@ -313,21 +367,18 @@ func (s *Sim) joinNode(v int) {
 		return
 	}
 	s.departed[v] = false
-	s.held[v].Clear()
+	row := s.row(s.held, v)
+	clear(row)
 	if s.isAttacker != nil && s.isAttacker[v] && (s.advTrades || s.advInstant) {
-		s.held[v].Fill()
+		s.fill(row)
 		s.completed[v] = s.round
 		return
 	}
-	tok := v % s.cfg.Tokens
-	if s.cfg.Allocation != nil {
-		tok = s.cfg.Allocation[v]
-	}
-	s.held[v].Add(tok)
+	s.give(v, s.initialToken(v))
 	s.completed[v] = -1
 }
 
-func (s *Sim) satiated(v int) bool { return s.held[v].Full() }
+func (s *Sim) satiated(v int) bool { return s.full(s.row(s.held, v)) }
 
 // Round returns the next round to simulate.
 func (s *Sim) Round() int { return s.round }
@@ -336,10 +387,22 @@ func (s *Sim) Round() int { return s.round }
 func (s *Sim) Satiated(v int) bool { return s.satiated(v) }
 
 // HeldCount returns how many distinct tokens v holds.
-func (s *Sim) HeldCount(v int) int { return s.held[v].Len() }
+func (s *Sim) HeldCount(v int) int {
+	count := 0
+	for _, w := range s.row(s.held, v) {
+		count += bits.OnesCount64(w)
+	}
+	return count
+}
 
-// Has reports whether v holds token t.
-func (s *Sim) Has(v, t int) bool { return s.held[v].Has(t) }
+// Has reports whether v holds token t. Tokens outside [0, Tokens) read as
+// not held.
+func (s *Sim) Has(v, t int) bool {
+	if t < 0 || t >= s.cfg.Tokens {
+		return false
+	}
+	return s.held[v*s.words+t/64]&(1<<(t%64)) != 0
+}
 
 // CompletionRound returns the round at which v became satiated, or -1 if it
 // has not. Nodes satiated by the attacker count as completed; callers that
@@ -347,9 +410,11 @@ func (s *Sim) Has(v, t int) bool { return s.held[v].Has(t) }
 func (s *Sim) CompletionRound(v int) int { return s.completed[v] }
 
 // Step simulates one round.
+//
+//lotus:allocfree
 func (s *Sim) Step() error {
 	if s.round >= s.cfg.Rounds {
-		return fmt.Errorf("tokenmodel: horizon of %d rounds exhausted", s.cfg.Rounds)
+		return fmt.Errorf("tokenmodel: horizon of %d rounds exhausted", s.cfg.Rounds) //lotus:ignore allocfree cold guard, never taken in a steady-state round
 	}
 	n := s.cfg.Graph.N()
 
@@ -371,7 +436,7 @@ func (s *Sim) Step() error {
 	if s.advInstant {
 		targets := s.adv.Targets(s.round)
 		if targets.Cap() != n {
-			return fmt.Errorf("tokenmodel: adversary returned a target set over %d nodes, want %d", targets.Cap(), n)
+			return fmt.Errorf("tokenmodel: adversary returned a target set over %d nodes, want %d", targets.Cap(), n) //lotus:ignore allocfree cold guard against a misbehaving adversary
 		}
 		// Sparse iteration: the satiation pass costs O(|satiated set|), not
 		// O(n), and allocates nothing.
@@ -384,13 +449,12 @@ func (s *Sim) Step() error {
 	}
 
 	// 2. Simultaneous contacts: all exchanges read the start-of-round
-	// snapshot; gains land after every contact has been resolved. The
-	// snapshot/gains/sat buffers live on the Sim and are reused each round.
-	snapshot, gains, sat := s.snapshot, s.gains, s.sat
-	for v := 0; v < n; v++ {
-		snapshot[v].CopyFrom(s.held[v])
-		gains[v].Clear()
-		sat[v] = snapshot[v].Full()
+	// snapshot; gains land after every contact has been resolved.
+	copy(s.snapshot, s.held)
+	clear(s.gains)
+	sat := s.sat
+	for v := range sat {
+		sat[v] = s.full(s.row(s.snapshot, v))
 	}
 	rng := s.rng.ChildN("round", s.round)
 	for v := 0; v < n; v++ {
@@ -413,11 +477,9 @@ func (s *Sim) Step() error {
 		if len(nb) == 0 {
 			continue
 		}
-		c := s.contactsOf(v)
-		if c > len(nb) {
-			c = len(nb)
-		}
-		for _, idx := range rng.SampleInts(len(nb), c) {
+		c := min(s.contactsOf(v), len(nb))
+		s.pick = rng.SampleIntsInto(s.pick[:0], len(nb), c)
+		for _, idx := range s.pick {
 			p := nb[idx]
 			if s.gone(p) {
 				continue // contacting an empty seat wastes the slot
@@ -437,16 +499,22 @@ func (s *Sim) Step() error {
 			s.transferInto(p, v)
 		}
 	}
-	for v := 0; v < n; v++ {
-		s.held[v].UnionWith(gains[v])
-		if s.completed[v] == -1 && s.satiated(v) {
-			s.completed[v] = s.round
-		}
-	}
 
+	// 3. One pass lands the gains, stamps completions and counts the
+	// satiated present nodes.
 	count := 0
 	for v := 0; v < n; v++ {
-		if !s.gone(v) && s.satiated(v) {
+		row := s.row(s.held, v)
+		for i, w := range s.row(s.gains, v) {
+			row[i] |= w
+		}
+		if !s.full(row) {
+			continue
+		}
+		if s.completed[v] == -1 {
+			s.completed[v] = s.round
+		}
+		if !s.gone(v) {
 			count++
 		}
 	}
@@ -457,41 +525,50 @@ func (s *Sim) Step() error {
 
 // satiate delivers the attacker's out-of-protocol payload to v: every token
 // v lacks, capped by the defense's Admit budget (sender -1, the external
-// attacker).
+// attacker), which takes the lowest missing tokens first.
+//
+//lotus:allocfree
 func (s *Sim) satiate(v int) {
+	row := s.row(s.held, v)
 	if s.def == nil {
-		s.held[v].Fill()
-		if s.touched != nil {
-			s.touched[v] = true
-		}
+		s.fill(row)
+		s.touched[v] = true
 		return
 	}
-	missing := s.held[v].Missing()
-	granted := s.def.Admit(s.round, -1, v, len(missing))
-	if granted > len(missing) {
-		granted = len(missing)
+	missing := s.cfg.Tokens - s.HeldCount(v)
+	granted := min(s.def.Admit(s.round, -1, v, missing), missing)
+	taken := 0
+	for i := range row {
+		if taken >= granted {
+			break
+		}
+		lacking := ^row[i]
+		if i == len(row)-1 {
+			lacking &= s.lastMask
+		}
+		add := lowest(lacking, granted-taken)
+		row[i] |= add
+		taken += bits.OnesCount64(add)
 	}
-	for _, t := range missing[:granted] {
-		s.held[v].Add(t)
-	}
-	if granted > 0 && s.touched != nil {
+	if granted > 0 {
 		s.touched[v] = true
 	}
 }
 
 // attackerContacts is a trade attacker's round: it contacts up to c random
 // neighbors and gives each satiation target its full snapshot, taking
-// nothing in return.
+// nothing in return. It draws into the same pick buffer as honest
+// initiators, which is safe because the two loops never nest.
+//
+//lotus:allocfree
 func (s *Sim) attackerContacts(v int, sat []bool, rng *simrng.Source) {
 	nb := s.cfg.Graph.AdjList(v)
 	if len(nb) == 0 {
 		return
 	}
-	c := s.contactsOf(v)
-	if c > len(nb) {
-		c = len(nb)
-	}
-	for _, idx := range rng.SampleInts(len(nb), c) {
+	c := min(s.contactsOf(v), len(nb))
+	s.pick = rng.SampleIntsInto(s.pick[:0], len(nb), c)
+	for _, idx := range s.pick {
 		p := nb[idx]
 		if s.gone(p) || s.isAttacker[p] || sat[p] || !s.adv.OnExchange(s.round, v, p) {
 			continue
@@ -502,39 +579,71 @@ func (s *Sim) attackerContacts(v int, sat []bool, rng *simrng.Source) {
 	}
 }
 
-// transferInto moves the sender's start-of-round token set into the
-// receiver's pending gains and reports how many new tokens landed. Without
-// a defense this is a plain union; with one, the number of genuinely new
-// tokens accepted is capped by Admit and the grant is consumed in ascending
-// token order (deterministic).
+// transferInto ORs the sender's start-of-round row into the receiver's
+// pending gains and returns the number of bits new to those gains (a
+// token the receiver already held counts when no earlier contact this
+// round delivered it). Without a defense this is a plain union; with one,
+// the tokens genuinely new to the receiver are capped by Admit and a
+// partial grant takes the lowest of them, in ascending token order
+// (deterministic).
+//
+//lotus:allocfree
 func (s *Sim) transferInto(dst, src int) int {
+	gain, from := s.row(s.gains, dst), s.row(s.snapshot, src)
 	if s.def == nil {
-		return s.gains[dst].UnionWith(s.snapshot[src])
+		return union(gain, from)
 	}
+	have := s.row(s.snapshot, dst)
 	need := 0
-	s.snapshot[src].ForEach(func(t int) {
-		if !s.snapshot[dst].Has(t) && !s.gains[dst].Has(t) {
-			need++
-		}
-	})
+	for i, w := range from {
+		need += bits.OnesCount64(w &^ have[i] &^ gain[i])
+	}
 	if need == 0 {
 		return 0
 	}
 	granted := s.def.Admit(s.round, src, dst, need)
 	if granted >= need {
-		return s.gains[dst].UnionWith(s.snapshot[src])
+		return union(gain, from)
 	}
 	taken := 0
-	s.snapshot[src].ForEach(func(t int) {
+	for i, w := range from {
 		if taken >= granted {
-			return
+			break
 		}
-		if !s.snapshot[dst].Has(t) && !s.gains[dst].Has(t) {
-			s.gains[dst].Add(t)
-			taken++
-		}
-	})
+		add := lowest(w&^have[i]&^gain[i], granted-taken)
+		gain[i] |= add
+		taken += bits.OnesCount64(add)
+	}
 	return taken
+}
+
+// union ORs src into dst and returns how many bits were new to dst.
+//
+//lotus:allocfree
+func union(dst, src []uint64) int {
+	added := 0
+	for i, w := range src {
+		added += bits.OnesCount64(w &^ dst[i])
+		dst[i] |= w
+	}
+	return added
+}
+
+// lowest returns the k lowest set bits of w, or all of w when it has at
+// most k.
+//
+//lotus:allocfree
+func lowest(w uint64, k int) uint64 {
+	if bits.OnesCount64(w) <= k {
+		return w
+	}
+	var out uint64
+	for ; k > 0; k-- {
+		b := w & -w
+		out |= b
+		w &^= b
+	}
+	return out
 }
 
 // Run simulates the full horizon and returns the result.
@@ -594,16 +703,19 @@ func (s *Sim) finish() Result {
 	if organicTotal > 0 {
 		res.OrganicCompletedFraction = float64(organicDone) / float64(organicTotal)
 	}
+	// Count each token's holders node-major, then turn the counts into
+	// fractions.
 	res.TokenCoverage = make([]float64, s.cfg.Tokens)
-	for t := 0; t < s.cfg.Tokens; t++ {
-		holders := 0
-		for v := 0; v < n; v++ {
-			if s.held[v].Has(t) {
-				holders++
+	for v := 0; v < n; v++ {
+		for i, w := range s.row(s.held, v) {
+			for ; w != 0; w &= w - 1 {
+				res.TokenCoverage[i*64+bits.TrailingZeros64(w)]++
 			}
 		}
-		if n > 0 {
-			res.TokenCoverage[t] = float64(holders) / float64(n)
+	}
+	if n > 0 {
+		for t, holders := range res.TokenCoverage {
+			res.TokenCoverage[t] = holders / float64(n)
 		}
 	}
 	return res
