@@ -23,9 +23,11 @@ var declared = map[string][]string{
 	"coding": {"coded", "contacts", "degree", "payload", "rare", "rareCopies", "symbols"},
 }
 
-// knob bounds a substrate parameter the paper's figures set (figures.go),
-// so no -set can hand a simulator a value it would choke on mid-replicate.
-// It applies on every substrate that declares the key.
+// knob bounds a substrate parameter, so no -set or request can hand a
+// simulator a value it would choke on mid-replicate or silently truncate.
+// Each bound copies the range the simulator's own Validate enforces (that
+// check stays, for callers that build a simulator directly). It applies on
+// every substrate that declares the key.
 type knob struct {
 	key      string
 	min, max float64
@@ -34,21 +36,50 @@ type knob struct {
 
 const maxKnob = math.MaxInt32
 
+// maxItems bounds the keys that size per-node state: every node keeps a
+// row, bit set or buffer of tokens, pieces, symbols or payload bytes, and
+// gossip a holdings row of lifetime × updates live updates.
+const maxItems = 1 << 16
+
 // knobs lists the bounded parameters, in the order Validate checks them.
+// Every integer key of every substrate is here.
 var knobs = []knob{
-	{"report", 0, maxKnob, true},            // gossip: report deliveries larger than this (0 = off)
-	{"evict", 1, maxKnob, true},             // gossip: distinct accusers that evict a node
-	{"epoch", 0, maxKnob, true},             // gossip: outage window in rounds (0 = off)
-	{"graph", 0, 2, true},                   // token: 0 random, 1 complete, 2 square grid
-	{"rare", 0, maxKnob, true},              // token, coding: tokens (symbols) held by few nodes
-	{"rareCopies", 1, maxKnob, true},        // token, coding: holders of each rare token
-	{"budget", 0, maxKnob, true},            // scrip: exogenous attack scrip
-	{"special", 0, maxKnob, true},           // scrip: specialty providers (agents 0..n-1)
-	{"specialReq", 0, 1, false},             // scrip: fraction of specialty requests
-	{"altruistProviders", 0, maxKnob, true}, // scrip: altruists among the providers
-	{"mint", 0, maxKnob, false},             // scrip: scrip gifted per capita at the start
-	{"uplink", 1, maxKnob, true},            // swarm: attacker upload pieces per tick
-	{"selection", 1, 2, true},               // swarm: 1 random, 2 rarest-first
+	{"report", 0, maxKnob, true},             // gossip: report deliveries larger than this (0 = off)
+	{"evict", 1, maxKnob, true},              // gossip: distinct accusers that evict a node
+	{"epoch", 0, maxKnob, true},              // gossip: outage window in rounds (0 = off)
+	{"updates", 1, maxItems, true},           // gossip: updates released per round
+	{"lifetime", 1, maxItems, true},          // gossip: rounds an update stays live
+	{"copies", 1, maxKnob, true},             // gossip: nodes seeded with each update (at most nodes)
+	{"push", 0, maxKnob, true},               // gossip: optimistic push size (0 = off)
+	{"slack", 0, maxKnob, true},              // gossip: extra updates a balanced exchange gives
+	{"warmup", 0, maxKnob, true},             // gossip: unmeasured rounds (fewer than rounds)
+	{"obedient", 0, 1, false},                // gossip: fraction of obedient nodes
+	{"altruism", 0, 1, false},                // gossip, token: chance a satiated node serves anyway
+	{"tokens", 1, maxItems, true},            // token: |T|
+	{"graph", 0, 2, true},                    // token: 0 random, 1 complete, 2 square grid
+	{"degree", 0, maxKnob, true},             // token, coding: random-graph degree (capped at nodes-1)
+	{"contacts", 0, maxKnob, true},           // token, coding: contacts per node per round
+	{"symbols", 1, maxItems, true},           // coding: source symbols
+	{"payload", 1, maxItems, true},           // coding: bytes per symbol
+	{"coded", 0, 1, true},                    // coding: 1 recodes (RLNC), 0 forwards plain symbols
+	{"rare", 0, maxKnob, true},               // token, coding: tokens (symbols) held by few nodes
+	{"rareCopies", 1, maxKnob, true},         // token, coding: holders of each rare token
+	{"threshold", 1, maxKnob, true},          // scrip: balance at which a rational agent stops volunteering
+	{"money", 0, maxKnob, true},              // scrip: scrip per capita
+	{"altruists", 0, 1, false},               // scrip: fraction of altruists
+	{"cost", 0, math.Nextafter(1, 0), false}, // scrip: a provider's cost of serving, below the benefit of 1
+	{"budget", 0, maxKnob, true},             // scrip: exogenous attack scrip
+	{"special", 0, maxKnob, true},            // scrip: specialty providers (agents 0..n-1)
+	{"specialReq", 0, 1, false},              // scrip: fraction of specialty requests
+	{"altruistProviders", 0, maxKnob, true},  // scrip: altruists among the providers
+	{"mint", 0, maxKnob, false},              // scrip: scrip gifted per capita at the start
+	{"pieces", 1, maxItems, true},            // swarm: pieces in the file
+	{"slots", 1, maxKnob, true},              // swarm: upload slots per node
+	{"peerset", 2, maxKnob, true},            // swarm: neighbours per node
+	{"seedDepart", 0, maxKnob, true},         // swarm: tick the initial seed leaves (0 = never)
+	{"seedAfter", 0, 1, true},                // swarm: 1 completed leechers keep seeding, 0 leave
+	{"uplink", 1, maxKnob, true},             // swarm: attacker upload pieces per tick
+	{"selection", 1, 2, true},                // swarm: 1 random, 2 rarest-first
 }
 
 // validateParams reports the first params key (or params.<key> sweep axis)
@@ -79,6 +110,12 @@ func (s *Spec) validateParams() error {
 	}
 	n := s.population()
 	switch s.Substrate {
+	case "gossip":
+		def := gossip.DefaultConfig()
+		lifetime, updates := s.param("lifetime", float64(def.Lifetime)), s.param("updates", float64(def.UpdatesPerRound))
+		if live := lifetime * updates; live > maxItems {
+			return fmt.Errorf("scenario: params.lifetime × params.updates = %g live updates exceeds %d", live, maxItems)
+		}
 	case "token", "coding":
 		items, graph := 0, 0.0
 		if s.Substrate == "token" {

@@ -450,6 +450,37 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRejectsHostileParams: params values that once crashed the
+// process mid-replicate (a makeslice panic or the runtime running out of
+// memory, after the POST had answered 202) are refused with 400 at submit,
+// and the server keeps serving.
+func TestServeRejectsHostileParams(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, probe := range []struct{ scenario, set string }{
+		{"x/none-token", "params.degree=-3"},
+		{"x/none-coding", "params.degree=-3"},
+		{"x/none-gossip", "params.lifetime=1e12"},
+		{"x/none-gossip", "params.updates=1e12"},
+		{"x/none-token", "params.tokens=1e12"},
+		{"x/none-swarm", "params.pieces=1e12"},
+		{"x/none-coding", "params.symbols=1e12"},
+		{"x/none-coding", "params.payload=1e12"},
+	} {
+		body := fmt.Sprintf(`{"scenario": %q, "set": [%q], "replicates": 1}`, probe.scenario, probe.set)
+		code, data := postJSON(t, ts.URL+"/experiments", body)
+		key, _, _ := strings.Cut(probe.set, "=")
+		if code != http.StatusBadRequest || !strings.Contains(string(data), key) {
+			t.Errorf("%s %s: status %d, want 400 naming %s: %s", probe.scenario, probe.set, code, key, data)
+		}
+	}
+	resp := submit(t, ts.URL, `{"scenario": "x/none-token", "seed": 3,
+		"set": ["replicates=1", "rounds=6", "nodes=16", "sweep.points=2"]}`)
+	waitDone(t, ts.URL, resp.Key)
+	if code, _, body := getBody(t, ts.URL+"/results/"+resp.Key); code != http.StatusOK {
+		t.Fatalf("result after the refused requests: status %d: %s", code, body)
+	}
+}
+
 // TestServeQueueFull: with depth 1 and the executor busy, a second distinct
 // request queues and a third is refused with 503.
 func TestServeQueueFull(t *testing.T) {
