@@ -703,19 +703,16 @@ func (s *Sim) finish() Result {
 	if organicTotal > 0 {
 		res.OrganicCompletedFraction = float64(organicDone) / float64(organicTotal)
 	}
-	// Count each token's holders node-major, then turn the counts into
-	// fractions.
 	res.TokenCoverage = make([]float64, s.cfg.Tokens)
-	for v := 0; v < n; v++ {
-		for i, w := range s.row(s.held, v) {
-			for ; w != 0; w &= w - 1 {
-				res.TokenCoverage[i*64+bits.TrailingZeros64(w)]++
+	for t := 0; t < s.cfg.Tokens; t++ {
+		holders := 0
+		for v := 0; v < n; v++ {
+			if s.Has(v, t) {
+				holders++
 			}
 		}
-	}
-	if n > 0 {
-		for t, holders := range res.TokenCoverage {
-			res.TokenCoverage[t] = holders / float64(n)
+		if n > 0 {
+			res.TokenCoverage[t] = float64(holders) / float64(n)
 		}
 	}
 	return res
