@@ -44,7 +44,7 @@ func TestHostileParams(t *testing.T) {
 }
 
 // TestKnobsCoverEveryKey keeps the knob table complete: every declared key
-// has a bound, and every key a builder truncates to an int is an integer
+// has a bound, and every key a substrate truncates to an int is an integer
 // knob, so a fractional value is refused rather than silently rounded down.
 func TestKnobsCoverEveryKey(t *testing.T) {
 	fractional := []string{"altruism", "altruists", "cost", "mint", "obedient", "specialReq"}
