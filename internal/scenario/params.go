@@ -82,6 +82,14 @@ var knobs = []knob{
 	{"selection", 1, 2, true},                // swarm: 1 random, 2 rarest-first
 }
 
+// knobOf returns the bound on params key, or nil when the key has none.
+func knobOf(key string) *knob {
+	if i := slices.IndexFunc(knobs, func(k knob) bool { return k.key == key }); i >= 0 {
+		return &knobs[i]
+	}
+	return nil
+}
+
 // validateParams reports the first params key (or params.<key> sweep axis)
 // the spec's substrate does not read, then the first bounded parameter out
 // of range, then the first inconsistent combination, or nil.

@@ -2,43 +2,87 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 )
 
 // TestHostileParams probes every declared params key of every substrate
-// with a negative, a fractional and a huge value. Each probe must either
-// fail Validate with an error naming the key, or run one replicate without
-// a panic (the simulator may still refuse it with an error). Before every
-// integer key was bounded, eight of these probes crashed the process:
-// makeslice panics on a negative degree or a huge gossip lifetime, and the
-// runtime running out of memory on a huge token, piece, symbol or payload
-// count.
+// with a negative, a fractional and a huge value, set outright and as the
+// far end of a two-point sweep from the knob's minimum. Each probe must
+// either fail Validate with an error naming the key, or resolve every
+// sweep point and run one replicate without a panic (the simulator may
+// still refuse it with an error). Before every integer key was bounded,
+// eight of these probes crashed the process: makeslice panics on a
+// negative degree or a huge gossip lifetime, and the runtime running out
+// of memory on a huge token, piece, symbol or payload count. Before sweep
+// endpoints were bounded, the sweeps passed Validate and failed after
+// their first point.
 func TestHostileParams(t *testing.T) {
 	for _, substrate := range Substrates {
 		for _, key := range declared[substrate] {
 			for _, v := range []float64{-3, 1.5, 1e12} {
-				name := fmt.Sprintf("%s/%s=%g", substrate, key, v)
-				spec, ok := Get("x/none-" + substrate)
-				if !ok {
-					t.Fatalf("no scenario x/none-%s", substrate)
-				}
-				for _, set := range [][2]string{{"params." + key, fmt.Sprint(v)}, {"replicates", "1"}, {"sweep.points", "2"}} {
-					if err := spec.Set(set[0], set[1]); err != nil {
-						t.Fatalf("%s: %v", name, err)
+				for _, sets := range [][][2]string{
+					{{"params." + key, fmt.Sprint(v)}},
+					{{"sweep.axis", "params." + key}, {"sweep.from", fmt.Sprint(knobOf(key).min)}, {"sweep.to", fmt.Sprint(v)}},
+				} {
+					name := fmt.Sprintf("%s/%v", substrate, sets)
+					spec, ok := Get("x/none-" + substrate)
+					if !ok {
+						t.Fatalf("no scenario x/none-%s", substrate)
 					}
-				}
-				if err := spec.Validate(); err != nil {
-					if !strings.Contains(err.Error(), "params."+key) {
-						t.Errorf("%s: rejected with an error that does not name params.%s: %v", name, key, err)
+					for _, set := range append(sets, [2]string{"replicates", "1"}, [2]string{"sweep.points", "2"}) {
+						if err := spec.Set(set[0], set[1]); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
 					}
-					continue
-				}
-				if _, err := Run(spec, 1, RunOptions{Workers: 1}); err != nil {
-					t.Logf("%s: passes Validate, refused at build: %v", name, err)
+					if err := spec.Validate(); err != nil {
+						if !strings.Contains(err.Error(), "params."+key) {
+							t.Errorf("%s: rejected with an error that does not name params.%s: %v", name, key, err)
+						}
+						continue
+					}
+					for _, x := range PlanOf(spec, RunOptions{}).Xs {
+						if _, err := spec.PointSpec(x); err != nil {
+							t.Errorf("%s: passes Validate, refused at point %g: %v", name, x, err)
+						}
+					}
+					if _, err := Run(spec, 1, RunOptions{Workers: 1}); err != nil {
+						t.Logf("%s: passes Validate, refused at build: %v", name, err)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestIntegerParamsAxisTruncates: a sweep of an integer params key over a
+// grid that falls between integers truncates each point, as the other
+// integer axes do, and runs every point.
+func TestIntegerParamsAxisTruncates(t *testing.T) {
+	spec, ok := Get("x/trade-gossip")
+	if !ok {
+		t.Fatal("no scenario x/trade-gossip")
+	}
+	if err := spec.ApplySets([]string{"sweep.axis=params.push", "sweep.from=0", "sweep.to=10",
+		"sweep.points=4", "replicates=1"}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Run(spec, 1, RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Series[0].Len(); got != 4 {
+		t.Fatalf("ran %d points, want 4", got)
+	}
+	for _, p := range a.Series[0].Points {
+		pt, err := spec.PointSpec(p.X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := pt.Params["push"], math.Trunc(p.X); got != want {
+			t.Errorf("push at x=%g is %g, want %g", p.X, got, want)
 		}
 	}
 }

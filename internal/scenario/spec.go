@@ -287,8 +287,20 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	if s.Sweep.Axis != "" {
-		if err := s.Clone().applyAxis(s.Sweep.From); err != nil {
-			return err
+		// Every sweep runs both endpoints, so a value refused at either
+		// fails here rather than after the first points have run. A swept
+		// params key moves monotonically between them, and so do its bounds
+		// and combinations: checked at both ends, they hold at every point.
+		c := s.Clone()
+		for _, x := range []float64{s.Sweep.From, s.Sweep.To} {
+			if err := c.applyAxis(x); err != nil {
+				return err
+			}
+			if strings.HasPrefix(s.Sweep.Axis, "params.") {
+				if err := c.validateParams(); err != nil {
+					return err
+				}
+			}
 		}
 		if s.Sweep.Points < 0 {
 			return fmt.Errorf("scenario: sweep points must be non-negative, got %d", s.Sweep.Points)
@@ -447,6 +459,9 @@ func (s *Spec) applyAxis(x float64) error {
 		}
 	default:
 		if key, ok := strings.CutPrefix(axis, "params."); ok && key != "" {
+			if k := knobOf(key); k != nil && k.integer {
+				x = math.Trunc(x) // as every other integer axis truncates
+			}
 			s.setParam(key, x)
 			return nil
 		}

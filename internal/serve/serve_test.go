@@ -453,24 +453,32 @@ func TestServeBadRequests(t *testing.T) {
 // TestServeRejectsHostileParams: params values that once crashed the
 // process mid-replicate (a makeslice panic or the runtime running out of
 // memory, after the POST had answered 202) are refused with 400 at submit,
-// and the server keeps serving.
+// as is a sweep whose far endpoint is such a value, and the server keeps
+// serving.
 func TestServeRejectsHostileParams(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, probe := range []struct{ scenario, set string }{
-		{"x/none-token", "params.degree=-3"},
-		{"x/none-coding", "params.degree=-3"},
-		{"x/none-gossip", "params.lifetime=1e12"},
-		{"x/none-gossip", "params.updates=1e12"},
-		{"x/none-token", "params.tokens=1e12"},
-		{"x/none-swarm", "params.pieces=1e12"},
-		{"x/none-coding", "params.symbols=1e12"},
-		{"x/none-coding", "params.payload=1e12"},
+	for _, probe := range []struct {
+		scenario, key string // key: the params key the refusal names
+		sets          []string
+	}{
+		{"x/none-token", "params.degree", []string{"params.degree=-3"}},
+		{"x/none-coding", "params.degree", []string{"params.degree=-3"}},
+		{"x/none-gossip", "params.lifetime", []string{"params.lifetime=1e12"}},
+		{"x/none-gossip", "params.updates", []string{"params.updates=1e12"}},
+		{"x/none-token", "params.tokens", []string{"params.tokens=1e12"}},
+		{"x/none-swarm", "params.pieces", []string{"params.pieces=1e12"}},
+		{"x/none-coding", "params.symbols", []string{"params.symbols=1e12"}},
+		{"x/none-coding", "params.payload", []string{"params.payload=1e12"}},
+		{"x/trade-token", "params.tokens", []string{"sweep.axis=params.tokens", "sweep.from=1", "sweep.to=1e12", "sweep.points=2"}},
 	} {
-		body := fmt.Sprintf(`{"scenario": %q, "set": [%q], "replicates": 1}`, probe.scenario, probe.set)
+		sets, err := json.Marshal(probe.sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := fmt.Sprintf(`{"scenario": %q, "set": %s, "replicates": 1}`, probe.scenario, sets)
 		code, data := postJSON(t, ts.URL+"/experiments", body)
-		key, _, _ := strings.Cut(probe.set, "=")
-		if code != http.StatusBadRequest || !strings.Contains(string(data), key) {
-			t.Errorf("%s %s: status %d, want 400 naming %s: %s", probe.scenario, probe.set, code, key, data)
+		if code != http.StatusBadRequest || !strings.Contains(string(data), probe.key) {
+			t.Errorf("%s %v: status %d, want 400 naming %s: %s", probe.scenario, probe.sets, code, probe.key, data)
 		}
 	}
 	resp := submit(t, ts.URL, `{"scenario": "x/none-token", "seed": 3,
