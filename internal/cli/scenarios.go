@@ -89,15 +89,13 @@ func ScenariosRun(w io.Writer, args []string) error {
 	}
 	fs := flag.NewFlagSet("lotus-sim scenarios run", flag.ContinueOnError)
 	var sets setFlags
-	fs.Var(&sets, "set", "override a spec field, key=value (repeatable)")
+	fs.Var(&sets, "set", "override a spec field by the JSON path scenarios show prints, key=value (repeatable)")
 	specPath := fs.String("spec", "", "load the scenario from a JSON spec file instead of the registry")
 	tracePath := fs.String("trace", "", "replay a churn trace file (examples/traces/ format) as the spec's population churn")
 	seed := fs.Uint64("seed", 1, "random seed")
 	format := fs.String("format", "text", "output format: text|csv|json")
-	replicates := fs.Int("replicates", 0, "override replicates per sweep point (0 = spec value; dead under -target-ci or an active precision plan)")
-	points := fs.Int("points", 0, "override sweep points (0 = spec value)")
+	replicates := fs.Int("replicates", 0, "override replicates per sweep point (0 = spec value; dead under an active precision plan)")
 	workers := fs.Int("workers", 0, "bound in-flight replicates on the shared pool (0 = pool width; results never depend on it)")
-	targetCI := fs.Float64("target-ci", 0, "adaptive replication: stop each sweep point once the metric mean's 95% CI half-width is at most this (sugar for -set precision.halfWidth=...; 0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -118,16 +116,12 @@ func ScenariosRun(w io.Writer, args []string) error {
 			return err
 		}
 	}
-	if *targetCI != 0 {
-		sets = append(sets, fmt.Sprintf("precision.halfWidth=%g", *targetCI))
-	}
 	if err := spec.ApplySets(sets); err != nil {
 		return err
 	}
 	a, err := scenario.Run(spec, *seed, scenario.RunOptions{
 		Workers:    *workers,
 		Replicates: *replicates,
-		Points:     *points,
 	})
 	if err != nil {
 		return err

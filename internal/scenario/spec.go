@@ -422,16 +422,132 @@ func (s *Spec) setParam(key string, v float64) {
 	s.Params[key] = v
 }
 
+// field reaches one spec field by its dotted key. set parses an override
+// value by the field's type and writes the field only if the parse
+// succeeds, so a rejected override leaves the spec untouched. sweep, nil
+// unless the field is a sweep axis, writes a sweep's x value.
+type field struct {
+	set   func(s *Spec, key, value string) error
+	sweep func(s *Spec, x float64)
+}
+
+// of makes the table entry of a field that no sweep moves.
+func of[T string | int | float64 | bool | []int](write func(*Spec, T)) field {
+	return field{set: func(s *Spec, key, value string) error {
+		var v T
+		if err := parse(key, value, &v); err != nil {
+			return err
+		}
+		write(s, v)
+		return nil
+	}}
+}
+
+// axis makes the table entry of a field that is also a sweep axis: a
+// float field takes x, an int field int(x).
+func axis[T int | float64](write func(*Spec, T)) field {
+	f := of(write)
+	f.sweep = func(s *Spec, x float64) { write(s, T(x)) }
+	return f
+}
+
+// parse reads an override value into *dst, by dst's type.
+func parse(key, value string, dst any) error {
+	var err error
+	switch d := dst.(type) {
+	case *string:
+		*d = value
+	case *int:
+		if *d, err = strconv.Atoi(value); err != nil {
+			return fmt.Errorf("scenario: %s needs an integer, got %q", key, value)
+		}
+	case *float64:
+		// ParseFloat accepts "inf" and "nan"; a spec holding one can never
+		// re-encode to JSON, so reject them here too.
+		if *d, err = strconv.ParseFloat(value, 64); err != nil || !isFinite(*d) {
+			return fmt.Errorf("scenario: %s needs a finite number, got %q", key, value)
+		}
+	case *bool:
+		if *d, err = strconv.ParseBool(value); err != nil {
+			return fmt.Errorf("scenario: %s needs a boolean, got %q", key, value)
+		}
+	case *[]int:
+		if value == "" {
+			return nil
+		}
+		for _, p := range strings.Split(value, ",") {
+			id, err := strconv.Atoi(strings.TrimSpace(p))
+			if err != nil {
+				return fmt.Errorf("scenario: %s needs comma-separated integers, got %q", key, value)
+			}
+			*d = append(*d, id)
+		}
+	}
+	return nil
+}
+
+// fields maps each key Set accepts, besides params.<key>, to its spec
+// field. The keys are the JSON paths `lotus-sim scenarios show` prints.
+// Entries made with axis are sweep axes, as are adversary.targets and
+// params.<key> (see applyAxis).
+var fields = map[string]field{
+	"title":                          of(func(s *Spec, v string) { s.Title = v }),
+	"description":                    of(func(s *Spec, v string) { s.Description = v }),
+	"substrate":                      of(func(s *Spec, v string) { s.Substrate = v }),
+	"nodes":                          axis(func(s *Spec, v int) { s.Nodes = v }),
+	"rounds":                         axis(func(s *Spec, v int) { s.Rounds = v }),
+	"replicates":                     of(func(s *Spec, v int) { s.Replicates = v }),
+	"metric":                         of(func(s *Spec, v string) { s.Metric = v }),
+	"adversary.kind":                 of(func(s *Spec, v string) { s.Adversary.Kind = v }),
+	"adversary.fraction":             axis(func(s *Spec, v float64) { s.Adversary.Fraction = v }),
+	"adversary.satiateFraction":      axis(func(s *Spec, v float64) { s.Adversary.SatiateFraction = v }),
+	"adversary.rotatePeriod":         axis(func(s *Spec, v int) { s.Adversary.RotatePeriod = v }),
+	"adversary.targets":              of(func(s *Spec, v []int) { s.Adversary.Targets = v }),
+	"adversary.start":                of(func(s *Spec, v int) { s.Adversary.Start = v }),
+	"adversary.stop":                 of(func(s *Spec, v int) { s.Adversary.Stop = v }),
+	"adversary.rank":                 of(func(s *Spec, v string) { s.Adversary.Rank = v }),
+	"defense.kind":                   of(func(s *Spec, v string) { s.Defense.Kind = v }),
+	"defense.rateLimit":              axis(func(s *Spec, v int) { s.Defense.RateLimit = v }),
+	"precision.halfWidth":            of(func(s *Spec, v float64) { s.precision().HalfWidth = v }),
+	"precision.confidence":           of(func(s *Spec, v float64) { s.precision().Confidence = v }),
+	"precision.relative":             of(func(s *Spec, v bool) { s.precision().Relative = v }),
+	"precision.minReps":              of(func(s *Spec, v int) { s.precision().MinReps = v }),
+	"precision.maxReps":              of(func(s *Spec, v int) { s.precision().MaxReps = v }),
+	"precision.batch":                of(func(s *Spec, v int) { s.precision().Batch = v }),
+	"population.churn.leaveRate":     axis(func(s *Spec, v float64) { s.populationChurn().LeaveRate = v }),
+	"population.churn.joinRate":      axis(func(s *Spec, v float64) { s.populationChurn().JoinRate = v }),
+	"population.churn.start":         of(func(s *Spec, v int) { s.populationChurn().Start = v }),
+	"population.popularity.kind":     of(func(s *Spec, v string) { s.populationPopularity().Kind = v }),
+	"population.popularity.exponent": axis(func(s *Spec, v float64) { s.populationPopularity().Exponent = v }),
+	"population.popularity.items":    of(func(s *Spec, v int) { s.populationPopularity().Items = v }),
+	"sweep.axis":                     of(func(s *Spec, v string) { s.Sweep.Axis = v }),
+	"sweep.from":                     of(func(s *Spec, v float64) { s.Sweep.From = v }),
+	"sweep.to":                       of(func(s *Spec, v float64) { s.Sweep.To = v }),
+	"sweep.points":                   of(func(s *Spec, v int) { s.Sweep.Points = v }),
+}
+
+// fieldOf returns the field key names: an entry of the fields table, or
+// for params.<key> that substrate knob, a sweep axis whose integer knobs
+// truncate x as every other integer axis does.
+func fieldOf(key string) (field, bool) {
+	if f, ok := fields[key]; ok {
+		return f, true
+	}
+	pkey, ok := strings.CutPrefix(key, "params.")
+	if !ok || pkey == "" {
+		return field{}, false
+	}
+	f := axis(func(s *Spec, v float64) { s.setParam(pkey, v) })
+	if k := knobOf(pkey); k != nil && k.integer {
+		f.sweep = func(s *Spec, x float64) { s.setParam(pkey, math.Trunc(x)) }
+	}
+	return f, true
+}
+
 // applyAxis sets the swept knob to x.
 func (s *Spec) applyAxis(x float64) error {
 	axis := s.Sweep.Axis
 	switch axis {
-	case "adversary.fraction":
-		s.Adversary.Fraction = x
-	case "adversary.satiateFraction":
-		s.Adversary.SatiateFraction = x
-	case "adversary.rotatePeriod":
-		s.Adversary.RotatePeriod = int(x)
 	case "adversary.targets":
 		// Satiate nodes 0..x-1: as an axis the target list grows from the
 		// front, so sweeping it adds one targeted holder per step.
@@ -439,249 +555,34 @@ func (s *Spec) applyAxis(x float64) error {
 			return fmt.Errorf("scenario: adversary.targets axis value %g is outside [0,%d]", x, s.population())
 		}
 		s.Adversary.Targets = span(int(x))
+		return nil
 	case "defense.rateLimit":
-		s.Defense.RateLimit = int(x)
 		if s.Defense.Kind == "" || s.Defense.Kind == "none" {
 			s.Defense.Kind = "ratelimit"
 		}
-	case "nodes":
-		s.Nodes = int(x)
-	case "rounds":
-		s.Rounds = int(x)
-	case "population.churn.leaveRate":
-		s.populationChurn().LeaveRate = x
-	case "population.churn.joinRate":
-		s.populationChurn().JoinRate = x
 	case "population.popularity.exponent":
-		s.populationPopularity().Exponent = x
-		if s.populationPopularity().Kind == "" {
-			s.populationPopularity().Kind = "zipf"
+		if p := s.populationPopularity(); p.Kind == "" {
+			p.Kind = "zipf"
 		}
-	default:
-		if key, ok := strings.CutPrefix(axis, "params."); ok && key != "" {
-			if k := knobOf(key); k != nil && k.integer {
-				x = math.Trunc(x) // as every other integer axis truncates
-			}
-			s.setParam(key, x)
-			return nil
-		}
+	}
+	f, ok := fieldOf(axis)
+	if !ok || f.sweep == nil {
 		return fmt.Errorf("scenario: unknown sweep axis %q", axis)
 	}
+	f.sweep(s, x)
 	return nil
 }
 
-// Set applies one key=value override using the same dotted paths the JSON
-// spec uses, so overrides round-trip: Set then JSON yields a spec that
-// parses back to the overridden value. Valid keys: title, description,
-// substrate, nodes, rounds, replicates, metric, adversary.kind,
-// adversary.fraction, adversary.satiateFraction, adversary.rotatePeriod,
-// adversary.targets (comma-separated node ids), adversary.start,
-// adversary.stop, adversary.rank, defense.kind,
-// defense.rateLimit, precision.halfWidth, precision.confidence,
-// precision.relative, precision.minReps, precision.maxReps,
-// precision.batch, sweep.axis, sweep.from, sweep.to, sweep.points, and
-// params.<key>.
+// Set applies one key=value override. The keys are those of the fields
+// table and params.<key>: the dotted paths of the JSON spec, so overrides
+// round-trip (Set then JSON yields a spec that parses back to the
+// overridden value).
 func (s *Spec) Set(key, value string) error {
-	number := func() (float64, error) {
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil || !isFinite(v) {
-			// ParseFloat accepts "inf" and "nan"; a spec holding one can
-			// never re-encode to JSON, so reject them here too.
-			return 0, fmt.Errorf("scenario: %s needs a finite number, got %q", key, value)
-		}
-		return v, nil
-	}
-	integer := func() (int, error) {
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return 0, fmt.Errorf("scenario: %s needs an integer, got %q", key, value)
-		}
-		return v, nil
-	}
-	switch key {
-	case "title":
-		s.Title = value
-	case "description":
-		s.Description = value
-	case "substrate":
-		s.Substrate = value
-	case "metric":
-		s.Metric = value
-	case "nodes":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.Nodes = v
-	case "rounds":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.Rounds = v
-	case "replicates":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.Replicates = v
-	case "adversary.kind":
-		s.Adversary.Kind = value
-	case "adversary.fraction":
-		v, err := number()
-		if err != nil {
-			return err
-		}
-		s.Adversary.Fraction = v
-	case "adversary.satiateFraction":
-		v, err := number()
-		if err != nil {
-			return err
-		}
-		s.Adversary.SatiateFraction = v
-	case "adversary.rotatePeriod":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.Adversary.RotatePeriod = v
-	case "adversary.start":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.Adversary.Start = v
-	case "adversary.stop":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.Adversary.Stop = v
-	case "adversary.rank":
-		s.Adversary.Rank = value
-	case "adversary.targets":
-		if value == "" {
-			s.Adversary.Targets = nil
-			break
-		}
-		parts := strings.Split(value, ",")
-		targets := make([]int, 0, len(parts))
-		for _, p := range parts {
-			id, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil {
-				return fmt.Errorf("scenario: %s needs comma-separated integers, got %q", key, value)
-			}
-			targets = append(targets, id)
-		}
-		s.Adversary.Targets = targets
-	case "defense.kind":
-		s.Defense.Kind = value
-	case "defense.rateLimit":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.Defense.RateLimit = v
-	case "precision.halfWidth":
-		v, err := number()
-		if err != nil {
-			return err
-		}
-		s.precision().HalfWidth = v
-	case "precision.confidence":
-		v, err := number()
-		if err != nil {
-			return err
-		}
-		s.precision().Confidence = v
-	case "precision.relative":
-		v, err := strconv.ParseBool(value)
-		if err != nil {
-			return fmt.Errorf("scenario: %s needs a boolean, got %q", key, value)
-		}
-		s.precision().Relative = v
-	case "precision.minReps":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.precision().MinReps = v
-	case "precision.maxReps":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.precision().MaxReps = v
-	case "precision.batch":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.precision().Batch = v
-	case "population.churn.leaveRate":
-		v, err := number()
-		if err != nil {
-			return err
-		}
-		s.populationChurn().LeaveRate = v
-	case "population.churn.joinRate":
-		v, err := number()
-		if err != nil {
-			return err
-		}
-		s.populationChurn().JoinRate = v
-	case "population.churn.start":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.populationChurn().Start = v
-	case "population.popularity.kind":
-		s.populationPopularity().Kind = value
-	case "population.popularity.exponent":
-		v, err := number()
-		if err != nil {
-			return err
-		}
-		s.populationPopularity().Exponent = v
-	case "population.popularity.items":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.populationPopularity().Items = v
-	case "sweep.axis":
-		s.Sweep.Axis = value
-	case "sweep.from":
-		v, err := number()
-		if err != nil {
-			return err
-		}
-		s.Sweep.From = v
-	case "sweep.to":
-		v, err := number()
-		if err != nil {
-			return err
-		}
-		s.Sweep.To = v
-	case "sweep.points":
-		v, err := integer()
-		if err != nil {
-			return err
-		}
-		s.Sweep.Points = v
-	default:
-		if pkey, ok := strings.CutPrefix(key, "params."); ok && pkey != "" {
-			v, err := number()
-			if err != nil {
-				return err
-			}
-			s.setParam(pkey, v)
-			return nil
-		}
+	f, ok := fieldOf(key)
+	if !ok {
 		return fmt.Errorf("scenario: unknown override key %q (run `lotus-sim scenarios show <name>` for the spec layout)", key)
 	}
-	return nil
+	return f.set(s, key, value)
 }
 
 // ApplySets parses and applies a list of key=value overrides, then
