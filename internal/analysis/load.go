@@ -33,7 +33,7 @@ type Package struct {
 }
 
 // Module is the whole module under analysis. Packages are parsed eagerly at
-// load time but type-checked lazily (Check / CheckAll), so callers that only
+// load time but type-checked lazily (Check), so callers that only
 // need a corner of the module don't pay for type-checking net/http by
 // source.
 type Module struct {
@@ -73,11 +73,8 @@ func LoadModule(dir string) (*Module, error) {
 }
 
 // Packages returns every module package, sorted by import path. They are
-// parsed but not necessarily type-checked yet; use Check or CheckAll.
+// parsed but not necessarily type-checked yet; use Check.
 func (m *Module) Packages() []*Package { return m.pkgs }
-
-// Lookup returns the module package with the given import path, or nil.
-func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
 
 // Source returns the raw bytes of a loaded file (for directive parsing).
 func (m *Module) Source(filename string) []byte { return m.src[filename] }
@@ -240,16 +237,6 @@ func (m *Module) Check(pkg *Package) error {
 	}
 	pkg.Pkg = tpkg
 	pkg.checked = true
-	return nil
-}
-
-// CheckAll type-checks every module package.
-func (m *Module) CheckAll() error {
-	for _, pkg := range m.pkgs {
-		if err := m.Check(pkg); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -51,9 +51,6 @@ func NewEncoder(symbols [][]byte) (*Encoder, error) {
 	return &Encoder{symbols: copies, size: size}, nil
 }
 
-// SymbolCount returns the number of source symbols.
-func (e *Encoder) SymbolCount() int { return len(e.symbols) }
-
 // Unit returns the trivial packet carrying source symbol i alone. It
 // panics for out-of-range i.
 func (e *Encoder) Unit(i int) Packet {

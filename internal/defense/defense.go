@@ -108,12 +108,9 @@ type Board struct {
 	threshold    int // deliveries larger than this are "excessive"
 	evictReports int // distinct reporters needed to evict
 
-	mu        sync.Mutex
-	accusers  map[int]map[int]struct{} // accused -> set of reporters
-	evicted   map[int]int              // accused -> round evicted
-	rejected  int
-	accepted  int
-	duplicate int
+	mu       sync.Mutex
+	accusers map[int]map[int]struct{} // accused -> set of reporters
+	evicted  map[int]int              // accused -> round evicted
 }
 
 // ErrBadEvidence is returned for reports whose receipt does not verify or
@@ -174,11 +171,9 @@ func (b *Board) File(round int, r Report) error {
 		b.accusers[r.Accused] = set
 	}
 	if _, dup := set[r.Reporter]; dup {
-		b.duplicate++
 		return nil
 	}
 	set[r.Reporter] = struct{}{}
-	b.accepted++
 	if len(set) >= b.evictReports {
 		if _, already := b.evicted[r.Accused]; !already {
 			b.evicted[r.Accused] = round
@@ -200,21 +195,4 @@ func (b *Board) EvictedCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.evicted)
-}
-
-// EvictionRound returns the round id was evicted, or -1.
-func (b *Board) EvictionRound(id int) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if r, ok := b.evicted[id]; ok {
-		return r
-	}
-	return -1
-}
-
-// Stats returns (accepted, duplicate) report counts.
-func (b *Board) Stats() (accepted, duplicate int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.accepted, b.duplicate
 }

@@ -133,14 +133,11 @@ func TestBoardAcceptsValidReportAndEvicts(t *testing.T) {
 	if !b.Evicted(1) {
 		t.Fatal("not evicted after two distinct reporters")
 	}
-	if got := b.EvictionRound(1); got != 6 {
-		t.Fatalf("EvictionRound = %d, want 6", got)
-	}
 	if b.EvictedCount() != 1 {
 		t.Fatalf("EvictedCount = %d", b.EvictedCount())
 	}
-	if b.EvictionRound(5) != -1 {
-		t.Fatal("unevicted node has an eviction round")
+	if b.Evicted(5) {
+		t.Fatal("a node nobody reported is evicted")
 	}
 }
 
@@ -158,9 +155,11 @@ func TestBoardDuplicateReporterDoesNotEvict(t *testing.T) {
 	if b.Evicted(1) {
 		t.Fatal("single reporter filing repeatedly caused eviction")
 	}
-	accepted, duplicate := b.Stats()
-	if accepted != 1 || duplicate != 4 {
-		t.Fatalf("stats = (%d, %d), want (1, 4)", accepted, duplicate)
+	if err := b.File(5, Report{Reporter: 3, Accused: 1, Evidence: receipt(t, k, 5, 1, 3, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if !b.Evicted(1) {
+		t.Fatal("not evicted once a second distinct reporter filed")
 	}
 }
 
@@ -233,12 +232,8 @@ func TestBoardConcurrentFiling(t *testing.T) {
 		}(reporter)
 	}
 	wg.Wait()
-	if !b.Evicted(1) {
-		t.Fatal("six distinct reporters did not evict at threshold 4")
-	}
-	accepted, _ := b.Stats()
-	if accepted != 6 {
-		t.Fatalf("accepted %d, want 6", accepted)
+	if !b.Evicted(1) || b.EvictedCount() != 1 {
+		t.Fatal("six distinct reporters did not evict exactly node 1 at threshold 4")
 	}
 }
 

@@ -8,8 +8,8 @@ import "math"
 // non-finite values, which JSON number literals cannot spell. Decimal
 // round-tripping would also be exact for finite floats in Go, but the bit
 // encoding makes exactness a property of the representation rather than of
-// two formatters agreeing, which is the contract cluster merge correctness
-// rests on.
+// two formatters agreeing, which is what the cluster's check of a worker's
+// partial state against its own re-fold rests on.
 type AccumulatorState struct {
 	N    int64  `json:"n"`
 	Sum  uint64 `json:"sumBits"`
@@ -34,8 +34,7 @@ func (a *Accumulator) State() AccumulatorState {
 }
 
 // Accumulator reconstructs the exact accumulator the state was captured
-// from. Merging reconstructed partials is bit-identical to merging the
-// originals.
+// from.
 func (st AccumulatorState) Accumulator() Accumulator {
 	return Accumulator{
 		n:    st.N,

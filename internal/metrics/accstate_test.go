@@ -58,30 +58,3 @@ func TestAccumulatorStateNonFinite(t *testing.T) {
 		t.Fatalf("non-finite round trip changed accumulator:\n%+v\nvs\n%+v", a, b)
 	}
 }
-
-// TestAccumulatorStateMergeEquivalence pins that merging reconstructed
-// partials is bit-identical to merging the originals — a shard may cross
-// the wire before its peers merge it.
-func TestAccumulatorStateMergeEquivalence(t *testing.T) {
-	rng := simrng.New(11)
-	for trial := 0; trial < 20; trial++ {
-		var left, right, direct Accumulator
-		for i := 0; i < 50+rng.IntN(100); i++ {
-			x := rng.NormFloat64()
-			if i%2 == 0 {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		direct = left
-		direct.Merge(&right)
-
-		viaWire := left.State().Accumulator()
-		rightWire := right.State().Accumulator()
-		viaWire.Merge(&rightWire)
-		if direct != viaWire {
-			t.Fatalf("trial %d: wire merge diverged:\n%+v\nvs\n%+v", trial, direct, viaWire)
-		}
-	}
-}

@@ -142,28 +142,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	out := math.Inf(1)
-	for _, x := range xs {
-		if x < out {
-			out = x
-		}
-	}
-	return out
-}
-
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	out := math.Inf(-1)
-	for _, x := range xs {
-		if x > out {
-			out = x
-		}
-	}
-	return out
-}
-
 // Table renders series side by side as an aligned text table: the first
 // column is X (union of all X values across series, ascending), then one
 // column per series. Missing values render as "-".

@@ -129,16 +129,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty Min/Max not infinite")
-	}
-	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("Min/Max = %g/%g", Min(xs), Max(xs))
-	}
-}
-
 func TestQuantileMonotone(t *testing.T) {
 	err := quick.Check(func(raw []float64, a, b float64) bool {
 		if len(raw) == 0 {

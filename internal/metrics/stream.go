@@ -12,8 +12,7 @@ import (
 // Welford's online algorithm, numerically stable for long streams.
 //
 // The zero value is ready to use. Accumulators are not safe for concurrent
-// use; fold per worker and Merge (or fold in replicate order, as
-// sim.Runner.Fold arranges).
+// use; fold in replicate order, as sim.Runner.Fold arranges.
 type Accumulator struct {
 	n    int64
 	sum  float64
@@ -40,35 +39,6 @@ func (a *Accumulator) Add(x float64) {
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
-}
-
-// Merge folds another accumulator's stream into a, as if its observations
-// had been Added here (Chan et al.'s parallel variance combination).
-//
-// Contract: b is read-only (never mutated), an empty b is a no-op, merging
-// into an empty a copies b, and self-merge — a.Merge(a) — is well defined:
-// it doubles the stream, exactly as if every observation had been Added
-// twice. All of this is pinned by tests.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += d * float64(b.n) / float64(n)
-	a.sum += b.sum
-	a.n = n
 }
 
 // Reset empties the accumulator for reuse.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -27,10 +28,10 @@ func TestAccumulatorMatchesBuffered(t *testing.T) {
 	if got, want := acc.StdDev(), StdDev(xs); !almost(got, want, 1e-9) {
 		t.Fatalf("StdDev: streaming %v != buffered %v", got, want)
 	}
-	if got, want := acc.Min(), Min(xs); got != want {
+	if got, want := acc.Min(), slices.Min(xs); got != want {
 		t.Fatalf("Min: %v != %v", got, want)
 	}
-	if got, want := acc.Max(), Max(xs); got != want {
+	if got, want := acc.Max(), slices.Max(xs); got != want {
 		t.Fatalf("Max: %v != %v", got, want)
 	}
 	if acc.Count() != int64(len(xs)) {
@@ -51,35 +52,6 @@ func TestAccumulatorEmptyAndEdge(t *testing.T) {
 	a.Add(2.5)
 	if a.Mean() != 2.5 || a.Variance() != 0 || a.Min() != 2.5 || a.Max() != 2.5 {
 		t.Fatalf("singleton accumulator wrong: %+v", a)
-	}
-}
-
-// TestAccumulatorMerge: merging two halves must equal folding the whole
-// stream.
-func TestAccumulatorMerge(t *testing.T) {
-	rng := simrng.New(11)
-	var whole, left, right Accumulator
-	for i := 0; i < 5000; i++ {
-		x := rng.ExpFloat64()
-		whole.Add(x)
-		if i < 2000 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(&right)
-	if left.Count() != whole.Count() {
-		t.Fatalf("merged count %d, want %d", left.Count(), whole.Count())
-	}
-	if !almost(left.Mean(), whole.Mean(), 1e-12) {
-		t.Fatalf("merged mean %v, want %v", left.Mean(), whole.Mean())
-	}
-	if !almost(left.Variance(), whole.Variance(), 1e-9) {
-		t.Fatalf("merged variance %v, want %v", left.Variance(), whole.Variance())
-	}
-	if left.Min() != whole.Min() || left.Max() != whole.Max() {
-		t.Fatalf("merged min/max %v/%v, want %v/%v", left.Min(), left.Max(), whole.Min(), whole.Max())
 	}
 }
 
@@ -128,53 +100,6 @@ func TestStreamReset(t *testing.T) {
 	s.Add(4)
 	if s.Acc.Mean() != 4 || s.P50.Value() != 4 {
 		t.Fatalf("post-reset stream wrong: mean %v p50 %v", s.Acc.Mean(), s.P50.Value())
-	}
-}
-
-// TestAccumulatorMergeContract pins Merge's documented contract: empty and
-// one-sided merges, and the aliasing case a.Merge(a), which must behave as
-// if the stream had been folded twice.
-func TestAccumulatorMergeContract(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5, 9, 2.5}
-
-	// Self-merge == the doubled stream.
-	var a, doubled Accumulator
-	for _, x := range xs {
-		a.Add(x)
-	}
-	for i := 0; i < 2; i++ {
-		for _, x := range xs {
-			doubled.Add(x)
-		}
-	}
-	a.Merge(&a)
-	if a.Count() != doubled.Count() || a.Sum() != doubled.Sum() ||
-		a.Min() != doubled.Min() || a.Max() != doubled.Max() {
-		t.Fatalf("self-merge diverges: count %d sum %g min %g max %g", a.Count(), a.Sum(), a.Min(), a.Max())
-	}
-	if d := a.Variance() - doubled.Variance(); d > 1e-12 || d < -1e-12 {
-		t.Fatalf("self-merge variance %g, want %g", a.Variance(), doubled.Variance())
-	}
-
-	// Merging an empty accumulator is a no-op and leaves b untouched.
-	var b, empty Accumulator
-	for _, x := range xs {
-		b.Add(x)
-	}
-	before := b
-	b.Merge(&empty)
-	if b != before {
-		t.Fatal("merging an empty accumulator changed the receiver")
-	}
-	if empty.Count() != 0 {
-		t.Fatal("merge mutated its argument")
-	}
-
-	// Merging into an empty accumulator copies the argument's stream.
-	var c Accumulator
-	c.Merge(&b)
-	if c != b {
-		t.Fatalf("empty.Merge(b) = %+v, want %+v", c, b)
 	}
 }
 

@@ -26,18 +26,6 @@ func (a *Accumulator) HalfWidth(confidence float64) float64 {
 	return TCritical(confidence, a.n-1) * a.StdDev() / math.Sqrt(float64(a.n))
 }
 
-// RelHalfWidth returns HalfWidth as a fraction of the mean's magnitude —
-// the relative-error readout for stopping rules phrased as "within 1% of
-// the mean". It is +Inf when the mean is zero (relative error is undefined)
-// or with fewer than two observations.
-func (a *Accumulator) RelHalfWidth(confidence float64) float64 {
-	m := a.Mean()
-	if m == 0 {
-		return math.Inf(1)
-	}
-	return a.HalfWidth(confidence) / math.Abs(m)
-}
-
 // TCritical returns the two-sided Student-t critical value at the given
 // confidence level with df degrees of freedom: the t for which a fraction
 // `confidence` of the distribution lies in [-t, t]. It panics on a

@@ -20,7 +20,6 @@ package population
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"lotuseater/internal/simrng"
 )
@@ -248,11 +247,4 @@ func Assign(n int, weights []float64, rng *simrng.Source) []int {
 		out[i] = WeightedIndex(rng, weights)
 	}
 	return out
-}
-
-// SortSchedule sorts events by round, keeping the relative order of
-// same-round events stable (trace files may group a round's departures
-// and arrivals intentionally).
-func SortSchedule(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Round < events[j].Round })
 }

@@ -165,20 +165,3 @@ func TestWeightedIndexDistribution(t *testing.T) {
 		}
 	}
 }
-
-func TestSortScheduleStable(t *testing.T) {
-	events := []Event{
-		{Round: 3, Node: 9},
-		{Round: 0, Node: 1},
-		{Round: 0, Node: 2},
-		{Round: 3, Node: 4, Join: true},
-	}
-	SortSchedule(events)
-	if err := ValidateSchedule(events, 10); err != nil {
-		t.Fatal(err)
-	}
-	// Same-round order is preserved: 1 before 2, 9 before 4.
-	if events[0].Node != 1 || events[1].Node != 2 || events[2].Node != 9 || events[3].Node != 4 {
-		t.Fatalf("stable order violated: %+v", events)
-	}
-}

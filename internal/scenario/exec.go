@@ -71,15 +71,6 @@ func Range(lo, hi float64, count int) []float64 {
 	return out
 }
 
-// PointBudget returns the replicate budget of one sweep point: the fixed
-// count, or the adaptive plan's MaxReps cap.
-func (ep ExecPlan) PointBudget() int {
-	if ep.Adaptive {
-		return ep.Plan.MaxReps
-	}
-	return ep.Replicates
-}
-
 // FirstWave returns the opening wave size of an adaptive point — MinReps,
 // floored at two so a variance estimate exists and capped at the budget —
 // exactly the clamp adaptive.Fold applies. NextWave sizes the waves after

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -347,27 +348,25 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 	}
 	b := sub(spec.Substrate)
 
-	// Buffered reference: materialize every snapshot, then reduce. Run
+	// Buffered reference: materialize every observation, then reduce. Run
 	// seeds the replicate streams directly from the run seed (common random
 	// numbers across sweep points), so the reference does the same.
-	snaps, err := sim.Runner{}.Replicates(42, replicates,
+	ys := make([]float64, 0, replicates)
+	err := sim.Runner{}.Fold(42, replicates,
 		func(rep int, rng *simrng.Source, ws *sim.Workspace) (sim.Model, error) {
 			adv, err := spec.Adversary.Strategy()
 			if err != nil {
 				return nil, err
 			}
 			return b.build(spec, rng, ws, adv, nil)
+		},
+		func(rep int, snap any) error {
+			y, err := b.metric(spec, snap)
+			ys = append(ys, y)
+			return err
 		})
 	if err != nil {
 		t.Fatal(err)
-	}
-	ys := make([]float64, len(snaps))
-	for i, snap := range snaps {
-		y, err := b.metric(spec, snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ys[i] = y
 	}
 
 	// Streaming path: the scenario engine itself.
@@ -386,10 +385,10 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 	if got := series["stddev"].Points[0].Y; gotAbs(got-wantStd) > 1e-9 {
 		t.Fatalf("streaming stddev %v != buffered %v", got, wantStd)
 	}
-	if got, want := series["min"].Points[0].Y, metrics.Min(ys); got != want {
+	if got, want := series["min"].Points[0].Y, slices.Min(ys); got != want {
 		t.Fatalf("streaming min %v != buffered %v", got, want)
 	}
-	if got, want := series["max"].Points[0].Y, metrics.Max(ys); got != want {
+	if got, want := series["max"].Points[0].Y, slices.Max(ys); got != want {
 		t.Fatalf("streaming max %v != buffered %v", got, want)
 	}
 }

@@ -13,14 +13,14 @@ import (
 // accumulators) come out bit-identical for any worker count.
 type FoldFunc func(rep int, snap any) error
 
-// Fold builds and drives n independently seeded models exactly like
-// Replicates — same per-replicate streams, same results — but folds each
-// snapshot into fold instead of materializing a []any of all of them.
-// Replicates run concurrently on the shared pool; completed snapshots wait
-// in a reorder buffer until their turn, and an admission window of about
-// twice the pool width bounds how far ahead of the fold cursor workers may
-// run, so a 10k-replicate run holds O(workers) snapshots at any moment
-// rather than 10k.
+// Fold builds and drives n independently seeded models, replicate r on
+// the stream ChildN("replicate", r) from seed, and folds each snapshot into
+// fold instead of materializing a []any of all of them. Replicates run
+// concurrently on the shared pool; completed snapshots wait in a reorder
+// buffer until their turn, and an admission window of about twice the pool
+// width bounds how far ahead of the fold cursor workers may run, so a
+// 10k-replicate run holds O(workers) snapshots at any moment rather than
+// 10k.
 //
 // fold runs on a dedicated goroutine in strict replicate order. A build or
 // drive error skips that replicate's fold call and is returned (first error

@@ -24,6 +24,37 @@ func buildCount(rep int, rng *simrng.Source, _ *Workspace) (Model, error) {
 	return &countModel{val: float64(rep) + rng.Float64()}, nil
 }
 
+// Replicates builds and drives n independently seeded models and returns
+// their snapshots in replicate order: the materialising twin of Fold, kept
+// as its test oracle. Replicate r always sees the stream derived with
+// ChildN("replicate", r) from seed, so the result is identical for any
+// worker count. The first error (by replicate order) is returned.
+func (r Runner) Replicates(seed uint64, n int, build Build) ([]any, error) {
+	root := simrng.New(seed)
+	out := make([]any, n)
+	errs := make([]error, n)
+	Go(n, r.Workers, func(rep int, ws *Workspace) {
+		rng := root.ChildN("replicate", rep)
+		m, err := build(rep, rng, ws)
+		if err != nil {
+			errs[rep] = fmt.Errorf("replicate %d: %w", rep, err)
+			return
+		}
+		snap, err := Drive(m)
+		if err != nil {
+			errs[rep] = fmt.Errorf("replicate %d: %w", rep, err)
+			return
+		}
+		out[rep] = snap
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // TestFoldMatchesReplicates: Fold must visit exactly the snapshots
 // Replicates returns, in replicate order, for any worker bound.
 func TestFoldMatchesReplicates(t *testing.T) {

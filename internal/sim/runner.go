@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"lotuseater/internal/simrng"
-)
+import "lotuseater/internal/simrng"
 
 // Build constructs a fresh model for one replicate. rep is the replicate
 // index, rng is the replicate's private random stream (derived from the run
@@ -27,34 +23,4 @@ type Runner struct {
 	// state is shared. The experiment service surfaces these as status
 	// updates. Results never depend on it.
 	Progress func(done, total int)
-}
-
-// Replicates builds and drives n independently seeded models and returns
-// their snapshots in replicate order. Replicate r always sees the stream
-// derived with ChildN("replicate", r) from seed, so the result is identical
-// for any worker count. The first error (by replicate order) is returned.
-func (r Runner) Replicates(seed uint64, n int, build Build) ([]any, error) {
-	root := simrng.New(seed)
-	out := make([]any, n)
-	errs := make([]error, n)
-	Go(n, r.Workers, func(rep int, ws *Workspace) {
-		rng := root.ChildN("replicate", rep)
-		m, err := build(rep, rng, ws)
-		if err != nil {
-			errs[rep] = fmt.Errorf("replicate %d: %w", rep, err)
-			return
-		}
-		snap, err := Drive(m)
-		if err != nil {
-			errs[rep] = fmt.Errorf("replicate %d: %w", rep, err)
-			return
-		}
-		out[rep] = snap
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

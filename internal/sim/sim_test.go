@@ -147,14 +147,17 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 			Graph: graph.Complete(30), Tokens: 6, Contacts: 2, Rounds: 20,
 		}, rng.Uint64(), tokenmodel.WithWorkspace(ws))
 	}
-	serial, err := sim.Runner{Workers: 1}.Replicates(99, 12, build)
-	if err != nil {
-		t.Fatal(err)
+	collect := func(workers int) []any {
+		var snaps []any
+		if err := (sim.Runner{Workers: workers}).Fold(99, 12, build, func(_ int, snap any) error {
+			snaps = append(snaps, snap)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return snaps
 	}
-	wide, err := sim.Runner{}.Replicates(99, 12, build)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, wide := collect(1), collect(0)
 	for i := range serial {
 		a := serial[i].(tokenmodel.Result)
 		b := wide[i].(tokenmodel.Result)
@@ -167,14 +170,14 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 // TestRunnerPropagatesErrors checks the first build error surfaces.
 func TestRunnerPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := sim.Runner{}.Replicates(1, 4, func(rep int, rng *simrng.Source, ws *sim.Workspace) (sim.Model, error) {
+	err := sim.Runner{}.Fold(1, 4, func(rep int, rng *simrng.Source, ws *sim.Workspace) (sim.Model, error) {
 		if rep == 2 {
 			return nil, boom
 		}
 		return tokenmodel.New(tokenmodel.Config{
 			Graph: graph.Complete(10), Tokens: 3, Contacts: 1, Rounds: 5,
 		}, rng.Uint64())
-	})
+	}, func(int, any) error { return nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}

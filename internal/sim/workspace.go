@@ -10,12 +10,11 @@ package sim
 // replicates on one worker allocates only on the first run — this is what
 // keeps matrix- and buffer-heavy models allocation-free per replicate.
 type Workspace struct {
-	bools  [][]bool
-	ints   [][]int
-	floats [][]float64
-	words  [][]uint64
+	bools [][]bool
+	ints  [][]int
+	words [][]uint64
 
-	boolsUsed, intsUsed, floatsUsed, wordsUsed int
+	boolsUsed, intsUsed, wordsUsed int
 
 	defenses map[string]Defense
 }
@@ -27,7 +26,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // Reset recycles every buffer handed out since the previous Reset. Only the
 // owner of the workspace (the pool) should call it.
 func (w *Workspace) Reset() {
-	w.boolsUsed, w.intsUsed, w.floatsUsed, w.wordsUsed = 0, 0, 0, 0
+	w.boolsUsed, w.intsUsed, w.wordsUsed = 0, 0, 0
 }
 
 // take returns a zeroed slice of length n from the freelist, reusing the
@@ -73,10 +72,6 @@ func (w *Workspace) Bools(n int) []bool { return take(&w.bools, &w.boolsUsed, n)
 
 // Ints returns a zeroed []int of length n, reusing storage when possible.
 func (w *Workspace) Ints(n int) []int { return take(&w.ints, &w.intsUsed, n) }
-
-// Floats returns a zeroed []float64 of length n, reusing storage when
-// possible.
-func (w *Workspace) Floats(n int) []float64 { return take(&w.floats, &w.floatsUsed, n) }
 
 // Words returns a zeroed []uint64 of length n, reusing storage when
 // possible: the backing store of a bit matrix.
