@@ -173,27 +173,11 @@ func Fold(r sim.Runner, seed uint64, plan Plan, build sim.Build, fold FoldFunc, 
 		return Result{}, err
 	}
 	p := plan.WithDefaults()
-	// The opening wave needs at least two replicates for a variance
-	// estimate, budget permitting.
-	first := p.MinReps
-	if first < 2 {
-		first = 2
-	}
-	if first > p.MaxReps {
-		first = p.MaxReps
-	}
-
 	var acc metrics.Accumulator
 	outer := r.Progress
 	res := Result{}
 	for res.Reps < p.MaxReps && !res.Met {
-		wave := p.Batch
-		if res.Reps == 0 {
-			wave = first
-		}
-		if rest := p.MaxReps - res.Reps; wave > rest {
-			wave = rest
-		}
+		wave := p.Wave(res.Reps)
 		wr := r
 		if outer != nil {
 			base := res.Reps
@@ -219,6 +203,19 @@ func Fold(r sim.Runner, seed uint64, plan Plan, build sim.Build, fold FoldFunc, 
 	res.Mean = acc.Mean()
 	res.StdDev = acc.StdDev()
 	return res, nil
+}
+
+// Wave returns the size of the wave that follows reps folded replicates:
+// the opening MinReps wave, then Batch-sized ones, each clipped to what is
+// left of the MaxReps budget. Call it on a plan with defaults resolved.
+// Wave boundaries are where the stopping rule is consulted, so a remote
+// scheduler draws them from here, exactly where Fold does.
+func (p Plan) Wave(reps int) int {
+	wave := p.Batch
+	if reps == 0 {
+		wave = p.MinReps
+	}
+	return min(wave, p.MaxReps-reps)
 }
 
 // Met applies the plan's stopping rule to the current statistics: true

@@ -138,10 +138,7 @@ func (sc *schedule) pickLocked() (unit, bool) {
 		return unit{}, false
 	}
 	pt := sc.points[best]
-	wave := sc.ep.NextWave(pt.reps)
-	if pt.reps == 0 {
-		wave = sc.ep.FirstWave()
-	}
+	wave := sc.ep.Plan.Wave(pt.reps)
 	if wave <= 0 {
 		return unit{}, false
 	}

@@ -20,8 +20,8 @@
 // poisoning the artifact.
 //
 // Adaptive precision plans distribute as work-stealing: wave boundaries
-// are drawn exactly where adaptive.Fold would draw them (ExecPlan
-// FirstWave/NextWave), the stopping rule is consulted on the in-order
+// are drawn exactly where adaptive.Fold would draw them (adaptive.Plan
+// Wave), the stopping rule is consulted on the in-order
 // stream after each wave (Plan.Met — same accumulator, same verdict), and
 // an idle worker steals the next wave of whichever unresolved point
 // currently has the widest confidence interval. Each point has at most one

@@ -21,7 +21,9 @@ import (
 // RateLimiter caps the number of service units a node may accept from any
 // single peer within one round. Obedient nodes enforce the cap; rational
 // nodes would not (excess service benefits them), which is why the defense
-// needs a population of obedient nodes to work.
+// needs a population of obedient nodes to work. It is the simulators'
+// rate-limiting hook (sim.Defense, satisfied structurally), and Reset lets
+// one limiter be pooled across replicates via sim.Workspace.Defense.
 type RateLimiter struct {
 	perPeerPerRound int
 
@@ -39,14 +41,14 @@ func NewRateLimiter(perPeerPerRound int) *RateLimiter {
 	}
 }
 
-// Allow reports how many of the requested units the receiver may accept from
+// Admit reports how many of the requested units the receiver may accept from
 // the sender in the given round, and records the accepted amount. Rounds
 // must be non-decreasing across calls (Reset restarts the clock): the
 // window rolls over in place, so a stale round would silently wipe the
-// current round's counts and corrupt every later grant. Allow panics on a
+// current round's counts and corrupt every later grant. Admit panics on a
 // round regression — a simulator driving time backwards is a programming
 // error, not a recoverable condition.
-func (l *RateLimiter) Allow(round, from, to, requested int) int {
+func (l *RateLimiter) Admit(round, from, to, requested int) int {
 	if l == nil || l.perPeerPerRound <= 0 || requested <= 0 {
 		if requested < 0 {
 			return 0

@@ -33,43 +33,47 @@ func receipt(t *testing.T, k *sign.Keyring, round, from, to, count int) sign.Rec
 
 func TestRateLimiterDisabled(t *testing.T) {
 	l := NewRateLimiter(0)
-	if got := l.Allow(0, 1, 2, 100); got != 100 {
+	if got := l.Admit(0, 1, 2, 100); got != 100 {
 		t.Fatalf("disabled limiter granted %d", got)
 	}
 	var nilLimiter *RateLimiter
-	if got := nilLimiter.Allow(0, 1, 2, 5); got != 5 {
+	if got := nilLimiter.Admit(0, 1, 2, 5); got != 5 {
 		t.Fatalf("nil limiter granted %d", got)
 	}
 }
 
 func TestRateLimiterCapsPerPair(t *testing.T) {
 	l := NewRateLimiter(3)
-	if got := l.Allow(0, 1, 2, 2); got != 2 {
+	if got := l.Admit(0, 1, 2, 2); got != 2 {
 		t.Fatalf("first grant %d", got)
 	}
-	if got := l.Allow(0, 1, 2, 5); got != 1 {
+	if got := l.Admit(0, 1, 2, 5); got != 1 {
 		t.Fatalf("second grant %d, want remaining 1", got)
 	}
-	if got := l.Allow(0, 1, 2, 5); got != 0 {
+	if got := l.Admit(0, 1, 2, 5); got != 0 {
 		t.Fatalf("exhausted pair granted %d", got)
 	}
 	// Different sender: independent budget.
-	if got := l.Allow(0, 3, 2, 5); got != 3 {
+	if got := l.Admit(0, 3, 2, 5); got != 3 {
 		t.Fatalf("other pair granted %d", got)
+	}
+	// A new round: the exhausted pair's budget is fresh.
+	if got := l.Admit(1, 1, 2, 5); got != 3 {
+		t.Fatalf("new round granted %d, want fresh cap 3", got)
 	}
 }
 
 func TestRateLimiterResetsPerRound(t *testing.T) {
 	l := NewRateLimiter(2)
-	l.Allow(0, 1, 2, 2)
-	if got := l.Allow(1, 1, 2, 2); got != 2 {
+	l.Admit(0, 1, 2, 2)
+	if got := l.Admit(1, 1, 2, 2); got != 2 {
 		t.Fatalf("new round granted %d, want fresh 2", got)
 	}
 }
 
 func TestRateLimiterNegativeRequest(t *testing.T) {
 	l := NewRateLimiter(2)
-	if got := l.Allow(0, 1, 2, -5); got != 0 {
+	if got := l.Admit(0, 1, 2, -5); got != 0 {
 		t.Fatalf("negative request granted %d", got)
 	}
 }
@@ -83,7 +87,7 @@ func TestRateLimiterConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				granted[g] += l.Allow(5, 1, 2, 1)
+				granted[g] += l.Admit(5, 1, 2, 1)
 			}
 		}(g)
 	}
@@ -242,26 +246,76 @@ func TestBoardConcurrentFiling(t *testing.T) {
 // so it must panic instead.
 func TestRateLimiterRoundRegressionPanics(t *testing.T) {
 	l := NewRateLimiter(4)
-	if got := l.Allow(5, 1, 2, 3); got != 3 {
-		t.Fatalf("Allow = %d, want 3", got)
+	if got := l.Admit(5, 1, 2, 3); got != 3 {
+		t.Fatalf("Admit = %d, want 3", got)
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Allow with a stale round did not panic")
+				t.Fatal("Admit with a stale round did not panic")
 			}
 		}()
-		l.Allow(4, 1, 2, 1)
+		l.Admit(4, 1, 2, 1)
 	}()
 	// Reset restarts the clock: earlier rounds are valid again.
 	l.Reset()
-	if got := l.Allow(0, 1, 2, 2); got != 2 {
-		t.Fatalf("post-Reset Allow = %d, want 2", got)
+	if got := l.Admit(0, 1, 2, 2); got != 2 {
+		t.Fatalf("post-Reset Admit = %d, want 2", got)
 	}
 	// The disabled limiter never tracks rounds and must not panic.
 	free := NewRateLimiter(0)
-	free.Allow(5, 1, 2, 3)
-	if got := free.Allow(1, 1, 2, 3); got != 3 {
-		t.Fatalf("disabled limiter Allow = %d, want 3", got)
+	free.Admit(5, 1, 2, 3)
+	if got := free.Admit(1, 1, 2, 3); got != 3 {
+		t.Fatalf("disabled limiter Admit = %d, want 3", got)
+	}
+}
+
+// TestLimitReset: Reset clears the pair budgets and the round cursor so a
+// pooled limiter behaves like a fresh one.
+func TestLimitReset(t *testing.T) {
+	l := NewRateLimiter(2)
+	l.Admit(5, 1, 2, 2)
+	l.Reset()
+	if got := l.Admit(0, 1, 2, 2); got != 2 {
+		t.Fatalf("post-reset admit at round 0 = %d, want 2", got)
+	}
+}
+
+// TestRateLimiterSteadyStateAllocs: after warmup, round rollover reuses the
+// usage map in place — the hot path allocates nothing.
+func TestRateLimiterSteadyStateAllocs(t *testing.T) {
+	l := NewRateLimiter(4)
+	// Warm the map's buckets with the pair population.
+	for round := 0; round < 3; round++ {
+		for pair := 0; pair < 32; pair++ {
+			l.Admit(round, pair, pair+1, 3)
+		}
+	}
+	round := 3
+	allocs := testing.AllocsPerRun(100, func() {
+		for pair := 0; pair < 32; pair++ {
+			l.Admit(round, pair, pair+1, 3)
+		}
+		round++
+	})
+	if allocs > 0 {
+		t.Fatalf("steady-state Admit allocates %.1f per round, want 0", allocs)
+	}
+}
+
+// TestRateLimiterNilAndDisabled: a nil or disabled limiter admits
+// everything non-negative.
+func TestRateLimiterNilAndDisabled(t *testing.T) {
+	var nilLimiter *RateLimiter
+	if got := nilLimiter.Admit(0, 1, 2, 7); got != 7 {
+		t.Fatalf("nil limiter = %d, want 7", got)
+	}
+	nilLimiter.Reset() // must not panic
+	off := NewRateLimiter(0)
+	if got := off.Admit(0, 1, 2, 7); got != 7 {
+		t.Fatalf("disabled limiter = %d, want 7", got)
+	}
+	if got := off.Admit(0, 1, 2, -3); got != 0 {
+		t.Fatalf("negative request = %d, want 0", got)
 	}
 }

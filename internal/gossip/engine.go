@@ -108,7 +108,7 @@ func WithAdversary(a sim.Adversary) Option {
 }
 
 // WithDefense installs a receiver-side defense (Section 5's rate limiting,
-// defense.Limit); obedient nodes route every accepted excess delivery
+// defense.RateLimiter); obedient nodes route every accepted excess delivery
 // through its Admit hook.
 func WithDefense(d sim.Defense) Option {
 	return func(e *Engine) { e.def = d }

@@ -218,7 +218,7 @@ func runGoldenCase(t *testing.T, c goldenCase, parallel bool) Result {
 		opts = append(opts, WithAdversary(&adv))
 	}
 	if c.rateLimit > 0 {
-		opts = append(opts, WithDefense(defense.NewLimit(c.rateLimit)))
+		opts = append(opts, WithDefense(defense.NewRateLimiter(c.rateLimit)))
 	}
 	if c.opts != nil {
 		opts = append(opts, c.opts()...)

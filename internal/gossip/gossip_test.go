@@ -30,7 +30,7 @@ func withAttack(kind attack.Kind, fraction float64) Option {
 // withRateLimit returns a fresh obedient-receiver rate limit of cap updates
 // per peer per round.
 func withRateLimit(cap int) Option {
-	return WithDefense(defense.NewLimit(cap))
+	return WithDefense(defense.NewRateLimiter(cap))
 }
 
 func mustRun(t *testing.T, cfg Config, seed uint64, opts ...Option) Result {

@@ -71,34 +71,6 @@ func Range(lo, hi float64, count int) []float64 {
 	return out
 }
 
-// FirstWave returns the opening wave size of an adaptive point — MinReps,
-// floored at two so a variance estimate exists and capped at the budget —
-// exactly the clamp adaptive.Fold applies. NextWave sizes the waves after
-// it.
-func (ep ExecPlan) FirstWave() int {
-	first := ep.Plan.MinReps
-	if first < 2 {
-		first = 2
-	}
-	if first > ep.Plan.MaxReps {
-		first = ep.Plan.MaxReps
-	}
-	return first
-}
-
-// NextWave returns the size of the wave that follows reps folded
-// replicates at an adaptive point: the plan's batch, clipped to the
-// remaining budget. Wave boundaries are where the stopping rule is
-// consulted, so a distributed run must draw them exactly where
-// adaptive.Fold would — from this function.
-func (ep ExecPlan) NextWave(reps int) int {
-	wave := ep.Plan.Batch
-	if rest := ep.Plan.MaxReps - reps; wave > rest {
-		wave = rest
-	}
-	return wave
-}
-
 // PointSpec resolves the spec at sweep value x: a validated deep copy with
 // the swept knob applied (a plain copy when the spec has no sweep axis).
 func (s *Spec) PointSpec(x float64) (*Spec, error) {

@@ -85,26 +85,22 @@ func newDefense(spec *Spec, ws *sim.Workspace) sim.Defense {
 	}
 	cap := spec.Defense.RateLimit
 	if ws == nil {
-		return defense.NewLimit(cap)
+		return defense.NewRateLimiter(cap)
 	}
 	return ws.Defense(fmt.Sprintf("ratelimit/%d", cap), func() sim.Defense {
-		return defense.NewLimit(cap)
+		return defense.NewRateLimiter(cap)
 	})
-}
-
-func badSnap(want string, snap any) error {
-	return fmt.Errorf("scenario: snapshot is %T, want %s", snap, want)
 }
 
 var substrates = map[string]*substrate{
 	"gossip": {
 		defaultMetric: "isolated-delivery",
 		metrics: map[string]func(any) (float64, error){
-			"isolated-delivery": gossipMetric(func(r gossip.Result) float64 { return r.Isolated.MeanDelivery }),
-			"honest-delivery":   gossipMetric(func(r gossip.Result) float64 { return r.AllHonest.MeanDelivery }),
-			"satiated-delivery": gossipMetric(func(r gossip.Result) float64 { return r.Satiated.MeanDelivery }),
-			"usable-fraction":   gossipMetric(func(r gossip.Result) float64 { return r.Isolated.UsableFraction }),
-			"evictions":         gossipMetric(func(r gossip.Result) float64 { return float64(r.Evictions) }),
+			"isolated-delivery": metricOf(func(r gossip.Result) float64 { return r.Isolated.MeanDelivery }),
+			"honest-delivery":   metricOf(func(r gossip.Result) float64 { return r.AllHonest.MeanDelivery }),
+			"satiated-delivery": metricOf(func(r gossip.Result) float64 { return r.Satiated.MeanDelivery }),
+			"usable-fraction":   metricOf(func(r gossip.Result) float64 { return r.Isolated.UsableFraction }),
+			"evictions":         metricOf(func(r gossip.Result) float64 { return float64(r.Evictions) }),
 		},
 		windowed: map[string]func(any, int) (float64, error){
 			"outage-nodes":       outageMetric(func(o outageStats) float64 { return float64(o.outaged) }),
@@ -165,13 +161,13 @@ var substrates = map[string]*substrate{
 	"token": {
 		defaultMetric: "organic-completed",
 		metrics: map[string]func(any) (float64, error){
-			"organic-completed": tokenMetric(func(r tokenmodel.Result) float64 { return r.OrganicCompletedFraction }),
-			"completed":         tokenMetric(func(r tokenmodel.Result) float64 { return r.CompletedFraction }),
-			"mean-completion-round": tokenMetric(func(r tokenmodel.Result) float64 {
+			"organic-completed": metricOf(func(r tokenmodel.Result) float64 { return r.OrganicCompletedFraction }),
+			"completed":         metricOf(func(r tokenmodel.Result) float64 { return r.CompletedFraction }),
+			"mean-completion-round": metricOf(func(r tokenmodel.Result) float64 {
 				return r.MeanCompletionRound
 			}),
-			"rare-coverage":     tokenMetric(func(r tokenmodel.Result) float64 { return r.TokenCoverage[0] }),
-			"attacker-satiated": tokenMetric(func(r tokenmodel.Result) float64 { return float64(r.SatiatedByAttacker) }),
+			"rare-coverage":     metricOf(func(r tokenmodel.Result) float64 { return r.TokenCoverage[0] }),
+			"attacker-satiated": metricOf(func(r tokenmodel.Result) float64 { return float64(r.SatiatedByAttacker) }),
 		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
 			n := s.population()
@@ -211,12 +207,12 @@ var substrates = map[string]*substrate{
 	"scrip": {
 		defaultMetric: "non-target-availability",
 		metrics: map[string]func(any) (float64, error){
-			"non-target-availability": scripMetric(func(r scrip.Result) float64 { return r.NonTargetAvailability }),
-			"availability":            scripMetric(func(r scrip.Result) float64 { return r.Availability }),
-			"satiated-targets":        scripMetric(func(r scrip.Result) float64 { return r.SatiatedTargetFraction }),
-			"attacker-spent":          scripMetric(func(r scrip.Result) float64 { return float64(r.AttackerSpent) }),
-			"mean-utility":            scripMetric(func(r scrip.Result) float64 { return r.MeanUtility }),
-			"special-availability":    scripMetric(func(r scrip.Result) float64 { return r.SpecialAvailability }),
+			"non-target-availability": metricOf(func(r scrip.Result) float64 { return r.NonTargetAvailability }),
+			"availability":            metricOf(func(r scrip.Result) float64 { return r.Availability }),
+			"satiated-targets":        metricOf(func(r scrip.Result) float64 { return r.SatiatedTargetFraction }),
+			"attacker-spent":          metricOf(func(r scrip.Result) float64 { return float64(r.AttackerSpent) }),
+			"mean-utility":            metricOf(func(r scrip.Result) float64 { return r.MeanUtility }),
+			"special-availability":    metricOf(func(r scrip.Result) float64 { return r.SpecialAvailability }),
 		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
 			cfg := scrip.DefaultConfig()
@@ -260,11 +256,11 @@ var substrates = map[string]*substrate{
 	"swarm": {
 		defaultMetric: "completed",
 		metrics: map[string]func(any) (float64, error){
-			"completed":         swarmMetric(func(r swarm.Result) float64 { return r.CompletedFraction }),
-			"mean-tick":         swarmMetric(func(r swarm.Result) float64 { return r.MeanCompletionTick }),
-			"median-tick":       swarmMetric(func(r swarm.Result) float64 { return r.MedianCompletionTick }),
-			"lost-pieces":       swarmMetric(func(r swarm.Result) float64 { return float64(r.LostPieces) }),
-			"attacker-uploaded": swarmMetric(func(r swarm.Result) float64 { return float64(r.AttackerUploaded) }),
+			"completed":         metricOf(func(r swarm.Result) float64 { return r.CompletedFraction }),
+			"mean-tick":         metricOf(func(r swarm.Result) float64 { return r.MeanCompletionTick }),
+			"median-tick":       metricOf(func(r swarm.Result) float64 { return r.MedianCompletionTick }),
+			"lost-pieces":       metricOf(func(r swarm.Result) float64 { return float64(r.LostPieces) }),
+			"attacker-uploaded": metricOf(func(r swarm.Result) float64 { return float64(r.AttackerUploaded) }),
 		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
 			cfg := swarm.DefaultConfig()
@@ -301,8 +297,8 @@ var substrates = map[string]*substrate{
 	"coding": {
 		defaultMetric: "mean-progress",
 		metrics: map[string]func(any) (float64, error){
-			"mean-progress": codingMetric(func(r coding.DisseminationResult) float64 { return r.MeanProgress }),
-			"completed":     codingMetric(func(r coding.DisseminationResult) float64 { return r.CompletedFraction }),
+			"mean-progress": metricOf(func(r coding.DisseminationResult) float64 { return r.MeanProgress }),
+			"completed":     metricOf(func(r coding.DisseminationResult) float64 { return r.CompletedFraction }),
 		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
 			n := s.population()
@@ -341,11 +337,13 @@ var substrates = map[string]*substrate{
 	},
 }
 
-func gossipMetric(f func(gossip.Result) float64) func(any) (float64, error) {
+// metricOf lifts a statistic of one substrate's result type to a metric
+// over the kernel's untyped snapshots.
+func metricOf[R any](f func(R) float64) func(any) (float64, error) {
 	return func(snap any) (float64, error) {
-		r, ok := snap.(gossip.Result)
+		r, ok := snap.(R)
 		if !ok {
-			return 0, badSnap("gossip.Result", snap)
+			return 0, fmt.Errorf("scenario: snapshot is %T, want %T", snap, r)
 		}
 		return f(r), nil
 	}
@@ -402,11 +400,7 @@ func outages(r gossip.Result, window int) outageStats {
 
 func outageMetric(f func(outageStats) float64) func(any, int) (float64, error) {
 	return func(snap any, window int) (float64, error) {
-		r, ok := snap.(gossip.Result)
-		if !ok {
-			return 0, badSnap("gossip.Result", snap)
-		}
-		return f(outages(r, window)), nil
+		return metricOf(func(r gossip.Result) float64 { return f(outages(r, window)) })(snap)
 	}
 }
 
@@ -418,46 +412,6 @@ func ratio(num, den int) float64 {
 	return float64(num) / float64(den)
 }
 
-func tokenMetric(f func(tokenmodel.Result) float64) func(any) (float64, error) {
-	return func(snap any) (float64, error) {
-		r, ok := snap.(tokenmodel.Result)
-		if !ok {
-			return 0, badSnap("tokenmodel.Result", snap)
-		}
-		return f(r), nil
-	}
-}
-
-func scripMetric(f func(scrip.Result) float64) func(any) (float64, error) {
-	return func(snap any) (float64, error) {
-		r, ok := snap.(scrip.Result)
-		if !ok {
-			return 0, badSnap("scrip.Result", snap)
-		}
-		return f(r), nil
-	}
-}
-
-func swarmMetric(f func(swarm.Result) float64) func(any) (float64, error) {
-	return func(snap any) (float64, error) {
-		r, ok := snap.(swarm.Result)
-		if !ok {
-			return 0, badSnap("swarm.Result", snap)
-		}
-		return f(r), nil
-	}
-}
-
-func codingMetric(f func(coding.DisseminationResult) float64) func(any) (float64, error) {
-	return func(snap any) (float64, error) {
-		r, ok := snap.(coding.DisseminationResult)
-		if !ok {
-			return 0, badSnap("coding.DisseminationResult", snap)
-		}
-		return f(r), nil
-	}
-}
-
 // Interface conformance pins for the strategy layer: the canonical attack
 // and defense implementations must satisfy the kernel's hook contracts.
 var (
@@ -465,5 +419,5 @@ var (
 	_ sim.ProtocolTrader  = (*attack.Strategy)(nil)
 	_ sim.InstantSatiator = (*attack.Strategy)(nil)
 	_ sim.DepartureAware  = (*attack.Strategy)(nil)
-	_ sim.Defense         = (*defense.Limit)(nil)
+	_ sim.Defense         = (*defense.RateLimiter)(nil)
 )

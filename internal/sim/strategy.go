@@ -44,7 +44,7 @@ type Adversary interface {
 // delivery the receiver accepts, and charges the accepted amount against the
 // (sender, receiver, round) budget. Reset clears all per-run state so one
 // Defense value can be pooled across replicates (see Workspace.Defense).
-// The canonical implementation is defense.Limit.
+// The canonical implementation is defense.RateLimiter.
 type Defense interface {
 	// Admit reports how many of the requested service units receiver `to`
 	// accepts from sender `from` in the given round, recording the grant.

@@ -81,7 +81,7 @@ func goldenCases() []goldenCase {
 	}, nil)
 	add("adv-ideal-ratelimit", nil, func() sim.Adversary {
 		return &attack.Strategy{Kind: attack.Ideal, Fraction: 0.05, SatiateFraction: 0.40}
-	}, func() sim.Defense { return defense.NewLimit(2) })
+	}, func() sim.Defense { return defense.NewRateLimiter(2) })
 	return cases
 }
 

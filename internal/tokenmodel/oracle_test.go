@@ -536,7 +536,7 @@ func compareWithOracle(t *testing.T, name string, cfg Config, seed uint64, kind 
 		if limit == 0 {
 			return nil
 		}
-		return defense.NewLimit(limit)
+		return defense.NewRateLimiter(limit)
 	}
 	build := func(ws *sim.Workspace) *Sim {
 		var opts []Option

@@ -26,7 +26,7 @@ func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 		}
 		opts := []Option{WithAdversary(&attack.Strategy{Kind: kind, Fraction: 0.2, SatiateFraction: 0.7})}
 		if limit > 0 {
-			opts = append(opts, WithDefense(defense.NewLimit(limit)))
+			opts = append(opts, WithDefense(defense.NewRateLimiter(limit)))
 		}
 		s, err := New(cfg, 13, opts...)
 		if err != nil {
