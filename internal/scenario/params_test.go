@@ -94,12 +94,11 @@ func TestKnobsCoverEveryKey(t *testing.T) {
 	fractional := []string{"altruism", "altruists", "cost", "mint", "obedient", "specialReq"}
 	for _, substrate := range Substrates {
 		for _, key := range declared[substrate] {
-			k := slices.IndexFunc(knobs, func(k knob) bool { return k.key == key })
-			switch {
-			case k < 0:
+			switch k := knobOf(key); {
+			case k == nil:
 				t.Errorf("%s: params.%s has no knob", substrate, key)
-			case knobs[k].integer == slices.Contains(fractional, key):
-				t.Errorf("%s: params.%s has integer=%v", substrate, key, knobs[k].integer)
+			case k.integer == slices.Contains(fractional, key):
+				t.Errorf("%s: params.%s has integer=%v", substrate, key, k.integer)
 			}
 		}
 	}

@@ -289,8 +289,9 @@ func (s *Spec) Validate() error {
 	if s.Sweep.Axis != "" {
 		// Every sweep runs both endpoints, so a value refused at either
 		// fails here rather than after the first points have run. A swept
-		// params key moves monotonically between them, and so do its bounds
-		// and combinations: checked at both ends, they hold at every point.
+		// params key moves monotonically between them, and each params
+		// bound and combination check is monotone in it, so checks that
+		// pass at both ends pass at every point.
 		c := s.Clone()
 		for _, x := range []float64{s.Sweep.From, s.Sweep.To} {
 			if err := c.applyAxis(x); err != nil {
@@ -526,9 +527,9 @@ var fields = map[string]field{
 	"sweep.points":                   of(func(s *Spec, v int) { s.Sweep.Points = v }),
 }
 
-// fieldOf returns the field key names: an entry of the fields table, or
-// for params.<key> that substrate knob, a sweep axis whose integer knobs
-// truncate x as every other integer axis does.
+// fieldOf returns the field a key names: its fields entry, or for
+// params.<key> that substrate knob, a sweep axis that truncates x when the
+// knob is an integer, as every other integer axis does.
 func fieldOf(key string) (field, bool) {
 	if f, ok := fields[key]; ok {
 		return f, true
@@ -546,8 +547,8 @@ func fieldOf(key string) (field, bool) {
 
 // applyAxis sets the swept knob to x.
 func (s *Spec) applyAxis(x float64) error {
-	axis := s.Sweep.Axis
-	switch axis {
+	key := s.Sweep.Axis
+	switch key {
 	case "adversary.targets":
 		// Satiate nodes 0..x-1: as an axis the target list grows from the
 		// front, so sweeping it adds one targeted holder per step.
@@ -565,9 +566,9 @@ func (s *Spec) applyAxis(x float64) error {
 			p.Kind = "zipf"
 		}
 	}
-	f, ok := fieldOf(axis)
+	f, ok := fieldOf(key)
 	if !ok || f.sweep == nil {
-		return fmt.Errorf("scenario: unknown sweep axis %q", axis)
+		return fmt.Errorf("scenario: unknown sweep axis %q", key)
 	}
 	f.sweep(s, x)
 	return nil
