@@ -3,10 +3,13 @@ package cli
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lotuseater/internal/scenario"
 )
 
 // Golden end-to-end CLI tests: the exact bytes of `scenarios list`,
@@ -112,4 +115,30 @@ func TestGoldenFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "figures-quick.csv", []byte(b.String()))
+}
+
+// TestGoldenRegistryAddresses runs every registry scenario outside the
+// 10⁶-node ones at its own size and seed 1, and pins each artifact's
+// content address: a kernel rewrite that is meant to be bit-identical must
+// leave every line of registry-addresses.txt unchanged.
+func TestGoldenRegistryAddresses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every registry scenario")
+	}
+	var b strings.Builder
+	for _, spec := range scenario.All() {
+		if strings.Contains(spec.Name, "-1m") {
+			continue
+		}
+		a, err := scenario.Run(spec, 1, scenario.RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		addr, err := a.Address()
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		fmt.Fprintf(&b, "%s %s\n", spec.Name, addr)
+	}
+	checkGolden(t, "registry-addresses.txt", []byte(b.String()))
 }
