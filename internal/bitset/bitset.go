@@ -1,5 +1,6 @@
 // Package bitset provides a compact fixed-capacity bit set, used by the
-// adversary's target sets and the coding simulator's plain mode.
+// adversary's target sets, the coding simulator's plain mode and the scrip
+// economy's candidate sets.
 package bitset
 
 import "math/bits"
@@ -88,6 +89,49 @@ func (s *Set) Fill() {
 		s.words[len(s.words)-1] = (1 << rem) - 1
 	}
 	s.count = s.n
+}
+
+// Rank returns the number of set bits below i; i is clamped to [0, Cap].
+//
+//lotus:allocfree
+func (s *Set) Rank(i int) int {
+	if i >= s.n {
+		return s.count
+	}
+	if i <= 0 {
+		return 0
+	}
+	w := i / 64
+	r := 0
+	for _, x := range s.words[:w] {
+		r += bits.OnesCount64(x)
+	}
+	if b := i % 64; b != 0 {
+		r += bits.OnesCount64(s.words[w] & (1<<b - 1))
+	}
+	return r
+}
+
+// Select returns the k-th set bit in ascending order, counting from 0: the
+// i with Has(i) and Rank(i) == k. It panics unless 0 <= k < Len.
+//
+//lotus:allocfree
+func (s *Set) Select(k int) int {
+	if k < 0 || k >= s.count {
+		panic("bitset: select out of range")
+	}
+	for wi, w := range s.words {
+		c := bits.OnesCount64(w)
+		if k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1
+		}
+		return wi*64 + bits.TrailingZeros64(w)
+	}
+	panic("bitset: count out of step with words")
 }
 
 // ForEach calls fn for every set bit in ascending order.

@@ -209,3 +209,51 @@ func TestAppendMissing(t *testing.T) {
 		}
 	}
 }
+
+// TestRankSelect checks Rank and Select against a plain scan over sets that
+// are empty, full, sparse and dense, on and off 64-bit word boundaries.
+func TestRankSelect(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 130, 200} {
+		for _, every := range []int{1, 2, 3, 7, 64, 1000} {
+			s := New(n)
+			var members []int
+			for i := 0; i < n; i++ {
+				if i%every == every-1 || (every == 1000 && i == n-1) {
+					s.Add(i)
+					members = append(members, i)
+				}
+			}
+			for i := -1; i <= n+1; i++ {
+				want := 0
+				for _, m := range members {
+					if m < i {
+						want++
+					}
+				}
+				if got := s.Rank(i); got != want {
+					t.Fatalf("n=%d every=%d: Rank(%d) = %d, want %d", n, every, i, got, want)
+				}
+			}
+			for k, m := range members {
+				if got := s.Select(k); got != m {
+					t.Fatalf("n=%d every=%d: Select(%d) = %d, want %d", n, every, k, got, m)
+				}
+			}
+		}
+	}
+}
+
+func TestSelectPanicsOutOfRange(t *testing.T) {
+	s := New(70)
+	s.Add(3)
+	for _, k := range []int{-1, 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Select(%d) on a one-member set did not panic", k)
+				}
+			}()
+			s.Select(k)
+		}()
+	}
+}

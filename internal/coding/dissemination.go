@@ -110,6 +110,9 @@ type DisseminationResult struct {
 type Dissemination struct {
 	cfg DisseminationConfig
 	rng *simrng.Source
+	// roundRNG is the stream each round reseeds in place to
+	// rng.ChildN("round", round), so a round allocates no generator.
+	roundRNG *simrng.Source
 
 	// Strategy hooks (WithAdversary / WithDefense): placed attacker nodes
 	// hold the full information (encoder access) when the strategy trades or
@@ -444,7 +447,8 @@ func (d *Dissemination) step() error {
 	// 2. Gossip: unsatiated nodes contact up to c random neighbors;
 	// satiated partners do not respond (a = 0 — the worst case the coding
 	// defense must survive). Transfers read start-of-round state.
-	rng := d.rng.ChildN("round", d.round)
+	d.roundRNG = d.rng.ChildNInto(d.roundRNG, "round", d.round)
+	rng := d.roundRNG
 	if d.satBuf == nil {
 		d.satBuf = make([]bool, n)
 	}

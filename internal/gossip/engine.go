@@ -19,6 +19,10 @@ type Engine struct {
 	cfg   Config
 	rng   *simrng.Source
 	pseed sign.PartnerSeed
+	// roundRNG is the one stream the round's per-round children ("seed",
+	// "order-*", "altruism") are reseeded into in place, one at a time, so
+	// a round allocates no generator.
+	roundRNG *simrng.Source
 
 	// adv drives attacker placement, per-round targeting, and whom attacker
 	// nodes serve in protocol exchanges; without WithAdversary it is the
@@ -411,7 +415,8 @@ func (e *Engine) joinNode(v int) {
 //
 //lotus:allocfree
 func (e *Engine) seedUpdates() {
-	rng := e.rng.ChildN("seed", e.round)
+	e.roundRNG = e.rng.ChildNInto(e.roundRNG, "seed", e.round)
+	rng := e.roundRNG
 	for k := 0; k < e.cfg.UpdatesPerRound; k++ {
 		b := len(e.live)
 		u := liveUpdate{
@@ -525,7 +530,8 @@ func (e *Engine) exchangePhase(label string, end int, exec func(i, j int)) {
 	} else {
 		mark(0, n)
 	}
-	order := e.rng.ChildN("order-"+label, e.round).PermInto(e.permBuf, n)
+	e.roundRNG = e.rng.ChildNInto(e.roundRNG, "order-"+label, e.round)
+	order := e.roundRNG.PermInto(e.permBuf, n)
 	e.permBuf = order
 	partners := sign.Partners(e.pseed, label, e.round)
 	for _, v := range order {

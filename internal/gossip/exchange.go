@@ -74,7 +74,8 @@ func (e *Engine) maybeAltruistic(i, j int, needI, needJ []int) {
 	// branch, i gives to j in the second. altruismOf is cfg.Altruism for
 	// every node without per-class overrides, so the homogeneous draw
 	// sequence is unchanged.
-	rng := e.rng.ChildN("altruism", e.round*e.cfg.Nodes+i)
+	e.roundRNG = e.rng.ChildNInto(e.roundRNG, "altruism", e.round*e.cfg.Nodes+i)
+	rng := e.roundRNG
 	if len(needI) > 0 && len(needJ) == 0 && rng.Bool(e.altruismOf(j)) {
 		e.deliver(j, i, needI[:min(len(needI), e.cfg.AltruisticGive)], 0, false)
 	}

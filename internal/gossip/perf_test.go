@@ -53,12 +53,14 @@ func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 	}
 	small := measure(1024)
 	big := measure(8192)
-	// The absolute bound is loose (per-round RNG children and seeding's
-	// sample allocate a handful of objects); the point is the comparison:
-	// an O(Nodes) allocation anywhere would blow it up immediately at the
-	// larger population.
-	if small > 96 {
-		t.Fatalf("steady-state Step allocates %.0f objects at n=1024, want a small constant", small)
+	t.Logf("allocations per Step: %.0f at n=1024, %.0f at n=8192", small, big)
+	// A steady-state round measured 2 allocations once the per-round
+	// streams were reseeded in place (11 before); the bound allows that
+	// plus a small margin. The comparison is the other half: an O(Nodes)
+	// allocation anywhere would blow it up immediately at the larger
+	// population.
+	if small > 4 {
+		t.Fatalf("steady-state Step allocates %.0f objects at n=1024, want at most 4", small)
 	}
 	if big > small+16 {
 		t.Fatalf("Step allocations grew with population: %.0f at n=1024 vs %.0f at n=8192", small, big)

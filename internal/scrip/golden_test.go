@@ -12,6 +12,7 @@ import (
 	"lotuseater/internal/attack"
 	"lotuseater/internal/defense"
 	"lotuseater/internal/population"
+	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
@@ -153,15 +154,28 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// options returns the case's adversary and defense, fresh per run.
-func (c goldenCase) options() []Option {
-	var opts []Option
+// hooks returns the case's adversary and defense, fresh per run; each is a
+// nil interface when the case has none.
+func (c goldenCase) hooks() (adv sim.Adversary, def sim.Defense) {
 	if c.adv.Kind != 0 {
-		adv := c.adv
-		opts = append(opts, WithAdversary(&adv))
+		a := c.adv
+		adv = &a
 	}
 	if c.rateLimit > 0 {
-		opts = append(opts, WithDefense(defense.NewRateLimiter(c.rateLimit)))
+		def = defense.NewRateLimiter(c.rateLimit)
+	}
+	return adv, def
+}
+
+// options returns the case's hooks as Sim options.
+func (c goldenCase) options() []Option {
+	var opts []Option
+	adv, def := c.hooks()
+	if adv != nil {
+		opts = append(opts, WithAdversary(adv))
+	}
+	if def != nil {
+		opts = append(opts, WithDefense(def))
 	}
 	return opts
 }

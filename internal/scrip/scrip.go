@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/bitset"
 	"lotuseater/internal/population"
 	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
@@ -226,13 +227,26 @@ type Result struct {
 // Sim is one scrip economy. Create with New (WithAdversary installs the
 // attack), then Run.
 type Sim struct {
-	cfg     Config
-	rng     *simrng.Source
-	kinds   []Kind
-	balance []int
-	utility []float64
-	pool    int // attacker's scrip pool
-	isTgt   []bool
+	cfg Config
+	rng *simrng.Source
+	// roundRNG is the stream each round reseeds in place to
+	// rng.ChildN("round", round), so a round allocates no generator.
+	roundRNG *simrng.Source
+	kinds    []Kind
+	balance  []int
+	utility  []float64
+	pool     int // attacker's scrip pool
+	isTgt    []bool
+	// attackers lists the placed attacker agents in ascending order.
+	attackers []int
+
+	// The round's candidate sets: the agents that would volunteer (present
+	// altruists, present rational agents below their threshold, and trade
+	// attackers), the present altruists, the present targets, and the
+	// present targets below their threshold. refresh keeps an agent's four
+	// bits current whenever its balance, presence or target flag changes,
+	// so a round costs what changed in it rather than a scan of the agents.
+	volunteers, altruists, targets, short *bitset.Set
 
 	// Lifecycle state; both stay nil in a static (no-churn) economy so
 	// that code path is byte-identical to a build without the model.
@@ -262,10 +276,6 @@ type Sim struct {
 	satSum            float64
 	nonTargetServed   int
 	nonTargetRequests int
-
-	// volunteers and alts are Step's per-round candidate lists, kept so
-	// steady-state rounds reuse their storage instead of regrowing it.
-	volunteers, alts []int
 }
 
 // Option customizes a Sim.
@@ -287,18 +297,24 @@ func WithDefense(d sim.Defense) Option {
 
 // New builds a Sim, deterministic in (cfg, seed). Altruists are assigned
 // pseudorandomly according to the configured fraction; an installed
-// adversary's Place hook picks the attacker-controlled agents.
+// adversary's Place hook picks the attacker-controlled agents. An economy
+// the adversary leaves without a non-attacker agent has nobody to request
+// service, and is an error.
 func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Sim{
-		cfg:     cfg,
-		rng:     simrng.New(seed),
-		kinds:   make([]Kind, cfg.Agents),
-		balance: make([]int, cfg.Agents),
-		utility: make([]float64, cfg.Agents),
-		isTgt:   make([]bool, cfg.Agents),
+		cfg:        cfg,
+		rng:        simrng.New(seed),
+		kinds:      make([]Kind, cfg.Agents),
+		balance:    make([]int, cfg.Agents),
+		utility:    make([]float64, cfg.Agents),
+		isTgt:      make([]bool, cfg.Agents),
+		volunteers: bitset.New(cfg.Agents),
+		altruists:  bitset.New(cfg.Agents),
+		targets:    bitset.New(cfg.Agents),
+		short:      bitset.New(cfg.Agents),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -338,14 +354,24 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 			s.kinds[a] = AttackerAgent
 		}
 	}
+	honest := 0
+	for i, k := range s.kinds {
+		if k == AttackerAgent {
+			s.attackers = append(s.attackers, i)
+		} else {
+			honest++
+		}
+	}
+	if honest == 0 {
+		return nil, fmt.Errorf("scrip: the adversary holds all %d agents, so nobody requests service", cfg.Agents)
+	}
 	if len(cfg.Churn) > 0 {
 		s.churn = population.NewCursor(cfg.Churn)
 		s.departed = make([]bool, cfg.Agents)
-		for _, k := range s.kinds {
-			if k != AttackerAgent {
-				s.presentHonest++
-			}
-		}
+		s.presentHonest = honest
+	}
+	for i := range s.kinds {
+		s.refresh(i)
 	}
 	return s, nil
 }
@@ -365,6 +391,7 @@ func (s *Sim) Mint(i, amount int) error {
 		return fmt.Errorf("scrip: negative mint %d", amount)
 	}
 	s.balance[i] += amount
+	s.refresh(i)
 	return nil
 }
 
@@ -401,11 +428,14 @@ func (s *Sim) Snapshot() (any, error) { return s.finish(), nil }
 
 // Step simulates one request round: attacker top-ups, a random requester,
 // volunteer selection, payment.
+//
+//lotus:allocfree
 func (s *Sim) Step() error {
 	if s.round >= s.cfg.Rounds {
 		return errors.New("scrip: horizon exhausted")
 	}
-	rng := s.rng.ChildN("round", s.round)
+	s.roundRNG = s.rng.ChildNInto(s.roundRNG, "round", s.round)
+	rng := s.roundRNG
 
 	// 0. Lifecycle: departures and arrivals due this round take effect
 	// before any request, so the adversary learns of a departure before
@@ -438,61 +468,32 @@ func (s *Sim) Step() error {
 	s.res.Requests++
 	targeted := s.isTgt[requester]
 	special := s.cfg.SpecialRequestFraction > 0 && rng.Bool(s.cfg.SpecialRequestFraction)
+	limit := s.cfg.Agents
 	if special {
 		s.res.SpecialRequests++
+		limit = s.cfg.SpecialProviders
 	}
 
-	// 3. Volunteers: altruists always; rational agents while below
-	// threshold; attacker agents always (they want earnings). Specialty
-	// requests admit only special providers playing their usual strategy.
-	volunteers := s.volunteers[:0]
-	for i, k := range s.kinds {
-		if i == requester || s.gone(i) {
-			continue
-		}
-		if special && i >= s.cfg.SpecialProviders {
-			continue
-		}
-		switch k {
-		case Altruist:
-			volunteers = append(volunteers, i)
-		case AttackerAgent:
-			// Trade attackers volunteer to earn scrip for the attack pool;
-			// crash attackers withhold service and ideal attackers stay out
-			// of protocol entirely.
-			if s.advTrades {
-				volunteers = append(volunteers, i)
-			}
-		case Rational:
-			if s.balance[i] < s.thresholdOf(i) {
-				volunteers = append(volunteers, i)
-			}
-		}
-	}
-	s.volunteers = volunteers
-	if len(volunteers) == 0 {
+	// 3. A provider drawn uniformly from the volunteers: altruists always;
+	// rational agents while below threshold; trade attackers always (they
+	// want earnings; crash attackers withhold service and ideal attackers
+	// stay out of protocol entirely). Specialty requests admit only special
+	// providers playing their usual strategy.
+	provider, ok := pick(s.volunteers, limit, requester, rng)
+	if !ok {
 		s.res.FailedNoProvider++
 		s.round++
 		return nil
 	}
-	provider := volunteers[rng.IntN(len(volunteers))]
 	free := s.kinds[provider] == Altruist
 	if !free && s.balance[requester] < 1 {
 		// The requester cannot pay; only a free (altruistic) provider can
 		// help. Retry among altruists.
-		alts := s.alts[:0]
-		for _, v := range volunteers {
-			if s.kinds[v] == Altruist {
-				alts = append(alts, v)
-			}
-		}
-		s.alts = alts
-		if len(alts) == 0 {
+		if provider, ok = pick(s.altruists, limit, requester, rng); !ok {
 			s.res.FailedNoMoney++
 			s.round++
 			return nil
 		}
-		provider = alts[rng.IntN(len(alts))]
 		free = true
 	}
 
@@ -506,6 +507,8 @@ func (s *Sim) Step() error {
 	} else {
 		s.balance[requester]--
 		s.balance[provider]++
+		s.refresh(requester)
+		s.refresh(provider)
 		if s.kinds[provider] == AttackerAgent {
 			s.res.AttackerEarned++
 		}
@@ -519,71 +522,142 @@ func (s *Sim) Step() error {
 	return nil
 }
 
+// pick draws a member of set below limit other than skip, uniformly: the
+// k-th such member in ascending order for k = rng.IntN(count). It reports
+// false, drawing nothing, when there is no such member.
+//
+//lotus:allocfree
+func pick(set *bitset.Set, limit, skip int, rng *simrng.Source) (int, bool) {
+	count := set.Rank(limit)
+	skipped := skip < limit && set.Has(skip)
+	if skipped {
+		count--
+	}
+	if count == 0 {
+		return 0, false
+	}
+	k := rng.IntN(count)
+	if skipped && k >= set.Rank(skip) {
+		k++
+	}
+	return set.Select(k), true
+}
+
 // adversaryStep is the strategy adversary's round: trade attackers sweep
 // in-system earnings into the pool, then (trade and ideal only) targets are
 // topped up to the threshold — trade from the finite pool, ideal from
 // exogenous minted wealth. The defense's Admit hook caps each target's
 // per-round acceptance, so a rate limit stretches the satiation ramp even
 // against the ideal attacker.
+//
+//lotus:allocfree
 func (s *Sim) adversaryStep() {
 	targets := s.adv.Targets(s.round)
-	// Maintain the per-agent target flags incrementally from the set's
-	// change journal: O(|changed|) on an epoch flip, O(1) on the (vastly
-	// more common) rounds where the set pointer is unchanged. The journal
-	// includes the first epoch (everything "added"), so this also covers
-	// round 0.
+	// The per-agent target flags change only when the set pointer does: at
+	// an epoch flip, O(|old set| + |new set|), and not at all on the (vastly
+	// more common) rounds in between. They follow membership, not the
+	// set's change journal: a strategy journals a redraw against its
+	// targeter's previous set, which after a departure is not the set this
+	// economy last saw.
 	if targets != s.lastTargets {
-		for _, t := range targets.Removed() {
-			if t < s.cfg.Agents {
-				s.isTgt[t] = false
+		if s.lastTargets != nil {
+			for _, t := range s.lastTargets.Members() {
+				if !targets.Has(t) {
+					s.setTarget(t, false)
+				}
 			}
 		}
-		for _, t := range targets.Added() {
-			if t < s.cfg.Agents && s.kinds[t] != AttackerAgent {
-				s.isTgt[t] = true
-			}
+		for _, t := range targets.Members() {
+			s.setTarget(t, true)
 		}
 		s.lastTargets = targets
 	}
 	if s.advTrades {
-		for i, k := range s.kinds {
-			if k == AttackerAgent && s.balance[i] > 0 {
-				s.pool += s.balance[i]
-				s.balance[i] = 0
-			}
+		// An attacker's balance decides none of its candidate bits, so the
+		// sweep needs no refresh.
+		for _, a := range s.attackers {
+			s.pool += s.balance[a]
+			s.balance[a] = 0
 		}
 	}
-	live, sat := 0, 0
-	for _, t := range targets.Members() {
-		if t >= s.cfg.Agents || s.kinds[t] == AttackerAgent || s.gone(t) {
-			continue
-		}
-		live++
-		need := s.thresholdOf(t) - s.balance[t]
-		if need > 0 && (s.advTrades || s.advInstant) {
-			grant := need
-			if s.def != nil {
-				grant = s.def.Admit(s.round, -1, t, need)
-			}
-			if s.advTrades {
-				if s.pool < need {
-					s.res.AttackerShortfall++
-				}
-				if grant > s.pool {
-					grant = s.pool
-				}
-				s.pool -= grant
-			}
-			s.balance[t] += grant
-			s.res.AttackerSpent += grant
-		}
-		if s.balance[t] >= s.thresholdOf(t) {
-			sat++
-		}
+	switch {
+	case !s.advTrades && !s.advInstant:
+		// Crash attackers top nobody up.
+	case s.advTrades && s.pool == 0 && s.def == nil:
+		// A broke trader grants nothing: every short target is a shortfall.
+		s.res.AttackerShortfall += s.short.Len()
+	default:
+		// Top-ups change only the visited target's bits, so the ascending
+		// walk sees each target that was short at its start exactly once.
+		s.short.ForEach(s.topUp)
 	}
-	if live > 0 {
-		s.satSum += float64(sat) / float64(live)
+	if live := s.targets.Len(); live > 0 {
+		s.satSum += float64(live-s.short.Len()) / float64(live)
 		s.advRounds++
+	}
+}
+
+// topUp grants short target t what the defense admits of its need, from the
+// pool for a trade attacker (counting a shortfall when the pool cannot
+// cover the need) or minted for an ideal one.
+//
+//lotus:allocfree
+func (s *Sim) topUp(t int) {
+	need := s.thresholdOf(t) - s.balance[t]
+	grant := need
+	if s.def != nil {
+		grant = s.def.Admit(s.round, -1, t, need)
+	}
+	if s.advTrades {
+		if s.pool < need {
+			s.res.AttackerShortfall++
+		}
+		if grant > s.pool {
+			grant = s.pool
+		}
+		s.pool -= grant
+	}
+	s.balance[t] += grant
+	s.res.AttackerSpent += grant
+	s.refresh(t)
+}
+
+// setTarget records whether agent v is targeted; attacker agents and ids
+// outside the economy never are.
+//
+//lotus:allocfree
+func (s *Sim) setTarget(v int, on bool) {
+	if v >= s.cfg.Agents {
+		return
+	}
+	on = on && s.kinds[v] != AttackerAgent
+	if s.isTgt[v] != on {
+		s.isTgt[v] = on
+		s.refresh(v)
+	}
+}
+
+// refresh recomputes agent v's bits in the four candidate sets from its
+// kind, presence, balance and target flag.
+//
+//lotus:allocfree
+func (s *Sim) refresh(v int) {
+	present := !s.gone(v)
+	below := s.balance[v] < s.thresholdOf(v)
+	k := s.kinds[v]
+	put(s.volunteers, v, present && (k == Altruist || (k == Rational && below) || (k == AttackerAgent && s.advTrades)))
+	put(s.altruists, v, present && k == Altruist)
+	target := present && s.isTgt[v]
+	put(s.targets, v, target)
+	put(s.short, v, target && below)
+}
+
+// put sets or clears bit v of set.
+func put(set *bitset.Set, v int, on bool) {
+	if on {
+		set.Add(v)
+	} else {
+		set.Remove(v)
 	}
 }
 
@@ -630,6 +704,7 @@ func (s *Sim) leaveAgent(v int) {
 	s.departed[v] = true
 	s.balance[v] = 0
 	s.presentHonest--
+	s.refresh(v)
 	if s.adv != nil {
 		sim.NotifyDeparture(s.adv, s.round, v)
 	}
@@ -644,6 +719,7 @@ func (s *Sim) joinAgent(v int) {
 	s.departed[v] = false
 	s.balance[v] = s.endowment(v)
 	s.presentHonest++
+	s.refresh(v)
 }
 
 func (s *Sim) finish() Result {

@@ -1,11 +1,13 @@
 package scrip
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/defense"
 )
 
 func quickCfg() Config {
@@ -493,17 +495,33 @@ func TestValidationAltruistProvidersNegative(t *testing.T) {
 	}
 }
 
-// TestStepAllocsIndependentOfPopulation: a steady-state Step reuses the
-// volunteer and altruist buffers, so its allocations do not grow with the
-// population; lists appended from nil each round would cost O(log Agents)
-// growslice allocations per Step.
+// TestStepAllocsIndependentOfPopulation: a steady-state Step allocates
+// nothing, at 100 agents or at 10,000: the candidate sets are sized in New,
+// and the round's stream is reseeded in place.
 func TestStepAllocsIndependentOfPopulation(t *testing.T) {
+	for _, kind := range []attack.Kind{attack.None, attack.Trade, attack.Ideal} {
+		for _, limit := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%v/limit=%d", kind, limit), func(t *testing.T) {
+				testStepAllocs(t, kind, limit)
+			})
+		}
+	}
+}
+
+func testStepAllocs(t *testing.T, kind attack.Kind, limit int) {
 	measure := func(n int) float64 {
 		cfg := DefaultConfig()
 		cfg.Agents = n
 		cfg.AltruistFraction = 0.1 // broke requesters retry among altruists
 		cfg.Rounds = 1 << 20
-		s, err := New(cfg, 5)
+		var opts []Option
+		if kind != attack.None {
+			opts = append(opts, WithAdversary(&attack.Strategy{Kind: kind, Fraction: 0.1, SatiateFraction: 0.5}))
+		}
+		if limit > 0 {
+			opts = append(opts, WithDefense(defense.NewRateLimiter(limit)))
+		}
+		s, err := New(cfg, 5, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,7 +537,7 @@ func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 		})
 	}
 	small, big := measure(100), measure(10000)
-	if big > small {
-		t.Fatalf("Step allocations grew with population: %.0f at 100 agents vs %.0f at 10000", small, big)
+	if small != 0 || big != 0 {
+		t.Fatalf("steady-state Step allocates %.0f objects at 100 agents and %.0f at 10000, want 0", small, big)
 	}
 }

@@ -41,15 +41,27 @@ func LabelHash(label string) uint64 {
 // goroutine instead.
 type Source struct {
 	seed uint64
+	pcg  *rand.PCG
 	rng  *rand.Rand
 }
 
 // New returns a Source seeded with seed.
-func New(seed uint64) *Source {
-	return &Source{
-		seed: seed,
-		rng:  rand.New(rand.NewPCG(SplitMix64(seed), SplitMix64(seed^0xda3e39cb94b95bdb))),
+func New(seed uint64) *Source { return reseed(nil, seed) }
+
+// reseed points dst at the stream New(seed) draws, in place, and returns
+// it; a nil dst is allocated. rand.Rand keeps no state besides its source,
+// so reseeding the PCG under it restarts the stream exactly.
+//
+//lotus:allocfree
+func reseed(dst *Source, seed uint64) *Source {
+	hi, lo := SplitMix64(seed), SplitMix64(seed^0xda3e39cb94b95bdb)
+	if dst == nil { //lotus:allocsetup New and ChildN build a fresh stream; ChildNInto callers pass the one they reuse
+		pcg := rand.NewPCG(hi, lo)
+		return &Source{seed: seed, pcg: pcg, rng: rand.New(pcg)}
 	}
+	dst.seed = seed
+	dst.pcg.Seed(hi, lo)
+	return dst
 }
 
 // Seed returns the seed this Source was created with.
@@ -64,8 +76,16 @@ func (s *Source) Child(label string) *Source {
 
 // ChildN derives an independent stream identified by label and an index,
 // e.g. one stream per node or per sweep point.
-func (s *Source) ChildN(label string, n int) *Source {
-	return New(SplitMix64(s.seed^LabelHash(label)) ^ SplitMix64(uint64(n)+0x632be59bd9b4e019))
+func (s *Source) ChildN(label string, n int) *Source { return s.ChildNInto(nil, label, n) }
+
+// ChildNInto reseeds dst in place to the stream ChildN(label, n) returns,
+// whatever dst drew before, and returns dst; a nil dst is allocated. A
+// model that derives one stream per round keeps one dst for it, so its
+// rounds allocate no generator.
+//
+//lotus:allocfree
+func (s *Source) ChildNInto(dst *Source, label string, n int) *Source {
+	return reseed(dst, SplitMix64(s.seed^LabelHash(label))^SplitMix64(uint64(n)+0x632be59bd9b4e019))
 }
 
 // IntN returns a uniform int in [0, n). It panics if n <= 0, matching

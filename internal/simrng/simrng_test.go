@@ -355,3 +355,49 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 		}
 	}
 }
+
+// TestChildNIntoMatchesChildN: reseeding one reused stream in place must
+// draw exactly ChildN's stream, for many (seed, label, n), whatever the
+// reused stream drew before, and must allocate nothing.
+func TestChildNIntoMatchesChildN(t *testing.T) {
+	labels := []string{"round", "seed", "order-push", "altruism", "unchoke", ""}
+	junk := New(99)
+	dst := New(1234)
+	for seed := uint64(0); seed < 40; seed++ {
+		parent := New(seed * 0x9e3779b97f4a7c15)
+		for _, label := range labels {
+			for _, n := range []int{0, 1, 2, 63, 64, 1 << 20, -1, seed2int(seed)} {
+				// Arbitrary earlier draws on the reused stream.
+				for k := junk.IntN(9); k > 0; k-- {
+					dst.Uint64()
+					dst.IntN(k + 1)
+				}
+				want := parent.ChildN(label, n)
+				got := parent.ChildNInto(dst, label, n)
+				if got != dst {
+					t.Fatal("ChildNInto returned a different Source than dst")
+				}
+				if got.Seed() != want.Seed() {
+					t.Fatalf("seed %d label %q n %d: seed %d, want %d", seed, label, n, got.Seed(), want.Seed())
+				}
+				for i := 0; i < 12; i++ {
+					if g, w := got.Uint64(), want.Uint64(); g != w {
+						t.Fatalf("seed %d label %q n %d: draw %d = %d, want %d", seed, label, n, i, g, w)
+					}
+					if g, w := got.IntN(1000), want.IntN(1000); g != w {
+						t.Fatalf("seed %d label %q n %d: IntN draw %d = %d, want %d", seed, label, n, i, g, w)
+					}
+				}
+			}
+		}
+	}
+	parent := New(5)
+	if allocs := testing.AllocsPerRun(100, func() { parent.ChildNInto(dst, "round", 3).Uint64() }); allocs != 0 {
+		t.Fatalf("ChildNInto on a reused stream allocates %.0f objects, want 0", allocs)
+	}
+	if got, want := parent.ChildNInto(nil, "round", 3).Uint64(), parent.ChildN("round", 3).Uint64(); got != want {
+		t.Fatalf("ChildNInto(nil) drew %d, ChildN %d", got, want)
+	}
+}
+
+func seed2int(s uint64) int { return int(SplitMix64(s) >> 33) }

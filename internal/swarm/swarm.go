@@ -253,6 +253,10 @@ func WithPieceWeights(weights []float64) Option {
 type Sim struct {
 	cfg Config
 	rng *simrng.Source
+	// tickRNG is the one stream the tick's per-tick children ("unchoke",
+	// "transfer", "endgame") are reseeded into in place, one phase at a
+	// time, so a tick allocates no generator.
+	tickRNG *simrng.Source
 
 	adv        sim.Adversary
 	def        sim.Defense
@@ -1042,7 +1046,8 @@ func (s *Sim) recomputeUnchokes() {
 	})
 
 	s.runPhase(phaseUnchokeSelect, func() {
-		rng := s.rng.ChildN("unchoke", s.tick)
+		s.tickRNG = s.rng.ChildNInto(s.tickRNG, "unchoke", s.tick)
+		rng := s.tickRNG
 		for v := 0; v < s.n; v++ {
 			base := s.adjOff[v]
 			interested := s.interested[base : base+int(s.intCnt[v])]
@@ -1183,7 +1188,8 @@ func (s *Sim) transferStep() {
 
 //lotus:allocfree
 func transferPass[T rarityCell](s *Sim, rarity, snap []T) {
-	rng := s.rng.ChildN("transfer", s.tick)
+	s.tickRNG = s.rng.ChildNInto(s.tickRNG, "transfer", s.tick)
+	rng := s.tickRNG
 	order := rng.PermInto(s.permBuf, s.n)
 	s.permBuf = order
 	// The snapshot is taken at the receiver's first transfer attempt of the
@@ -1396,7 +1402,8 @@ func (s *Sim) endgameStep() {
 		miss := P - int(s.pieceCnt[v])
 		return miss > 0 && miss <= thr
 	})
-	rng := s.rng.ChildN("endgame", s.tick)
+	s.tickRNG = s.rng.ChildNInto(s.tickRNG, "endgame", s.tick)
+	rng := s.tickRNG
 	for _, vv := range cands {
 		v := int(vv)
 		missing := s.appendMissing(v, s.missBuf[:0])

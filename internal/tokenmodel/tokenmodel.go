@@ -141,7 +141,10 @@ type Result struct {
 type Sim struct {
 	cfg Config
 	rng *simrng.Source
-	ws  *sim.Workspace // nil = private allocations
+	// roundRNG is the stream each round reseeds in place to
+	// rng.ChildN("round", round), so a round allocates no generator.
+	roundRNG *simrng.Source
+	ws       *sim.Workspace // nil = private allocations
 
 	// Strategy hooks: adv places attacker nodes and decides targeting and
 	// in-protocol service; def rate-limits what receivers accept. Both are
@@ -456,7 +459,8 @@ func (s *Sim) Step() error {
 	for v := range sat {
 		sat[v] = s.full(s.row(s.snapshot, v))
 	}
-	rng := s.rng.ChildN("round", s.round)
+	s.roundRNG = s.rng.ChildNInto(s.roundRNG, "round", s.round)
+	rng := s.roundRNG
 	for v := 0; v < n; v++ {
 		if s.gone(v) {
 			continue // empty seat: no contacts in or out
