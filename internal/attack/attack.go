@@ -73,11 +73,12 @@ func ParseKind(s string) (Kind, error) {
 // random. The paper's x-axis, "fraction of nodes controlled by attacker",
 // sweeps this fraction.
 func PlaceAttackers(n int, fraction float64, rng *simrng.Source) []int {
-	return rng.SampleInts(n, share(fraction, n))
+	return rng.SampleInts(n, Share(fraction, n))
 }
 
-// share returns round(fraction·n) with fraction clamped to [0, 1].
-func share(fraction float64, n int) int {
+// Share returns round(fraction·n) with fraction clamped to [0, 1]: the
+// number of nodes PlaceAttackers places, and of targets a fraction names.
+func Share(fraction float64, n int) int {
 	return int(min(max(fraction, 0), 1)*float64(n) + 0.5)
 }
 
@@ -219,7 +220,7 @@ func selectTargets(n int, attackers []int, fraction float64, rng *simrng.Source,
 			bits.Add(a)
 		}
 	}
-	want := share(fraction, n)
+	want := Share(fraction, n)
 	have := bits.Len()
 	if want > have {
 		// Pick the remaining targets among honest nodes, uniformly.

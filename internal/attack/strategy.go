@@ -132,7 +132,7 @@ func (s *Strategy) Place(n int, rng *simrng.Source) []int {
 		if s.ranker == nil {
 			panic("attack: a ranked Strategy needs a model that ranks (UseRanker before Place)")
 		}
-		s.targeter = &rankedTargeter{ranker: s.ranker, rank: s.Rank, n: n, k: share(s.SatiateFraction, n)}
+		s.targeter = &rankedTargeter{ranker: s.ranker, rank: s.Rank, n: n, k: Share(s.SatiateFraction, n)}
 	case len(s.placed) == 0:
 		// Satiation is delivered by attacker nodes — out of protocol for
 		// the ideal attack, through exchanges for the trade attack. With

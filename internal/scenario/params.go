@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"lotuseater/internal/attack"
 	"lotuseater/internal/gossip"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/scrip"
@@ -92,7 +93,8 @@ func knobOf(key string) *knob {
 
 // validateParams reports the first params key (or params.<key> sweep axis)
 // the spec's substrate does not read, then the first bounded parameter out
-// of range, then the first inconsistent combination, or nil.
+// of range, then the first inconsistent combination of params with each
+// other, with the node count or with the adversary's fraction, or nil.
 func (s *Spec) validateParams() error {
 	keys := sortedKeys(s.Params)
 	if axis, ok := strings.CutPrefix(s.Sweep.Axis, "params."); ok {
@@ -124,6 +126,9 @@ func (s *Spec) validateParams() error {
 		if live := lifetime * updates; live > maxItems {
 			return fmt.Errorf("scenario: params.lifetime × params.updates = %g live updates exceeds %d", live, maxItems)
 		}
+		if lifetime < float64(def.RecentWindow) {
+			return fmt.Errorf("scenario: params.lifetime=%g is shorter than gossip's %d-round recent window", lifetime, def.RecentWindow)
+		}
 	case "token", "coding":
 		items, graph := 0, 0.0
 		if s.Substrate == "token" {
@@ -145,7 +150,11 @@ func (s *Spec) validateParams() error {
 		}
 	case "scrip":
 		special := int(s.param("special", 0))
+		kind := s.Adversary.Kind
 		switch {
+		case kind != "" && kind != "none" && attack.Share(s.Adversary.Fraction, n) == n:
+			// The economy would have nobody to request service.
+			return fmt.Errorf("scenario: adversary.fraction=%g places all %d scrip agents, leaving no requester", s.Adversary.Fraction, n)
 		case special > n:
 			return fmt.Errorf("scenario: params.special=%d exceeds the %d agents", special, n)
 		case s.param("specialReq", 0) > 0 && special == 0:

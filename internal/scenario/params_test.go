@@ -12,13 +12,16 @@ import (
 // with a negative, a fractional and a huge value, set outright and as the
 // far end of a two-point sweep from the knob's minimum. Each probe must
 // either fail Validate with an error naming the key, or resolve every
-// sweep point and run one replicate without a panic (the simulator may
-// still refuse it with an error). Before every integer key was bounded,
+// sweep point and run one replicate. Before every integer key was bounded,
 // eight of these probes crashed the process: makeslice panics on a
 // negative degree or a huge gossip lifetime, and the runtime running out
 // of memory on a huge token, piece, symbol or payload count. Before sweep
 // endpoints were bounded, the sweeps passed Validate and failed after
-// their first point.
+// their first point, and before the lifetime was checked against gossip's
+// recent window, the lifetime sweep to 1.5 failed at build.
+//
+// Then it probes combinations that only fail together: each must fail
+// Validate naming the offending key, and none may run.
 func TestHostileParams(t *testing.T) {
 	for _, substrate := range Substrates {
 		for _, key := range declared[substrate] {
@@ -49,10 +52,67 @@ func TestHostileParams(t *testing.T) {
 						}
 					}
 					if _, err := Run(spec, 1, RunOptions{Workers: 1}); err != nil {
-						t.Logf("%s: passes Validate, refused at build: %v", name, err)
+						t.Errorf("%s: passes Validate, refused at build: %v", name, err)
 					}
 				}
 			}
+		}
+	}
+	for _, probe := range hostileCombinations {
+		spec, ok := Get(probe.scenario)
+		if !ok {
+			t.Fatalf("no scenario %s", probe.scenario)
+		}
+		err := spec.ApplySets(append(probe.sets, "replicates=1"))
+		if err == nil || !strings.Contains(err.Error(), probe.key) {
+			t.Errorf("%s %v: Validate = %v, want an error naming %s", probe.scenario, probe.sets, err, probe.key)
+		}
+	}
+}
+
+// hostileCombinations are specs whose every value is in range but whose
+// values together cannot run; each names the key its refusal must name.
+// Before they were refused, the first two failed every gossip replicate at
+// build, the next four failed partway through their sweep, and the scrip
+// ones never returned: the economy had no agent left to request service.
+var hostileCombinations = []struct {
+	scenario, key string
+	sets          []string
+}{
+	{"x/none-gossip", "params.lifetime", []string{"params.lifetime=1"}},
+	{"x/trade-gossip", "params.lifetime", []string{"sweep.axis=params.lifetime", "sweep.from=1", "sweep.to=8"}},
+	{"x/trade-token", "params.graph", []string{"params.graph=2", "nodes=16", "sweep.axis=nodes", "sweep.from=16", "sweep.to=100", "sweep.points=3"}},
+	{"x/trade-token", "params.graph", []string{"params.graph=2", "nodes=16", "sweep.axis=nodes", "sweep.from=16", "sweep.to=25", "sweep.points=3"}},
+	{"x/trade-token", "params.rare", []string{"params.rare=8", "params.rareCopies=4", "sweep.axis=nodes", "sweep.from=64", "sweep.to=16"}},
+	{"x/trade-scrip", "params.special", []string{"params.special=100", "sweep.axis=nodes", "sweep.from=120", "sweep.to=60"}},
+	{"x/trade-scrip", "adversary.fraction", []string{"sweep.axis=", "adversary.fraction=1"}},
+	{"x/crash-scrip", "adversary.fraction", []string{"sweep.axis=", "adversary.fraction=1"}},
+	{"x/ideal-scrip", "adversary.fraction", []string{"adversary.fraction=1"}},
+	{"x/trade-scrip", "adversary.fraction", []string{"sweep.axis=adversary.fraction", "sweep.from=0", "sweep.to=1"}},
+	{"x/trade-scrip", "adversary.fraction", []string{"adversary.fraction=0.99", "sweep.axis=nodes", "sweep.from=10", "sweep.to=200"}},
+}
+
+// TestCombinationChecksAdmitValidSweeps: the per-point and endpoint checks
+// refuse only what cannot run. A grid sweep over square node counts, and a
+// scrip fraction sweep that stops short of placing every agent, validate
+// and run every point.
+func TestCombinationChecksAdmitValidSweeps(t *testing.T) {
+	for _, probe := range []struct {
+		scenario string
+		sets     []string
+	}{
+		{"x/trade-token", []string{"params.graph=2", "nodes=16", "sweep.axis=nodes", "sweep.from=16", "sweep.to=25", "sweep.points=2"}},
+		{"x/trade-scrip", []string{"nodes=20", "rounds=200", "sweep.axis=adversary.fraction", "sweep.from=0", "sweep.to=0.95", "sweep.points=2"}},
+	} {
+		spec, ok := Get(probe.scenario)
+		if !ok {
+			t.Fatalf("no scenario %s", probe.scenario)
+		}
+		if err := spec.ApplySets(append(probe.sets, "replicates=1")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(spec, 1, RunOptions{Workers: 1}); err != nil {
+			t.Errorf("%s %v: %v", probe.scenario, probe.sets, err)
 		}
 	}
 }

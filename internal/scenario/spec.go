@@ -287,24 +287,29 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	if s.Sweep.Axis != "" {
+		if s.Sweep.Points < 0 {
+			return fmt.Errorf("scenario: sweep points must be non-negative, got %d", s.Sweep.Points)
+		}
 		// Every sweep runs both endpoints, so a value refused at either
 		// fails here rather than after the first points have run. A swept
-		// params key moves monotonically between them, and each params
-		// bound and combination check is monotone in it, so checks that
-		// pass at both ends pass at every point.
+		// params key, node count or adversary fraction moves monotonically
+		// between them, and every params check but one is monotone in each,
+		// so checks that pass at both ends pass at every point. The one is
+		// the grid's square node count, so a nodes sweep is checked at
+		// every point it visits.
+		xs := []float64{s.Sweep.From, s.Sweep.To}
+		if s.Sweep.Axis == "nodes" {
+			_, points := resolveCounts(s, RunOptions{})
+			xs = Range(s.Sweep.From, s.Sweep.To, points)
+		}
 		c := s.Clone()
-		for _, x := range []float64{s.Sweep.From, s.Sweep.To} {
+		for _, x := range xs {
 			if err := c.applyAxis(x); err != nil {
 				return err
 			}
-			if strings.HasPrefix(s.Sweep.Axis, "params.") {
-				if err := c.validateParams(); err != nil {
-					return err
-				}
+			if err := c.validateParams(); err != nil {
+				return fmt.Errorf("%w (at %s=%g)", err, s.Sweep.Axis, x)
 			}
-		}
-		if s.Sweep.Points < 0 {
-			return fmt.Errorf("scenario: sweep points must be non-negative, got %d", s.Sweep.Points)
 		}
 	}
 	if s.Metric != "" {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/defense"
@@ -539,5 +540,34 @@ func testStepAllocs(t *testing.T, kind attack.Kind, limit int) {
 	small, big := measure(100), measure(10000)
 	if small != 0 || big != 0 {
 		t.Fatalf("steady-state Step allocates %.0f objects at 100 agents and %.0f at 10000, want 0", small, big)
+	}
+}
+
+// TestAllAttackerEconomyRefused: an adversary holding every agent leaves
+// nobody to request service, so New refuses the economy for every attack
+// kind. Before, New accepted it and the first Step drew requesters
+// forever; the deadline turns such a regression into a failure.
+func TestAllAttackerEconomyRefused(t *testing.T) {
+	for _, kind := range []attack.Kind{attack.Crash, attack.Ideal, attack.Trade} {
+		done := make(chan error, 1)
+		go func() {
+			cfg := quickCfg()
+			cfg.Rounds = 10
+			s, err := New(cfg, 1, WithAdversary(&attack.Strategy{Kind: kind, Fraction: 1, SatiateFraction: 0.5}))
+			if err != nil {
+				done <- nil
+				return
+			}
+			_, err = s.Run()
+			done <- fmt.Errorf("New accepted the economy; Run returned %v", err)
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: an all-attacker economy did not return within 10 s", kind)
+		}
 	}
 }

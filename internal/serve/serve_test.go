@@ -470,6 +470,14 @@ func TestServeRejectsHostileParams(t *testing.T) {
 		{"x/none-coding", "params.symbols", []string{"params.symbols=1e12"}},
 		{"x/none-coding", "params.payload", []string{"params.payload=1e12"}},
 		{"x/trade-token", "params.tokens", []string{"sweep.axis=params.tokens", "sweep.from=1", "sweep.to=1e12", "sweep.points=2"}},
+		// Combinations: each value is in range, but together they fail a
+		// gossip build, stop a sweep partway, or leave a scrip economy with
+		// no requester (a job that would never finish).
+		{"x/none-gossip", "params.lifetime", []string{"params.lifetime=1"}},
+		{"x/trade-token", "params.graph", []string{"params.graph=2", "nodes=16", "sweep.axis=nodes", "sweep.from=16", "sweep.to=100", "sweep.points=3"}},
+		{"x/trade-scrip", "params.special", []string{"params.special=100", "sweep.axis=nodes", "sweep.from=120", "sweep.to=60"}},
+		{"x/trade-scrip", "adversary.fraction", []string{"sweep.axis=", "adversary.fraction=1"}},
+		{"x/crash-scrip", "adversary.fraction", []string{"sweep.axis=adversary.fraction", "sweep.from=0", "sweep.to=1"}},
 	} {
 		sets, err := json.Marshal(probe.sets)
 		if err != nil {
