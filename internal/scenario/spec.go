@@ -295,10 +295,10 @@ func (s *Spec) Validate() error {
 		// params key, node count or adversary fraction moves monotonically
 		// between them, and every params check but one is monotone in each,
 		// so checks that pass at both ends pass at every point. The one is
-		// the grid's square node count, so a nodes sweep is checked at
-		// every point it visits.
+		// the token grid's square node count, so a nodes sweep of a grid is
+		// checked at every point it visits.
 		xs := []float64{s.Sweep.From, s.Sweep.To}
-		if s.Sweep.Axis == "nodes" {
+		if s.Sweep.Axis == "nodes" && s.Substrate == "token" && s.param("graph", 0) == 2 {
 			_, points := resolveCounts(s, RunOptions{})
 			xs = Range(s.Sweep.From, s.Sweep.To, points)
 		}

@@ -12,12 +12,6 @@ import (
 	"lotuseater/internal/simrng"
 )
 
-// oracleSim is the scrip economy as it stood before its round kept
-// candidate sets: Step scans every agent for volunteers and adversaryStep
-// walks every target. The code below is that version verbatim, renamed
-// and with the options replaced by arguments; TestRoundMatchesOracle steps
-// it beside Sim.
-
 // oracleCases are the golden cases plus configurations the goldens leave
 // out: rotation under churn (a redraw meeting departures), churn from the
 // first round, and a campaign window under churn.
@@ -130,6 +124,11 @@ func TestTargetFlagsFollowMembers(t *testing.T) {
 	}
 }
 
+// oracleSim is the scrip economy as it stood before its round kept
+// candidate sets: Step scans every agent for volunteers and adversaryStep
+// walks every target. The code is that version verbatim, renamed
+// and with the options replaced by arguments; TestRoundMatchesOracle steps
+// it beside Sim.
 type oracleSim struct {
 	cfg     Config
 	rng     *simrng.Source
