@@ -19,10 +19,6 @@ type Engine struct {
 	cfg   Config
 	rng   *simrng.Source
 	pseed sign.PartnerSeed
-	// roundRNG is the one stream the round's per-round children ("seed",
-	// "order-*", "altruism") are reseeded into in place, one at a time, so
-	// a round allocates no generator.
-	roundRNG *simrng.Source
 
 	// adv drives attacker placement, per-round targeting, and whom attacker
 	// nodes serve in protocol exchanges; without WithAdversary it is the
@@ -98,6 +94,11 @@ type Engine struct {
 	usefulSent   int64
 	junkSent     int64
 	attackerSent int64
+
+	// roundRNG is the one stream the round's per-round children ("seed",
+	// "order-*", "altruism") are reseeded into in place, one at a time, so
+	// a round allocates no generator.
+	roundRNG *simrng.Source
 }
 
 // Option customizes an Engine.

@@ -268,7 +268,7 @@ type Sim struct {
 	advInstant bool
 	advRounds  int
 	// lastTargets is the target set whose membership is currently reflected
-	// in isTgt; adversaryStep applies the journal of a new epoch's set.
+	// in isTgt; adversaryStep moves the flags to a new epoch's set.
 	lastTargets *attack.TargetSet
 
 	round             int

@@ -366,7 +366,7 @@ func TestChildNIntoMatchesChildN(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		parent := New(seed * 0x9e3779b97f4a7c15)
 		for _, label := range labels {
-			for _, n := range []int{0, 1, 2, 63, 64, 1 << 20, -1, seed2int(seed)} {
+			for _, n := range []int{0, 1, 2, 63, 64, 1 << 20, -1, int(SplitMix64(seed) >> 33)} {
 				// Arbitrary earlier draws on the reused stream.
 				for k := junk.IntN(9); k > 0; k-- {
 					dst.Uint64()
@@ -399,5 +399,3 @@ func TestChildNIntoMatchesChildN(t *testing.T) {
 		t.Fatalf("ChildNInto(nil) drew %d, ChildN %d", got, want)
 	}
 }
-
-func seed2int(s uint64) int { return int(SplitMix64(s) >> 33) }

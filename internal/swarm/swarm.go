@@ -253,10 +253,6 @@ func WithPieceWeights(weights []float64) Option {
 type Sim struct {
 	cfg Config
 	rng *simrng.Source
-	// tickRNG is the one stream the tick's per-tick children ("unchoke",
-	// "transfer", "endgame") are reseeded into in place, one phase at a
-	// time, so a tick allocates no generator.
-	tickRNG *simrng.Source
 
 	adv        sim.Adversary
 	def        sim.Defense
@@ -368,6 +364,11 @@ type Sim struct {
 
 	tick int
 	res  Result
+
+	// tickRNG is the one stream the tick's per-tick children ("unchoke",
+	// "transfer", "endgame") are reseeded into in place, one phase at a
+	// time, so a tick allocates no generator.
+	tickRNG *simrng.Source
 }
 
 // evalParallelMinNodes is the population size at which the pure-read passes
