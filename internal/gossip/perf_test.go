@@ -54,9 +54,8 @@ func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 	small := measure(1024)
 	big := measure(8192)
 	t.Logf("allocations per Step: %.0f at n=1024, %.0f at n=8192", small, big)
-	// A steady-state round measured 2 allocations once the per-round
-	// streams were reseeded in place (11 before); the bound allows that
-	// plus a small margin. The comparison is the other half: an O(Nodes)
+	// A steady-state round measures 2 allocations; the bound allows a small
+	// margin over that. The comparison is the other half: an O(Nodes)
 	// allocation anywhere would blow it up immediately at the larger
 	// population.
 	if small > 4 {
