@@ -653,6 +653,8 @@ func (s *Sim) refresh(v int) {
 }
 
 // put sets or clears bit v of set.
+//
+//lotus:allocfree
 func put(set *bitset.Set, v int, on bool) {
 	if on {
 		set.Add(v)
