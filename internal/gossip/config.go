@@ -126,6 +126,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gossip: Rounds must be positive, got %d", c.Rounds)
 	case c.Warmup < 0 || c.Warmup >= c.Rounds:
 		return fmt.Errorf("gossip: Warmup must be in [0,%d), got %d", c.Rounds, c.Warmup)
+	case c.Warmup+c.Lifetime > c.Rounds:
+		return fmt.Errorf("gossip: horizon too short: no update both released after warmup (%d) and expiring before round %d", c.Warmup, c.Rounds)
 	case c.UsableThreshold < 0 || c.UsableThreshold > 1:
 		return fmt.Errorf("gossip: UsableThreshold must be in [0,1], got %g", c.UsableThreshold)
 	case c.Altruism < 0 || c.Altruism > 1:

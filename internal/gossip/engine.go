@@ -280,9 +280,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 
 	e.measStart = cfg.Warmup
 	e.measEnd = cfg.Rounds - cfg.Lifetime
-	if e.measEnd < e.measStart {
-		return nil, fmt.Errorf("gossip: horizon too short: no update both released after warmup (%d) and expiring before round %d", cfg.Warmup, cfg.Rounds)
-	}
 
 	if cfg.ReportThreshold > 0 {
 		kr, err := sign.NewKeyring(n, e.rng.Child("keys"))

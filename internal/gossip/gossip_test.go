@@ -63,6 +63,7 @@ func TestConfigValidation(t *testing.T) {
 		{"zero rounds", func(c *Config) { c.Rounds = 0 }},
 		{"warmup >= rounds", func(c *Config) { c.Warmup = c.Rounds }},
 		{"negative warmup", func(c *Config) { c.Warmup = -1 }},
+		{"horizon too short", func(c *Config) { c.Rounds, c.Warmup = 20, 15 }},
 		{"threshold > 1", func(c *Config) { c.UsableThreshold = 1.5 }},
 		{"altruism > 1", func(c *Config) { c.Altruism = 2 }},
 		{"negative altruistic give", func(c *Config) { c.AltruisticGive = -1 }},

@@ -251,12 +251,13 @@ func TestKnobBounds(t *testing.T) {
 		{"swarm", "params.uplink=1.5", "params.uplink"},
 		{"swarm", "params.uplink=1e30", "params.uplink"},
 		// Combinations the simulators would reject (or index past) inside a
-		// replicate.
+		// replicate. A simulator's own refusal names the params keys the
+		// spec sets.
 		{"token", "params.rare=32", "no common token"},
 		{"coding", "params.rare=10 params.rareCopies=2", "needs at least"},
 		{"token", "params.graph=2", "square node count"},
-		{"scrip", "params.specialReq=0.1", "params.special > 0"},
-		{"scrip", "params.altruistProviders=1", "exceeds params.special"},
+		{"scrip", "params.specialReq=0.1", "params.specialReq"},
+		{"scrip", "params.altruistProviders=1", "params.altruistProviders"},
 		// Keys the substrate does not read, first the retired ones.
 		{"scrip", "params.start=1000", "scrip has no params.start"},
 		{"swarm", "params.attack=2", "swarm has no params.attack"},

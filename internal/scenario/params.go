@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"lotuseater/internal/attack"
 	"lotuseater/internal/gossip"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/scrip"
@@ -24,11 +23,14 @@ var declared = map[string][]string{
 	"coding": {"coded", "contacts", "degree", "payload", "rare", "rareCopies", "symbols"},
 }
 
-// knob bounds a substrate parameter, so no -set or request can hand a
-// simulator a value it would choke on mid-replicate or silently truncate.
-// Each bound copies the range the simulator's own Validate enforces (that
-// check stays, for callers that build a simulator directly). It applies on
-// every substrate that declares the key.
+// knob bounds a substrate parameter at the trust boundary, before any
+// config step reads it: its error names the params key, an integer knob
+// refuses the fraction a builder would silently truncate, and the upper
+// bounds (maxItems, maxKnob) cap what no simulator caps. Many lower bounds
+// repeat a rule of the simulator's own Validate, which runs next on the
+// whole configuration (substrate.check); the rest guard keys no Config
+// holds, such as degree, graph and rareCopies. It applies on every
+// substrate that declares the key.
 type knob struct {
 	key      string
 	min, max float64
@@ -39,7 +41,9 @@ const maxKnob = math.MaxInt32
 
 // maxItems bounds the keys that size per-node state: every node keeps a
 // row, bit set or buffer of tokens, pieces, symbols or payload bytes, and
-// gossip a holdings row of lifetime × updates live updates.
+// gossip a holdings row of lifetime × updates live updates. It also bounds
+// gossip's Zipf catalog (population.popularity.items), whose weights
+// validation computes.
 const maxItems = 1 << 16
 
 // knobs lists the bounded parameters, in the order Validate checks them.
@@ -93,8 +97,8 @@ func knobOf(key string) *knob {
 
 // validateParams reports the first params key (or params.<key> sweep axis)
 // the spec's substrate does not read, then the first bounded parameter out
-// of range, then the first inconsistent combination of params with each
-// other, with the node count or with the adversary's fraction, or nil.
+// of range, then what the substrate's config step or its simulator's own
+// Validate refuses in the configuration the spec derives, or nil.
 func (s *Spec) validateParams() error {
 	keys := sortedKeys(s.Params)
 	if axis, ok := strings.CutPrefix(s.Sweep.Axis, "params."); ok {
@@ -118,52 +122,7 @@ func (s *Spec) validateParams() error {
 			return fmt.Errorf("scenario: params.%s must be %s in [%g,%g], got %g", k.key, kind, k.min, k.max, v)
 		}
 	}
-	n := s.population()
-	switch s.Substrate {
-	case "gossip":
-		def := gossip.DefaultConfig()
-		lifetime, updates := s.param("lifetime", float64(def.Lifetime)), s.param("updates", float64(def.UpdatesPerRound))
-		if live := lifetime * updates; live > maxItems {
-			return fmt.Errorf("scenario: params.lifetime × params.updates = %g live updates exceeds %d", live, maxItems)
-		}
-		if lifetime < float64(def.RecentWindow) {
-			return fmt.Errorf("scenario: params.lifetime=%g is shorter than gossip's %d-round recent window", lifetime, def.RecentWindow)
-		}
-	case "token", "coding":
-		items, graph := 0, 0.0
-		if s.Substrate == "token" {
-			items, graph = int(s.param("tokens", 32)), s.param("graph", 0)
-		} else {
-			items = int(s.param("symbols", 24))
-		}
-		rare, copies := int(s.param("rare", 0)), int(s.param("rareCopies", 1))
-		if rare > 0 && rare >= items {
-			return fmt.Errorf("scenario: params.rare=%d leaves no common token among %d", rare, items)
-		}
-		if rare > 0 && rare > n/copies {
-			return fmt.Errorf("scenario: params.rare=%d with params.rareCopies=%d needs at least %d nodes, got %d", rare, copies, rare*copies, n)
-		}
-		if graph == 2 {
-			if side := int(math.Sqrt(float64(n))); side*side != n {
-				return fmt.Errorf("scenario: params.graph=2 (grid) needs a square node count, got %d", n)
-			}
-		}
-	case "scrip":
-		special := int(s.param("special", 0))
-		kind := s.Adversary.Kind
-		switch {
-		case kind != "" && kind != "none" && attack.Share(s.Adversary.Fraction, n) == n:
-			// The economy would have nobody to request service.
-			return fmt.Errorf("scenario: adversary.fraction=%g places all %d scrip agents, leaving no requester", s.Adversary.Fraction, n)
-		case special > n:
-			return fmt.Errorf("scenario: params.special=%d exceeds the %d agents", special, n)
-		case s.param("specialReq", 0) > 0 && special == 0:
-			return fmt.Errorf("scenario: params.specialReq needs params.special > 0")
-		case int(s.param("altruistProviders", 0)) > special:
-			return fmt.Errorf("scenario: params.altruistProviders exceeds params.special=%d", special)
-		}
-	}
-	return nil
+	return sub(s.Substrate).check(s)
 }
 
 // population returns the node count a spec runs at: Nodes, or the
@@ -256,6 +215,20 @@ func (s *Spec) rareAllocation(n, items int, rng *simrng.Source) []int {
 		}
 	}
 	return alloc
+}
+
+// checkRare refuses a rare allocation the nodes cannot hold: params.rare
+// tokens (or symbols) must leave a common one, and each needs
+// params.rareCopies evenly spaced holders among n nodes.
+func (s *Spec) checkRare(n, items int) error {
+	rare, copies := int(s.param("rare", 0)), int(s.param("rareCopies", 1))
+	switch {
+	case rare > 0 && rare >= items:
+		return fmt.Errorf("scenario: params.rare=%d leaves no common token among %d", rare, items)
+	case rare > 0 && rare > n/copies:
+		return fmt.Errorf("scenario: params.rare=%d with params.rareCopies=%d needs at least %d nodes, got %d", rare, copies, rare*copies, n)
+	}
+	return nil
 }
 
 // gift mints perCapita scrip per agent as unconditional gifts before the

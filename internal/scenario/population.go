@@ -181,8 +181,8 @@ func (p *PopulationSpec) Validate(nodes int) error {
 			if !isFinite(pop.Exponent) || pop.Exponent <= 0 {
 				return fmt.Errorf("scenario: population.popularity.exponent must be > 0 for zipf, got %g", pop.Exponent)
 			}
-			if pop.Items < 0 {
-				return fmt.Errorf("scenario: population.popularity.items must be non-negative, got %d", pop.Items)
+			if pop.Items < 0 || pop.Items > maxItems {
+				return fmt.Errorf("scenario: population.popularity.items must be in [0,%d], got %d", maxItems, pop.Items)
 			}
 			if len(pop.Weights) > 0 {
 				return fmt.Errorf("scenario: population.popularity kind zipf takes an exponent, not weights")

@@ -35,6 +35,7 @@ func TestPopulationValidateRejects(t *testing.T) {
 		{"negative-weight", `{"name":"x","substrate":"gossip","population":{"popularity":{"kind":"weights","weights":[-1,2]}}}`},
 		{"unknown-popularity-kind", `{"name":"x","substrate":"gossip","population":{"popularity":{"kind":"lognormal"}}}`},
 		{"negative-items", `{"name":"x","substrate":"swarm","population":{"popularity":{"kind":"zipf","exponent":1.1,"items":-3}}}`},
+		{"huge-items", `{"name":"x","substrate":"gossip","population":{"popularity":{"kind":"zipf","exponent":1.1,"items":65537}}}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -283,31 +283,36 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: params.%s must be finite, got %g", k, v)
 		}
 	}
-	if err := s.validateParams(); err != nil {
-		return err
-	}
-	if s.Sweep.Axis != "" {
+	if s.Sweep.Axis == "" {
+		if err := s.validateParams(); err != nil {
+			return err
+		}
+	} else {
 		if s.Sweep.Points < 0 {
 			return fmt.Errorf("scenario: sweep points must be non-negative, got %d", s.Sweep.Points)
 		}
-		// Every sweep runs both endpoints, so a value refused at either
-		// fails here rather than after the first points have run. A swept
-		// params key, node count or adversary fraction moves monotonically
-		// between them, and every params check but one is monotone in each,
-		// so checks that pass at both ends pass at every point. The one is
-		// the token grid's square node count, so a nodes sweep of a grid is
-		// checked at every point it visits.
+		// A sweep runs its points, never the spec's own value of the swept
+		// key, and every sweep runs both endpoints, so each endpoint is
+		// checked as a spec of its own, and a value refused there fails
+		// here rather than after the first points have run. Each rule
+		// accepts an interval of every swept key (Warmup < Rounds,
+		// CopiesSeeded ≤ Nodes, Nodes ≥ 2, RecentWindow ≤ Lifetime,
+		// SpecialProviders ≤ Agents, a fraction in [0,1]) but one, so a
+		// spec that passes at both ends passes at every point between
+		// them. The one is the token grid's square node count, so a nodes
+		// sweep of a grid is checked at every point it visits.
 		xs := []float64{s.Sweep.From, s.Sweep.To}
 		if s.Sweep.Axis == "nodes" && s.Substrate == "token" && s.param("graph", 0) == 2 {
 			_, points := resolveCounts(s, RunOptions{})
 			xs = Range(s.Sweep.From, s.Sweep.To, points)
 		}
-		c := s.Clone()
 		for _, x := range xs {
-			if err := c.applyAxis(x); err != nil {
+			pt := s.Clone()
+			if err := pt.applyAxis(x); err != nil {
 				return err
 			}
-			if err := c.validateParams(); err != nil {
+			pt.Sweep = SweepSpec{}
+			if err := pt.Validate(); err != nil {
 				return fmt.Errorf("%w (at %s=%g)", err, s.Sweep.Axis, x)
 			}
 		}

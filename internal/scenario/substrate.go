@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 
@@ -18,9 +19,10 @@ import (
 	"lotuseater/internal/tokenmodel"
 )
 
-// substrate binds a simulator into the scenario engine: build one replicate
-// as a sim.Model with the adversary and defense installed, and extract
-// named metrics from its snapshot.
+// substrate binds a simulator into the scenario engine: check a spec
+// against the simulator's own rules, build one replicate as a sim.Model with
+// the adversary and defense installed, and extract named metrics from its
+// snapshot.
 type substrate struct {
 	defaultMetric string
 	metrics       map[string]func(snap any) (float64, error)
@@ -28,7 +30,11 @@ type substrate struct {
 	// are on the menu only when the spec sets that window (it also turns
 	// on the per-node tracking they read).
 	windowed map[string]func(snap any, window int) (float64, error)
-	build    func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error)
+	// check runs the simulator's own Config.Validate on the configuration
+	// the substrate's config step derives from the spec; build derives the
+	// same configuration and adds what a replicate draws.
+	check func(s *Spec) error
+	build func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error)
 }
 
 // lookup returns the named metric as the spec would compute it.
@@ -108,34 +114,17 @@ var substrates = map[string]*substrate{
 			"mean-outage-epochs": outageMetric(func(o outageStats) float64 { return ratio(o.badWindows, o.nodes) }),
 			"epochs":             outageMetric(func(o outageStats) float64 { return float64(o.epochs) }),
 		},
+		check: func(s *Spec) error {
+			cfg, _, err := gossipConfig(s)
+			if err != nil {
+				return err
+			}
+			return s.runs(cfg, cfg.Nodes, cfg.Rounds)
+		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
-			cfg := gossip.DefaultConfig()
-			if s.Nodes > 0 {
-				cfg.Nodes = s.Nodes
-			}
-			if s.Rounds > 0 {
-				cfg.Rounds = s.Rounds
-			}
-			cfg.PushSize = int(s.param("push", float64(cfg.PushSize)))
-			cfg.BalanceSlack = int(s.param("slack", float64(cfg.BalanceSlack)))
-			cfg.UpdatesPerRound = int(s.param("updates", float64(cfg.UpdatesPerRound)))
-			cfg.Lifetime = int(s.param("lifetime", float64(cfg.Lifetime)))
-			cfg.CopiesSeeded = int(s.param("copies", float64(cfg.CopiesSeeded)))
-			cfg.Warmup = int(s.param("warmup", float64(cfg.Warmup)))
-			cfg.Altruism = s.param("altruism", cfg.Altruism)
-			cfg.ObedientFraction = s.param("obedient", cfg.ObedientFraction)
-			cfg.ReportThreshold = int(s.param("report", float64(cfg.ReportThreshold)))
-			cfg.EvictAfterReports = int(s.param("evict", float64(cfg.EvictAfterReports)))
-			cfg.TrackPerNode = s.param("epoch", 0) > 0
-			if def != nil {
-				// The defense is only consulted for obedient receivers;
-				// default to a fully obedient population unless overridden.
-				if _, ok := s.Params["obedient"]; !ok {
-					cfg.ObedientFraction = 1
-				}
-			}
-			if cl := s.classScalar(); cl != nil && cl.Altruism != nil {
-				cfg.Altruism = *cl.Altruism
+			cfg, weights, err := gossipConfig(s)
+			if err != nil {
+				return nil, err
 			}
 			opts := []gossip.Option{gossip.WithAdversary(adv)}
 			if def != nil {
@@ -147,10 +136,6 @@ var substrates = map[string]*substrate{
 			}
 			if events := s.churnEvents(cfg.Nodes, cfg.Rounds, rng); len(events) > 0 {
 				opts = append(opts, gossip.WithChurn(events))
-			}
-			weights, err := s.popularityWeights(0)
-			if err != nil {
-				return nil, err
 			}
 			if weights != nil {
 				opts = append(opts, gossip.WithUpdateWeights(weights))
@@ -169,31 +154,26 @@ var substrates = map[string]*substrate{
 			"rare-coverage":     metricOf(func(r tokenmodel.Result) float64 { return r.TokenCoverage[0] }),
 			"attacker-satiated": metricOf(func(r tokenmodel.Result) float64 { return float64(r.SatiatedByAttacker) }),
 		},
+		check: func(s *Spec) error {
+			cfg, err := tokenConfig(s)
+			if err != nil {
+				return err
+			}
+			cfg.Graph = graph.New(0) // drawn per replicate
+			return s.runs(cfg, s.population(), cfg.Rounds)
+		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
+			cfg, err := tokenConfig(s)
+			if err != nil {
+				return nil, err
+			}
 			n := s.population()
-			rounds := s.Rounds
-			if rounds <= 0 {
-				rounds = 80
-			}
-			tokens := int(s.param("tokens", 32))
-			cfg := tokenmodel.Config{
-				Graph:      s.tokenGraph(n, rng),
-				Tokens:     tokens,
-				Contacts:   int(s.param("contacts", 2)),
-				Altruism:   s.param("altruism", 0),
-				Rounds:     rounds,
-				Allocation: s.rareAllocation(n, tokens, rng),
-			}
-			if cl := s.classScalar(); cl != nil {
-				if cl.Altruism != nil {
-					cfg.Altruism = *cl.Altruism
-				}
-				cfg.Contacts = scaleInt(cfg.Contacts, cl.Capacity)
-			}
+			cfg.Graph = s.tokenGraph(n, rng)
+			cfg.Allocation = s.rareAllocation(n, cfg.Tokens, rng)
 			assign := s.classAssignment(n, rng)
 			cfg.NodeAltruism = s.altruismByClass(assign, cfg.Altruism)
 			cfg.NodeContacts = s.intsByClass(assign, cfg.Contacts, capacityOf)
-			cfg.Churn = s.churnEvents(n, rounds, rng)
+			cfg.Churn = s.churnEvents(n, cfg.Rounds, rng)
 			opts := []tokenmodel.Option{
 				tokenmodel.WithAdversary(adv),
 				tokenmodel.WithWorkspace(ws),
@@ -214,28 +194,17 @@ var substrates = map[string]*substrate{
 			"mean-utility":            metricOf(func(r scrip.Result) float64 { return r.MeanUtility }),
 			"special-availability":    metricOf(func(r scrip.Result) float64 { return r.SpecialAvailability }),
 		},
+		check: func(s *Spec) error {
+			cfg, err := scripConfig(s)
+			if err != nil {
+				return err
+			}
+			return s.runs(cfg, cfg.Agents, cfg.Rounds)
+		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
-			cfg := scrip.DefaultConfig()
-			if s.Nodes > 0 {
-				cfg.Agents = s.Nodes
-			}
-			if s.Rounds > 0 {
-				cfg.Rounds = s.Rounds
-			}
-			cfg.Threshold = int(s.param("threshold", float64(cfg.Threshold)))
-			cfg.MoneyPerCapita = int(s.param("money", float64(cfg.MoneyPerCapita)))
-			cfg.Cost = s.param("cost", cfg.Cost)
-			cfg.AltruistFraction = s.param("altruists", cfg.AltruistFraction)
-			cfg.SpecialProviders = int(s.param("special", 0))
-			cfg.SpecialRequestFraction = s.param("specialReq", 0)
-			cfg.AltruistProviders = int(s.param("altruistProviders", 0))
-			cfg.AttackBudget = int(s.param("budget", 0))
-			if cl := s.classScalar(); cl != nil {
-				if cl.Altruism != nil {
-					cfg.AltruistFraction = *cl.Altruism
-				}
-				cfg.MoneyPerCapita = scaleInt(cfg.MoneyPerCapita, cl.Capacity)
-				cfg.Threshold = scaleInt(cfg.Threshold, cl.Patience)
+			cfg, err := scripConfig(s)
+			if err != nil {
+				return nil, err
 			}
 			assign := s.classAssignment(cfg.Agents, rng)
 			cfg.NodeAltruist = s.altruismByClass(assign, cfg.AltruistFraction)
@@ -262,31 +231,24 @@ var substrates = map[string]*substrate{
 			"lost-pieces":       metricOf(func(r swarm.Result) float64 { return float64(r.LostPieces) }),
 			"attacker-uploaded": metricOf(func(r swarm.Result) float64 { return float64(r.AttackerUploaded) }),
 		},
+		check: func(s *Spec) error {
+			cfg, _, err := swarmConfig(s)
+			if err != nil {
+				return err
+			}
+			return s.runs(cfg, cfg.Leechers, cfg.Ticks)
+		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
-			cfg := swarm.DefaultConfig()
-			if s.Nodes > 0 {
-				cfg.Leechers = s.Nodes
+			cfg, weights, err := swarmConfig(s)
+			if err != nil {
+				return nil, err
 			}
-			if s.Rounds > 0 {
-				cfg.Ticks = s.Rounds
-			}
-			cfg.Pieces = int(s.param("pieces", float64(cfg.Pieces)))
-			cfg.UploadSlots = int(s.param("slots", float64(cfg.UploadSlots)))
-			cfg.PeerSetSize = int(s.param("peerset", float64(cfg.PeerSetSize)))
-			cfg.AttackerUplink = int(s.param("uplink", float64(cfg.AttackerUplink)))
-			cfg.SeedDepartTick = int(s.param("seedDepart", float64(cfg.SeedDepartTick)))
-			cfg.SeedAfterComplete = s.param("seedAfter", 1) != 0
-			cfg.Selection = swarm.Selection(s.param("selection", float64(cfg.Selection)))
 			opts := []swarm.Option{swarm.WithAdversary(adv)}
 			if def != nil {
 				opts = append(opts, swarm.WithDefense(def))
 			}
 			if events := s.churnEvents(cfg.Leechers, cfg.Ticks, rng); len(events) > 0 {
 				opts = append(opts, swarm.WithChurn(events))
-			}
-			weights, err := s.popularityWeights(cfg.Pieces)
-			if err != nil {
-				return nil, err
 			}
 			if weights != nil {
 				opts = append(opts, swarm.WithPieceWeights(weights))
@@ -300,34 +262,25 @@ var substrates = map[string]*substrate{
 			"mean-progress": metricOf(func(r coding.DisseminationResult) float64 { return r.MeanProgress }),
 			"completed":     metricOf(func(r coding.DisseminationResult) float64 { return r.CompletedFraction }),
 		},
+		check: func(s *Spec) error {
+			cfg, err := codingConfig(s)
+			if err != nil {
+				return err
+			}
+			cfg.Graph = graph.New(0) // drawn per replicate
+			return s.runs(cfg, s.population(), cfg.Rounds)
+		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
-			n := s.population()
-			rounds := s.Rounds
-			if rounds <= 0 {
-				rounds = 50
-			}
-			deg := int(s.param("degree", 4))
-			symbols := int(s.param("symbols", 24))
-			cfg := coding.DisseminationConfig{
-				Graph:       graph.RandomRegularish(n, deg, rng.Child("graph")),
-				Symbols:     symbols,
-				PayloadSize: int(s.param("payload", 32)),
-				Contacts:    int(s.param("contacts", 2)),
-				Rounds:      rounds,
-				Coded:       s.param("coded", 0) != 0,
-				Allocation:  s.rareAllocation(n, symbols, rng),
-			}
-			if cl := s.classScalar(); cl != nil {
-				cfg.Contacts = scaleInt(cfg.Contacts, cl.Capacity)
-			}
-			assign := s.classAssignment(n, rng)
-			cfg.NodeContacts = s.intsByClass(assign, cfg.Contacts, capacityOf)
-			cfg.Churn = s.churnEvents(n, rounds, rng)
-			weights, err := s.popularityWeights(cfg.Symbols)
+			cfg, err := codingConfig(s)
 			if err != nil {
 				return nil, err
 			}
-			cfg.SymbolWeights = weights
+			n := s.population()
+			cfg.Graph = graph.RandomRegularish(n, int(s.param("degree", 4)), rng.Child("graph"))
+			cfg.Allocation = s.rareAllocation(n, cfg.Symbols, rng)
+			assign := s.classAssignment(n, rng)
+			cfg.NodeContacts = s.intsByClass(assign, cfg.Contacts, capacityOf)
+			cfg.Churn = s.churnEvents(n, cfg.Rounds, rng)
 			opts := []coding.DisseminationOption{coding.WithAdversary(adv)}
 			if def != nil {
 				opts = append(opts, coding.WithDefense(def))
@@ -335,6 +288,171 @@ var substrates = map[string]*substrate{
 			return coding.NewDissemination(cfg, rng.Uint64(), opts...)
 		},
 	},
+}
+
+// runs asks the simulator's own Validate whether it runs cfg, the
+// configuration the spec derives for nodes nodes over rounds rounds. The
+// simulator's error names its Config fields, so a refusal also names the
+// spec values they came from: the node count, the horizon and each params
+// key the spec sets.
+func (s *Spec) runs(cfg interface{ Validate() error }, nodes, rounds int) error {
+	err := cfg.Validate()
+	if err == nil {
+		return nil
+	}
+	from := fmt.Sprintf("nodes=%d rounds=%d", nodes, rounds)
+	for _, k := range sortedKeys(s.Params) {
+		from += fmt.Sprintf(" params.%s=%g", k, s.Params[k])
+	}
+	return fmt.Errorf("scenario: %s cannot run %s: %w", s.Substrate, from, err)
+}
+
+// The config steps below derive, without a draw, what a replicate's build
+// derives from the spec: every scalar of the simulator's Config and the
+// popularity weights. The build adds only what a replicate draws from its
+// stream. Each step also refuses what the spec-to-config mapping itself
+// cannot express, which no simulator can see.
+
+// gossipConfig derives gossip's Config and its update weights, which gossip
+// takes as an option.
+func gossipConfig(s *Spec) (gossip.Config, []float64, error) {
+	cfg := gossip.DefaultConfig()
+	if s.Nodes > 0 {
+		cfg.Nodes = s.Nodes
+	}
+	if s.Rounds > 0 {
+		cfg.Rounds = s.Rounds
+	}
+	cfg.PushSize = int(s.param("push", float64(cfg.PushSize)))
+	cfg.BalanceSlack = int(s.param("slack", float64(cfg.BalanceSlack)))
+	cfg.UpdatesPerRound = int(s.param("updates", float64(cfg.UpdatesPerRound)))
+	cfg.Lifetime = int(s.param("lifetime", float64(cfg.Lifetime)))
+	cfg.CopiesSeeded = int(s.param("copies", float64(cfg.CopiesSeeded)))
+	cfg.Warmup = int(s.param("warmup", float64(cfg.Warmup)))
+	cfg.Altruism = s.param("altruism", cfg.Altruism)
+	cfg.ObedientFraction = s.param("obedient", cfg.ObedientFraction)
+	cfg.ReportThreshold = int(s.param("report", float64(cfg.ReportThreshold)))
+	cfg.EvictAfterReports = int(s.param("evict", float64(cfg.EvictAfterReports)))
+	cfg.TrackPerNode = s.param("epoch", 0) > 0
+	if s.Defense.enabled() {
+		// The defense is only consulted for obedient receivers;
+		// default to a fully obedient population unless overridden.
+		if _, ok := s.Params["obedient"]; !ok {
+			cfg.ObedientFraction = 1
+		}
+	}
+	if cl := s.classScalar(); cl != nil && cl.Altruism != nil {
+		cfg.Altruism = *cl.Altruism
+	}
+	if live := cfg.Lifetime * cfg.UpdatesPerRound; live > maxItems {
+		return cfg, nil, fmt.Errorf("scenario: params.lifetime × params.updates = %d live updates exceeds %d", live, maxItems)
+	}
+	weights, err := s.popularityWeights(0)
+	return cfg, weights, err
+}
+
+// tokenConfig derives the token model's Config but its graph, its rare
+// allocation and the class traits, which a replicate draws.
+func tokenConfig(s *Spec) (tokenmodel.Config, error) {
+	cfg := tokenmodel.Config{
+		Tokens:   int(s.param("tokens", 32)),
+		Contacts: int(s.param("contacts", 2)),
+		Altruism: s.param("altruism", 0),
+		Rounds:   s.Rounds,
+	}
+	if cfg.Rounds <= 0 {
+		cfg.Rounds = 80
+	}
+	if cl := s.classScalar(); cl != nil {
+		if cl.Altruism != nil {
+			cfg.Altruism = *cl.Altruism
+		}
+		cfg.Contacts = scaleInt(cfg.Contacts, cl.Capacity)
+	}
+	n := s.population()
+	if s.param("graph", 0) == 2 {
+		if side := int(math.Sqrt(float64(n))); side*side != n {
+			return cfg, fmt.Errorf("scenario: params.graph=2 (grid) needs a square node count, got %d", n)
+		}
+	}
+	return cfg, s.checkRare(n, cfg.Tokens)
+}
+
+// scripConfig derives scrip's Config but the class traits, which a
+// replicate draws.
+func scripConfig(s *Spec) (scrip.Config, error) {
+	cfg := scrip.DefaultConfig()
+	if s.Nodes > 0 {
+		cfg.Agents = s.Nodes
+	}
+	if s.Rounds > 0 {
+		cfg.Rounds = s.Rounds
+	}
+	cfg.Threshold = int(s.param("threshold", float64(cfg.Threshold)))
+	cfg.MoneyPerCapita = int(s.param("money", float64(cfg.MoneyPerCapita)))
+	cfg.Cost = s.param("cost", cfg.Cost)
+	cfg.AltruistFraction = s.param("altruists", cfg.AltruistFraction)
+	cfg.SpecialProviders = int(s.param("special", 0))
+	cfg.SpecialRequestFraction = s.param("specialReq", 0)
+	cfg.AltruistProviders = int(s.param("altruistProviders", 0))
+	cfg.AttackBudget = int(s.param("budget", 0))
+	if cl := s.classScalar(); cl != nil {
+		if cl.Altruism != nil {
+			cfg.AltruistFraction = *cl.Altruism
+		}
+		cfg.MoneyPerCapita = scaleInt(cfg.MoneyPerCapita, cl.Capacity)
+		cfg.Threshold = scaleInt(cfg.Threshold, cl.Patience)
+	}
+	if kind := s.Adversary.Kind; kind != "" && kind != "none" && attack.Share(s.Adversary.Fraction, cfg.Agents) == cfg.Agents {
+		// The economy would have nobody to request service.
+		return cfg, fmt.Errorf("scenario: adversary.fraction=%g places all %d scrip agents, leaving no requester", s.Adversary.Fraction, cfg.Agents)
+	}
+	return cfg, nil
+}
+
+// swarmConfig derives the swarm's Config and its piece weights, which the
+// swarm takes as an option.
+func swarmConfig(s *Spec) (swarm.Config, []float64, error) {
+	cfg := swarm.DefaultConfig()
+	if s.Nodes > 0 {
+		cfg.Leechers = s.Nodes
+	}
+	if s.Rounds > 0 {
+		cfg.Ticks = s.Rounds
+	}
+	cfg.Pieces = int(s.param("pieces", float64(cfg.Pieces)))
+	cfg.UploadSlots = int(s.param("slots", float64(cfg.UploadSlots)))
+	cfg.PeerSetSize = int(s.param("peerset", float64(cfg.PeerSetSize)))
+	cfg.AttackerUplink = int(s.param("uplink", float64(cfg.AttackerUplink)))
+	cfg.SeedDepartTick = int(s.param("seedDepart", float64(cfg.SeedDepartTick)))
+	cfg.SeedAfterComplete = s.param("seedAfter", 1) != 0
+	cfg.Selection = swarm.Selection(s.param("selection", float64(cfg.Selection)))
+	weights, err := s.popularityWeights(cfg.Pieces)
+	return cfg, weights, err
+}
+
+// codingConfig derives the dissemination Config but its graph, its rare
+// allocation and the class traits, which a replicate draws.
+func codingConfig(s *Spec) (coding.DisseminationConfig, error) {
+	cfg := coding.DisseminationConfig{
+		Symbols:     int(s.param("symbols", 24)),
+		PayloadSize: int(s.param("payload", 32)),
+		Contacts:    int(s.param("contacts", 2)),
+		Rounds:      s.Rounds,
+		Coded:       s.param("coded", 0) != 0,
+	}
+	if cfg.Rounds <= 0 {
+		cfg.Rounds = 50
+	}
+	if cl := s.classScalar(); cl != nil {
+		cfg.Contacts = scaleInt(cfg.Contacts, cl.Capacity)
+	}
+	if err := s.checkRare(s.population(), cfg.Symbols); err != nil {
+		return cfg, err
+	}
+	var err error
+	cfg.SymbolWeights, err = s.popularityWeights(cfg.Symbols)
+	return cfg, err
 }
 
 // metricOf lifts a statistic of one substrate's result type to a metric

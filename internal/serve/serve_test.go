@@ -453,8 +453,8 @@ func TestServeBadRequests(t *testing.T) {
 // TestServeRejectsHostileParams: params values that once crashed the
 // process mid-replicate (a makeslice panic or the runtime running out of
 // memory, after the POST had answered 202) are refused with 400 at submit,
-// as is a sweep whose far endpoint is such a value, and the server keeps
-// serving.
+// as are a sweep whose far endpoint is such a value and a spec whose
+// simulator refuses its configuration, and the server keeps serving.
 func TestServeRejectsHostileParams(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, probe := range []struct {
@@ -478,6 +478,19 @@ func TestServeRejectsHostileParams(t *testing.T) {
 		{"x/trade-scrip", "params.special", []string{"params.special=100", "sweep.axis=nodes", "sweep.from=120", "sweep.to=60"}},
 		{"x/trade-scrip", "adversary.fraction", []string{"sweep.axis=", "adversary.fraction=1"}},
 		{"x/crash-scrip", "adversary.fraction", []string{"sweep.axis=adversary.fraction", "sweep.from=0", "sweep.to=1"}},
+		// Each value is in range, but the simulator refuses the
+		// configuration they make together, so every replicate would fail.
+		{"gossip-trade", "rounds", []string{"rounds=10"}},
+		{"gossip-trade", "nodes", []string{"nodes=5"}},
+		{"gossip-trade", "nodes", []string{"nodes=1"}},
+		{"gossip-trade", "params.copies", []string{"params.copies=1000"}},
+		{"gossip-trade", "params.warmup", []string{"params.warmup=60"}},
+		{"x/none-swarm", "nodes", []string{"nodes=1", "sweep.axis="}},
+		{"x/none-scrip", "nodes", []string{"nodes=1", "sweep.axis="}},
+		{"coding-zipf", "params.coded", []string{"params.coded=1"}},
+		{"gossip-trade", "rounds", []string{"rounds=20"}},
+		// A sweep whose far endpoint a spec-level range refuses.
+		{"x/none-gossip", "adversary.fraction", []string{"sweep.axis=adversary.fraction", "sweep.from=0", "sweep.to=1.5"}},
 	} {
 		sets, err := json.Marshal(probe.sets)
 		if err != nil {
@@ -488,6 +501,14 @@ func TestServeRejectsHostileParams(t *testing.T) {
 		if code != http.StatusBadRequest || !strings.Contains(string(data), probe.key) {
 			t.Errorf("%s %v: status %d, want 400 naming %s: %s", probe.scenario, probe.sets, code, probe.key, data)
 		}
+	}
+	// Popularity weights have no -set key: 3 weights for the swarm's 128
+	// pieces, in a spec body.
+	weights := `{"spec": {"name": "weights", "substrate": "swarm", "adversary": {"kind": "none"},
+		"population": {"popularity": {"kind": "weights", "weights": [1, 2, 3]}}}, "replicates": 1}`
+	if code, data := postJSON(t, ts.URL+"/experiments", weights); code != http.StatusBadRequest ||
+		!strings.Contains(string(data), "population.popularity.weights") {
+		t.Errorf("swarm weights: status %d, want 400 naming population.popularity.weights: %s", code, data)
 	}
 	resp := submit(t, ts.URL, `{"scenario": "x/none-token", "seed": 3,
 		"set": ["replicates=1", "rounds=6", "nodes=16", "sweep.points=2"]}`)
