@@ -117,11 +117,9 @@ func (t *StaticTargeter) Satiated(int) *TargetSet { return t.targets }
 // keeping attacker nodes in it. Section 2 observes that rotating targets can
 // make the service intermittently unusable for every node.
 //
-// Re-draws are diff-tracked: each epoch's set carries Added/Removed journals
-// against the previous epoch, and the honest-candidate scratch is reused
-// across epochs, so an epoch costs O(n) time (the uniform redraw itself) but
-// only O(|satiated| + n/64) fresh allocation — and rounds within an epoch
-// cost nothing at all.
+// The honest-candidate scratch is reused across epochs, so an epoch costs
+// O(n) time (the uniform redraw itself) but only O(|satiated| + n/64) fresh
+// allocation — and rounds within an epoch cost nothing at all.
 type RotatingTargeter struct {
 	n         int
 	attackers []int
@@ -160,9 +158,7 @@ func (t *RotatingTargeter) Satiated(round int) *TargetSet {
 	epoch := round / t.period
 	if epoch != t.epoch || t.targets == nil {
 		t.epoch = epoch
-		next := selectTargets(t.n, t.attackers, t.fraction, t.rng.ChildN("epoch", epoch), &t.scratch)
-		next.diffFrom(t.targets)
-		t.targets = next
+		t.targets = selectTargets(t.n, t.attackers, t.fraction, t.rng.ChildN("epoch", epoch), &t.scratch)
 	}
 	return t.targets
 }

@@ -31,26 +31,17 @@ func TestTargetSetWithout(t *testing.T) {
 	if got == base {
 		t.Fatal("Without with removals returned the same set")
 	}
-	if got.Epoch() != base.Epoch()+1 {
-		t.Fatalf("epoch = %d, want %d", got.Epoch(), base.Epoch()+1)
-	}
 	if got.Has(3) || got.Has(7) || !got.Has(1) || !got.Has(5) {
 		t.Fatalf("membership wrong after Without: members=%v", got.Members())
-	}
-	if want := []int{3, 7}; len(got.Removed()) != 2 || got.Removed()[0] != want[0] || got.Removed()[1] != want[1] {
-		t.Fatalf("Removed = %v, want %v", got.Removed(), want)
-	}
-	if len(got.Added()) != 0 {
-		t.Fatalf("Added = %v, want empty", got.Added())
 	}
 	// Base set is untouched (immutability).
 	if !base.Has(3) || base.Len() != 4 {
 		t.Fatal("Without mutated the receiver")
 	}
-	// No-op removals return the receiver itself: no spurious epoch change
-	// for pointer-keyed consumers.
+	// No-op removals return the receiver itself: no spurious new set for
+	// pointer-keyed consumers.
 	if same := got.Without(9, 3); same != got {
-		t.Fatal("Without with no effective removals allocated a new epoch")
+		t.Fatal("Without with no effective removals allocated a new set")
 	}
 }
 
@@ -77,22 +68,18 @@ func TestDepartureDoesNotLeakSatiation(t *testing.T) {
 	}
 }
 
-func TestDepartureJournalReportsRemoval(t *testing.T) {
+// TestDepartureStartsNewSet: a departure of a satiated node returns a new
+// set without it, which then stays the same pointer until the next event.
+func TestDepartureStartsNewSet(t *testing.T) {
 	s, victim := placeSatiating(t, Ideal, 0)
 	before := s.Targets(2)
 	s.NodeDeparted(3, victim)
 	after := s.Targets(3)
 	if after == before {
-		t.Fatal("departure did not produce a new target-set epoch")
+		t.Fatal("departure did not produce a new target set")
 	}
-	found := false
-	for _, v := range after.Removed() {
-		if v == victim {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("journal Removed %v does not contain departed node %d", after.Removed(), victim)
+	if after.Has(victim) {
+		t.Fatalf("departed node %d still targeted", victim)
 	}
 	// Stable afterwards: same pointer every round until the next event.
 	if s.Targets(4) != after || s.Targets(9) != after {

@@ -72,7 +72,7 @@ type Strategy struct {
 	targeter Targeter
 	ranker   Ranker
 	// idle is the empty set Targets returns outside a window: before
-	// Start, and from Stop on with a journal removing the last members.
+	// Start, and from Stop on.
 	idle *TargetSet
 
 	// Departure overlay (population churn). The targeters above assume a
@@ -152,23 +152,14 @@ func (s *Strategy) Place(n int, rng *simrng.Source) []int {
 // Targets implements the per-round targeting hook. Place must have run.
 // The returned set is immutable and shared; the same pointer comes back for
 // every round of one targeting epoch. Outside the campaign window it is an
-// empty set over the same n, and the targeter is not consulted; the set
-// that opens the window journals every member as added, and the one that
-// closes it journals the last members as removed.
+// empty set over the same n, and the targeter is not consulted.
 func (s *Strategy) Targets(round int) *TargetSet {
 	if s.targeter == nil {
 		panic("attack: Strategy.Targets called before Place")
 	}
-	if s.Stop > 0 && round >= s.Stop {
-		if s.effective != nil {
-			s.idle, s.effective = s.effective.Without(s.effective.Members()...), nil
-		}
+	if round < s.Start || (s.Stop > 0 && round >= s.Stop) {
 		return s.idle
 	}
-	if round < s.Start {
-		return s.idle
-	}
-	opening := s.effective == nil && s.Start > 0
 	inner := s.targeter.Satiated(round)
 	if inner != s.innerSeen {
 		// New targeting epoch: the targeter re-evaluated its set from
@@ -183,9 +174,6 @@ func (s *Strategy) Targets(round int) *TargetSet {
 	if len(s.pendingDepartures) > 0 {
 		s.effective = s.effective.Without(s.pendingDepartures...)
 		s.pendingDepartures = s.pendingDepartures[:0]
-	}
-	if opening {
-		s.effective = s.effective.asFirst()
 	}
 	return s.effective
 }
@@ -279,11 +267,8 @@ func (t *rankedTargeter) Satiated(round int) *TargetSet {
 	t.round = round
 	ranked := t.ranker.Rank(t.rank, t.k)
 	if t.set == nil || !slices.Equal(ranked, t.set.members) {
-		next := NewTargetSet(t.n, ranked)
-		next.members = slices.Clone(ranked)
-		next.added = next.members
-		next.diffFrom(t.set)
-		t.set = next
+		t.set = NewTargetSet(t.n, ranked)
+		t.set.members = slices.Clone(ranked)
 	}
 	return t.set
 }

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"slices"
 	"testing"
 
 	"lotuseater/internal/simrng"
@@ -91,7 +92,7 @@ func TestStrategyRotation(t *testing.T) {
 		t.Fatal("targets changed within one epoch")
 	}
 	later := s.Targets(10)
-	if len(later.Added()) == 0 && len(later.Removed()) == 0 {
+	if slices.Equal(later.Members(), early.Members()) {
 		t.Fatal("targets did not rotate across epochs")
 	}
 }

@@ -1,10 +1,6 @@
 package attack
 
-import (
-	"testing"
-
-	"lotuseater/internal/simrng"
-)
+import "testing"
 
 // TestTargetSetBasics: membership, iteration order, and capacity agree with
 // each other.
@@ -21,13 +17,6 @@ func TestTargetSetBasics(t *testing.T) {
 		if ts.Has(v) != want {
 			t.Fatalf("Has(%d) = %v, want %v", v, ts.Has(v), want)
 		}
-	}
-	// A fresh set's journal reports everything added.
-	if got := ts.Added(); len(got) != 3 {
-		t.Fatalf("first-epoch Added = %v", got)
-	}
-	if len(ts.Removed()) != 0 || ts.Epoch() != 0 {
-		t.Fatalf("first-epoch Removed/Epoch = %v/%d", ts.Removed(), ts.Epoch())
 	}
 }
 
@@ -56,33 +45,5 @@ func TestValidateTargetList(t *testing.T) {
 	s := &Strategy{Kind: Ideal, TargetList: []int{3, 3}}
 	if err := s.Validate(); err == nil {
 		t.Fatal("Strategy.Validate accepted a duplicate target list")
-	}
-}
-
-// TestRotatingJournalAcrossManyEpochs: applying each epoch's Added/Removed
-// journal to a running membership set must reproduce the epoch's Members —
-// the incremental-consumer contract (scrip's isTgt maintenance) in
-// miniature.
-func TestRotatingJournalAcrossManyEpochs(t *testing.T) {
-	tg := NewRotatingTargeter(200, []int{0, 1}, 0.35, 3, simrng.New(17))
-	have := map[int]bool{}
-	for round := 0; round < 40; round++ {
-		ts := tg.Satiated(round)
-		if round%3 == 0 || round == 0 {
-			for _, v := range ts.Removed() {
-				delete(have, v)
-			}
-			for _, v := range ts.Added() {
-				have[v] = true
-			}
-		}
-		if len(have) != ts.Len() {
-			t.Fatalf("round %d: journal-tracked size %d, set size %d", round, len(have), ts.Len())
-		}
-		for _, v := range ts.Members() {
-			if !have[v] {
-				t.Fatalf("round %d: member %d missing from journal-tracked set", round, v)
-			}
-		}
 	}
 }

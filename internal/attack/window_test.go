@@ -37,25 +37,23 @@ func TestWindowEmptyOutside(t *testing.T) {
 	}
 }
 
-// TestWindowJournals: the set that opens the window journals every member
-// as added, the one that closes it journals the last members as removed,
-// and the closed set is stable afterwards.
-func TestWindowJournals(t *testing.T) {
+// TestWindowOpensAndCloses: the window opens on a new, non-empty set and
+// closes on the idle empty set it started from, which is stable afterwards.
+func TestWindowOpensAndCloses(t *testing.T) {
 	const n = 100
 	s := &Strategy{Kind: Trade, Fraction: 0.1, SatiateFraction: 0.5, Start: 5, Stop: 10}
 	s.Place(n, simrng.New(4))
 	before := s.Targets(4)
 	opened := s.Targets(5)
-	if len(before.Added()) != 0 || len(before.Removed()) != 0 {
-		t.Fatalf("idle set journals +%v -%v", before.Added(), before.Removed())
+	if before.Len() != 0 || opened.Len() == 0 || opened == before {
+		t.Fatalf("idle set of %d members opens on %d members", before.Len(), opened.Len())
 	}
-	if !slices.Equal(opened.Added(), opened.Members()) || len(opened.Removed()) != 0 {
-		t.Fatalf("opening set journals +%v -%v over members %v", opened.Added(), opened.Removed(), opened.Members())
+	if s.Targets(9) != opened {
+		t.Fatal("set changed inside the window")
 	}
-	last := s.Targets(9)
 	closed := s.Targets(10)
-	if closed.Len() != 0 || len(closed.Added()) != 0 || !slices.Equal(closed.Removed(), last.Members()) {
-		t.Fatalf("closing set: %d members, journal +%v -%v, want -%v", closed.Len(), closed.Added(), closed.Removed(), last.Members())
+	if closed != before {
+		t.Fatalf("closing set has %d members, want the idle set", closed.Len())
 	}
 	if s.Targets(11) != closed || s.Targets(50) != closed {
 		t.Fatal("closed set not stable after the window")
@@ -63,7 +61,8 @@ func TestWindowJournals(t *testing.T) {
 }
 
 // TestWindowOpensMidEpoch: a rotating targeter whose window opens inside a
-// rotation epoch still journals every member of the opening set as added.
+// rotation epoch opens on that epoch's set, keeps it to the epoch's end and
+// redraws at the next.
 func TestWindowOpensMidEpoch(t *testing.T) {
 	s := &Strategy{Kind: Ideal, Fraction: 0.1, SatiateFraction: 0.5, RotatePeriod: 10, Start: 15}
 	s.Place(80, simrng.New(5))
@@ -71,8 +70,8 @@ func TestWindowOpensMidEpoch(t *testing.T) {
 		s.Targets(round)
 	}
 	opened := s.Targets(15)
-	if opened.Len() == 0 || !slices.Equal(opened.Added(), opened.Members()) || len(opened.Removed()) != 0 {
-		t.Fatalf("mid-epoch opening journals +%v -%v over members %v", opened.Added(), opened.Removed(), opened.Members())
+	if opened.Len() == 0 {
+		t.Fatal("mid-epoch opening set is empty")
 	}
 	if s.Targets(19) != opened {
 		t.Fatal("set changed within the epoch it opened in")
@@ -83,8 +82,7 @@ func TestWindowOpensMidEpoch(t *testing.T) {
 }
 
 // TestWindowDepartureBeforeStart: a node that departs before the window
-// opens stays excluded when it does, and the opening journal adds only the
-// members actually targeted.
+// opens stays excluded when it does, and every other member is targeted.
 func TestWindowDepartureBeforeStart(t *testing.T) {
 	ref, victim := placeSatiating(t, Ideal, 0)
 	if !ref.Targets(5).Has(victim) {
@@ -96,11 +94,11 @@ func TestWindowDepartureBeforeStart(t *testing.T) {
 	s.NodeDeparted(2, victim)
 	s.Targets(2)
 	opened := s.Targets(5)
-	if opened.Has(victim) || slices.Contains(opened.Added(), victim) {
+	if opened.Has(victim) {
 		t.Fatalf("node %d departed before Start but is targeted at the opening", victim)
 	}
-	if opened.Len() != ref.Targets(5).Len()-1 || !slices.Equal(opened.Added(), opened.Members()) || len(opened.Removed()) != 0 {
-		t.Fatalf("opening set: %d members, journal +%v -%v", opened.Len(), opened.Added(), opened.Removed())
+	if opened.Len() != ref.Targets(5).Len()-1 {
+		t.Fatalf("opening set: %d members, want %d", opened.Len(), ref.Targets(5).Len()-1)
 	}
 }
 
@@ -138,9 +136,8 @@ func TestWindowlessSetsUnchanged(t *testing.T) {
 		if want == seen && got != s.targeter.Satiated(round) {
 			t.Fatalf("round %d: not the targeter's own set", round)
 		}
-		if !slices.Equal(got.Members(), want.Members()) || !slices.Equal(got.Added(), want.Added()) ||
-			!slices.Equal(got.Removed(), want.Removed()) || got.Epoch() != want.Epoch() {
-			t.Fatalf("round %d: set or journal differs from the pre-window logic", round)
+		if !slices.Equal(got.Members(), want.Members()) {
+			t.Fatalf("round %d: set differs from the pre-window logic", round)
 		}
 		prevGot, prevWant = got, want
 	}
@@ -175,8 +172,8 @@ func (f *fakeRanker) Rank(r Rank, k int) []int {
 
 // TestRankedTargets: a ranked strategy with no attacker nodes targets the
 // model's best round(SatiateFraction·n) nodes in rank order, keeps one set
-// while the ranking holds, journals a change against the previous ranking,
-// and ignores departures (a ranking lists only live nodes).
+// while the ranking holds, and ignores departures (a ranking lists only live
+// nodes).
 func TestRankedTargets(t *testing.T) {
 	r := &fakeRanker{order: []int{7, 3, 9, 1, 5}}
 	s := &Strategy{Kind: Ideal, SatiateFraction: 0.3, Rank: RankRarest}
@@ -195,15 +192,14 @@ func TestRankedTargets(t *testing.T) {
 		t.Fatalf("ranked %d times over two rounds", r.calls)
 	}
 	r.order = []int{3, 7, 9}
-	if swapped := s.Targets(2); swapped == first || !slices.Equal(swapped.Members(), []int{3, 7, 9}) ||
-		len(swapped.Added()) != 0 || len(swapped.Removed()) != 0 {
+	if swapped := s.Targets(2); swapped == first || !slices.Equal(swapped.Members(), []int{3, 7, 9}) {
 		t.Fatal("a reordered ranking did not yield a new set in the new order")
 	}
 	r.order = []int{3, 2, 9}
 	s.NodeDeparted(3, 9)
 	moved := s.Targets(3)
-	if !slices.Equal(moved.Members(), []int{3, 2, 9}) || !slices.Equal(moved.Added(), []int{2}) || !slices.Equal(moved.Removed(), []int{7}) {
-		t.Fatalf("ranked set %v journals +%v -%v", moved.Members(), moved.Added(), moved.Removed())
+	if !slices.Equal(moved.Members(), []int{3, 2, 9}) {
+		t.Fatalf("ranked set %v, want [3 2 9]", moved.Members())
 	}
 	s.Reset()
 	if s.ranker != nil || s.idle != nil || s.effective != nil {

@@ -145,22 +145,6 @@ func (s *Set) ForEach(fn func(i int)) {
 	}
 }
 
-// DiffEach calls fn for every bit set in s but clear in other, in ascending
-// order. It panics if capacities differ.
-func (s *Set) DiffEach(other *Set, fn func(i int)) {
-	if other.n != s.n {
-		panic("bitset: capacity mismatch")
-	}
-	for wi, w := range s.words {
-		w &^= other.words[wi]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi*64 + b)
-			w &= w - 1
-		}
-	}
-}
-
 // Missing returns the clear bits in ascending order.
 func (s *Set) Missing() []int {
 	return s.AppendMissing(make([]int, 0, s.n-s.count))

@@ -39,17 +39,8 @@ func oracleCases() []goldenCase {
 // TestRoundMatchesOracle steps the candidate-set round beside the old
 // scanning round, over every oracle case at its own seed and at four more,
 // and requires the same balances, pool and Result after every round.
-//
-// The old round took its target flags from the strategy's change journal,
-// which is relative to the targeter's previous set: it misses a redraw's
-// changes when a departure is folded in, and every member when a departure
-// precedes the first round's targeting. Once the old flags have disagreed
-// with the new ones (which TestTargetFlagsFollowMembers checks against the
-// set's members), the two runs may differ in NonTargetAvailability, which
-// counts requests by flag, and nowhere else.
 func TestRoundMatchesOracle(t *testing.T) {
 	seeds := simrng.New(2024)
-	misflagged := 0
 	for _, c := range oracleCases() {
 		for rep := 0; rep < 5; rep++ {
 			seed := c.seed
@@ -67,7 +58,6 @@ func TestRoundMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			flagsDiffer := false
 			for r := 0; r < c.cfg.Rounds; r++ {
 				if err := got.Step(); err != nil {
 					t.Fatalf("%s seed %d round %d: %v", c.name, seed, r, err)
@@ -75,14 +65,7 @@ func TestRoundMatchesOracle(t *testing.T) {
 				if err := want.Step(); err != nil {
 					t.Fatalf("%s seed %d round %d: oracle: %v", c.name, seed, r, err)
 				}
-				if !flagsDiffer && !slices.Equal(got.isTgt, want.isTgt) {
-					flagsDiffer = true
-					misflagged++
-				}
 				g, w := got.finish(), want.finish()
-				if flagsDiffer {
-					g.NonTargetAvailability, w.NonTargetAvailability = 0, 0
-				}
 				if got.pool != want.pool || !slices.Equal(got.balance, want.balance) || g != w {
 					t.Fatalf("%s seed %d round %d: diverged from the oracle\n got pool %d %+v\nwant pool %d %+v",
 						c.name, seed, r, got.pool, g, want.pool, w)
@@ -90,7 +73,6 @@ func TestRoundMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d runs saw the old journal-derived target flags go wrong", misflagged)
 }
 
 // TestTargetFlagsFollowMembers: after every round, an agent is flagged as a
@@ -126,9 +108,10 @@ func TestTargetFlagsFollowMembers(t *testing.T) {
 
 // oracleSim is the scrip economy as it stood before its round kept
 // candidate sets: Step scans every agent for volunteers and adversaryStep
-// walks every target. The code is that version verbatim, renamed
-// and with the options replaced by arguments; TestRoundMatchesOracle steps
-// it beside Sim.
+// walks every target. The code is that version verbatim, renamed, with
+// the options replaced by arguments, and with the target flags taken from
+// the set's members as Sim takes them; TestRoundMatchesOracle steps it
+// beside Sim.
 type oracleSim struct {
 	cfg     Config
 	rng     *simrng.Source
@@ -158,7 +141,7 @@ type oracleSim struct {
 	advInstant bool
 	advRounds  int
 	// lastTargets is the target set whose membership is currently reflected
-	// in isTgt; adversaryStep applies the journal of a new epoch's set.
+	// in isTgt; adversaryStep moves the flags to a new epoch's members.
 	lastTargets *attack.TargetSet
 
 	round             int
@@ -371,18 +354,17 @@ func (s *oracleSim) Step() error {
 
 func (s *oracleSim) adversaryStep() {
 	targets := s.adv.Targets(s.round)
-	// Maintain the per-agent target flags incrementally from the set's
-	// change journal: O(|changed|) on an epoch flip, O(1) on the (vastly
-	// more common) rounds where the set pointer is unchanged. The journal
-	// includes the first epoch (everything "added"), so this also covers
-	// round 0.
+	// The per-agent target flags follow the set's members, as Sim's do,
+	// and change only on the rounds where the set pointer does.
 	if targets != s.lastTargets {
-		for _, t := range targets.Removed() {
-			if t < s.cfg.Agents {
-				s.isTgt[t] = false
+		if s.lastTargets != nil {
+			for _, t := range s.lastTargets.Members() {
+				if t < s.cfg.Agents {
+					s.isTgt[t] = false
+				}
 			}
 		}
-		for _, t := range targets.Added() {
+		for _, t := range targets.Members() {
 			if t < s.cfg.Agents && s.kinds[t] != AttackerAgent {
 				s.isTgt[t] = true
 			}

@@ -555,10 +555,7 @@ func (s *Sim) adversaryStep() {
 	targets := s.adv.Targets(s.round)
 	// The per-agent target flags change only when the set pointer does: at
 	// an epoch flip, O(|old set| + |new set|), and not at all on the (vastly
-	// more common) rounds in between. They follow membership, not the
-	// set's change journal: a strategy journals a redraw against its
-	// targeter's previous set, which after a departure is not the set this
-	// economy last saw.
+	// more common) rounds in between.
 	if targets != s.lastTargets {
 		if s.lastTargets != nil {
 			for _, t := range s.lastTargets.Members() {

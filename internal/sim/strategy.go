@@ -28,10 +28,9 @@ type Adversary interface {
 	// a model passes its root stream and stays deterministic in its seed.
 	Place(n int, rng *simrng.Source) []int
 	// Targets returns the satiation targets for the round as a sparse,
-	// immutable set: O(1) membership, O(|set|) iteration, and a change
-	// journal against the previous targeting epoch. The same pointer comes
-	// back for every round of one epoch, so callers may hold it across
-	// rounds and key incremental per-node state on pointer (or Epoch)
+	// immutable set: O(1) membership and O(|set|) iteration. The same
+	// pointer comes back for every round of one epoch, so callers may hold
+	// it across rounds and key incremental per-node state on pointer
 	// change.
 	Targets(round int) *attack.TargetSet
 	// OnExchange reports whether attacker-controlled node `attacker` serves
