@@ -135,72 +135,51 @@ func Run(spec *Spec, seed uint64, opts RunOptions) (*metrics.Artifact, error) {
 
 	b := sub(spec.Substrate)
 	pl, adaptiveRun := ep.Plan, ep.Adaptive
+	if !adaptiveRun {
+		// A fixed point is a plan that never stops early, run as one wave.
+		pl = adaptive.Plan{MinReps: replicates, MaxReps: replicates}
+	}
 
 	results := make([]PointResult, 0, points)
 	runner := sim.Runner{Workers: opts.Workers}
 	done := 0                       // replicates folded across finished points
-	estimate := points * replicates // fixed total, or the shrinking adaptive cap
-	if adaptiveRun {
-		estimate = points * pl.MaxReps
-	}
+	estimate := points * pl.MaxReps // fixed total, or the shrinking adaptive cap
 	for pi, x := range xs {
 		pt, err := spec.PointSpec(x)
 		if err != nil {
 			return nil, err
 		}
 		st := metrics.NewStream()
-		build := buildFor(pt, b)
-		if adaptiveRun {
-			pr := runner
-			if opts.Progress != nil {
-				base, est := done, estimate
-				pr.Progress = func(d, _ int) { opts.Progress(base+d, est) }
-			}
-			var obs adaptive.Observer
-			if opts.PointProgress != nil {
-				obs = func(reps int, hw float64, met bool) { opts.PointProgress(pi, reps, hw, met) }
-			}
-			res, err := adaptive.Fold(pr, seed, pl, build,
-				func(rep int, snap any) (float64, error) {
-					y, err := b.metric(pt, snap)
-					if err != nil {
-						return 0, err
-					}
-					st.Add(y)
-					return y, nil
-				}, obs)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: point %s=%g: %w", spec.Name, xLabel, x, err)
-			}
-			done += res.Reps
-			estimate -= pl.MaxReps - res.Reps
-			if opts.Progress != nil {
-				// One settling call per point: the estimate just shed this
-				// point's unused budget, so totals stay monotone
-				// non-increasing and end equal to done.
-				opts.Progress(done, estimate)
-			}
-			results = append(results, PointResult{X: x, Stream: st, Reps: res.Reps, HalfWidth: res.HalfWidth})
-		} else {
-			r := runner
-			if opts.Progress != nil {
-				base, total := pi*replicates, estimate
-				r.Progress = func(d, _ int) { opts.Progress(base+d, total) }
-			}
-			err := r.Fold(seed, replicates, build,
-				func(rep int, snap any) error {
-					y, err := b.metric(pt, snap)
-					if err != nil {
-						return err
-					}
-					st.Add(y)
-					return nil
-				})
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: point %s=%g: %w", spec.Name, xLabel, x, err)
-			}
-			results = append(results, PointResult{X: x, Stream: st})
+		pr := runner
+		if opts.Progress != nil {
+			base, est := done, estimate
+			pr.Progress = func(d, _ int) { opts.Progress(base+d, est) }
 		}
+		var obs adaptive.Observer
+		if adaptiveRun && opts.PointProgress != nil {
+			obs = func(reps int, hw float64, met bool) { opts.PointProgress(pi, reps, hw, met) }
+		}
+		res, err := adaptive.Fold(pr, seed, pl, buildFor(pt, b),
+			func(rep int, snap any) (float64, error) {
+				y, err := b.metric(pt, snap)
+				if err != nil {
+					return 0, err
+				}
+				st.Add(y)
+				return y, nil
+			}, obs)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s: point %s=%g: %w", spec.Name, xLabel, x, err)
+		}
+		done += res.Reps
+		estimate -= pl.MaxReps - res.Reps
+		if adaptiveRun && opts.Progress != nil {
+			// One settling call per point: the estimate just shed this
+			// point's unused budget, so totals stay monotone
+			// non-increasing and end equal to done.
+			opts.Progress(done, estimate)
+		}
+		results = append(results, PointResult{X: x, Stream: st, Reps: res.Reps, HalfWidth: res.HalfWidth})
 	}
 	return Assemble(spec, opts, results)
 }
