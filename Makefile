@@ -6,7 +6,7 @@
 #   make bench      # scenario benchmarks -> BENCH_scenarios.json
 #   make bench-go   # go test figure micro-benchmarks (BenchmarkFigure)
 #   make figures    # regenerate every table/figure at quick fidelity
-#   make race       # race-check the concurrency kernel + strategy layer
+#   make race       # race-check the whole module
 #   make loc        # non-test Go lines in the module (go list-scoped)
 #   make examples   # run every example program (the facade's callers), diff its output
 
@@ -41,10 +41,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 race:
-	$(GO) test -race ./internal/sim/... \
-		./internal/scenario/... ./internal/attack/... ./internal/defense/... ./internal/cli/... \
-		./internal/gossip/... ./internal/swarm/... ./internal/serve/... ./internal/adaptive/... \
-		./internal/cluster/... ./internal/obs/... ./internal/population/...
+	$(GO) test -race ./...
 	# The swarm's widened ParallelFor passes (sharded unchoke scoring, the
 	# leecher scans, the initial rarity build) only fan out above ~32k
 	# nodes; these tests force that scale and shard split under -race.
