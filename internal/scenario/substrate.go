@@ -344,14 +344,14 @@ func gossipConfig(s *Spec) (gossip.Config, []float64, error) {
 	if cl := s.classScalar(); cl != nil && cl.Altruism != nil {
 		cfg.Altruism = *cl.Altruism
 	}
-	if live := cfg.Lifetime * cfg.UpdatesPerRound; live > maxItems {
-		return cfg, nil, fmt.Errorf("scenario: params.lifetime × params.updates = %d live updates exceeds %d", live, maxItems)
+	if live := float64(cfg.Lifetime) * float64(cfg.UpdatesPerRound); live > maxItems {
+		return cfg, nil, fmt.Errorf("scenario: params.lifetime × params.updates = %g live updates exceeds %d", live, maxItems)
 	}
 	weights, err := s.popularityWeights(0)
 	return cfg, weights, err
 }
 
-// tokenConfig derives the token model's Config but its graph, its rare
+// tokenConfig derives the token model's Config except its graph, its rare
 // allocation and the class traits, which a replicate draws.
 func tokenConfig(s *Spec) (tokenmodel.Config, error) {
 	cfg := tokenmodel.Config{
@@ -378,7 +378,7 @@ func tokenConfig(s *Spec) (tokenmodel.Config, error) {
 	return cfg, s.checkRare(n, cfg.Tokens)
 }
 
-// scripConfig derives scrip's Config but the class traits, which a
+// scripConfig derives scrip's Config except the class traits, which a
 // replicate draws.
 func scripConfig(s *Spec) (scrip.Config, error) {
 	cfg := scrip.DefaultConfig()
@@ -431,8 +431,8 @@ func swarmConfig(s *Spec) (swarm.Config, []float64, error) {
 	return cfg, weights, err
 }
 
-// codingConfig derives the dissemination Config but its graph, its rare
-// allocation and the class traits, which a replicate draws.
+// codingConfig derives the dissemination Config except its graph, its
+// rare allocation and the class traits, which a replicate draws.
 func codingConfig(s *Spec) (coding.DisseminationConfig, error) {
 	cfg := coding.DisseminationConfig{
 		Symbols:     int(s.param("symbols", 24)),
