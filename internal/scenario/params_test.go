@@ -18,9 +18,11 @@ import (
 // crashed the process: makeslice panics on a negative degree or a huge
 // gossip lifetime, and the runtime running out of memory on a huge token,
 // piece, symbol or payload count. Before sweep endpoints were bounded, the
-// sweeps passed Validate and failed after their first point, and before
-// validation asked the simulators themselves, the lifetime sweep to 1.5 and
-// a gossip node count of 1 failed at build.
+// sweeps passed Validate and failed after their first point. Before the
+// lifetime was checked against gossip's recent window, the lifetime sweep
+// to 1.5 failed at build, and before validation asked the simulators
+// themselves, so did gossip's node counts and horizons of 1 to 3 and a
+// one-node swarm or economy.
 //
 // Then it probes combinations that only fail together: each must fail
 // Validate naming the offending key, and none may run.
