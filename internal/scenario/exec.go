@@ -79,11 +79,19 @@ func (s *Spec) PointSpec(x float64) (*Spec, error) {
 		if err := pt.applyAxis(x); err != nil {
 			return nil, err
 		}
-		if err := pt.Validate(); err != nil {
+		if err := pt.validatePoint(); err != nil {
 			return nil, fmt.Errorf("scenario: %s at %s=%g: %w", s.Name, s.Sweep.Axis, x, err)
 		}
 	}
 	return pt, nil
+}
+
+// validatePoint validates the spec as the one point it runs: a point spec
+// keeps its sweep, and Validate would check the sweep's endpoints instead.
+func (s *Spec) validatePoint() error {
+	pt := *s
+	pt.Sweep = SweepSpec{}
+	return pt.Validate()
 }
 
 // buildFor compiles a resolved point spec into the per-replicate model
@@ -108,7 +116,7 @@ func buildFor(pt *Spec, b *substrate) sim.Build {
 // in-flight replicates on the shared pool (0 = pool width); observations
 // never depend on it.
 func FoldWindow(pt *Spec, seed uint64, start, n, workers int, emit func(rep int, y float64)) error {
-	if err := pt.Validate(); err != nil {
+	if err := pt.validatePoint(); err != nil {
 		return err
 	}
 	b := sub(pt.Substrate)

@@ -144,6 +144,7 @@ func TestCombinationChecksAdmitValidSweeps(t *testing.T) {
 		{"x/trade-scrip", []string{"nodes=20", "rounds=200", "sweep.axis=adversary.fraction", "sweep.from=0", "sweep.to=0.95", "sweep.points=2"}},
 		{"x/none-swarm", []string{"nodes=1", "sweep.axis=nodes", "sweep.from=10", "sweep.to=20", "sweep.points=2"}},
 		{"x/none-gossip", []string{"rounds=10", "sweep.axis=rounds", "sweep.from=25", "sweep.to=40", "sweep.points=2"}},
+		{"x/trade-gossip", []string{"adversary.fraction=5", "sweep.axis=adversary.fraction", "sweep.from=0", "sweep.to=0.5", "sweep.points=2"}},
 	} {
 		spec, ok := Get(probe.scenario)
 		if !ok {

@@ -232,31 +232,6 @@ func (s *Spec) Validate() error {
 	if sub(s.Substrate) == nil {
 		return fmt.Errorf("scenario: unknown substrate %q (want %s)", s.Substrate, strings.Join(Substrates, "|"))
 	}
-	if _, err := s.Adversary.Strategy(); err != nil {
-		return err
-	}
-	if s.Adversary.Rank != "" && s.Substrate != "swarm" {
-		return fmt.Errorf("scenario: adversary.rank needs a substrate that ranks its nodes (swarm), not %s", s.Substrate)
-	}
-	// Hostile target lists fail here, not at node-indexing depth inside a
-	// replicate: ids must be unique and non-negative always, and inside the
-	// population whenever the spec pins one (Nodes == 0 defers the upper
-	// bound to the substrate default; the targeter clamps regardless).
-	if err := attack.ValidateTargetList(s.Nodes, s.Adversary.Targets); err != nil {
-		return err
-	}
-	if err := s.Defense.Validate(); err != nil {
-		return err
-	}
-	if err := s.Precision.Validate(); err != nil {
-		return err
-	}
-	if err := s.Population.Validate(s.Nodes); err != nil {
-		return err
-	}
-	if s.Nodes < 0 || s.Rounds < 0 || s.Replicates < 0 {
-		return fmt.Errorf("scenario: nodes, rounds, and replicates must be non-negative")
-	}
 	// Specs must stay JSON-encodable (canonicalization, caching, `scenarios
 	// show` all re-encode them), and JSON has no NaN or infinity — a
 	// strconv-parsed "inf" override or a directly constructed spec could
@@ -283,24 +258,20 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: params.%s must be finite, got %g", k, v)
 		}
 	}
-	if s.Sweep.Axis == "" {
-		if err := s.validateParams(); err != nil {
-			return err
-		}
-	} else {
+	if s.Sweep.Axis != "" {
 		if s.Sweep.Points < 0 {
 			return fmt.Errorf("scenario: sweep points must be non-negative, got %d", s.Sweep.Points)
 		}
 		// A sweep runs its points, never the spec's own value of the swept
-		// key, and every sweep runs both endpoints, so each endpoint is
-		// checked as a spec of its own, and a value refused there fails
-		// here rather than after the first points have run. Each rule
-		// accepts an interval of every swept key (Warmup < Rounds,
-		// CopiesSeeded ≤ Nodes, Nodes ≥ 2, RecentWindow ≤ Lifetime,
-		// SpecialProviders ≤ Agents, a fraction in [0,1]) but one, so a
-		// spec that passes at both ends passes at every point between
-		// them. The one is the token grid's square node count, so a nodes
-		// sweep of a grid is checked at every point it visits.
+		// key, and every sweep runs both endpoints, so a sweep is checked
+		// as its endpoints, each a spec of its own, and a value refused
+		// there fails here rather than after the first points have run.
+		// Each rule accepts an interval of every swept key (Warmup <
+		// Rounds, CopiesSeeded ≤ Nodes, Nodes ≥ 2, RecentWindow ≤
+		// Lifetime, SpecialProviders ≤ Agents, a fraction in [0,1]) but
+		// one, so a spec that passes at both ends passes at every point
+		// between them. The one is the token grid's square node count, so
+		// a nodes sweep of a grid is checked at every point it visits.
 		xs := []float64{s.Sweep.From, s.Sweep.To}
 		if s.Sweep.Axis == "nodes" && s.Substrate == "token" && s.param("graph", 0) == 2 {
 			_, points := resolveCounts(s, RunOptions{})
@@ -311,11 +282,39 @@ func (s *Spec) Validate() error {
 			if err := pt.applyAxis(x); err != nil {
 				return err
 			}
-			pt.Sweep = SweepSpec{}
-			if err := pt.Validate(); err != nil {
+			if err := pt.validatePoint(); err != nil {
 				return fmt.Errorf("%w (at %s=%g)", err, s.Sweep.Axis, x)
 			}
 		}
+		return nil
+	}
+	if _, err := s.Adversary.Strategy(); err != nil {
+		return err
+	}
+	if s.Adversary.Rank != "" && s.Substrate != "swarm" {
+		return fmt.Errorf("scenario: adversary.rank needs a substrate that ranks its nodes (swarm), not %s", s.Substrate)
+	}
+	// Hostile target lists fail here, not at node-indexing depth inside a
+	// replicate: ids must be unique and non-negative always, and inside the
+	// population whenever the spec pins one (Nodes == 0 defers the upper
+	// bound to the substrate default; the targeter clamps regardless).
+	if err := attack.ValidateTargetList(s.Nodes, s.Adversary.Targets); err != nil {
+		return err
+	}
+	if err := s.Defense.Validate(); err != nil {
+		return err
+	}
+	if err := s.Precision.Validate(); err != nil {
+		return err
+	}
+	if err := s.Population.Validate(s.Nodes); err != nil {
+		return err
+	}
+	if s.Nodes < 0 || s.Rounds < 0 || s.Replicates < 0 {
+		return fmt.Errorf("scenario: nodes, rounds, and replicates must be non-negative")
+	}
+	if err := s.validateParams(); err != nil {
+		return err
 	}
 	if s.Metric != "" {
 		if err := sub(s.Substrate).checkMetric(s, s.Metric); err != nil {
