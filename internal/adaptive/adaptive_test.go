@@ -73,14 +73,14 @@ func TestFoldStopsEarly(t *testing.T) {
 }
 
 // TestFoldFixedEquivalence: HalfWidth 0 runs exactly MaxReps replicates and
-// folds the same observations in the same order as a fixed Runner.Fold of
-// the same count — regardless of batch size or worker count. This is the
+// folds the same observations in the same order as a fixed
+// Runner.FoldRange over the same indices — regardless of batch size or worker count. This is the
 // equivalence that makes adaptive runs trustworthy.
 func TestFoldFixedEquivalence(t *testing.T) {
 	const n = 23
 	build := normalBuild(0, 1)
 	var fixed []float64
-	if err := (sim.Runner{}).Fold(9, n, build, func(rep int, snap any) error {
+	if err := (sim.Runner{}).FoldRange(9, 0, n, build, func(rep int, snap any) error {
 		fixed = append(fixed, snap.(float64))
 		return nil
 	}); err != nil {

@@ -21,10 +21,12 @@ type BenchResult struct {
 	Name string `json:"name"`
 	// Seconds is the wall time of one full run.
 	Seconds float64 `json:"seconds"`
-	// Points and Replicates describe the workload shape.
+	// Points and Replicates describe the workload shape, as Run resolves
+	// it.
 	Points     int `json:"points"`
 	Replicates int `json:"replicates"`
-	// Runs is Points * Replicates, the total simulations executed.
+	// Runs is Points * Replicates, the total simulations executed (their
+	// cap under a precision plan).
 	Runs int `json:"runs"`
 	// RunsPerSecond is the headline throughput number to track across PRs.
 	RunsPerSecond float64 `json:"runsPerSecond"`
@@ -319,25 +321,18 @@ func timeScenario(spec *scenario.Spec, seed uint64, opts scenario.RunOptions) (B
 		return BenchResult{}, err
 	}
 	elapsed := time.Since(start).Seconds()
-	points := len(a.Series[0].Points)
-	replicates := spec.Replicates
-	if opts.Replicates > 0 {
-		replicates = opts.Replicates
-	}
-	if replicates <= 0 {
-		replicates = 3
-	}
-	runs := points * replicates
+	ep := scenario.PlanOf(spec, opts)
+	points := len(ep.Xs)
 	r := BenchResult{
 		Name:       spec.Name,
 		Seconds:    elapsed,
 		Points:     points,
-		Replicates: replicates,
-		Runs:       runs,
+		Replicates: ep.Plan.MaxReps,
+		Runs:       points * ep.Plan.MaxReps,
 		Mean:       a.Series[0].Points[points-1].Y,
 	}
 	if elapsed > 0 {
-		r.RunsPerSecond = float64(runs) / elapsed
+		r.RunsPerSecond = float64(r.Runs) / elapsed
 	}
 	return r, nil
 }

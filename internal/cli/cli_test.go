@@ -11,6 +11,7 @@ import (
 
 	"lotuseater/internal/metrics"
 	"lotuseater/internal/scenario"
+	"lotuseater/internal/swarm"
 )
 
 // TestParseFormat: the three formats parse, anything else errors.
@@ -283,8 +284,21 @@ func TestBenchWritesJSON(t *testing.T) {
 		if e.NsPerRound <= 0 || e.Rounds != 2 {
 			t.Fatalf("kernel entry malformed: %+v", e)
 		}
+		// Only the swarm has a phase profile, and its rows attribute
+		// every phase.
+		if e.Substrate != "swarm" {
+			if len(e.Phases) > 0 {
+				t.Fatalf("%s/%d attributes phases %v", e.Substrate, e.Nodes, e.Phases)
+			}
+			continue
+		}
+		for _, name := range swarm.PhaseOrder() {
+			if _, ok := e.Phases[name]; !ok {
+				t.Fatalf("swarm/%d has no %s phase (have %v)", e.Nodes, name, e.Phases)
+			}
+		}
 	}
-	for _, want := range []string{"gossip/500", "gossip/2000", "swarm/500", "swarm/2000"} {
+	for _, want := range []string{"gossip/500", "gossip/2000", "gossip-churn/500", "gossip-churn/2000", "swarm/500", "swarm/2000"} {
 		if !seen[want] {
 			t.Fatalf("kernel bench missing %s entry (have %v)", want, seen)
 		}

@@ -9,12 +9,8 @@ import (
 	"strings"
 	"time"
 
-	"lotuseater/internal/attack"
-	"lotuseater/internal/gossip"
 	"lotuseater/internal/metrics"
-	"lotuseater/internal/population"
-	"lotuseater/internal/sim"
-	"lotuseater/internal/simrng"
+	"lotuseater/internal/scenario"
 	"lotuseater/internal/swarm"
 )
 
@@ -22,7 +18,7 @@ import (
 // BENCH_kernel.json: the per-round cost of stepping a single replicate, the
 // number the sparse-satiation and in-replicate-parallelism work optimizes.
 type KernelBenchResult struct {
-	// Substrate is the simulator measured (gossip, swarm).
+	// Substrate names the row: gossip, gossip-churn or swarm.
 	Substrate string `json:"substrate"`
 	// Nodes is the population size.
 	Nodes int `json:"nodes"`
@@ -128,19 +124,28 @@ func kernelBench(w io.Writer, seed uint64, rounds int, sizes []int, out string) 
 	return entries, nil
 }
 
-// kernelBenchOne builds one model, steps it past its warmup so every pool
-// and freelist is primed, then times `rounds` steady-state rounds with the
-// allocator's counters bracketing the loop. Substrates with phase
-// instrumentation additionally attribute the steady-state time to tick
-// phases (the profile is reset after warmup so it covers exactly the
-// measured rounds).
-func kernelBenchOne(substrate string, n, rounds int, seed uint64) (KernelBenchResult, error) {
+// kernelBenchOne builds replicate 0 of the row's registry spec through
+// scenario.Replicate, the model a scenario run steps, then steps it past
+// its warmup so every pool and freelist is primed, and times the next
+// `rounds` rounds with the allocator's counters bracketing the loop. A
+// swarm row also attributes the measured time to tick phases (the profile
+// is reset after warmup so it covers exactly the measured rounds).
+func kernelBenchOne(row string, n, rounds int, seed uint64) (KernelBenchResult, error) {
+	spec, warmup, err := kernelBenchSpec(row, n, rounds)
+	if err != nil {
+		return KernelBenchResult{}, err
+	}
 	buildStart := time.Now()
-	model, warmup, prof, err := kernelBenchModel(substrate, n, rounds, seed)
+	model, err := scenario.Replicate(spec, seed, 0)
 	if err != nil {
 		return KernelBenchResult{}, err
 	}
 	buildSeconds := time.Since(buildStart).Seconds()
+	var prof *swarm.PhaseProfile
+	if s, ok := model.(*swarm.Sim); ok {
+		prof = &swarm.PhaseProfile{}
+		swarm.WithPhaseProfile(prof)(s)
+	}
 
 	for i := 0; i < warmup; i++ {
 		if err := model.Step(); err != nil {
@@ -164,7 +169,7 @@ func kernelBenchOne(substrate string, n, rounds int, seed uint64) (KernelBenchRe
 	runtime.ReadMemStats(&after)
 
 	r := KernelBenchResult{
-		Substrate:      substrate,
+		Substrate:      row,
 		Nodes:          n,
 		Rounds:         rounds,
 		NsPerRound:     float64(elapsed.Nanoseconds()) / float64(rounds),
@@ -181,57 +186,43 @@ func kernelBenchOne(substrate string, n, rounds int, seed uint64) (KernelBenchRe
 	return r, nil
 }
 
-// kernelBenchModel builds the benchmark replicate: the same shapes the
-// gossip-1m / swarm-1m registry scenarios use, horizon stretched to cover
-// warmup plus the measured rounds. The returned PhaseProfile is non-nil
-// only for substrates with phase instrumentation (swarm).
-func kernelBenchModel(substrate string, n, rounds int, seed uint64) (sim.Model, int, *swarm.PhaseProfile, error) {
-	switch substrate {
+// kernelBenchSpec returns the registry spec a kernel row measures at
+// population n, and the steps to run before measuring: gossip-1m with no
+// warmup for the gossip rows (gossip-churn adds rate-driven churn over the
+// whole horizon, so its delta against the gossip row is the cost of the
+// churn drain and the presence gating), and swarm-1m for the swarm row.
+// The horizon is stretched to cover the warmup steps plus the measured
+// rounds.
+func kernelBenchSpec(row string, n, rounds int) (*scenario.Spec, int, error) {
+	var name string
+	switch row {
 	case "gossip", "gossip-churn":
-		cfg := gossip.DefaultConfig()
-		cfg.Nodes = n
-		cfg.UpdatesPerRound = 1
-		cfg.Lifetime = 8
-		cfg.CopiesSeeded = 64
-		if cfg.CopiesSeeded > n {
-			cfg.CopiesSeeded = n
-		}
-		warmup := cfg.Lifetime + 1
-		cfg.Rounds = warmup + rounds + cfg.Lifetime
-		cfg.Warmup = 0
-		adv := &attack.Strategy{Kind: attack.Ideal, Fraction: 0.02, SatiateFraction: 0.30}
-		opts := []gossip.Option{gossip.WithAdversary(adv)}
-		if substrate == "gossip-churn" {
-			// The same replicate with a synthesized lifecycle schedule
-			// spanning the whole horizon: the delta against the plain gossip
-			// row is the cost of the churn drain plus the presence gating on
-			// the exchange paths.
-			minPresent := n / 10
-			if minPresent < 2 {
-				minPresent = 2
-			}
-			events := population.Synthesize(
-				population.Rates{LeaveRate: 0.002, JoinRate: 0.01},
-				n, cfg.Rounds, minPresent, simrng.New(seed).Child("bench-churn"))
-			opts = append(opts, gossip.WithChurn(events))
-		}
-		e, err := gossip.New(cfg, seed, opts...)
-		return e, warmup, nil, err
+		name = "gossip-1m"
 	case "swarm":
-		cfg := swarm.DefaultConfig()
-		cfg.Leechers = n
-		cfg.Pieces = 32
-		cfg.PeerSetSize = 8
-		cfg.AttackerUplink = 4096
-		warmup := cfg.RotateInterval + 1
-		cfg.Ticks = warmup + rounds + 1
-		adv := &attack.Strategy{Kind: attack.Ideal, Fraction: 0.01, SatiateFraction: 0.10}
-		prof := &swarm.PhaseProfile{}
-		s, err := swarm.New(cfg, seed, swarm.WithAdversary(adv), swarm.WithPhaseProfile(prof))
-		return s, warmup, prof, err
+		name = "swarm-1m"
 	default:
-		return nil, 0, nil, fmt.Errorf("cli: unknown kernel bench substrate %q", substrate)
+		return nil, 0, fmt.Errorf("cli: unknown kernel bench row %q", row)
 	}
+	spec, ok := scenario.Get(name)
+	if !ok {
+		return nil, 0, unknownScenario(name)
+	}
+	sets := []string{fmt.Sprintf("nodes=%d", n)}
+	var warmup int
+	if spec.Substrate == "gossip" {
+		lifetime := int(spec.Params["lifetime"])
+		warmup = lifetime + 1
+		sets = append(sets, "params.warmup=0",
+			fmt.Sprintf("params.copies=%d", min(int(spec.Params["copies"]), n)),
+			fmt.Sprintf("rounds=%d", warmup+rounds+lifetime))
+	} else {
+		warmup = swarm.DefaultConfig().RotateInterval + 1
+		sets = append(sets, fmt.Sprintf("rounds=%d", warmup+rounds+1))
+	}
+	if row == "gossip-churn" {
+		sets = append(sets, "population.churn.leaveRate=0.002", "population.churn.joinRate=0.01")
+	}
+	return spec, warmup, spec.ApplySets(sets)
 }
 
 // checkKernelBaseline compares the fresh kernel bench entries against the

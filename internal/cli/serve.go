@@ -109,7 +109,6 @@ func buildServer(args []string) (*serveSetup, error) {
 	role := fs.String("role", "single", "node role: single | coordinator | worker")
 	join := fs.String("join", "", "coordinator base URL to join (worker role only)")
 	advertise := fs.String("advertise", "", "base URL the coordinator reaches this worker at (worker role; default http://<bound addr>)")
-	unitReps := fs.Int("unit-reps", 0, "fixed-run replicates per dispatched unit (coordinator role; 0 = auto)")
 	storeDir := fs.String("store-dir", "", "persist finished artifacts to this directory; they survive restarts and answer without recompute")
 	storeMaxBytes := fs.Int64("store-max-bytes", 1<<30, "disk store byte budget; GC evicts oldest-stored entries past it")
 	storeMaxAge := fs.Duration("store-max-age", 0, "expire disk store entries older than this (0 = keep until evicted by size)")
@@ -178,7 +177,7 @@ func buildServer(args []string) (*serveSetup, error) {
 		if *join != "" || *advertise != "" {
 			return nil, fmt.Errorf("serve: -join and -advertise need -role=worker")
 		}
-		c, err := cluster.NewCoordinator(cluster.Config{Serve: scfg, UnitReps: *unitReps})
+		c, err := cluster.NewCoordinator(cluster.Config{Serve: scfg})
 		if err != nil {
 			return nil, err
 		}

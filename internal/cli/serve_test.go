@@ -35,7 +35,7 @@ func TestServeFlagValidation(t *testing.T) {
 func TestServeBuilds(t *testing.T) {
 	cases := map[string][]string{
 		"single":      {"-addr", "localhost:0", "-cache-bytes", "1024", "-queue-depth", "2"},
-		"coordinator": {"-addr", "localhost:0", "-role", "coordinator", "-unit-reps", "4"},
+		"coordinator": {"-addr", "localhost:0", "-role", "coordinator"},
 		"worker":      {"-addr", "localhost:0", "-role", "worker", "-join", "http://localhost:1"},
 		"with store": {"-addr", "localhost:0", "-store-dir", t.TempDir(),
 			"-store-max-bytes", "4096", "-store-max-age", "1h", "-log-format", "json"},

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"lotuseater/internal/adaptive"
 	"lotuseater/internal/metrics"
 	"lotuseater/internal/scenario"
 	"lotuseater/internal/serve"
@@ -22,11 +23,6 @@ type Config struct {
 	// depth, version). Its Run hook is owned by the coordinator — the
 	// distributed runner is installed over whatever is set here.
 	Serve serve.Config
-	// UnitReps is the fixed-run window size in replicates (0 = auto: the
-	// per-point budget split ~4 ways per registered worker, clamped to
-	// [1, 256]). Scheduling granularity only — artifact bytes never depend
-	// on it.
-	UnitReps int
 	// MaxAttempts bounds how many times one unit may be dispatched before
 	// the job fails (0 = 8). Retries absorb worker deaths; the cap stops a
 	// unit that kills every worker it visits.
@@ -164,8 +160,10 @@ func (c *Coordinator) distributedRun(spec *scenario.Spec, seed uint64, opts scen
 		}
 		points[i] = &pointState{x: x, spec: canon, st: metrics.NewStream(), buffered: make(map[int][]float64)}
 	}
-	sc := newSchedule(ep, points, seed, opts, c.unitReps(ep, nworkers), c.cfg.MaxAttempts)
-	sc.onSteal = c.srv.Metrics().UnitStolen
+	sc := newSchedule(ep, points, seed, opts, windowReps(ep.Plan, nworkers), c.cfg.MaxAttempts)
+	if ep.Adaptive {
+		sc.onSteal = c.srv.Metrics().UnitStolen
+	}
 
 	c.mu.Lock()
 	c.active = sc
@@ -192,21 +190,15 @@ func (c *Coordinator) distributedRun(spec *scenario.Spec, seed uint64, opts scen
 	return scenario.Assemble(spec, opts, sc.results())
 }
 
-// unitReps sizes fixed-run windows: explicit config, or the per-point
-// budget split about four ways per worker so the queue stays deep enough
-// to rebalance, clamped to [1, 256].
-func (c *Coordinator) unitReps(ep scenario.ExecPlan, nworkers int) int {
-	if c.cfg.UnitReps > 0 {
-		return c.cfg.UnitReps
+// windowReps sizes units: an adaptive wave goes out as one unit, and a
+// fixed point's single wave is split about four ways per worker so the
+// queue stays deep enough to rebalance, clamped to [1, 256]. Scheduling
+// granularity only — artifact bytes never depend on it.
+func windowReps(pl adaptive.Plan, nworkers int) int {
+	if pl.Adaptive() {
+		return pl.MaxReps
 	}
-	per := ep.Replicates / (4 * nworkers)
-	if per < 1 {
-		per = 1
-	}
-	if per > 256 {
-		per = 256
-	}
-	return per
+	return min(max(pl.MaxReps/(4*nworkers), 1), 256)
 }
 
 // startLoop attaches a dispatch loop for worker url to the schedule, if it

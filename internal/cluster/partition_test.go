@@ -121,7 +121,8 @@ func TestPartitionMergeOrderInvariance(t *testing.T) {
 // counts, half-widths, and artifact bytes to be identical to adaptive
 // scenario.Run: the stopping rule consulted at the same wave boundaries on
 // the same in-order streams gives the same verdicts, regardless of which
-// "worker" folded which wave.
+// "worker" folded which window. Each wave is cut into one-replicate
+// windows here, so the windows of a wave also buffer until contiguous.
 func TestAdaptiveScheduleMatchesFold(t *testing.T) {
 	const seed = 21
 	spec := decodeSpec(t, tinyAdaptive)

@@ -5,86 +5,79 @@ import (
 	"math"
 	"sync"
 
+	"lotuseater/internal/adaptive"
 	"lotuseater/internal/metrics"
 	"lotuseater/internal/scenario"
 )
 
-// unit is one schedulable window: replicates [start, start+n) of sweep
-// point `point`. attempts counts dispatches; a unit whose worker dies is
-// requeued with attempts+1 and reassigned, up to the schedule's cap.
+// unit is one window: replicates [start, start+n) of sweep point `point`,
+// sent to one worker. attempts counts dispatches; a unit whose worker dies
+// is requeued with attempts+1 and reassigned, up to the schedule's cap.
 type unit struct {
 	point    int
 	start, n int
 	attempts int
 }
 
-// pointState is one sweep point's in-progress fold on the coordinator.
+// pointState is one sweep point's in-progress fold on the coordinator. Its
+// open wave is [wave, wave+Plan.Wave(wave)): the replicates the stopping
+// rule waits for before its next check.
 type pointState struct {
 	x    float64
 	spec []byte // canonical point-spec JSON, what workers execute
 
 	st       *metrics.Stream
-	next     int               // next global replicate index to fold (fixed runs)
-	buffered map[int][]float64 // out-of-order windows keyed by start (fixed runs)
-
-	reps     int     // replicates folded (adaptive runs)
-	hw       float64 // current Student-t half-width (adaptive runs)
-	inflight bool    // a wave is dispatched or queued for retry (adaptive runs)
+	buffered map[int][]float64 // finished windows past reps, keyed by start
+	reps     int               // replicates folded, in replicate order
+	wave     int               // replicates folded at the last check: the open wave's start
+	cut      int               // end of the windows handed out; past wave once the wave opens
+	hw       float64           // Student-t half-width at the last check
 	resolved bool
 }
 
-// schedule is one job's scheduler state: the pending unit queue, per-point
-// fold state, and the worker dispatch loops attached to it. Worker loops
-// pull units with next (work-stealing — for adaptive plans pick hands out
-// the next wave of the widest-CI point), deliver results with complete,
-// and return failed dispatches with requeue. All observations fold into
-// per-point streams in global replicate order, whatever order windows
-// arrive in, which is what keeps the assembled artifact byte-identical to
-// a local run.
+// schedule is one job's scheduler state: the retry queue, per-point fold
+// state, and the worker dispatch loops attached to it. Every point folds
+// under the job's plan — an adaptive precision plan, or for a fixed run
+// one wave of all its replicates that never stops early — and every wave
+// is cut into windows of at most `window` replicates. Worker loops pull
+// windows with next, deliver results with complete, and return failed
+// dispatches with requeue. Observations fold into per-point streams in
+// global replicate order, whatever order windows arrive in, and the
+// stopping rule is consulted at exactly adaptive.Fold's wave boundaries,
+// which is what keeps the assembled artifact byte-identical to a local
+// run.
 type schedule struct {
-	ep          scenario.ExecPlan
+	plan        adaptive.Plan // the ExecPlan's plan, defaults resolved
 	seed        uint64
 	opts        scenario.RunOptions
+	window      int // most replicates per unit
 	maxAttempts int
-	onSteal     func() // metrics hook: one adaptive wave handed out (may be nil)
+	onSteal     func() // metrics hook: one wave opened by the widest-CI rule (may be nil)
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	points      []*pointState
-	pending     []unit          // fixed windows, and retried adaptive waves
+	pending     []unit          // requeued windows
 	loops       map[string]bool // worker URLs with a live dispatch loop
-	outstanding int             // units dispatched and not yet completed/requeued
 	resolvedPts int
 	doneReps    int
-	estimate    int // progress total: exact for fixed, shrinking cap for adaptive
+	estimate    int // progress total: points x maxReps, shed as points stop early
 	failed      error
 	finished    bool
 }
 
-func newSchedule(ep scenario.ExecPlan, points []*pointState, seed uint64, opts scenario.RunOptions, unitReps, maxAttempts int) *schedule {
+func newSchedule(ep scenario.ExecPlan, points []*pointState, seed uint64, opts scenario.RunOptions, window, maxAttempts int) *schedule {
 	sc := &schedule{
-		ep:          ep,
+		plan:        ep.Plan.WithDefaults(),
 		seed:        seed,
 		opts:        opts,
+		window:      window,
 		maxAttempts: maxAttempts,
 		points:      points,
 		loops:       make(map[string]bool),
+		estimate:    len(points) * ep.Plan.MaxReps,
 	}
 	sc.cond = sync.NewCond(&sc.mu)
-	if ep.Adaptive {
-		sc.estimate = len(points) * ep.Plan.MaxReps
-	} else {
-		sc.estimate = len(points) * ep.Replicates
-		for pi := range points {
-			for start := 0; start < ep.Replicates; start += unitReps {
-				n := unitReps
-				if rest := ep.Replicates - start; n > rest {
-					n = rest
-				}
-				sc.pending = append(sc.pending, unit{point: pi, start: start, n: n})
-			}
-		}
-	}
 	return sc
 }
 
@@ -98,32 +91,37 @@ func (sc *schedule) next() (unit, bool) {
 			return unit{}, false
 		}
 		if u, ok := sc.pickLocked(); ok {
-			sc.outstanding++
 			return u, true
 		}
 		sc.cond.Wait()
 	}
 }
 
-// pickLocked chooses the next unit. Retries first (a requeued unit is the
-// critical path — some point is blocked on it); then, under an adaptive
-// plan, the work-stealing rule: open the next wave of the unresolved point
-// with the widest current confidence interval, counting points with no
-// variance estimate yet as infinitely wide so every point gets its opening
-// wave before any point gets a third. At most one wave per point is open
-// at a time, so each point's observations arrive — and fold — in order.
+// pickLocked chooses the next unit. Retries first: a requeued window is
+// the critical path, since its point cannot fold past it. Then the next
+// window of the wave being cut, so each wave goes out whole before another
+// opens and a fixed job, one wave per point, goes out point by point in
+// window order. Then the work-stealing rule opens a wave: that of the
+// unresolved point with no wave out whose confidence interval is widest,
+// counting points with no variance estimate yet as infinitely wide so
+// every point gets its opening wave before any point gets a third. At most
+// one wave per point is out at a time, so the stopping rule sees exactly
+// the prefixes adaptive.Fold would.
 func (sc *schedule) pickLocked() (unit, bool) {
 	if len(sc.pending) > 0 {
 		u := sc.pending[0]
 		sc.pending = sc.pending[1:]
 		return u, true
 	}
-	if !sc.ep.Adaptive {
-		return unit{}, false
-	}
 	best, bestHW := -1, 0.0
 	for pi, pt := range sc.points {
-		if pt.resolved || pt.inflight {
+		if pt.cut > pt.wave {
+			if pt.cut < sc.waveEnd(pt) {
+				return sc.cutLocked(pi), true
+			}
+			continue
+		}
+		if pt.resolved {
 			continue
 		}
 		hw := pt.hw
@@ -137,17 +135,23 @@ func (sc *schedule) pickLocked() (unit, bool) {
 	if best == -1 {
 		return unit{}, false
 	}
-	pt := sc.points[best]
-	wave := sc.ep.Plan.Wave(pt.reps)
-	if wave <= 0 {
-		return unit{}, false
-	}
-	pt.inflight = true
 	if sc.onSteal != nil {
 		sc.onSteal()
 	}
-	return unit{point: best, start: pt.reps, n: wave}, true
+	return sc.cutLocked(best), true
 }
+
+// cutLocked hands out the next window of point pi's open wave.
+func (sc *schedule) cutLocked(pi int) unit {
+	pt := sc.points[pi]
+	n := min(sc.window, sc.waveEnd(pt)-pt.cut)
+	u := unit{point: pi, start: pt.cut, n: n}
+	pt.cut += n
+	return u
+}
+
+// waveEnd is the end of pt's open wave.
+func (sc *schedule) waveEnd(pt *pointState) int { return pt.wave + sc.plan.Wave(pt.wave) }
 
 // requeue returns a unit whose dispatch failed (worker died, transport
 // error) to the queue for reassignment, failing the whole job once the
@@ -157,7 +161,6 @@ func (sc *schedule) requeue(u unit, cause error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	defer sc.cond.Broadcast()
-	sc.outstanding--
 	u.attempts++
 	if u.attempts >= sc.maxAttempts {
 		sc.failLocked(fmt.Errorf("cluster: unit point %d replicates [%d,%d) failed %d dispatch attempts, last: %w",
@@ -170,9 +173,13 @@ func (sc *schedule) requeue(u unit, cause error) {
 // complete delivers a finished unit. The worker's partial accumulator
 // state must equal a re-fold of its own observations bit for bit — the
 // cross-check that catches version skew or corruption before it can touch
-// the artifact. Observations fold into the point's stream only when
-// contiguous with what has already folded; earlier-arriving later windows
-// buffer until the gap fills.
+// the artifact — and the window must lie inside its point's open wave.
+// Observations fold into the point's stream only when contiguous with what
+// has already folded; earlier-arriving later windows buffer until the gap
+// fills. When the fold reaches the wave's end, the stopping rule is
+// consulted at exactly the boundary adaptive.Fold would: same in-order
+// accumulator, same half-width, same verdict — so the distributed run
+// settles every point at the identical replicate count.
 func (sc *schedule) complete(u unit, obs []float64, workerAcc metrics.Accumulator) {
 	var check metrics.Accumulator
 	for _, y := range obs {
@@ -181,7 +188,6 @@ func (sc *schedule) complete(u unit, obs []float64, workerAcc metrics.Accumulato
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	defer sc.cond.Broadcast()
-	sc.outstanding--
 	if sc.finished || sc.failed != nil {
 		return
 	}
@@ -191,66 +197,43 @@ func (sc *schedule) complete(u unit, obs []float64, workerAcc metrics.Accumulato
 		return
 	}
 	pt := sc.points[u.point]
-	if sc.ep.Adaptive {
-		sc.completeWaveLocked(u, pt, obs)
-	} else {
-		sc.completeWindowLocked(u, pt, obs)
+	end := sc.waveEnd(pt)
+	if pt.resolved || u.start < pt.reps || u.start+u.n > end {
+		sc.failLocked(fmt.Errorf("cluster: point %d: window [%d,%d) lies outside the unfolded part [%d,%d) of its open wave — scheduler invariant broken",
+			u.point, u.start, u.start+u.n, pt.reps, end))
+		return
 	}
-	if sc.resolvedPts == len(sc.points) {
-		sc.finished = true
-	}
-}
-
-func (sc *schedule) completeWindowLocked(u unit, pt *pointState, obs []float64) {
 	pt.buffered[u.start] = obs
 	for {
-		w, ok := pt.buffered[pt.next]
+		w, ok := pt.buffered[pt.reps]
 		if !ok {
 			break
 		}
-		delete(pt.buffered, pt.next)
+		delete(pt.buffered, pt.reps)
 		for _, y := range w {
 			pt.st.Add(y)
 		}
-		pt.next += len(w)
+		pt.reps += len(w)
 		sc.doneReps += len(w)
 	}
-	if sc.opts.Progress != nil {
-		sc.opts.Progress(sc.doneReps, sc.estimate)
-	}
-	if pt.next >= sc.ep.Replicates && !pt.resolved {
-		pt.resolved = true
-		sc.resolvedPts++
-	}
-}
-
-// completeWaveLocked folds an adaptive wave and consults the stopping rule
-// at exactly the boundary adaptive.Fold would: same in-order accumulator,
-// same half-width, same verdict — so the distributed run settles every
-// point at the identical replicate count.
-func (sc *schedule) completeWaveLocked(u unit, pt *pointState, obs []float64) {
-	if u.start != pt.reps {
-		sc.failLocked(fmt.Errorf("cluster: adaptive point %d: wave starts at %d, expected %d — scheduler invariant broken", u.point, u.start, pt.reps))
-		return
-	}
-	for _, y := range obs {
-		pt.st.Add(y)
-	}
-	pt.reps += u.n
-	sc.doneReps += u.n
-	pt.hw = pt.st.Acc.HalfWidth(sc.ep.Plan.CI.Confidence)
-	met := sc.ep.Plan.Met(&pt.st.Acc, pt.hw)
-	pt.inflight = false
-	if sc.opts.PointProgress != nil {
-		sc.opts.PointProgress(u.point, pt.reps, pt.hw, met)
-	}
-	if met || pt.reps >= sc.ep.Plan.MaxReps {
-		pt.resolved = true
-		sc.resolvedPts++
-		sc.estimate -= sc.ep.Plan.MaxReps - pt.reps
+	if pt.reps == end {
+		pt.wave = end
+		pt.hw = pt.st.Acc.HalfWidth(sc.plan.CI.Confidence)
+		met := sc.plan.Met(&pt.st.Acc, pt.hw)
+		if sc.plan.Adaptive() && sc.opts.PointProgress != nil {
+			sc.opts.PointProgress(u.point, pt.reps, pt.hw, met)
+		}
+		if met || pt.reps >= sc.plan.MaxReps {
+			pt.resolved = true
+			sc.resolvedPts++
+			sc.estimate -= sc.plan.MaxReps - pt.reps
+		}
 	}
 	if sc.opts.Progress != nil {
 		sc.opts.Progress(sc.doneReps, sc.estimate)
+	}
+	if sc.resolvedPts == len(sc.points) {
+		sc.finished = true
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package cluster scales `lotus-sim serve` from one process to a fleet: a
 // coordinator decomposes each job into (sweep point × replicate window)
 // units, shards them over HTTP to workers, and reassembles the artifact —
-// byte-identical to a single-process run by construction.
+// byte-identical to a single-process run by construction. A window is a
+// run of consecutive replicate indices sent to one worker; a wave is the
+// replicates folded between two checks of the stopping rule.
 //
 // Determinism is inherited, not negotiated. Replicate i's random stream is
 // a pure function of (seed, i) via sim.Runner.FoldRange, so a worker
@@ -19,14 +21,20 @@
 // running skewed code or corrupting data fails the job loudly instead of
 // poisoning the artifact.
 //
-// Adaptive precision plans distribute as work-stealing: wave boundaries
-// are drawn exactly where adaptive.Fold would draw them (adaptive.Plan
-// Wave), the stopping rule is consulted on the in-order
-// stream after each wave (Plan.Met — same accumulator, same verdict), and
-// an idle worker steals the next wave of whichever unresolved point
-// currently has the widest confidence interval. Each point has at most one
-// wave in flight, so its stream stays strictly ordered; parallelism comes
-// from points, exactly as compute should chase variance.
+// Every point folds under the plan scenario.PlanOf resolves, the one
+// scenario.Run folds it under: an adaptive precision plan, or for a fixed
+// run one wave of all its replicates that never stops early. There is one
+// fold path. Wave boundaries are drawn exactly where adaptive.Fold would
+// draw them (adaptive.Plan Wave), and the stopping rule is consulted on
+// the in-order stream after each wave (Plan.Met — same accumulator, same
+// verdict). Each wave is cut into windows: an adaptive wave goes out as
+// one window, and a fixed point's wave is split about four ways per
+// worker, so a fixed job goes out point by point in window order. When no
+// wave is being cut, an idle
+// worker steals the next wave of whichever unresolved point currently has
+// the widest confidence interval. Each point has at most one wave out at a
+// time, so its stopping rule sees exactly the prefixes a local fold sees;
+// parallelism comes from points, exactly as compute should chase variance.
 //
 // The content-addressed result cache federates into a shared artifact
 // store: workers publish finished bodies to the coordinator under their

@@ -12,7 +12,7 @@ import (
 // Welford's online algorithm, numerically stable for long streams.
 //
 // The zero value is ready to use. Accumulators are not safe for concurrent
-// use; fold in replicate order, as sim.Runner.Fold arranges.
+// use; fold in replicate order, as sim.Runner.FoldRange arranges.
 type Accumulator struct {
 	n    int64
 	sum  float64

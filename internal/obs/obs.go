@@ -23,7 +23,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -357,17 +356,3 @@ func validLabelName(name string) bool {
 	}
 	return true
 }
-
-// sortedNames returns the registered family names, sorted — handy for
-// required-series assertions in tests.
-func (r *Registry) sortedNames() []string {
-	names := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Names returns every registered metric family name, sorted.
-func (r *Registry) Names() []string { return r.sortedNames() }

@@ -20,9 +20,9 @@ import (
 
 // ExecPlan is the resolved execution shape of a spec under Run's
 // defaulting: the sweep points, the per-point replicate budget, and the
-// adaptive precision plan when one is active. Two processes that resolve
-// the same spec get the same ExecPlan, which is what lets a coordinator
-// name a unit of work as bare (point index, replicate window) integers.
+// plan every point folds under. Two processes that resolve the same spec
+// get the same ExecPlan, which is what lets a coordinator name a unit of
+// work as bare (point index, replicate window) integers.
 type ExecPlan struct {
 	// Replicates is the fixed per-point replicate count. Under an active
 	// precision plan it is dead — Plan.MinReps/MaxReps govern instead.
@@ -34,7 +34,9 @@ type ExecPlan struct {
 	XLabel string
 	// Adaptive reports whether a precision plan is active.
 	Adaptive bool
-	// Plan is the resolved adaptive plan when Adaptive.
+	// Plan is the plan every point folds under: the resolved precision
+	// plan when Adaptive, and otherwise Replicates replicates as one wave
+	// that never stops early.
 	Plan adaptive.Plan
 }
 
@@ -44,14 +46,18 @@ type ExecPlan struct {
 // node computed.
 func PlanOf(spec *Spec, opts RunOptions) ExecPlan {
 	replicates, points := resolveCounts(spec, opts)
-	ep := ExecPlan{Replicates: replicates, Xs: []float64{0}, XLabel: "x"}
+	ep := ExecPlan{
+		Replicates: replicates,
+		Xs:         []float64{0},
+		XLabel:     "x",
+		Plan:       adaptive.Plan{MinReps: replicates, MaxReps: replicates},
+	}
 	if spec.Sweep.Axis != "" {
 		ep.Xs = Range(spec.Sweep.From, spec.Sweep.To, points)
 		ep.XLabel = spec.Sweep.Axis
 	}
 	if pl, ok := spec.activePlan(); ok {
-		ep.Adaptive = true
-		ep.Plan = pl
+		ep.Adaptive, ep.Plan = true, pl
 	}
 	return ep
 }
@@ -104,6 +110,17 @@ func buildFor(pt *Spec, b *substrate) sim.Build {
 		}
 		return b.build(pt, rng, ws, adv, newDefense(pt, ws))
 	}
+}
+
+// Replicate builds replicate rep of a resolved point spec (see PointSpec)
+// on the stream sim.Runner.FoldRange hands that index, so it is the model
+// FoldWindow steps for rep. It draws no workspace: callers that drive the
+// model themselves (the kernel bench) own it outright.
+func Replicate(pt *Spec, seed uint64, rep int) (sim.Model, error) {
+	if err := pt.validatePoint(); err != nil {
+		return nil, err
+	}
+	return buildFor(pt, sub(pt.Substrate))(rep, simrng.New(seed).ChildN("replicate", rep), nil)
 }
 
 // FoldWindow executes replicates [start, start+n) of a resolved point spec

@@ -98,16 +98,13 @@ func (s *Spec) activePlan() (adaptive.Plan, bool) {
 }
 
 // TotalReplicates returns how many replicates a run of spec will fold in
-// total, after the same defaulting Run applies — sweep points times
-// replicates per point for fixed runs, and the points x maxReps upper
-// bound under an active precision plan (adaptive points may stop earlier;
+// total, after the same defaulting Run applies: sweep points times the
+// plan's maxReps — exact for fixed runs, and an upper bound under an
+// active precision plan (adaptive points may stop earlier;
 // RunOptions.Progress totals shrink toward the true count as they do).
 func TotalReplicates(spec *Spec, opts RunOptions) int {
-	replicates, points := resolveCounts(spec, opts)
-	if pl, ok := spec.activePlan(); ok {
-		return points * pl.MaxReps
-	}
-	return points * replicates
+	ep := PlanOf(spec, opts)
+	return len(ep.Xs) * ep.Plan.MaxReps
 }
 
 // Run executes the scenario and returns its artifact: one series per
@@ -130,21 +127,12 @@ func Run(spec *Spec, seed uint64, opts RunOptions) (*metrics.Artifact, error) {
 		return nil, err
 	}
 	ep := PlanOf(spec, opts)
-	replicates, points := ep.Replicates, len(ep.Xs)
-	xs, xLabel := ep.Xs, ep.XLabel
-
 	b := sub(spec.Substrate)
-	pl, adaptiveRun := ep.Plan, ep.Adaptive
-	if !adaptiveRun {
-		// A fixed point is a plan that never stops early, run as one wave.
-		pl = adaptive.Plan{MinReps: replicates, MaxReps: replicates}
-	}
-
-	results := make([]PointResult, 0, points)
+	results := make([]PointResult, 0, len(ep.Xs))
 	runner := sim.Runner{Workers: opts.Workers}
-	done := 0                       // replicates folded across finished points
-	estimate := points * pl.MaxReps // fixed total, or the shrinking adaptive cap
-	for pi, x := range xs {
+	done := 0                                // replicates folded across finished points
+	estimate := len(ep.Xs) * ep.Plan.MaxReps // the cap, shed as points stop early
+	for pi, x := range ep.Xs {
 		pt, err := spec.PointSpec(x)
 		if err != nil {
 			return nil, err
@@ -156,10 +144,10 @@ func Run(spec *Spec, seed uint64, opts RunOptions) (*metrics.Artifact, error) {
 			pr.Progress = func(d, _ int) { opts.Progress(base+d, est) }
 		}
 		var obs adaptive.Observer
-		if adaptiveRun && opts.PointProgress != nil {
+		if ep.Adaptive && opts.PointProgress != nil {
 			obs = func(reps int, hw float64, met bool) { opts.PointProgress(pi, reps, hw, met) }
 		}
-		res, err := adaptive.Fold(pr, seed, pl, buildFor(pt, b),
+		res, err := adaptive.Fold(pr, seed, ep.Plan, buildFor(pt, b),
 			func(rep int, snap any) (float64, error) {
 				y, err := b.metric(pt, snap)
 				if err != nil {
@@ -169,15 +157,17 @@ func Run(spec *Spec, seed uint64, opts RunOptions) (*metrics.Artifact, error) {
 				return y, nil
 			}, obs)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s: point %s=%g: %w", spec.Name, xLabel, x, err)
+			return nil, fmt.Errorf("scenario %s: point %s=%g: %w", spec.Name, ep.XLabel, x, err)
 		}
 		done += res.Reps
-		estimate -= pl.MaxReps - res.Reps
-		if adaptiveRun && opts.Progress != nil {
-			// One settling call per point: the estimate just shed this
-			// point's unused budget, so totals stay monotone
-			// non-increasing and end equal to done.
-			opts.Progress(done, estimate)
+		if unused := ep.Plan.MaxReps - res.Reps; unused > 0 {
+			// The point stopped early: shed its unused budget in one
+			// settling call, so totals stay monotone non-increasing and
+			// end equal to done.
+			estimate -= unused
+			if opts.Progress != nil {
+				opts.Progress(done, estimate)
+			}
 		}
 		results = append(results, PointResult{X: x, Stream: st, Reps: res.Reps, HalfWidth: res.HalfWidth})
 	}

@@ -352,7 +352,7 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 	// seeds the replicate streams directly from the run seed (common random
 	// numbers across sweep points), so the reference does the same.
 	ys := make([]float64, 0, replicates)
-	err := sim.Runner{}.Fold(42, replicates,
+	err := sim.Runner{}.FoldRange(42, 0, replicates,
 		func(rep int, rng *simrng.Source, ws *sim.Workspace) (sim.Model, error) {
 			adv, err := spec.Adversary.Strategy()
 			if err != nil {

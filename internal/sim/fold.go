@@ -7,37 +7,32 @@ import (
 	"lotuseater/internal/simrng"
 )
 
-// FoldFunc consumes one replicate's snapshot. Runner.Fold calls it from a
-// single goroutine, in strict replicate order, so implementations need no
-// locking and deterministic reductions (running sums, streaming
+// FoldFunc consumes one replicate's snapshot. Runner.FoldRange calls it
+// from a single goroutine, in strict replicate order, so implementations
+// need no locking and deterministic reductions (running sums, streaming
 // accumulators) come out bit-identical for any worker count.
 type FoldFunc func(rep int, snap any) error
 
-// Fold builds and drives n independently seeded models, replicate r on
-// the stream ChildN("replicate", r) from seed, and folds each snapshot into
-// fold instead of materializing a []any of all of them. Replicates run
-// concurrently on the shared pool; completed snapshots wait in a reorder
-// buffer until their turn, and an admission window of about twice the pool
-// width bounds how far ahead of the fold cursor workers may run, so a
-// 10k-replicate run holds O(workers) snapshots at any moment rather than
-// 10k.
+// FoldRange builds and drives the n independently seeded models of the
+// replicate index window [start, start+n), replicate r on the stream
+// ChildN("replicate", r) from seed, and folds each snapshot into fold
+// instead of materializing a []any of all of them. build and fold see
+// global replicate indices. Replicates run concurrently on the shared
+// pool; completed snapshots wait in a reorder buffer until their turn, and
+// an admission window of about twice the pool width bounds how far ahead
+// of the fold cursor workers may run, so a 10k-replicate run holds
+// O(workers) snapshots at any moment rather than 10k.
+//
+// Replicate streams are a pure function of (seed, replicate index), never
+// of how a run is split into ranges, so a run executed as consecutive
+// waves (the adaptive precision engine's batched stopping rule) folds
+// bit-identical models in bit-identical order to one call covering the
+// same indices.
 //
 // fold runs on a dedicated goroutine in strict replicate order. A build or
 // drive error skips that replicate's fold call and is returned (first error
 // by replicate order) after all replicates finish; a fold error stops
 // folding (later snapshots are discarded) and is returned likewise.
-func (r Runner) Fold(seed uint64, n int, build Build, fold FoldFunc) error {
-	return r.FoldRange(seed, 0, n, build, fold)
-}
-
-// FoldRange is Fold over the replicate index window [start, start+n):
-// build and fold see global replicate indices, and replicate start+i draws
-// the stream ChildN("replicate", start+i) from seed — exactly the stream
-// Fold(seed, start+n, ...) hands the same index. Replicate streams are a
-// pure function of (seed, replicate index), never of how a run is split
-// into ranges, so a run executed as consecutive waves (the adaptive
-// precision engine's batched stopping rule) folds bit-identical models in
-// bit-identical order to one fixed-count call covering the same indices.
 //
 // Progress, when set, reports this call's local completion (done in 1..n),
 // not global indices; callers running waves translate. Error messages carry

@@ -25,7 +25,7 @@ func buildCount(rep int, rng *simrng.Source, _ *Workspace) (Model, error) {
 }
 
 // Replicates builds and drives n independently seeded models and returns
-// their snapshots in replicate order: the materialising twin of Fold, kept
+// their snapshots in replicate order: the materialising twin of FoldRange, kept
 // as its test oracle. Replicate r always sees the stream derived with
 // ChildN("replicate", r) from seed, so the result is identical for any
 // worker count. The first error (by replicate order) is returned.
@@ -55,7 +55,7 @@ func (r Runner) Replicates(seed uint64, n int, build Build) ([]any, error) {
 	return out, nil
 }
 
-// TestFoldMatchesReplicates: Fold must visit exactly the snapshots
+// TestFoldMatchesReplicates: FoldRange over [0, n) must visit exactly the snapshots
 // Replicates returns, in replicate order, for any worker bound.
 func TestFoldMatchesReplicates(t *testing.T) {
 	const n = 500
@@ -66,7 +66,7 @@ func TestFoldMatchesReplicates(t *testing.T) {
 	for _, workers := range []int{1, 2, 0} {
 		var got []any
 		next := 0
-		err := Runner{Workers: workers}.Fold(99, n, buildCount, func(rep int, snap any) error {
+		err := Runner{Workers: workers}.FoldRange(99, 0, n, buildCount, func(rep int, snap any) error {
 			if rep != next {
 				t.Fatalf("workers=%d: fold saw replicate %d, want %d", workers, rep, next)
 			}
@@ -89,14 +89,14 @@ func TestFoldMatchesReplicates(t *testing.T) {
 }
 
 // TestFoldRangeMatchesFold: splitting a run into consecutive ranges folds
-// exactly the snapshots one Fold call covering the same indices folds —
+// exactly the snapshots one FoldRange call covering the same indices folds —
 // global indices, per-index streams, fold order — for any worker bound and
 // any split. This is the wave contract the adaptive precision engine
 // stands on.
 func TestFoldRangeMatchesFold(t *testing.T) {
 	const n = 60
 	var want []any
-	if err := (Runner{}).Fold(41, n, buildCount, func(rep int, snap any) error {
+	if err := (Runner{}).FoldRange(41, 0, n, buildCount, func(rep int, snap any) error {
 		want = append(want, snap)
 		return nil
 	}); err != nil {
@@ -164,7 +164,7 @@ func TestFoldBuildError(t *testing.T) {
 		return buildCount(rep, rng, ws)
 	}
 	folded := 0
-	err := Runner{}.Fold(1, 10, build, func(rep int, snap any) error {
+	err := Runner{}.FoldRange(1, 0, 10, build, func(rep int, snap any) error {
 		if rep == 3 || rep == 7 {
 			t.Fatalf("fold saw failed replicate %d", rep)
 		}
@@ -184,7 +184,7 @@ func TestFoldBuildError(t *testing.T) {
 func TestFoldFoldError(t *testing.T) {
 	sentinel := errors.New("stop")
 	folded := 0
-	err := Runner{}.Fold(1, 50, buildCount, func(rep int, snap any) error {
+	err := Runner{}.FoldRange(1, 0, 50, buildCount, func(rep int, snap any) error {
 		if rep == 5 {
 			return sentinel
 		}
@@ -201,7 +201,7 @@ func TestFoldFoldError(t *testing.T) {
 
 // TestFoldZero: n <= 0 is a no-op.
 func TestFoldZero(t *testing.T) {
-	err := Runner{}.Fold(1, 0, buildCount, func(int, any) error {
+	err := Runner{}.FoldRange(1, 0, 0, buildCount, func(int, any) error {
 		t.Fatal("fold called for n = 0")
 		return nil
 	})
@@ -270,7 +270,7 @@ func TestFoldErrorPrecedence(t *testing.T) {
 					}
 					return buildCount(rep, rng, ws)
 				}
-				err := Runner{Workers: workers}.Fold(1, 12, build, func(rep int, snap any) error {
+				err := Runner{Workers: workers}.FoldRange(1, 0, 12, build, func(rep int, snap any) error {
 					if rep == tc.foldAt {
 						return sentinel
 					}
@@ -374,7 +374,7 @@ func TestFoldProgress(t *testing.T) {
 		r := Runner{Workers: workers, Progress: func(done, total int) {
 			calls = append(calls, [2]int{done, total})
 		}}
-		err := r.Fold(7, n, buildCount, func(rep int, snap any) error { return nil })
+		err := r.FoldRange(7, 0, n, buildCount, func(rep int, snap any) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func TestFoldProgress(t *testing.T) {
 	// A build error skips the fold but still advances progress to n.
 	var last int
 	r := Runner{Progress: func(done, total int) { last = done }}
-	err := r.Fold(7, 10, func(rep int, rng *simrng.Source, ws *Workspace) (Model, error) {
+	err := r.FoldRange(7, 0, 10, func(rep int, rng *simrng.Source, ws *Workspace) (Model, error) {
 		if rep == 4 {
 			return nil, errors.New("boom")
 		}

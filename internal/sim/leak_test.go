@@ -15,7 +15,7 @@ var (
 )
 
 // The process-wide pool starts exactly PoolSize worker goroutines on first
-// use and never grows; everything else the kernel spawns — Fold's folder
+// use and never grows; everything else the kernel spawns — FoldRange's folder
 // goroutine, Go's drainer offers — must be gone when the call returns.
 // These tests pin that: after a warm-up, repeated heavy use settles back to
 // the warm baseline.
@@ -53,18 +53,18 @@ func TestPoolGoroutinesBounded(t *testing.T) {
 	settle(t, base)
 }
 
-// TestFoldNoGoroutineLeak: Fold's folder goroutine and reorder machinery
+// TestFoldNoGoroutineLeak: FoldRange's folder goroutine and reorder machinery
 // are per-call and fully reclaimed, on success and on error, for any
 // worker bound.
 func TestFoldNoGoroutineLeak(t *testing.T) {
-	if err := (Runner{}).Fold(1, 8, buildCount, func(int, any) error { return nil }); err != nil {
+	if err := (Runner{}).FoldRange(1, 0, 8, buildCount, func(int, any) error { return nil }); err != nil {
 		t.Fatal(err) // warm
 	}
 	base := runtime.NumGoroutine()
 
 	for round := 0; round < 30; round++ {
 		workers := []int{1, 2, 0}[round%3]
-		err := Runner{Workers: workers}.Fold(uint64(round), 200, buildCount,
+		err := Runner{Workers: workers}.FoldRange(uint64(round), 0, 200, buildCount,
 			func(rep int, snap any) error { return nil })
 		if err != nil {
 			t.Fatal(err)
@@ -77,13 +77,13 @@ func TestFoldNoGoroutineLeak(t *testing.T) {
 // abandon snapshots mid-stream; nothing may stay parked on the admission
 // window or the reorder buffer.
 func TestFoldErrorPathsNoGoroutineLeak(t *testing.T) {
-	if err := (Runner{}).Fold(1, 8, buildCount, func(int, any) error { return nil }); err != nil {
+	if err := (Runner{}).FoldRange(1, 0, 8, buildCount, func(int, any) error { return nil }); err != nil {
 		t.Fatal(err) // warm
 	}
 	base := runtime.NumGoroutine()
 
 	for round := 0; round < 20; round++ {
-		err := Runner{}.Fold(uint64(round), 100,
+		err := Runner{}.FoldRange(uint64(round), 0, 100,
 			func(rep int, rng *simrng.Source, ws *Workspace) (Model, error) {
 				if rep%7 == 3 {
 					return nil, errTestBuild

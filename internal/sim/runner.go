@@ -14,13 +14,13 @@ type Runner struct {
 	// Workers bounds this runner's in-flight tasks on the shared pool.
 	// Zero means the full pool width. Results never depend on it.
 	Workers int
-	// Progress, when non-nil, is called by Fold after each replicate clears
-	// the fold stage — folded, or skipped by a build/drive/fold error — with
-	// the count completed so far and the total for the call. Calls come from
-	// Fold's single folder goroutine in strict replicate order (done is
-	// 1, 2, ..., total), so implementations need no locking against each
-	// other; they do need to be safe against the caller's own goroutine if
-	// state is shared. The experiment service surfaces these as status
-	// updates. Results never depend on it.
+	// Progress, when non-nil, is called by FoldRange after each replicate
+	// clears the fold stage — folded, or skipped by a build/drive/fold
+	// error — with the count completed so far and the total for the call.
+	// Calls come from FoldRange's single folder goroutine in strict
+	// replicate order (done is 1, 2, ..., total), so implementations need
+	// no locking against each other; they do need to be safe against the
+	// caller's own goroutine if state is shared. The experiment service
+	// surfaces these as status updates. Results never depend on it.
 	Progress func(done, total int)
 }

@@ -149,7 +149,7 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 	}
 	collect := func(workers int) []any {
 		var snaps []any
-		if err := (sim.Runner{Workers: workers}).Fold(99, 12, build, func(_ int, snap any) error {
+		if err := (sim.Runner{Workers: workers}).FoldRange(99, 0, 12, build, func(_ int, snap any) error {
 			snaps = append(snaps, snap)
 			return nil
 		}); err != nil {
@@ -170,7 +170,7 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 // TestRunnerPropagatesErrors checks the first build error surfaces.
 func TestRunnerPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
-	err := sim.Runner{}.Fold(1, 4, func(rep int, rng *simrng.Source, ws *sim.Workspace) (sim.Model, error) {
+	err := sim.Runner{}.FoldRange(1, 0, 4, func(rep int, rng *simrng.Source, ws *sim.Workspace) (sim.Model, error) {
 		if rep == 2 {
 			return nil, boom
 		}
