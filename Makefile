@@ -40,14 +40,10 @@ fmt-check:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# Uncached, so every test (the cluster end-to-end tests and the swarm's
+# forced multi-shard passes included) really runs under the detector.
 race:
-	$(GO) test -race ./...
-	# The swarm's widened ParallelFor passes (sharded unchoke scoring, the
-	# leecher scans, the initial rarity build) only fan out above ~32k
-	# nodes; these tests force that scale and shard split under -race.
-	$(GO) test -race -count=1 \
-		-run 'TestShardedPassesRace|TestEvalParallelBitIdentical|TestIncrementalRarityMatchesRescan|TestUnchokeScoringMatchesBruteForce' \
-		./internal/swarm
+	$(GO) test -race -count=1 ./...
 
 # Statistical self-tests for the adaptive stopping rule: Student-t golden
 # constants and the 1000-trial CI coverage check, uncached so the numbers
