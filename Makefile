@@ -68,8 +68,9 @@ cover:
 # {10k, 100k, 1m}), and the cluster bench (1-vs-2-worker distributed
 # throughput through a loopback coordinator); emits BENCH_scenarios.json,
 # BENCH_adaptive.json, BENCH_kernel.json, and BENCH_cluster.json for the
-# performance trajectory across PRs. Raise -kernel-rounds locally for
-# tighter kernel numbers; read the cluster scaling row next to its cpus
+# performance trajectory across PRs. Each kernel row times 3 rounds right
+# after a short warmup, while the swarm is still filling, as the rows of
+# bench_baseline.json were; read the cluster scaling row next to its cpus
 # field.
 bench:
 	$(GO) run ./cmd/lotus-sim scenarios bench -out BENCH_scenarios.json -adaptive-out BENCH_adaptive.json -kernel-out BENCH_kernel.json -cluster-out BENCH_cluster.json

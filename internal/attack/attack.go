@@ -82,111 +82,11 @@ func Share(fraction float64, n int) int {
 	return int(min(max(fraction, 0), 1)*float64(n) + 0.5)
 }
 
-// Targeter decides, per round, which nodes the attacker attempts to satiate.
-// The returned set is immutable and shared — implementations return the same
-// pointer for every round of one targeting epoch, so callers may compare
-// pointers (or Epoch) to detect change and hold sets across rounds.
-type Targeter interface {
-	// Satiated returns the satiation targets for the given round. Attacker
-	// nodes themselves are always included: they are "satiated" by
-	// definition (they serve the attacker, not themselves).
-	Satiated(round int) *TargetSet
-}
-
-// StaticTargeter satiates a fixed set: the attacker's own nodes plus enough
-// pseudorandomly chosen honest nodes to reach the target fraction. This is
-// the paper's primary configuration, with the target fraction fixed at 70%.
-type StaticTargeter struct {
-	targets *TargetSet
-}
-
-var _ Targeter = (*StaticTargeter)(nil)
-
-// NewStaticTargeter builds the static satiation set: all attacker nodes plus
-// pseudorandom honest nodes up to round(fraction*n). If the attacker
-// controls more than fraction*n nodes already, only attacker nodes are
-// targeted.
-func NewStaticTargeter(n int, attackers []int, fraction float64, rng *simrng.Source) *StaticTargeter {
-	return &StaticTargeter{targets: selectTargets(n, attackers, fraction, rng, nil)}
-}
-
-// Satiated implements Targeter.
-func (t *StaticTargeter) Satiated(int) *TargetSet { return t.targets }
-
-// RotatingTargeter re-draws the satiated set every period rounds, always
-// keeping attacker nodes in it. Section 2 observes that rotating targets can
-// make the service intermittently unusable for every node.
-//
-// The honest-candidate scratch is reused across epochs, so an epoch costs
-// O(n) time (the uniform redraw itself) but only O(|satiated| + n/64) fresh
-// allocation — and rounds within an epoch cost nothing at all.
-type RotatingTargeter struct {
-	n         int
-	attackers []int
-	fraction  float64
-	period    int
-	rng       *simrng.Source
-
-	epoch   int
-	targets *TargetSet
-	scratch []int // honest-candidate buffer reused across epochs
-}
-
-var _ Targeter = (*RotatingTargeter)(nil)
-
-// NewRotatingTargeter returns a targeter that re-selects targets every
-// period rounds (period < 1 is treated as 1).
-func NewRotatingTargeter(n int, attackers []int, fraction float64, period int, rng *simrng.Source) *RotatingTargeter {
-	if period < 1 {
-		period = 1
-	}
-	att := make([]int, len(attackers))
-	copy(att, attackers)
-	return &RotatingTargeter{
-		n:         n,
-		attackers: att,
-		fraction:  fraction,
-		period:    period,
-		rng:       rng,
-		epoch:     -1,
-	}
-}
-
-// Satiated implements Targeter. Calls must be made with non-decreasing
-// rounds (the simulation drives time forward).
-func (t *RotatingTargeter) Satiated(round int) *TargetSet {
-	epoch := round / t.period
-	if epoch != t.epoch || t.targets == nil {
-		t.epoch = epoch
-		t.targets = selectTargets(t.n, t.attackers, t.fraction, t.rng.ChildN("epoch", epoch), &t.scratch)
-	}
-	return t.targets
-}
-
-// ListTargeter satiates an explicit node list; used for targeted attacks
-// such as satiating a grid cut or a rare-resource holder.
-type ListTargeter struct {
-	targets *TargetSet
-}
-
-var _ Targeter = (*ListTargeter)(nil)
-
-// NewListTargeter marks exactly the given node ids as targets. Hostile
-// lists are tolerated by construction: ids outside [0, n) are clamped away
-// and duplicates collapse (use ValidateTargetList to reject them loudly
-// instead).
-func NewListTargeter(n int, nodes []int) *ListTargeter {
-	return &ListTargeter{targets: NewTargetSet(n, nodes)}
-}
-
-// Satiated implements Targeter.
-func (t *ListTargeter) Satiated(int) *TargetSet { return t.targets }
-
 // ValidateTargetList reports the first problem with an explicit target
 // list: a negative id, an id >= n (when n > 0; pass n <= 0 when the
-// population is not yet known), or a duplicate. The targeters themselves
-// clamp silently; validation layers (scenario specs, CLI flags) call this to
-// fail fast on hostile input.
+// population is not yet known), or a duplicate. A Strategy clamps such a
+// list silently (see NewTargetSet); validation layers (scenario specs, CLI
+// flags) call this to fail fast on hostile input.
 func ValidateTargetList(n int, nodes []int) error {
 	seen := make(map[int]struct{}, len(nodes))
 	for i, v := range nodes {
@@ -205,8 +105,9 @@ func ValidateTargetList(n int, nodes []int) error {
 }
 
 // selectTargets draws the epoch's satiation set: every attacker node plus
-// uniformly chosen honest nodes up to round(fraction*n). The honest-candidate
-// buffer is taken from *scratch when provided, so rotating targeters reuse
+// uniformly chosen honest nodes up to round(fraction*n); if the attacker
+// already controls more, only its nodes are targeted. The honest-candidate
+// buffer is taken from *scratch when provided, so a rotating Strategy reuses
 // it across epochs. RNG consumption is exactly one SampleInts draw, identical
 // to the historical dense implementation, so seeds reproduce the same sets.
 func selectTargets(n int, attackers []int, fraction float64, rng *simrng.Source, scratch *[]int) *TargetSet {

@@ -64,10 +64,8 @@ func TestPlaceAttackersCount(t *testing.T) {
 }
 
 func TestStaticTargeterIncludesAttackers(t *testing.T) {
-	rng := simrng.New(2)
 	attackers := []int{3, 7, 9}
-	tg := NewStaticTargeter(20, attackers, 0.5, rng)
-	targets := tg.Satiated(0)
+	targets := selectTargets(20, attackers, 0.5, simrng.New(2), nil)
 	for _, a := range attackers {
 		if !targets.Has(a) {
 			t.Fatalf("attacker %d not in target set", a)
@@ -77,46 +75,46 @@ func TestStaticTargeterIncludesAttackers(t *testing.T) {
 		t.Fatalf("targeted %d, want %d", got, want)
 	}
 	// Static: the identical (shared, immutable) set every round.
-	if later := tg.Satiated(100); later != targets {
-		t.Fatal("static targeter changed over time")
+	s := &Strategy{Kind: Trade, Fraction: 0.15, SatiateFraction: 0.5}
+	s.Place(20, simrng.New(2))
+	if first := s.Targets(0); s.Targets(100) != first {
+		t.Fatal("static target set changed over time")
 	}
 }
 
 func TestStaticTargeterAttackerMajority(t *testing.T) {
-	rng := simrng.New(2)
 	attackers := make([]int, 15)
 	for i := range attackers {
 		attackers[i] = i
 	}
-	tg := NewStaticTargeter(20, attackers, 0.5, rng)
 	// 15 attackers > 10 wanted: only attackers are targeted.
-	if got := tg.Satiated(0).Len(); got != 15 {
+	if got := selectTargets(20, attackers, 0.5, simrng.New(2), nil).Len(); got != 15 {
 		t.Fatalf("targeted %d, want 15", got)
 	}
 }
 
 func TestStaticTargeterFractionClamped(t *testing.T) {
 	rng := simrng.New(2)
-	if got := NewStaticTargeter(10, nil, -1, rng).Satiated(0).Len(); got != 0 {
+	if got := selectTargets(10, nil, -1, rng, nil).Len(); got != 0 {
 		t.Fatalf("negative fraction targeted %d", got)
 	}
-	if got := NewStaticTargeter(10, nil, 5, rng).Satiated(0).Len(); got != 10 {
+	if got := selectTargets(10, nil, 5, rng, nil).Len(); got != 10 {
 		t.Fatalf("fraction > 1 targeted %d, want all", got)
 	}
 }
 
 func TestRotatingTargeterRotates(t *testing.T) {
-	rng := simrng.New(3)
-	tg := NewRotatingTargeter(100, []int{0}, 0.4, 5, rng)
-	epoch0 := tg.Satiated(0)
-	if sameEpoch := tg.Satiated(4); sameEpoch != epoch0 {
+	s := &Strategy{Kind: Ideal, Fraction: 0.01, SatiateFraction: 0.4, RotatePeriod: 5}
+	placed := s.Place(100, simrng.New(3))
+	epoch0 := s.Targets(0)
+	if sameEpoch := s.Targets(4); sameEpoch != epoch0 {
 		t.Fatal("targets changed within an epoch")
 	}
-	epoch1 := tg.Satiated(5)
+	epoch1 := s.Targets(5)
 	if equalInts(epoch1.Members(), epoch0.Members()) {
 		t.Fatal("targets did not rotate across epochs")
 	}
-	if !epoch1.Has(0) {
+	if !epoch1.Has(placed[0]) {
 		t.Fatal("attacker dropped from rotated target set")
 	}
 	if got := epoch1.Len(); got != 40 {
@@ -124,22 +122,36 @@ func TestRotatingTargeterRotates(t *testing.T) {
 	}
 }
 
+// TestRotatingTargeterPeriodClamp: the shortest rotation, RotatePeriod 1,
+// redraws every round; a period of 0 never rotates, and a negative one is
+// refused.
 func TestRotatingTargeterPeriodClamp(t *testing.T) {
-	rng := simrng.New(3)
-	tg := NewRotatingTargeter(10, nil, 0.5, 0, rng) // period 0 -> 1
-	a := tg.Satiated(0)
-	b := tg.Satiated(1)
+	s := &Strategy{Kind: Ideal, Fraction: 0.1, SatiateFraction: 0.5, RotatePeriod: 1}
+	s.Place(10, simrng.New(3))
+	a := s.Targets(0)
+	b := s.Targets(1)
 	if a == b {
-		t.Fatal("period clamp did not re-draw per round")
+		t.Fatal("period 1 did not re-draw per round")
 	}
 	if equalInts(a.Members(), b.Members()) {
 		t.Log("note: consecutive epochs drew identical sets (possible but unlikely)")
 	}
+	fixed := &Strategy{Kind: Ideal, Fraction: 0.1, SatiateFraction: 0.5}
+	fixed.Place(10, simrng.New(3))
+	if fixed.Targets(0) != fixed.Targets(1) {
+		t.Fatal("period 0 re-drew")
+	}
+	if err := (&Strategy{Kind: Ideal, RotatePeriod: -1}).Validate(); err == nil {
+		t.Fatal("negative rotate period accepted")
+	}
 }
 
+// TestListTargeter: a hostile target list is clamped at Place: duplicates
+// collapse and out-of-range ids drop.
 func TestListTargeter(t *testing.T) {
-	tg := NewListTargeter(10, []int{2, 4, 4, -1, 99})
-	targets := tg.Satiated(0)
+	s := &Strategy{Kind: Ideal, TargetList: []int{2, 4, 4, -1, 99}}
+	s.Place(10, simrng.New(1))
+	targets := s.Targets(0)
 	if targets.Len() != 2 {
 		t.Fatalf("targeted %d, want 2 (dedup + range filtering)", targets.Len())
 	}
@@ -149,10 +161,10 @@ func TestListTargeter(t *testing.T) {
 }
 
 func TestSelectTargetsDeterministic(t *testing.T) {
-	a := NewStaticTargeter(50, []int{1}, 0.3, simrng.New(9)).Satiated(0)
-	b := NewStaticTargeter(50, []int{1}, 0.3, simrng.New(9)).Satiated(0)
+	a := selectTargets(50, []int{1}, 0.3, simrng.New(9), nil)
+	b := selectTargets(50, []int{1}, 0.3, simrng.New(9), nil)
 	if !equalInts(a.Members(), b.Members()) {
-		t.Fatal("same-seed targeters differ")
+		t.Fatal("same-seed draws differ")
 	}
 }
 
@@ -160,9 +172,8 @@ func TestStaticTargeterCountQuick(t *testing.T) {
 	err := quick.Check(func(seed uint64, nRaw, fRaw uint8) bool {
 		n := int(nRaw%100) + 2
 		fraction := float64(fRaw) / 255
-		tg := NewStaticTargeter(n, nil, fraction, simrng.New(seed))
 		want := int(fraction*float64(n) + 0.5)
-		return tg.Satiated(0).Len() == want
+		return selectTargets(n, nil, fraction, simrng.New(seed), nil).Len() == want
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

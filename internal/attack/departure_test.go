@@ -47,8 +47,8 @@ func TestTargetSetWithout(t *testing.T) {
 
 // TestDepartureDoesNotLeakSatiation is the regression test for the
 // fixed-universe assumption in target-set epoch sharing: a satiated node
-// departs, a new node arrives reusing its index, and — with a static
-// targeter, which never redraws — the reused index must not inherit the
+// departs, a new node arrives reusing its index, and — with a fixed set,
+// which is never redrawn — the reused index must not inherit the
 // old occupant's satiation for the rest of the run.
 func TestDepartureDoesNotLeakSatiation(t *testing.T) {
 	for _, kind := range []Kind{Ideal, Trade} {
@@ -96,12 +96,11 @@ func TestDepartureExclusionResetsOnRedraw(t *testing.T) {
 	if s.Targets(1).Has(victim) {
 		t.Fatal("exclusion not applied within the epoch")
 	}
-	// After the period boundary the rotating targeter redraws; whether the
-	// new set contains the index is the targeter's call again.
+	// After the period boundary the rotation redraws; whether the new set
+	// contains the index is the draw's call again.
 	redrawn := s.Targets(5)
-	inner := s.targeter.Satiated(5)
-	if redrawn != inner {
-		t.Fatal("post-redraw effective set should be the targeter's fresh set")
+	if redrawn != s.set {
+		t.Fatal("post-redraw effective set should be the fresh draw")
 	}
 }
 
@@ -110,7 +109,7 @@ func TestDepartureExclusionResetsOnRedraw(t *testing.T) {
 func TestDepartureSameRoundAsRedraw(t *testing.T) {
 	s, _ := placeSatiating(t, Ideal, 5)
 	// Find an honest node satiated in the *second* epoch.
-	inner := s.targeter.Satiated(5)
+	inner := s.Targets(5)
 	attackers := make(map[int]bool)
 	for _, a := range s.placed {
 		attackers[a] = true
@@ -130,16 +129,5 @@ func TestDepartureSameRoundAsRedraw(t *testing.T) {
 	s2.NodeDeparted(5, victim)
 	if s2.Targets(5).Has(victim) {
 		t.Fatal("same-round departure dropped by the redraw")
-	}
-}
-
-func TestResetClearsDepartures(t *testing.T) {
-	s, victim := placeSatiating(t, Ideal, 0)
-	s.NodeDeparted(2, victim)
-	_ = s.Targets(2)
-	s.Reset()
-	s.Place(40, simrng.New(7))
-	if !s.Targets(0).Has(victim) {
-		t.Fatal("Reset did not clear departure exclusions (fresh replicate inherited churn)")
 	}
 }

@@ -28,9 +28,17 @@ type Ranker interface {
 	Rank(r Rank, k int) []int
 }
 
-// Strategy is the paper's adversary as a reusable, substrate-independent
-// strategy. It satisfies sim.Adversary structurally (this package does not
-// import internal/sim), so every simulator can host the same four attacks:
+// Strategy is the paper's adversary. Every simulator hosts it through its
+// WithAdversary option, calls three round hooks, and maps each answer onto
+// its own mechanics (token fills, scrip top-ups, piece uploads, update
+// deliveries):
+//
+//   - Place picks the nodes the adversary controls, once, at model build.
+//   - Targets names the nodes the adversary tries to satiate each round.
+//   - OnExchange decides, inside a protocol exchange, whether an attacker
+//     node serves the partner.
+//
+// Kind selects one of the four attacks:
 //
 //   - None:  no attacker nodes, no targets — the healthy baseline.
 //   - Crash: attacker nodes provide no service and satiate nobody.
@@ -39,9 +47,9 @@ type Ranker interface {
 //   - Trade: attacker nodes stay in protocol (TradesInProtocol reports
 //     true) and serve exactly the satiation targets.
 //
-// A Strategy is stateful per run: Place must be called once before Targets
-// or OnExchange, and Targets must see non-decreasing rounds. Use a fresh
-// value (or call Reset) per replicate.
+// A Strategy carries one run's state: Place must be called once before
+// Targets or OnExchange, and Targets must see non-decreasing rounds. Use a
+// fresh value per replicate.
 type Strategy struct {
 	// Kind selects the attack.
 	Kind Kind
@@ -67,72 +75,70 @@ type Strategy struct {
 	// every round. Only a model that ranks can host it (see UseRanker).
 	Rank Rank
 
-	n        int
-	placed   []int
-	targeter Targeter
-	ranker   Ranker
+	n      int
+	placed []int
+	ranker Ranker
+	// set is the targeting set before departures. It is fixed at Place,
+	// unless redraw is positive: then it is redrawn every redraw rounds
+	// (RotatePeriod, on the rotation stream trng, reusing the
+	// honest-candidate buffer scratch) or re-ranked every round (a ranked
+	// strategy, redraw 1). epoch is the redraw epoch set was made for.
+	set     *TargetSet
+	redraw  int
+	epoch   int
+	trng    *simrng.Source
+	scratch []int
 	// idle is the empty set Targets returns outside a window: before
 	// Start, and from Stop on.
 	idle *TargetSet
 
-	// Departure overlay (population churn). The targeters above assume a
-	// fixed node universe; under churn a satiated node that departs takes
-	// its satiation with it, and a later arrival reusing the index must NOT
+	// Departure overlay (population churn). The set above assumes a fixed
+	// node universe; under churn a satiated node that departs takes its
+	// satiation with it, and a later arrival reusing the index must NOT
 	// inherit it. pendingDepartures accumulates NodeDeparted calls; Targets
-	// folds them into effective (a Without successor of the targeter's set)
-	// and clears them whenever the inner targeter redraws (a redraw
-	// re-evaluates targeting from scratch and may legitimately pick the
-	// reused index again).
+	// folds them into effective (a Without successor of the set) and clears
+	// them whenever the set is redrawn (a redraw re-evaluates targeting
+	// from scratch and may legitimately pick the reused index again).
 	pendingDepartures []int
 	innerSeen         *TargetSet
 	effective         *TargetSet
 }
 
-// Reset returns the strategy to its pre-Place state so it can host a fresh
-// replicate.
-func (s *Strategy) Reset() {
-	s.n, s.placed, s.targeter, s.ranker, s.idle = 0, nil, nil, nil, nil
-	s.pendingDepartures, s.innerSeen, s.effective = nil, nil, nil
-}
-
 // UseRanker binds the model that ranks a ranked strategy's targets. A
-// model able to rank calls it before Place; Reset unbinds it.
+// model able to rank calls it before Place.
 func (s *Strategy) UseRanker(r Ranker) { s.ranker = r }
 
-// Place implements the placement hook: it selects the attacker's nodes and
-// prepares the round targeter. Randomness comes from rng's "placement" and
-// "targets" children, matching the streams the gossip engine has always
-// used, so a default-configured engine is bit-identical to its pre-strategy
-// behavior.
+// Place selects the attacker's nodes and prepares the round targets.
+// Randomness comes from rng's "placement" and "targets" children, matching
+// the streams the gossip engine has always used, so a default-configured
+// engine is bit-identical to its pre-strategy behavior.
 func (s *Strategy) Place(n int, rng *simrng.Source) []int {
-	s.n = n
-	s.placed = nil
+	s.n, s.placed, s.set, s.redraw, s.trng = n, nil, nil, 0, nil
 	if s.Start > 0 || s.Stop > 0 {
 		s.idle = NewTargetSet(n, nil)
 	}
 	if s.Kind != None && s.Kind != 0 && s.Fraction > 0 {
 		s.placed = PlaceAttackers(n, s.Fraction, rng.Child("placement"))
 	}
-	trng := rng.Child("targets")
 	switch {
 	case s.Kind != Ideal && s.Kind != Trade:
 		// Crash attackers and the no-attack baseline satiate nobody; the
 		// target set is just the attacker nodes themselves so every honest
 		// node counts as isolated.
-		s.targeter = NewListTargeter(n, s.placed)
+		s.set = NewTargetSet(n, s.placed)
 	case s.TargetList != nil:
 		// An explicit target list is an out-of-band experiment tool (grid
 		// cuts, rare-resource holders): it satiates exactly the named nodes
 		// whether or not attackers are placed, and is exempt from the
 		// zero-attacker inertness below.
-		s.targeter = NewListTargeter(n, append(append([]int(nil), s.placed...), s.TargetList...))
+		s.set = NewTargetSet(n, append(append([]int(nil), s.placed...), s.TargetList...))
 	case s.Rank != "":
 		// Ranked targets are named by the model's state, so like a list
 		// they are exempt from the zero-attacker inertness below.
 		if s.ranker == nil {
 			panic("attack: a ranked Strategy needs a model that ranks (UseRanker before Place)")
 		}
-		s.targeter = &rankedTargeter{ranker: s.ranker, rank: s.Rank, n: n, k: Share(s.SatiateFraction, n)}
+		s.redraw = 1
 	case len(s.placed) == 0:
 		// Satiation is delivered by attacker nodes — out of protocol for
 		// the ideal attack, through exchanges for the trade attack. With
@@ -140,31 +146,57 @@ func (s *Strategy) Place(n int, rng *simrng.Source) []int {
 		// attack is inert: no satiated set, no stats regrouping. This is
 		// what makes a fraction-0 ideal/trade spec bit-identical to the
 		// `none` baseline (pinned by the scenario invariant suite).
-		s.targeter = NewListTargeter(n, nil)
+		s.set = NewTargetSet(n, nil)
 	case s.RotatePeriod > 0:
-		s.targeter = NewRotatingTargeter(n, s.placed, s.SatiateFraction, s.RotatePeriod, trng)
+		s.redraw, s.trng = s.RotatePeriod, rng.Child("targets")
 	default:
-		s.targeter = NewStaticTargeter(n, s.placed, s.SatiateFraction, trng)
+		s.set = selectTargets(n, s.placed, s.SatiateFraction, rng.Child("targets"), nil)
 	}
 	return append([]int(nil), s.placed...)
 }
 
-// Targets implements the per-round targeting hook. Place must have run.
-// The returned set is immutable and shared; the same pointer comes back for
-// every round of one targeting epoch. Outside the campaign window it is an
-// empty set over the same n, and the targeter is not consulted.
+// satiated returns the round's targeting set before departures, redrawing
+// it when a rotation epoch or a round of ranking begins. A rotation draws
+// each epoch's set from its own child of the "targets" stream. A ranked set
+// satiates the model's best round(SatiateFraction·n) live nodes and lists
+// them in rank order, best first: an attacker with a bounded uplink spends
+// it in that order, so the order is part of the attack. It is kept while
+// the ranking holds.
+func (s *Strategy) satiated(round int) *TargetSet {
+	if s.redraw == 0 || (s.set != nil && round/s.redraw == s.epoch) {
+		return s.set
+	}
+	s.epoch = round / s.redraw
+	if s.trng != nil {
+		s.set = selectTargets(s.n, s.placed, s.SatiateFraction, s.trng.ChildN("epoch", s.epoch), &s.scratch)
+		return s.set
+	}
+	ranked := s.ranker.Rank(s.Rank, Share(s.SatiateFraction, s.n))
+	if s.set == nil || !slices.Equal(ranked, s.set.members) {
+		s.set = NewTargetSet(s.n, ranked)
+		s.set.members = slices.Clone(ranked)
+	}
+	return s.set
+}
+
+// Targets returns the round's satiation targets. Place must have run. The
+// returned set is immutable and shared; the same pointer comes back for
+// every round of one targeting epoch, so callers may hold it across rounds
+// and key per-node state on pointer change. Outside the campaign window it
+// is an empty set over the same n, and the set is neither redrawn nor
+// re-ranked.
 func (s *Strategy) Targets(round int) *TargetSet {
-	if s.targeter == nil {
+	if s.set == nil && s.redraw == 0 {
 		panic("attack: Strategy.Targets called before Place")
 	}
 	if round < s.Start || (s.Stop > 0 && round >= s.Stop) {
 		return s.idle
 	}
-	inner := s.targeter.Satiated(round)
+	inner := s.satiated(round)
 	if inner != s.innerSeen {
-		// New targeting epoch: the targeter re-evaluated its set from
-		// scratch, so the historical departure exclusions (folded into the
-		// old effective set) no longer apply — a redrawn set targeting a
+		// New targeting epoch: the set was re-evaluated from scratch, so
+		// the historical departure exclusions (folded into the old
+		// effective set) no longer apply — a redrawn set targeting a
 		// reused index is targeting the new occupant. Departures recorded
 		// since the last call are NOT dropped: they precede this round's
 		// exchanges whether or not a redraw landed on the same round, so
@@ -178,11 +210,12 @@ func (s *Strategy) Targets(round int) *TargetSet {
 	return s.effective
 }
 
-// NodeDeparted implements sim.DepartureAware: the departing node is removed
-// from the effective target set at the next Targets call and stays excluded
-// until the underlying targeter redraws (a static targeter never does, so an
-// index vacated by a satiated node never re-enters the set for the rest of
-// the run — the arrival reusing it starts unsatiated).
+// NodeDeparted tracks the node lifecycle: simulators call it for every
+// departure (attacker or honest) before any exchange in the round. The
+// departing node is removed from the effective target set at the next
+// Targets call and stays excluded until the set is redrawn (a fixed set
+// never is, so an index vacated by a satiated node never re-enters the set
+// for the rest of the run — the arrival reusing it starts unsatiated).
 func (s *Strategy) NodeDeparted(round, node int) {
 	// A ranking lists only live nodes, and once the window has closed no
 	// set is built again, so neither needs the departure.
@@ -191,7 +224,8 @@ func (s *Strategy) NodeDeparted(round, node int) {
 	}
 }
 
-// OnExchange implements the in-protocol service decision: trade attackers
+// OnExchange reports whether attacker node `attacker` serves node `partner`
+// within a protocol exchange in the given round: trade attackers
 // serve exactly the satiation targets; crash and ideal attackers serve
 // nobody; a None "adversary" behaves honestly (and controls no nodes
 // anyway).
@@ -217,7 +251,7 @@ func (s *Strategy) SatiatesInstantly() bool { return s.Kind == Ideal }
 // Validate reports the first problem with the strategy's parameters, or nil.
 // A TargetList is checked for negatives and duplicates here; ids beyond the
 // (not yet known) population are caught by ValidateTargetList at the layer
-// that knows n, and clamped by the targeter either way.
+// that knows n, and clamped by Place either way.
 func (s *Strategy) Validate() error {
 	switch {
 	case s.Kind < None || s.Kind > Trade:
@@ -245,30 +279,4 @@ func (s *Strategy) Validate() error {
 		}
 	}
 	return nil
-}
-
-// rankedTargeter satiates the model's best k live nodes, re-ranked once per
-// round. It keeps one set while the ranking holds, and that set lists its
-// members in rank order, best first: an attacker with a bounded uplink
-// spends it in that order, so the order is part of the attack.
-type rankedTargeter struct {
-	ranker Ranker
-	rank   Rank
-	n, k   int
-	round  int
-	set    *TargetSet
-}
-
-// Satiated implements Targeter.
-func (t *rankedTargeter) Satiated(round int) *TargetSet {
-	if t.set != nil && round == t.round {
-		return t.set
-	}
-	t.round = round
-	ranked := t.ranker.Rank(t.rank, t.k)
-	if t.set == nil || !slices.Equal(ranked, t.set.members) {
-		t.set = NewTargetSet(t.n, ranked)
-		t.set.members = slices.Clone(ranked)
-	}
-	return t.set
 }

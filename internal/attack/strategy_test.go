@@ -27,7 +27,7 @@ func TestStrategyPlacement(t *testing.T) {
 
 	none := &Strategy{Kind: None, Fraction: 0.5}
 	if placed := none.Place(n, simrng.New(5)); len(placed) != 0 {
-		t.Fatalf("None adversary placed %d nodes", len(placed))
+		t.Fatalf("None strategy placed %d nodes", len(placed))
 	}
 }
 
@@ -124,7 +124,7 @@ func TestStrategyOnExchange(t *testing.T) {
 	}
 }
 
-// TestStrategyCapabilities: the optional-interface probes reflect the kind.
+// TestStrategyCapabilities: the capability probes reflect the kind.
 func TestStrategyCapabilities(t *testing.T) {
 	cases := []struct {
 		kind            Kind
@@ -155,22 +155,6 @@ func TestStrategyTargetList(t *testing.T) {
 	targets := s.Targets(0)
 	if targets.Len() != 3 || !targets.Has(3) || !targets.Has(7) || !targets.Has(11) {
 		t.Fatalf("target list not honored: %d satiated", targets.Len())
-	}
-}
-
-// TestStrategyReset: after Reset the strategy can host a fresh run.
-func TestStrategyReset(t *testing.T) {
-	s := &Strategy{Kind: Trade, Fraction: 0.2, SatiateFraction: 0.5}
-	first := s.Place(100, simrng.New(1))
-	s.Reset()
-	second := s.Place(100, simrng.New(1))
-	if len(first) != len(second) {
-		t.Fatalf("re-placed %d attackers, want %d", len(second), len(first))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatal("Reset did not restore pre-Place determinism")
-		}
 	}
 }
 

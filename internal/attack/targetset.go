@@ -7,10 +7,10 @@ import "lotuseater/internal/bitset"
 // get O(1) membership queries and O(|set|) iteration instead of scanning a
 // dense length-n []bool every round.
 //
-// A TargetSet is immutable once returned by a targeter and stays valid for
-// the rest of the run: simulators may hold the pointer across rounds (the
-// gossip engine keeps the release-round set of every live update). Targeters
-// whose set is static return the same pointer every round, so steady-state
+// A TargetSet is immutable once Strategy.Targets returns it and stays valid
+// for the rest of the run: simulators may hold the pointer across rounds
+// (the gossip engine keeps the release-round set of every live update). A
+// fixed set comes back as the same pointer every round, so steady-state
 // rounds allocate nothing on the targeting path.
 type TargetSet struct {
 	bits    *bitset.Set
@@ -19,7 +19,7 @@ type TargetSet struct {
 
 // NewTargetSet builds the set containing the given node ids over a universe
 // of n nodes. Out-of-range ids are clamped away (dropped) and duplicates
-// collapse; this is the documented hostile-input behavior of ListTargeter.
+// collapse; this is how a Strategy clamps a hostile TargetList.
 func NewTargetSet(n int, nodes []int) *TargetSet {
 	bits := bitset.New(n)
 	for _, v := range nodes {

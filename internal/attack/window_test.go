@@ -9,7 +9,7 @@ import (
 )
 
 // TestWindowEmptyOutside: outside [Start, Stop) the set is empty over the
-// same n, and a ranked targeter is never asked to rank there.
+// same n, and a ranked strategy's model is never asked to rank there.
 func TestWindowEmptyOutside(t *testing.T) {
 	const n = 100
 	s := &Strategy{Kind: Ideal, Fraction: 0.1, SatiateFraction: 0.5, Start: 5, Stop: 10}
@@ -60,7 +60,7 @@ func TestWindowOpensAndCloses(t *testing.T) {
 	}
 }
 
-// TestWindowOpensMidEpoch: a rotating targeter whose window opens inside a
+// TestWindowOpensMidEpoch: a rotating strategy whose window opens inside a
 // rotation epoch opens on that epoch's set, keeps it to the epoch's end and
 // redraws at the next.
 func TestWindowOpensMidEpoch(t *testing.T) {
@@ -103,19 +103,20 @@ func TestWindowDepartureBeforeStart(t *testing.T) {
 }
 
 // TestWindowlessSetsUnchanged: with Start = Stop = 0 Targets returns the
-// targeter's own set, or its departure successor, pointer for pointer over
+// epoch's drawn set, or its departure successor, pointer for pointer over
 // 200 rounds of rotation and departures. The oracle is that logic, with no
-// window, over a twin targeter.
+// window, over the same epoch draws.
 func TestWindowlessSetsUnchanged(t *testing.T) {
 	const n = 60
 	s := &Strategy{Kind: Ideal, Fraction: 0.1, SatiateFraction: 0.5, RotatePeriod: 7}
 	placed := s.Place(n, simrng.New(8))
-	twin := NewRotatingTargeter(n, placed, 0.5, 7, simrng.New(8).Child("targets"))
+	trng := simrng.New(8).Child("targets")
 	var seen, eff *TargetSet
 	var pending []int
 	oracle := func(round int) *TargetSet {
-		if inner := twin.Satiated(round); inner != seen {
-			seen, eff = inner, inner
+		if round%7 == 0 {
+			seen = selectTargets(n, placed, 0.5, trng.ChildN("epoch", round/7), nil)
+			eff = seen
 		}
 		if len(pending) > 0 {
 			eff, pending = eff.Without(pending...), nil
@@ -133,8 +134,8 @@ func TestWindowlessSetsUnchanged(t *testing.T) {
 		if (got == prevGot) != (want == prevWant) {
 			t.Fatalf("round %d: set changed %v, want %v", round, got != prevGot, want != prevWant)
 		}
-		if want == seen && got != s.targeter.Satiated(round) {
-			t.Fatalf("round %d: not the targeter's own set", round)
+		if want == seen && got != s.set {
+			t.Fatalf("round %d: not the epoch's drawn set", round)
 		}
 		if !slices.Equal(got.Members(), want.Members()) {
 			t.Fatalf("round %d: set differs from the pre-window logic", round)
@@ -200,10 +201,6 @@ func TestRankedTargets(t *testing.T) {
 	moved := s.Targets(3)
 	if !slices.Equal(moved.Members(), []int{3, 2, 9}) {
 		t.Fatalf("ranked set %v, want [3 2 9]", moved.Members())
-	}
-	s.Reset()
-	if s.ranker != nil || s.idle != nil || s.effective != nil {
-		t.Fatal("Reset kept the ranker or a cached set")
 	}
 }
 

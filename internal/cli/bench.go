@@ -61,19 +61,18 @@ var benchSet = []string{
 // adaptive bench — fixed-budget vs CI-targeted replication on the three
 // *-auto registry scenarios — into BENCH_adaptive.json, and the kernel
 // bench — single-replicate ns/round and allocs/round for gossip (static
-// and churning) and swarm at n in {10k, 100k, 1m} — into BENCH_kernel.json. With -cluster-out it
-// also measures 1-vs-2-worker distributed throughput through a loopback
-// coordinator/worker cluster into BENCH_cluster.json.
+// and churning) and swarm at n in {10k, 100k, 1m} — into
+// BENCH_kernel.json. With -cluster-out it also measures 1-vs-2-worker
+// distributed throughput through a loopback coordinator/worker cluster
+// into BENCH_cluster.json.
 func Bench(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("lotus-sim scenarios bench", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_scenarios.json", "output JSON path (empty = stdout only)")
 	adaptiveOut := fs.String("adaptive-out", "BENCH_adaptive.json", "adaptive-vs-fixed bench JSON path (empty = skip)")
 	kernelOut := fs.String("kernel-out", "BENCH_kernel.json", "kernel bench JSON path (empty = skip the kernel bench)")
 	clusterOut := fs.String("cluster-out", "", "cluster bench JSON path (empty = skip): 1-vs-2-worker replicates/sec through a loopback coordinator")
-	kernelRounds := fs.Int("kernel-rounds", 3, "steady-state rounds measured per kernel bench point (low quality; raise locally)")
 	kernelSizes := fs.String("kernel-sizes", "", "comma-separated kernel bench populations (default 10000,100000,1000000)")
-	kernelBaseline := fs.String("kernel-baseline", "", "baseline BENCH_kernel.json to gate ns/round against (empty = no gate)")
-	kernelRegress := fs.Float64("kernel-regress", 0.25, "fail when ns/round exceeds the baseline by this fraction")
+	kernelBaseline := fs.String("kernel-baseline", "", "baseline BENCH_kernel.json to gate ns/round against, failing a row more than 25% slower (empty = no gate)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -158,12 +157,12 @@ func Bench(w io.Writer, args []string) error {
 		}
 	}
 	if *kernelOut != "" {
-		entries, err := kernelBench(w, *seed, *kernelRounds, sizes, *kernelOut)
+		entries, err := kernelBench(w, *seed, sizes, *kernelOut)
 		if err != nil {
 			return err
 		}
 		if *kernelBaseline != "" {
-			if err := checkKernelBaseline(entries, *kernelBaseline, *kernelRegress); err != nil {
+			if err := checkKernelBaseline(entries, *kernelBaseline); err != nil {
 				return err
 			}
 		}

@@ -205,7 +205,7 @@ func TestBenchWritesJSON(t *testing.T) {
 	var b strings.Builder
 	// A small population ladder keeps the kernel bench test-sized; the real
 	// 10k/100k/1m ladder is the flag default, exercised by `make bench`.
-	if err := Bench(&b, []string{"-out", path, "-adaptive-out", adaptivePath, "-kernel-out", kernelPath, "-kernel-sizes", "500,2000", "-kernel-rounds", "2"}); err != nil {
+	if err := Bench(&b, []string{"-out", path, "-adaptive-out", adaptivePath, "-kernel-out", kernelPath, "-kernel-sizes", "500,2000"}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -274,14 +274,14 @@ func TestBenchWritesJSON(t *testing.T) {
 	if err := json.Unmarshal(kdata, &kernel); err != nil {
 		t.Fatalf("kernel bench JSON: %v", err)
 	}
-	if kernel.CPUs < 1 || kernel.GOMAXPROCS < 1 || kernel.GoVersion != runtime.Version() || kernel.KernelRounds != 2 {
+	if kernel.CPUs < 1 || kernel.GOMAXPROCS < 1 || kernel.GoVersion != runtime.Version() || kernel.KernelRounds != kernelRounds {
 		t.Fatalf("kernel bench header malformed: cpus %d, gomaxprocs %d, go %q, rounds %d",
 			kernel.CPUs, kernel.GOMAXPROCS, kernel.GoVersion, kernel.KernelRounds)
 	}
 	seen := map[string]bool{}
 	for _, e := range kernel.Entries {
 		seen[fmt.Sprintf("%s/%d", e.Substrate, e.Nodes)] = true
-		if e.NsPerRound <= 0 || e.Rounds != 2 {
+		if e.NsPerRound <= 0 || e.Rounds != kernelRounds {
 			t.Fatalf("kernel entry malformed: %+v", e)
 		}
 		// Only the swarm has a phase profile, and its rows attribute

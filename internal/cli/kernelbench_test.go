@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// TestCheckKernelBaseline pins the kernel gate: a row more than the
-// tolerance slower than its baseline fails and is named, a row within it
-// passes, rows missing on either side are ignored, and phase attributions
-// are never gated.
+// TestCheckKernelBaseline pins the kernel gate: a row more than
+// kernelRegress slower than its baseline fails and is named, a row within
+// it passes, rows missing on either side are ignored, and phase
+// attributions are never gated.
 func TestCheckKernelBaseline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	data, err := json.Marshal(kernelBenchFile{Entries: []KernelBenchResult{
@@ -34,10 +34,10 @@ func TestCheckKernelBaseline(t *testing.T) {
 			{Substrate: "swarm", Nodes: 5000, NsPerRound: 1e9},
 		}
 	}
-	if err := checkKernelBaseline(fresh(1.2e6), path, 0.25); err != nil {
+	if err := checkKernelBaseline(fresh(1.2e6), path); err != nil {
 		t.Fatalf("a row 20%% slower failed the +25%% gate: %v", err)
 	}
-	err = checkKernelBaseline(fresh(1.3e6), path, 0.25)
+	err = checkKernelBaseline(fresh(1.3e6), path)
 	if err == nil {
 		t.Fatal("a row 30% slower passed the +25% gate")
 	}

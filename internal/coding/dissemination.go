@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 
+	"lotuseater/internal/attack"
 	"lotuseater/internal/bitset"
+	"lotuseater/internal/defense"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/population"
-	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
@@ -119,8 +120,8 @@ type Dissemination struct {
 	// satiates instantly, serve contacting partners per OnExchange, and
 	// never collect for themselves; the defense's Admit hook gates every
 	// unit accepted, the external attacker included (sender -1).
-	adv        sim.Adversary
-	def        sim.Defense
+	adv        *attack.Strategy
+	def        *defense.RateLimiter
 	advTrades  bool
 	advInstant bool
 	isAttacker []bool
@@ -148,14 +149,14 @@ type DisseminationOption func(*Dissemination)
 // WithAdversary installs the attack: the adversary places its nodes, names
 // the nodes it satiates each round, and decides whom its nodes serve.
 // Without it the simulation runs unattacked.
-func WithAdversary(a sim.Adversary) DisseminationOption {
+func WithAdversary(a *attack.Strategy) DisseminationOption {
 	return func(d *Dissemination) { d.adv = a }
 }
 
 // WithDefense installs a receiver-side defense rate-limiting how many
 // information units (symbols or coded packets) a node accepts per partner
 // per round.
-func WithDefense(def sim.Defense) DisseminationOption {
+func WithDefense(def *defense.RateLimiter) DisseminationOption {
 	return func(d *Dissemination) { d.def = def }
 }
 
@@ -217,13 +218,10 @@ func NewDissemination(cfg DisseminationConfig, seed uint64, opts ...Disseminatio
 		}
 	}
 	if d.adv != nil {
-		d.advTrades = sim.TradesInProtocol(d.adv)
-		d.advInstant = sim.SatiatesInstantly(d.adv)
+		d.advTrades = d.adv.TradesInProtocol()
+		d.advInstant = d.adv.SatiatesInstantly()
 		d.isAttacker = make([]bool, n)
 		for _, a := range d.adv.Place(n, d.rng.Child("adversary")) {
-			if a < 0 || a >= n {
-				return nil, fmt.Errorf("coding: adversary placed node %d outside [0,%d)", a, n)
-			}
 			d.isAttacker[a] = true
 			if d.advTrades || d.advInstant {
 				if err := d.satiateNode(a); err != nil {
@@ -264,7 +262,7 @@ func (d *Dissemination) leaveNode(v int) {
 	}
 	d.departed[v] = true
 	if d.adv != nil {
-		sim.NotifyDeparture(d.adv, d.round, v)
+		d.adv.NodeDeparted(d.round, v)
 	}
 }
 

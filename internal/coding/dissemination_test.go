@@ -5,18 +5,7 @@ import (
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/graph"
-	"lotuseater/internal/simrng"
 )
-
-// wrongSizeAdversary is a misbehaving custom adversary: it places no
-// nodes and instantly satiates a target set over a universe of n nodes,
-// whatever the simulation's population.
-type wrongSizeAdversary struct{ n int }
-
-func (a wrongSizeAdversary) Place(int, *simrng.Source) []int { return nil }
-func (a wrongSizeAdversary) Targets(int) *attack.TargetSet   { return attack.NewTargetSet(a.n, nil) }
-func (a wrongSizeAdversary) OnExchange(int, int, int) bool   { return false }
-func (a wrongSizeAdversary) SatiatesInstantly() bool         { return true }
 
 func dissemConfig(coded bool) DisseminationConfig {
 	return DisseminationConfig{
@@ -151,12 +140,21 @@ func TestProgressBounds(t *testing.T) {
 	}
 }
 
+// TestBadTargeterLength: an ideal Strategy shared by two simulations is
+// placed for the second one's population, so the first one must refuse a
+// target set over the wrong number of nodes at its first Step.
 func TestBadTargeterLength(t *testing.T) {
-	sim, err := NewDissemination(dissemConfig(false), 5, WithAdversary(wrongSizeAdversary{n: 3}))
+	adv := &attack.Strategy{Kind: attack.Ideal, Fraction: 0.1, SatiateFraction: 0.5}
+	sim, err := NewDissemination(dissemConfig(false), 5, WithAdversary(adv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(); err == nil {
+	small := dissemConfig(false)
+	small.Graph = graph.Complete(12)
+	if _, err := NewDissemination(small, 5, WithAdversary(adv)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(); err == nil {
 		t.Fatal("mismatched target set size accepted")
 	}
 }

@@ -21,9 +21,9 @@ import (
 // RateLimiter caps the number of service units a node may accept from any
 // single peer within one round. Obedient nodes enforce the cap; rational
 // nodes would not (excess service benefits them), which is why the defense
-// needs a population of obedient nodes to work. It is the simulators'
-// rate-limiting hook (sim.Defense, satisfied structurally), and Reset lets
-// one limiter be pooled across replicates via sim.Workspace.Defense.
+// needs a population of obedient nodes to work. Every simulator takes it
+// through its WithDefense option, and Reset lets one limiter be pooled
+// across replicates via sim.Workspace.RateLimiter.
 type RateLimiter struct {
 	perPeerPerRound int
 
@@ -80,8 +80,9 @@ func (l *RateLimiter) Admit(round, from, to, requested int) int {
 }
 
 // Reset clears all accumulated state — round counter and per-pair usage —
-// while keeping the map's storage, so a pooled limiter (sim.Workspace) can
-// be reused across replicates without reallocating.
+// while keeping the map's storage, so a pooled limiter
+// (sim.Workspace.RateLimiter) can be reused across replicates without
+// reallocating.
 func (l *RateLimiter) Reset() {
 	if l == nil {
 		return

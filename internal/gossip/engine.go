@@ -22,15 +22,15 @@ type Engine struct {
 
 	// adv drives attacker placement, per-round targeting, and whom attacker
 	// nodes serve in protocol exchanges; without WithAdversary it is the
-	// no-attack strategy. advTrades and advInstant cache the adversary's
-	// capability probes for the hot path.
-	adv        sim.Adversary
+	// no-attack strategy. advTrades and advInstant cache its kind for the
+	// hot path.
+	adv        *attack.Strategy
 	advTrades  bool
 	advInstant bool
 
 	keyring *sign.Keyring
 	board   *defense.Board
-	def     sim.Defense
+	def     *defense.RateLimiter
 
 	// status holds one byte of stXxx bits per node: everything the
 	// exchange phases read about an endpoint, so checking one costs one
@@ -108,14 +108,14 @@ type Option func(*Engine)
 // nodes, chooses the satiation targets each round, and its OnExchange hook
 // decides which partners attacker nodes serve in protocol exchanges.
 // Without it the engine runs unattacked.
-func WithAdversary(a sim.Adversary) Option {
+func WithAdversary(a *attack.Strategy) Option {
 	return func(e *Engine) { e.adv = a }
 }
 
-// WithDefense installs a receiver-side defense (Section 5's rate limiting,
-// defense.RateLimiter); obedient nodes route every accepted excess delivery
-// through its Admit hook.
-func WithDefense(d sim.Defense) Option {
+// WithDefense installs Section 5's rate limiting, a receiver-side defense:
+// obedient nodes route every accepted excess delivery through its Admit
+// hook. A nil limiter installs none.
+func WithDefense(d *defense.RateLimiter) Option {
 	return func(e *Engine) { e.def = d }
 }
 
@@ -192,8 +192,8 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 	if e.adv == nil {
 		e.adv = &attack.Strategy{Kind: attack.None}
 	}
-	e.advTrades = sim.TradesInProtocol(e.adv)
-	e.advInstant = sim.SatiatesInstantly(e.adv)
+	e.advTrades = e.adv.TradesInProtocol()
+	e.advInstant = e.adv.SatiatesInstantly()
 
 	// Population model wiring. Everything stays nil/scalar without one, so
 	// the static-population engine is untouched byte for byte.
@@ -236,9 +236,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 	e.status = make([]uint8, n)
 	e.attackers = e.adv.Place(n, e.rng)
 	for _, a := range e.attackers {
-		if a < 0 || a >= n {
-			return nil, fmt.Errorf("gossip: adversary placed node %d outside [0,%d)", a, n)
-		}
 		e.status[a] |= stAttacker
 	}
 	if cfg.ObedientFraction > 0 {
@@ -356,7 +353,7 @@ func (e *Engine) Step() error {
 	}
 	targets := e.adv.Targets(e.round)
 	if targets.Cap() != e.cfg.Nodes {
-		return fmt.Errorf("gossip: adversary returned a target set over %d nodes, want %d", targets.Cap(), e.cfg.Nodes) //lotus:ignore allocfree cold guard against a misbehaving adversary
+		return fmt.Errorf("gossip: adversary returned a target set over %d nodes, want %d", targets.Cap(), e.cfg.Nodes) //lotus:ignore allocfree cold guard against a Strategy placed for another model
 	}
 	// Target sets are immutable per epoch, so storing the pointer per round
 	// costs nothing: all rounds of one epoch share one set.
@@ -392,7 +389,7 @@ func (e *Engine) leaveNode(v int) {
 	}
 	e.status[v] |= stDeparted
 	clear(e.row(v))
-	sim.NotifyDeparture(e.adv, e.round, v)
+	e.adv.NodeDeparted(e.round, v)
 }
 
 // joinNode puts a fresh node on index v: empty holdings (leaveNode

@@ -8,7 +8,6 @@ import (
 	"lotuseater/internal/attack"
 	"lotuseater/internal/defense"
 	"lotuseater/internal/metrics"
-	"lotuseater/internal/simrng"
 )
 
 // quickConfig returns a reduced-size configuration that still exhibits the
@@ -505,18 +504,18 @@ func TestCustomTargeter(t *testing.T) {
 	}
 }
 
-// wrongSizeAdversary is a misbehaving custom adversary: it places no
-// nodes and names a target set over a universe of n nodes, whatever the
-// simulator's population.
-type wrongSizeAdversary struct{ n int }
-
-func (a wrongSizeAdversary) Place(int, *simrng.Source) []int { return nil }
-func (a wrongSizeAdversary) Targets(int) *attack.TargetSet   { return attack.NewTargetSet(a.n, nil) }
-func (a wrongSizeAdversary) OnExchange(int, int, int) bool   { return false }
-
+// TestBadTargeterLength: a Strategy shared by two engines is placed for
+// the second one's population, so the first engine's Step must refuse a
+// target set over the wrong number of nodes.
 func TestBadTargeterLength(t *testing.T) {
-	eng, err := New(quickConfig(), 3, WithAdversary(wrongSizeAdversary{n: 5}))
+	adv := &attack.Strategy{Kind: attack.Trade, Fraction: 0.1, SatiateFraction: 0.7}
+	eng, err := New(quickConfig(), 3, WithAdversary(adv))
 	if err != nil {
+		t.Fatal(err)
+	}
+	small := quickConfig()
+	small.Nodes = 60
+	if _, err := New(small, 3, WithAdversary(adv)); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Step(); err == nil {

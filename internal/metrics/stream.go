@@ -41,9 +41,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// Reset empties the accumulator for reuse.
-func (a *Accumulator) Reset() { *a = Accumulator{} }
-
 // Count returns the number of observations folded.
 func (a *Accumulator) Count() int64 { return a.n }
 
@@ -113,12 +110,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 		inc:     [5]float64{0, p / 2, p, (1 + p) / 2, 1},
 		initial: make([]float64, 0, 5),
 	}
-}
-
-// Reset empties the estimator for reuse.
-func (q *P2Quantile) Reset() {
-	q.n = 0
-	q.initial = q.initial[:0]
 }
 
 // Add folds one observation.
@@ -227,29 +218,20 @@ func (q *P2Quantile) Value() float64 {
 }
 
 // Stream bundles the standard scenario statistics — mean/variance/min/max
-// plus median and p90 estimates — behind one Add. The zero value is not
-// usable; construct with NewStream.
+// plus a median estimate — behind one Add. The zero value is not usable;
+// construct with NewStream.
 type Stream struct {
 	Acc Accumulator
 	P50 *P2Quantile
-	P90 *P2Quantile
 }
 
 // NewStream returns an empty streaming summary.
 func NewStream() *Stream {
-	return &Stream{P50: NewP2Quantile(0.5), P90: NewP2Quantile(0.9)}
+	return &Stream{P50: NewP2Quantile(0.5)}
 }
 
 // Add folds one observation into every statistic.
 func (s *Stream) Add(x float64) {
 	s.Acc.Add(x)
 	s.P50.Add(x)
-	s.P90.Add(x)
-}
-
-// Reset empties the stream for reuse.
-func (s *Stream) Reset() {
-	s.Acc.Reset()
-	s.P50.Reset()
-	s.P90.Reset()
 }

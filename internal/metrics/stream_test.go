@@ -87,22 +87,6 @@ func TestP2QuantileSmallN(t *testing.T) {
 	}
 }
 
-// TestStreamReset: a reset stream behaves like a fresh one.
-func TestStreamReset(t *testing.T) {
-	s := NewStream()
-	for i := 0; i < 100; i++ {
-		s.Add(float64(i))
-	}
-	s.Reset()
-	if s.Acc.Count() != 0 || s.P50.Count() != 0 {
-		t.Fatalf("reset stream still holds observations")
-	}
-	s.Add(4)
-	if s.Acc.Mean() != 4 || s.P50.Value() != 4 {
-		t.Fatalf("post-reset stream wrong: mean %v p50 %v", s.Acc.Mean(), s.P50.Value())
-	}
-}
-
 // TestP2QuantileDegenerateStreams is the property test for the guarded
 // interpolation: constant runs, sorted ramps, and adversarial alternations
 // must never yield NaN/Inf, and must track the exact quantile.

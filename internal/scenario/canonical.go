@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-)
+import "encoding/json"
 
 // Canonicalization gives every Spec a single byte representation so specs
 // can be content-addressed: the experiment service keys its result cache on
@@ -102,16 +98,4 @@ func (s *Spec) canonicalized() *Spec {
 // canonicalizing again reproduces the same bytes.
 func (s *Spec) CanonicalJSON() ([]byte, error) {
 	return json.Marshal(s.canonicalized())
-}
-
-// Hash returns the spec's stable content hash, "sha256:<hex>" of its
-// canonical JSON. Key-order and whitespace variants of the same spec, and
-// specs that differ only in spelled-out defaults, hash identically.
-func (s *Spec) Hash() (string, error) {
-	data, err := s.CanonicalJSON()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
 }

@@ -3,22 +3,16 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
 // TestCanonicalRoundTripStable: for every registered spec,
-// Spec → canonical JSON → Spec → canonical JSON is byte-identical, and the
-// hash is stable across the round trip.
+// Spec → canonical JSON → Spec → canonical JSON is byte-identical.
 func TestCanonicalRoundTripStable(t *testing.T) {
 	for _, spec := range All() {
 		c1, err := spec.CanonicalJSON()
 		if err != nil {
 			t.Fatalf("%s: canonical: %v", spec.Name, err)
-		}
-		h1, err := spec.Hash()
-		if err != nil {
-			t.Fatalf("%s: hash: %v", spec.Name, err)
 		}
 		back, err := Decode(c1)
 		if err != nil {
@@ -30,16 +24,6 @@ func TestCanonicalRoundTripStable(t *testing.T) {
 		}
 		if !bytes.Equal(c1, c2) {
 			t.Fatalf("%s: canonical form is not a fixed point:\n first: %s\nsecond: %s", spec.Name, c1, c2)
-		}
-		h2, err := back.Hash()
-		if err != nil {
-			t.Fatalf("%s: re-hash: %v", spec.Name, err)
-		}
-		if h1 != h2 {
-			t.Fatalf("%s: hash changed across round trip: %s vs %s", spec.Name, h1, h2)
-		}
-		if !strings.HasPrefix(h1, "sha256:") || len(h1) != len("sha256:")+64 {
-			t.Fatalf("%s: malformed hash %q", spec.Name, h1)
 		}
 	}
 }
@@ -62,15 +46,15 @@ func reorderAndIndent(t *testing.T, data []byte) []byte {
 }
 
 // TestCanonicalVariantsHashEqual: key-order and whitespace variants of the
-// same spec, and alias spellings of the same defaults, all hash to the same
-// cache key.
+// same spec all canonicalize to the same bytes, so they share one content
+// address and cache key.
 func TestCanonicalVariantsHashEqual(t *testing.T) {
 	for _, name := range []string{"gossip-trade", "gossip-ratelimit", "token-altruism", "x/trade-swarm+ratelimit"} {
 		spec, ok := Get(name)
 		if !ok {
 			t.Fatalf("scenario %s vanished from the registry", name)
 		}
-		want, err := spec.Hash()
+		want, err := spec.CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,12 +67,12 @@ func TestCanonicalVariantsHashEqual(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s variant %d: %v", name, i, err)
 			}
-			got, err := back.Hash()
+			got, err := back.CanonicalJSON()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("%s variant %d hashes to %s, want %s", name, i, got, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s variant %d canonicalizes to %s, want %s", name, i, got, want)
 			}
 		}
 	}
@@ -96,10 +80,10 @@ func TestCanonicalVariantsHashEqual(t *testing.T) {
 
 // TestCanonicalAliasesFold: the normalization rules — kind aliases, dead
 // defense, replicate/point defaults, default metric — map spelled-out and
-// implied forms of the same run to one hash.
+// implied forms of the same run to one canonical form.
 func TestCanonicalAliasesFold(t *testing.T) {
 	base := &Spec{Name: "alias", Substrate: "gossip", Adversary: AdversarySpec{Kind: "none"}, Replicates: 3, Metric: "isolated-delivery"}
-	want, err := base.Hash()
+	want, err := base.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +95,12 @@ func TestCanonicalAliasesFold(t *testing.T) {
 		{Name: "alias", Substrate: "gossip", Params: map[string]float64{}},
 	}
 	for i, v := range variants {
-		got, err := v.Hash()
+		got, err := v.CanonicalJSON()
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
-		if got != want {
-			cj, _ := v.CanonicalJSON()
-			t.Fatalf("variant %d hashes to %s, want %s (canonical %s)", i, got, want, cj)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("variant %d canonicalizes to %s, want %s", i, got, want)
 		}
 	}
 	// And the rules must not over-fold: a live defense, a real sweep, and a
@@ -129,12 +112,12 @@ func TestCanonicalAliasesFold(t *testing.T) {
 		{Name: "alias2", Substrate: "gossip"},
 	}
 	for i, v := range distinct {
-		got, err := v.Hash()
+		got, err := v.CanonicalJSON()
 		if err != nil {
 			t.Fatalf("distinct %d: %v", i, err)
 		}
-		if got == want {
-			t.Fatalf("distinct spec %d collides with the base hash %s", i, want)
+		if bytes.Equal(got, want) {
+			t.Fatalf("distinct spec %d collides with the base form %s", i, want)
 		}
 	}
 }
@@ -142,19 +125,19 @@ func TestCanonicalAliasesFold(t *testing.T) {
 // TestCanonicalPrecisionFolds: the precision normalization rules — an
 // inert plan is a fixed run of its cap, an active plan spells out its
 // defaults and kills the dead replicates knob — map alias spellings of the
-// same run to one hash, without over-folding distinct plans.
+// same run to one canonical form, without over-folding distinct plans.
 func TestCanonicalPrecisionFolds(t *testing.T) {
 	base := func() *Spec { return &Spec{Name: "p", Substrate: "gossip"} }
-	hash := func(t *testing.T, s *Spec) string {
+	canon := func(t *testing.T, s *Spec) string {
 		t.Helper()
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		h, err := s.Hash()
+		c, err := s.CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return h
+		return string(c)
 	}
 
 	// Inert plan with a cap == the fixed run of that cap.
@@ -162,13 +145,13 @@ func TestCanonicalPrecisionFolds(t *testing.T) {
 	inert.Precision = &PrecisionSpec{MaxReps: 7}
 	fixed := base()
 	fixed.Replicates = 7
-	if hash(t, inert) != hash(t, fixed) {
+	if canon(t, inert) != canon(t, fixed) {
 		t.Fatal("halfWidth=0 plan with maxReps 7 is not the 7-replicate fixed run")
 	}
 	// Inert plan without a cap == no plan at all.
 	empty := base()
 	empty.Precision = &PrecisionSpec{}
-	if hash(t, empty) != hash(t, base()) {
+	if canon(t, empty) != canon(t, base()) {
 		t.Fatal("empty precision block is not a no-op")
 	}
 
@@ -179,18 +162,17 @@ func TestCanonicalPrecisionFolds(t *testing.T) {
 	spelled := base()
 	spelled.Replicates = 9 // dead under an active plan
 	spelled.Precision = &PrecisionSpec{HalfWidth: 0.01, Confidence: 0.95, MinReps: 2, MaxReps: 256, Batch: 8}
-	want := hash(t, terse)
-	if got := hash(t, spelled); got != want {
-		cj, _ := spelled.CanonicalJSON()
-		t.Fatalf("spelled-out active plan hashes differently: %s vs %s (%s)", got, want, cj)
+	want := canon(t, terse)
+	if got := canon(t, spelled); got != want {
+		t.Fatalf("spelled-out active plan canonicalizes differently: %s vs %s", got, want)
 	}
 
 	// minReps 1 and 2 execute identically (the engine never stops on a
 	// single sample), so they must share a cache key.
 	one := base()
 	one.Precision = &PrecisionSpec{HalfWidth: 0.01, MinReps: 1}
-	if got := hash(t, one); got != want {
-		t.Fatalf("minReps 1 hashes differently from the 2-replicate floor: %s vs %s", got, want)
+	if got := canon(t, one); got != want {
+		t.Fatalf("minReps 1 canonicalizes differently from the 2-replicate floor: %s vs %s", got, want)
 	}
 
 	// No over-folding: a different target, confidence, budget, or a
@@ -205,8 +187,8 @@ func TestCanonicalPrecisionFolds(t *testing.T) {
 	for i, p := range distinct {
 		s := base()
 		s.Precision = p
-		if got := hash(t, s); got == want {
-			t.Fatalf("distinct plan %d collides with the active-plan hash", i)
+		if got := canon(t, s); got == want {
+			t.Fatalf("distinct plan %d collides with the active plan's canonical form", i)
 		}
 	}
 }

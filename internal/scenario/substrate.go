@@ -34,7 +34,7 @@ type substrate struct {
 	// the substrate's config step derives from the spec; build derives the
 	// same configuration and adds what a replicate draws.
 	check func(s *Spec) error
-	build func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error)
+	build func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv *attack.Strategy, def *defense.RateLimiter) (sim.Model, error)
 }
 
 // lookup returns the named metric as the spec would compute it.
@@ -82,20 +82,17 @@ func (b *substrate) metric(spec *Spec, snap any) (float64, error) {
 // sub returns the substrate binding for name, or nil.
 func sub(name string) *substrate { return substrates[name] }
 
-// newDefense compiles the spec's defense, drawing the pooled per-worker
-// instance from the workspace when one is available (allocation-free at
-// steady state) and a fresh one otherwise.
-func newDefense(spec *Spec, ws *sim.Workspace) sim.Defense {
+// newDefense compiles the spec's defense, nil for none, drawing the pooled
+// per-worker limiter from the workspace when one is available
+// (allocation-free at steady state) and a fresh one otherwise.
+func newDefense(spec *Spec, ws *sim.Workspace) *defense.RateLimiter {
 	if !spec.Defense.enabled() {
 		return nil
 	}
-	cap := spec.Defense.RateLimit
 	if ws == nil {
-		return defense.NewRateLimiter(cap)
+		return defense.NewRateLimiter(spec.Defense.RateLimit)
 	}
-	return ws.Defense(fmt.Sprintf("ratelimit/%d", cap), func() sim.Defense {
-		return defense.NewRateLimiter(cap)
-	})
+	return ws.RateLimiter(spec.Defense.RateLimit)
 }
 
 var substrates = map[string]*substrate{
@@ -121,15 +118,12 @@ var substrates = map[string]*substrate{
 			}
 			return s.runs(cfg, cfg.Nodes, cfg.Rounds)
 		},
-		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
+		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv *attack.Strategy, def *defense.RateLimiter) (sim.Model, error) {
 			cfg, weights, err := gossipConfig(s)
 			if err != nil {
 				return nil, err
 			}
-			opts := []gossip.Option{gossip.WithAdversary(adv)}
-			if def != nil {
-				opts = append(opts, gossip.WithDefense(def))
-			}
+			opts := []gossip.Option{gossip.WithAdversary(adv), gossip.WithDefense(def)}
 			assign := s.classAssignment(cfg.Nodes, rng)
 			if alt := s.altruismByClass(assign, cfg.Altruism); alt != nil {
 				opts = append(opts, gossip.WithNodeAltruism(alt))
@@ -162,7 +156,7 @@ var substrates = map[string]*substrate{
 			cfg.Graph = graph.New(0) // drawn per replicate
 			return s.runs(cfg, s.population(), cfg.Rounds)
 		},
-		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
+		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv *attack.Strategy, def *defense.RateLimiter) (sim.Model, error) {
 			cfg, err := tokenConfig(s)
 			if err != nil {
 				return nil, err
@@ -174,14 +168,8 @@ var substrates = map[string]*substrate{
 			cfg.NodeAltruism = s.altruismByClass(assign, cfg.Altruism)
 			cfg.NodeContacts = s.intsByClass(assign, cfg.Contacts, capacityOf)
 			cfg.Churn = s.churnEvents(n, cfg.Rounds, rng)
-			opts := []tokenmodel.Option{
-				tokenmodel.WithAdversary(adv),
-				tokenmodel.WithWorkspace(ws),
-			}
-			if def != nil {
-				opts = append(opts, tokenmodel.WithDefense(def))
-			}
-			return tokenmodel.New(cfg, rng.Uint64(), opts...)
+			return tokenmodel.New(cfg, rng.Uint64(), tokenmodel.WithAdversary(adv),
+				tokenmodel.WithDefense(def), tokenmodel.WithWorkspace(ws))
 		},
 	},
 	"scrip": {
@@ -201,7 +189,7 @@ var substrates = map[string]*substrate{
 			}
 			return s.runs(cfg, cfg.Agents, cfg.Rounds)
 		},
-		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
+		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv *attack.Strategy, def *defense.RateLimiter) (sim.Model, error) {
 			cfg, err := scripConfig(s)
 			if err != nil {
 				return nil, err
@@ -211,11 +199,7 @@ var substrates = map[string]*substrate{
 			cfg.NodeBalance = s.intsByClass(assign, cfg.MoneyPerCapita, capacityOf)
 			cfg.NodeThreshold = s.intsByClass(assign, cfg.Threshold, patienceOf)
 			cfg.Churn = s.churnEvents(cfg.Agents, cfg.Rounds, rng)
-			opts := []scrip.Option{scrip.WithAdversary(adv)}
-			if def != nil {
-				opts = append(opts, scrip.WithDefense(def))
-			}
-			m, err := scrip.New(cfg, rng.Uint64(), opts...)
+			m, err := scrip.New(cfg, rng.Uint64(), scrip.WithAdversary(adv), scrip.WithDefense(def))
 			if err != nil {
 				return nil, err
 			}
@@ -238,15 +222,12 @@ var substrates = map[string]*substrate{
 			}
 			return s.runs(cfg, cfg.Leechers, cfg.Ticks)
 		},
-		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
+		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv *attack.Strategy, def *defense.RateLimiter) (sim.Model, error) {
 			cfg, weights, err := swarmConfig(s)
 			if err != nil {
 				return nil, err
 			}
-			opts := []swarm.Option{swarm.WithAdversary(adv)}
-			if def != nil {
-				opts = append(opts, swarm.WithDefense(def))
-			}
+			opts := []swarm.Option{swarm.WithAdversary(adv), swarm.WithDefense(def)}
 			if events := s.churnEvents(cfg.Leechers, cfg.Ticks, rng); len(events) > 0 {
 				opts = append(opts, swarm.WithChurn(events))
 			}
@@ -270,7 +251,7 @@ var substrates = map[string]*substrate{
 			cfg.Graph = graph.New(0) // drawn per replicate
 			return s.runs(cfg, s.population(), cfg.Rounds)
 		},
-		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv sim.Adversary, def sim.Defense) (sim.Model, error) {
+		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv *attack.Strategy, def *defense.RateLimiter) (sim.Model, error) {
 			cfg, err := codingConfig(s)
 			if err != nil {
 				return nil, err
@@ -281,11 +262,7 @@ var substrates = map[string]*substrate{
 			assign := s.classAssignment(n, rng)
 			cfg.NodeContacts = s.intsByClass(assign, cfg.Contacts, capacityOf)
 			cfg.Churn = s.churnEvents(n, cfg.Rounds, rng)
-			opts := []coding.DisseminationOption{coding.WithAdversary(adv)}
-			if def != nil {
-				opts = append(opts, coding.WithDefense(def))
-			}
-			return coding.NewDissemination(cfg, rng.Uint64(), opts...)
+			return coding.NewDissemination(cfg, rng.Uint64(), coding.WithAdversary(adv), coding.WithDefense(def))
 		},
 	},
 }
@@ -529,13 +506,3 @@ func ratio(num, den int) float64 {
 	}
 	return float64(num) / float64(den)
 }
-
-// Interface conformance pins for the strategy layer: the canonical attack
-// and defense implementations must satisfy the kernel's hook contracts.
-var (
-	_ sim.Adversary       = (*attack.Strategy)(nil)
-	_ sim.ProtocolTrader  = (*attack.Strategy)(nil)
-	_ sim.InstantSatiator = (*attack.Strategy)(nil)
-	_ sim.DepartureAware  = (*attack.Strategy)(nil)
-	_ sim.Defense         = (*defense.RateLimiter)(nil)
-)

@@ -12,7 +12,6 @@ import (
 	"lotuseater/internal/attack"
 	"lotuseater/internal/defense"
 	"lotuseater/internal/population"
-	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
@@ -154,9 +153,9 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// hooks returns the case's adversary and defense, fresh per run; each is a
-// nil interface when the case has none.
-func (c goldenCase) hooks() (adv sim.Adversary, def sim.Defense) {
+// hooks returns the case's adversary and defense, fresh per run; each is
+// nil when the case has none.
+func (c goldenCase) hooks() (adv *attack.Strategy, def *defense.RateLimiter) {
 	if c.adv.Kind != 0 {
 		a := c.adv
 		adv = &a

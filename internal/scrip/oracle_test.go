@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/defense"
 	"lotuseater/internal/population"
-	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
@@ -135,8 +135,8 @@ type oracleSim struct {
 	// attackers mint exogenous wealth, crash attackers merely withhold
 	// service. The defense caps how much attacker scrip a target accepts per
 	// round.
-	adv        sim.Adversary
-	def        sim.Defense
+	adv        *attack.Strategy
+	def        *defense.RateLimiter
 	advTrades  bool
 	advInstant bool
 	advRounds  int
@@ -155,7 +155,7 @@ type oracleSim struct {
 	volunteers, alts []int
 }
 
-func newOracle(cfg Config, seed uint64, adv sim.Adversary, def sim.Defense) (*oracleSim, error) {
+func newOracle(cfg Config, seed uint64, adv *attack.Strategy, def *defense.RateLimiter) (*oracleSim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -193,13 +193,10 @@ func newOracle(cfg Config, seed uint64, adv sim.Adversary, def sim.Defense) (*or
 		s.kinds[i] = Altruist
 	}
 	if s.adv != nil {
-		s.advTrades = sim.TradesInProtocol(s.adv)
-		s.advInstant = sim.SatiatesInstantly(s.adv)
+		s.advTrades = s.adv.TradesInProtocol()
+		s.advInstant = s.adv.SatiatesInstantly()
 		s.pool = cfg.AttackBudget
 		for _, a := range s.adv.Place(cfg.Agents, s.rng.Child("adversary")) {
-			if a < 0 || a >= cfg.Agents {
-				return nil, fmt.Errorf("scrip: adversary placed agent %d outside [0,%d)", a, cfg.Agents)
-			}
 			s.kinds[a] = AttackerAgent
 		}
 	}
@@ -449,7 +446,7 @@ func (s *oracleSim) leaveAgent(v int) {
 	s.balance[v] = 0
 	s.presentHonest--
 	if s.adv != nil {
-		sim.NotifyDeparture(s.adv, s.round, v)
+		s.adv.NodeDeparted(s.round, v)
 	}
 }
 

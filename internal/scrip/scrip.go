@@ -25,8 +25,8 @@ import (
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/bitset"
+	"lotuseater/internal/defense"
 	"lotuseater/internal/population"
-	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
@@ -262,8 +262,8 @@ type Sim struct {
 	// attackers mint exogenous wealth, crash attackers merely withhold
 	// service. The defense caps how much attacker scrip a target accepts per
 	// round.
-	adv        sim.Adversary
-	def        sim.Defense
+	adv        *attack.Strategy
+	def        *defense.RateLimiter
 	advTrades  bool
 	advInstant bool
 	advRounds  int
@@ -281,17 +281,16 @@ type Sim struct {
 // Option customizes a Sim.
 type Option func(*Sim)
 
-// WithAdversary installs a substrate-independent adversary strategy; see
-// Sim for how its hooks map onto the scrip economy. Without it the economy
-// runs unattacked.
-func WithAdversary(a sim.Adversary) Option {
+// WithAdversary installs the adversary; see Sim for how its hooks map onto
+// the scrip economy. Without it the economy runs unattacked.
+func WithAdversary(a *attack.Strategy) Option {
 	return func(s *Sim) { s.adv = a }
 }
 
 // WithDefense installs a receiver-side defense: a target accepts at most
 // Admit(...) units of attacker top-up per round, throttling how fast the
 // adversary can push balances to the threshold.
-func WithDefense(d sim.Defense) Option {
+func WithDefense(d *defense.RateLimiter) Option {
 	return func(s *Sim) { s.def = d }
 }
 
@@ -344,13 +343,10 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 		s.kinds[i] = Altruist
 	}
 	if s.adv != nil {
-		s.advTrades = sim.TradesInProtocol(s.adv)
-		s.advInstant = sim.SatiatesInstantly(s.adv)
+		s.advTrades = s.adv.TradesInProtocol()
+		s.advInstant = s.adv.SatiatesInstantly()
 		s.pool = cfg.AttackBudget
 		for _, a := range s.adv.Place(cfg.Agents, s.rng.Child("adversary")) {
-			if a < 0 || a >= cfg.Agents {
-				return nil, fmt.Errorf("scrip: adversary placed agent %d outside [0,%d)", a, cfg.Agents)
-			}
 			s.kinds[a] = AttackerAgent
 		}
 	}
@@ -705,7 +701,7 @@ func (s *Sim) leaveAgent(v int) {
 	s.presentHonest--
 	s.refresh(v)
 	if s.adv != nil {
-		sim.NotifyDeparture(s.adv, s.round, v)
+		s.adv.NodeDeparted(s.round, v)
 	}
 }
 

@@ -210,36 +210,27 @@ func TestFoldZero(t *testing.T) {
 	}
 }
 
-// TestWorkspaceDefense: the pooled defense is constructed once per key and
-// reset on every handout.
+// TestWorkspaceDefense: the pooled rate limiter is constructed once per cap
+// and reset on every handout.
 func TestWorkspaceDefense(t *testing.T) {
 	ws := NewWorkspace()
-	made := 0
-	mk := func() Defense { made++; return &spyDefense{} }
-	d1 := ws.Defense("k", mk).(*spyDefense)
-	d2 := ws.Defense("k", mk).(*spyDefense)
-	if d1 != d2 {
-		t.Fatal("same key returned different defenses")
+	l1 := ws.RateLimiter(2)
+	if got := l1.Admit(5, 0, 1, 3); got != 2 {
+		t.Fatalf("cap 2 admitted %d of 3", got)
 	}
-	if made != 1 {
-		t.Fatalf("constructor ran %d times, want 1", made)
+	l2 := ws.RateLimiter(2)
+	if l1 != l2 {
+		t.Fatal("same cap returned different limiters")
 	}
-	if d1.resets != 2 {
-		t.Fatalf("defense reset %d times, want 2 (one per handout)", d1.resets)
+	// Reset on handout: round 0 is legal again and the pair's budget is
+	// whole.
+	if got := l2.Admit(0, 0, 1, 3); got != 2 {
+		t.Fatalf("handed-out limiter admitted %d of 3, want a fresh cap of 2", got)
 	}
-	other := ws.Defense("other", mk)
-	if other == Defense(d1) {
-		t.Fatal("different keys shared a defense")
-	}
-	if made != 2 {
-		t.Fatalf("constructor ran %d times, want 2", made)
+	if other := ws.RateLimiter(3); other == l1 {
+		t.Fatal("different caps shared a limiter")
 	}
 }
-
-type spyDefense struct{ resets int }
-
-func (d *spyDefense) Admit(round, from, to, requested int) int { return requested }
-func (d *spyDefense) Reset()                                   { d.resets++ }
 
 // TestFoldErrorPrecedence pins the first-error-by-replicate-order contract
 // when both a per-replicate error and a fold error occur, in both relative

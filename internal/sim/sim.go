@@ -8,11 +8,11 @@
 //   - a process-wide bounded worker pool (Go) shared by all concurrent
 //     sweeps, so nested or parallel experiments never oversubscribe the
 //     machine;
-//   - a per-worker Workspace of reusable buffers (bitsets, bool/int/float
-//     slices), so replicated runs allocate no per-replicate scratch on the
-//     hot path;
-//   - a Runner that executes n independently seeded replicates of any Model
-//     and collects their snapshots in replicate order.
+//   - a per-worker Workspace of reusable buffers (bool, int and word
+//     slices, and pooled rate limiters), so replicated runs allocate no
+//     per-replicate scratch on the hot path;
+//   - a Runner that executes independently seeded replicates of any Model
+//     and folds their snapshots in replicate order (FoldRange).
 //
 // Determinism: work is always keyed by index, never by completion order, and
 // every replicate derives its random stream from (seed, index) alone, so

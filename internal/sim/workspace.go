@@ -1,5 +1,7 @@
 package sim
 
+import "lotuseater/internal/defense"
+
 // Workspace is a per-worker arena of reusable scratch buffers. Each pool
 // worker owns exactly one Workspace and hands it to every task it runs; the
 // pool calls Reset between tasks, after which previously returned buffers
@@ -16,7 +18,7 @@ type Workspace struct {
 
 	boolsUsed, intsUsed, wordsUsed int
 
-	defenses map[string]Defense
+	limiters map[int]*defense.RateLimiter
 }
 
 // NewWorkspace returns an empty workspace. Most callers never construct one:
@@ -48,23 +50,23 @@ func take[T any](list *[][]T, used *int, n int) []T {
 	return buf
 }
 
-// Defense returns the worker's pooled Defense for key, constructing it with
-// mk on first use and Reset-ing it on every handout. Defenses accumulate
-// per-pair state maps that are expensive to reallocate per replicate;
-// pooling them per worker (keyed by configuration, e.g. "ratelimit/8")
-// makes defended replicated runs allocation-free at steady state. Like all
-// workspace resources, the returned Defense must not outlive the task.
-func (w *Workspace) Defense(key string, mk func() Defense) Defense {
-	if w.defenses == nil {
-		w.defenses = make(map[string]Defense)
+// RateLimiter returns the worker's pooled rate limiter with the given
+// per-peer per-round cap, constructing it on first use and Reset-ing it on
+// every handout. A limiter accumulates a per-pair map that is expensive to
+// reallocate per replicate; pooling one per worker and cap makes defended
+// replicated runs allocation-free at steady state. Like all workspace
+// resources, the returned limiter must not outlive the task.
+func (w *Workspace) RateLimiter(perPeerPerRound int) *defense.RateLimiter {
+	if w.limiters == nil {
+		w.limiters = make(map[int]*defense.RateLimiter)
 	}
-	d, ok := w.defenses[key]
+	l, ok := w.limiters[perPeerPerRound]
 	if !ok {
-		d = mk()
-		w.defenses[key] = d
+		l = defense.NewRateLimiter(perPeerPerRound)
+		w.limiters[perPeerPerRound] = l
 	}
-	d.Reset()
-	return d
+	l.Reset()
+	return l
 }
 
 // Bools returns a zeroed []bool of length n, reusing storage when possible.

@@ -203,6 +203,3 @@ func (s *Source) SampleIntsInto(buf []int, n, k int) []int {
 
 // NormFloat64 returns a standard normal variate.
 func (s *Source) NormFloat64() float64 { return s.rng.NormFloat64() }
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (s *Source) ExpFloat64() float64 { return s.rng.ExpFloat64() }

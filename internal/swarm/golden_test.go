@@ -11,7 +11,6 @@ import (
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/defense"
-	"lotuseater/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -24,8 +23,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 type goldenCase struct {
 	name string
 	cfg  Config
-	adv  func() sim.Adversary
-	def  func() sim.Defense
+	adv  func() *attack.Strategy
+	def  func() *defense.RateLimiter
 	seed uint64
 }
 
@@ -40,7 +39,7 @@ func goldenBase() Config {
 
 func goldenCases() []goldenCase {
 	var cases []goldenCase
-	add := func(name string, mutate func(*Config), adv func() sim.Adversary, def func() sim.Defense) {
+	add := func(name string, mutate func(*Config), adv func() *attack.Strategy, def func() *defense.RateLimiter) {
 		cfg := goldenBase()
 		if mutate != nil {
 			mutate(&cfg)
@@ -60,28 +59,28 @@ func goldenCases() []goldenCase {
 		c.SeedAfterComplete = false
 	}, nil, nil)
 	leechers := goldenBase().Leechers
-	add("cfg-attack-top", func(c *Config) { c.AttackerUplink = 16 }, func() sim.Adversary {
+	add("cfg-attack-top", func(c *Config) { c.AttackerUplink = 16 }, func() *attack.Strategy {
 		return rankedStrategy(leechers, attack.RankUploaders, 4, 0, 0)
 	}, nil)
 	add("cfg-attack-rare", func(c *Config) {
 		c.AttackerUplink = 8
 		c.SeedDepartTick = 10
 		c.SeedAfterComplete = false
-	}, func() sim.Adversary {
+	}, func() *attack.Strategy {
 		return rankedStrategy(leechers, attack.RankRarest, 3, 5, 80)
 	}, nil)
-	add("adv-crash", nil, func() sim.Adversary {
+	add("adv-crash", nil, func() *attack.Strategy {
 		return &attack.Strategy{Kind: attack.Crash, Fraction: 0.10}
 	}, nil)
-	add("adv-ideal", nil, func() sim.Adversary {
+	add("adv-ideal", nil, func() *attack.Strategy {
 		return &attack.Strategy{Kind: attack.Ideal, Fraction: 0.05, SatiateFraction: 0.40}
 	}, nil)
-	add("adv-trade-rotating", nil, func() sim.Adversary {
+	add("adv-trade-rotating", nil, func() *attack.Strategy {
 		return &attack.Strategy{Kind: attack.Trade, Fraction: 0.10, SatiateFraction: 0.30, RotatePeriod: 9}
 	}, nil)
-	add("adv-ideal-ratelimit", nil, func() sim.Adversary {
+	add("adv-ideal-ratelimit", nil, func() *attack.Strategy {
 		return &attack.Strategy{Kind: attack.Ideal, Fraction: 0.05, SatiateFraction: 0.40}
-	}, func() sim.Defense { return defense.NewRateLimiter(2) })
+	}, func() *defense.RateLimiter { return defense.NewRateLimiter(2) })
 	return cases
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lotuseater/internal/attack"
-	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
@@ -78,31 +77,31 @@ func TestIncrementalRarityMatchesRescan(t *testing.T) {
 	type advCase struct {
 		name string
 		cfg  func() Config
-		adv  func() sim.Adversary
+		adv  func() *attack.Strategy
 	}
 	cases := []advCase{
 		{"adv-none", base, nil},
-		{"adv-crash", base, func() sim.Adversary {
+		{"adv-crash", base, func() *attack.Strategy {
 			return &attack.Strategy{Kind: attack.Crash, Fraction: 0.10}
 		}},
-		{"adv-ideal", base, func() sim.Adversary {
+		{"adv-ideal", base, func() *attack.Strategy {
 			return &attack.Strategy{Kind: attack.Ideal, Fraction: 0.05, SatiateFraction: 0.35}
 		}},
-		{"adv-trade", base, func() sim.Adversary {
+		{"adv-trade", base, func() *attack.Strategy {
 			return &attack.Strategy{Kind: attack.Trade, Fraction: 0.10, SatiateFraction: 0.30, RotatePeriod: 7}
 		}},
 		{"cfg-attack-top", func() Config {
 			cfg := base()
 			cfg.AttackerUplink = 12
 			return cfg
-		}, func() sim.Adversary {
+		}, func() *attack.Strategy {
 			return rankedStrategy(base().Leechers, attack.RankUploaders, 4, 0, 0)
 		}},
 		{"cfg-attack-rare", func() Config {
 			cfg := base()
 			cfg.AttackerUplink = 8
 			return cfg
-		}, func() sim.Adversary {
+		}, func() *attack.Strategy {
 			return rankedStrategy(base().Leechers, attack.RankRarest, 3, 4, 60)
 		}},
 	}
@@ -165,7 +164,7 @@ func TestIncrementalRarityProperty(t *testing.T) {
 		}
 		cfg.SeedAfterComplete = rng.Bool(0.5)
 
-		var mkAdv func() sim.Adversary
+		var mkAdv func() *attack.Strategy
 		switch pick := rng.IntN(6); pick {
 		case 1, 2:
 			// A ranked attack, drawn outside the closure: every evaluation
@@ -176,20 +175,20 @@ func TestIncrementalRarityProperty(t *testing.T) {
 			if pick == 2 {
 				rank, stop = attack.RankRarest, start+20+rng.IntN(40)
 			}
-			mkAdv = func() sim.Adversary { return rankedStrategy(leechers, rank, k, start, stop) }
+			mkAdv = func() *attack.Strategy { return rankedStrategy(leechers, rank, k, start, stop) }
 		case 3:
-			mkAdv = func() sim.Adversary {
+			mkAdv = func() *attack.Strategy {
 				return &attack.Strategy{Kind: attack.Crash, Fraction: 0.15}
 			}
 		case 4:
-			mkAdv = func() sim.Adversary {
+			mkAdv = func() *attack.Strategy {
 				return &attack.Strategy{Kind: attack.Ideal, Fraction: 0.08, SatiateFraction: 0.4}
 			}
 		case 5:
 			// Drawn outside the closure: mkAdv runs once per evaluation
 			// path, and both paths must face the identical adversary.
 			rotate := 1 + rng.IntN(8)
-			mkAdv = func() sim.Adversary {
+			mkAdv = func() *attack.Strategy {
 				return &attack.Strategy{Kind: attack.Trade, Fraction: 0.12, SatiateFraction: 0.3, RotatePeriod: rotate}
 			}
 		}

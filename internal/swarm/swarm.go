@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/defense"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/population"
 	"lotuseater/internal/sim"
@@ -209,24 +210,24 @@ type Result struct {
 // Option customizes a Sim.
 type Option func(*Sim)
 
-// WithAdversary installs the swarm's attacker, a substrate-independent
-// adversary strategy. Its hooks map onto the swarm as follows: Place picks
-// attacker-controlled leechers — crash and ideal attackers leave the
-// protocol (their slots are dead weight), trade attackers hold the full
-// file and unchoke only satiation targets; Targets names the leechers the
-// external attacker satiates; an instantly-satiating (ideal) adversary
-// uploads missing pieces to targets directly each tick, in the set's member
-// order, up to Config.AttackerUplink pieces. New binds the swarm as the
-// attack.Ranker of an adversary that takes one (attack.Strategy), so a
-// ranked strategy satiates the top uploaders or the rarest-piece holders.
-func WithAdversary(a sim.Adversary) Option {
+// WithAdversary installs the swarm's attacker. The strategy's hooks map
+// onto the swarm as follows: Place picks attacker-controlled leechers —
+// crash and ideal attackers leave the protocol (their slots are dead
+// weight), trade attackers hold the full file and unchoke only satiation
+// targets; Targets names the leechers the external attacker satiates; an
+// instantly-satiating (ideal) adversary uploads missing pieces to targets
+// directly each tick, in the set's member order, up to
+// Config.AttackerUplink pieces. New binds the swarm as the strategy's
+// attack.Ranker, so a ranked strategy satiates the top uploaders or the
+// rarest-piece holders.
+func WithAdversary(a *attack.Strategy) Option {
 	return func(s *Sim) { s.adv = a }
 }
 
 // WithDefense installs a receiver-side defense: every piece acceptance —
 // protocol transfers, endgame pulls, and attacker uploads (sender -1) — is
 // gated by Admit, capping pieces accepted per sender per tick.
-func WithDefense(d sim.Defense) Option {
+func WithDefense(d *defense.RateLimiter) Option {
 	return func(s *Sim) { s.def = d }
 }
 
@@ -254,8 +255,8 @@ type Sim struct {
 	cfg Config
 	rng *simrng.Source
 
-	adv        sim.Adversary
-	def        sim.Defense
+	adv        *attack.Strategy
+	def        *defense.RateLimiter
 	advTrades  bool
 	advInstant bool
 	isAttacker []bool
@@ -536,16 +537,11 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	s.nodeState[s.seedID] = stateSeeding
 	s.finished[s.seedID] = 0
 	if s.adv != nil {
-		s.advTrades = sim.TradesInProtocol(s.adv)
-		s.advInstant = sim.SatiatesInstantly(s.adv)
-		if r, ok := s.adv.(interface{ UseRanker(attack.Ranker) }); ok {
-			r.UseRanker(s)
-		}
+		s.advTrades = s.adv.TradesInProtocol()
+		s.advInstant = s.adv.SatiatesInstantly()
+		s.adv.UseRanker(s)
 		s.isAttacker = make([]bool, s.n)
 		for _, a := range s.adv.Place(cfg.Leechers, s.rng.Child("adversary")) {
-			if a < 0 || a >= cfg.Leechers {
-				return nil, fmt.Errorf("swarm: adversary placed node %d outside [0,%d)", a, cfg.Leechers)
-			}
 			s.isAttacker[a] = true
 			s.finished[a] = 0
 			if s.advTrades {
@@ -863,7 +859,7 @@ func (s *Sim) churnLeave(v int) {
 	}
 	s.departNode(v)
 	if s.adv != nil {
-		sim.NotifyDeparture(s.adv, s.tick, v)
+		s.adv.NodeDeparted(s.tick, v)
 	}
 }
 

@@ -92,8 +92,8 @@ type oracle struct {
 	cfg Config
 	rng *simrng.Source
 
-	adv        sim.Adversary
-	def        sim.Defense
+	adv        *attack.Strategy
+	def        *defense.RateLimiter
 	isAttacker []bool
 	touched    []bool
 	advTrades  bool
@@ -112,7 +112,7 @@ type oracle struct {
 	sat      []bool
 }
 
-func newOracle(cfg Config, seed uint64, adv sim.Adversary, def sim.Defense) (*oracle, error) {
+func newOracle(cfg Config, seed uint64, adv *attack.Strategy, def *defense.RateLimiter) (*oracle, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,14 +137,11 @@ func newOracle(cfg Config, seed uint64, adv sim.Adversary, def sim.Defense) (*or
 		s.completed[v] = -1
 	}
 	if s.adv != nil {
-		s.advTrades = sim.TradesInProtocol(s.adv)
-		s.advInstant = sim.SatiatesInstantly(s.adv)
+		s.advTrades = s.adv.TradesInProtocol()
+		s.advInstant = s.adv.SatiatesInstantly()
 		s.isAttacker = make([]bool, n)
 		s.touched = make([]bool, n)
 		for _, a := range s.adv.Place(n, s.rng.Child("adversary")) {
-			if a < 0 || a >= n {
-				return nil, fmt.Errorf("oracle: adversary placed node %d outside [0,%d)", a, n)
-			}
 			s.isAttacker[a] = true
 			if s.advTrades || s.advInstant {
 				s.held[a].Fill()
@@ -185,7 +182,7 @@ func (s *oracle) leaveNode(v int) {
 	}
 	s.departed[v] = true
 	if s.adv != nil {
-		sim.NotifyDeparture(s.adv, s.round, v)
+		s.adv.NodeDeparted(s.round, v)
 	}
 }
 
@@ -526,13 +523,13 @@ func TestMatrixMatchesOracle(t *testing.T) {
 // without and one with the workspace, checking them after every round.
 func compareWithOracle(t *testing.T, name string, cfg Config, seed uint64, kind attack.Kind, limit int, ws *sim.Workspace) {
 	t.Helper()
-	adversary := func() sim.Adversary {
+	adversary := func() *attack.Strategy {
 		if kind == attack.None {
 			return nil
 		}
 		return &attack.Strategy{Kind: kind, Fraction: 0.15, SatiateFraction: 0.4, RotatePeriod: 5}
 	}
-	guard := func() sim.Defense {
+	guard := func() *defense.RateLimiter {
 		if limit == 0 {
 			return nil
 		}

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"lotuseater/internal/attack"
+	"lotuseater/internal/defense"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/population"
 	"lotuseater/internal/sim"
@@ -149,8 +151,8 @@ type Sim struct {
 	// Strategy hooks: adv places attacker nodes and decides targeting and
 	// in-protocol service; def rate-limits what receivers accept. Both are
 	// optional; adv == nil runs unattacked.
-	adv        sim.Adversary
-	def        sim.Defense
+	adv        *attack.Strategy
+	def        *defense.RateLimiter
 	isAttacker []bool
 	touched    []bool // node ever received tokens from the adversary
 	advTrades  bool
@@ -199,7 +201,7 @@ func WithWorkspace(ws *sim.Workspace) Option {
 // paper's "deliberately overestimating the attacker" does), chooses per-
 // round satiation targets, and decides via OnExchange which contacting
 // partners attacker nodes serve.
-func WithAdversary(a sim.Adversary) Option {
+func WithAdversary(a *attack.Strategy) Option {
 	return func(s *Sim) { s.adv = a }
 }
 
@@ -207,7 +209,7 @@ func WithAdversary(a sim.Adversary) Option {
 // gated by Admit, capping how many new tokens a node accepts from any one
 // partner per round — Section 5's rate-limiting idea on the Section 3
 // substrate.
-func WithDefense(d sim.Defense) Option {
+func WithDefense(d *defense.RateLimiter) Option {
 	return func(s *Sim) { s.def = d }
 }
 
@@ -254,8 +256,8 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 		s.completed[v] = -1
 	}
 	if s.adv != nil {
-		s.advTrades = sim.TradesInProtocol(s.adv)
-		s.advInstant = sim.SatiatesInstantly(s.adv)
+		s.advTrades = s.adv.TradesInProtocol()
+		s.advInstant = s.adv.SatiatesInstantly()
 		if s.ws != nil {
 			s.isAttacker = s.ws.Bools(n)
 			s.touched = s.ws.Bools(n)
@@ -264,9 +266,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 			s.touched = make([]bool, n)
 		}
 		for _, a := range s.adv.Place(n, s.rng.Child("adversary")) {
-			if a < 0 || a >= n {
-				return nil, fmt.Errorf("tokenmodel: adversary placed node %d outside [0,%d)", a, n)
-			}
 			s.isAttacker[a] = true
 			if s.advTrades || s.advInstant {
 				// Lotus-eater attackers hold the full token set: the
@@ -361,7 +360,7 @@ func (s *Sim) leaveNode(v int) {
 	}
 	s.departed[v] = true
 	if s.adv != nil {
-		sim.NotifyDeparture(s.adv, s.round, v)
+		s.adv.NodeDeparted(s.round, v)
 	}
 }
 
@@ -439,7 +438,7 @@ func (s *Sim) Step() error {
 	if s.advInstant {
 		targets := s.adv.Targets(s.round)
 		if targets.Cap() != n {
-			return fmt.Errorf("tokenmodel: adversary returned a target set over %d nodes, want %d", targets.Cap(), n) //lotus:ignore allocfree cold guard against a misbehaving adversary
+			return fmt.Errorf("tokenmodel: adversary returned a target set over %d nodes, want %d", targets.Cap(), n) //lotus:ignore allocfree cold guard against a Strategy placed for another model
 		}
 		// Sparse iteration: the satiation pass costs O(|satiated set|), not
 		// O(n), and allocates nothing.

@@ -5,7 +5,6 @@ import (
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/graph"
-	"lotuseater/internal/simrng"
 )
 
 // satiating returns a fresh option for an attacker that controls no nodes
@@ -13,16 +12,6 @@ import (
 func satiating(nodes ...int) Option {
 	return WithAdversary(&attack.Strategy{Kind: attack.Ideal, TargetList: nodes})
 }
-
-// wrongSizeAdversary is a misbehaving custom adversary: it places no
-// nodes and instantly satiates a target set over a universe of n nodes,
-// whatever the simulation's population.
-type wrongSizeAdversary struct{ n int }
-
-func (a wrongSizeAdversary) Place(int, *simrng.Source) []int { return nil }
-func (a wrongSizeAdversary) Targets(int) *attack.TargetSet   { return attack.NewTargetSet(a.n, nil) }
-func (a wrongSizeAdversary) OnExchange(int, int, int) bool   { return false }
-func (a wrongSizeAdversary) SatiatesInstantly() bool         { return true }
 
 func validConfig() Config {
 	return Config{
@@ -285,12 +274,26 @@ func TestStepPastHorizon(t *testing.T) {
 	}
 }
 
-func TestBadTargeterLength(t *testing.T) {
-	sim, err := New(validConfig(), 10, WithAdversary(wrongSizeAdversary{n: 3}))
+// misplaced builds a Sim whose ideal Strategy is then shared with a second,
+// smaller Sim, which places it for its own population: every target set the
+// first Sim reads is over the wrong number of nodes.
+func misplaced(t *testing.T, seed uint64) *Sim {
+	t.Helper()
+	adv := &attack.Strategy{Kind: attack.Ideal, Fraction: 0.1, SatiateFraction: 0.5}
+	sim, err := New(validConfig(), seed, WithAdversary(adv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Step(); err == nil {
+	small := validConfig()
+	small.Graph = graph.Complete(12)
+	if _, err := New(small, seed, WithAdversary(adv)); err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+func TestBadTargeterLength(t *testing.T) {
+	if err := misplaced(t, 10).Step(); err == nil {
 		t.Fatal("mismatched target set size accepted")
 	}
 }
@@ -332,11 +335,7 @@ func TestRoundAccessor(t *testing.T) {
 }
 
 func TestRunPropagatesStepError(t *testing.T) {
-	sim, err := New(validConfig(), 31, WithAdversary(wrongSizeAdversary{n: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err == nil {
+	if _, err := misplaced(t, 31).Run(); err == nil {
 		t.Fatal("Run swallowed the target set error")
 	}
 }

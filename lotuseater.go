@@ -39,7 +39,6 @@ import (
 	"lotuseater/internal/metrics"
 	"lotuseater/internal/scenario"
 	"lotuseater/internal/scrip"
-	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 	"lotuseater/internal/swarm"
 	"lotuseater/internal/tokenmodel"
@@ -132,7 +131,7 @@ func DefaultGossipConfig() GossipConfig { return gossip.DefaultConfig() }
 // withAdversary checks adv against a population of n nodes and returns the
 // option that installs it; a nil adv is no attack and installs nothing.
 // Only a model that ranks its nodes accepts a ranked adv.
-func withAdversary[O any](adv *Strategy, n int, ranks bool, with func(sim.Adversary) O) ([]O, error) {
+func withAdversary[O any](adv *Strategy, n int, ranks bool, with func(*Strategy) O) ([]O, error) {
 	if adv == nil {
 		return nil, nil
 	}
