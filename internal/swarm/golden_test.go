@@ -11,21 +11,24 @@ import (
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/defense"
+	"lotuseater/internal/population"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // goldenCase is one pinned swarm run: a config shape, an optional strategy
-// adversary / defense, and a seed. The matrix spans both selection policies,
-// endgame on/off, seed departure, both ranked targeting rules, and every
-// attack.Strategy kind, so any behavioral drift in the simulator shows up as
-// a golden mismatch.
+// adversary / defense, optional piece weights, and a seed. The matrix spans
+// both selection policies, endgame on/off, seed departure, both ranked
+// targeting rules, every attack.Strategy kind and a weighted rarest-first
+// tie-break, so any behavioral drift in the simulator shows up as a golden
+// mismatch.
 type goldenCase struct {
-	name string
-	cfg  Config
-	adv  func() *attack.Strategy
-	def  func() *defense.RateLimiter
-	seed uint64
+	name    string
+	cfg     Config
+	adv     func() *attack.Strategy
+	def     func() *defense.RateLimiter
+	weights []float64
+	seed    uint64
 }
 
 func goldenBase() Config {
@@ -81,6 +84,19 @@ func goldenCases() []goldenCase {
 	add("adv-ideal-ratelimit", nil, func() *attack.Strategy {
 		return &attack.Strategy{Kind: attack.Ideal, Fraction: 0.05, SatiateFraction: 0.40}
 	}, func() *defense.RateLimiter { return defense.NewRateLimiter(2) })
+	// Zipf piece popularity weights rarest-first's tie-break; the ideal
+	// attack keeps a satiated, piece-rich population in the mix.
+	zipf := population.ZipfWeights(goldenBase().Pieces, 1.0)
+	for _, seed := range []uint64{7, 8} {
+		cases = append(cases, goldenCase{
+			name: fmt.Sprintf("zipf-weights/seed%d", seed),
+			cfg:  goldenBase(),
+			adv: func() *attack.Strategy {
+				return &attack.Strategy{Kind: attack.Ideal, Fraction: 0.05, SatiateFraction: 0.40}
+			},
+			weights: zipf, seed: seed,
+		})
+	}
 	return cases
 }
 
@@ -92,6 +108,9 @@ func runGoldenCase(t *testing.T, c goldenCase, parallel bool) Result {
 	}
 	if c.def != nil {
 		opts = append(opts, WithDefense(c.def()))
+	}
+	if c.weights != nil {
+		opts = append(opts, WithPieceWeights(c.weights))
 	}
 	s, err := New(c.cfg, c.seed, opts...)
 	if err != nil {
