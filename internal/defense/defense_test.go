@@ -319,3 +319,30 @@ func TestRateLimiterNilAndDisabled(t *testing.T) {
 		t.Fatalf("negative request = %d, want 0", got)
 	}
 }
+
+// BenchmarkAdmit measures one round of Admit calls at gossip-ratelimit's
+// pair mix: 250 nodes, an ideal attacker (sender 0) forwarding each of 7
+// pool updates to 175 targets one unit at a time, and 100 exchange pairs
+// asking for 2 units of excess each — 1,325 calls over 275 distinct pairs
+// per round, at cap 4.
+func BenchmarkAdmit(b *testing.B) {
+	const nodes, pool, targets, exchanges = 250, 7, 175, 100
+	l := NewRateLimiter(4)
+	round := func(r int) {
+		for u := 0; u < pool; u++ {
+			for v := 25; v < 25+targets; v++ {
+				l.Admit(r, 0, v, 1)
+			}
+		}
+		for k := 0; k < exchanges; k++ {
+			from := (k*37 + r) % nodes
+			l.Admit(r, from, (from+1+k)%nodes, 2)
+		}
+	}
+	round(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i + 1)
+	}
+}
