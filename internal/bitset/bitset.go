@@ -1,6 +1,8 @@
 // Package bitset provides a compact fixed-capacity bit set, used by the
-// adversary's target sets, the coding simulator's plain mode and the scrip
-// economy's candidate sets.
+// adversary's target sets and the scrip economy's candidate sets, and the
+// word-level helpers that count and select the bits one word row holds and
+// another lacks, which the coding simulator's plain-mode holdings matrix and
+// the swarm's piece rows share.
 package bitset
 
 import "math/bits"
@@ -168,4 +170,39 @@ func (s *Set) AppendMissing(buf []int) []int {
 		}
 	}
 	return buf
+}
+
+// CountDiff returns the number of bits set in a and clear in b, two word
+// rows of equal length.
+//
+//lotus:allocfree
+func CountDiff(a, b []uint64) int {
+	n := 0
+	for i, w := range a {
+		n += bits.OnesCount64(w &^ b[i])
+	}
+	return n
+}
+
+// SelectDiff returns the k-th bit (ascending, counting from 0) set in a and
+// clear in b, two word rows of equal length. It panics unless
+// 0 <= k < CountDiff(a, b).
+//
+//lotus:allocfree
+func SelectDiff(a, b []uint64, k int) int {
+	if k >= 0 {
+		for i, w := range a {
+			d := w &^ b[i]
+			c := bits.OnesCount64(d)
+			if k >= c {
+				k -= c
+				continue
+			}
+			for ; k > 0; k-- {
+				d &= d - 1
+			}
+			return i*64 + bits.TrailingZeros64(d)
+		}
+	}
+	panic("bitset: select in difference out of range")
 }

@@ -257,3 +257,40 @@ func TestSelectPanicsOutOfRange(t *testing.T) {
 		}()
 	}
 }
+
+// TestCountSelectDiff checks the difference helpers against the listed
+// difference of random three-word rows, and that selecting past the count
+// panics.
+func TestCountSelectDiff(t *testing.T) {
+	f := func(a0, a1, a2, b0, b1, b2 uint64) bool {
+		a, b := []uint64{a0, a1, a2}, []uint64{b0, b1, b2}
+		var diff []int
+		for i := 0; i < 192; i++ {
+			if a[i/64]&(1<<(i%64)) != 0 && b[i/64]&(1<<(i%64)) == 0 {
+				diff = append(diff, i)
+			}
+		}
+		if CountDiff(a, b) != len(diff) {
+			return false
+		}
+		for k, want := range diff {
+			if SelectDiff(a, b, k) != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{-1, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SelectDiff(k=%d) over a 2-bit difference did not panic", k)
+				}
+			}()
+			SelectDiff([]uint64{0b1011}, []uint64{0b0010}, k)
+		}()
+	}
+}

@@ -3,6 +3,7 @@ package coding
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/bitset"
@@ -127,9 +128,15 @@ type Dissemination struct {
 	isAttacker []bool
 
 	enc     *Encoder
-	decs    []*Decoder    // coded mode
-	plain   []*bitset.Set // plain mode
+	decs    []*Decoder // coded mode
 	sources [][]byte
+
+	// Plain mode's holdings matrix, node-major: node v's symbols are the
+	// bits of held[v*words : (v+1)*words], with the bits past Symbols
+	// always clear, and count[v] is how many it holds.
+	held  []uint64
+	count []int
+	words int
 
 	// Lifecycle state: departed stays nil without churn so the static
 	// path is byte-identical to a build without the model. symWeights is
@@ -140,7 +147,20 @@ type Dissemination struct {
 
 	round  int
 	satBuf []bool // per-round start-of-round satiation snapshot, reused
-	res    DisseminationResult
+	// Round scratch, reused: the queued transfers and one node's contact
+	// sample.
+	transfers []transfer
+	sample    []int
+	res       DisseminationResult
+}
+
+// transfer is one unit queued to flow from -> to this round: a coded
+// packet, or a plain symbol.
+type transfer struct {
+	from int
+	to   int
+	pkt  Packet // coded mode
+	sym  int    // plain mode
 }
 
 // DisseminationOption customizes a Dissemination.
@@ -204,17 +224,14 @@ func NewDissemination(cfg DisseminationConfig, seed uint64, opts ...Disseminatio
 			d.decs[v] = dec
 		}
 	} else {
-		d.plain = make([]*bitset.Set, n)
+		d.words = (cfg.Symbols + 63) / 64
+		d.held = make([]uint64, n*d.words)
+		d.count = make([]int, n)
 		for v := 0; v < n; v++ {
-			d.plain[v] = bitset.New(cfg.Symbols)
-			tok := v % cfg.Symbols
-			if cfg.Allocation != nil {
-				tok = cfg.Allocation[v]
-			}
-			if tok < 0 || tok >= cfg.Symbols {
+			if tok := d.initialSymbol(v); tok < 0 || tok >= cfg.Symbols {
 				return nil, fmt.Errorf("coding: Allocation[%d] = %d out of range", v, tok)
 			}
-			d.plain[v].Add(tok)
+			d.resetPlain(v)
 		}
 	}
 	if d.adv != nil {
@@ -238,6 +255,28 @@ func NewDissemination(cfg DisseminationConfig, seed uint64, opts ...Disseminatio
 		d.symWeights = population.Normalize(cfg.SymbolWeights)
 	}
 	return d, nil
+}
+
+// initialSymbol is the source symbol plain-mode node v starts with.
+func (d *Dissemination) initialSymbol(v int) int {
+	if d.cfg.Allocation != nil {
+		return d.cfg.Allocation[v]
+	}
+	return v % d.cfg.Symbols
+}
+
+// row is plain-mode node v's holdings words.
+func (d *Dissemination) row(v int) []uint64 {
+	return d.held[v*d.words : (v+1)*d.words]
+}
+
+// resetPlain makes plain-mode node v hold only its initial symbol.
+func (d *Dissemination) resetPlain(v int) {
+	row := d.row(v)
+	clear(row)
+	tok := d.initialSymbol(v)
+	row[tok/64] = 1 << (tok % 64)
+	d.count[v] = 1
 }
 
 // gone reports whether node v is currently departed. Always false in a
@@ -286,12 +325,7 @@ func (d *Dissemination) joinNode(v int) error {
 		d.decs[v] = dec
 		return nil
 	}
-	d.plain[v].Clear()
-	tok := v % d.cfg.Symbols
-	if d.cfg.Allocation != nil {
-		tok = d.cfg.Allocation[v]
-	}
-	d.plain[v].Add(tok)
+	d.resetPlain(v)
 	return nil
 }
 
@@ -306,7 +340,14 @@ func (d *Dissemination) satiateNode(v int) error {
 		}
 		return nil
 	}
-	d.plain[v].Fill()
+	row := d.row(v)
+	for i := range row {
+		row[i] = ^uint64(0)
+	}
+	if rem := d.cfg.Symbols % 64; rem != 0 {
+		row[len(row)-1] = 1<<rem - 1
+	}
+	d.count[v] = d.cfg.Symbols
 	return nil
 }
 
@@ -331,13 +372,16 @@ func (d *Dissemination) satiateLimited(v int) error {
 		}
 		return nil
 	}
-	missing := d.plain[v].Missing()
-	granted := d.def.Admit(d.round, -1, v, len(missing))
-	if granted > len(missing) {
-		granted = len(missing)
-	}
-	for _, t := range missing[:granted] {
-		d.plain[v].Add(t)
+	need := d.cfg.Symbols - d.count[v]
+	granted := min(d.def.Admit(d.round, -1, v, need), need)
+	d.count[v] += granted
+	// The granted symbols are the first missing ones in ascending order.
+	row := d.row(v)
+	for i := 0; granted > 0; i++ {
+		for miss := ^row[i]; granted > 0 && miss != 0; miss &= miss - 1 {
+			row[i] |= miss & -miss
+			granted--
+		}
 	}
 	return nil
 }
@@ -346,7 +390,7 @@ func (d *Dissemination) progress(v int) int {
 	if d.cfg.Coded {
 		return d.decs[v].Rank()
 	}
-	return d.plain[v].Len()
+	return d.count[v]
 }
 
 func (d *Dissemination) satiated(v int) bool { return d.progress(v) >= d.cfg.Symbols }
@@ -454,32 +498,7 @@ func (d *Dissemination) step() error {
 	for v := 0; v < n; v++ {
 		sat[v] = d.satiated(v)
 	}
-	type transfer struct {
-		from int
-		to   int
-		pkt  Packet // coded mode
-		sym  int    // plain mode
-	}
-	var transfers []transfer
-	// queue adds one unit flowing src -> dst: a fresh recoding of the
-	// sender's span (coded) or a random symbol the receiver lacks (plain).
-	queue := func(src, dst int) {
-		if d.cfg.Coded {
-			if pkt, ok := d.decs[src].Recode(rng); ok {
-				transfers = append(transfers, transfer{from: src, to: dst, pkt: pkt})
-			}
-			return
-		}
-		var cands []int
-		d.plain[src].ForEach(func(s int) {
-			if !d.plain[dst].Has(s) {
-				cands = append(cands, s)
-			}
-		})
-		if len(cands) > 0 {
-			transfers = append(transfers, transfer{from: src, to: dst, sym: d.pickSymbol(cands, rng)})
-		}
-	}
+	d.transfers = d.transfers[:0]
 	for v := 0; v < n; v++ {
 		if d.gone(v) {
 			continue
@@ -489,7 +508,7 @@ func (d *Dissemination) step() error {
 			// contacts to serve their satiation targets; crash and ideal
 			// attackers stay silent.
 			if d.advTrades {
-				d.attackerContacts(v, sat, rng, queue)
+				d.attackerContacts(v, sat, rng)
 			}
 			continue
 		}
@@ -501,7 +520,8 @@ func (d *Dissemination) step() error {
 			continue
 		}
 		c := min(d.contactsOf(v), len(nb))
-		for _, idx := range rng.SampleInts(len(nb), c) {
+		d.sample = rng.SampleIntsInto(d.sample[:0], len(nb), c)
+		for _, idx := range d.sample {
 			p := nb[idx]
 			if d.gone(p) {
 				continue
@@ -509,7 +529,7 @@ func (d *Dissemination) step() error {
 			if d.isAttacker != nil && d.isAttacker[p] {
 				// The contacted attacker serves per OnExchange, one-way.
 				if d.adv.OnExchange(d.round, p, v) {
-					queue(p, v)
+					d.queue(p, v, rng)
 				}
 				continue
 			}
@@ -517,11 +537,11 @@ func (d *Dissemination) step() error {
 				continue
 			}
 			// Bidirectional single-unit exchange.
-			queue(p, v)
-			queue(v, p)
+			d.queue(p, v, rng)
+			d.queue(v, p, rng)
 		}
 	}
-	for _, t := range transfers {
+	for _, t := range d.transfers {
 		if d.def != nil && d.def.Admit(d.round, t.from, t.to, 1) == 0 {
 			continue
 		}
@@ -529,8 +549,11 @@ func (d *Dissemination) step() error {
 			if _, err := d.decs[t.to].Add(t.pkt); err != nil {
 				return err
 			}
-		} else {
-			d.plain[t.to].Add(t.sym)
+			continue
+		}
+		if row, bit := d.row(t.to), uint64(1)<<(t.sym%64); row[t.sym/64]&bit == 0 {
+			row[t.sym/64] |= bit
+			d.count[t.to]++
 		}
 	}
 	return nil
@@ -538,47 +561,77 @@ func (d *Dissemination) step() error {
 
 // attackerContacts is a trade attacker's round: contact up to c random
 // neighbors and queue one unit for each satiation target among them.
-func (d *Dissemination) attackerContacts(v int, sat []bool, rng *simrng.Source, queue func(src, dst int)) {
+//
+//lotus:allocfree
+func (d *Dissemination) attackerContacts(v int, sat []bool, rng *simrng.Source) {
 	nb := d.cfg.Graph.AdjList(v)
 	if len(nb) == 0 {
 		return
 	}
 	c := min(d.contactsOf(v), len(nb))
-	for _, idx := range rng.SampleInts(len(nb), c) {
+	d.sample = rng.SampleIntsInto(d.sample[:0], len(nb), c)
+	for _, idx := range d.sample {
 		p := nb[idx]
 		if d.gone(p) || d.isAttacker[p] || sat[p] || !d.adv.OnExchange(d.round, v, p) {
 			continue
 		}
-		queue(v, p)
+		d.queue(v, p, rng)
 	}
 }
 
-// pickSymbol chooses which candidate symbol a plain-mode sender moves:
-// uniform (the historical single IntN draw) without popularity weights,
-// otherwise one Float64 draw walked over the candidates' weight mass —
-// popular symbols spread first, starving the tail the way a demand-driven
-// system would.
-func (d *Dissemination) pickSymbol(cands []int, rng *simrng.Source) int {
+// queue adds one unit flowing src -> dst: a fresh recoding of the sender's
+// span (coded) or a symbol the receiver lacks (plain). The plain path
+// allocates nothing once the transfer list has grown; a recoding allocates
+// its packet.
+//
+//lotus:allocfree
+func (d *Dissemination) queue(src, dst int, rng *simrng.Source) {
+	if d.cfg.Coded {
+		if pkt, ok := d.decs[src].Recode(rng); ok {
+			d.transfers = append(d.transfers, transfer{from: src, to: dst, pkt: pkt})
+		}
+		return
+	}
+	sr, dr := d.row(src), d.row(dst)
+	if cands := bitset.CountDiff(sr, dr); cands > 0 {
+		d.transfers = append(d.transfers, transfer{from: src, to: dst, sym: d.pickSymbol(sr, dr, cands, rng)})
+	}
+}
+
+// pickSymbol chooses which of the cands symbols set in sr and clear in dr a
+// plain-mode sender moves, walking them in ascending order: uniform (the
+// historical single IntN draw) without popularity weights, otherwise one
+// Float64 draw walked over the candidates' weight mass — popular symbols
+// spread first, starving the tail the way a demand-driven system would.
+//
+//lotus:allocfree
+func (d *Dissemination) pickSymbol(sr, dr []uint64, cands int, rng *simrng.Source) int {
 	if d.symWeights == nil {
-		return cands[rng.IntN(len(cands))]
+		return bitset.SelectDiff(sr, dr, rng.IntN(cands))
 	}
 	total := 0.0
-	for _, s := range cands {
-		total += d.symWeights[s]
+	for i, w := range sr {
+		for diff := w &^ dr[i]; diff != 0; diff &= diff - 1 {
+			total += d.symWeights[i*64+bits.TrailingZeros64(diff)]
+		}
 	}
 	if total <= 0 {
 		// Every candidate has zero popularity; fall back to uniform.
-		return cands[rng.IntN(len(cands))]
+		return bitset.SelectDiff(sr, dr, rng.IntN(cands))
 	}
 	x := rng.Float64() * total
 	acc := 0.0
-	for _, s := range cands {
-		acc += d.symWeights[s]
-		if x < acc {
-			return s
+	last := -1
+	for i, w := range sr {
+		for diff := w &^ dr[i]; diff != 0; diff &= diff - 1 {
+			last = i*64 + bits.TrailingZeros64(diff)
+			acc += d.symWeights[last]
+			if x < acc {
+				return last
+			}
 		}
 	}
-	return cands[len(cands)-1]
+	return last
 }
 
 func (d *Dissemination) finish() (DisseminationResult, error) {

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/defense"
 	"lotuseater/internal/graph"
+	"lotuseater/internal/simrng"
 )
 
 func dissemConfig(coded bool) DisseminationConfig {
@@ -156,5 +158,50 @@ func TestBadTargeterLength(t *testing.T) {
 	}
 	if err := sim.Step(); err == nil {
 		t.Fatal("mismatched target set size accepted")
+	}
+}
+
+// TestPlainStepAllocs: once the round scratch has grown, a plain-mode round
+// allocates nothing, at 64 nodes and at 4,096, with and without a rate
+// limit on the attacker's deliveries. 128 symbols at a cap of 1 keep the
+// limited targets filling one symbol per round through the measured
+// rounds, so satiateLimited runs in every one of them.
+func TestPlainStepAllocs(t *testing.T) {
+	for _, n := range []int{64, 4096} {
+		for _, tc := range []struct {
+			name string
+			kind attack.Kind
+			cap  int
+		}{
+			{"ideal", attack.Ideal, 0},
+			{"ideal-limit1", attack.Ideal, 1},
+			{"trade-limit1", attack.Trade, 1},
+		} {
+			cfg := DisseminationConfig{
+				Graph:       graph.RandomRegularish(n, 4, simrng.New(uint64(n)).Child("graph")),
+				Symbols:     128,
+				PayloadSize: 8,
+				Contacts:    2,
+				Rounds:      100,
+			}
+			adv := &attack.Strategy{Kind: tc.kind, Fraction: 0.10, SatiateFraction: 0.50}
+			d, err := NewDissemination(cfg, 3, WithAdversary(adv), WithDefense(defense.NewRateLimiter(tc.cap)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if err := d.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := d.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("n=%d %s: a steady-state plain round allocates %.0f objects, want 0", n, tc.name, allocs)
+			}
+		}
 	}
 }

@@ -24,21 +24,36 @@ import (
 // needs a population of obedient nodes to work. Every simulator takes it
 // through its WithDefense option, and Reset lets one limiter be pooled
 // across replicates via sim.Workspace.RateLimiter.
+//
+// The round's per-pair usage lives in an open-addressed table of {from, to}
+// slots with linear probing. A slot belongs to the current round only when
+// its stamp equals gen; a new round bumps gen, which empties the table
+// without touching it. The table doubles when half of it is in use, and is
+// cleared only when gen wraps around.
 type RateLimiter struct {
 	perPeerPerRound int
 
 	mu    sync.Mutex
 	round int
-	used  map[[2]int]int // {from, to} -> units accepted this round
+	gen   uint32 // stamp of the current round's slots; 0 marks a never-used slot
+	live  int    // slots stamped with gen
+	slots []pairSlot
 }
+
+// pairSlot is one (sender, receiver) pair's usage in the round stamped gen.
+type pairSlot struct {
+	from, to int
+	used     int
+	gen      uint32
+}
+
+// minSlots is the table size a limiter starts with; a power of two.
+const minSlots = 64
 
 // NewRateLimiter returns a limiter allowing up to perPeerPerRound units per
 // (sender, receiver) pair per round. perPeerPerRound <= 0 disables limiting.
 func NewRateLimiter(perPeerPerRound int) *RateLimiter {
-	return &RateLimiter{
-		perPeerPerRound: perPeerPerRound,
-		used:            make(map[[2]int]int),
-	}
+	return &RateLimiter{perPeerPerRound: perPeerPerRound, gen: 1}
 }
 
 // Admit reports how many of the requested units the receiver may accept from
@@ -48,6 +63,8 @@ func NewRateLimiter(perPeerPerRound int) *RateLimiter {
 // current round's counts and corrupt every later grant. Admit panics on a
 // round regression — a simulator driving time backwards is a programming
 // error, not a recoverable condition.
+//
+//lotus:allocfree
 func (l *RateLimiter) Admit(round, from, to, requested int) int {
 	if l == nil || l.perPeerPerRound <= 0 || requested <= 0 {
 		if requested < 0 {
@@ -58,29 +75,92 @@ func (l *RateLimiter) Admit(round, from, to, requested int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if round < l.round {
-		panic(fmt.Sprintf("defense: RateLimiter round went backwards (%d after %d); call Reset between runs", round, l.round))
+		l.regressed(round)
 	}
 	if round != l.round {
-		// Roll the window over in place: clearing retains the map's buckets,
-		// so steady-state rounds allocate nothing.
 		l.round = round
-		clear(l.used)
+		l.nextGen()
 	}
-	key := [2]int{from, to}
-	remaining := l.perPeerPerRound - l.used[key]
-	if remaining <= 0 {
+	slot := l.lookup(from, to)
+	granted := min(requested, l.perPeerPerRound-slot.used)
+	if granted <= 0 {
 		return 0
 	}
-	granted := requested
-	if granted > remaining {
-		granted = remaining
-	}
-	l.used[key] += granted
+	slot.used += granted
 	return granted
 }
 
+// lookup returns the current round's slot for (from, to), claiming an empty
+// one (used 0) when the pair has none yet. Within a round slots are only
+// claimed, never released, so a probe that meets a slot of another round
+// has passed every slot the pair could hold.
+//
+//lotus:allocfree
+func (l *RateLimiter) lookup(from, to int) *pairSlot {
+	if 2*(l.live+1) > len(l.slots) {
+		l.grow() // at half load; a steady pair population stops growing it
+	}
+	mask := len(l.slots) - 1
+	for i := pairHash(from, to) & mask; ; i = (i + 1) & mask {
+		slot := &l.slots[i]
+		if slot.gen != l.gen {
+			*slot = pairSlot{from: from, to: to, gen: l.gen}
+			l.live++
+			return slot
+		}
+		if slot.from == from && slot.to == to {
+			return slot
+		}
+	}
+}
+
+// regressed panics on a round earlier than the limiter's clock; see Admit.
+func (l *RateLimiter) regressed(round int) {
+	panic(fmt.Sprintf("defense: RateLimiter round went backwards (%d after %d); call Reset between runs", round, l.round))
+}
+
+// grow doubles the table (or makes the first one) and re-inserts the
+// current round's slots.
+func (l *RateLimiter) grow() {
+	old := l.slots
+	l.slots = make([]pairSlot, max(minSlots, 2*len(old)))
+	mask := len(l.slots) - 1
+	for _, slot := range old {
+		if slot.gen != l.gen {
+			continue
+		}
+		i := pairHash(slot.from, slot.to) & mask
+		for l.slots[i].gen == l.gen {
+			i = (i + 1) & mask
+		}
+		l.slots[i] = slot
+	}
+}
+
+// nextGen empties the table for a new round by bumping the stamp; only when
+// the stamp wraps are the slots cleared, so no stale slot can carry the
+// new stamp.
+func (l *RateLimiter) nextGen() {
+	l.gen++
+	l.live = 0
+	if l.gen == 0 {
+		clear(l.slots)
+		l.gen = 1
+	}
+}
+
+// pairHash mixes a (sender, receiver) pair into a table index; the external
+// sender -1 hashes like any other id.
+func pairHash(from, to int) int {
+	h := uint64(from)*0x9e3779b97f4a7c15 ^ uint64(to)*0xc2b2ae3d27d4eb4f
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 32
+	return int(h >> 1)
+}
+
 // Reset clears all accumulated state — round counter and per-pair usage —
-// while keeping the map's storage, so a pooled limiter
+// while keeping the table's storage, so a pooled limiter
 // (sim.Workspace.RateLimiter) can be reused across replicates without
 // reallocating.
 func (l *RateLimiter) Reset() {
@@ -90,7 +170,7 @@ func (l *RateLimiter) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.round = 0
-	clear(l.used)
+	l.nextGen()
 }
 
 // Report is an accusation that a node provided excessive service, backed by

@@ -282,24 +282,30 @@ func TestLimitReset(t *testing.T) {
 }
 
 // TestRateLimiterSteadyStateAllocs: after warmup, round rollover reuses the
-// usage map in place — the hot path allocates nothing.
+// pair table in place — the hot path allocates nothing, for a small pair
+// population and for one that grew the table several times.
 func TestRateLimiterSteadyStateAllocs(t *testing.T) {
-	l := NewRateLimiter(4)
-	// Warm the map's buckets with the pair population.
-	for round := 0; round < 3; round++ {
-		for pair := 0; pair < 32; pair++ {
-			l.Admit(round, pair, pair+1, 3)
+	for _, pairs := range []int{32, 4096} {
+		l := NewRateLimiter(4)
+		// Warm the table with the pair population.
+		for round := 0; round < 3; round++ {
+			for pair := 0; pair < pairs; pair++ {
+				l.Admit(round, pair, pair+1, 3)
+			}
 		}
-	}
-	round := 3
-	allocs := testing.AllocsPerRun(100, func() {
-		for pair := 0; pair < 32; pair++ {
-			l.Admit(round, pair, pair+1, 3)
+		if pairs > minSlots/2 && len(l.slots) <= minSlots {
+			t.Fatalf("%d pairs did not grow the %d-slot table", pairs, minSlots)
 		}
-		round++
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state Admit allocates %.1f per round, want 0", allocs)
+		round := 3
+		allocs := testing.AllocsPerRun(100, func() {
+			for pair := 0; pair < pairs; pair++ {
+				l.Admit(round, pair, pair+1, 3)
+			}
+			round++
+		})
+		if allocs > 0 {
+			t.Fatalf("steady-state Admit over %d pairs allocates %.1f per round, want 0", pairs, allocs)
+		}
 	}
 }
 

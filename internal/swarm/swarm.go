@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/bitset"
 	"lotuseater/internal/defense"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/population"
@@ -349,8 +350,9 @@ type Sim struct {
 	pieceWeights   []float64
 
 	permBuf   []int
-	missBuf   []int // pooled missing-piece scratch for attack/endgame fills
-	targetBuf []int // Rank candidate scratch
+	tieBuf    []int32 // selectPiece's rarest-first ties, pooled
+	missBuf   []int   // pooled missing-piece scratch for attack/endgame fills
+	targetBuf []int   // Rank candidate scratch
 	rareScore []int32
 	// scanBuf and shardBufs back scanLeechers, the sharded pure-read
 	// candidate scan the endgame and lifecycle passes run.
@@ -1242,102 +1244,58 @@ func selectPiece[T rarityCell](s *Sim, sender, receiver int, counts []T, rng *si
 	W := s.wpn
 	sb := s.pieceWords[sender*W : sender*W+W]
 	rb := s.pieceWords[receiver*W : receiver*W+W]
-	total := 0
-	for i, w := range sb {
-		total += bits.OnesCount64(w &^ rb[i])
-	}
+	total := bitset.CountDiff(sb, rb)
 	if total == 0 {
 		return 0, false
 	}
 	if s.cfg.Selection == SelectRandom || int(s.pieceCnt[receiver]) < s.cfg.RandomFirstCount {
-		return nthDiff(sb, rb, rng.IntN(total)), true
+		return bitset.SelectDiff(sb, rb, rng.IntN(total)), true
 	}
 	// Rarest first, breaking ties uniformly at random: deterministic
 	// tie-breaking would make every receiver chase the same piece and
 	// destroy diversity — the opposite of the policy's purpose. With
 	// popularity weights installed the tie-break is weighted instead —
-	// demand skews which of the equally-rare pieces moves.
+	// demand skews which of the equally-rare pieces moves. One pass keeps
+	// the running minimum's ties in ascending order, restarting the list
+	// (and the weight sum) at each new minimum.
 	weights := s.pieceWeights
 	best := ^T(0)
-	ties := 0
+	ties := s.tieBuf[:0]
 	wTotal := 0.0
 	for i, w := range sb {
 		d := w &^ rb[i]
 		wordBase := i * 64
 		for d != 0 {
 			p := wordBase + bits.TrailingZeros64(d)
+			d &= d - 1
 			c := counts[p]
+			if c > best {
+				continue
+			}
 			if c < best {
 				best = c
-				ties = 1
-				if weights != nil {
-					wTotal = weights[p]
-				}
-			} else if c == best {
-				ties++
-				if weights != nil {
-					wTotal += weights[p]
-				}
+				ties = ties[:0]
+				wTotal = 0
 			}
-			d &= d - 1
+			ties = append(ties, int32(p))
+			if weights != nil {
+				wTotal += weights[p]
+			}
 		}
 	}
+	s.tieBuf = ties
 	if weights != nil && wTotal > 0 {
 		x := rng.Float64() * wTotal
 		acc := 0.0
-		last := -1
-		for i, w := range sb {
-			d := w &^ rb[i]
-			wordBase := i * 64
-			for d != 0 {
-				p := wordBase + bits.TrailingZeros64(d)
-				if counts[p] == best {
-					acc += weights[p]
-					last = p
-					if x < acc {
-						return p, true
-					}
-				}
-				d &= d - 1
+		for _, p := range ties {
+			acc += weights[p]
+			if x < acc {
+				return int(p), true
 			}
 		}
-		return last, true // float round-off: fall back to the last tie
+		return int(ties[len(ties)-1]), true // float round-off: fall back to the last tie
 	}
-	k := rng.IntN(ties)
-	for i, w := range sb {
-		d := w &^ rb[i]
-		wordBase := i * 64
-		for d != 0 {
-			p := wordBase + bits.TrailingZeros64(d)
-			if counts[p] == best {
-				if k == 0 {
-					return p, true
-				}
-				k--
-			}
-			d &= d - 1
-		}
-	}
-	panic("swarm: rarest-first tie selection out of range")
-}
-
-// nthDiff returns the k-th (ascending) piece set in sb but clear in rb.
-//
-//lotus:allocfree
-func nthDiff(sb, rb []uint64, k int) int {
-	for i, w := range sb {
-		d := w &^ rb[i]
-		c := bits.OnesCount64(d)
-		if k >= c {
-			k -= c
-			continue
-		}
-		for ; k > 0; k-- {
-			d &= d - 1
-		}
-		return i*64 + bits.TrailingZeros64(d)
-	}
-	panic("swarm: diff selection out of range")
+	return int(ties[rng.IntN(len(ties))]), true
 }
 
 // scanLeechers collects, in ascending node order, the nodes in [0, limit)
