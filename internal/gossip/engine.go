@@ -494,36 +494,14 @@ func (e *Engine) idealDeliver() {
 //lotus:allocfree
 func (e *Engine) exchangePhase(label string, end int, exec func(i, j int)) {
 	n := e.cfg.Nodes
-	// v lacks one of live[:end] iff a full want word of its row is not all
-	// ones, or the partial last word misses a bit of tail.
-	full, tail := end>>6, uint64(1)<<(end&63)-1
-	mark := func(start, stop int) {
-		for v := start; v < stop; v++ {
-			st := e.status[v] &^ stInitiates
-			if st&stAttacker != 0 {
-				if e.advTrades {
-					st |= stInitiates
-				}
-			} else {
-				row := e.held[v*e.words : v*e.words+e.words]
-				lacks := tail != 0 && row[full]&tail != tail
-				for w := 0; w < full && !lacks; w++ {
-					lacks = row[w] != ^uint64(0)
-				}
-				if lacks {
-					st |= stInitiates
-				}
-			}
-			e.status[v] = st
-		}
-	}
 	// The scan is a pure read of round state, so for large populations it
 	// shards across the worker pool with bit-identical results; every shard
-	// writes only its own nodes' status bytes.
+	// writes only its own nodes' status bytes. Only the sharded path builds
+	// a closure, so a sequential round allocates nothing.
 	if e.evalParallel > 0 || (e.evalParallel == 0 && n >= evalParallelMinNodes) {
-		sim.ParallelFor(n, 0, func(_, start, stop int) { mark(start, stop) })
+		sim.ParallelFor(n, 0, func(_, start, stop int) { e.markInitiates(end, start, stop) })
 	} else {
-		mark(0, n)
+		e.markInitiates(end, 0, n)
 	}
 	e.roundRNG = e.rng.ChildNInto(e.roundRNG, "order-"+label, e.round)
 	order := e.roundRNG.PermInto(e.permBuf, n)
@@ -538,6 +516,35 @@ func (e *Engine) exchangePhase(label string, end int, exec func(i, j int)) {
 			continue // the slot is wasted, like contacting a crashed node
 		}
 		exec(v, p)
+	}
+}
+
+// markInitiates sets the initiates bit of the nodes in [start, stop) that
+// start an exchange this phase: a rational node iff it lacks one of
+// live[:end], and a trade attacker always.
+//
+//lotus:allocfree
+func (e *Engine) markInitiates(end, start, stop int) {
+	// v lacks one of live[:end] iff a full want word of its row is not all
+	// ones, or the partial last word misses a bit of tail.
+	full, tail := end>>6, uint64(1)<<(end&63)-1
+	for v := start; v < stop; v++ {
+		st := e.status[v] &^ stInitiates
+		if st&stAttacker != 0 {
+			if e.advTrades {
+				st |= stInitiates
+			}
+		} else {
+			row := e.held[v*e.words : v*e.words+e.words]
+			lacks := tail != 0 && row[full]&tail != tail
+			for w := 0; w < full && !lacks; w++ {
+				lacks = row[w] != ^uint64(0)
+			}
+			if lacks {
+				st |= stInitiates
+			}
+		}
+		e.status[v] = st
 	}
 }
 

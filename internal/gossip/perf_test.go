@@ -54,12 +54,12 @@ func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 	small := measure(1024)
 	big := measure(8192)
 	t.Logf("allocations per Step: %.0f at n=1024, %.0f at n=8192", small, big)
-	// A steady-state round measures 2 allocations; the bound allows a small
-	// margin over that. The comparison is the other half: an O(Nodes)
-	// allocation anywhere would blow it up immediately at the larger
-	// population.
-	if small > 4 {
-		t.Fatalf("steady-state Step allocates %.0f objects at n=1024, want at most 4", small)
+	// A steady-state round allocates nothing: the sequential initiates scan
+	// is a method call, and only the sharded path builds a closure. The
+	// comparison is the other half: an O(Nodes) allocation anywhere would
+	// blow it up immediately at the larger population.
+	if small > 0 {
+		t.Fatalf("steady-state Step allocates %.0f objects at n=1024, want 0", small)
 	}
 	if big > small+16 {
 		t.Fatalf("Step allocations grew with population: %.0f at n=1024 vs %.0f at n=8192", small, big)
