@@ -67,30 +67,11 @@ func (s *Set) Remove(i int) bool {
 	return true
 }
 
-// Clear resets every bit, keeping the capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-	s.count = 0
-}
-
 // Clone returns an independent copy.
 func (s *Set) Clone() *Set {
 	out := &Set{words: make([]uint64, len(s.words)), n: s.n, count: s.count}
 	copy(out.words, s.words)
 	return out
-}
-
-// Fill sets every bit in [0, Cap).
-func (s *Set) Fill() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	if rem := s.n % 64; rem != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] = (1 << rem) - 1
-	}
-	s.count = s.n
 }
 
 // Rank returns the number of set bits below i; i is clamped to [0, Cap].
@@ -145,31 +126,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Missing returns the clear bits in ascending order.
-func (s *Set) Missing() []int {
-	return s.AppendMissing(make([]int, 0, s.n-s.count))
-}
-
-// AppendMissing appends the clear bits in [0, Cap) to buf in ascending order
-// and returns the extended slice. It exists for hot loops that reuse buf to
-// stay allocation-free.
-func (s *Set) AppendMissing(buf []int) []int {
-	for wi, w := range s.words {
-		w = ^w
-		base := wi * 64
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			i := base + b
-			if i >= s.n {
-				break
-			}
-			buf = append(buf, i)
-			w &= w - 1
-		}
-	}
-	return buf
 }
 
 // CountDiff returns the number of bits set in a and clear in b, two word

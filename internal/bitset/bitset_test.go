@@ -79,22 +79,6 @@ func TestAddPanicsOutOfRange(t *testing.T) {
 	New(10).Add(10)
 }
 
-func TestFill(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 128, 130} {
-		s := New(n)
-		s.Fill()
-		if s.Len() != n {
-			t.Fatalf("cap %d: Len = %d after Fill", n, s.Len())
-		}
-		// The word padding must not leak phantom bits.
-		count := 0
-		s.ForEach(func(int) { count++ })
-		if count != n {
-			t.Fatalf("cap %d: ForEach visited %d bits", n, count)
-		}
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	a := New(50)
 	a.Add(7)
@@ -122,22 +106,6 @@ func TestForEachOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("visited %v, want %v (ascending)", got, want)
-		}
-	}
-}
-
-func TestMissing(t *testing.T) {
-	s := New(5)
-	s.Add(1)
-	s.Add(3)
-	got := s.Missing()
-	want := []int{0, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("Missing = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Missing = %v, want %v", got, want)
 		}
 	}
 }
@@ -173,40 +141,6 @@ func TestLenMatchesCount(t *testing.T) {
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAppendMissing(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 130} {
-		s := New(n)
-		for i := 0; i < n; i += 3 {
-			s.Add(i)
-		}
-		got := s.AppendMissing(nil)
-		var want []int
-		for i := 0; i < n; i++ {
-			if !s.Has(i) {
-				want = append(want, i)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: %d missing, want %d", n, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: missing[%d] = %d, want %d", n, i, got[i], want[i])
-			}
-		}
-		// Reuse: appending into a primed buffer keeps the prefix.
-		buf := s.AppendMissing([]int{-1}[:1])
-		if len(buf) != len(want)+1 || buf[0] != -1 {
-			t.Fatalf("n=%d: AppendMissing ignored the buffer prefix", n)
-		}
-		// Agreement with the allocating form.
-		m := s.Missing()
-		if len(m) != len(want) {
-			t.Fatalf("n=%d: Missing len %d, want %d", n, len(m), len(want))
-		}
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 
 // plainOracle is the plain-mode half of the Dissemination that kept one
 // bitset.Set per node and listed each sender's candidates in a fresh
-// slice, kept verbatim (coded branches dropped) as the oracle for the
-// holdings-matrix kernel.
+// slice, kept verbatim as the oracle for the holdings-matrix kernel. The
+// coded branches are dropped, and the Set methods Clear, Fill and Missing,
+// which went with the old kernel, are spelled out with New, Add and Has.
 type plainOracle struct {
 	cfg      DisseminationConfig
 	rng      *simrng.Source
@@ -96,7 +97,7 @@ func (d *plainOracle) joinNode(v int) {
 		return
 	}
 	d.departed[v] = false
-	d.plain[v].Clear()
+	d.plain[v] = bitset.New(d.cfg.Symbols)
 	tok := v % d.cfg.Symbols
 	if d.cfg.Allocation != nil {
 		tok = d.cfg.Allocation[v]
@@ -104,14 +105,23 @@ func (d *plainOracle) joinNode(v int) {
 	d.plain[v].Add(tok)
 }
 
-func (d *plainOracle) satiateNode(v int) { d.plain[v].Fill() }
+func (d *plainOracle) satiateNode(v int) {
+	for s := 0; s < d.cfg.Symbols; s++ {
+		d.plain[v].Add(s)
+	}
+}
 
 func (d *plainOracle) satiateLimited(v int) {
 	if d.def == nil {
 		d.satiateNode(v)
 		return
 	}
-	missing := d.plain[v].Missing()
+	var missing []int
+	for s := 0; s < d.cfg.Symbols; s++ {
+		if !d.plain[v].Has(s) {
+			missing = append(missing, s)
+		}
+	}
 	granted := d.def.Admit(d.round, -1, v, len(missing))
 	if granted > len(missing) {
 		granted = len(missing)
