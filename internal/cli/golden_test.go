@@ -142,3 +142,47 @@ func TestGoldenRegistryAddresses(t *testing.T) {
 	}
 	checkGolden(t, "registry-addresses.txt", []byte(b.String()))
 }
+
+// TestGoldenChurn100kAddresses pins, at seed 1, the content addresses of
+// the four churn-100k benchmark items at the shapes bench/sims.go runs
+// them: gossip-trade-churn and gossip-zipf with gossip-1m's parameters,
+// swarm-churn and swarm-zipf at 10⁵ leechers. They are the only pinned
+// artifacts built at n ≥ 2¹⁵, where the sharded passes run, and with
+// attack placements of more than 64 nodes, where SampleIntsInto leaves its
+// scan path.
+func TestGoldenChurn100kAddresses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four scenarios at 10⁵ nodes")
+	}
+	gossipSets := []string{"nodes=100000", "rounds=12", "sweep.points=2", "replicates=1",
+		"params.updates=1", "params.lifetime=8", "params.copies=64", "params.warmup=2", "params.push=2"}
+	swarmSets := []string{"nodes=100000", "rounds=16", "replicates=1"}
+	var b strings.Builder
+	for _, it := range []struct {
+		name string
+		sets []string
+	}{
+		{"gossip-trade-churn", gossipSets},
+		{"gossip-zipf", gossipSets},
+		{"swarm-churn", swarmSets},
+		{"swarm-zipf", swarmSets},
+	} {
+		spec, ok := scenario.Get(it.name)
+		if !ok {
+			t.Fatalf("%s: not in the registry", it.name)
+		}
+		if err := spec.ApplySets(it.sets); err != nil {
+			t.Fatalf("%s: %v", it.name, err)
+		}
+		a, err := scenario.Run(spec, 1, scenario.RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", it.name, err)
+		}
+		addr, err := a.Address()
+		if err != nil {
+			t.Fatalf("%s: %v", it.name, err)
+		}
+		fmt.Fprintf(&b, "%s %s\n", it.name, addr)
+	}
+	checkGolden(t, "churn-100k-addresses.txt", []byte(b.String()))
+}

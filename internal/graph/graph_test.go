@@ -265,21 +265,31 @@ func randomRegularishOracle(n, deg int, rng *simrng.Source) [][]int {
 // TestRandomRegularishMatchesOracle: the one-pass merge builder draws the
 // identical graph the bucket-and-sort builder drew, including where the
 // sampler takes its partial Fisher–Yates branch (4·deg > n−1) and where deg
-// clamps to n−1.
+// clamps to n−1, and at the swarm's 10⁵-leecher shape (n = 100001, deg =
+// 12).
 func TestRandomRegularishMatchesOracle(t *testing.T) {
+	type shape struct {
+		n, deg int
+		seed   uint64
+	}
+	shapes := []shape{{100001, 12, 1}}
 	for _, n := range []int{0, 1, 2, 3, 5, 13, 97, 1000, 20000} {
 		for _, deg := range []int{1, 2, 3, 4, 6, 12, 40} {
 			for seed := uint64(1); seed <= 3; seed++ {
-				g := RandomRegularish(n, deg, simrng.New(seed))
-				want := randomRegularishOracle(n, deg, simrng.New(seed))
-				if g.N() != n {
-					t.Fatalf("n=%d deg=%d seed=%d: N() = %d", n, deg, seed, g.N())
-				}
-				for u := range want {
-					if got := g.AdjList(u); !slices.Equal(got, want[u]) {
-						t.Fatalf("n=%d deg=%d seed=%d: node %d adjacency %v, want %v", n, deg, seed, u, got, want[u])
-					}
-				}
+				shapes = append(shapes, shape{n, deg, seed})
+			}
+		}
+	}
+	for _, sh := range shapes {
+		n, deg, seed := sh.n, sh.deg, sh.seed
+		g := RandomRegularish(n, deg, simrng.New(seed))
+		want := randomRegularishOracle(n, deg, simrng.New(seed))
+		if g.N() != n {
+			t.Fatalf("n=%d deg=%d seed=%d: N() = %d", n, deg, seed, g.N())
+		}
+		for u := range want {
+			if got := g.AdjList(u); !slices.Equal(got, want[u]) {
+				t.Fatalf("n=%d deg=%d seed=%d: node %d adjacency %v, want %v", n, deg, seed, u, got, want[u])
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/population"
+	"lotuseater/internal/simrng"
 )
 
 // bigSwarmConfig is the swarm-1m scenario shape shrunk to a test-sized
@@ -96,6 +98,26 @@ func TestShardedPassesRace(t *testing.T) {
 	for i := range par.pieceWords {
 		if par.pieceWords[i] != seq.pieceWords[i] {
 			t.Fatalf("piece state diverged at word %d (node %d)", i, i/par.wpn)
+		}
+	}
+}
+
+// BenchmarkNew measures one New at swarm-churn's shape in the churn-100k
+// benchmark: 10⁵ leechers, 64 pieces, 16 ticks, a 10 % ideal attacker
+// satiating 30 % of the leechers, and a churn schedule at that scenario's
+// rates (leave 0.01, join 0.05).
+func BenchmarkNew(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Leechers = 100_000
+	cfg.Pieces = 64
+	cfg.Ticks = 16
+	events := population.Synthesize(population.Rates{LeaveRate: 0.01, JoinRate: 0.05},
+		cfg.Leechers, cfg.Ticks, cfg.Leechers/10, simrng.New(1).Child("pop-churn"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		adv := &attack.Strategy{Kind: attack.Ideal, Fraction: 0.10, SatiateFraction: 0.30}
+		if _, err := New(cfg, uint64(i)+1, WithAdversary(adv), WithChurn(events)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
