@@ -1,5 +1,7 @@
-// Package graph provides the communication-graph substrate for the
-// token-collecting model of Section 3 of the paper.
+// Package graph provides the communication graphs of the simulators: the
+// token-collecting model of Section 3 of the paper, coding's dissemination
+// and the public facade take a Graph, and the swarm draws its peer sets
+// with RegularishCSR straight into the packed arrays it runs on.
 //
 // A system in the paper's model is characterized in part by an undirected
 // graph G = (V, E) whose nodes are users and whose edges are the pairs of
@@ -11,8 +13,9 @@ package graph
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
+	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
@@ -141,35 +144,59 @@ func Random(n int, p float64, rng *simrng.Source) *Graph {
 // RandomRegularish returns a graph where each node receives deg random
 // distinct neighbors (the realized degree may exceed deg because edges are
 // undirected). It approximates a random regular graph cheaply and is
-// connected with high probability for deg >= 3.
-//
-// The sampled edge sequence depends only on the RNG, never on the adjacency
-// built so far, so the constructor draws every node's samples first and
-// builds the sorted, deduplicated adjacency lists in one pass afterwards —
-// the identical graph the historical per-edge sorted inserts produced. Node
-// u's list is the union of its own samples and the nodes that sampled it:
-// the samples are sorted per node, the samplers arrive sorted by drawing u
-// in ascending order, and one merge per node drops the pairs sampled from
-// both sides, writing every list into one backing array.
+// connected with high probability for deg >= 3. It is RegularishCSR's
+// graph in adjacency-list form.
 func RandomRegularish(n, deg int, rng *simrng.Source) *Graph {
 	g := New(n)
+	off, adj := RegularishCSR(n, deg, rng)
+	backing := make([]int, len(adj))
+	for i, v := range adj {
+		backing[i] = int(v)
+	}
+	for u := 0; u < n; u++ {
+		g.adj[u] = backing[off[u]:off[u+1]:off[u+1]]
+	}
+	return g
+}
+
+// RegularishCSR draws RandomRegularish's graph in compressed sparse row
+// form: node u's sorted neighbors are adj[off[u]:off[u+1]]. Both arrays get
+// the huge-page hint (sim.AdviseHugePages) before their first write, which
+// is when it counts with transparent huge pages in madvise mode, so a
+// caller that probes them at random, as the swarm does, can adopt them as
+// they are. The counters are int32: it panics unless n·deg < 2³¹.
+//
+// The sampled edge sequence depends only on the RNG, never on the adjacency
+// built so far, so every node's samples are drawn first and kept as drawn.
+// Node u's list is the union of its own samples and the nodes that sampled
+// it. Bucketing the samplers by target lists each target's samplers in
+// ascending order, since the samplers arrive in that order; transposing the
+// buckets back, targets in ascending order, rewrites every node's samples
+// sorted, so no row is ever sorted. One branch-free merge per node then
+// writes the two lists into adj, a pair sampled from both sides once.
+func RegularishCSR(n, deg int, rng *simrng.Source) (off []int, adj []int32) {
+	off = make([]int, n+1)
+	sim.AdviseHugePages(off)
 	if n < 2 {
-		return g
+		return off, nil
 	}
-	if deg > n-1 {
-		deg = n - 1
+	deg = min(deg, n-1)
+	if n*deg >= math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d nodes of degree %d overflow the int32 edge counters", n, deg))
 	}
+	m := n * deg
 	// own[u*deg:(u+1)*deg] holds u's samples; end[v+1] counts v's samplers.
-	own := make([]int32, n*deg)
-	end := make([]int, n+1)
+	own := make([]int32, m)
+	end := make([]int32, n+1)
 	var buf []int
 	for u := 0; u < n; u++ {
 		buf = rng.SampleIntsInto(buf[:0], n-1, deg)
+		row := own[u*deg : (u+1)*deg]
 		for k, v := range buf {
 			if v >= u {
 				v++
 			}
-			own[u*deg+k] = int32(v)
+			row[k] = int32(v)
 			end[v+1]++
 		}
 	}
@@ -179,36 +206,51 @@ func RandomRegularish(n, deg int, rng *simrng.Source) *Graph {
 	// Bucket the samplers: filling bucket v advances end[v] from its start
 	// to the start of bucket v+1, so afterwards v's samplers are
 	// in[end[v-1]:end[v]] (from 0 for v = 0), ascending.
-	in := make([]int32, n*deg)
+	in := make([]int32, m)
 	for u := 0; u < n; u++ {
 		for _, v := range own[u*deg : (u+1)*deg] {
 			in[end[v]] = int32(u)
 			end[v]++
 		}
 	}
-	backing := make([]int, 0, 2*n*deg)
-	lo := 0
-	for u := 0; u < n; u++ {
-		a := own[u*deg : (u+1)*deg]
-		slices.Sort(a)
-		b := in[lo:end[u]]
-		lo = end[u]
-		first := len(backing)
-		for len(a) > 0 || len(b) > 0 {
-			var x int32
-			switch {
-			case len(b) == 0 || (len(a) > 0 && a[0] < b[0]):
-				x, a = a[0], a[1:]
-			case len(a) == 0 || b[0] < a[0]:
-				x, b = b[0], b[1:]
-			default: // the pair was sampled from both sides
-				x, a, b = a[0], a[1:], b[1:]
-			}
-			backing = append(backing, int(x))
-		}
-		g.adj[u] = backing[first:len(backing):len(backing)]
+	// Transpose back: visiting the targets in ascending order appends each
+	// to its samplers' rows, which come out sorted. next[u] is the write
+	// cursor of u's row.
+	next := make([]int32, n)
+	for u := range next {
+		next[u] = int32(u * deg)
 	}
-	return g
+	lo := int32(0)
+	for v := 0; v < n; v++ {
+		for _, u := range in[lo:end[v]] {
+			own[next[u]] = int32(v)
+			next[u]++
+		}
+		lo = end[v]
+	}
+	// Merge: min writes the smaller head, and each side advances when its
+	// head is not the larger one (the sign bit of head−other−1), so a head
+	// in both lists is written once and both advance.
+	adj = make([]int32, 2*m)
+	sim.AdviseHugePages(adj)
+	o := 0
+	lo = 0
+	for u := 0; u < n; u++ {
+		a, b := own[u*deg:(u+1)*deg], in[lo:end[u]]
+		lo = end[u]
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			x, y := a[i], b[j]
+			adj[o] = min(x, y)
+			o++
+			i += int(uint32(x-y-1) >> 31)
+			j += int(uint32(y-x-1) >> 31)
+		}
+		o += copy(adj[o:], a[i:])
+		o += copy(adj[o:], b[j:])
+		off[u+1] = o
+	}
+	return off, adj[:o]
 }
 
 // GridColumnCut returns the node indices of column col in a rows x cols grid

@@ -205,9 +205,10 @@ func TestRandomRegularishConnected(t *testing.T) {
 	}
 }
 
-// randomRegularishOracle is the bucket-and-sort builder RandomRegularish
-// replaced, kept as its reference: draw the whole edge multiset, bucket both
-// endpoints of every edge, then sort and dedup each node's bucket.
+// randomRegularishOracle is the original bucket-and-sort builder, kept as
+// the reference RegularishCSR is checked against: draw the whole edge
+// multiset, bucket both endpoints of every edge, then sort and dedup each
+// node's bucket.
 func randomRegularishOracle(n, deg int, rng *simrng.Source) [][]int {
 	adjs := make([][]int, n)
 	if n < 2 {
@@ -262,11 +263,11 @@ func randomRegularishOracle(n, deg int, rng *simrng.Source) [][]int {
 	return adjs
 }
 
-// TestRandomRegularishMatchesOracle: the one-pass merge builder draws the
-// identical graph the bucket-and-sort builder drew, including where the
-// sampler takes its partial Fisher–Yates branch (4·deg > n−1) and where deg
-// clamps to n−1, and at the swarm's 10⁵-leecher shape (n = 100001, deg =
-// 12).
+// TestRandomRegularishMatchesOracle: RegularishCSR's offsets and packed
+// adjacency, and the lists of its RandomRegularish wrapper, are the graph
+// the bucket-and-sort builder drew, including where the sampler takes its
+// partial Fisher–Yates branch (4·deg > n−1) and where deg clamps to n−1,
+// and at the swarm's 10⁵-leecher shape (n = 100001, deg = 12).
 func TestRandomRegularishMatchesOracle(t *testing.T) {
 	type shape struct {
 		n, deg int
@@ -282,8 +283,22 @@ func TestRandomRegularishMatchesOracle(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		n, deg, seed := sh.n, sh.deg, sh.seed
-		g := RandomRegularish(n, deg, simrng.New(seed))
 		want := randomRegularishOracle(n, deg, simrng.New(seed))
+		off, adj := RegularishCSR(n, deg, simrng.New(seed))
+		if len(off) != n+1 || off[0] != 0 || off[n] != len(adj) {
+			t.Fatalf("n=%d deg=%d seed=%d: %d offsets from %d to %d over %d targets", n, deg, seed, len(off), off[0], off[n], len(adj))
+		}
+		row := make([]int, 0, 2*deg)
+		for u := range want {
+			row = row[:0]
+			for _, v := range adj[off[u]:off[u+1]] {
+				row = append(row, int(v))
+			}
+			if !slices.Equal(row, want[u]) {
+				t.Fatalf("n=%d deg=%d seed=%d: CSR row %d = %v, want %v", n, deg, seed, u, row, want[u])
+			}
+		}
+		g := RandomRegularish(n, deg, simrng.New(seed))
 		if g.N() != n {
 			t.Fatalf("n=%d deg=%d seed=%d: N() = %d", n, deg, seed, g.N())
 		}
@@ -398,5 +413,15 @@ func TestBFSTriangleInequality(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkRegularishCSR draws the swarm's peer graph at churn-100k's
+// 10⁵-leecher shape: 100001 nodes (the leechers and the initial seed) of
+// sampled degree 12.
+func BenchmarkRegularishCSR(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RegularishCSR(100_001, 12, simrng.New(uint64(i)+1))
 	}
 }
