@@ -137,9 +137,8 @@ func (s *Source) PermInto(buf []int, n int) []int {
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
 // sampleScanMax is the largest sample SampleIntsInto dedups by scanning
-// what it has drawn. Below it the scan beats a set's hashing and
-// allocation; the scan's cost grows with k², so from about k = 128 the set
-// is faster.
+// what it has drawn. The scan allocates nothing, but its cost grows with
+// k², so larger samples mark what they have drawn in a bitset over [0, n).
 const sampleScanMax = 64
 
 // SampleInts returns k distinct integers drawn uniformly from [0, n).
@@ -167,7 +166,7 @@ func (s *Source) SampleIntsInto(buf []int, n, k int) []int {
 	}
 	start := len(buf)
 	// For small k relative to n use rejection sampling; otherwise use a
-	// partial Fisher-Yates over the index range. The scan and the set
+	// partial Fisher-Yates over the index range. The scan and the bitset
 	// reject exactly the repeated values, so they draw the same sample.
 	if k*4 <= n {
 		if k <= sampleScanMax {
@@ -178,13 +177,14 @@ func (s *Source) SampleIntsInto(buf []int, n, k int) []int {
 			}
 			return buf
 		}
-		seen := make(map[int]struct{}, k)
+		seen := make([]uint64, (n+63)/64)
 		for len(buf)-start < k {
 			v := s.rng.IntN(n)
-			if _, dup := seen[v]; dup {
+			w, bit := v>>6, uint64(1)<<(uint(v)&63)
+			if seen[w]&bit != 0 {
 				continue
 			}
-			seen[v] = struct{}{}
+			seen[w] |= bit
 			buf = append(buf, v)
 		}
 		return buf

@@ -197,7 +197,7 @@ func TestSampleIntsScanMatchesSet(t *testing.T) {
 	}
 	prefix := []int{-1, -2, -3}
 	for _, tc := range []struct{ n, k int }{
-		{4, 1}, {256, 64}, {260, 65}, {1000, 128}, // rejection: scan, then set
+		{4, 1}, {256, 64}, {260, 65}, {1000, 128}, // rejection: scan, then bitset
 		{4, 2}, {7, 7}, {255, 64}, {259, 65}, {1000, 999}, // partial Fisher–Yates
 		{5, 0},
 	} {
@@ -219,7 +219,7 @@ func TestSampleIntsScanMatchesSet(t *testing.T) {
 			}
 		}
 		if tc.k > sampleScanMax && tc.k*4 <= tc.n {
-			continue // the set path allocates its map
+			continue // the bitset path allocates its bitset
 		}
 		src, buf := New(1), make([]int, 0, tc.n)
 		if allocs := testing.AllocsPerRun(20, func() { buf = src.SampleIntsInto(buf[:0], tc.n, tc.k) }); allocs != 0 {
