@@ -35,18 +35,19 @@
 //
 //   - Struct-of-arrays agent layout. Piece bitsets are raw words in one
 //     contiguous arena (no per-node set headers to chase on random probes),
-//     the peer graph is flattened into int32 adjacency and reverse-position
-//     arrays indexed by degree prefix sums, all per-node ragged state
-//     (window reciprocation counts, interested lists, unchoke sets) lives
-//     in packed backing arrays, and the reciprocation ranking uses an
-//     allocation-free bounded sort — so the score and transfer passes are
-//     linear scans over packed memory with no per-node heap objects.
+//     the peer graph is drawn straight into int32 adjacency indexed by
+//     degree prefix sums (graph.RegularishCSR) with a reverse-position array
+//     beside it, all per-node ragged state (window reciprocation counts,
+//     interested lists, unchoke sets) lives in packed backing arrays, and
+//     the reciprocation ranking uses an allocation-free bounded sort — so
+//     the score and transfer passes are linear scans over packed memory with
+//     no per-node heap objects.
 //
-//   - Sharded pure-read passes. Unchoke scoring, the endgame and lifecycle
-//     candidate scans, and the initial rarity build are pure reads of swarm
-//     state and run on sim.ParallelFor for large populations; every
-//     RNG-consuming or state-mutating pass stays sequential in node order,
-//     so results are bit-identical for any worker count.
+//   - Sharded pure-read passes. Unchoke scoring and the endgame and
+//     lifecycle candidate scans are pure reads of swarm state and run on
+//     sim.ParallelFor for large populations; every RNG-consuming or
+//     state-mutating pass stays sequential in node order, so results are
+//     bit-identical for any worker count.
 package swarm
 
 import (
@@ -375,13 +376,13 @@ type Sim struct {
 }
 
 // evalParallelMinNodes is the population size at which the pure-read passes
-// (unchoke scoring, the endgame/lifecycle candidate scans, the initial
-// rarity build) shard across the worker pool by default.
+// (unchoke scoring, the endgame/lifecycle candidate scans) shard across the
+// worker pool by default.
 const evalParallelMinNodes = 1 << 15
 
 // WithEvalParallel forces the pure-read passes — unchoke scoring, the
-// endgame and lifecycle candidate scans, the initial rarity build — on or
-// off the sharded sim.ParallelFor path. Results are bit-identical either
+// endgame and lifecycle candidate scans — on or off the sharded
+// sim.ParallelFor path. Results are bit-identical either
 // way (tested); by default sharding engages for populations of
 // evalParallelMinNodes and up.
 func WithEvalParallel(on bool) Option {
@@ -400,9 +401,9 @@ func (s *Sim) sharded() bool {
 }
 
 // rarityCell is the set of storage widths a rarity counter row can use.
-// The rarity-touching hot paths (transfer snapshots, rarest-first piece
-// selection, the gain/departure delta loops, the initial build) are generic
-// over it, so the narrow and wide arenas run the same arithmetic.
+// The rarity-touching paths (transfer snapshots, rarest-first piece
+// selection, the delta loops that seed, gain and depart) are generic over
+// it, so the narrow and wide arenas run the same arithmetic.
 type rarityCell interface{ uint8 | uint16 }
 
 // WithWideRarity forces uint16 rarity counter rows even when the maximum
@@ -453,33 +454,16 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	if deg < 1 {
 		deg = 1
 	}
-	peers := graph.RandomRegularish(n, deg, s.rng.Child("peers"))
-
-	// Freeze the packed layout: degree prefix sums, the flat int32
-	// adjacency, adjacency-shaped per-node arrays, the piece-word arena,
-	// and the rarity counters. adjFlat holds the whole peer graph, so the
-	// graph itself is not kept.
-	s.adjOff = make([]int, n+1)
-	sim.AdviseHugePages(s.adjOff)
+	// Freeze the packed layout: the graph builder draws the peer graph
+	// straight into the degree prefix sums and the flat int32 adjacency,
+	// then come the adjacency-shaped per-node arrays, the piece-word arena
+	// and the rarity counters.
+	s.adjOff, s.adjFlat = graph.RegularishCSR(n, deg, s.rng.Child("peers"))
 	maxDeg := 0
 	for v := 0; v < n; v++ {
-		d := len(peers.AdjList(v))
-		if d > maxDeg {
-			maxDeg = d
-		}
-		s.adjOff[v+1] = s.adjOff[v] + d
+		maxDeg = max(maxDeg, s.adjOff[v+1]-s.adjOff[v])
 	}
-	total := s.adjOff[n]
-	s.adjFlat = make([]int32, total)
-	// Advise before first touch: with THP in madvise mode the kernel only
-	// installs 2MB pages on fault, so the hint must precede the fill.
-	sim.AdviseHugePages(s.adjFlat)
-	for v := 0; v < n; v++ {
-		base := s.adjOff[v]
-		for k, w := range peers.AdjList(v) {
-			s.adjFlat[base+k] = int32(w)
-		}
-	}
+	total := len(s.adjFlat)
 	s.revPos = make([]int32, total)
 	s.recvCnt = make([]int32, total)
 	s.interested = make([]int32, total)
@@ -570,7 +554,7 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 		s.revPos[e] = seen[u]
 		seen[u]++
 	}
-	s.rebuildRarity()
+	s.seedRarity()
 	return s, nil
 }
 
@@ -634,43 +618,28 @@ func (s *Sim) appendMissing(v int, buf []int) []int {
 	return buf
 }
 
-// rebuildRarity recomputes every rarity row and the global holder counters
-// from scratch, establishing the invariant the incremental deltas maintain.
-// The per-node rows are a pure read of neighbor state, so the build shards
-// across the worker pool for large populations.
-func (s *Sim) rebuildRarity() {
-	if s.wideRarity {
-		rebuildRows(s, s.rarity16)
-	} else {
-		rebuildRows(s, s.rarity8)
-	}
-	s.recountHolders(s.holders)
-}
-
-// rebuildRows recounts every row of the given rarity arena.
-func rebuildRows[T rarityCell](s *Sim, arena []T) {
+// seedRarity establishes the invariant the incremental deltas maintain:
+// each rarity row counts, per piece, the node's non-departed neighbors
+// holding it, and holders counts each piece's present holders. The arenas
+// are freshly allocated, so all zero, and the only nodes holding pieces are
+// the ones New filled (the initial seed and trade attackers): each present
+// holder adds its pieces with gainPiece's arithmetic, so the cost follows
+// the holders, not the population.
+func (s *Sim) seedRarity() {
 	P := s.cfg.Pieces
-	rebuild := func(start, end int) {
-		for v := start; v < end; v++ {
-			recountRow(s, v, arena[v*P:(v+1)*P])
-		}
-	}
-	if s.sharded() {
-		sim.ParallelFor(s.n, 0, func(_, start, end int) { rebuild(start, end) })
-	} else {
-		rebuild(0, s.n)
-	}
-}
-
-// recountRow writes a from-scratch recount of v's local rarity view — per
-// piece, the number of v's non-departed neighbors holding it — into dst.
-func recountRow[T rarityCell](s *Sim, v int, dst []T) {
-	clear(dst)
-	for _, nb := range s.adj(v) {
-		if s.nodeState[nb] == stateDeparted {
+	for v := 0; v < s.n; v++ {
+		if s.nodeState[v] == stateDeparted || s.pieceCnt[v] == 0 {
 			continue
 		}
-		s.forEachPiece(int(nb), func(p int) { dst[p]++ })
+		adj := s.adj(v)
+		s.forEachPiece(v, func(p int) {
+			s.holders[p]++
+			if s.wideRarity {
+				bumpRows(s.rarity16, adj, P, p)
+			} else {
+				bumpRows(s.rarity8, adj, P, p)
+			}
+		})
 	}
 }
 
@@ -685,10 +654,10 @@ func (s *Sim) rarityAt(v, p int) int {
 
 // recountRarityRow writes a from-scratch recount of v's local rarity view
 // into dst, width-free. This is the reference implementation the
-// incremental counters are parity-tested against; it deliberately shares no
-// code with the width-typed recountRow the arena builds use, so the parity
-// suite checks the maintained state against an independent computation. The
-// hot path never calls it after construction.
+// incremental counters are parity-tested against; it shares no code with
+// the width-typed delta loops that seed and maintain the arenas, so the
+// parity suite checks the maintained state against an independent
+// computation. Only tests call it.
 func (s *Sim) recountRarityRow(v int, dst []int) {
 	clear(dst)
 	for _, nb := range s.adj(v) {
@@ -700,8 +669,8 @@ func (s *Sim) recountRarityRow(v int, dst []int) {
 }
 
 // recountHolders writes a from-scratch recount of the global per-piece
-// present-holder counts into dst — the reference for the maintained holders
-// array.
+// present-holder counts into dst — the reference the parity suite checks
+// the maintained holders array against. Only tests call it.
 func (s *Sim) recountHolders(dst []int32) {
 	clear(dst)
 	for v := 0; v < s.n; v++ {
@@ -1298,21 +1267,19 @@ func selectPiece[T rarityCell](s *Sim, sender, receiver int, counts []T, rng *si
 	return int(ties[rng.IntN(len(ties))]), true
 }
 
-// scanLeechers collects, in ascending node order, the nodes in [0, limit)
-// satisfying keep. keep must be a pure read of swarm state: for large
-// populations the scan shards across the worker pool, and shard-order
-// concatenation makes the result bit-identical to the sequential scan. The
-// returned slice aliases s.scanBuf and is valid until the next call.
+// scanLeechers collects, in ascending node order, the leechers in
+// [0, limit) missing between lo and hi pieces, inclusive. The scan is a
+// pure read of swarm state: for large populations it shards across the
+// worker pool, and shard-order concatenation makes the result bit-identical
+// to the sequential scan. Only the sharded path builds a closure, so a
+// sequential tick allocates nothing. The returned slice aliases s.scanBuf
+// and is valid until the next call.
 //
 //lotus:allocfree
-func (s *Sim) scanLeechers(limit int, keep func(v int) bool) []int32 {
+func (s *Sim) scanLeechers(limit, lo, hi int) []int32 {
 	out := s.scanBuf[:0]
 	if !s.sharded() {
-		for v := 0; v < limit; v++ {
-			if keep(v) {
-				out = append(out, int32(v))
-			}
-		}
+		out = s.appendLeechers(out, lo, hi, 0, limit)
 		s.scanBuf = out
 		return out
 	}
@@ -1325,19 +1292,30 @@ func (s *Sim) scanLeechers(limit int, keep func(v int) bool) []int32 {
 	}
 	s.shardBufs = s.shardBufs[:shards]
 	sim.ParallelFor(limit, grain, func(shard, start, end int) {
-		buf := s.shardBufs[shard][:0]
-		for v := start; v < end; v++ {
-			if keep(v) {
-				buf = append(buf, int32(v))
-			}
-		}
-		s.shardBufs[shard] = buf
+		s.shardBufs[shard] = s.appendLeechers(s.shardBufs[shard][:0], lo, hi, start, end)
 	})
 	for _, buf := range s.shardBufs {
 		out = append(out, buf...)
 	}
 	s.scanBuf = out
 	return out
+}
+
+// appendLeechers appends to buf, in ascending order, the leechers in
+// [start, end) missing between lo and hi pieces, inclusive.
+//
+//lotus:allocfree
+func (s *Sim) appendLeechers(buf []int32, lo, hi, start, end int) []int32 {
+	P := s.cfg.Pieces
+	for v := start; v < end; v++ {
+		if s.nodeState[v] != stateLeeching {
+			continue
+		}
+		if miss := P - int(s.pieceCnt[v]); miss >= lo && miss <= hi {
+			buf = append(buf, int32(v))
+		}
+	}
+	return buf
 }
 
 // endgameStep lets nearly finished leechers pull one missing piece from any
@@ -1348,15 +1326,7 @@ func (s *Sim) scanLeechers(limit int, keep func(v int) bool) []int32 {
 //
 //lotus:allocfree
 func (s *Sim) endgameStep() {
-	P := s.cfg.Pieces
-	thr := s.cfg.EndgameThreshold
-	cands := s.scanLeechers(s.cfg.Leechers, func(v int) bool {
-		if s.nodeState[v] != stateLeeching {
-			return false
-		}
-		miss := P - int(s.pieceCnt[v])
-		return miss > 0 && miss <= thr
-	})
+	cands := s.scanLeechers(s.cfg.Leechers, 1, s.cfg.EndgameThreshold)
 	s.tickRNG = s.rng.ChildNInto(s.tickRNG, "endgame", s.tick)
 	rng := s.tickRNG
 	for _, vv := range cands {
@@ -1389,10 +1359,7 @@ func (s *Sim) endgameStep() {
 //
 //lotus:allocfree
 func (s *Sim) lifecycleStep() {
-	P := int32(s.cfg.Pieces)
-	done := s.scanLeechers(s.cfg.Leechers, func(v int) bool {
-		return s.nodeState[v] == stateLeeching && s.pieceCnt[v] == P
-	})
+	done := s.scanLeechers(s.cfg.Leechers, 0, 0)
 	for _, vv := range done {
 		v := int(vv)
 		s.finished[v] = s.tick
