@@ -382,9 +382,8 @@ const evalParallelMinNodes = 1 << 15
 
 // WithEvalParallel forces the pure-read passes — unchoke scoring, the
 // endgame and lifecycle candidate scans — on or off the sharded
-// sim.ParallelFor path. Results are bit-identical either
-// way (tested); by default sharding engages for populations of
-// evalParallelMinNodes and up.
+// sim.ParallelFor path. Results are bit-identical either way (tested); by
+// default sharding engages for populations of evalParallelMinNodes and up.
 func WithEvalParallel(on bool) Option {
 	return func(s *Sim) {
 		if on {
@@ -454,10 +453,10 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	if deg < 1 {
 		deg = 1
 	}
-	// Freeze the packed layout: the graph builder draws the peer graph
-	// straight into the degree prefix sums and the flat int32 adjacency,
-	// then come the adjacency-shaped per-node arrays, the piece-word arena
-	// and the rarity counters.
+	// Freeze the packed layout. The peer graph arrives as degree prefix
+	// sums and a flat int32 adjacency, already hinted for huge pages; the
+	// adjacency-shaped per-node arrays, the piece-word arena and the rarity
+	// counters follow.
 	s.adjOff, s.adjFlat = graph.RegularishCSR(n, deg, s.rng.Child("peers"))
 	maxDeg := 0
 	for v := 0; v < n; v++ {
