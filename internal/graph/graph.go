@@ -181,7 +181,7 @@ func RegularishCSR(n, deg int, rng *simrng.Source) (off []int, adj []int32) {
 		return off, nil
 	}
 	deg = min(deg, n-1)
-	if n*deg >= math.MaxInt32 {
+	if n*deg > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: %d nodes of degree %d overflow the int32 edge counters", n, deg))
 	}
 	m := n * deg
