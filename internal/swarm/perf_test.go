@@ -60,11 +60,11 @@ func TestSwarmStepAllocsIndependentOfPopulation(t *testing.T) {
 // TestShardedPassesRace drives every sim.ParallelFor pass in the swarm —
 // unchoke scoring and the endgame/lifecycle leecher scans — at a
 // population large enough that each pass actually splits into multiple
-// shards (the small parity tests all fit in one shard
-// and exercise nothing concurrent). Running it under `go test -race` is the
-// point: it is the designated race gate for the widened parallel paths. It
-// also pins bit-identity at sharded scale by comparing piece state and
-// metrics against the forced-sequential run.
+// shards (the small parity tests all fit in one shard and exercise nothing
+// concurrent). Running it under `go test -race` is the point: it is the
+// designated race gate for the widened parallel paths. It also pins
+// bit-identity at sharded scale by comparing piece state and metrics
+// against the forced-sequential run.
 func TestShardedPassesRace(t *testing.T) {
 	// Above evalParallelMinNodes and above the scanLeechers shard grain, so
 	// both the scoring pass and the candidate scans fan out.
