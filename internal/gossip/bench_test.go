@@ -42,6 +42,26 @@ func BenchmarkRoundUnderTradeAttack(b *testing.B) {
 	}
 }
 
+// BenchmarkRoundRateLimit measures a round at gossip-ratelimit's shape: a
+// 10% ideal attacker satiating 70% of Table 1's system, every honest node
+// obedient, and a per-peer cap of 4.
+func BenchmarkRoundRateLimit(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Rounds = 1 << 20
+	cfg.Warmup = 0
+	cfg.ObedientFraction = 1
+	eng, err := New(cfg, 1, withAttack(attack.Ideal, 0.10), withRateLimit(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFullRun measures a whole default-horizon simulation.
 func BenchmarkFullRun(b *testing.B) {
 	cfg := DefaultConfig()

@@ -207,6 +207,27 @@ func goldenCases() []goldenCase {
 	}, func() []Option {
 		return []Option{WithChurn(goldenChurn())}
 	})
+	// Word-crossing exchanges: gifts and slack on a 3-word row, and
+	// receipts that list offered indices across words while a rate limit
+	// cuts grants short.
+	add("trade-altruism-slack-words3", 28, func(c *goldenCase) {
+		attacked(attack.Trade)(c)
+		c.cfg.UpdatesPerRound = 20
+		c.cfg.Lifetime = 8
+		c.cfg.BalanceSlack = 1
+		c.cfg.Altruism = 0.5
+		c.cfg.AltruisticGive = 3
+	}, nil)
+	add("trade-report-push10-wide", 29, func(c *goldenCase) {
+		attacked(attack.Trade)(c)
+		c.cfg.UpdatesPerRound = 70
+		c.cfg.Lifetime = 4
+		c.cfg.PushSize = 10
+		c.cfg.ObedientFraction = 0.6
+		c.cfg.ReportThreshold = 1
+		c.cfg.EvictAfterReports = 2
+		c.rateLimit = 2
+	}, nil)
 	return cases
 }
 
