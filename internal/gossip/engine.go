@@ -61,19 +61,21 @@ type Engine struct {
 	// live[b]. Expiry always removes a prefix of live, so dropExpired keeps
 	// bit index = live index by shifting every row. oldEnd is the length of
 	// the "old, soon-to-expire" prefix (released at least RecentWindow
-	// rounds ago), fixed for the round once seeding is done.
-	live   []liveUpdate
-	held   []uint64
-	words  int
-	oldEnd int
+	// rounds ago), fixed for the round once seeding is done; oldMask is the
+	// row with exactly the bits of live[:oldEnd] set, which the exchanges'
+	// word kernels mask the old and recent spans with.
+	live    []liveUpdate
+	held    []uint64
+	words   int
+	oldEnd  int
+	oldMask []uint64
 
-	// Pooled per-round scratch: the exchange-order permutation, the
-	// seeding sample and the two needs buffers are reused every round —
-	// steady-state rounds allocate O(|satiated set|) on the satiation path
-	// and O(1) elsewhere, independent of Nodes.
-	permBuf     []int
-	seedBuf     []int
-	needScratch [2][]int
+	// Pooled per-round scratch: the exchange-order permutation and the
+	// seeding sample are reused every round, and the exchanges work on the
+	// holdings rows in place, so a steady-state round allocates nothing
+	// (TestStepAllocsIndependentOfPopulation pins 0).
+	permBuf []int
+	seedBuf []int
 
 	// evalParallel > 0 forces the sharded initiates scan, < 0 forces the
 	// sequential loop, 0 picks by population size.
@@ -268,6 +270,7 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 	e.live = make([]liveUpdate, 0, cfg.Lifetime*cfg.UpdatesPerRound)
 	e.words = (cap(e.live) + 63) / 64
 	e.held = make([]uint64, n*e.words)
+	e.oldMask = make([]uint64, e.words)
 	if cfg.TrackPerNode {
 		e.nodeRound = make([][]int, n)
 		for v := range e.nodeRound {
@@ -406,7 +409,7 @@ func (e *Engine) joinNode(v int) {
 }
 
 // seedUpdates releases this round's updates to random nodes, per Table 1,
-// and fixes the round's old/recent boundary.
+// and fixes the round's old/recent boundary and its mask.
 //
 //lotus:allocfree
 func (e *Engine) seedUpdates() {
@@ -445,6 +448,9 @@ func (e *Engine) seedUpdates() {
 	e.oldEnd = 0
 	for cutoff := e.round - e.cfg.RecentWindow; e.live[e.oldEnd].release <= cutoff; {
 		e.oldEnd++
+	}
+	for w := range e.oldMask {
+		e.oldMask[w] = rangeMask(w, 0, e.oldEnd)
 	}
 }
 

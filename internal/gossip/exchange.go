@@ -1,6 +1,8 @@
 package gossip
 
 import (
+	"math/bits"
+
 	"lotuseater/internal/defense"
 )
 
@@ -47,26 +49,29 @@ func (e *Engine) execBalanced(i, j int) {
 
 //lotus:allocfree
 func (e *Engine) honestBalanced(i, j int) {
-	needI := e.needsFrom(i, j, 0)
-	needJ := e.needsFrom(j, i, 1)
-	k := min(len(needI), len(needJ))
+	needI := e.need(i, j, spanLive)
+	needJ := e.need(j, i, spanLive)
+	k := min(needI, needJ)
 	if k == 0 {
 		e.maybeAltruistic(i, j, needI, needJ)
 		return
 	}
-	giveToI := min(len(needI), k+e.cfg.BalanceSlack)
-	giveToJ := min(len(needJ), k+e.cfg.BalanceSlack)
-	e.deliver(j, i, needI[:giveToI], giveToJ, false)
-	e.deliver(i, j, needJ[:giveToJ], giveToI, false)
+	giveToI := min(needI, k+e.cfg.BalanceSlack)
+	giveToJ := min(needJ, k+e.cfg.BalanceSlack)
+	// The first delivery adds to i only updates j holds, so it leaves
+	// what j lacks of i's unchanged.
+	e.deliver(j, i, spanLive, giveToI, giveToJ, false)
+	e.deliver(i, j, spanLive, giveToJ, giveToI, false)
 }
 
 // maybeAltruistic implements the paper's parameter a in the gossip
 // substrate: when a one-for-one exchange is impossible (k = 0) but one side
 // still needs updates, the other side gives up to AltruisticGive updates for
-// nothing with probability Altruism.
+// nothing with probability Altruism. needI and needJ count what each side
+// lacks of the other's updates.
 //
 //lotus:allocfree
-func (e *Engine) maybeAltruistic(i, j int, needI, needJ []int) {
+func (e *Engine) maybeAltruistic(i, j, needI, needJ int) {
 	if e.maxAltruism <= 0 || e.cfg.AltruisticGive <= 0 {
 		return
 	}
@@ -76,11 +81,11 @@ func (e *Engine) maybeAltruistic(i, j int, needI, needJ []int) {
 	// sequence is unchanged.
 	e.roundRNG = e.rng.ChildNInto(e.roundRNG, "altruism", e.round*e.cfg.Nodes+i)
 	rng := e.roundRNG
-	if len(needI) > 0 && len(needJ) == 0 && rng.Bool(e.altruismOf(j)) {
-		e.deliver(j, i, needI[:min(len(needI), e.cfg.AltruisticGive)], 0, false)
+	if needI > 0 && needJ == 0 && rng.Bool(e.altruismOf(j)) {
+		e.deliver(j, i, spanLive, min(needI, e.cfg.AltruisticGive), 0, false)
 	}
-	if len(needJ) > 0 && len(needI) == 0 && rng.Bool(e.altruismOf(i)) {
-		e.deliver(i, j, needJ[:min(len(needJ), e.cfg.AltruisticGive)], 0, false)
+	if needJ > 0 && needI == 0 && rng.Bool(e.altruismOf(i)) {
+		e.deliver(i, j, spanLive, min(needJ, e.cfg.AltruisticGive), 0, false)
 	}
 }
 
@@ -107,32 +112,32 @@ func (e *Engine) attackerBalanced(att, peer int) {
 	if !e.attackerServes(att, peer) {
 		return // isolated nodes get nothing from the attacker
 	}
-	needPeer := e.needsFrom(peer, att, 0)
-	if len(needPeer) == 0 {
+	needPeer := e.need(peer, att, spanLive)
+	if needPeer == 0 {
 		return // nothing to give this target
 	}
-	needAtt := e.needsFrom(att, peer, 1)
-	recip := min(len(needAtt), len(needPeer))
-	e.deliver(att, peer, needPeer, recip, true)
-	e.give(needAtt[:recip], att)
+	recip := min(e.need(att, peer, spanLive), needPeer)
+	e.deliver(att, peer, spanLive, needPeer, recip, true)
+	e.take(att, peer, spanLive, recip)
 	e.usefulSent += int64(recip)
 }
 
-// deliver transfers the updates at the given live indices from node `from`
-// to node `to`. reciprocated is how many units the receiver returns in the
-// same interaction (junk included — nonproductive work is still payment);
-// the difference offered − reciprocated is the *excess* service that the
-// receiver-side defenses act on. One-for-one exchanges have zero excess no
-// matter their size, so obedient receivers never report or throttle honest
-// trades; lotus-eater gifts are almost pure excess. attacker marks the
-// upload as attacker bandwidth.
+// deliver offers node `to` the lowest `offered` updates of span sp that
+// node `from` holds and `to` lacks (offered must not exceed that need),
+// and transfers those the receiver admits. reciprocated is how many units
+// the receiver returns in the same interaction (junk included —
+// nonproductive work is still payment); the difference offered −
+// reciprocated is the *excess* service that the receiver-side defenses act
+// on. One-for-one exchanges have zero excess no matter their size, so
+// obedient receivers never report or throttle honest trades; lotus-eater
+// gifts are almost pure excess. attacker marks the upload as attacker
+// bandwidth.
 //
 //lotus:allocfree
-func (e *Engine) deliver(from, to int, indices []int, reciprocated int, attacker bool) {
-	if len(indices) == 0 {
+func (e *Engine) deliver(from, to int, sp span, offered, reciprocated int, attacker bool) {
+	if offered == 0 {
 		return
 	}
-	offered := len(indices)
 	excess := offered - reciprocated
 	if excess < 0 {
 		excess = 0
@@ -140,23 +145,34 @@ func (e *Engine) deliver(from, to int, indices []int, reciprocated int, attacker
 	obedient := e.status[to]&stObedient != 0
 
 	if obedient && excess > 0 && e.board != nil && e.board.Excessive(excess) {
-		e.fileReport(from, to, indices)
+		e.fileReport(from, to, sp, offered)
 	}
 	granted := offered
 	if obedient && excess > 0 && e.def != nil {
 		allowed := e.def.Admit(e.round, from, to, excess)
 		granted = offered - (excess - allowed)
 	}
-	got := e.give(indices[:granted], to)
+	e.take(to, from, sp, granted)
 	if attacker {
-		e.attackerSent += int64(got)
+		e.attackerSent += int64(granted)
 	} else {
-		e.usefulSent += int64(got)
+		e.usefulSent += int64(granted)
 	}
 }
 
-func (e *Engine) fileReport(from, to int, indices []int) {
-	receipt, err := e.keyring.SignReceipt(e.round, from, to, e.updateKeys(indices))
+// fileReport is an obedient receiver's report of an excessive delivery:
+// its signed receipt lists the ids of the offered updates, the lowest
+// `offered` of span sp that `from` holds and `to` lacks. It runs only with
+// a report board, so it alone still lists indices.
+func (e *Engine) fileReport(from, to int, sp span, offered int) {
+	keys := make([]uint64, 0, offered)
+	d, s := e.row(to), e.row(from)
+	for w := 0; len(keys) < offered; w++ {
+		for x := e.diff(d, s, w, sp); x != 0 && len(keys) < offered; x &= x - 1 {
+			keys = append(keys, e.live[w<<6+bits.TrailingZeros64(x)].id.Key())
+		}
+	}
+	receipt, err := e.keyring.SignReceipt(e.round, from, to, keys)
 	if err != nil {
 		return // out-of-range ids cannot occur for planned pairs
 	}
@@ -198,18 +214,16 @@ func (e *Engine) execPush(i, j int) {
 
 //lotus:allocfree
 func (e *Engine) honestPush(i, j int) {
-	wants := e.recentOffer(j, i, 0)
-	k := min(len(wants), e.cfg.PushSize)
+	k := min(e.need(j, i, spanRecent), e.cfg.PushSize)
 	if k == 0 {
 		return
 	}
 	// Responder takes k recent updates...
-	e.deliver(i, j, wants[:k], k, false)
+	e.deliver(i, j, spanRecent, k, k, false)
 	// ...and returns k units: old updates the initiator needs when it has
 	// them, junk otherwise.
-	back := e.oldNeeds(i, j, 1)
-	r := min(len(back), k)
-	e.deliver(j, i, back[:r], k, false)
+	r := min(e.need(i, j, spanOld), k)
+	e.deliver(j, i, spanOld, r, k, false)
 	e.junkSent += int64(k - r)
 }
 
@@ -222,15 +236,13 @@ func (e *Engine) attackerPushInit(att, peer int) {
 	if !e.attackerServes(att, peer) {
 		return
 	}
-	wants := e.recentOffer(peer, att, 0)
-	k := min(len(wants), e.cfg.PushSize)
+	k := min(e.need(peer, att, spanRecent), e.cfg.PushSize)
 	if k == 0 {
 		return
 	}
-	e.deliver(att, peer, wants[:k], k, true)
-	back := e.oldNeeds(att, peer, 1)
-	r := min(len(back), k)
-	e.give(back[:r], att)
+	e.deliver(att, peer, spanRecent, k, k, true)
+	r := min(e.need(att, peer, spanOld), k)
+	e.take(att, peer, spanOld, r)
 	e.usefulSent += int64(r)
 	e.junkSent += int64(k - r)
 }
@@ -242,15 +254,14 @@ func (e *Engine) attackerPushInit(att, peer int) {
 //
 //lotus:allocfree
 func (e *Engine) attackerPushRespond(i, att int) {
-	fresh := e.recentOffer(att, i, 0)
-	k := min(len(fresh), e.cfg.PushSize)
-	e.give(fresh[:k], att)
+	k := min(e.need(att, i, spanRecent), e.cfg.PushSize)
+	e.take(att, i, spanRecent, k)
 
 	if e.attackerServes(att, i) {
-		back := e.oldNeeds(i, att, 1)
-		e.deliver(att, i, back, k, true)
-		if k > len(back) {
-			e.junkSent += int64(k - len(back))
+		back := e.need(i, att, spanOld)
+		e.deliver(att, i, spanOld, back, k, true)
+		if k > back {
+			e.junkSent += int64(k - back)
 		}
 		return
 	}

@@ -231,8 +231,9 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-func runGoldenCase(t *testing.T, c goldenCase, parallel bool) Result {
-	t.Helper()
+// goldenOptions builds a fresh set of the case's engine options: its own
+// adversary, limiter and churn cursor.
+func goldenOptions(c goldenCase, parallel bool) []Option {
 	opts := []Option{WithEvalParallel(parallel)}
 	if c.adv.Kind != 0 {
 		adv := c.adv
@@ -244,7 +245,12 @@ func runGoldenCase(t *testing.T, c goldenCase, parallel bool) Result {
 	if c.opts != nil {
 		opts = append(opts, c.opts()...)
 	}
-	return mustRun(t, c.cfg, c.seed, opts...)
+	return opts
+}
+
+func runGoldenCase(t *testing.T, c goldenCase, parallel bool) Result {
+	t.Helper()
+	return mustRun(t, c.cfg, c.seed, goldenOptions(c, parallel)...)
 }
 
 // TestResultGoldens pins the engine's exact outputs: every golden case's

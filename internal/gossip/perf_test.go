@@ -28,11 +28,11 @@ func bigPathAttack() Option {
 }
 
 // TestStepAllocsIndependentOfPopulation is the sparse-satiation acceptance
-// test: once the engine's pools are primed, a steady-state round's
-// allocations must not grow with the population — the satiation and
-// planning paths are O(|satiated set|) updates into pooled storage, and
-// everything O(Nodes) (permutations, seeding samples, needs buffers) is
-// recycled, and the holdings matrix is allocated once in New.
+// test: once the engine's pools are primed, a steady-state round allocates
+// nothing, at any population. The satiation path writes the holdings matrix
+// New allocated, the exchanges count and move bits in its rows in place,
+// and the O(Nodes) scratch (the exchange permutation, the seeding sample)
+// is recycled.
 func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 	measure := func(n int) float64 {
 		e, err := New(bigPathConfig(n), 11, bigPathAttack(), WithEvalParallel(false))

@@ -75,57 +75,68 @@ func (e *Engine) heldOf(v, end int) int {
 	return n
 }
 
-// missing lists, ascending, the live indices in [lo, hi) that src holds and
-// dst lacks: src &^ dst over one bit range of two rows. It is the hot inner
-// loop of the simulator, so it appends into the slot-th pooled buffer; each
-// exchange uses at most two such lists at once, hence two slots.
+// span names the part of the live set an exchange draws from. The old
+// prefix and the recent rest both read the round's oldMask row; every live
+// update needs no mask, since no row holds a bit at or above len(live).
+type span uint8
+
+const (
+	spanLive   span = iota // every live update
+	spanOld                // live[:oldEnd], released at least RecentWindow rounds ago
+	spanRecent             // live[oldEnd:], the recently released rest
+)
+
+// diff returns word w of src &^ dst under span sp: the updates of sp whose
+// bits in that word the src row holds and the dst row lacks.
 //
 //lotus:allocfree
-func (e *Engine) missing(dst, src, lo, hi, slot int) []int {
-	out := e.needScratch[slot][:0]
+func (e *Engine) diff(d, s []uint64, w int, sp span) uint64 {
+	x := s[w] &^ d[w]
+	switch sp {
+	case spanOld:
+		x &= e.oldMask[w]
+	case spanRecent:
+		x &^= e.oldMask[w]
+	}
+	return x
+}
+
+// need counts the updates of span sp that src holds and dst lacks, by
+// popcount. It is the hot inner loop of the simulator.
+//
+//lotus:allocfree
+func (e *Engine) need(dst, src int, sp span) int {
 	d, s := e.row(dst), e.row(src)
-	for w := lo >> 6; w<<6 < hi; w++ {
-		for x := s[w] &^ d[w] & rangeMask(w, lo, hi); x != 0; x &= x - 1 {
-			out = append(out, w<<6+bits.TrailingZeros64(x))
-		}
+	n := 0
+	for w := range d {
+		n += bits.OnesCount64(e.diff(d, s, w, sp))
 	}
-	e.needScratch[slot] = out
-	return out
+	return n
 }
 
-// needsFrom lists the live updates dst lacks that src holds.
+// take gives dst the lowest k updates of span sp that src holds and dst
+// lacks, word by word: the k closest to expiry, since live is in release
+// order. k must not exceed need(dst, src, sp).
 //
 //lotus:allocfree
-func (e *Engine) needsFrom(dst, src, slot int) []int {
-	return e.missing(dst, src, 0, len(e.live), slot)
-}
-
-// recentOffer lists the recently released updates src holds and `to` lacks.
-//
-//lotus:allocfree
-func (e *Engine) recentOffer(to, src, slot int) []int {
-	return e.missing(to, src, e.oldEnd, len(e.live), slot)
-}
-
-// oldNeeds lists the old, soon-to-expire updates `who` lacks that src holds.
-//
-//lotus:allocfree
-func (e *Engine) oldNeeds(who, src, slot int) []int {
-	return e.missing(who, src, 0, e.oldEnd, slot)
-}
-
-// give transfers the updates at the given live indices to node dst,
-// returning how many were newly received.
-//
-//lotus:allocfree
-func (e *Engine) give(indices []int, dst int) int {
-	got := 0
-	for _, b := range indices {
-		if e.set(dst, b) {
-			got++
+func (e *Engine) take(dst, src int, sp span, k int) {
+	d, s := e.row(dst), e.row(src)
+	for w := 0; k > 0; w++ {
+		x := e.diff(d, s, w, sp)
+		c := bits.OnesCount64(x)
+		if c > k {
+			// Keep the lowest k bits: clear them from a copy, and drop
+			// what is left.
+			high := x
+			for range k {
+				high &= high - 1
+			}
+			x &^= high
+			c = k
 		}
+		d[w] |= x
+		k -= c
 	}
-	return got
 }
 
 // dropExpired retires the first k live updates: every row shifts right by
@@ -148,13 +159,4 @@ func (e *Engine) dropExpired(k int) {
 		}
 	}
 	e.live = append(e.live[:0], e.live[k:]...)
-}
-
-// updateKeys maps live indices to UpdateID keys (for signed receipts).
-func (e *Engine) updateKeys(indices []int) []uint64 {
-	out := make([]uint64, len(indices))
-	for k, idx := range indices {
-		out[k] = e.live[idx].id.Key()
-	}
-	return out
 }
