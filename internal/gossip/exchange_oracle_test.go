@@ -10,10 +10,11 @@ import (
 
 // listingExchange is the index-list exchange the word kernels replaced,
 // kept verbatim as their oracle: every exchange lists the live indices one
-// side lacks into a pooled buffer and gives them one index at a time. It
-// embeds an Engine of its own, whose methods outside the exchange it
-// shares; its methods shadow the exchange bodies, so step runs the round
-// with the listing exchanges in place of the kernels.
+// side lacks into a pooled buffer and gives them one index at a time. Only
+// give changed: Engine.set no longer reports whether a bit is new, so give
+// asks has first. It embeds an Engine of its own, whose methods outside
+// the exchange it shares; its methods shadow the exchange bodies, so step
+// runs the round with the listing exchanges in place of the kernels.
 type listingExchange struct {
 	*Engine
 	needScratch [2][]int
@@ -40,14 +41,6 @@ func (e *listingExchange) step() {
 	e.applyEvictions()
 	e.retireExpired()
 	e.round++
-}
-
-// attackerServes decides whether attacker node att serves peer inside a
-// protocol exchange this round: the adversary's OnExchange hook rules.
-//
-//lotus:allocfree
-func (e *listingExchange) attackerServes(att, peer int) bool {
-	return e.adv.OnExchange(e.round, att, peer)
 }
 
 // execBalanced performs one balanced exchange: initiator i contacted its
@@ -120,17 +113,6 @@ func (e *listingExchange) maybeAltruistic(i, j int, needI, needJ []int) {
 	if len(needJ) > 0 && len(needI) == 0 && rng.Bool(e.altruismOf(i)) {
 		e.deliver(i, j, needJ[:min(len(needJ), e.cfg.AltruisticGive)], 0, false)
 	}
-}
-
-// altruismOf returns node v's altruism: the per-class override when the
-// population model installed one, the scalar config otherwise.
-//
-//lotus:allocfree
-func (e *listingExchange) altruismOf(v int) float64 {
-	if e.nodeAltruism != nil {
-		return e.nodeAltruism[v]
-	}
-	return e.cfg.Altruism
 }
 
 // attackerBalanced is a trade attacker's balanced exchange. The attacker
@@ -341,14 +323,14 @@ func (e *listingExchange) oldNeeds(who, src, slot int) []int {
 func (e *listingExchange) give(indices []int, dst int) int {
 	got := 0
 	for _, b := range indices {
-		if e.set(dst, b) {
+		if !e.has(dst, b) {
+			e.set(dst, b)
 			got++
 		}
 	}
 	return got
 }
 
-// dropExpired retires the first k live updates: every row shifts right by
 // updateKeys maps live indices to UpdateID keys (for signed receipts).
 func (e *listingExchange) updateKeys(indices []int) []uint64 {
 	out := make([]uint64, len(indices))

@@ -43,16 +43,11 @@ func (e *Engine) has(v, b int) bool {
 	return e.held[v*e.words+b>>6]&(1<<(b&63)) != 0
 }
 
-// set records that node v holds e.live[b], reporting whether it is new.
+// set records that node v holds e.live[b].
 //
 //lotus:allocfree
-func (e *Engine) set(v, b int) bool {
-	w, bit := &e.held[v*e.words+b>>6], uint64(1)<<(b&63)
-	if *w&bit != 0 {
-		return false
-	}
-	*w |= bit
-	return true
+func (e *Engine) set(v, b int) {
+	e.held[v*e.words+b>>6] |= 1 << (b & 63)
 }
 
 // rangeMask selects the bits of row word w that index live[lo:hi].
