@@ -27,7 +27,7 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis: the determinism and hot-path rules
-# (detrand, maprange, rngshard, allocfree) enforced by cmd/lotus-lint.
+# (detrand, maprange, allocfree) enforced by cmd/lotus-lint.
 # Non-zero exit on any finding; see README "Static analysis".
 lint:
 	$(GO) run ./cmd/lotus-lint ./...
@@ -40,8 +40,8 @@ fmt-check:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Uncached, so every test (the cluster end-to-end tests and the swarm's
-# forced multi-shard passes included) really runs under the detector.
+# Uncached, so every test (the cluster end-to-end tests and the
+# worker-count parity tests included) really runs under the detector.
 race:
 	$(GO) test -race -count=1 ./...
 

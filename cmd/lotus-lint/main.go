@@ -1,5 +1,5 @@
 // Command lotus-lint runs the repo's project-specific static analyzers
-// (internal/analysis): detrand, maprange, rngshard, and allocfree — the
+// (internal/analysis): detrand, maprange, and allocfree — the
 // determinism and hot-path rules the README states in prose, checked at
 // compile time. It is stdlib-only: packages are loaded with go/parser and
 // type-checked with go/types over the source importer, so `go run

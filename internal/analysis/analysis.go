@@ -34,12 +34,12 @@ type Analyzer struct {
 }
 
 // All is the analyzer suite, in reporting order.
-var All = []*Analyzer{Detrand, MapRange, RNGShard, AllocFree}
+var All = []*Analyzer{Detrand, MapRange, AllocFree}
 
 // Config scopes the suite. SimPackages lists the import paths whose results
 // are contractually a pure function of (spec, seed) — detrand and maprange
-// apply only there; rngshard and allocfree apply module-wide (they key on
-// explicit API use and explicit annotations).
+// apply only there; allocfree applies module-wide (it keys on explicit
+// annotations).
 type Config struct {
 	SimPackages []string
 }

@@ -28,7 +28,6 @@ func TestAnalyzerGolden(t *testing.T) {
 	}{
 		{"detrand_a", "detrand", 2},
 		{"maprange_a", "maprange", 1},
-		{"rngshard_a", "rngshard", 1},
 		{"allocfree_a", "allocfree", 1},
 	}
 	for _, tc := range cases {

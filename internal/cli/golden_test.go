@@ -147,9 +147,8 @@ func TestGoldenRegistryAddresses(t *testing.T) {
 // the four churn-100k benchmark items at the shapes bench/sims.go runs
 // them: gossip-trade-churn and gossip-zipf with gossip-1m's parameters,
 // swarm-churn and swarm-zipf at 10⁵ leechers. They are the only pinned
-// artifacts built at n ≥ 2¹⁵, where the sharded passes run, and with
-// attack placements of more than 64 nodes, where SampleIntsInto leaves its
-// scan path.
+// artifacts built at 10⁵ nodes, and with attack placements of more than 64
+// nodes, where SampleIntsInto leaves its scan path.
 func TestGoldenChurn100kAddresses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four scenarios at 10⁵ nodes")

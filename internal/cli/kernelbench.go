@@ -16,7 +16,7 @@ import (
 
 // KernelBenchResult is one (substrate, population) measurement in
 // BENCH_kernel.json: the per-round cost of stepping a single replicate, the
-// number the sparse-satiation and in-replicate-parallelism work optimizes.
+// number the sparse-satiation and allocation-free-round work optimizes.
 type KernelBenchResult struct {
 	// Substrate names the row: gossip, gossip-churn or swarm.
 	Substrate string `json:"substrate"`
@@ -27,7 +27,7 @@ type KernelBenchResult struct {
 	// NsPerRound is wall time per simulated round in nanoseconds.
 	NsPerRound float64 `json:"nsPerRound"`
 	// AllocsPerRound is heap allocations per round — the satiation-path
-	// O(|satiated set|) claim made measurable. Pool fan-out shards count.
+	// O(|satiated set|) claim made measurable.
 	AllocsPerRound float64 `json:"allocsPerRound"`
 	// BytesPerRound is heap bytes allocated per round.
 	BytesPerRound float64 `json:"bytesPerRound"`

@@ -7,7 +7,6 @@ import (
 	"lotuseater/internal/defense"
 	"lotuseater/internal/population"
 	"lotuseater/internal/sign"
-	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
@@ -76,10 +75,6 @@ type Engine struct {
 	// (TestStepAllocsIndependentOfPopulation pins 0).
 	permBuf []int
 	seedBuf []int
-
-	// evalParallel > 0 forces the sharded initiates scan, < 0 forces the
-	// sequential loop, 0 picks by population size.
-	evalParallel int
 
 	measStart, measEnd int // inclusive release-round measurement window
 
@@ -154,26 +149,6 @@ const (
 	stDeparted                    // left the population; changes only at round start
 	stInitiates                   // initiates in the current exchange phase
 )
-
-// evalParallelMinNodes is the population size at which the engine starts
-// sharding the initiates scan across the worker pool by default.
-const evalParallelMinNodes = 1 << 15
-
-// WithEvalParallel forces each exchange phase's initiates scan — the
-// O(Nodes) "does v initiate this phase?" pass — on or off the sharded
-// sim.ParallelFor path. The scan is a pure read of round state, so results
-// are bit-identical either way (the equivalence is tested); by default the
-// sharded path engages for populations of evalParallelMinNodes and up,
-// where the scan dominates round time.
-func WithEvalParallel(on bool) Option {
-	return func(e *Engine) {
-		if on {
-			e.evalParallel = 1
-		} else {
-			e.evalParallel = -1
-		}
-	}
-}
 
 // New builds an Engine for cfg, deterministic in (cfg, seed).
 func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
@@ -500,15 +475,7 @@ func (e *Engine) idealDeliver() {
 //lotus:allocfree
 func (e *Engine) exchangePhase(label string, end int, exec func(i, j int)) {
 	n := e.cfg.Nodes
-	// The scan is a pure read of round state, so for large populations it
-	// shards across the worker pool with bit-identical results; every shard
-	// writes only its own nodes' status bytes. Only the sharded path builds
-	// a closure, so a sequential round allocates nothing.
-	if e.evalParallel > 0 || (e.evalParallel == 0 && n >= evalParallelMinNodes) {
-		sim.ParallelFor(n, 0, func(_, start, stop int) { e.markInitiates(end, start, stop) })
-	} else {
-		e.markInitiates(end, 0, n)
-	}
+	e.markInitiates(end)
 	e.roundRNG = e.rng.ChildNInto(e.roundRNG, "order-"+label, e.round)
 	order := e.roundRNG.PermInto(e.permBuf, n)
 	e.permBuf = order
@@ -525,16 +492,16 @@ func (e *Engine) exchangePhase(label string, end int, exec func(i, j int)) {
 	}
 }
 
-// markInitiates sets the initiates bit of the nodes in [start, stop) that
-// start an exchange this phase: a rational node iff it lacks one of
-// live[:end], and a trade attacker always.
+// markInitiates sets the initiates bit of every node that starts an
+// exchange this phase: a rational node iff it lacks one of live[:end], and
+// a trade attacker always.
 //
 //lotus:allocfree
-func (e *Engine) markInitiates(end, start, stop int) {
+func (e *Engine) markInitiates(end int) {
 	// v lacks one of live[:end] iff a full want word of its row is not all
 	// ones, or the partial last word misses a bit of tail.
 	full, tail := end>>6, uint64(1)<<(end&63)-1
-	for v := start; v < stop; v++ {
+	for v := 0; v < e.cfg.Nodes; v++ {
 		st := e.status[v] &^ stInitiates
 		if st&stAttacker != 0 {
 			if e.advTrades {

@@ -346,11 +346,11 @@ func (e *listingExchange) updateKeys(indices []int) []uint64 {
 func TestExchangeMatchesOracle(t *testing.T) {
 	for _, c := range goldenCases() {
 		for _, seed := range []uint64{7, 8, 9, 10} {
-			e, err := New(c.cfg, seed, goldenOptions(c, false)...)
+			e, err := New(c.cfg, seed, goldenOptions(c)...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oe, err := New(c.cfg, seed, goldenOptions(c, false)...)
+			oe, err := New(c.cfg, seed, goldenOptions(c)...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -233,8 +233,8 @@ func goldenCases() []goldenCase {
 
 // goldenOptions builds a fresh set of the case's engine options: its own
 // adversary, limiter and churn cursor.
-func goldenOptions(c goldenCase, parallel bool) []Option {
-	opts := []Option{WithEvalParallel(parallel)}
+func goldenOptions(c goldenCase) []Option {
+	var opts []Option
 	if c.adv.Kind != 0 {
 		adv := c.adv
 		opts = append(opts, WithAdversary(&adv))
@@ -248,16 +248,15 @@ func goldenOptions(c goldenCase, parallel bool) []Option {
 	return opts
 }
 
-func runGoldenCase(t *testing.T, c goldenCase, parallel bool) Result {
+func runGoldenCase(t *testing.T, c goldenCase) Result {
 	t.Helper()
-	return mustRun(t, c.cfg, c.seed, goldenOptions(c, parallel)...)
+	return mustRun(t, c.cfg, c.seed, goldenOptions(c)...)
 }
 
 // TestResultGoldens pins the engine's exact outputs: every golden case's
-// full Result must match testdata/results_golden.json, with the sharded and
-// sequential planning paths agreeing. A layout or scheduling rewrite of the
-// engine must reproduce these trajectories exactly, not merely
-// statistically.
+// full Result must match testdata/results_golden.json. A layout or
+// scheduling rewrite of the engine must reproduce these trajectories
+// exactly, not merely statistically.
 //
 // Regenerate (only for an intentional behavior change, reviewed like code):
 //
@@ -266,12 +265,7 @@ func TestResultGoldens(t *testing.T) {
 	path := filepath.Join("testdata", "results_golden.json")
 	got := map[string]Result{}
 	for _, c := range goldenCases() {
-		seq := runGoldenCase(t, c, false)
-		par := runGoldenCase(t, c, true)
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("%s: sharded evaluation diverged from sequential:\n%+v\nvs\n%+v", c.name, seq, par)
-		}
-		got[c.name] = seq
+		got[c.name] = runGoldenCase(t, c)
 	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", " ")

@@ -139,39 +139,36 @@ func TestEverySeededUpdateIsDeliverable(t *testing.T) {
 // verified against the engine's own exchange phases: each phase runs with a
 // recording exec in place of the exchange.
 func TestSatiationCompatibilityStructural(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		cfg := quickConfig()
-		eng, err := New(cfg, 3, WithEvalParallel(parallel))
-		if err != nil {
+	eng, err := New(quickConfig(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Run a few rounds, then force-satiate node 0 by hand and verify
+	// neither phase lets it initiate.
+	for i := 0; i < 5; i++ {
+		if err := eng.Step(); err != nil {
 			t.Fatal(err)
 		}
-		// Run a few rounds, then force-satiate node 0 by hand and verify
-		// neither phase lets it initiate.
-		for i := 0; i < 5; i++ {
-			if err := eng.Step(); err != nil {
-				t.Fatal(err)
+	}
+	for b := range eng.live {
+		eng.set(0, b)
+	}
+	for _, phase := range []struct {
+		label string
+		end   int
+	}{{"balanced", len(eng.live)}, {"push", eng.oldEnd}} {
+		initiated := 0
+		eng.exchangePhase(phase.label, phase.end, func(i, j int) {
+			if i == 0 {
+				t.Fatalf("satiated node initiated a %s exchange", phase.label)
 			}
-		}
-		for b := range eng.live {
-			eng.set(0, b)
-		}
-		for _, phase := range []struct {
-			label string
-			end   int
-		}{{"balanced", len(eng.live)}, {"push", eng.oldEnd}} {
-			initiated := 0
-			eng.exchangePhase(phase.label, phase.end, func(i, j int) {
-				if i == 0 {
-					t.Fatalf("parallel=%v: satiated node initiated a %s exchange", parallel, phase.label)
-				}
-				if i == j {
-					t.Fatalf("parallel=%v: node %d paired with itself", parallel, i)
-				}
-				initiated++
-			})
-			if initiated == 0 {
-				t.Fatalf("parallel=%v: nobody initiated a %s exchange", parallel, phase.label)
+			if i == j {
+				t.Fatalf("node %d paired with itself", i)
 			}
+			initiated++
+		})
+		if initiated == 0 {
+			t.Fatalf("nobody initiated a %s exchange", phase.label)
 		}
 	}
 }

@@ -1,11 +1,9 @@
 package gossip
 
 import (
-	"reflect"
 	"testing"
 
 	"lotuseater/internal/attack"
-	"lotuseater/internal/sim"
 )
 
 // bigPathConfig is the shape the gossip-1m scenario uses, shrunk to a
@@ -32,10 +30,11 @@ func bigPathAttack() Option {
 // nothing, at any population. The satiation path writes the holdings matrix
 // New allocated, the exchanges count and move bits in its rows in place,
 // and the O(Nodes) scratch (the exchange permutation, the seeding sample)
-// is recycled.
+// is recycled. An O(Nodes) allocation anywhere would show at once at the
+// larger populations.
 func TestStepAllocsIndependentOfPopulation(t *testing.T) {
-	measure := func(n int) float64 {
-		e, err := New(bigPathConfig(n), 11, bigPathAttack(), WithEvalParallel(false))
+	for _, n := range []int{1024, 8192, 40_000} {
+		e, err := New(bigPathConfig(n), 11, bigPathAttack())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,55 +44,13 @@ func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return testing.AllocsPerRun(50, func() {
+		allocs := testing.AllocsPerRun(50, func() {
 			if err := e.Step(); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-	small := measure(1024)
-	big := measure(8192)
-	t.Logf("allocations per Step: %.0f at n=1024, %.0f at n=8192", small, big)
-	// A steady-state round allocates nothing: the sequential initiates scan
-	// is a method call, and only the sharded path builds a closure. The
-	// comparison is the other half: an O(Nodes) allocation anywhere would
-	// blow it up immediately at the larger population.
-	if small > 0 {
-		t.Fatalf("steady-state Step allocates %.0f objects at n=1024, want 0", small)
-	}
-	if big > small+16 {
-		t.Fatalf("Step allocations grew with population: %.0f at n=1024 vs %.0f at n=8192", small, big)
-	}
-}
-
-// TestEvalParallelBitIdentical extends the workers-parity guarantee to the
-// in-replicate sharded initiates scan: an engine with the scan forced onto
-// sim.ParallelFor must produce exactly the result of the sequential scan,
-// for every attack kind. The population spans three full
-// sim.DefaultGrain shards plus a ragged fourth, so the scan really fans
-// out (below one grain ParallelFor runs inline) and -race sees the shards.
-func TestEvalParallelBitIdentical(t *testing.T) {
-	for _, kind := range []attack.Kind{attack.None, attack.Crash, attack.Ideal, attack.Trade} {
-		cfg := DefaultConfig()
-		cfg.Nodes = 3*sim.DefaultGrain + 123
-		cfg.Rounds = 14
-		cfg.Warmup = 2
-		run := func(parallel bool) Result {
-			// RotatePeriod covers epoch re-draws mid-run.
-			adv := &attack.Strategy{Kind: kind, Fraction: 0.15, SatiateFraction: 0.70, RotatePeriod: 7}
-			e, err := New(cfg, 23, WithAdversary(adv), WithEvalParallel(parallel))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		seq, par := run(false), run(true)
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("%v: sharded evaluation diverged from sequential:\n%+v\nvs\n%+v", kind, seq, par)
+		if allocs != 0 {
+			t.Fatalf("steady-state Step allocates %.0f objects at n=%d, want 0", allocs, n)
 		}
 	}
 }

@@ -153,15 +153,15 @@ func init() {
 	})
 
 	// Big-N scenarios: the million-node fast path as data. Populations this
-	// size are exactly what the sparse target sets, pooled round scratch,
-	// and in-replicate sharding exist for; one replicate, no sweep, short
-	// horizons keep a run in seconds while still exercising every hot path
-	// at full width. `make bench` tracks their per-round cost in
+	// size are exactly what the sparse target sets, pooled round scratch
+	// and packed layouts exist for; one replicate, no sweep, short horizons
+	// keep a run in seconds while still exercising every hot path at full
+	// width. `make bench` tracks their per-round cost in
 	// BENCH_kernel.json.
 	Register(&Spec{
 		Name:        "gossip-1m",
 		Title:       "Ideal lotus-eater vs a million-node BAR Gossip",
-		Description: "single replicate at n=10^6: sparse satiation, pooled planning, sharded evaluation",
+		Description: "single replicate at n=10^6: sparse satiation, pooled planning, word-level exchanges",
 		Substrate:   "gossip",
 		Nodes:       1_000_000,
 		Rounds:      12,
@@ -178,7 +178,7 @@ func init() {
 	Register(&Spec{
 		Name:        "swarm-1m",
 		Title:       "Ideal satiation of a million-leecher swarm",
-		Description: "single replicate at n=10^6 leechers: O(n·degree) reciprocation state, sharded peer scoring",
+		Description: "single replicate at n=10^6 leechers: O(n·degree) reciprocation state, packed peer scoring",
 		Substrate:   "swarm",
 		Nodes:       1_000_000,
 		Rounds:      30,

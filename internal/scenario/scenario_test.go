@@ -171,10 +171,9 @@ func TestCrossSubstrateDeterminism(t *testing.T) {
 	}
 }
 
-// TestBigPopulationDeterminism extends the parity table to the in-replicate
-// parallel paths: at populations past the auto-sharding threshold the
-// gossip planning scan and the swarm peer scoring run on sim.ParallelFor,
-// and results must still be bit-identical across worker counts.
+// TestBigPopulationDeterminism extends the parity table to 40,000-node
+// populations: two replicates each of a gossip and a swarm shape at that
+// size must give bit-identical results on one worker and on eight.
 func TestBigPopulationDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("big-population sweep")

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"lotuseater/internal/simrng"
@@ -276,82 +275,6 @@ func TestFoldErrorPrecedence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestParallelForMatchesSequential: sharded execution must produce exactly
-// the sequential result for shard-private writes, for any grain, including
-// grains that leave a ragged final shard.
-func TestParallelForMatchesSequential(t *testing.T) {
-	const n = 10_000
-	want := make([]int, n)
-	for i := range want {
-		want[i] = i * i
-	}
-	for _, grain := range []int{0, 1, 7, 100, n, 3 * n} {
-		got := make([]int, n)
-		shards := map[int][2]int{}
-		var mu sync.Mutex
-		ParallelFor(n, grain, func(shard, start, end int) {
-			for i := start; i < end; i++ {
-				got[i] = i * i
-			}
-			mu.Lock()
-			shards[shard] = [2]int{start, end}
-			mu.Unlock()
-		})
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("grain=%d: index %d not covered exactly once", grain, i)
-			}
-		}
-		// Shard boundaries must be the fixed function of (n, grain): shard
-		// k covers [k*grain, min((k+1)*grain, n)).
-		g := grain
-		if g <= 0 {
-			g = DefaultGrain
-		}
-		wantShards := (n + g - 1) / g
-		if wantShards <= 1 {
-			wantShards = 1
-		}
-		if len(shards) != wantShards {
-			t.Fatalf("grain=%d: %d shards, want %d", grain, len(shards), wantShards)
-		}
-		for k, se := range shards {
-			wantStart, wantEnd := k*g, (k+1)*g
-			if wantShards == 1 {
-				wantStart, wantEnd = 0, n
-			}
-			if wantEnd > n {
-				wantEnd = n
-			}
-			if se != [2]int{wantStart, wantEnd} {
-				t.Fatalf("grain=%d: shard %d covered %v, want [%d,%d)", grain, k, se, wantStart, wantEnd)
-			}
-		}
-	}
-}
-
-// TestParallelForNested: ParallelFor from inside a pool task (the in-
-// replicate case) must not deadlock and must still cover the range.
-func TestParallelForNested(t *testing.T) {
-	results := make([][]int, 8)
-	Go(8, 0, func(i int, _ *Workspace) {
-		buf := make([]int, 5000)
-		ParallelFor(len(buf), 512, func(_, start, end int) {
-			for j := start; j < end; j++ {
-				buf[j] = i
-			}
-		})
-		results[i] = buf
-	})
-	for i, buf := range results {
-		for j, v := range buf {
-			if v != i {
-				t.Fatalf("task %d index %d = %d", i, j, v)
-			}
-		}
 	}
 }
 

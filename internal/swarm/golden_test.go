@@ -100,9 +100,9 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-func runGoldenCase(t *testing.T, c goldenCase, parallel bool) Result {
+func runGoldenCase(t *testing.T, c goldenCase) Result {
 	t.Helper()
-	opts := []Option{WithEvalParallel(parallel)}
+	var opts []Option
 	if c.adv != nil {
 		opts = append(opts, WithAdversary(c.adv()))
 	}
@@ -124,10 +124,9 @@ func runGoldenCase(t *testing.T, c goldenCase, parallel bool) Result {
 }
 
 // TestResultGoldens pins the simulator's exact outputs: every golden case's
-// Result must match testdata/results_golden.json bit for bit, with the
-// sharded and sequential evaluation paths agreeing. The goldens were
-// generated by the pre-SoA, rescan-based implementation, so they gate the
-// incremental-rarity and packed-layout rewrite on producing identical
+// Result must match testdata/results_golden.json bit for bit. The goldens
+// were generated by the pre-SoA, rescan-based implementation, so they gate
+// the incremental-rarity and packed-layout rewrite on producing identical
 // trajectories — not merely statistically similar ones.
 //
 // Regenerate (only for an intentional behavior change, reviewed like code):
@@ -137,12 +136,7 @@ func TestResultGoldens(t *testing.T) {
 	path := filepath.Join("testdata", "results_golden.json")
 	got := map[string]Result{}
 	for _, c := range goldenCases() {
-		seq := runGoldenCase(t, c, false)
-		par := runGoldenCase(t, c, true)
-		if seq != par {
-			t.Fatalf("%s: sharded evaluation diverged from sequential:\n%+v\nvs\n%+v", c.name, seq, par)
-		}
-		got[c.name] = seq
+		got[c.name] = runGoldenCase(t, c)
 	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")

@@ -23,18 +23,16 @@ func bigSwarmConfig(n int) Config {
 }
 
 // TestSwarmStepAllocsIndependentOfPopulation locks in the SoA/pooling work:
-// once buffers are primed, a steady-state sequential tick allocates
-// nothing, at any population. Before the packed-layout rewrite every
-// rotation re-sorted interested lists through a sort.Slice closure, the
-// transfer pass rescanned rarity into per-node count buffers, and
-// rare-piece targeting allocated a fresh holder-count array per attack
-// step — all O(Leechers) or O(degree·pieces) heap traffic. The endgame and
-// lifecycle scans build a closure only on the sharded path, and the tick's
-// generator is reseeded in place.
+// once buffers are primed, a steady-state tick allocates nothing, at any
+// population. Before the packed-layout rewrite every rotation re-sorted
+// interested lists through a sort.Slice closure, the transfer pass
+// rescanned rarity into per-node count buffers, and rare-piece targeting
+// allocated a fresh holder-count array per attack step — all O(Leechers) or
+// O(degree·pieces) heap traffic. The tick's generator is reseeded in place.
 func TestSwarmStepAllocsIndependentOfPopulation(t *testing.T) {
-	for _, n := range []int{1024, 8192} {
+	for _, n := range []int{1024, 8192, 40_000} {
 		adv := &attack.Strategy{Kind: attack.Ideal, Fraction: 0.02, SatiateFraction: 0.10}
-		s, err := New(bigSwarmConfig(n), 11, WithEvalParallel(false), WithAdversary(adv))
+		s, err := New(bigSwarmConfig(n), 11, WithAdversary(adv))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,44 +51,6 @@ func TestSwarmStepAllocsIndependentOfPopulation(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("steady-state Step allocates %.0f objects at n=%d, want 0", allocs, n)
-		}
-	}
-}
-
-// TestShardedPassesRace drives every sim.ParallelFor pass in the swarm —
-// unchoke scoring and the endgame/lifecycle leecher scans — at a
-// population large enough that each pass actually splits into multiple
-// shards (the small parity tests all fit in one shard and exercise nothing
-// concurrent). Running it under `go test -race` is the point: it is the
-// designated race gate for the widened parallel paths. It also pins
-// bit-identity at sharded scale by comparing piece state and metrics
-// against the forced-sequential run.
-func TestShardedPassesRace(t *testing.T) {
-	// Above evalParallelMinNodes and above the scanLeechers shard grain, so
-	// both the scoring pass and the candidate scans fan out.
-	const n = 40_000
-	cfg := bigSwarmConfig(n)
-	cfg.Ticks = 8
-	adv := &attack.Strategy{Kind: attack.Ideal, Fraction: 0.02, SatiateFraction: 0.10}
-	run := func(parallel bool) *Sim {
-		fresh := *adv
-		s, err := New(cfg, 7, WithEvalParallel(parallel), WithAdversary(&fresh))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	par := run(true)
-	seq := run(false)
-	if par.res != seq.res {
-		t.Fatalf("sharded run diverged from sequential:\n%+v\nvs\n%+v", par.res, seq.res)
-	}
-	for i := range par.pieceWords {
-		if par.pieceWords[i] != seq.pieceWords[i] {
-			t.Fatalf("piece state diverged at word %d (node %d)", i, i/par.wpn)
 		}
 	}
 }

@@ -30,8 +30,8 @@ var phaseNames = [phaseCount]string{
 // PhaseProfile accumulates wall time per phase of the swarm tick, installed
 // with WithPhaseProfile. The taxonomy matches the tick structure: attack
 // (Config attacker or instantly-satiating adversary fills), unchoke-score
-// (the shardable interested-scan and reciprocation ranking), unchoke-select
-// (the sequential RNG slot selection), rarity (per-receiver per-tick rarity
+// (the interested-scan and reciprocation ranking), unchoke-select
+// (the RNG slot selection), rarity (per-receiver per-tick rarity
 // snapshots), transfer (piece movement along unchoked links, excluding the
 // rarity snapshots it triggers), endgame, and lifecycle.
 //

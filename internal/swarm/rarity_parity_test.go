@@ -53,13 +53,11 @@ func runWithParityChecks(t *testing.T, cfg Config, seed uint64, opts ...Option) 
 
 // TestIncrementalRarityMatchesRescan is the incremental-vs-rescan parity
 // suite: for every attack kind (the strategy layer's attack.Kind and both
-// ranked targeting rules), both piece-selection
-// policies, and both evaluation paths (sequential and sharded — the
-// workers-1 vs workers-8 split on a multicore box), the delta-maintained
-// rarity counters must equal a from-scratch recount at every tick boundary.
-// Every case additionally runs with uint16 counter rows forced (the
-// fallback for degrees above 255; these configs naturally pick uint8) and
-// both widths must produce the identical Result.
+// ranked targeting rules) and both piece-selection policies, the
+// delta-maintained rarity counters must equal a from-scratch recount at
+// every tick boundary. Every case additionally runs with uint16 counter rows
+// forced (the fallback for degrees above 255; these configs naturally pick
+// uint8) and both widths must produce the identical Result.
 // The configs exercise every mutation source the deltas must cover: protocol
 // transfers, endgame pulls, attacker fills, completion departures
 // (SeedAfterComplete=false), and seed departure.
@@ -107,28 +105,26 @@ func TestIncrementalRarityMatchesRescan(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, sel := range []Selection{SelectRandom, SelectRarestFirst} {
-			for _, par := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%v/parallel=%v", c.name, sel, par)
-				t.Run(name, func(t *testing.T) {
-					cfg := c.cfg()
-					cfg.Selection = sel
-					// mkOpts builds a fresh option set per run: the
-					// adversary carries state, so narrow and wide must
-					// each get their own instance.
-					mkOpts := func(extra ...Option) []Option {
-						opts := append([]Option{WithEvalParallel(par)}, extra...)
-						if c.adv != nil {
-							opts = append(opts, WithAdversary(c.adv()))
-						}
-						return opts
+			// Every pass of a tick is sequential; the parallel=false suffix
+			// keeps the subtest names stable.
+			t.Run(fmt.Sprintf("%s/%v/parallel=false", c.name, sel), func(t *testing.T) {
+				cfg := c.cfg()
+				cfg.Selection = sel
+				// mkOpts builds a fresh option set per run: the adversary
+				// carries state, so narrow and wide must each get their own
+				// instance.
+				mkOpts := func(extra ...Option) []Option {
+					if c.adv != nil {
+						extra = append(extra, WithAdversary(c.adv()))
 					}
-					narrow := runWithParityChecks(t, cfg, 42, mkOpts()...)
-					wide := runWithParityChecks(t, cfg, 42, mkOpts(WithWideRarity())...)
-					if narrow != wide {
-						t.Fatalf("uint16 rarity rows diverged from uint8:\n%+v\nvs\n%+v", wide, narrow)
-					}
-				})
-			}
+					return extra
+				}
+				narrow := runWithParityChecks(t, cfg, 42, mkOpts()...)
+				wide := runWithParityChecks(t, cfg, 42, mkOpts(WithWideRarity())...)
+				if narrow != wide {
+					t.Fatalf("uint16 rarity rows diverged from uint8:\n%+v\nvs\n%+v", wide, narrow)
+				}
+			})
 		}
 	}
 }
@@ -137,8 +133,8 @@ func TestIncrementalRarityMatchesRescan(t *testing.T) {
 // suite: random small configurations — population, piece count, peer-set
 // size, rotation, endgame, departure behavior, attack choice — each run to
 // completion with the rarity invariant recounted at every tick boundary,
-// and with the sequential and sharded evaluation paths required to agree on
-// the final Result.
+// and with the uint8 and uint16 counter rows required to agree on the final
+// Result.
 func TestIncrementalRarityProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test skipped in -short mode")
@@ -167,8 +163,8 @@ func TestIncrementalRarityProperty(t *testing.T) {
 		var mkAdv func() *attack.Strategy
 		switch pick := rng.IntN(6); pick {
 		case 1, 2:
-			// A ranked attack, drawn outside the closure: every evaluation
-			// path must face the identical adversary.
+			// A ranked attack, drawn outside the closure: both counter
+			// widths must face the identical adversary.
 			rank, leechers := attack.RankUploaders, cfg.Leechers
 			cfg.AttackerUplink = 1 + rng.IntN(16)
 			k, start, stop := 1+rng.IntN(5), rng.IntN(10), 0
@@ -185,8 +181,8 @@ func TestIncrementalRarityProperty(t *testing.T) {
 				return &attack.Strategy{Kind: attack.Ideal, Fraction: 0.08, SatiateFraction: 0.4}
 			}
 		case 5:
-			// Drawn outside the closure: mkAdv runs once per evaluation
-			// path, and both paths must face the identical adversary.
+			// Drawn outside the closure: mkAdv runs once per counter
+			// width, and both widths must face the identical adversary.
 			rotate := 1 + rng.IntN(8)
 			mkAdv = func() *attack.Strategy {
 				return &attack.Strategy{Kind: attack.Trade, Fraction: 0.12, SatiateFraction: 0.3, RotatePeriod: rotate}
@@ -194,17 +190,16 @@ func TestIncrementalRarityProperty(t *testing.T) {
 		}
 		seed := rng.Uint64()
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			// Every trial config has PeerSetSize ≤ 16, so the sequential
-			// and sharded runs naturally pick uint8 rarity rows; the third
-			// variant forces the uint16 fallback on the same config and
-			// must agree bit-for-bit.
+			// Every trial config has PeerSetSize ≤ 16, so the first run
+			// naturally picks uint8 rarity rows; the second forces the
+			// uint16 fallback on the same config and must agree
+			// bit-for-bit.
 			variants := []struct {
 				name string
 				opts []Option
 			}{
-				{"sequential", []Option{WithEvalParallel(false)}},
-				{"sharded", []Option{WithEvalParallel(true)}},
-				{"wide rarity", []Option{WithEvalParallel(false), WithWideRarity()}},
+				{"narrow rarity", nil},
+				{"wide rarity", []Option{WithWideRarity()}},
 			}
 			results := make([]Result, len(variants))
 			for i, vr := range variants {

@@ -43,11 +43,12 @@
 //     the score and transfer passes are linear scans over packed memory with
 //     no per-node heap objects.
 //
-//   - Sharded pure-read passes. Unchoke scoring and the endgame and
-//     lifecycle candidate scans are pure reads of swarm state and run on
-//     sim.ParallelFor for large populations; every RNG-consuming or
-//     state-mutating pass stays sequential in node order, so results are
-//     bit-identical for any worker count.
+//   - One sequential pass per phase. Every pass of a tick runs in node
+//     order on the replicate's own goroutine, and parallelism is across
+//     replicates (sim.Go), so results are bit-identical for any worker
+//     count. The pure-read passes (unchoke scoring, the endgame and
+//     lifecycle scans) are 5–9 ms of a 10⁶-leecher tick; sharding them
+//     over two cores saved 1–4 ms of it and allocated every round.
 package swarm
 
 import (
@@ -300,9 +301,7 @@ type Sim struct {
 
 	// interested[adjOff[v] : adjOff[v]+intCnt[v]] is v's unchoke-scoring
 	// output: the peer-set positions of v's interested leechers, ranked by
-	// reciprocation for leechers. Building it is a pure read of swarm
-	// state, so large populations shard it across the worker pool (see
-	// WithEvalParallel).
+	// reciprocation for leechers.
 	interested []int32
 	intCnt     []int32
 	// unchoked[v*slotStride : v*slotStride+unchokedCnt[v]] holds the
@@ -355,14 +354,7 @@ type Sim struct {
 	missBuf   []int   // pooled missing-piece scratch for attack/endgame fills
 	targetBuf []int   // Rank candidate scratch
 	rareScore []int32
-	// scanBuf and shardBufs back scanLeechers, the sharded pure-read
-	// candidate scan the endgame and lifecycle passes run.
-	scanBuf   []int32
-	shardBufs [][]int32
-
-	// evalParallel > 0 forces sharded pure-read passes, < 0 forces
-	// sequential, 0 picks by population size.
-	evalParallel int
+	scanBuf   []int32 // scanLeechers' candidate list, pooled
 
 	prof *PhaseProfile
 
@@ -373,30 +365,6 @@ type Sim struct {
 	// "transfer", "endgame") are reseeded into in place, one phase at a
 	// time, so a tick allocates no generator.
 	tickRNG *simrng.Source
-}
-
-// evalParallelMinNodes is the population size at which the pure-read passes
-// (unchoke scoring, the endgame/lifecycle candidate scans) shard across the
-// worker pool by default.
-const evalParallelMinNodes = 1 << 15
-
-// WithEvalParallel forces the pure-read passes — unchoke scoring, the
-// endgame and lifecycle candidate scans — on or off the sharded
-// sim.ParallelFor path. Results are bit-identical either way (tested); by
-// default sharding engages for populations of evalParallelMinNodes and up.
-func WithEvalParallel(on bool) Option {
-	return func(s *Sim) {
-		if on {
-			s.evalParallel = 1
-		} else {
-			s.evalParallel = -1
-		}
-	}
-}
-
-// sharded reports whether the pure-read passes run on the worker pool.
-func (s *Sim) sharded() bool {
-	return s.evalParallel > 0 || (s.evalParallel == 0 && s.n >= evalParallelMinNodes)
 }
 
 // rarityCell is the set of storage widths a rarity counter row can use.
@@ -956,61 +924,20 @@ func (s *Sim) Rank(r attack.Rank, k int) []int {
 // pieces received in the last window plus one optimistic unchoke; seeds
 // unchoke random interested peers. Reciprocation counters reset afterwards.
 //
-// The rebuild is split in two passes. Peer scoring — which neighbors are
-// interested, ranked by reciprocation for leechers — is a pure read of swarm
-// state, so it shards across the worker pool for large populations with
-// bit-identical results. Slot selection consumes the tick's RNG stream and
-// stays sequential in node order, exactly as before the split.
-//
-// Scoring skips every node that holds no piece (pieceCnt 0) and leaves its
-// interested list empty without walking its peer set. That list would be
-// empty anyway: hasPieceFor(v, ·) is false for every neighbor of an empty
-// node. No adversary probe is lost either, because no attacker node is ever
-// present and empty: crash and ideal attacker nodes are departed from New on,
-// trade attacker nodes hold the full file, and attacker nodes do not churn.
+// The rebuild is two passes: peer scoring (scoreUnchokes), then slot
+// selection, which consumes the tick's RNG stream in node order.
 //
 //lotus:allocfree
 func (s *Sim) recomputeUnchokes() {
 	if s.adv != nil {
-		// Pin the targeting epoch before any concurrent OnExchange probe:
-		// a rotating targeter re-draws lazily inside Targets, and that
-		// mutation must happen on this goroutine, not inside a shard.
+		// Resolve the tick's targets even when no attacker node probes
+		// below: Targets folds every departure recorded since its previous
+		// call into the set it returns, a freshly redrawn one included, so
+		// without this call the departures recorded by now could fold into
+		// a later epoch's set (TestUnchokeTargetsUnderRotationAndChurn).
 		s.adv.Targets(s.tick)
 	}
-	score := func(start, end int) {
-		for v := start; v < end; v++ {
-			base := s.adjOff[v]
-			cnt := 0
-			if s.nodeState[v] != stateDeparted && s.pieceCnt[v] != 0 {
-				isAtk := s.isAttacker != nil && s.isAttacker[v]
-				for k, pp := range s.adj(v) {
-					p := int(pp)
-					if s.nodeState[p] != stateLeeching {
-						continue
-					}
-					// A trade attacker unchokes only its satiation targets.
-					if isAtk && !s.adv.OnExchange(s.tick, v, p) {
-						continue
-					}
-					if s.hasPieceFor(v, p) {
-						s.interested[base+cnt] = int32(k)
-						cnt++
-					}
-				}
-				if s.nodeState[v] == stateLeeching && cnt > 1 {
-					sortByRecv(s.interested[base:base+cnt], s.recvCnt[base:s.adjOff[v+1]])
-				}
-			}
-			s.intCnt[v] = int32(cnt)
-		}
-	}
-	s.runPhase(phaseUnchokeScore, func() {
-		if s.sharded() {
-			sim.ParallelFor(s.n, 0, func(_, start, end int) { score(start, end) })
-		} else {
-			score(0, s.n)
-		}
-	})
+	s.runPhase(phaseUnchokeScore, s.scoreUnchokes)
 
 	s.runPhase(phaseUnchokeSelect, func() {
 		s.tickRNG = s.rng.ChildNInto(s.tickRNG, "unchoke", s.tick)
@@ -1049,6 +976,45 @@ func (s *Sim) recomputeUnchokes() {
 		}
 		clear(s.recvCnt)
 	})
+}
+
+// scoreUnchokes fills every node's interested list: which neighbors are
+// interested in it, ranked by reciprocation for leechers.
+//
+// Scoring skips every node that holds no piece (pieceCnt 0) and leaves its
+// interested list empty without walking its peer set. That list would be
+// empty anyway: hasPieceFor(v, ·) is false for every neighbor of an empty
+// node. No adversary probe is lost either, because no attacker node is ever
+// present and empty: crash and ideal attacker nodes are departed from New on,
+// trade attacker nodes hold the full file, and attacker nodes do not churn.
+//
+//lotus:allocfree
+func (s *Sim) scoreUnchokes() {
+	for v := 0; v < s.n; v++ {
+		base := s.adjOff[v]
+		cnt := 0
+		if s.nodeState[v] != stateDeparted && s.pieceCnt[v] != 0 {
+			isAtk := s.isAttacker != nil && s.isAttacker[v]
+			for k, pp := range s.adj(v) {
+				p := int(pp)
+				if s.nodeState[p] != stateLeeching {
+					continue
+				}
+				// A trade attacker unchokes only its satiation targets.
+				if isAtk && !s.adv.OnExchange(s.tick, v, p) {
+					continue
+				}
+				if s.hasPieceFor(v, p) {
+					s.interested[base+cnt] = int32(k)
+					cnt++
+				}
+			}
+			if s.nodeState[v] == stateLeeching && cnt > 1 {
+				sortByRecv(s.interested[base:base+cnt], s.recvCnt[base:s.adjOff[v+1]])
+			}
+		}
+		s.intCnt[v] = int32(cnt)
+	}
 }
 
 // sortByRecv orders list — peer-set positions, all distinct — by pieces
@@ -1266,66 +1232,34 @@ func selectPiece[T rarityCell](s *Sim, sender, receiver int, counts []T, rng *si
 	return int(ties[rng.IntN(len(ties))]), true
 }
 
-// scanLeechers collects, in ascending node order, the leechers in
-// [0, limit) missing between lo and hi pieces, inclusive. The scan is a
-// pure read of swarm state: for large populations it shards across the
-// worker pool, and shard-order concatenation makes the result bit-identical
-// to the sequential scan. Only the sharded path builds a closure, so a
-// sequential tick allocates nothing. The returned slice aliases s.scanBuf
+// scanLeechers collects, in ascending node order, the leechers missing
+// between lo and hi pieces, inclusive. The returned slice aliases s.scanBuf
 // and is valid until the next call.
 //
 //lotus:allocfree
-func (s *Sim) scanLeechers(limit, lo, hi int) []int32 {
+func (s *Sim) scanLeechers(lo, hi int) []int32 {
 	out := s.scanBuf[:0]
-	if !s.sharded() {
-		out = s.appendLeechers(out, lo, hi, 0, limit)
-		s.scanBuf = out
-		return out
-	}
-	// A coarser grain than DefaultGrain: the per-node predicate is a couple
-	// of array reads, so smaller shards would be all fan-out overhead.
-	const grain = 1 << 15
-	shards := (limit + grain - 1) / grain
-	if cap(s.shardBufs) < shards {
-		s.shardBufs = make([][]int32, shards) //lotus:allocsetup shard-buffer pool grows once on first sharded scan, then steady-state ticks reuse it
-	}
-	s.shardBufs = s.shardBufs[:shards]
-	sim.ParallelFor(limit, grain, func(shard, start, end int) {
-		s.shardBufs[shard] = s.appendLeechers(s.shardBufs[shard][:0], lo, hi, start, end)
-	})
-	for _, buf := range s.shardBufs {
-		out = append(out, buf...)
+	P := s.cfg.Pieces
+	for v := 0; v < s.cfg.Leechers; v++ {
+		if s.nodeState[v] != stateLeeching {
+			continue
+		}
+		if miss := P - int(s.pieceCnt[v]); miss >= lo && miss <= hi {
+			out = append(out, int32(v))
+		}
 	}
 	s.scanBuf = out
 	return out
 }
 
-// appendLeechers appends to buf, in ascending order, the leechers in
-// [start, end) missing between lo and hi pieces, inclusive.
-//
-//lotus:allocfree
-func (s *Sim) appendLeechers(buf []int32, lo, hi, start, end int) []int32 {
-	P := s.cfg.Pieces
-	for v := start; v < end; v++ {
-		if s.nodeState[v] != stateLeeching {
-			continue
-		}
-		if miss := P - int(s.pieceCnt[v]); miss >= lo && miss <= hi {
-			buf = append(buf, int32(v))
-		}
-	}
-	return buf
-}
-
 // endgameStep lets nearly finished leechers pull one missing piece from any
-// peer-set member that holds it. The candidate gate — leeching, within
-// EndgameThreshold of done — reads only the node's own state, which no
-// endgame pull of another node mutates, so the scan shards while the
-// RNG-consuming pulls stay sequential in node order.
+// peer-set member that holds it. The candidates — leeching, within
+// EndgameThreshold of done — are listed before the first pull, in node
+// order.
 //
 //lotus:allocfree
 func (s *Sim) endgameStep() {
-	cands := s.scanLeechers(s.cfg.Leechers, 1, s.cfg.EndgameThreshold)
+	cands := s.scanLeechers(1, s.cfg.EndgameThreshold)
 	s.tickRNG = s.rng.ChildNInto(s.tickRNG, "endgame", s.tick)
 	rng := s.tickRNG
 	for _, vv := range cands {
@@ -1351,14 +1285,13 @@ func (s *Sim) endgameStep() {
 	}
 }
 
-// lifecycleStep handles completions and departures. Completion detection is
-// a pure read (a leecher's done-ness depends only on its own pieces), so it
-// shards; the bookkeeping — including the rarity subtraction a departure
-// owes — applies sequentially in node order.
+// lifecycleStep handles completions and departures: it lists the leechers
+// that hold every piece, then applies their bookkeeping — including the
+// rarity subtraction a departure owes — in node order.
 //
 //lotus:allocfree
 func (s *Sim) lifecycleStep() {
-	done := s.scanLeechers(s.cfg.Leechers, 0, 0)
+	done := s.scanLeechers(0, 0)
 	for _, vv := range done {
 		v := int(vv)
 		s.finished[v] = s.tick

@@ -8,6 +8,7 @@ import (
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/population"
+	"lotuseater/internal/simrng"
 )
 
 func quickCfg() Config {
@@ -252,55 +253,10 @@ func TestPieceBoundsDuringRun(t *testing.T) {
 	}
 }
 
-// TestEvalParallelBitIdentical extends the workers-parity guarantee to the
-// sharded peer-scoring path: a swarm with scoring forced onto
-// sim.ParallelFor must produce exactly the sequential result, for the
-// no-attack baseline and for a strategy adversary whose OnExchange hook is
-// probed from inside the shards.
-func TestEvalParallelBitIdentical(t *testing.T) {
-	base := DefaultConfig()
-	base.Leechers = 150
-	base.Ticks = 120
-	base.Pieces = 64
-	run := func(adv *attack.Strategy, parallel bool) Result {
-		opts := []Option{WithEvalParallel(parallel)}
-		if adv != nil {
-			fresh := *adv
-			opts = append(opts, WithAdversary(&fresh))
-		}
-		s, err := New(base, 31, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	advs := map[string]*attack.Strategy{
-		"none":  nil,
-		"trade": {Kind: attack.Trade, Fraction: 0.1, SatiateFraction: 0.3, RotatePeriod: 9},
-		"ideal": {Kind: attack.Ideal, Fraction: 0.05, SatiateFraction: 0.4},
-		// Ranked targets inside a campaign window: the ranking and the
-		// window's edges are computed before the shards probe them.
-		"ranked-trade": {Kind: attack.Trade, Fraction: 0.1, SatiateFraction: 0.2, Rank: attack.RankUploaders, Start: 5, Stop: 60},
-	}
-	for name, adv := range advs {
-		seq := run(adv, false)
-		par := run(adv, true)
-		if seq != par {
-			t.Fatalf("%s: sharded peer scoring diverged from sequential:\n%+v\nvs\n%+v", name, seq, par)
-		}
-	}
-}
-
 // TestUnchokeScoringMatchesBruteForce recomputes every node's interested
 // list by brute force at every unchoke recompute and compares it with what
-// the scoring pass left in interested/intCnt, on the sequential and the
-// forced-sharded paths. The population is above two DefaultGrain shards, so
-// the sharded pass really fans out, and the run covers every kind of node
-// the scoring pass treats differently: leechers holding none, some and all
+// the scoring pass left in interested/intCnt. The run covers every kind of
+// node the scoring pass treats differently: leechers holding none, some and all
 // pieces, rejoined nodes, the seed, trade attacker nodes and departed nodes.
 // A leecher holding every piece only exists between an instant attacker's
 // fill and the tick's completion check, so one is made by hand before each
@@ -351,79 +307,107 @@ func TestUnchokeScoringMatchesBruteForce(t *testing.T) {
 		return out
 	}
 
-	for _, parallel := range []bool{false, true} {
-		adv := &attack.Strategy{Kind: attack.Trade, Fraction: 0.05, SatiateFraction: 0.3, RotatePeriod: 7}
-		s, err := New(cfg, 5, WithEvalParallel(parallel), WithAdversary(adv), WithChurn(events))
-		if err != nil {
+	adv := &attack.Strategy{Kind: attack.Trade, Fraction: 0.05, SatiateFraction: 0.3, RotatePeriod: 7}
+	s, err := New(cfg, 5, WithAdversary(adv), WithChurn(events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejoined := make([]bool, s.n)
+	var empty, some, all, rejoin, seed, attackers, departed int
+	for !s.Finished() {
+		if s.tick%cfg.RotateInterval == 0 {
+			for v := 0; v < cfg.Leechers; v++ {
+				if s.nodeState[v] == stateLeeching && s.pieceCnt[v] > 0 {
+					for _, p := range s.appendMissing(v, nil) {
+						s.gainPiece(v, p)
+					}
+					break
+				}
+			}
+			// Score as the tick's own recompute would, then put the
+			// window's reciprocation counts back so the run goes on
+			// unchanged.
+			recv := slices.Clone(s.recvCnt)
+			s.recomputeUnchokes()
+			copy(s.recvCnt, recv)
+			for v := 0; v < s.n; v++ {
+				base := s.adjOff[v]
+				got := slices.Clone(s.interested[base : base+int(s.intCnt[v])])
+				want := brute(s, v)
+				if s.nodeState[v] == stateSeeding {
+					// Slot selection shuffles a seeding node's list in
+					// place; scoring leaves it in peer-set order.
+					slices.Sort(got)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("tick %d: node %d (state %d, %d pieces) interested %v, want %v",
+						s.tick, v, s.nodeState[v], s.pieceCnt[v], got, want)
+				}
+				switch {
+				case s.nodeState[v] == stateDeparted:
+					departed++
+				case v == s.seedID:
+					seed++
+				case s.isAttacker[v]:
+					attackers++
+				case rejoined[v]:
+					rejoin++
+				}
+				if s.nodeState[v] == stateLeeching {
+					switch int(s.pieceCnt[v]) {
+					case 0:
+						empty++
+					case cfg.Pieces:
+						all++
+					default:
+						some++
+					}
+				}
+			}
+		}
+		for _, ev := range events {
+			if ev.Join && ev.Round == s.tick && s.nodeState[ev.Node] == stateDeparted {
+				rejoined[ev.Node] = true
+			}
+		}
+		if err := s.Step(); err != nil {
 			t.Fatal(err)
 		}
-		rejoined := make([]bool, s.n)
-		var empty, some, all, rejoin, seed, attackers, departed int
-		for !s.Finished() {
-			if s.tick%cfg.RotateInterval == 0 {
-				for v := 0; v < cfg.Leechers; v++ {
-					if s.nodeState[v] == stateLeeching && s.pieceCnt[v] > 0 {
-						for _, p := range s.appendMissing(v, nil) {
-							s.gainPiece(v, p)
-						}
-						break
-					}
-				}
-				// Score as the tick's own recompute would, then put the
-				// window's reciprocation counts back so the run goes on
-				// unchanged.
-				recv := slices.Clone(s.recvCnt)
-				s.recomputeUnchokes()
-				copy(s.recvCnt, recv)
-				for v := 0; v < s.n; v++ {
-					base := s.adjOff[v]
-					got := slices.Clone(s.interested[base : base+int(s.intCnt[v])])
-					want := brute(s, v)
-					if s.nodeState[v] == stateSeeding {
-						// Slot selection shuffles a seeding node's list in
-						// place; scoring leaves it in peer-set order.
-						slices.Sort(got)
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("parallel=%v tick %d: node %d (state %d, %d pieces) interested %v, want %v",
-							parallel, s.tick, v, s.nodeState[v], s.pieceCnt[v], got, want)
-					}
-					switch {
-					case s.nodeState[v] == stateDeparted:
-						departed++
-					case v == s.seedID:
-						seed++
-					case s.isAttacker[v]:
-						attackers++
-					case rejoined[v]:
-						rejoin++
-					}
-					if s.nodeState[v] == stateLeeching {
-						switch int(s.pieceCnt[v]) {
-						case 0:
-							empty++
-						case cfg.Pieces:
-							all++
-						default:
-							some++
-						}
-					}
-				}
-			}
-			for _, ev := range events {
-				if ev.Join && ev.Round == s.tick && s.nodeState[ev.Node] == stateDeparted {
-					rejoined[ev.Node] = true
-				}
-			}
-			if err := s.Step(); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for name, c := range map[string]int{"empty leechers": empty, "partial leechers": some, "full leechers": all,
+		"rejoined nodes": rejoin, "seed": seed, "attacker nodes": attackers, "departed nodes": departed} {
+		if c == 0 {
+			t.Errorf("no %s at any recompute", name)
 		}
-		for name, c := range map[string]int{"empty leechers": empty, "partial leechers": some, "full leechers": all,
-			"rejoined nodes": rejoin, "seed": seed, "attacker nodes": attackers, "departed nodes": departed} {
-			if c == 0 {
-				t.Errorf("parallel=%v: no %s at any recompute", parallel, name)
-			}
-		}
+	}
+}
+
+// TestUnchokeTargetsUnderRotationAndChurn pins a trade attacker whose
+// target set rotates every 3 ticks in a churning swarm. On some unchoke
+// ticks no attacker node has a leecher to probe; recomputeUnchokes still
+// resolves the tick's targets, so the departures recorded by then fold into
+// the current epoch's set rather than into the next epoch's redrawn one.
+// Without that call this run's mean completion tick reads
+// 27.814814814814813.
+func TestUnchokeTargetsUnderRotationAndChurn(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Leechers = 30
+	cfg.Pieces = 16
+	cfg.PeerSetSize = 4
+	cfg.Ticks = 100
+	events := population.Synthesize(population.Rates{LeaveRate: 0.05, JoinRate: 0.1},
+		cfg.Leechers, cfg.Ticks, cfg.Leechers/10, simrng.New(12).Child("churn"))
+	adv := &attack.Strategy{Kind: attack.Trade, Fraction: 0.1, SatiateFraction: 0.3, RotatePeriod: 3}
+	s, err := New(cfg, 12, WithAdversary(adv), WithChurn(events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Result{CompletedFraction: 1, MeanCompletionTick: 27.77777777777778, MedianCompletionTick: 24}
+	if res != want {
+		t.Fatalf("result %+v, want %+v", res, want)
 	}
 }
