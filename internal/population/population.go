@@ -149,6 +149,11 @@ func (c *Cursor) Next(round int) (Event, bool) {
 // use it to validate the schedule against their node universe at build.
 func (c *Cursor) Events() []Event { return c.events }
 
+// Ahead counts the events not yet consumed, departures included — the
+// token model finishes early only once none is left, since a departure
+// changes who is present and so the count of satiated nodes.
+func (c *Cursor) Ahead() int { return len(c.events) - c.next }
+
 // JoinsAhead counts the join events not yet consumed — the swarm uses
 // it to keep a drained torrent alive when future arrivals are due.
 func (c *Cursor) JoinsAhead() int {

@@ -99,8 +99,25 @@ func TestCursor(t *testing.T) {
 	}
 	// A zero-value cursor is the static run: nothing due, no joins ahead.
 	var zero Cursor
-	if _, ok := zero.Next(99); ok || zero.JoinsAhead() != 0 {
+	if _, ok := zero.Next(99); ok || zero.JoinsAhead() != 0 || zero.Ahead() != 0 {
 		t.Fatal("zero-value cursor is not inert")
+	}
+}
+
+// TestCursorAhead: Ahead counts every unconsumed event, departures
+// included, so a schedule whose last event is a departure is not drained
+// while JoinsAhead already reads 0.
+func TestCursorAhead(t *testing.T) {
+	c := NewCursor([]Event{{Round: 1, Node: 1, Join: true}, {Round: 2, Node: 0}, {Round: 5, Node: 3}})
+	for round, want := range []int{3, 2, 1, 1, 1, 0, 0} {
+		for _, ok := c.Next(round); ok; _, ok = c.Next(round) {
+		}
+		if got := c.Ahead(); got != want {
+			t.Fatalf("after round %d: Ahead = %d, want %d", round, got, want)
+		}
+		if round >= 1 && c.JoinsAhead() != 0 {
+			t.Fatalf("after round %d: JoinsAhead = %d, want 0", round, c.JoinsAhead())
+		}
 	}
 }
 

@@ -30,11 +30,14 @@ package sim
 type Model interface {
 	// Step advances the simulation by one round/tick. Calling Step after
 	// the horizon is exhausted is an error; implementations whose Finished
-	// can trip early (e.g. a swarm whose leechers all resolved) may accept
-	// further Steps as no-ops until the horizon.
+	// can trip early accept further Steps until the horizon, and those
+	// Steps leave the Snapshot as it was.
 	Step() error
-	// Finished reports whether the simulation has reached its horizon (or
-	// an early-exit condition such as "every node completed").
+	// Finished reports whether the simulation has reached its horizon, or
+	// a state from which no further Step can change its Snapshot: the
+	// swarm once every leecher has resolved with no arrival due, the token
+	// model once no token can move again. Each implementation states its
+	// rule.
 	Finished() bool
 	// Snapshot returns the typed result summarizing the state so far.
 	Snapshot() (any, error)

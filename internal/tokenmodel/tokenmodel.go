@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/defense"
@@ -173,6 +174,10 @@ type Sim struct {
 	// absent nodes (nil-safe scalar path when the config has no churn).
 	churn    population.Cursor
 	departed []bool
+
+	// absorbed is set once a round ends in a state no later round can
+	// change (see Finished).
+	absorbed bool
 
 	// Round scratch, allocated once at New (from the workspace when one is
 	// installed) and reused every round. snapshot and gains have held's
@@ -435,6 +440,7 @@ func (s *Sim) Step() error {
 	// (the ideal attack) — trade attackers must work through exchanges
 	// below. The defense's Admit hook caps how many tokens each target
 	// accepts per round, so a rate limit slows even the "instant" attacker.
+	quiet := true // no target was satiated this round
 	if s.advInstant {
 		targets := s.adv.Targets(s.round)
 		if targets.Cap() != n {
@@ -447,6 +453,7 @@ func (s *Sim) Step() error {
 				continue
 			}
 			s.satiate(v)
+			quiet = false
 		}
 	}
 
@@ -504,11 +511,13 @@ func (s *Sim) Step() error {
 	}
 
 	// 3. One pass lands the gains, stamps completions and counts the
-	// satiated present nodes.
+	// satiated present nodes; moved collects the bits new to a holding.
 	count := 0
+	var moved uint64
 	for v := 0; v < n; v++ {
 		row := s.row(s.held, v)
 		for i, w := range s.row(s.gains, v) {
+			moved |= w &^ row[i]
 			row[i] |= w
 		}
 		if !s.full(row) {
@@ -523,7 +532,66 @@ func (s *Sim) Step() error {
 	}
 	s.result.SatiatedByRound = append(s.result.SatiatedByRound, count)
 	s.round++
+	// Only a round in which no token moved can be the first of an
+	// absorbing state, so the check runs after those alone.
+	if quiet && moved == 0 && !s.absorbed {
+		s.absorbed = s.absorbing()
+	}
 	return nil
+}
+
+// absorbing reports whether no later round can move a token: each would
+// leave every holding, completion and adversary mark as it is and repeat
+// the last SatiatedByRound entry. It holds when
+//
+//   - no lifecycle event remains;
+//   - the target set can no longer change: it is never redrawn, and the
+//     campaign started by the round just simulated;
+//   - no present, honest, unsatiated node v can gain a token: v is
+//     neither an ideal target nor a trade target with a present attacker
+//     neighbour, and if v initiates, each present honest neighbour holds
+//     exactly v's tokens or is satiated with altruism 0.
+//
+// A node that does not initiate gains only from the initiators among its
+// neighbours, and each of those is checked in turn. The target set is read
+// only when it is never redrawn, so the read changes no later Targets or
+// OnExchange answer.
+//
+//lotus:allocfree
+func (s *Sim) absorbing() bool {
+	if s.churn.Ahead() > 0 {
+		return false
+	}
+	var targets *attack.TargetSet
+	if s.advInstant || s.advTrades {
+		if s.adv.RotatePeriod > 0 || s.adv.Start >= s.round {
+			return false
+		}
+		targets = s.adv.Targets(s.round - 1)
+	}
+	for v := 0; v < s.cfg.Graph.N(); v++ {
+		if s.gone(v) || (s.isAttacker != nil && s.isAttacker[v]) || s.satiated(v) {
+			continue
+		}
+		target := targets != nil && targets.Has(v)
+		if target && s.advInstant {
+			return false
+		}
+		initiates := s.contactsOf(v) > 0
+		row := s.row(s.held, v)
+		for _, p := range s.cfg.Graph.AdjList(v) {
+			switch {
+			case s.gone(p):
+			case s.isAttacker != nil && s.isAttacker[p]:
+				if target {
+					return false // a trade attacker serves its targets
+				}
+			case initiates && !slices.Equal(s.row(s.held, p), row) && (!s.satiated(p) || s.altruismOf(p) > 0):
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // satiate delivers the attacker's out-of-protocol payload to v: every token
@@ -649,9 +717,9 @@ func lowest(w uint64, k int) uint64 {
 	return out
 }
 
-// Run simulates the full horizon and returns the result.
+// Run simulates until Finished and returns the result.
 func (s *Sim) Run() (Result, error) {
-	for s.round < s.cfg.Rounds {
+	for !s.Finished() {
 		if err := s.Step(); err != nil {
 			return Result{}, err
 		}
@@ -659,8 +727,15 @@ func (s *Sim) Run() (Result, error) {
 	return s.finish(), nil
 }
 
-// Finished reports whether the horizon has been reached.
-func (s *Sim) Finished() bool { return s.round >= s.cfg.Rounds }
+// Finished reports whether the horizon has been reached, or a round ended
+// in an absorbing state: no lifecycle event remains, the target set can no
+// longer change, and no unsatiated node can gain a token, because each
+// stuck node's neighbours are satiated and non-altruistic or hold exactly
+// its tokens (see absorbing). Every later round would repeat the last
+// SatiatedByRound entry, so Snapshot fills the rest of the horizon with it
+// and the Result is the one the full horizon gives. Step still simulates
+// those rounds, up to the horizon.
+func (s *Sim) Finished() bool { return s.absorbed || s.round >= s.cfg.Rounds }
 
 // Snapshot returns the Result summarizing the run so far.
 func (s *Sim) Snapshot() (any, error) { return s.finish(), nil }
@@ -668,6 +743,14 @@ func (s *Sim) Snapshot() (any, error) { return s.finish(), nil }
 func (s *Sim) finish() Result {
 	n := s.cfg.Graph.N()
 	res := s.result
+	if s.absorbed {
+		// The rounds left would each repeat the last count (see Finished).
+		byRound := slices.Clip(res.SatiatedByRound)
+		for last := byRound[len(byRound)-1]; len(byRound) < s.cfg.Rounds; {
+			byRound = append(byRound, last)
+		}
+		res.SatiatedByRound = byRound
+	}
 	res.AllSatiatedRound = -1
 	for r, c := range res.SatiatedByRound {
 		if c == n {
