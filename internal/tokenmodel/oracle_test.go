@@ -456,6 +456,21 @@ func oracleChurn(n, rounds int) []population.Event {
 	return events
 }
 
+// oracleAdversaries is the grid's adversaries: none, crash, and ideal and
+// trade each with a target set redrawn every 5 rounds, a fixed one, and a
+// fixed one whose campaign runs over rounds [3, 9) only.
+func oracleAdversaries() []attack.Strategy {
+	out := []attack.Strategy{{Kind: attack.None}, {Kind: attack.Crash, Fraction: 0.15, SatiateFraction: 0.4}}
+	for _, kind := range []attack.Kind{attack.Ideal, attack.Trade} {
+		base := attack.Strategy{Kind: kind, Fraction: 0.15, SatiateFraction: 0.4}
+		rotating, window := base, base
+		rotating.RotatePeriod = 5
+		window.Start, window.Stop = 3, 9
+		out = append(out, rotating, base, window)
+	}
+	return out
+}
+
 // TestMatrixMatchesOracle steps the holdings-matrix Sim next to the
 // per-node-set oracle over a grid of token counts (one word, exactly one
 // word, and rows spilling into a second and third word), graphs, contact
@@ -472,7 +487,7 @@ func TestMatrixMatchesOracle(t *testing.T) {
 			for _, contacts := range []int{0, 1, 3} {
 				for ai, altruism := range []float64{0, 0.3, -1} {
 					for _, churn := range []bool{false, true} {
-						for _, kind := range []attack.Kind{attack.None, attack.Crash, attack.Ideal, attack.Trade} {
+						for _, adv := range oracleAdversaries() {
 							for _, limit := range []int{0, 1, 4} {
 								seed := uint64(cases)
 								rng := simrng.New(seed)
@@ -504,10 +519,10 @@ func TestMatrixMatchesOracle(t *testing.T) {
 								if churn {
 									cfg.Churn = oracleChurn(n, rounds)
 								}
-								name := fmt.Sprintf("tokens=%d/%s/c=%d/a=%g/churn=%v/%v/limit=%d",
-									tokens, gk, contacts, altruism, churn, kind, limit)
+								name := fmt.Sprintf("tokens=%d/%s/c=%d/a=%g/churn=%v/%v/rotate=%d/window=[%d,%d)/limit=%d",
+									tokens, gk, contacts, altruism, churn, adv.Kind, adv.RotatePeriod, adv.Start, adv.Stop, limit)
 								ws.Reset()
-								compareWithOracle(t, name, cfg, seed, kind, limit, ws)
+								compareWithOracle(t, name, cfg, seed, adv, limit, ws)
 								cases++
 							}
 						}
@@ -520,14 +535,17 @@ func TestMatrixMatchesOracle(t *testing.T) {
 }
 
 // compareWithOracle runs one case on the oracle and on two Sims, one
-// without and one with the workspace, checking them after every round.
-func compareWithOracle(t *testing.T, name string, cfg Config, seed uint64, kind attack.Kind, limit int, ws *sim.Workspace) {
+// without and one with the workspace, checking them after every round, and
+// on a third Sim driven only until Finished, whose final Result must be
+// the oracle's too.
+func compareWithOracle(t *testing.T, name string, cfg Config, seed uint64, adv attack.Strategy, limit int, ws *sim.Workspace) {
 	t.Helper()
 	adversary := func() *attack.Strategy {
-		if kind == attack.None {
+		if adv.Kind == attack.None {
 			return nil
 		}
-		return &attack.Strategy{Kind: kind, Fraction: 0.15, SatiateFraction: 0.4, RotatePeriod: 5}
+		a := adv
+		return &a
 	}
 	guard := func() *defense.RateLimiter {
 		if limit == 0 {
@@ -557,6 +575,10 @@ func compareWithOracle(t *testing.T, name string, cfg Config, seed uint64, kind 
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
 	sims := []*Sim{build(nil), build(ws)}
+	early, err := sim.Drive(build(nil))
+	if err != nil {
+		t.Fatalf("%s: Drive: %v", name, err)
+	}
 	n := cfg.Graph.N()
 	for r := 0; r < cfg.Rounds; r++ {
 		if err := ref.Step(); err != nil {
@@ -597,5 +619,8 @@ func compareWithOracle(t *testing.T, name string, cfg Config, seed uint64, kind 
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: sim %d: Result\n%+v\noracle\n%+v", name, k, got, want)
 		}
+	}
+	if !reflect.DeepEqual(early, want) {
+		t.Fatalf("%s: driven until Finished: Result\n%+v\noracle\n%+v", name, early, want)
 	}
 }
