@@ -7,6 +7,7 @@ import (
 	"lotuseater/internal/attack"
 	"lotuseater/internal/defense"
 	"lotuseater/internal/graph"
+	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
@@ -55,4 +56,24 @@ func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 			})
 		}
 	}
+}
+
+// BenchmarkTradeTokenReplicate builds and drives one replicate of
+// x/trade-token's shape under a trade attacker holding 40% of the nodes,
+// as a miss of bench/'s service workload runs it, and reports how many of
+// the 60 rounds it stepped before Finished.
+func BenchmarkTradeTokenReplicate(b *testing.B) {
+	rounds := 0
+	for i := 0; i < b.N; i++ {
+		seed := uint64(i)
+		s, err := New(goldenShape(seed), seed, WithAdversary(&attack.Strategy{Kind: attack.Trade, Fraction: 0.4, SatiateFraction: 0.7}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.Drive(s); err != nil {
+			b.Fatal(err)
+		}
+		rounds += s.Round()
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/replicate")
 }
