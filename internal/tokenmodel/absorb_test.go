@@ -7,46 +7,25 @@ import (
 	"testing"
 
 	"lotuseater/internal/attack"
-	"lotuseater/internal/defense"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/population"
 	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
-// earlyCase is one random small configuration of the differential test.
-type earlyCase struct {
-	cfg   Config
-	adv   *attack.Strategy // nil runs unattacked
-	limit int              // per-peer rate limit, 0 for none
-	seed  uint64
+// describe names a case's knobs for a failure message.
+func describe(c goldenCase) string {
+	return fmt.Sprintf("n=%d tokens=%d contacts=%d altruism=%g rounds=%d classes=%v alloc=%v churn=%d limit=%d seed=%d adversary=%+v",
+		c.cfg.Graph.N(), c.cfg.Tokens, c.cfg.Contacts, c.cfg.Altruism, c.cfg.Rounds, c.cfg.NodeContacts != nil,
+		c.cfg.Allocation != nil, len(c.cfg.Churn), c.rateLimit, c.seed, c.adv)
 }
 
-// String names the case's knobs for a failure message.
-func (c earlyCase) String() string {
-	s := fmt.Sprintf("n=%d tokens=%d contacts=%d altruism=%g rounds=%d classes=%v alloc=%v churn=%d limit=%d seed=%d",
-		c.cfg.Graph.N(), c.cfg.Tokens, c.cfg.Contacts, c.cfg.Altruism, c.cfg.Rounds,
-		c.cfg.NodeContacts != nil, c.cfg.Allocation != nil, len(c.cfg.Churn), c.limit, c.seed)
-	if c.adv != nil {
-		s += fmt.Sprintf(" adversary=%+v", *c.adv)
-	}
-	return s
-}
-
-// build makes the case's Sim with a fresh adversary and defense.
-func (c earlyCase) build(t *testing.T) *Sim {
+// buildCase makes the case's Sim with a fresh adversary and defense.
+func buildCase(t *testing.T, c goldenCase) *Sim {
 	t.Helper()
-	var opts []Option
-	if c.adv != nil {
-		adv := *c.adv
-		opts = append(opts, WithAdversary(&adv))
-	}
-	if c.limit > 0 {
-		opts = append(opts, WithDefense(defense.NewRateLimiter(c.limit)))
-	}
-	s, err := New(c.cfg, c.seed, opts...)
+	s, err := New(c.cfg, c.seed, c.options()...)
 	if err != nil {
-		t.Fatalf("%v: %v", c, err)
+		t.Fatalf("%s: %v", describe(c), err)
 	}
 	return s
 }
@@ -60,7 +39,7 @@ func pick[T any](rng *simrng.Source, xs ...T) T { return xs[rng.IntN(len(xs))] }
 // (sometimes ending early, sometimes past the horizon), every attack kind
 // with and without rotation, a campaign window and a target list, and
 // rate-limit caps 0, 1 and 3.
-func randomEarlyCase(seed uint64) earlyCase {
+func randomEarlyCase(seed uint64) goldenCase {
 	rng := simrng.New(seed)
 	n := 2 + rng.IntN(23)
 	rounds := 1 + rng.IntN(24)
@@ -101,9 +80,9 @@ func randomEarlyCase(seed uint64) earlyCase {
 		}
 		slices.SortStableFunc(cfg.Churn, func(a, b population.Event) int { return a.Round - b.Round })
 	}
-	c := earlyCase{cfg: cfg, limit: pick(rng, 0, 1, 3), seed: rng.Uint64()}
+	c := goldenCase{cfg: cfg, rateLimit: pick(rng, 0, 1, 3), seed: rng.Uint64()}
 	if kind := rng.IntN(5); kind > 0 {
-		adv := &attack.Strategy{
+		adv := attack.Strategy{
 			Kind:            attack.Kind(kind),
 			Fraction:        pick(rng, 0.0, 0.1, 0.2, 0.4),
 			SatiateFraction: pick(rng, 0.0, 0.3, 0.7),
@@ -135,15 +114,15 @@ func TestEarlyFinishMatchesFullHorizon(t *testing.T) {
 	early := 0
 	for i := range cases {
 		c := randomEarlyCase(uint64(i))
-		driven := c.build(t)
+		driven := buildCase(t, c)
 		got, err := sim.Drive(driven)
 		if err != nil {
-			t.Fatalf("%v: Drive: %v", c, err)
+			t.Fatalf("%s: Drive: %v", describe(c), err)
 		}
-		full := c.build(t)
+		full := buildCase(t, c)
 		for full.Round() < c.cfg.Rounds {
 			if err := full.Step(); err != nil {
-				t.Fatalf("%v: Step: %v", c, err)
+				t.Fatalf("%s: Step: %v", describe(c), err)
 			}
 		}
 		want, err := full.Snapshot()
@@ -151,7 +130,7 @@ func TestEarlyFinishMatchesFullHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: finished at round %d\n got %+v\nwant %+v", c, driven.Round(), got, want)
+			t.Fatalf("%s: finished at round %d\n got %+v\nwant %+v", describe(c), driven.Round(), got, want)
 		}
 		if driven.Round() < c.cfg.Rounds {
 			early++
@@ -170,8 +149,8 @@ func TestEarlyFinishMatchesFullHorizon(t *testing.T) {
 func TestQuietRoundBeforeCampaignStart(t *testing.T) {
 	const start = 5
 	cfg := Config{Graph: graph.Complete(10), Tokens: 3, Contacts: 0, Rounds: 12}
-	c := earlyCase{cfg: cfg, seed: 3, adv: &attack.Strategy{Kind: attack.Ideal, Fraction: 0.1, SatiateFraction: 0.5, Start: start}}
-	s := c.build(t)
+	c := goldenCase{cfg: cfg, seed: 3, adv: attack.Strategy{Kind: attack.Ideal, Fraction: 0.1, SatiateFraction: 0.5, Start: start}}
+	s := buildCase(t, c)
 	for s.Round() <= start {
 		if s.Finished() {
 			t.Fatalf("finished after round %d, before the campaign's start at round %d had been simulated", s.Round()-1, start)
@@ -190,7 +169,7 @@ func TestQuietRoundBeforeCampaignStart(t *testing.T) {
 	if byRound := got.(Result).SatiatedByRound; byRound[start] <= byRound[start-1] {
 		t.Fatalf("SatiatedByRound %v: the campaign satiated nobody at round %d", byRound, start)
 	}
-	full := c.build(t)
+	full := buildCase(t, c)
 	for full.Round() < cfg.Rounds {
 		if err := full.Step(); err != nil {
 			t.Fatal(err)
@@ -209,8 +188,8 @@ func TestQuietRoundBeforeCampaignStart(t *testing.T) {
 // initiates.
 func TestAbsorbingNeedsIdealTargetsSatiated(t *testing.T) {
 	cfg := Config{Graph: graph.Complete(6), Tokens: 5, Contacts: 0, Rounds: 10}
-	c := earlyCase{cfg: cfg, limit: 1, seed: 1, adv: &attack.Strategy{Kind: attack.Ideal, TargetList: []int{2}}}
-	s := c.build(t)
+	c := goldenCase{cfg: cfg, rateLimit: 1, seed: 1, adv: attack.Strategy{Kind: attack.Ideal, TargetList: []int{2}}}
+	s := buildCase(t, c)
 	if err := s.Step(); err != nil {
 		t.Fatal(err)
 	}
