@@ -30,8 +30,8 @@ package sim
 type Model interface {
 	// Step advances the simulation by one round/tick. Calling Step after
 	// the horizon is exhausted is an error; implementations whose Finished
-	// can trip early accept further Steps until the horizon, and those
-	// Steps leave the Snapshot as it was.
+	// can trip early (the swarm, the token model) accept further Steps
+	// until the horizon.
 	Step() error
 	// Finished reports whether the simulation has reached its horizon, or
 	// a state from which no further Step can change its Snapshot: the

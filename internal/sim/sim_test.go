@@ -77,9 +77,10 @@ func buildAll(t *testing.T, seed uint64) map[string]sim.Model {
 
 // TestDriveAllModels drives every simulator through the kernel interface
 // alone: Step until Finished, then Snapshot, and checks Step-past-horizon
-// fails cleanly. The swarm may finish before its horizon (every leecher
-// resolved) and tolerates extra no-op Steps, so the past-horizon check is
-// skipped when the horizon was not actually reached.
+// fails cleanly. The swarm (every leecher resolved) and the token model (no
+// token can move) may finish before their horizon and accept further Steps,
+// so the past-horizon check is skipped when the horizon was not actually
+// reached.
 func TestDriveAllModels(t *testing.T) {
 	horizons := map[string]int{"gossip": 20, "tokenmodel": 15, "scrip": 500, "swarm": 120, "coding": 15}
 	rounds := map[string]func(sim.Model) int{

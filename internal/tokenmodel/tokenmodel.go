@@ -532,30 +532,20 @@ func (s *Sim) Step() error {
 	}
 	s.result.SatiatedByRound = append(s.result.SatiatedByRound, count)
 	s.round++
-	// Only a round in which no token moved can be the first of an
-	// absorbing state, so the check runs after those alone.
+	// A round in an absorbing state moves no token, so checking only after
+	// such rounds finds the state at most a round late and skips the check
+	// while tokens still flow.
 	if quiet && moved == 0 && !s.absorbed {
 		s.absorbed = s.absorbing()
 	}
 	return nil
 }
 
-// absorbing reports whether no later round can move a token: each would
-// leave every holding, completion and adversary mark as it is and repeat
-// the last SatiatedByRound entry. It holds when
-//
-//   - no lifecycle event remains;
-//   - the target set can no longer change: it is never redrawn, and the
-//     campaign started by the round just simulated;
-//   - no present, honest, unsatiated node v can gain a token: v is
-//     neither an ideal target nor a trade target with a present attacker
-//     neighbour, and if v initiates, each present honest neighbour holds
-//     exactly v's tokens or is satiated with altruism 0.
-//
-// A node that does not initiate gains only from the initiators among its
-// neighbours, and each of those is checked in turn. The target set is read
-// only when it is never redrawn, so the read changes no later Targets or
-// OnExchange answer.
+// absorbing reports whether the state a round ended in meets Finished's
+// rule, so that no later round can move a token. A node that does not
+// initiate gains only from the initiators among its neighbours, each of
+// which the rule checks in turn. The target set is read only when it is
+// never redrawn, so the read changes no later Targets or OnExchange answer.
 //
 //lotus:allocfree
 func (s *Sim) absorbing() bool {
@@ -727,14 +717,21 @@ func (s *Sim) Run() (Result, error) {
 	return s.finish(), nil
 }
 
-// Finished reports whether the horizon has been reached, or a round ended
-// in an absorbing state: no lifecycle event remains, the target set can no
-// longer change, and no unsatiated node can gain a token, because each
-// stuck node's neighbours are satiated and non-altruistic or hold exactly
-// its tokens (see absorbing). Every later round would repeat the last
-// SatiatedByRound entry, so Snapshot fills the rest of the horizon with it
-// and the Result is the one the full horizon gives. Step still simulates
-// those rounds, up to the horizon.
+// Finished reports whether the horizon has been reached, or a round in
+// which no token moved ended in an absorbing state:
+//
+//   - no lifecycle event remains;
+//   - the target set can no longer change: it is never redrawn, and the
+//     campaign started by the round just simulated;
+//   - no present, honest, unsatiated node v can gain a token: v is
+//     neither an ideal target nor a trade target with a present attacker
+//     neighbour, and if v initiates, each present honest neighbour holds
+//     exactly v's tokens or is satiated with altruism 0.
+//
+// Every later round would then repeat the last SatiatedByRound entry, so
+// Snapshot fills the rest of the horizon with it and the Result is the one
+// the full horizon gives. Step still simulates those rounds, up to the
+// horizon.
 func (s *Sim) Finished() bool { return s.absorbed || s.round >= s.cfg.Rounds }
 
 // Snapshot returns the Result summarizing the run so far.
