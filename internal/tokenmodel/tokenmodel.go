@@ -742,7 +742,7 @@ func (s *Sim) finish() Result {
 	res := s.result
 	if s.absorbed {
 		// The rounds left would each repeat the last count (see Finished).
-		byRound := slices.Clip(res.SatiatedByRound)
+		byRound := append(make([]int, 0, s.cfg.Rounds), res.SatiatedByRound...)
 		for last := byRound[len(byRound)-1]; len(byRound) < s.cfg.Rounds; {
 			byRound = append(byRound, last)
 		}
