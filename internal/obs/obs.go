@@ -311,15 +311,16 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// The exposition format's escapes, built once: a Replacer builds its
+// lookup tables on first use, which is too costly to repeat per scrape.
+var (
+	labelValueEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper       = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-func escapeHelp(h string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(h)
-}
+func escapeLabelValue(v string) string { return labelValueEscaper.Replace(v) }
+
+func escapeHelp(h string) string { return helpEscaper.Replace(h) }
 
 func validMetricName(name string) bool {
 	if name == "" {

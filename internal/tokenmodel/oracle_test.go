@@ -3,6 +3,7 @@ package tokenmodel
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lotuseater/internal/attack"
@@ -70,6 +71,17 @@ func (s *refSet) ForEach(fn func(int)) {
 	for i, h := range s.has {
 		if h {
 			fn(i)
+		}
+	}
+}
+
+// pack writes the set as a holdings row: bit t of row[t/64] is set iff t is
+// a member.
+func (s *refSet) pack(row []uint64) {
+	clear(row)
+	for i, h := range s.has {
+		if h {
+			row[i/64] |= 1 << (i % 64)
 		}
 	}
 }
@@ -537,7 +549,9 @@ func TestMatrixMatchesOracle(t *testing.T) {
 // compareWithOracle runs one case on the oracle and on two Sims, one
 // without and one with the workspace, checking them after every round, and
 // on a third Sim driven only until Finished, whose final Result must be
-// the oracle's too.
+// the oracle's too. Each round packs the oracle's sets into rows once and
+// compares every Sim row with its row word for word; Has is checked only
+// just outside [0, Tokens), where the rows say nothing.
 func compareWithOracle(t *testing.T, name string, cfg Config, seed uint64, adv attack.Strategy, limit int, ws *sim.Workspace) {
 	t.Helper()
 	adversary := func() *attack.Strategy {
@@ -580,9 +594,14 @@ func compareWithOracle(t *testing.T, name string, cfg Config, seed uint64, adv a
 		t.Fatalf("%s: Drive: %v", name, err)
 	}
 	n := cfg.Graph.N()
+	words := (cfg.Tokens + 63) / 64
+	rows := make([]uint64, n*words)
 	for r := 0; r < cfg.Rounds; r++ {
 		if err := ref.Step(); err != nil {
 			t.Fatalf("%s: oracle round %d: %v", name, r, err)
+		}
+		for v := 0; v < n; v++ {
+			ref.held[v].pack(rows[v*words : (v+1)*words])
 		}
 		for k, s := range sims {
 			if err := s.Step(); err != nil {
@@ -599,7 +618,10 @@ func compareWithOracle(t *testing.T, name string, cfg Config, seed uint64, adv a
 				if got, want := s.Satiated(v), ref.held[v].Full(); got != want {
 					t.Fatalf("%s: sim %d round %d: Satiated(%d) = %v, oracle %v", name, k, r, v, got, want)
 				}
-				for tok := -1; tok <= cfg.Tokens; tok++ {
+				if got, want := s.row(s.held, v), rows[v*words:(v+1)*words]; !slices.Equal(got, want) {
+					t.Fatalf("%s: sim %d round %d: row %d = %x, oracle %x", name, k, r, v, got, want)
+				}
+				for _, tok := range []int{-1, cfg.Tokens} {
 					if got, want := s.Has(v, tok), ref.held[v].Has(tok); got != want {
 						t.Fatalf("%s: sim %d round %d: Has(%d, %d) = %v, oracle %v", name, k, r, v, tok, got, want)
 					}
