@@ -82,8 +82,8 @@ type Config struct {
 	// than this. Zero means no age bound.
 	StoreMaxAge time.Duration
 	// StoreGCInterval is the disk GC cadence (<= 0 means one minute). The
-	// size bound is additionally enforced inline on every write, so the
-	// loop only has to catch age expiry and stragglers.
+	// size bound is additionally enforced after every batch of writes, so
+	// the GC passes only have to catch age expiry and stragglers.
 	StoreGCInterval time.Duration
 	// LogFormat selects structured request logging: "json" emits one JSON
 	// line per request to LogWriter; "" or "off" disables logging.
@@ -144,9 +144,9 @@ type Server struct {
 }
 
 // New builds a Server and starts its executor (and, with StoreDir set, the
-// disk store's GC loop). The only error source is opening the disk store —
-// an unusable store directory should fail startup loudly, not silently
-// degrade to memory-only persistence.
+// disk store's writer and its GC ticks). The only error source is opening
+// the disk store — an unusable store directory should fail startup loudly,
+// not silently degrade to memory-only persistence.
 func New(cfg Config) (*Server, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 64 << 20
@@ -201,7 +201,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 
 // Close stops the executor and fails any still-queued jobs with "server
 // closed". A run already in flight completes first (simulations are not
-// cancellable mid-replicate). Close is idempotent and safe to call
+// cancellable mid-replicate), and so does every artifact still being
+// written to the disk store, so each job reported done is on disk when
+// Close returns. Close is idempotent and safe to call
 // concurrently; it does not stop an enclosing http.Server — shut that down
 // first so no new jobs arrive.
 func (s *Server) Close() error {
@@ -227,7 +229,7 @@ func (s *Server) shutdown(reason error) error {
 		close(s.queue)
 		<-s.execDone
 		if s.disk != nil {
-			s.disk.Close()
+			s.disk.Close() // the writer finishes the jobs handed to it first
 		}
 	})
 	return nil
@@ -292,9 +294,18 @@ func (s *Server) runJob(j *job) {
 	}
 	address := metrics.AddressBytes(body)
 	s.cache.Put(j.key, body, address)
-	if s.disk != nil {
-		s.disk.Put(j.key, body, address)
+	if s.disk == nil {
+		s.complete(j, body, address)
+		return
 	}
+	// The disk store's writer reports the job done once its record is
+	// durable, while the executor goes on to the next run.
+	s.disk.PutAsync(j.key, body, address, func() { s.complete(j, body, address) })
+}
+
+// complete publishes a finished job's artifact to the federated store and
+// reports the job done.
+func (s *Server) complete(j *job, body []byte, address string) {
 	if s.store != nil {
 		s.store.Publish(j.key, body, address)
 	}

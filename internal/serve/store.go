@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,41 +26,81 @@ import (
 //
 // Layout under the store directory:
 //
-//	index.json            cache key -> {address, size, storedUnix}
+//	index.json            snapshot: cache key -> {address, size, storedUnix}
+//	index.journal         index records appended since the snapshot
 //	blobs/sha256-<hex>    one canonical artifact body per unique address
+//
+// A journal record is a little-endian uint32 payload length, the payload's
+// CRC-32C as a little-endian uint32, and the payload: JSON {key, entry}, or
+// {key} alone for a drop. The index is the snapshot with the journal
+// replayed over it in order.
 //
 // Two cache keys whose runs converged on identical bytes share one blob
 // (content addressing dedupes for free); a blob is deleted only when its
 // last index entry goes.
 //
-// Crash safety is temp+rename: both blobs and the index are written to a
-// temporary file in the same directory, fsynced, and renamed into place, so
-// a crash leaves either the old state or the new one, never a torn file.
-// Disk is never trusted on the way back in: every Get re-hashes the blob
-// and drops the entry (and file) on mismatch, and open validates the index
-// against what is actually on disk.
+// One writer goroutine owns every file write. It takes all queued puts,
+// writes each new blob to a temporary file, fsyncs and renames it, appends
+// the batch's records with one write and one fsync, and only then
+// publishes the rows to the in-memory index and reports the puts done.
+// Removing a row (the size and age bounds, a blob that fails its re-hash)
+// appends a drop record the same way before the blob goes, so every change
+// to the index is in the journal before it is on disk anywhere else.
+// Compaction writes the whole index as a fresh snapshot (temp, fsync,
+// rename) and only then truncates the journal, so a crash between the two
+// replays records the snapshot already holds and gives the same index. It
+// runs at open, after a GC pass or a corrupt blob removes rows, and when
+// the journal holds more records than the index has entries, which keeps a
+// put's cost O(1) on average whatever the index's size.
 //
-// A GC loop bounds the store by age (entries stored longer than maxAge ago)
-// and by size (oldest-stored entries evict until the byte budget holds;
-// the newest entry always survives, mirroring the in-memory LRU's
-// invariant). The size bound is also enforced inline on Put so a burst
-// can't overshoot by more than one artifact between ticks.
+// mu guards the in-memory state only and is never held across a file
+// operation, so a Get never waits on an fsync. Only the writer changes the
+// maps (under mu), so it reads them without the lock.
+//
+// Disk is never trusted on the way back in: open stops replaying at the
+// first record that is short, over maxRecordBytes, fails its checksum or
+// does not decode, and drops rows whose blob is missing or mis-sized;
+// every Get re-hashes the blob and drops the entry (and file) on mismatch.
+//
+// GC passes run on the writer's ticker. They bound the store by age
+// (entries stored longer than maxAge ago) and by size (oldest-stored
+// entries evict until the byte budget holds; the newest entry always
+// survives, mirroring the in-memory LRU's invariant). The size bound is
+// also enforced after every batch of puts so a burst can't overshoot by
+// more than one batch between ticks.
 type diskStore struct {
 	dir      string
 	maxBytes int64
 	maxAge   time.Duration
 	now      func() time.Time // injected by tests; time.Now in production
 
-	mu    sync.Mutex
-	index map[string]*storeEntry
-	refs  map[string]int // address -> live index entries
-	size  int64          // unique blob bytes
+	mu      sync.Mutex
+	index   map[string]*storeEntry
+	refs    map[string]int // address -> live index entries
+	size    int64          // unique blob bytes
+	pending []storeOp      // the writer's inbox, oldest first
+	closing bool           // Close has begun: the inbox takes nothing more
 
 	hits, misses, removed uint64 // exposed via Stats for /metrics
 
-	gcStop   chan struct{}
-	gcDone   chan struct{}
-	stopOnce sync.Once
+	wake    chan struct{} // capacity 1: the inbox has work
+	stopped chan struct{} // closed once the writer has drained and exited
+
+	// Owned by the writer goroutine.
+	journal *os.File
+	records int          // records in the journal since the snapshot
+	torn    bool         // an append failed, so the journal's tail is in doubt
+	ticker  *time.Ticker // GC cadence; nil until startGC
+}
+
+// storeOp is one request to the writer: a put of body under key, whose
+// then runs once its record is durable or the put has failed, or, when fn
+// is set, fn to run on the writer goroutine.
+type storeOp struct {
+	key, address string
+	body         []byte
+	then         func()
+	fn           func()
 }
 
 // storeEntry is one index row.
@@ -65,16 +110,36 @@ type storeEntry struct {
 	Stored  int64  `json:"storedUnix"`
 }
 
-// storeIndex is the on-disk index file shape.
+// storeIndex is the snapshot file's shape.
 type storeIndex struct {
 	Version int                    `json:"version"`
 	Entries map[string]*storeEntry `json:"entries"`
 }
 
-// openDiskStore loads (or initializes) a store rooted at dir. Entries whose
-// blob is missing or mis-sized are dropped; blobs and temp files nothing
-// references are swept. maxBytes <= 0 means 1 GiB; maxAge <= 0 means no age
-// bound.
+// journalRecord is a journal record's payload; a nil Entry drops Key.
+type journalRecord struct {
+	Key   string      `json:"key"`
+	Entry *storeEntry `json:"entry,omitempty"`
+}
+
+const (
+	snapshotFile = "index.json"
+	journalFile  = "index.journal"
+	// maxKeyBytes bounds a stored cache key (keys are sha256 addresses, 71
+	// bytes), so that every record fits in maxRecordBytes even with each
+	// key byte JSON-escaped to six.
+	maxKeyBytes = 512
+	// maxRecordBytes bounds a journal record's payload; a longer length
+	// field is corrupt, and replay stops there before allocating anything.
+	maxRecordBytes = 4 << 10
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// openDiskStore loads (or initializes) a store rooted at dir and starts its
+// writer. Entries whose blob is missing or mis-sized are dropped; blobs and
+// temp files nothing references are swept. maxBytes <= 0 means 1 GiB;
+// maxAge <= 0 means no age bound.
 func openDiskStore(dir string, maxBytes int64, maxAge time.Duration) (*diskStore, error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 30
@@ -89,45 +154,57 @@ func openDiskStore(dir string, maxBytes int64, maxAge time.Duration) (*diskStore
 		now:      time.Now,
 		index:    make(map[string]*storeEntry),
 		refs:     make(map[string]int),
+		wake:     make(chan struct{}, 1),
+		stopped:  make(chan struct{}),
 	}
 	if err := st.load(); err != nil {
 		return nil, err
 	}
+	go st.run()
 	return st, nil
 }
 
-// load reads and validates the index, then sweeps the blob directory of
-// anything unreferenced (crash leftovers, entries dropped below).
+// load rebuilds the index from the snapshot and the journal, validates it
+// against the blobs, sweeps anything unreferenced (crash leftovers, rows
+// dropped here) and compacts, so the next open starts clean.
 func (st *diskStore) load() error {
-	data, err := os.ReadFile(filepath.Join(st.dir, "index.json"))
+	data, err := os.ReadFile(filepath.Join(st.dir, snapshotFile))
 	if err == nil {
-		var idx storeIndex
-		// A corrupt index is recoverable — the blobs are self-describing,
-		// but without key->address rows we can't serve them, so start
-		// empty rather than fail the server.
-		if json.Unmarshal(data, &idx) == nil {
-			for key, e := range idx.Entries {
-				if e == nil || !validAddress(e.Address) {
-					continue
-				}
-				fi, err := os.Stat(st.blobPath(e.Address))
-				if err != nil || fi.Size() != e.Size {
-					continue // blob gone or torn; drop the row
-				}
-				st.index[key] = e
-				if st.refs[e.Address] == 0 {
-					st.size += e.Size
-				}
-				st.refs[e.Address]++
-			}
+		var snap storeIndex
+		// A corrupt snapshot is recoverable — the blobs are
+		// self-describing, but without key->address rows we can't serve
+		// them, so start from the journal alone rather than fail the
+		// server.
+		if json.Unmarshal(data, &snap) == nil && snap.Entries != nil {
+			st.index = snap.Entries
 		}
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("serve: reading store index: %w", err)
+	}
+	st.journal, err = os.OpenFile(filepath.Join(st.dir, journalFile), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("serve: opening store journal: %w", err)
+	}
+	replay(st.journal, st.index)
+	for key, e := range st.index {
+		if e == nil || len(key) > maxKeyBytes || !validAddress(e.Address) {
+			delete(st.index, key)
+			continue
+		}
+		if fi, err := os.Stat(st.blobPath(e.Address)); err != nil || fi.Size() != e.Size {
+			delete(st.index, key) // blob gone or torn; drop the row
+			continue
+		}
+		if st.refs[e.Address] == 0 {
+			st.size += e.Size
+		}
+		st.refs[e.Address]++
 	}
 	// Sweep unreferenced files so dropped rows and crashed writes don't
 	// leak disk forever.
 	entries, err := os.ReadDir(filepath.Join(st.dir, "blobs"))
 	if err != nil {
+		st.journal.Close()
 		return fmt.Errorf("serve: scanning blobs: %w", err)
 	}
 	for _, de := range entries {
@@ -143,134 +220,307 @@ func (st *diskStore) load() error {
 			}
 		}
 	}
-	// Persist the validated view so the next open starts clean.
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.flushIndexLocked()
+	if err := st.compact(); err != nil {
+		st.journal.Close()
+		return fmt.Errorf("serve: compacting store index: %w", err)
+	}
+	return nil
 }
 
-// Get returns the body stored under key, re-hashing it against its address
-// — never trust disk. A corrupt or missing blob drops the entry and
-// reports a miss, so the caller recomputes instead of serving garbage.
-func (st *diskStore) Get(key string) (body []byte, address string, ok bool) {
-	st.mu.Lock()
-	e, found := st.index[key]
-	if !found {
-		st.misses++
-		st.mu.Unlock()
-		return nil, "", false
-	}
-	addr := e.Address
-	st.mu.Unlock()
-
-	body, err := os.ReadFile(st.blobPath(addr))
-	if err != nil || metrics.AddressBytes(body) != addr {
-		st.mu.Lock()
-		// Re-check under the lock — a concurrent Put may have replaced the row.
-		if cur, still := st.index[key]; still && cur.Address == addr {
-			st.dropLocked(key)
-			st.flushIndexLocked()
-		}
-		st.misses++
-		st.mu.Unlock()
-		return nil, "", false
-	}
-	st.mu.Lock()
-	st.hits++
-	st.mu.Unlock()
-	return body, addr, true
-}
-
-// Put persists body under key. Best effort: an I/O failure loses
-// persistence, not correctness — the in-memory cache still has the result.
-func (st *diskStore) Put(key string, body []byte, address string) {
-	if !validAddress(address) {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if e, ok := st.index[key]; ok {
-		if e.Address == address {
-			return // already stored
-		}
-		st.dropLocked(key)
-	}
-	if st.refs[address] == 0 {
-		if err := writeFileAtomic(st.blobPath(address), filepath.Join(st.dir, "blobs"), body); err != nil {
+// replay applies the journal's records to index in order. It stops at the
+// first record that is short, over maxRecordBytes, fails its checksum or
+// does not decode — an append cut short by a crash leaves one at the tail —
+// and ignores everything after it.
+func replay(r io.Reader, index map[string]*storeEntry) {
+	br := bufio.NewReader(r)
+	var head [8]byte
+	buf := make([]byte, maxRecordBytes)
+	for {
+		if _, err := io.ReadFull(br, head[:]); err != nil {
 			return
 		}
-		st.size += int64(len(body))
+		n := binary.LittleEndian.Uint32(head[:4])
+		if n > maxRecordBytes {
+			return
+		}
+		payload := buf[:n]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return
+		}
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(head[4:]) {
+			return
+		}
+		var rec journalRecord
+		if json.Unmarshal(payload, &rec) != nil {
+			return
+		}
+		if rec.Entry == nil {
+			delete(index, rec.Key)
+		} else {
+			index[rec.Key] = rec.Entry
+		}
 	}
-	st.refs[address]++
-	st.index[key] = &storeEntry{Address: address, Size: int64(len(body)), Stored: st.now().Unix()}
-	st.gcSizeLocked()
-	st.flushIndexLocked()
 }
 
-// dropLocked removes key's index row, deleting the blob when its last
-// reference goes.
-func (st *diskStore) dropLocked(key string) {
-	e, ok := st.index[key]
-	if !ok {
-		return
-	}
-	delete(st.index, key)
-	st.refs[e.Address]--
-	if st.refs[e.Address] <= 0 {
-		delete(st.refs, e.Address)
-		os.Remove(st.blobPath(e.Address))
-		st.size -= e.Size
+// appendRecord appends key's record to buf: a put of e, or a drop when e
+// is nil.
+func appendRecord(buf []byte, key string, e *storeEntry) []byte {
+	payload, _ := json.Marshal(journalRecord{Key: key, Entry: e}) // strings and ints always encode
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	return append(buf, payload...)
+}
+
+// run is the writer goroutine: it serves the inbox in order and the GC
+// ticker until Close, then drains the inbox and closes the journal.
+func (st *diskStore) run() {
+	defer close(st.stopped)
+	for {
+		var tick <-chan time.Time
+		if st.ticker != nil {
+			tick = st.ticker.C
+		}
+		select {
+		case <-st.wake:
+		case <-tick:
+			st.gc()
+			continue
+		}
+		st.mu.Lock()
+		ops, closing := st.pending, st.closing
+		st.pending = nil
+		st.mu.Unlock()
+		for len(ops) > 0 {
+			if ops[0].fn != nil {
+				ops[0].fn()
+				ops = ops[1:]
+				continue
+			}
+			n := 1
+			for n < len(ops) && ops[n].fn == nil {
+				n++
+			}
+			st.commit(ops[:n])
+			ops = ops[n:]
+		}
+		if closing {
+			if st.ticker != nil {
+				st.ticker.Stop()
+			}
+			st.journal.Close()
+			return
+		}
 	}
 }
 
-// gcOnce applies the age bound then the size bound, flushing the index if
-// anything went. It returns how many entries were removed.
-func (st *diskStore) gcOnce() int {
+// send queues op for the writer, reporting false once Close has begun.
+func (st *diskStore) send(op storeOp) bool {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	removed := st.gcAgeLocked() + st.gcSizeLocked()
-	if removed > 0 {
-		st.flushIndexLocked()
+	if st.closing {
+		st.mu.Unlock()
+		return false
 	}
-	return removed
+	st.pending = append(st.pending, op)
+	st.mu.Unlock()
+	select {
+	case st.wake <- struct{}{}:
+	default:
+	}
+	return true
 }
 
-func (st *diskStore) gcAgeLocked() int {
-	if st.maxAge <= 0 {
-		return 0
+// call runs fn on the writer goroutine and waits for it; after Close it
+// does nothing.
+func (st *diskStore) call(fn func()) {
+	done := make(chan struct{})
+	if st.send(storeOp{fn: func() { fn(); close(done) }}) {
+		<-done
 	}
-	cutoff := st.now().Add(-st.maxAge).Unix()
-	removed := 0
-	for _, key := range st.keysOldestFirstLocked() {
-		if st.index[key].Stored >= cutoff {
+}
+
+// commit makes a batch of puts durable and visible: new blobs first, then
+// one append of the batch's records, then the index rows, and only then
+// each put's then.
+func (st *diskStore) commit(puts []storeOp) {
+	var (
+		buf     []byte
+		keys    []string
+		rows    []*storeEntry
+		written = make(map[string]bool) // blobs this batch wrote
+		staged  = make(map[string]string)
+	)
+	stored := st.now().Unix()
+	for _, p := range puts {
+		if !validAddress(p.address) || len(p.key) > maxKeyBytes {
+			continue
+		}
+		have, ok := staged[p.key]
+		if e, found := st.index[p.key]; !ok && found {
+			have = e.Address
+		}
+		if have == p.address {
+			continue // already stored
+		}
+		if st.refs[p.address] == 0 && !written[p.address] {
+			if writeFileAtomic(st.blobPath(p.address), filepath.Join(st.dir, "blobs"), p.body) != nil {
+				continue // best effort: the in-memory cache still has it
+			}
+			written[p.address] = true
+		}
+		e := &storeEntry{Address: p.address, Size: int64(len(p.body)), Stored: stored}
+		buf = appendRecord(buf, p.key, e)
+		keys, rows = append(keys, p.key), append(rows, e)
+		staged[p.key] = p.address
+	}
+	// A failed append leaves the batch's blobs unreferenced; the next open
+	// sweeps them.
+	if len(keys) > 0 && st.appendRecords(buf, len(keys)) == nil {
+		var dead []string
+		st.mu.Lock()
+		for i, key := range keys {
+			dead = st.setLocked(key, rows[i], dead)
+		}
+		st.mu.Unlock()
+		_, dead = st.evict(math.MinInt64, dead)
+		st.removeBlobs(dead)
+	}
+	for _, p := range puts {
+		p.then()
+	}
+	if st.records > len(st.index) {
+		st.compact()
+	}
+}
+
+// appendRecords writes n encoded records with one write and one fsync. A
+// failed append may have left part of itself behind, and replay would stop
+// there, so the next append compacts first.
+func (st *diskStore) appendRecords(buf []byte, n int) error {
+	if st.torn {
+		if err := st.compact(); err != nil {
+			return err
+		}
+	}
+	_, err := st.journal.Write(buf)
+	if err == nil {
+		err = st.journal.Sync()
+	}
+	if err != nil {
+		st.torn = true
+		return err
+	}
+	st.records += n
+	return nil
+}
+
+// compact writes the index as a fresh snapshot and only then empties the
+// journal: a crash between the two replays records whose effect the
+// snapshot already holds, which gives the same index.
+func (st *diskStore) compact() error {
+	data, err := json.Marshal(storeIndex{Version: 1, Entries: st.index})
+	if err != nil {
+		return err
+	}
+	if err := writeFileAtomic(filepath.Join(st.dir, snapshotFile), st.dir, data); err != nil {
+		return err
+	}
+	if err := st.journal.Truncate(0); err != nil {
+		return err
+	}
+	if err := st.journal.Sync(); err != nil {
+		return err
+	}
+	st.records, st.torn = 0, false
+	return nil
+}
+
+// setLocked points key's row at e, or drops it when e is nil, and returns
+// dead extended by the address whose last reference went, if any.
+func (st *diskStore) setLocked(key string, e *storeEntry, dead []string) []string {
+	if old, ok := st.index[key]; ok {
+		delete(st.index, key)
+		st.refs[old.Address]--
+		if st.refs[old.Address] <= 0 {
+			delete(st.refs, old.Address)
+			st.size -= old.Size
+			dead = append(dead, old.Address)
+		}
+	}
+	if e != nil {
+		st.index[key] = e
+		if st.refs[e.Address] == 0 {
+			st.size += e.Size
+		}
+		st.refs[e.Address]++
+	}
+	return dead
+}
+
+// removeBlobs deletes the blobs of dead addresses that no row took back.
+func (st *diskStore) removeBlobs(dead []string) {
+	for _, addr := range dead {
+		if st.refs[addr] == 0 {
+			os.Remove(st.blobPath(addr))
+		}
+	}
+}
+
+// evict drops rows oldest-stored first while they were stored before
+// cutoff or the blobs are over budget (the size bound keeps the newest
+// row), journals the drops, and returns how many went, with dead extended
+// by the addresses they left unreferenced.
+func (st *diskStore) evict(cutoff int64, dead []string) (int, []string) {
+	if cutoff == math.MinInt64 && st.size <= st.maxBytes {
+		return 0, dead
+	}
+	keys := st.keysOldestFirst()
+	n := 0
+	st.mu.Lock()
+	for _, key := range keys {
+		if st.index[key].Stored >= cutoff && (st.size <= st.maxBytes || len(st.index) <= 1) {
 			break
 		}
-		st.dropLocked(key)
-		removed++
+		dead = st.setLocked(key, nil, dead)
+		n++
 	}
-	st.removed += uint64(removed)
-	return removed
-}
-
-func (st *diskStore) gcSizeLocked() int {
-	if st.size <= st.maxBytes {
-		return 0
-	}
-	removed := 0
-	for _, key := range st.keysOldestFirstLocked() {
-		if st.size <= st.maxBytes || len(st.index) <= 1 {
-			break
+	st.removed += uint64(n)
+	st.mu.Unlock()
+	if n > 0 {
+		var buf []byte
+		for _, key := range keys[:n] {
+			buf = appendRecord(buf, key, nil)
 		}
-		st.dropLocked(key)
-		removed++
+		st.appendRecords(buf, n)
 	}
-	st.removed += uint64(removed)
+	return n, dead
+}
+
+// gc applies the age bound then the size bound, compacting if anything
+// went. It returns how many entries were removed.
+func (st *diskStore) gc() int {
+	cutoff := int64(math.MinInt64)
+	if st.maxAge > 0 {
+		cutoff = st.now().Add(-st.maxAge).Unix()
+	}
+	n, dead := st.evict(cutoff, nil)
+	if n > 0 {
+		st.compact()
+	}
+	st.removeBlobs(dead)
+	return n
+}
+
+// gcOnce runs a GC pass on the writer and returns how many entries it
+// removed.
+func (st *diskStore) gcOnce() int {
+	removed := 0
+	st.call(func() { removed = st.gc() })
 	return removed
 }
 
-// keysOldestFirstLocked orders index keys by (stored time, key) — a
+// keysOldestFirst orders index keys by (stored time, key) — a
 // deterministic eviction order regardless of map iteration.
-func (st *diskStore) keysOldestFirstLocked() []string {
+func (st *diskStore) keysOldestFirst() []string {
 	keys := make([]string, 0, len(st.index))
 	for k := range st.index {
 		keys = append(keys, k)
@@ -285,48 +535,87 @@ func (st *diskStore) keysOldestFirstLocked() []string {
 	return keys
 }
 
-// flushIndexLocked writes the index via temp+rename. encoding/json sorts
-// map keys, so the file bytes are deterministic for a given state.
-func (st *diskStore) flushIndexLocked() error {
-	data, err := json.Marshal(storeIndex{Version: 1, Entries: st.index})
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(filepath.Join(st.dir, "index.json"), st.dir, data)
-}
-
-// startGC runs the GC loop until Close. interval <= 0 means one minute.
+// startGC makes the writer run a GC pass every interval until Close.
+// interval <= 0 means one minute.
 func (st *diskStore) startGC(interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Minute
 	}
-	st.gcStop = make(chan struct{})
-	st.gcDone = make(chan struct{})
-	go func() {
-		defer close(st.gcDone)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-st.gcStop:
-				return
-			case <-t.C:
-				st.gcOnce()
-			}
-		}
-	}()
+	st.send(storeOp{fn: func() { st.ticker = time.NewTicker(interval) }})
 }
 
-// Close stops the GC loop and waits for it to exit. Idempotent; the index
-// is already durable (flushed on every mutation), so there is nothing else
-// to do.
+// Get returns the body stored under key, re-hashing it against its address
+// — never trust disk. A corrupt or missing blob drops the entry (waiting
+// for the writer to journal the drop and remove the file) and reports a
+// miss, so the caller recomputes instead of serving garbage.
+func (st *diskStore) Get(key string) (body []byte, address string, ok bool) {
+	st.mu.Lock()
+	e, found := st.index[key]
+	if !found {
+		st.misses++
+		st.mu.Unlock()
+		return nil, "", false
+	}
+	addr := e.Address
+	st.mu.Unlock()
+
+	body, err := os.ReadFile(st.blobPath(addr))
+	if err != nil || metrics.AddressBytes(body) != addr {
+		st.call(func() { st.dropCorrupt(key, addr) })
+		st.mu.Lock()
+		st.misses++
+		st.mu.Unlock()
+		return nil, "", false
+	}
+	st.mu.Lock()
+	st.hits++
+	st.mu.Unlock()
+	return body, addr, true
+}
+
+// dropCorrupt drops key's row if it still points at address, whose blob
+// failed its re-hash (a later put may have replaced the row since).
+func (st *diskStore) dropCorrupt(key, address string) {
+	if e, ok := st.index[key]; !ok || e.Address != address {
+		return
+	}
+	st.mu.Lock()
+	dead := st.setLocked(key, nil, nil)
+	st.mu.Unlock()
+	st.appendRecords(appendRecord(nil, key, nil), 1)
+	st.compact()
+	st.removeBlobs(dead)
+}
+
+// PutAsync queues body for storage under key and returns at once; then
+// runs on the writer goroutine once the record is durable or the put has
+// failed (or at once, after Close). Best effort: an I/O failure loses
+// persistence, not correctness — the in-memory cache still has the result.
+func (st *diskStore) PutAsync(key string, body []byte, address string, then func()) {
+	if !st.send(storeOp{key: key, address: address, body: body, then: then}) {
+		then()
+	}
+}
+
+// Put persists body under key and returns once its record is durable or
+// the put has failed.
+func (st *diskStore) Put(key string, body []byte, address string) {
+	done := make(chan struct{})
+	st.PutAsync(key, body, address, func() { close(done) })
+	<-done
+}
+
+// Close lets the writer finish every queued put and request, then stops
+// it. Idempotent; everything a put reported done is already durable.
 func (st *diskStore) Close() {
-	st.stopOnce.Do(func() {
-		if st.gcStop != nil {
-			close(st.gcStop)
-			<-st.gcDone
-		}
-	})
+	st.mu.Lock()
+	st.closing = true
+	st.mu.Unlock()
+	select {
+	case st.wake <- struct{}{}:
+	default:
+	}
+	<-st.stopped
 }
 
 // diskStats is the /metrics (and test) view of the store.

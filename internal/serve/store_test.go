@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -260,5 +264,385 @@ func TestStoreGCLoopLifecycle(t *testing.T) {
 	// Close again: idempotent, no panic, no hang.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// indexOf copies st's index rows.
+func indexOf(st *diskStore) map[string]storeEntry {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out := make(map[string]storeEntry, len(st.index))
+	for k, e := range st.index {
+		out[k] = *e
+	}
+	return out
+}
+
+// mustOpen opens a store over dir with no bounds, closing it after the test.
+func mustOpen(t *testing.T, dir string) *diskStore {
+	t.Helper()
+	st, err := openDiskStore(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
+
+// readFile returns path's bytes, failing the test on error.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// copyStore copies a closed store's snapshot and blobs from src to a fresh
+// directory, with journal as its journal.
+func copyStore(t *testing.T, src string, journal []byte) string {
+	t.Helper()
+	dst := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dst, "blobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := os.ReadDir(filepath.Join(src, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range blobs {
+		data := readFile(t, filepath.Join(src, "blobs", de.Name()))
+		if err := os.WriteFile(filepath.Join(dst, "blobs", de.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dst, snapshotFile), readFile(t, filepath.Join(src, snapshotFile)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dst, journalFile), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestStoreJournalTornTail cuts the journal at every byte offset of its
+// last record, as a crash mid-append would leave it: every reopen holds
+// exactly the records before the cut, and the cut record's blob is swept.
+func TestStoreJournalTornTail(t *testing.T) {
+	src := t.TempDir()
+	st, err := openDiskStore(src, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		st.Put(storeArtifact(i))
+	}
+	before := indexOf(st)
+	fi, err := os.Stat(filepath.Join(src, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastStart := int(fi.Size())
+	key, body, addr := storeArtifact(2)
+	st.Put(key, body, addr)
+	all := indexOf(st)
+	st.Close()
+	journal := readFile(t, filepath.Join(src, journalFile))
+	if len(before) != 2 || len(all) != 3 || lastStart == 0 || lastStart >= len(journal) {
+		t.Fatalf("setup: %d then %d rows, last record at %d of %d bytes", len(before), len(all), lastStart, len(journal))
+	}
+
+	for cut := lastStart; cut <= len(journal); cut++ {
+		dir := copyStore(t, src, journal[:cut])
+		st := mustOpen(t, dir)
+		want := before
+		if cut == len(journal) {
+			want = all
+		}
+		if got := indexOf(st); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d of %d: index %v, want %v", cut, len(journal), got, want)
+		}
+		_, err := os.Stat(st.blobPath(addr))
+		if swept := os.IsNotExist(err); swept != (cut < len(journal)) {
+			t.Fatalf("cut at %d of %d: the last put's blob swept=%v", cut, len(journal), swept)
+		}
+		if data := readFile(t, filepath.Join(dir, journalFile)); len(data) != 0 {
+			t.Fatalf("cut at %d: journal holds %d bytes after open, want it compacted away", cut, len(data))
+		}
+		st.Close()
+	}
+
+	// A record that fails its checksum ends the replay: flipping a digit of
+	// the first record's storedUnix leaves valid JSON, yet no journal row
+	// survives.
+	flipped := append([]byte(nil), journal...)
+	i := strings.Index(string(flipped), `"storedUnix":`) + len(`"storedUnix":`)
+	flipped[i] ^= 1
+	if got := indexOf(mustOpen(t, copyStore(t, src, flipped))); len(got) != 0 {
+		t.Fatalf("a journal whose first record fails its checksum opened to %v", got)
+	}
+}
+
+// TestStoreOpenChecksRowsAgainstBlobs: at open a blob no record names is
+// swept, and a record whose blob is missing or short is dropped (and the
+// short blob swept with it).
+func TestStoreOpenChecksRowsAgainstBlobs(t *testing.T) {
+	dir := t.TempDir()
+	st, err := openDiskStore(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs [3]string
+	for i := range addrs {
+		var key string
+		var body []byte
+		key, body, addrs[i] = storeArtifact(i)
+		st.Put(key, body, addrs[i])
+	}
+	st.Close()
+	if err := os.Remove(st.blobPath(addrs[1])); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(st.blobPath(addrs[2]), 100); err != nil {
+		t.Fatal(err)
+	}
+	_, stray, strayAddr := storeArtifact(3)
+	if err := os.WriteFile(st.blobPath(strayAddr), stray, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st = mustOpen(t, dir)
+	key0, body0, _ := storeArtifact(0)
+	if got := indexOf(st); len(got) != 1 || got[key0].Address != addrs[0] {
+		t.Fatalf("index after open: %v, want only %s", got, key0)
+	}
+	if stats := st.Stats(); stats.Bytes != int64(len(body0)) {
+		t.Fatalf("stats after open: %+v", stats)
+	}
+	for _, addr := range []string{addrs[2], strayAddr} {
+		if _, err := os.Stat(st.blobPath(addr)); !os.IsNotExist(err) {
+			t.Fatalf("blob %s not swept", addr)
+		}
+	}
+}
+
+// TestStoreCompactionCrash restores the journal that compaction truncated
+// beside the snapshot it wrote first, as a crash between the two steps
+// leaves them: reopening gives the same index.
+func TestStoreCompactionCrash(t *testing.T) {
+	clock := time.Unix(5_000_000, 0)
+	open := func(t *testing.T, dir string, maxBytes int64, maxAge time.Duration) *diskStore {
+		t.Helper()
+		st, err := openDiskStore(dir, maxBytes, maxAge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.now = func() time.Time { return clock }
+		return st
+	}
+	put := func(st *diskStore, i int) {
+		clock = clock.Add(time.Second)
+		st.Put(storeArtifact(i))
+	}
+	// reopenWith writes journal beside dir's snapshot, reopens, and checks
+	// the index and the snapshot's bytes are the ones the snapshot holds.
+	reopenWith := func(t *testing.T, dir string, journal []byte) {
+		t.Helper()
+		st := open(t, dir, 0, 0)
+		want := indexOf(st)
+		st.Close()
+		snapshot := readFile(t, filepath.Join(dir, snapshotFile))
+		if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st = open(t, dir, 0, 0)
+		got := indexOf(st)
+		st.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("index after replaying the truncated journal:\n%v\nwant\n%v", got, want)
+		}
+		if again := readFile(t, filepath.Join(dir, snapshotFile)); string(again) != string(snapshot) {
+			t.Fatalf("snapshot changed:\n%s\nwant\n%s", again, snapshot)
+		}
+	}
+
+	t.Run("at open", func(t *testing.T) {
+		dir := t.TempDir()
+		budget := int64(10*4<<10 + 100)
+		st := open(t, dir, budget, 0)
+		for i := range 10 {
+			put(st, i)
+		}
+		st.Close()
+		// The next session's puts go to the journal: a new row past the
+		// budget (so the oldest row's drop), then a replaced row.
+		st = open(t, dir, budget, 0)
+		put(st, 10)
+		key5, _, _ := storeArtifact(5)
+		_, body, addr := storeArtifact(11)
+		clock = clock.Add(time.Second)
+		st.Put(key5, body, addr)
+		if stats := st.Stats(); stats.Entries != 10 || stats.Removed != 1 {
+			t.Fatalf("stats: %+v, want 10 entries after one eviction", stats)
+		}
+		st.Close()
+		reopenWith(t, dir, readFile(t, filepath.Join(dir, journalFile)))
+	})
+
+	// A GC pass journals its drops and then compacts; run its first step
+	// alone, so the journal is the one its compaction would truncate.
+	t.Run("after GC", func(t *testing.T) {
+		dir := t.TempDir()
+		st := open(t, dir, 0, time.Hour)
+		for i := range 4 {
+			put(st, i)
+		}
+		want := readFile(t, filepath.Join(dir, journalFile))
+		for i := range 2 {
+			key, _, _ := storeArtifact(i)
+			want = appendRecord(want, key, nil)
+		}
+		clock = clock.Add(time.Hour - time.Second) // the first two rows are over an hour old
+		removed := 0
+		st.call(func() { removed, _ = st.evict(clock.Add(-time.Hour).Unix(), nil) })
+		journal := readFile(t, filepath.Join(dir, journalFile))
+		if removed != 2 || string(journal) != string(want) {
+			t.Fatalf("GC removed %d rows and left a %d-byte journal, want 2 rows and their drops (%d bytes)", removed, len(journal), len(want))
+		}
+		st.Close()
+		reopenWith(t, dir, journal)
+	})
+}
+
+// TestStoreConcurrentPutsAndGets runs puts (synchronous and queued, some
+// sharing a body) and Gets from several goroutines at once; run it with
+// -race -count=10. Every Get that hits returns the bytes put under its
+// key, and every put is in the index once the puts return.
+func TestStoreConcurrentPutsAndGets(t *testing.T) {
+	const writers, perWriter, readers = 4, 20, 4
+	dir := t.TempDir()
+	st := mustOpen(t, dir)
+	_, shared, sharedAddr := storeArtifact(-1)
+	var puts, gets sync.WaitGroup
+	for w := range writers {
+		puts.Add(1)
+		go func() {
+			defer puts.Done()
+			var queued sync.WaitGroup
+			for i := range perWriter {
+				key, body, addr := storeArtifact(w*perWriter + i)
+				if i%2 == 0 {
+					st.Put(key, body, addr)
+					continue
+				}
+				queued.Add(1)
+				st.PutAsync(key, body, addr, queued.Done)
+			}
+			st.Put(fmt.Sprintf("shared-%d", w), shared, sharedAddr)
+			queued.Wait()
+		}()
+	}
+	stop := make(chan struct{})
+	for r := range readers {
+		gets.Add(1)
+		go func() {
+			defer gets.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key, body, addr := storeArtifact(i % (writers * perWriter))
+				if got, gotAddr, ok := st.Get(key); ok && (gotAddr != addr || string(got) != string(body)) {
+					t.Errorf("Get(%s) = %s, want %s", key, gotAddr, addr)
+				}
+			}
+		}()
+	}
+	puts.Wait()
+	close(stop)
+	gets.Wait()
+	want := writers*perWriter + writers
+	if stats := st.Stats(); stats.Entries != want || stats.Bytes != int64(writers*perWriter+1)*4<<10 {
+		t.Fatalf("stats after the puts: %+v, want %d entries", stats, want)
+	}
+	before := indexOf(st)
+	st.Close()
+	if got := indexOf(mustOpen(t, dir)); !reflect.DeepEqual(got, before) {
+		t.Fatalf("reopened index differs: %d rows, want %d", len(got), len(before))
+	}
+}
+
+// TestServerCloseWhileCommitting: jobs whose runs finished while the
+// store's writer was busy report running, not done, until their records
+// are durable; Close lets the writer commit them, and after a restart each
+// is served from disk without a run.
+func TestServerCloseWhileCommitting(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Version: "v-test", StoreDir: dir}
+	s := mustNew(t, cfg)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	// Park the writer so every finished run waits on its commit.
+	release := make(chan struct{})
+	s.disk.send(storeOp{fn: func() { <-release }})
+	const jobs = 6
+	keys := make([]string, jobs)
+	for i := range keys {
+		keys[i] = submit(t, ts.URL, fmt.Sprintf(`{"spec": %s, "seed": %d}`, tinySpec, 70+i)).Key
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Runs() < jobs {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d jobs ran", s.Runs(), jobs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	status := func(key string) string {
+		code, _, data := getBody(t, ts.URL+"/jobs/"+key)
+		var st jobStatus
+		if code != http.StatusOK || json.Unmarshal(data, &st) != nil {
+			t.Fatalf("GET /jobs/%s: status %d: %s", key, code, data)
+		}
+		return st.Status
+	}
+	for _, key := range keys {
+		if got := status(key); got != StateRunning {
+			t.Fatalf("job %s is %s before its record is durable, want running", key, got)
+		}
+	}
+
+	closed := make(chan error)
+	go func() { closed <- s.Close() }()
+	for {
+		s.mu.Lock()
+		closing := s.closed
+		s.mu.Unlock()
+		if closing {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if got := status(key); got != StateDone {
+			t.Fatalf("job %s is %s after Close, want done", key, got)
+		}
+	}
+
+	s2, ts2 := newTestServer(t, cfg)
+	for _, key := range keys {
+		if code, _, data := getBody(t, ts2.URL+"/results/"+key); code != http.StatusOK {
+			t.Fatalf("restarted server: GET /results/%s: status %d: %s", key, code, data)
+		}
+	}
+	if s2.Runs() != 0 {
+		t.Fatalf("restarted server ran %d simulations", s2.Runs())
 	}
 }
