@@ -27,47 +27,37 @@ import (
 // Layout under the store directory:
 //
 //	index.json            snapshot: cache key -> {address, size, storedUnix}
-//	index.journal         index records appended since the snapshot
+//	index.journal         records appended since the snapshot
 //	blobs/sha256-<hex>    one canonical artifact body per unique address
 //
 // A journal record is a little-endian uint32 payload length, the payload's
-// CRC-32C as a little-endian uint32, and the payload: JSON {key, entry}, or
-// {key} alone for a drop. The index is the snapshot with the journal
-// replayed over it in order.
-//
-// Two cache keys whose runs converged on identical bytes share one blob
-// (content addressing dedupes for free); a blob is deleted only when its
-// last index entry goes.
+// CRC-32C as a little-endian uint32, and the payload: JSON {key, entry},
+// or {key} alone for a drop. The index is the snapshot with the journal
+// replayed over it. Two cache keys whose runs converged on identical bytes
+// share one blob; a blob is deleted only when its last row goes.
 //
 // One writer goroutine owns every file write. It takes all queued puts,
-// writes each new blob to a temporary file, fsyncs and renames it, appends
-// the batch's records with one write and one fsync, and only then
-// publishes the rows to the in-memory index and reports the puts done.
-// Removing a row (the size and age bounds, a blob that fails its re-hash)
-// appends a drop record the same way before the blob goes, so every change
-// to the index is in the journal before it is on disk anywhere else.
-// Compaction writes the whole index as a fresh snapshot (temp, fsync,
-// rename) and only then truncates the journal, so a crash between the two
-// replays records the snapshot already holds and gives the same index. It
-// runs at open, after a GC pass or a corrupt blob removes rows, and when
-// the journal holds more records than the index has entries, which keeps a
-// put's cost O(1) on average whatever the index's size.
-//
-// mu guards the in-memory state only and is never held across a file
-// operation, so a Get never waits on an fsync. Only the writer changes the
-// maps (under mu), so it reads them without the lock.
+// writes each new blob via temp+fsync+rename, appends the batch's records
+// with one write and one fsync, and only then publishes the rows and
+// reports the puts done. A removed row's drop record is appended the same
+// way before its blob goes. Compaction writes the index as a fresh
+// snapshot and only then truncates the journal, so a crash between the two
+// replays records the snapshot already holds. It runs at open, after GC or
+// a corrupt blob removes rows, and when the journal holds more records
+// than the index has rows, so a put costs O(1) on average. mu guards the
+// in-memory state only and is never held across file I/O, so a Get never
+// waits on an fsync; only the writer changes the maps, so it reads them
+// without the lock.
 //
 // Disk is never trusted on the way back in: open stops replaying at the
 // first record that is short, over maxRecordBytes, fails its checksum or
 // does not decode, and drops rows whose blob is missing or mis-sized;
-// every Get re-hashes the blob and drops the entry (and file) on mismatch.
+// every Get re-hashes its blob and drops the row (and file) on mismatch.
 //
-// GC passes run on the writer's ticker. They bound the store by age
-// (entries stored longer than maxAge ago) and by size (oldest-stored
-// entries evict until the byte budget holds; the newest entry always
-// survives, mirroring the in-memory LRU's invariant). The size bound is
-// also enforced after every batch of puts so a burst can't overshoot by
-// more than one batch between ticks.
+// GC passes on the writer's ticker bound the store by age (rows stored
+// longer than maxAge ago) and by size (oldest-stored rows evict until the
+// byte budget holds; the newest always survives, mirroring the in-memory
+// LRU's invariant). The size bound also runs after every batch of puts.
 type diskStore struct {
 	dir      string
 	maxBytes int64
@@ -346,19 +336,15 @@ func (st *diskStore) commit(puts []storeOp) {
 		buf     []byte
 		keys    []string
 		rows    []*storeEntry
-		written = make(map[string]bool) // blobs this batch wrote
-		staged  = make(map[string]string)
+		written = make(map[string]bool) // addresses whose blob this batch wrote
+		staged  = make(map[string]bool) // keys this batch has a record for
 	)
 	stored := st.now().Unix()
 	for _, p := range puts {
 		if !validAddress(p.address) || len(p.key) > maxKeyBytes {
 			continue
 		}
-		have, ok := staged[p.key]
-		if e, found := st.index[p.key]; !ok && found {
-			have = e.Address
-		}
-		if have == p.address {
+		if e, ok := st.index[p.key]; ok && e.Address == p.address && !staged[p.key] {
 			continue // already stored
 		}
 		if st.refs[p.address] == 0 && !written[p.address] {
@@ -370,7 +356,7 @@ func (st *diskStore) commit(puts []storeOp) {
 		e := &storeEntry{Address: p.address, Size: int64(len(p.body)), Stored: stored}
 		buf = appendRecord(buf, p.key, e)
 		keys, rows = append(keys, p.key), append(rows, e)
-		staged[p.key] = p.address
+		staged[p.key] = true
 	}
 	// A failed append leaves the batch's blobs unreferenced; the next open
 	// sweeps them.

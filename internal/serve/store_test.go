@@ -373,11 +373,12 @@ func TestStoreJournalTornTail(t *testing.T) {
 		st.Close()
 	}
 
-	// A record that fails its checksum ends the replay: flipping a digit of
-	// the first record's storedUnix leaves valid JSON, yet no journal row
-	// survives.
+	// A record that fails its checksum ends the replay: flipping the last
+	// digit of the first record's storedUnix leaves valid JSON, yet no
+	// journal row survives.
 	flipped := append([]byte(nil), journal...)
-	i := strings.Index(string(flipped), `"storedUnix":`) + len(`"storedUnix":`)
+	i := strings.Index(string(flipped), `"storedUnix":`)
+	i += strings.IndexByte(string(flipped[i:]), '}') - 1
 	flipped[i] ^= 1
 	if got := indexOf(mustOpen(t, copyStore(t, src, flipped))); len(got) != 0 {
 		t.Fatalf("a journal whose first record fails its checksum opened to %v", got)
@@ -513,6 +514,62 @@ func TestStoreCompactionCrash(t *testing.T) {
 		st.Close()
 		reopenWith(t, dir, journal)
 	})
+}
+
+// TestStoreFailedAppendPublishesNothing: a put whose record cannot be
+// written still reports back (best effort), but its row is never published,
+// and a reopen neither serves it nor keeps its blob.
+func TestStoreFailedAppendPublishesNothing(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir)
+	st.Put(storeArtifact(0))
+	st.call(func() { st.journal.Close() }) // every later append fails
+	key, body, addr := storeArtifact(1)
+	st.Put(key, body, addr)
+	if _, _, ok := st.Get(key); ok {
+		t.Fatal("a put whose record failed to append is served")
+	}
+	if stats := st.Stats(); stats.Entries != 1 {
+		t.Fatalf("stats after the failed put: %+v, want 1 entry", stats)
+	}
+	st.Close()
+	if got := indexOf(mustOpen(t, dir)); len(got) != 1 {
+		t.Fatalf("reopened index: %v, want the first put only", got)
+	}
+	if _, err := os.Stat(st.blobPath(addr)); !os.IsNotExist(err) {
+		t.Fatal("the failed put's blob was not swept at reopen")
+	}
+}
+
+// TestStoreCompactionKeepsJournalUntilSnapshot: a compaction whose
+// snapshot cannot be written leaves the journal whole, so a reopen still
+// replays every record.
+func TestStoreCompactionKeepsJournalUntilSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir)
+	// A non-empty directory where the snapshot goes fails its rename.
+	snapshot := filepath.Join(dir, snapshotFile)
+	if err := os.Remove(snapshot); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(snapshot, "blocked"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		st.Put(storeArtifact(i))
+	}
+	// Replacing a row makes the journal outgrow the index: compaction.
+	key0, _, _ := storeArtifact(0)
+	_, body, addr := storeArtifact(2)
+	st.Put(key0, body, addr)
+	want := indexOf(st)
+	st.Close()
+	if err := os.RemoveAll(snapshot); err != nil {
+		t.Fatal(err)
+	}
+	if got := indexOf(mustOpen(t, dir)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("index after a failed compaction: %v, want %v", got, want)
+	}
 }
 
 // TestStoreConcurrentPutsAndGets runs puts (synchronous and queued, some
