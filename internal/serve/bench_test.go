@@ -23,8 +23,8 @@ func storeArtifact(i int) (key string, body []byte, address string) {
 
 // prefilledStore opens a store over n artifacts written straight to disk
 // (blobs and a snapshot, no fsyncs), as a store holding them would have
-// left its directory.
-func prefilledStore(b *testing.B, n int) *diskStore {
+// left its directory, with a budget of maxBytes (<= 0 means the default).
+func prefilledStore(b *testing.B, n int, maxBytes int64) *diskStore {
 	b.Helper()
 	dir := b.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
@@ -46,7 +46,7 @@ func prefilledStore(b *testing.B, n int) *diskStore {
 	if err := os.WriteFile(filepath.Join(dir, "index.json"), data, 0o644); err != nil {
 		b.Fatal(err)
 	}
-	st, err := openDiskStore(dir, 0, 0)
+	st, err := openDiskStore(dir, maxBytes, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,11 +55,23 @@ func prefilledStore(b *testing.B, n int) *diskStore {
 
 // BenchmarkStorePut times one Put of a new 4 KiB artifact into a store that
 // already holds 250 or 10⁴ of them. Put returns once the blob and its index
-// row are durable, so an op is the put's whole commit.
+// row are durable, so an op is the put's whole commit. At the budget the
+// store is full, so each put also evicts the oldest row and journals its
+// drop, as in a long-running server's steady state.
 func BenchmarkStorePut(b *testing.B) {
-	for _, entries := range []int{250, 10_000} {
-		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
-			st := prefilledStore(b, entries)
+	for _, c := range []struct {
+		entries  int
+		atBudget bool
+	}{{250, false}, {10_000, false}, {10_000, true}} {
+		name := fmt.Sprintf("entries=%d", c.entries)
+		var maxBytes int64
+		if c.atBudget {
+			name += ",at-budget"
+			maxBytes = int64(c.entries) * 4 << 10
+		}
+		b.Run(name, func(b *testing.B) {
+			entries := c.entries
+			st := prefilledStore(b, entries, maxBytes)
 			defer st.Close()
 			keys, bodies, addrs := make([]string, b.N), make([][]byte, b.N), make([]string, b.N)
 			for i := range b.N {
@@ -70,8 +82,12 @@ func BenchmarkStorePut(b *testing.B) {
 				st.Put(keys[i], bodies[i], addrs[i])
 			}
 			b.StopTimer()
-			if got := st.Stats().Entries; got != entries+b.N {
-				b.Fatalf("store holds %d entries, want %d", got, entries+b.N)
+			want := entries + b.N
+			if c.atBudget {
+				want = entries
+			}
+			if got := st.Stats().Entries; got != want {
+				b.Fatalf("store holds %d entries, want %d", got, want)
 			}
 		})
 	}
@@ -82,7 +98,7 @@ func BenchmarkStorePut(b *testing.B) {
 // p50 and p99: a Get that waits on a Put's fsync shows in the p99.
 func BenchmarkStoreGetWhilePutting(b *testing.B) {
 	const entries = 250
-	st := prefilledStore(b, entries)
+	st := prefilledStore(b, entries, 0)
 	defer st.Close()
 	started, stop, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {

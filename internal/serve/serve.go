@@ -139,6 +139,12 @@ type Server struct {
 	queue     chan *job
 	execDone  chan struct{}
 	closeOnce sync.Once
+	// commitSlot holds a token while no finished job waits on the disk
+	// store's writer. The executor takes it before handing an artifact over
+	// and the job's commit returns it, so a run overlaps one commit at most
+	// and a slow disk fills the queue, whose bound refuses submits, rather
+	// than memory.
+	commitSlot chan struct{}
 
 	runs atomic.Uint64 // simulations actually executed (the singleflight proof)
 }
@@ -169,6 +175,8 @@ func New(cfg Config) (*Server, error) {
 		queue:    make(chan *job, cfg.QueueDepth),
 		execDone: make(chan struct{}),
 	}
+	s.commitSlot = make(chan struct{}, 1)
+	s.commitSlot <- struct{}{}
 	if s.run == nil {
 		s.run = func(spec *scenario.Spec, seed uint64, opts scenario.RunOptions) (*metrics.Artifact, error) {
 			return scenario.Run(spec, seed, opts)
@@ -294,23 +302,22 @@ func (s *Server) runJob(j *job) {
 	}
 	address := metrics.AddressBytes(body)
 	s.cache.Put(j.key, body, address)
+	if s.store != nil {
+		s.store.Publish(j.key, body, address) // may do network I/O: never on the disk store's writer
+	}
 	if s.disk == nil {
-		s.complete(j, body, address)
+		j.finish()
+		s.retire(j)
 		return
 	}
 	// The disk store's writer reports the job done once its record is
 	// durable, while the executor goes on to the next run.
-	s.disk.PutAsync(j.key, body, address, func() { s.complete(j, body, address) })
-}
-
-// complete publishes a finished job's artifact to the federated store and
-// reports the job done.
-func (s *Server) complete(j *job, body []byte, address string) {
-	if s.store != nil {
-		s.store.Publish(j.key, body, address)
-	}
-	j.finish()
-	s.retire(j)
+	<-s.commitSlot
+	s.disk.PutAsync(j.key, body, address, func() {
+		j.finish()
+		s.retire(j)
+		s.commitSlot <- struct{}{}
+	})
 }
 
 // retire moves a finished job into the bounded retention ring, dropping the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"container/heap"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,7 +11,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -36,18 +36,19 @@ import (
 // replayed over it. Two cache keys whose runs converged on identical bytes
 // share one blob; a blob is deleted only when its last row goes.
 //
-// One writer goroutine owns every file write. It takes all queued puts,
-// writes each new blob via temp+fsync+rename, appends the batch's records
-// with one write and one fsync, and only then publishes the rows and
-// reports the puts done. A removed row's drop record is appended the same
-// way before its blob goes. Compaction writes the index as a fresh
-// snapshot and only then truncates the journal, so a crash between the two
-// replays records the snapshot already holds. It runs at open, after GC or
-// a corrupt blob removes rows, and when the journal holds more records
-// than the index has rows, so a put costs O(1) on average. mu guards the
-// in-memory state only and is never held across file I/O, so a Get never
-// waits on an fsync; only the writer changes the maps, so it reads them
-// without the lock.
+// One writer goroutine owns every file write and serves its requests in
+// order. A put writes its blob via temp+fsync+rename unless the store
+// holds it already, appends its record with one write and one fsync, and
+// only then publishes the row and reports the put done. A removed row's
+// drop record is appended the same way before its blob goes. Compaction
+// writes the index as a fresh snapshot, fsyncs the directory so the
+// snapshot's rename is durable, and only then truncates the journal, so a
+// crash between the two replays records the snapshot already holds. It
+// runs at open, after GC or a corrupt blob removes rows, and when the
+// journal holds more records than the index has rows, so a put costs O(1)
+// on average. mu guards the in-memory state only and is never held across
+// file I/O, so a Get never waits on an fsync; only the writer changes the
+// maps, so it reads them without the lock.
 //
 // Disk is never trusted on the way back in: open stops replaying at the
 // first record that is short, over maxRecordBytes, fails its checksum or
@@ -57,7 +58,9 @@ import (
 // GC passes on the writer's ticker bound the store by age (rows stored
 // longer than maxAge ago) and by size (oldest-stored rows evict until the
 // byte budget holds; the newest always survives, mirroring the in-memory
-// LRU's invariant). The size bound also runs after every batch of puts.
+// LRU's invariant). The size bound also runs after every put. Rows leave
+// in (stored time, key) order off a heap, so a put into a store at its
+// budget costs O(log n) in memory, not a sort of the index.
 type diskStore struct {
 	dir      string
 	maxBytes int64
@@ -81,6 +84,7 @@ type diskStore struct {
 	records int          // records in the journal since the snapshot
 	torn    bool         // an append failed, so the journal's tail is in doubt
 	ticker  *time.Ticker // GC cadence; nil until startGC
+	order   ageOrder     // eviction order: every row, and some replaced or dropped since
 }
 
 // storeOp is one request to the writer: a put of body under key, whose
@@ -214,6 +218,7 @@ func (st *diskStore) load() error {
 		st.journal.Close()
 		return fmt.Errorf("serve: compacting store index: %w", err)
 	}
+	st.reorder()
 	return nil
 }
 
@@ -280,18 +285,12 @@ func (st *diskStore) run() {
 		ops, closing := st.pending, st.closing
 		st.pending = nil
 		st.mu.Unlock()
-		for len(ops) > 0 {
-			if ops[0].fn != nil {
-				ops[0].fn()
-				ops = ops[1:]
-				continue
+		for _, op := range ops {
+			if op.fn != nil {
+				op.fn()
+			} else {
+				st.commit(op)
 			}
-			n := 1
-			for n < len(ops) && ops[n].fn == nil {
-				n++
-			}
-			st.commit(ops[:n])
-			ops = ops[n:]
 		}
 		if closing {
 			if st.ticker != nil {
@@ -328,54 +327,43 @@ func (st *diskStore) call(fn func()) {
 	}
 }
 
-// commit makes a batch of puts durable and visible: new blobs first, then
-// one append of the batch's records, then the index rows, and only then
-// each put's then.
-func (st *diskStore) commit(puts []storeOp) {
-	var (
-		buf     []byte
-		keys    []string
-		rows    []*storeEntry
-		written = make(map[string]bool) // addresses whose blob this batch wrote
-		staged  = make(map[string]bool) // keys this batch has a record for
-	)
-	stored := st.now().Unix()
-	for _, p := range puts {
-		if !validAddress(p.address) || len(p.key) > maxKeyBytes {
-			continue
-		}
-		if e, ok := st.index[p.key]; ok && e.Address == p.address && !staged[p.key] {
-			continue // already stored
-		}
-		if st.refs[p.address] == 0 && !written[p.address] {
-			if writeFileAtomic(st.blobPath(p.address), filepath.Join(st.dir, "blobs"), p.body) != nil {
-				continue // best effort: the in-memory cache still has it
-			}
-			written[p.address] = true
-		}
-		e := &storeEntry{Address: p.address, Size: int64(len(p.body)), Stored: stored}
-		buf = appendRecord(buf, p.key, e)
-		keys, rows = append(keys, p.key), append(rows, e)
-		staged[p.key] = true
-	}
-	// A failed append leaves the batch's blobs unreferenced; the next open
-	// sweeps them.
-	if len(keys) > 0 && st.appendRecords(buf, len(keys)) == nil {
-		var dead []string
+// commit makes a put durable and visible: its blob first, then its
+// record's append, then its index row, and only then its then.
+func (st *diskStore) commit(p storeOp) {
+	if e := st.persist(p); e != nil {
 		st.mu.Lock()
-		for i, key := range keys {
-			dead = st.setLocked(key, rows[i], dead)
-		}
+		dead := st.setLocked(p.key, e, nil)
 		st.mu.Unlock()
 		_, dead = st.evict(math.MinInt64, dead)
 		st.removeBlobs(dead)
 	}
-	for _, p := range puts {
-		p.then()
-	}
+	p.then()
 	if st.records > len(st.index) {
 		st.compact()
 	}
+}
+
+// persist writes p's blob unless the store holds it already and appends
+// p's record, returning the row to publish; nil means there is nothing to
+// publish: the key already holds this address, or the put was invalid or
+// failed. Best effort: the in-memory cache still has a failed put's body,
+// and a blob left unreferenced by a failed append is swept at the next
+// open.
+func (st *diskStore) persist(p storeOp) *storeEntry {
+	if !validAddress(p.address) || len(p.key) > maxKeyBytes {
+		return nil
+	}
+	if e, ok := st.index[p.key]; ok && e.Address == p.address {
+		return nil // already stored
+	}
+	if st.refs[p.address] == 0 && writeFileAtomic(st.blobPath(p.address), filepath.Join(st.dir, "blobs"), p.body) != nil {
+		return nil
+	}
+	e := &storeEntry{Address: p.address, Size: int64(len(p.body)), Stored: st.now().Unix()}
+	if st.appendRecords(appendRecord(nil, p.key, e), 1) != nil {
+		return nil
+	}
+	return e
 }
 
 // appendRecords writes n encoded records with one write and one fsync. A
@@ -401,13 +389,18 @@ func (st *diskStore) appendRecords(buf []byte, n int) error {
 
 // compact writes the index as a fresh snapshot and only then empties the
 // journal: a crash between the two replays records whose effect the
-// snapshot already holds, which gives the same index.
+// snapshot already holds, which gives the same index. The directory is
+// fsynced in between, since a file system may persist the truncation
+// before a rename it has not been asked to sync.
 func (st *diskStore) compact() error {
 	data, err := json.Marshal(storeIndex{Version: 1, Entries: st.index})
 	if err != nil {
 		return err
 	}
 	if err := writeFileAtomic(filepath.Join(st.dir, snapshotFile), st.dir, data); err != nil {
+		return err
+	}
+	if err := syncDir(st.dir); err != nil {
 		return err
 	}
 	if err := st.journal.Truncate(0); err != nil {
@@ -438,6 +431,7 @@ func (st *diskStore) setLocked(key string, e *storeEntry, dead []string) []strin
 			st.size += e.Size
 		}
 		st.refs[e.Address]++
+		heap.Push(&st.order, ageRow{key, e})
 	}
 	return dead
 }
@@ -456,26 +450,32 @@ func (st *diskStore) removeBlobs(dead []string) {
 // row), journals the drops, and returns how many went, with dead extended
 // by the addresses they left unreferenced.
 func (st *diskStore) evict(cutoff int64, dead []string) (int, []string) {
+	if len(st.order) > 2*len(st.index)+64 {
+		st.reorder() // shed the rows replaced or dropped since they were pushed
+	}
 	if cutoff == math.MinInt64 && st.size <= st.maxBytes {
 		return 0, dead
 	}
-	keys := st.keysOldestFirst()
+	var buf []byte
 	n := 0
 	st.mu.Lock()
-	for _, key := range keys {
-		if st.index[key].Stored >= cutoff && (st.size <= st.maxBytes || len(st.index) <= 1) {
+	for len(st.order) > 0 {
+		top := st.order[0]
+		if st.index[top.key] != top.e {
+			heap.Pop(&st.order) // replaced or dropped since it was pushed
+			continue
+		}
+		if top.e.Stored >= cutoff && (st.size <= st.maxBytes || len(st.index) <= 1) {
 			break
 		}
-		dead = st.setLocked(key, nil, dead)
+		heap.Pop(&st.order)
+		dead = st.setLocked(top.key, nil, dead)
+		buf = appendRecord(buf, top.key, nil)
 		n++
 	}
 	st.removed += uint64(n)
 	st.mu.Unlock()
 	if n > 0 {
-		var buf []byte
-		for _, key := range keys[:n] {
-			buf = appendRecord(buf, key, nil)
-		}
 		st.appendRecords(buf, n)
 	}
 	return n, dead
@@ -504,21 +504,40 @@ func (st *diskStore) gcOnce() int {
 	return removed
 }
 
-// keysOldestFirst orders index keys by (stored time, key) — a
-// deterministic eviction order regardless of map iteration.
-func (st *diskStore) keysOldestFirst() []string {
-	keys := make([]string, 0, len(st.index))
-	for k := range st.index {
-		keys = append(keys, k)
+// ageOrder is a min-heap of rows by (stored time, key), the eviction
+// order: deterministic regardless of map iteration. A row replaced or
+// dropped since it was pushed stays until evict pops it or reorder sheds it.
+type ageOrder []ageRow
+
+type ageRow struct {
+	key string
+	e   *storeEntry
+}
+
+func (h ageOrder) Len() int { return len(h) }
+func (h ageOrder) Less(i, j int) bool {
+	if h[i].e.Stored != h[j].e.Stored {
+		return h[i].e.Stored < h[j].e.Stored
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := st.index[keys[i]], st.index[keys[j]]
-		if a.Stored != b.Stored {
-			return a.Stored < b.Stored
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
+	return h[i].key < h[j].key
+}
+func (h ageOrder) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *ageOrder) Push(x any)   { *h = append(*h, x.(ageRow)) }
+func (h *ageOrder) Pop() any {
+	old := *h
+	r := old[len(old)-1]
+	old[len(old)-1] = ageRow{}
+	*h = old[:len(old)-1]
+	return r
+}
+
+// reorder rebuilds the eviction heap from the index's rows alone.
+func (st *diskStore) reorder() {
+	st.order = make(ageOrder, 0, len(st.index))
+	for key, e := range st.index {
+		st.order = append(st.order, ageRow{key, e})
+	}
+	heap.Init(&st.order)
 }
 
 // startGC makes the writer run a GC pass every interval until Close.
@@ -662,6 +681,19 @@ func validAddress(address string) bool {
 		}
 	}
 	return true
+}
+
+// syncDir fsyncs dir, making the renames into it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeFileAtomic writes data to path via a temp file in tmpDir (same

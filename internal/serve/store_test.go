@@ -181,6 +181,51 @@ func TestStoreGC(t *testing.T) {
 	})
 }
 
+// TestStoreEvictionTracksReplacements: a key put again under a new body
+// is as old as its latest put, and the rows replaced on the way neither
+// evict it early nor pile up in the eviction order.
+func TestStoreEvictionTracksReplacements(t *testing.T) {
+	st, err := openDiskStore(t.TempDir(), 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	now := time.Unix(4_000_000, 0)
+	st.now = func() time.Time { return now }
+	put := func(key string, i int) {
+		body := []byte(fmt.Sprintf("%040d", i))
+		st.Put(key, body, metrics.AddressBytes(body))
+		now = now.Add(time.Second)
+	}
+	evicted := func(gone string, kept ...string) {
+		t.Helper()
+		if _, _, ok := st.Get(gone); ok {
+			t.Fatalf("the oldest row %s survived the size bound", gone)
+		}
+		for _, key := range kept {
+			if _, _, ok := st.Get(key); !ok {
+				t.Fatalf("row %s evicted in place of %s", key, gone)
+			}
+		}
+	}
+	put("k0", 0)
+	put("k1", 1)
+	put("k0", 2)
+	put("k2", 3) // 120 bytes against a 100-byte budget
+	evicted("k1", "k0", "k2")
+
+	for i := range 200 {
+		put("k2", 4+i) // under budget: nothing evicts, 200 rows replaced
+	}
+	var held, rows int
+	st.call(func() { held, rows = len(st.order), len(st.index) })
+	if held > 2*rows+64 {
+		t.Fatalf("eviction order holds %d rows for an index of %d", held, rows)
+	}
+	put("k3", 1000)
+	evicted("k0", "k2", "k3")
+}
+
 // TestStoreIndexSurvivesReload: a reopened store sees exactly the surviving
 // entries, shares blobs between keys with identical bodies, and sweeps
 // leftovers that nothing references.
@@ -632,10 +677,82 @@ func TestStoreConcurrentPutsAndGets(t *testing.T) {
 	}
 }
 
-// TestServerCloseWhileCommitting: jobs whose runs finished while the
-// store's writer was busy report running, not done, until their records
-// are durable; Close lets the writer commit them, and after a restart each
-// is served from disk without a run.
+// parkWriter holds the store's writer in a request until the returned func
+// is called (once or more; a deferred call is a safe net), so every later
+// put waits on its commit.
+func parkWriter(st *diskStore) (unpark func()) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	st.send(storeOp{fn: func() {
+		close(parked)
+		<-release
+	}})
+	<-parked
+	var once sync.Once
+	return func() { once.Do(func() { close(release) }) }
+}
+
+// waitClosing waits until Close has begun on st.
+func waitClosing(st *diskStore) {
+	for {
+		st.mu.Lock()
+		closing := st.closing
+		st.mu.Unlock()
+		if closing {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStoreCloseDrainsQueuedPuts: puts still queued behind a busy writer
+// when Close begins are committed before Close returns, and a reopen holds
+// every one.
+func TestStoreCloseDrainsQueuedPuts(t *testing.T) {
+	dir := t.TempDir()
+	st, err := openDiskStore(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpark := parkWriter(st)
+	defer unpark()
+	const puts = 4
+	var reported sync.WaitGroup
+	for i := range puts {
+		key, body, addr := storeArtifact(i)
+		reported.Add(1)
+		st.PutAsync(key, body, addr, reported.Done)
+	}
+	closed := make(chan struct{})
+	go func() {
+		st.Close()
+		close(closed)
+	}()
+	waitClosing(st)
+	unpark()
+	<-closed
+	reported.Wait()
+	if got := indexOf(mustOpen(t, dir)); len(got) != puts {
+		t.Fatalf("reopened index holds %d rows, want the %d puts queued at Close", len(got), puts)
+	}
+}
+
+// waitRuns waits until s has started n runs.
+func waitRuns(t *testing.T, s *Server, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Runs() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d jobs ran", s.Runs(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServerCloseWhileCommitting: a job whose run finished while the
+// store's writer was busy reports running, not done, until its record is
+// durable, and the executor holds the next finished job until then; Close
+// lets the writer commit both and fails the jobs still queued, and after a
+// restart each job reported done is served from disk without a run.
 func TestServerCloseWhileCommitting(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Version: "v-test", StoreDir: dir}
@@ -643,21 +760,15 @@ func TestServerCloseWhileCommitting(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// Park the writer so every finished run waits on its commit.
-	release := make(chan struct{})
-	s.disk.send(storeOp{fn: func() { <-release }})
+	unpark := parkWriter(s.disk)
+	defer unpark()
 	const jobs = 6
 	keys := make([]string, jobs)
 	for i := range keys {
 		keys[i] = submit(t, ts.URL, fmt.Sprintf(`{"spec": %s, "seed": %d}`, tinySpec, 70+i)).Key
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Runs() < jobs {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d jobs ran", s.Runs(), jobs)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// One finished job waits on its commit, the next on the first's.
+	waitRuns(t, s, 2)
 	status := func(key string) string {
 		code, _, data := getBody(t, ts.URL+"/jobs/"+key)
 		var st jobStatus
@@ -666,9 +777,13 @@ func TestServerCloseWhileCommitting(t *testing.T) {
 		}
 		return st.Status
 	}
-	for _, key := range keys {
-		if got := status(key); got != StateRunning {
-			t.Fatalf("job %s is %s before its record is durable, want running", key, got)
+	for i, key := range keys {
+		want := StateQueued
+		if i < 2 {
+			want = StateRunning
+		}
+		if got := status(key); got != want {
+			t.Fatalf("job %d is %s while the writer is parked, want %s", i, got, want)
 		}
 	}
 
@@ -683,18 +798,25 @@ func TestServerCloseWhileCommitting(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(release)
+	unpark()
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range keys {
-		if got := status(key); got != StateDone {
-			t.Fatalf("job %s is %s after Close, want done", key, got)
+	if s.Runs() != 2 {
+		t.Fatalf("%d jobs ran, want the 2 started before Close", s.Runs())
+	}
+	for i, key := range keys {
+		want := StateFailed
+		if i < 2 {
+			want = StateDone
+		}
+		if got := status(key); got != want {
+			t.Fatalf("job %d is %s after Close, want %s", i, got, want)
 		}
 	}
 
 	s2, ts2 := newTestServer(t, cfg)
-	for _, key := range keys {
+	for _, key := range keys[:2] {
 		if code, _, data := getBody(t, ts2.URL+"/results/"+key); code != http.StatusOK {
 			t.Fatalf("restarted server: GET /results/%s: status %d: %s", key, code, data)
 		}
@@ -702,4 +824,80 @@ func TestServerCloseWhileCommitting(t *testing.T) {
 	if s2.Runs() != 0 {
 		t.Fatalf("restarted server ran %d simulations", s2.Runs())
 	}
+}
+
+// TestServeQueueFullWhileCommitting: while the store's writer is parked,
+// the executor holds the second finished job, so the queue fills behind it
+// and a further submit is refused with 503 rather than piling finished
+// artifacts up in memory.
+func TestServeQueueFullWhileCommitting(t *testing.T) {
+	s, ts := newTestServer(t, Config{Version: "v-test", StoreDir: t.TempDir(), QueueDepth: 1})
+	unpark := parkWriter(s.disk)
+	defer unpark()
+	req := func(seed int) string { return fmt.Sprintf(`{"spec": %s, "seed": %d}`, tinySpec, seed) }
+	first := submit(t, ts.URL, req(80))
+	waitRuns(t, s, 1)
+	second := submit(t, ts.URL, req(81))
+	waitRuns(t, s, 2)
+	queued := submit(t, ts.URL, req(82))
+	if queued.Status != StateQueued {
+		t.Fatalf("third request status %q, want queued", queued.Status)
+	}
+	if code, data := postJSON(t, ts.URL+"/experiments", req(83)); code != http.StatusServiceUnavailable {
+		t.Fatalf("fourth request: status %d, want 503: %s", code, data)
+	}
+	if s.Runs() != 2 {
+		t.Fatalf("%d jobs ran while the writer was parked, want 2", s.Runs())
+	}
+	unpark()
+	for _, key := range []string{first.Key, second.Key, queued.Key} {
+		waitDone(t, ts.URL, key)
+	}
+}
+
+// blockingStore is a federated store whose Publish blocks until release
+// is closed, as one whose coordinator hangs would.
+type blockingStore struct {
+	publishing chan struct{} // receives once as each Publish starts
+	release    chan struct{}
+}
+
+func (b *blockingStore) Lookup(string) ([]byte, string, bool) { return nil, "", false }
+
+func (b *blockingStore) Publish(string, []byte, string) {
+	b.publishing <- struct{}{}
+	<-b.release
+}
+
+// TestStoreCommitsWhilePublishBlocks: a federated store that does not
+// answer holds up the executor, but not the disk store's writer, so a
+// blocking Put still commits.
+func TestStoreCommitsWhilePublishBlocks(t *testing.T) {
+	fed := &blockingStore{publishing: make(chan struct{}, 1), release: make(chan struct{})}
+	s, ts := newTestServer(t, Config{Version: "v-test", StoreDir: t.TempDir(), Store: fed})
+	var once sync.Once
+	release := func() { once.Do(func() { close(fed.release) }) }
+	defer release()
+	job := submit(t, ts.URL, fmt.Sprintf(`{"spec": %s, "seed": 90}`, tinySpec))
+	select {
+	case <-fed.publishing:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job never published")
+	}
+	key, body, addr := storeArtifact(0)
+	stored := make(chan struct{})
+	go func() {
+		s.StoreResult(key, body)
+		close(stored)
+	}()
+	select {
+	case <-stored:
+	case <-time.After(10 * time.Second):
+		t.Fatal("StoreResult's Put did not commit while a Publish was blocked")
+	}
+	if _, gotAddr, ok := s.disk.Get(key); !ok || gotAddr != addr {
+		t.Fatalf("disk Get after StoreResult: ok=%v address %s, want %s", ok, gotAddr, addr)
+	}
+	release()
+	waitDone(t, ts.URL, job.Key)
 }
