@@ -2,10 +2,12 @@
 // protocol is used, an attacker that can provide a node with tokens
 // sufficiently rapidly can prevent it from ever providing service."
 //
-// This example drives the paper's informal theorem through the core
-// satiation framework: a token-collecting node under attackers of varying
-// speed, and the same node with a little altruism (which breaks
-// satiation-compatibility and with it the observation's premise).
+// This example runs the observation on the Section 3 token-collecting model
+// (G, T, sat, f, c, a): 30 nodes on a complete graph, 4 tokens, 2 contacts
+// per round, and node 0 the only holder of token 0. An ideal attacker gives
+// node 0 every token each round, so node 0 is satiated and, at altruism
+// a = 0, never answers: token 0 never leaves it. Any a > 0 breaks
+// satiation-compatibility, and with it the observation's premise.
 //
 //	go run ./examples/observation
 package main
@@ -14,63 +16,56 @@ import (
 	"fmt"
 	"log"
 
-	"lotuseater/internal/core"
+	"lotuseater"
+)
+
+const (
+	nodes    = 30
+	tokens   = 4
+	contacts = 2
+	rounds   = 50
+	seed     = 5
 )
 
 func main() {
-	universe := core.NewTokenSet()
-	for t := core.Token(0); t < 20; t++ {
-		universe.Add(t)
+	// f: node 0 holds the rare token 0; the others hold tokens 1..3 in turn.
+	alloc := make([]int, nodes)
+	for v := 1; v < nodes; v++ {
+		alloc[v] = 1 + (v-1)%(tokens-1)
 	}
+	fmt.Printf("%d nodes on a complete graph, %d tokens, %d contacts/round, %d rounds\n", nodes, tokens, contacts, rounds)
+	fmt.Printf("node 0 alone holds token 0\n\n")
+	fmt.Println("ideal attack on node 0   nodes holding token 0   completed")
+	for _, a := range []float64{0, 0.1, 0.3} {
+		run(a, alloc)
+	}
+}
 
-	protocol := &core.TokenCollector{
-		Sat:                core.CompleteSetSatiation(universe),
-		ServiceWhileHungry: 1,
+// run builds the model at altruism a with an ideal attacker satiating node
+// 0 every round, runs it to the horizon and prints how far token 0 got.
+func run(a float64, alloc []int) {
+	cfg := lotuseater.TokenModelConfig{
+		Graph:      lotuseater.CompleteGraph(nodes),
+		Tokens:     tokens,
+		Contacts:   contacts,
+		Altruism:   a,
+		Rounds:     rounds,
+		Allocation: alloc,
 	}
-
-	// Sanity check: the protocol really is satiation-compatible.
-	samples := []core.NodeState{
-		{Time: 0, Held: core.NewTokenSet()},
-		{Time: 0, Held: universe.Clone()},
-	}
-	if err := core.CheckSatiationCompatible(protocol, samples); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("protocol is satiation-compatible (verified)")
-	fmt.Printf("target wants %d tokens; it serves 1 unit per round while hungry\n\n", universe.Len())
-
-	fmt.Println("attacker rate   service the target ever provides (50 rounds)")
-	for _, rate := range []int{0, 1, 5, 10, 20} {
-		res, err := core.RunObservation(core.ObservationConfig{
-			Protocol: protocol,
-			Attacker: core.AttackerModel{Rate: rate, Universe: universe},
-			Rounds:   50,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		note := ""
-		if res.ServiceProvided == 0 {
-			note = "   << silenced from round 0 (Observation 3.1)"
-		}
-		fmt.Printf("  %2d tokens/rd   %2d units%s\n", rate, res.ServiceProvided, note)
-	}
-
-	// The escape hatch: a protocol with altruism a > 0 is not
-	// satiation-compatible, and the observation's conclusion fails.
-	altruistic := &core.TokenCollector{
-		Sat:                core.CompleteSetSatiation(universe),
-		ServiceWhileHungry: 1,
-		AltruisticService:  1,
-	}
-	res, err := core.RunObservation(core.ObservationConfig{
-		Protocol: altruistic,
-		Attacker: core.AttackerModel{Rate: 20, Universe: universe},
-		Rounds:   50,
-	})
+	adv := &lotuseater.Strategy{Kind: lotuseater.AttackIdeal, TargetList: []int{0}}
+	sim, err := lotuseater.NewTokenModel(cfg, seed, adv)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nwith altruism (a > 0), the same instant attacker cannot silence the node:\n")
-	fmt.Printf("  20 tokens/rd   %d units of service over 50 rounds\n", res.ServiceProvided)
+	res, err := sim.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	holders := int(res.TokenCoverage[0]*nodes + 0.5)
+	note := ""
+	if a == 0 {
+		note = "   << node 0 never serves (Observation 3.1)"
+	}
+	fmt.Printf("  altruism a = %.1f        %2d/%d                  %5.1f%%%s\n",
+		a, holders, nodes, 100*res.CompletedFraction, note)
 }

@@ -52,11 +52,11 @@ type Config struct {
 var simPackageNames = []string{
 	"gossip", "swarm", "scrip", "tokenmodel", "coding",
 	"attack", "defense", "scenario", "sim", "adaptive", "metrics",
-	"population",
+	"population", "graph", "bitset", "simrng",
 }
 
 // DefaultConfig returns the production scope for a module rooted at
-// modPath: the twelve simulation packages under internal/.
+// modPath: the fifteen simulation packages under internal/.
 func DefaultConfig(modPath string) *Config {
 	cfg := &Config{}
 	for _, name := range simPackageNames {

@@ -389,6 +389,53 @@ func TestDrainingWorkerRefusesUnits(t *testing.T) {
 	}
 }
 
+// TestWorkerDefaultClientTimeout: a worker given no client bounds every
+// request to the coordinator with workerTimeout.
+func TestWorkerDefaultClientTimeout(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{Coordinator: "http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if w.client.Timeout != workerTimeout {
+		t.Fatalf("default client timeout %v, want %v", w.client.Timeout, workerTimeout)
+	}
+}
+
+// TestWorkerSurvivesSilentCoordinator: against a coordinator that accepts
+// connections and never answers, a worker whose client has a timeout still
+// finishes a locally submitted job (its publish times out) and answers 404
+// for an unknown result (its read-through times out).
+func TestWorkerSurvivesSilentCoordinator(t *testing.T) {
+	release := make(chan struct{})
+	coord := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer coord.Close()
+	defer close(release)
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: coord.URL,
+		Client:      &http.Client{Timeout: 100 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(w)
+	defer func() {
+		ts.Close()
+		w.Close()
+	}()
+	sub := submitSpec(t, ts.URL, tinyFixed, 3)
+	waitJobDone(t, ts.URL, sub.Key)
+	fetchResult(t, ts.URL, sub.Key)
+	if code, _, data := httpGet(t, ts.URL+"/results/"+strings.Repeat("0", 64)); code != http.StatusNotFound {
+		t.Fatalf("GET /results/{unknown}: %d: %s", code, data)
+	}
+}
+
 // TestWorkerExecutionErrorFailsJob: a unit whose simulation itself errors
 // (bad spec reaching the worker) is an execution failure — reported in
 // band, job failed, no retry storm.

@@ -45,9 +45,18 @@ type WorkerConfig struct {
 	// After is the announce loop's timer (nil = time.After). Tests inject a
 	// channel-driven fake to step the loop deterministically.
 	After func(d time.Duration) <-chan time.Time
-	// Client issues coordinator HTTP requests (nil = http.DefaultClient).
+	// Client issues coordinator HTTP requests (nil = a client whose
+	// Timeout is workerTimeout).
 	Client *http.Client
 }
+
+// workerTimeout bounds each request of a worker's default client: an
+// announce, a read-through lookup or a publish. It is sized to the largest
+// body a publish may carry, maxArtifactBytes, at 1 MiB/s. Without it a
+// coordinator that accepts a connection and never answers would hold the
+// executor in Publish, each read-through in Lookup and the announce loop
+// for good.
+const workerTimeout = maxArtifactBytes / (1 << 20) * time.Second
 
 // Worker is one cluster execution node: it serves the full experiment API
 // (a submit here runs locally, and its `/results/{key}` consults the
@@ -94,7 +103,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		stop:   make(chan struct{}),
 	}
 	if w.client == nil {
-		w.client = http.DefaultClient
+		w.client = &http.Client{Timeout: workerTimeout}
 	}
 	if w.after == nil {
 		w.after = time.After

@@ -100,7 +100,7 @@ func make2D(k, size int) [][]byte {
 func BenchmarkPlainStep(b *testing.B) {
 	build := func(seed uint64) *Dissemination {
 		cfg := DisseminationConfig{
-			Graph:       graph.RandomRegularish(96, 4, simrng.New(seed).Child("graph")),
+			Graph:       graph.Regularish(96, 4, simrng.New(seed).Child("graph")),
 			Symbols:     24,
 			PayloadSize: 32,
 			Contacts:    2,

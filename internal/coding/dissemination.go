@@ -515,14 +515,14 @@ func (d *Dissemination) step() error {
 		if sat[v] {
 			continue
 		}
-		nb := d.cfg.Graph.AdjList(v)
+		nb := d.cfg.Graph.Neighbors(v)
 		if len(nb) == 0 {
 			continue
 		}
 		c := min(d.contactsOf(v), len(nb))
 		d.sample = rng.SampleIntsInto(d.sample[:0], len(nb), c)
 		for _, idx := range d.sample {
-			p := nb[idx]
+			p := int(nb[idx])
 			if d.gone(p) {
 				continue
 			}
@@ -564,14 +564,14 @@ func (d *Dissemination) step() error {
 //
 //lotus:allocfree
 func (d *Dissemination) attackerContacts(v int, sat []bool, rng *simrng.Source) {
-	nb := d.cfg.Graph.AdjList(v)
+	nb := d.cfg.Graph.Neighbors(v)
 	if len(nb) == 0 {
 		return
 	}
 	c := min(d.contactsOf(v), len(nb))
 	d.sample = rng.SampleIntsInto(d.sample[:0], len(nb), c)
 	for _, idx := range d.sample {
-		p := nb[idx]
+		p := int(nb[idx])
 		if d.gone(p) || d.isAttacker[p] || sat[p] || !d.adv.OnExchange(d.round, v, p) {
 			continue
 		}

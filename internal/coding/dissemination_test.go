@@ -178,7 +178,7 @@ func TestPlainStepAllocs(t *testing.T) {
 			{"trade-limit1", attack.Trade, 1},
 		} {
 			cfg := DisseminationConfig{
-				Graph:       graph.RandomRegularish(n, 4, simrng.New(uint64(n)).Child("graph")),
+				Graph:       graph.Regularish(n, 4, simrng.New(uint64(n)).Child("graph")),
 				Symbols:     128,
 				PayloadSize: 8,
 				Contacts:    2,

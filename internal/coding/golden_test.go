@@ -33,7 +33,7 @@ type goldenCase struct {
 func goldenConfig(seed uint64) DisseminationConfig {
 	const n = 48
 	return DisseminationConfig{
-		Graph:       graph.RandomRegularish(n, 4, simrng.New(seed).Child("graph")),
+		Graph:       graph.Regularish(n, 4, simrng.New(seed).Child("graph")),
 		Symbols:     12,
 		PayloadSize: 8,
 		Contacts:    2,

@@ -197,13 +197,13 @@ func (d *plainOracle) step() error {
 		if sat[v] {
 			continue
 		}
-		nb := d.cfg.Graph.AdjList(v)
+		nb := d.cfg.Graph.Neighbors(v)
 		if len(nb) == 0 {
 			continue
 		}
 		c := min(d.contactsOf(v), len(nb))
 		for _, idx := range rng.SampleInts(len(nb), c) {
-			p := nb[idx]
+			p := int(nb[idx])
 			if d.gone(p) {
 				continue
 			}
@@ -231,13 +231,13 @@ func (d *plainOracle) step() error {
 }
 
 func (d *plainOracle) attackerContacts(v int, sat []bool, rng *simrng.Source, queue func(src, dst int)) {
-	nb := d.cfg.Graph.AdjList(v)
+	nb := d.cfg.Graph.Neighbors(v)
 	if len(nb) == 0 {
 		return
 	}
 	c := min(d.contactsOf(v), len(nb))
 	for _, idx := range rng.SampleInts(len(nb), c) {
-		p := nb[idx]
+		p := int(nb[idx])
 		if d.gone(p) || d.isAttacker[p] || sat[p] || !d.adv.OnExchange(d.round, v, p) {
 			continue
 		}

@@ -1,7 +1,7 @@
 // Package graph provides the communication graphs of the simulators: the
 // token-collecting model of Section 3 of the paper, coding's dissemination
-// and the public facade take a Graph, and the swarm draws its peer sets
-// with RegularishCSR straight into the packed arrays it runs on.
+// and the public facade take a Graph, and the swarm adopts the packed
+// arrays of a Regularish graph as its peer sets.
 //
 // A system in the paper's model is characterized in part by an undirected
 // graph G = (V, E) whose nodes are users and whose edges are the pairs of
@@ -14,153 +14,122 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
 )
 
-// Graph is an undirected graph on nodes 0..N-1 stored as adjacency lists.
-// Adjacency lists are kept sorted and deduplicated by the constructors.
+// Graph is an undirected graph on nodes 0..N-1 in compressed sparse row
+// form: node u's neighbours, sorted and distinct, are adj[off[u]:off[u+1]].
+// The constructors below build it; it is read-only afterwards. The zero
+// Graph has no nodes.
 type Graph struct {
-	n   int
-	adj [][]int
-}
-
-// New returns an empty graph on n nodes. It panics if n < 0.
-func New(n int) *Graph {
-	if n < 0 {
-		panic("graph: negative node count")
-	}
-	return &Graph{n: n, adj: make([][]int, n)}
+	off []int
+	adj []int32
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
+func (g *Graph) N() int { return max(len(g.off)-1, 0) }
 
-// AddEdge inserts the undirected edge (u, v). Self-loops and duplicate edges
-// are ignored. It returns an error if either endpoint is out of range.
-func (g *Graph) AddEdge(u, v int) error {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
-	}
-	if u == v || g.HasEdge(u, v) {
-		return nil
-	}
-	g.adj[u] = insertSorted(g.adj[u], v)
-	g.adj[v] = insertSorted(g.adj[v], u)
-	return nil
-}
+// Neighbors returns u's sorted neighbours without copying. The slice
+// aliases the graph's storage and must be treated as read-only: simulator
+// hot loops read it every round.
+func (g *Graph) Neighbors(u int) []int32 { return g.adj[g.off[u]:g.off[u+1]] }
 
-func insertSorted(s []int, v int) []int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
+// CSR returns the graph's packed arrays without copying: u's neighbours are
+// adj[off[u]:off[u+1]]. A caller that indexes arrays of its own by the same
+// offsets, as the swarm does, adopts them as they are; both are read-only.
+func (g *Graph) CSR() (off []int, adj []int32) { return g.off, g.adj }
+
+// FromEdges packs the undirected edges into a graph on n nodes. Repeated
+// edges and self-loops are dropped, and each row is sorted, so the graph
+// does not depend on the edges' order. The callers build their edges, so it
+// panics, as on a bug, if n < 0 or an endpoint lies outside [0, n).
+func FromEdges(n int, edges [][2]int) *Graph {
+	off := make([]int, n+1)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || u >= n || v < 0 || v >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
+		}
+		if u != v {
+			off[u+1]++
+			off[v+1]++
 		}
 	}
-	s = append(s, 0)
-	copy(s[lo+1:], s[lo:])
-	s[lo] = v
-	return s
-}
-
-// HasEdge reports whether the undirected edge (u, v) exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return false
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
 	}
-	nb := g.adj[u]
-	lo, hi := 0, len(nb)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case nb[mid] < v:
-			lo = mid + 1
-		case nb[mid] > v:
-			hi = mid
-		default:
-			return true
+	adj := make([]int32, off[n])
+	next := slices.Clone(off[:n])
+	for _, e := range edges {
+		if u, v := e[0], e[1]; u != v {
+			adj[next[u]] = int32(v)
+			next[u]++
+			adj[next[v]] = int32(u)
+			next[v]++
 		}
 	}
-	return false
-}
-
-// AdjList returns u's sorted neighbor list without copying; out-of-range u
-// reads as empty. The slice aliases the graph's internal storage and must
-// be treated as read-only: simulator hot loops read it every round.
-func (g *Graph) AdjList(u int) []int {
-	if u < 0 || u >= g.n {
-		return nil
+	// Sort each row, drop its repeats and pack it down onto the end of the
+	// previous one; off[u+1] still marks the old end of row u.
+	o := 0
+	for u := 0; u < n; u++ {
+		row := adj[off[u]:off[u+1]]
+		slices.Sort(row)
+		off[u] = o
+		o += copy(adj[o:], slices.Compact(row))
 	}
-	return g.adj[u]
+	off[n] = o
+	return &Graph{off: off, adj: adj[:o]}
 }
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
-	g := New(n)
+	edges := make([][2]int, 0, n*(n-1)/2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			// AddEdge cannot fail for in-range endpoints.
-			_ = g.AddEdge(u, v)
+			edges = append(edges, [2]int{u, v})
 		}
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 // Grid returns a rows x cols 4-connected grid. Node (r, c) has index
 // r*cols + c.
 func Grid(rows, cols int) *Graph {
-	g := New(rows * cols)
+	var edges [][2]int
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			u := r*cols + c
 			if c+1 < cols {
-				_ = g.AddEdge(u, u+1)
+				edges = append(edges, [2]int{u, u + 1})
 			}
 			if r+1 < rows {
-				_ = g.AddEdge(u, u+cols)
+				edges = append(edges, [2]int{u, u + cols})
 			}
 		}
 	}
-	return g
+	return FromEdges(rows*cols, edges)
 }
 
 // Random returns an Erdős–Rényi G(n, p) graph drawn from rng.
 func Random(n int, p float64, rng *simrng.Source) *Graph {
-	g := New(n)
+	var edges [][2]int
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Bool(p) {
-				_ = g.AddEdge(u, v)
+				edges = append(edges, [2]int{u, v})
 			}
 		}
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
-// RandomRegularish returns a graph where each node receives deg random
-// distinct neighbors (the realized degree may exceed deg because edges are
+// Regularish returns a graph where each node receives deg random distinct
+// neighbors (the realized degree may exceed deg because edges are
 // undirected). It approximates a random regular graph cheaply and is
-// connected with high probability for deg >= 3. It is RegularishCSR's
-// graph in adjacency-list form.
-func RandomRegularish(n, deg int, rng *simrng.Source) *Graph {
-	g := New(n)
-	off, adj := RegularishCSR(n, deg, rng)
-	backing := make([]int, len(adj))
-	for i, v := range adj {
-		backing[i] = int(v)
-	}
-	for u := 0; u < n; u++ {
-		g.adj[u] = backing[off[u]:off[u+1]:off[u+1]]
-	}
-	return g
-}
-
-// RegularishCSR draws RandomRegularish's graph in compressed sparse row
-// form: node u's sorted neighbors are adj[off[u]:off[u+1]]. Both arrays get
+// connected with high probability for deg >= 3. Both of its arrays get
 // the huge-page hint (sim.AdviseHugePages) before their first write, which
 // is when it counts with transparent huge pages in madvise mode, so a
 // caller that probes them at random, as the swarm does, can adopt them as
@@ -174,11 +143,11 @@ func RandomRegularish(n, deg int, rng *simrng.Source) *Graph {
 // buckets back, targets in ascending order, rewrites every node's samples
 // sorted, so no row is ever sorted. One branch-free merge per node then
 // writes the two lists into adj, a pair sampled from both sides once.
-func RegularishCSR(n, deg int, rng *simrng.Source) (off []int, adj []int32) {
-	off = make([]int, n+1)
+func Regularish(n, deg int, rng *simrng.Source) *Graph {
+	off := make([]int, n+1)
 	sim.AdviseHugePages(off)
 	if n < 2 {
-		return off, nil
+		return &Graph{off: off}
 	}
 	deg = min(deg, n-1)
 	if n*deg > math.MaxInt32 {
@@ -231,7 +200,7 @@ func RegularishCSR(n, deg int, rng *simrng.Source) (off []int, adj []int32) {
 	// Merge: min writes the smaller head, and each side advances when its
 	// head is not the larger one (the sign bit of head−other−1), so a head
 	// in both lists is written once and both advance.
-	adj = make([]int32, 2*m)
+	adj := make([]int32, 2*m)
 	sim.AdviseHugePages(adj)
 	o := 0
 	lo = 0
@@ -250,7 +219,7 @@ func RegularishCSR(n, deg int, rng *simrng.Source) (off []int, adj []int32) {
 		o += copy(adj[o:], b[j:])
 		off[u+1] = o
 	}
-	return off, adj[:o]
+	return &Graph{off: off, adj: adj[:o]}
 }
 
 // GridColumnCut returns the node indices of column col in a rows x cols grid

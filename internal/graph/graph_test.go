@@ -9,13 +9,21 @@ import (
 	"lotuseater/internal/simrng"
 )
 
-// edges counts g's undirected edges pair by pair through HasEdge, so it is
-// independent of the adjacency lists the degree checks read.
+// adjacent reports whether v is in u's row, by binary search, as the rows
+// are sorted.
+func adjacent(g *Graph, u, v int) bool {
+	_, ok := slices.BinarySearch(g.Neighbors(u), int32(v))
+	return ok
+}
+
+// edges counts g's undirected edges pair by pair, each in the row of its
+// lower endpoint only, so it is independent of the degree sums the
+// handshake check reads.
 func edges(g *Graph) int {
 	m := 0
 	for u := 0; u < g.N(); u++ {
 		for v := u + 1; v < g.N(); v++ {
-			if g.HasEdge(u, v) {
+			if adjacent(g, u, v) {
 				m++
 			}
 		}
@@ -38,8 +46,8 @@ func bfs(g *Graph, src int, gone map[int]bool) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.AdjList(u) {
-			if dist[v] == -1 && !gone[v] {
+		for _, w := range g.Neighbors(u) {
+			if v := int(w); dist[v] == -1 && !gone[v] {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
 			}
@@ -79,60 +87,65 @@ func isCut(g *Graph, nodes []int) bool {
 // connected reports whether every node reaches every other.
 func connected(g *Graph) bool { return !isCut(g, nil) }
 
+// TestNewAndAddEdge: FromEdges builds a graph of n nodes in which repeated
+// edges (either way round) and self-loops are dropped, each kept edge is
+// seen from both ends, and the packed CSR arrays hold exactly those rows.
 func TestNewAndAddEdge(t *testing.T) {
-	g := New(5)
-	if g.N() != 5 || edges(g) != 0 {
-		t.Fatalf("N=%d M=%d, want 5, 0", g.N(), edges(g))
+	g := FromEdges(5, [][2]int{{0, 1}, {1, 0}, {2, 2}})
+	if g.N() != 5 || edges(g) != 1 {
+		t.Fatalf("N=%d M=%d, want 5, 1", g.N(), edges(g))
 	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 0); err != nil {
-		t.Fatal(err) // duplicate, ignored
-	}
-	if err := g.AddEdge(2, 2); err != nil {
-		t.Fatal(err) // self-loop, ignored
-	}
-	if edges(g) != 1 {
-		t.Fatalf("M = %d, want 1", edges(g))
-	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
+	if !adjacent(g, 0, 1) || !adjacent(g, 1, 0) {
 		t.Fatal("edge (0,1) missing in one direction")
 	}
-	if g.HasEdge(2, 2) {
+	if adjacent(g, 2, 2) {
 		t.Fatal("self-loop present")
 	}
+	g = FromEdges(6, [][2]int{{3, 5}, {0, 1}, {2, 2}, {3, 2}, {1, 0}, {4, 3}, {3, 1}, {0, 1}, {5, 3}})
+	want := [][]int32{{1}, {0, 3}, {3}, {1, 2, 4, 5}, {3}, {3}}
+	if g.N() != len(want) {
+		t.Fatalf("N = %d, want %d", g.N(), len(want))
+	}
+	for u, row := range want {
+		if got := g.Neighbors(u); !slices.Equal(got, row) {
+			t.Fatalf("row %d = %v, want %v", u, got, row)
+		}
+	}
+	off, adj := g.CSR()
+	if !slices.Equal(off, []int{0, 1, 3, 4, 8, 9, 10}) || len(adj) != 10 {
+		t.Fatalf("CSR = %v over %d targets", off, len(adj))
+	}
+	if n0, nz := FromEdges(0, nil).N(), new(Graph).N(); n0 != 0 || nz != 0 {
+		t.Fatalf("empty graphs have %d and %d nodes", n0, nz)
+	}
 }
 
+// TestAddEdgeOutOfRange: an endpoint outside [0, n) passed to FromEdges
+// panics, whichever end it is.
 func TestAddEdgeOutOfRange(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(0, 3); err == nil {
-		t.Fatal("AddEdge(0,3) on 3-node graph did not error")
-	}
-	if err := g.AddEdge(-1, 0); err == nil {
-		t.Fatal("AddEdge(-1,0) did not error")
+	for _, e := range [][2]int{{0, 3}, {3, 0}, {-1, 0}, {0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("edge %v on 3 nodes did not panic", e)
+				}
+			}()
+			FromEdges(3, [][2]int{{0, 1}, e})
+		}()
 	}
 }
 
+// TestAdjListSorted: every row comes out sorted whatever the order the
+// edges were given in.
 func TestAdjListSorted(t *testing.T) {
-	g := New(6)
-	for _, v := range []int{5, 2, 4, 1} {
-		if err := g.AddEdge(3, v); err != nil {
-			t.Fatal(err)
+	g := FromEdges(6, [][2]int{{3, 5}, {2, 3}, {3, 4}, {1, 3}})
+	if nb, want := g.Neighbors(3), []int32{1, 2, 4, 5}; !slices.Equal(nb, want) {
+		t.Fatalf("Neighbors(3) = %v, want sorted %v", nb, want)
+	}
+	for u := 0; u < g.N(); u++ {
+		if nb := g.Neighbors(u); !slices.IsSorted(nb) {
+			t.Fatalf("row %d = %v not sorted", u, nb)
 		}
-	}
-	nb := g.AdjList(3)
-	want := []int{1, 2, 4, 5}
-	if len(nb) != len(want) {
-		t.Fatalf("AdjList = %v", nb)
-	}
-	for i := range want {
-		if nb[i] != want[i] {
-			t.Fatalf("AdjList = %v, want sorted %v", nb, want)
-		}
-	}
-	if g.AdjList(-1) != nil || g.AdjList(6) != nil {
-		t.Fatal("out-of-range AdjList not nil")
 	}
 }
 
@@ -142,8 +155,8 @@ func TestComplete(t *testing.T) {
 		t.Fatalf("K6 has %d edges, want 15", edges(g))
 	}
 	for v := 0; v < 6; v++ {
-		if len(g.AdjList(v)) != 5 {
-			t.Fatalf("node %d degree %d, want 5", v, len(g.AdjList(v)))
+		if len(g.Neighbors(v)) != 5 {
+			t.Fatalf("node %d degree %d, want 5", v, len(g.Neighbors(v)))
 		}
 	}
 	if !connected(g) {
@@ -164,11 +177,11 @@ func TestGrid(t *testing.T) {
 		t.Fatal("grid not connected")
 	}
 	// Corner degree 2, middle degree 4.
-	if len(g.AdjList(0)) != 2 {
-		t.Fatalf("corner degree %d", len(g.AdjList(0)))
+	if len(g.Neighbors(0)) != 2 {
+		t.Fatalf("corner degree %d", len(g.Neighbors(0)))
 	}
-	if len(g.AdjList(1*4+1)) != 4 {
-		t.Fatalf("interior degree %d", len(g.AdjList(5)))
+	if len(g.Neighbors(1*4+1)) != 4 {
+		t.Fatalf("interior degree %d", len(g.Neighbors(5)))
 	}
 }
 
@@ -192,24 +205,24 @@ func TestRandomExtremes(t *testing.T) {
 	}
 }
 
-func TestRandomRegularishConnected(t *testing.T) {
+func TestRegularishConnected(t *testing.T) {
 	rng := simrng.New(3)
-	g := RandomRegularish(200, 4, rng)
+	g := Regularish(200, 4, rng)
 	if !connected(g) {
-		t.Fatal("RandomRegularish(200, 4) disconnected")
+		t.Fatal("Regularish(200, 4) disconnected")
 	}
 	for v := 0; v < 200; v++ {
-		if len(g.AdjList(v)) < 4 {
-			t.Fatalf("node %d degree %d < requested 4", v, len(g.AdjList(v)))
+		if len(g.Neighbors(v)) < 4 {
+			t.Fatalf("node %d degree %d < requested 4", v, len(g.Neighbors(v)))
 		}
 	}
 }
 
-// randomRegularishOracle is the original bucket-and-sort builder, kept as
-// the reference RegularishCSR is checked against: draw the whole edge
+// regularishOracle is the original bucket-and-sort builder, kept as the
+// reference Regularish is checked against: draw the whole edge
 // multiset, bucket both endpoints of every edge, then sort and dedup each
 // node's bucket.
-func randomRegularishOracle(n, deg int, rng *simrng.Source) [][]int {
+func regularishOracle(n, deg int, rng *simrng.Source) [][]int {
 	adjs := make([][]int, n)
 	if n < 2 {
 		return adjs
@@ -263,12 +276,11 @@ func randomRegularishOracle(n, deg int, rng *simrng.Source) [][]int {
 	return adjs
 }
 
-// TestRandomRegularishMatchesOracle: RegularishCSR's offsets and packed
-// adjacency, and the lists of its RandomRegularish wrapper, are the graph
+// TestRegularishMatchesOracle: Regularish's offsets and rows are the graph
 // the bucket-and-sort builder drew, including where the sampler takes its
 // partial Fisher–Yates branch (4·deg > n−1) and where deg clamps to n−1,
 // and at the swarm's 10⁵-leecher shape (n = 100001, deg = 12).
-func TestRandomRegularishMatchesOracle(t *testing.T) {
+func TestRegularishMatchesOracle(t *testing.T) {
 	type shape struct {
 		n, deg int
 		seed   uint64
@@ -283,36 +295,28 @@ func TestRandomRegularishMatchesOracle(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		n, deg, seed := sh.n, sh.deg, sh.seed
-		want := randomRegularishOracle(n, deg, simrng.New(seed))
-		off, adj := RegularishCSR(n, deg, simrng.New(seed))
-		if len(off) != n+1 || off[0] != 0 || off[n] != len(adj) {
-			t.Fatalf("n=%d deg=%d seed=%d: %d offsets from %d to %d over %d targets", n, deg, seed, len(off), off[0], off[n], len(adj))
+		want := regularishOracle(n, deg, simrng.New(seed))
+		g := Regularish(n, deg, simrng.New(seed))
+		off, adj := g.CSR()
+		if g.N() != n || off[0] != 0 || off[n] != len(adj) {
+			t.Fatalf("n=%d deg=%d seed=%d: %d nodes, offsets from %d to %d over %d targets", n, deg, seed, g.N(), off[0], off[n], len(adj))
 		}
 		row := make([]int, 0, 2*deg)
 		for u := range want {
 			row = row[:0]
-			for _, v := range adj[off[u]:off[u+1]] {
+			for _, v := range g.Neighbors(u) {
 				row = append(row, int(v))
 			}
 			if !slices.Equal(row, want[u]) {
-				t.Fatalf("n=%d deg=%d seed=%d: CSR row %d = %v, want %v", n, deg, seed, u, row, want[u])
-			}
-		}
-		g := RandomRegularish(n, deg, simrng.New(seed))
-		if g.N() != n {
-			t.Fatalf("n=%d deg=%d seed=%d: N() = %d", n, deg, seed, g.N())
-		}
-		for u := range want {
-			if got := g.AdjList(u); !slices.Equal(got, want[u]) {
-				t.Fatalf("n=%d deg=%d seed=%d: node %d adjacency %v, want %v", n, deg, seed, u, got, want[u])
+				t.Fatalf("n=%d deg=%d seed=%d: row %d = %v, want %v", n, deg, seed, u, row, want[u])
 			}
 		}
 	}
 }
 
-func TestRandomRegularishDegreeClamp(t *testing.T) {
+func TestRegularishDegreeClamp(t *testing.T) {
 	rng := simrng.New(3)
-	g := RandomRegularish(4, 10, rng)
+	g := Regularish(4, 10, rng)
 	if edges(g) != 6 {
 		t.Fatalf("deg clamp failed: M = %d, want complete graph 6", edges(g))
 	}
@@ -330,19 +334,19 @@ func TestBFS(t *testing.T) {
 	if d := bfs(g, 0, map[int]bool{2: true}); d[1] != 1 || d[2] != -1 || d[3] != -1 {
 		t.Fatalf("distances around a gone node: %v", d)
 	}
-	if d := bfs(New(3), 0, nil); d[1] != -1 || d[2] != -1 {
+	if d := bfs(FromEdges(3, nil), 0, nil); d[1] != -1 || d[2] != -1 {
 		t.Fatal("unreachable nodes should get -1")
 	}
-	if d := bfs(New(3), -1, nil); d[0] != -1 {
+	if d := bfs(FromEdges(3, nil), -1, nil); d[0] != -1 {
 		t.Fatal("out-of-range src should mark all unreachable")
 	}
 }
 
 func TestConnectedTrivial(t *testing.T) {
-	if !connected(New(0)) || !connected(New(1)) {
+	if !connected(FromEdges(0, nil)) || !connected(FromEdges(1, nil)) {
 		t.Fatal("empty/singleton graphs should be connected")
 	}
-	if connected(New(2)) {
+	if connected(FromEdges(2, nil)) {
 		t.Fatal("two isolated nodes reported connected")
 	}
 }
@@ -376,7 +380,7 @@ func TestGridColumnCutIsCut(t *testing.T) {
 }
 
 // TestDegreeSumEqualsTwiceEdges is the handshake lemma on random graphs:
-// the adjacency lists agree with HasEdge.
+// every edge sits in the rows of both its endpoints.
 func TestDegreeSumEqualsTwiceEdges(t *testing.T) {
 	err := quick.Check(func(seed uint64, nRaw, pRaw uint8) bool {
 		n := int(nRaw%40) + 2
@@ -384,7 +388,7 @@ func TestDegreeSumEqualsTwiceEdges(t *testing.T) {
 		g := Random(n, p, simrng.New(seed))
 		sum := 0
 		for v := 0; v < n; v++ {
-			sum += len(g.AdjList(v))
+			sum += len(g.Neighbors(v))
 		}
 		return sum == 2*edges(g)
 	}, &quick.Config{MaxCount: 100})
@@ -403,7 +407,7 @@ func TestBFSTriangleInequality(t *testing.T) {
 			if dist[u] < 0 {
 				continue
 			}
-			for _, v := range g.AdjList(u) {
+			for _, v := range g.Neighbors(u) {
 				if dist[v] < 0 || dist[v] > dist[u]+1 || dist[u] > dist[v]+1 {
 					return false
 				}
@@ -416,12 +420,12 @@ func TestBFSTriangleInequality(t *testing.T) {
 	}
 }
 
-// BenchmarkRegularishCSR draws the swarm's peer graph at churn-100k's
+// BenchmarkRegularish draws the swarm's peer graph at churn-100k's
 // 10⁵-leecher shape: 100001 nodes (the leechers and the initial seed) of
 // sampled degree 12.
-func BenchmarkRegularishCSR(b *testing.B) {
+func BenchmarkRegularish(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		RegularishCSR(100_001, 12, simrng.New(uint64(i)+1))
+		Regularish(100_001, 12, simrng.New(uint64(i)+1))
 	}
 }

@@ -156,7 +156,7 @@ func (s *Spec) tokenGraph(n int, rng *simrng.Source) *graph.Graph {
 		side := int(math.Sqrt(float64(n)))
 		return graph.Grid(side, side)
 	default:
-		return graph.RandomRegularish(n, int(s.param("degree", 4)), rng.Child("graph"))
+		return graph.Regularish(n, int(s.param("degree", 4)), rng.Child("graph"))
 	}
 }
 

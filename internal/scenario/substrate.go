@@ -153,7 +153,7 @@ var substrates = map[string]*substrate{
 			if err != nil {
 				return err
 			}
-			cfg.Graph = graph.New(0) // drawn per replicate
+			cfg.Graph = graph.FromEdges(0, nil) // drawn per replicate
 			return s.runs(cfg, s.population(), cfg.Rounds)
 		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv *attack.Strategy, def *defense.RateLimiter) (sim.Model, error) {
@@ -248,7 +248,7 @@ var substrates = map[string]*substrate{
 			if err != nil {
 				return err
 			}
-			cfg.Graph = graph.New(0) // drawn per replicate
+			cfg.Graph = graph.FromEdges(0, nil) // drawn per replicate
 			return s.runs(cfg, s.population(), cfg.Rounds)
 		},
 		build: func(s *Spec, rng *simrng.Source, ws *sim.Workspace, adv *attack.Strategy, def *defense.RateLimiter) (sim.Model, error) {
@@ -257,7 +257,7 @@ var substrates = map[string]*substrate{
 				return nil, err
 			}
 			n := s.population()
-			cfg.Graph = graph.RandomRegularish(n, int(s.param("degree", 4)), rng.Child("graph"))
+			cfg.Graph = graph.Regularish(n, int(s.param("degree", 4)), rng.Child("graph"))
 			cfg.Allocation = s.rareAllocation(n, cfg.Symbols, rng)
 			assign := s.classAssignment(n, rng)
 			cfg.NodeContacts = s.intsByClass(assign, cfg.Contacts, capacityOf)

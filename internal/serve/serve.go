@@ -75,16 +75,13 @@ type Config struct {
 	// disk is never trusted) before consulting Store.
 	StoreDir string
 	// StoreMaxBytes bounds the disk store's unique blob bytes (<= 0 means
-	// 1 GiB). A GC loop evicts oldest-stored entries past the budget; the
-	// newest entry always survives.
+	// 1 GiB). Opening the store and every put evict oldest-stored entries
+	// past the budget; the newest entry always survives.
 	StoreMaxBytes int64
 	// StoreMaxAge, when positive, expires disk entries stored longer ago
-	// than this. Zero means no age bound.
+	// than this: at open, then on a tick of half the bound, clamped to
+	// [1 s, 1 min]. Zero means no age bound.
 	StoreMaxAge time.Duration
-	// StoreGCInterval is the disk GC cadence (<= 0 means one minute). The
-	// size bound is additionally enforced after every batch of writes, so
-	// the GC passes only have to catch age expiry and stragglers.
-	StoreGCInterval time.Duration
 	// LogFormat selects structured request logging: "json" emits one JSON
 	// line per request to LogWriter; "" or "off" disables logging.
 	LogFormat string
@@ -187,7 +184,6 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		disk.startGC(cfg.StoreGCInterval)
 		s.disk = disk
 	}
 	s.met = newMetrics(s)

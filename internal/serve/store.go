@@ -55,12 +55,15 @@ import (
 // does not decode, and drops rows whose blob is missing or mis-sized;
 // every Get re-hashes its blob and drops the row (and file) on mismatch.
 //
-// GC passes on the writer's ticker bound the store by age (rows stored
-// longer than maxAge ago) and by size (oldest-stored rows evict until the
-// byte budget holds; the newest always survives, mirroring the in-memory
-// LRU's invariant). The size bound also runs after every put. Rows leave
-// in (stored time, key) order off a heap, so a put into a store at its
-// budget costs O(log n) in memory, not a sort of the index.
+// GC passes bound the store by age (rows stored longer than maxAge ago)
+// and by size (oldest-stored rows evict until the byte budget holds; the
+// newest always survives, mirroring the in-memory LRU's invariant). One
+// runs at open, so a store reopened under tighter bounds meets them at
+// once, and, under an age bound, one on each tick of the writer's ticker.
+// The size bound also runs after every put, so without an age bound there
+// is no ticker. Rows leave in (stored time, key) order off a heap, so a put
+// into a store at its budget costs O(log n) in memory, not a sort of the
+// index.
 type diskStore struct {
 	dir      string
 	maxBytes int64
@@ -83,7 +86,7 @@ type diskStore struct {
 	journal *os.File
 	records int          // records in the journal since the snapshot
 	torn    bool         // an append failed, so the journal's tail is in doubt
-	ticker  *time.Ticker // GC cadence; nil until startGC
+	ticker  *time.Ticker // GC cadence; nil without an age bound
 	order   ageOrder     // eviction order: every row, and some replaced or dropped since
 }
 
@@ -130,10 +133,10 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// openDiskStore loads (or initializes) a store rooted at dir and starts its
-// writer. Entries whose blob is missing or mis-sized are dropped; blobs and
-// temp files nothing references are swept. maxBytes <= 0 means 1 GiB;
-// maxAge <= 0 means no age bound.
+// openDiskStore loads (or initializes) a store rooted at dir, applies both
+// bounds and starts its writer. Entries whose blob is missing or mis-sized
+// are dropped; blobs and temp files nothing references are swept.
+// maxBytes <= 0 means 1 GiB; maxAge <= 0 means no age bound.
 func openDiskStore(dir string, maxBytes int64, maxAge time.Duration) (*diskStore, error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 30
@@ -153,6 +156,13 @@ func openDiskStore(dir string, maxBytes int64, maxAge time.Duration) (*diskStore
 	}
 	if err := st.load(); err != nil {
 		return nil, err
+	}
+	st.gc()
+	if maxAge > 0 {
+		// Half the age bound lets a row outlive it by at most half again.
+		// Stored times have one-second resolution, so a faster tick finds
+		// nothing new, and a minute caps the wait under a long bound.
+		st.ticker = time.NewTicker(min(max(maxAge/2, time.Second), time.Minute))
 	}
 	go st.run()
 	return st, nil
@@ -496,14 +506,6 @@ func (st *diskStore) gc() int {
 	return n
 }
 
-// gcOnce runs a GC pass on the writer and returns how many entries it
-// removed.
-func (st *diskStore) gcOnce() int {
-	removed := 0
-	st.call(func() { removed = st.gc() })
-	return removed
-}
-
 // ageOrder is a min-heap of rows by (stored time, key), the eviction
 // order: deterministic regardless of map iteration. A row replaced or
 // dropped since it was pushed stays until evict pops it or reorder sheds it.
@@ -538,15 +540,6 @@ func (st *diskStore) reorder() {
 		st.order = append(st.order, ageRow{key, e})
 	}
 	heap.Init(&st.order)
-}
-
-// startGC makes the writer run a GC pass every interval until Close.
-// interval <= 0 means one minute.
-func (st *diskStore) startGC(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	st.send(storeOp{fn: func() { st.ticker = time.NewTicker(interval) }})
 }
 
 // Get returns the body stored under key, re-hashing it against its address

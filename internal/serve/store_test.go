@@ -103,6 +103,14 @@ func TestStoreNeverTrustsDisk(t *testing.T) {
 	st.Close()
 }
 
+// gcOnce runs a GC pass on the writer and returns how many entries it
+// removed.
+func (st *diskStore) gcOnce() int {
+	removed := 0
+	st.call(func() { removed = st.gc() })
+	return removed
+}
+
 // TestStoreGC: the age and size bounds evict deterministically — oldest
 // stored first, newest always survives — under an injected clock.
 func TestStoreGC(t *testing.T) {
@@ -179,6 +187,52 @@ func TestStoreGC(t *testing.T) {
 			t.Fatal("newest entry did not survive its own Put")
 		}
 	})
+}
+
+// TestStoreOpenAppliesBounds: a store reopened under tighter bounds meets
+// them at open, before any put or GC tick: first a smaller byte budget
+// evicts the oldest rows, then an age bound every row stored before it,
+// each row's blob going with it.
+func TestStoreOpenAppliesBounds(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir)
+	now := time.Now().Add(-3 * time.Hour)
+	st.now = func() time.Time { return now }
+	var addrs []string
+	for i := range 3 {
+		body := make([]byte, 40)
+		copy(body, fmt.Sprintf("b%d", i))
+		addrs = append(addrs, metrics.AddressBytes(body))
+		st.Put(fmt.Sprintf("k%d", i), body, addrs[i])
+		now = now.Add(time.Hour)
+	}
+	st.Close()
+
+	reopen := func(maxBytes int64, maxAge time.Duration, want ...string) {
+		t.Helper()
+		st, err := openDiskStore(dir, maxBytes, maxAge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		got := indexOf(st)
+		if len(got) != len(want) {
+			t.Fatalf("bounds (%d, %v): rows %v, want %v", maxBytes, maxAge, got, want)
+		}
+		for _, key := range want {
+			if _, ok := got[key]; !ok {
+				t.Fatalf("bounds (%d, %v): row %s evicted; rows %v", maxBytes, maxAge, key, got)
+			}
+		}
+		for i, addr := range addrs {
+			_, err := os.Stat(st.blobPath(addr))
+			if _, kept := got[fmt.Sprintf("k%d", i)]; kept != (err == nil) {
+				t.Fatalf("bounds (%d, %v): row k%d kept %v but its blob: %v", maxBytes, maxAge, i, kept, err)
+			}
+		}
+	}
+	reopen(100, 0, "k1", "k2")
+	reopen(0, 90*time.Minute, "k2")
 }
 
 // TestStoreEvictionTracksReplacements: a key put again under a new body
@@ -272,18 +326,18 @@ func TestStoreIndexSurvivesReload(t *testing.T) {
 }
 
 // TestStoreGCLoopLifecycle: the GC loop starts with the server, actually
-// collects on its ticks, and drains on shutdown — no orphaned tickers or
-// goroutines after Close.
+// collects on its ticks (the shortest, one second, under a millisecond age
+// bound), and drains on shutdown — no orphaned tickers or goroutines after
+// Close.
 func TestStoreGCLoopLifecycle(t *testing.T) {
 	warmPool(t)
 	base := runtime.NumGoroutine()
 
 	dir := t.TempDir()
 	s := mustNew(t, Config{
-		Version:         "v-test",
-		StoreDir:        dir,
-		StoreMaxAge:     time.Millisecond,
-		StoreGCInterval: 5 * time.Millisecond,
+		Version:     "v-test",
+		StoreDir:    dir,
+		StoreMaxAge: time.Millisecond,
 	})
 	ts := httptest.NewServer(s)
 

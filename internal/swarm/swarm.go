@@ -36,7 +36,7 @@
 //   - Struct-of-arrays agent layout. Piece bitsets are raw words in one
 //     contiguous arena (no per-node set headers to chase on random probes),
 //     the peer graph is drawn straight into int32 adjacency indexed by
-//     degree prefix sums (graph.RegularishCSR) with a reverse-position array
+//     degree prefix sums (graph.Regularish) with a reverse-position array
 //     beside it, all per-node ragged state (window reciprocation counts,
 //     interested lists, unchoke sets) lives in packed backing arrays, and
 //     the reciprocation ranking uses an allocation-free bounded sort — so
@@ -425,7 +425,7 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	// sums and a flat int32 adjacency, already hinted for huge pages; the
 	// adjacency-shaped per-node arrays, the piece-word arena and the rarity
 	// counters follow.
-	s.adjOff, s.adjFlat = graph.RegularishCSR(n, deg, s.rng.Child("peers"))
+	s.adjOff, s.adjFlat = graph.Regularish(n, deg, s.rng.Child("peers")).CSR()
 	maxDeg := 0
 	for v := 0; v < n; v++ {
 		maxDeg = max(maxDeg, s.adjOff[v+1]-s.adjOff[v])

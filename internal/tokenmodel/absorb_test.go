@@ -55,7 +55,7 @@ func randomEarlyCase(seed uint64) goldenCase {
 	case 1:
 		cfg.Graph = graph.Random(n, pick(rng, 0.1, 0.3, 0.6), rng.Child("graph"))
 	case 2:
-		cfg.Graph = graph.RandomRegularish(n, 1+rng.IntN(4), rng.Child("graph"))
+		cfg.Graph = graph.Regularish(n, 1+rng.IntN(4), rng.Child("graph"))
 	default:
 		cfg.Graph = oracleGraph("disconnected", n, rng)
 	}

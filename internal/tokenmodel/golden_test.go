@@ -32,7 +32,7 @@ type goldenCase struct {
 // graph, 24 tokens, 2 contacts, 60 rounds.
 func goldenShape(seed uint64) Config {
 	return Config{
-		Graph:    graph.RandomRegularish(96, 4, simrng.New(seed).Child("graph")),
+		Graph:    graph.Regularish(96, 4, simrng.New(seed).Child("graph")),
 		Tokens:   24,
 		Contacts: 2,
 		Rounds:   60,
@@ -67,7 +67,7 @@ func goldenCases() []goldenCase {
 	}
 	for _, altruism := range []float64{0, 0.1} {
 		add(fmt.Sprintf("altruism-%g", altruism), seed, func(c *goldenCase) {
-			c.cfg.Graph = graph.RandomRegularish(128, 4, simrng.New(c.seed).Child("graph"))
+			c.cfg.Graph = graph.Regularish(128, 4, simrng.New(c.seed).Child("graph"))
 			c.cfg.Tokens = 32
 			c.cfg.Rounds = 80
 			c.cfg.Altruism = altruism

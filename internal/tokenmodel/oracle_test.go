@@ -261,7 +261,7 @@ func (s *oracle) Step() error {
 		if sat[v] {
 			continue
 		}
-		nb := s.cfg.Graph.AdjList(v)
+		nb := s.cfg.Graph.Neighbors(v)
 		if len(nb) == 0 {
 			continue
 		}
@@ -270,7 +270,7 @@ func (s *oracle) Step() error {
 			c = len(nb)
 		}
 		for _, idx := range rng.SampleInts(len(nb), c) {
-			p := nb[idx]
+			p := int(nb[idx])
 			if s.gone(p) {
 				continue
 			}
@@ -326,7 +326,7 @@ func (s *oracle) satiate(v int) {
 }
 
 func (s *oracle) attackerContacts(v int, sat []bool, rng *simrng.Source) {
-	nb := s.cfg.Graph.AdjList(v)
+	nb := s.cfg.Graph.Neighbors(v)
 	if len(nb) == 0 {
 		return
 	}
@@ -335,7 +335,7 @@ func (s *oracle) attackerContacts(v int, sat []bool, rng *simrng.Source) {
 		c = len(nb)
 	}
 	for _, idx := range rng.SampleInts(len(nb), c) {
-		p := nb[idx]
+		p := int(nb[idx])
 		if s.gone(p) || s.isAttacker[p] || sat[p] || !s.adv.OnExchange(s.round, v, p) {
 			continue
 		}
@@ -439,15 +439,7 @@ func oracleGraph(kind string, n int, rng *simrng.Source) *graph.Graph {
 	case "random":
 		return graph.Random(n, 0.2, rng)
 	default: // two cliques with no bridge, plus an isolated node
-		g := graph.New(n)
-		half := (n - 1) / 2
-		for i := 0; i < half; i++ {
-			for j := i + 1; j < half; j++ {
-				_ = g.AddEdge(i, j)
-				_ = g.AddEdge(half+i, half+j)
-			}
-		}
-		return g
+		return twoCliques(n, (n-1)/2)
 	}
 }
 

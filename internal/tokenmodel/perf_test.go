@@ -20,7 +20,7 @@ import (
 func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 	measure := func(n int, kind attack.Kind, limit int) float64 {
 		cfg := Config{
-			Graph:    graph.RandomRegularish(n, 4, simrng.New(5)),
+			Graph:    graph.Regularish(n, 4, simrng.New(5)),
 			Tokens:   24,
 			Contacts: 2,
 			Rounds:   80,

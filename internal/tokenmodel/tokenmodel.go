@@ -239,7 +239,7 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	}
 	degree := 0
 	for v := 0; v < n; v++ {
-		degree = max(degree, len(cfg.Graph.AdjList(v)))
+		degree = max(degree, len(cfg.Graph.Neighbors(v)))
 	}
 	if s.ws != nil {
 		s.held = s.ws.Words(n * s.words)
@@ -483,14 +483,14 @@ func (s *Sim) Step() error {
 		if sat[v] {
 			continue // satiated nodes stop communicating
 		}
-		nb := s.cfg.Graph.AdjList(v)
+		nb := s.cfg.Graph.Neighbors(v)
 		if len(nb) == 0 {
 			continue
 		}
 		c := min(s.contactsOf(v), len(nb))
 		s.pick = rng.SampleIntsInto(s.pick[:0], len(nb), c)
 		for _, idx := range s.pick {
-			p := nb[idx]
+			p := int(nb[idx])
 			if s.gone(p) {
 				continue // contacting an empty seat wastes the slot
 			}
@@ -569,7 +569,8 @@ func (s *Sim) absorbing() bool {
 		}
 		initiates := s.contactsOf(v) > 0
 		row := s.row(s.held, v)
-		for _, p := range s.cfg.Graph.AdjList(v) {
+		for _, w := range s.cfg.Graph.Neighbors(v) {
+			p := int(w)
 			switch {
 			case s.gone(p):
 			case s.isAttacker != nil && s.isAttacker[p]:
@@ -623,14 +624,14 @@ func (s *Sim) satiate(v int) {
 //
 //lotus:allocfree
 func (s *Sim) attackerContacts(v int, sat []bool, rng *simrng.Source) {
-	nb := s.cfg.Graph.AdjList(v)
+	nb := s.cfg.Graph.Neighbors(v)
 	if len(nb) == 0 {
 		return
 	}
 	c := min(s.contactsOf(v), len(nb))
 	s.pick = rng.SampleIntsInto(s.pick[:0], len(nb), c)
 	for _, idx := range s.pick {
-		p := nb[idx]
+		p := int(nb[idx])
 		if s.gone(p) || s.isAttacker[p] || sat[p] || !s.adv.OnExchange(s.round, v, p) {
 			continue
 		}

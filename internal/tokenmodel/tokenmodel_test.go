@@ -151,8 +151,10 @@ func TestAttackerSatiatesTargets(t *testing.T) {
 	}
 }
 
-// TestRareTokenDenial is the paper's rare-token attack: satiate the only
-// holder of token 0 on a zero-altruism system and nobody else ever gets it.
+// TestRareTokenDenial is Observation 3.1 on the engine, as the paper's
+// rare-token attack: in a satiation-compatible system (a = 0), an attacker
+// that satiates the only holder of token 0 every round keeps it from ever
+// serving, so nobody else ever gets the token.
 func TestRareTokenDenial(t *testing.T) {
 	const n, tokens = 30, 4
 	alloc := make([]int, n)
@@ -183,8 +185,10 @@ func TestRareTokenDenial(t *testing.T) {
 	}
 }
 
-// TestAltruismLeaksRareToken: the same attack with a > 0 eventually leaks
-// the rare token (the satiated holder responds occasionally).
+// TestAltruismLeaksRareToken is the converse of Observation 3.1: with a > 0
+// the protocol is not satiation-compatible, the satiated holder still
+// answers now and then, and the same attack leaks the rare token to almost
+// every node.
 func TestAltruismLeaksRareToken(t *testing.T) {
 	const n, tokens = 30, 4
 	alloc := make([]int, n)
@@ -213,9 +217,8 @@ func TestAltruismLeaksRareToken(t *testing.T) {
 	}
 }
 
-// TestSatiatedNodesStopServing: with a = 0, a satiated node is inert — its
-// unique token never leaves it once it satiates instantly at round 0 via
-// the attacker.
+// TestZeroContactsNoSpread: with c = 0 no node initiates a contact, so no
+// token ever leaves its initial holder and nobody completes.
 func TestZeroContactsNoSpread(t *testing.T) {
 	cfg := validConfig()
 	cfg.Contacts = 0
@@ -232,15 +235,20 @@ func TestZeroContactsNoSpread(t *testing.T) {
 	}
 }
 
-func TestDisconnectedGraphPartialCompletion(t *testing.T) {
-	g := graph.New(10)
-	// Two cliques 0-4 and 5-9 with no bridge.
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			_ = g.AddEdge(i, j)
-			_ = g.AddEdge(i+5, j+5)
+// twoCliques returns n nodes holding two cliques, on [0, k) and [k, 2k),
+// with no bridge between them; any further nodes are isolated.
+func twoCliques(n, k int) *graph.Graph {
+	var edges [][2]int
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			edges = append(edges, [2]int{i, j}, [2]int{k + i, k + j})
 		}
 	}
+	return graph.FromEdges(n, edges)
+}
+
+func TestDisconnectedGraphPartialCompletion(t *testing.T) {
+	g := twoCliques(10, 5)
 	alloc := make([]int, 10)
 	for v := range alloc {
 		alloc[v] = v % 2 // tokens 0 and 1 in both cliques

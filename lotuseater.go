@@ -226,5 +226,5 @@ func RandomGraph(n int, p float64, seed uint64) *Graph {
 // RegularishGraph returns a graph where every node has at least deg random
 // neighbors; it is connected with high probability for deg >= 3.
 func RegularishGraph(n, deg int, seed uint64) *Graph {
-	return graph.RandomRegularish(n, deg, simrng.New(seed))
+	return graph.Regularish(n, deg, simrng.New(seed))
 }
